@@ -2,9 +2,9 @@
 
 The package executes GP 2 programs on host graphs under the
 deletion-before-insertion (double-pushout with relabelling) discipline,
-with two switchable graph-storage iteration backends: live-node chains
-that skip deleted records in one step, and legacy index scans over the
-slot array.
+with two switchable node-iteration backends: a live-node chain linked
+through the node records, which skips deleted nodes in one step, and
+the legacy index scan over every slot, holes included.
 """
 
 from .engine import ExecConfig, Outcome, run_program

@@ -145,10 +145,10 @@ def gen_sierpinski(level: int) -> Graph:
             mid_p = g.add_node(label=(generation + 1,))
             mid_q = g.add_node(label=(generation + 1,))
             corner = g.add_node(label=(0,))
-            for edge in list(apex.out_chain):
+            for edge in list(g.out_edges(apex)):
                 if edge.target in (p, q):
                     g.delete_edge(edge)
-            for edge in list(p.out_chain):
+            for edge in list(g.out_edges(p)):
                 if edge.target is q:
                     g.delete_edge(edge)
             g.add_edge(apex, mid_p, label=(0,))
@@ -223,7 +223,6 @@ def run_bench(program_name: str, program_text: str, specs, backends,
                 nodes, edges = g.node_count, g.edge_count
                 ms, outcome = time_execution(executable, g)
                 times.append(ms)
-                g.teardown()
             samples.append(BenchSample(
                 program=program_name, spec=spec, backend=backend, mode=mode,
                 reps=reps, median_ms=statistics.median(times), all_ms=times,

@@ -6,10 +6,10 @@
     gp2 [flags] <program> <graph>   run a program on a host graph
     gp2 bench <config> [-o FILE]    run the benchmark harness, emit CSV
 
-Run flags: -f fast shutdown, -g minimal garbage collection (needs -f),
--n index-scan iteration instead of node chains, -q skip search-plan
-optimisation, -m root-reflecting matches, -o DIR also write the output
-graph into DIR.
+Run flags: -f fast shutdown, -g minimal garbage collection: deleted
+records are never put back for reuse (needs -f), -n index-scan
+iteration instead of node chains, -q skip search-plan optimisation,
+-m root-reflecting matches, -o DIR also write the output graph into DIR.
 
 Exit codes: 0 success (graph on stdout), 1 validation/usage error,
 2 program failure or runtime error (diagnostics on stderr).
@@ -187,12 +187,10 @@ def main(argv: list[str]) -> int:
             out.mkdir(parents=True, exist_ok=True)
             (out / "out.host").write_text(outcome.output + "\n")
         if invocation.config.fast_shutdown:
-            # leave every store to the operating system
+            # leave the graph to the operating system
             sys.stdout.flush()
             sys.stderr.flush()
             os._exit(0)
-        if outcome.graph is not None:
-            outcome.graph.teardown()
         return 0
     print(outcome.diagnostic, file=sys.stderr)
     return outcome.exit_code

@@ -45,22 +45,28 @@ def is_discrete(g: Graph) -> bool:
 
 
 def is_acyclic(g: Graph) -> bool:
+    """Depth-first search with an explicit stack: a cycle is an edge
+    back to a node still on the stack (state 1)."""
     nodes, out = _adjacency(g)
     state = [0] * len(nodes)
-
-    def visit(i) -> bool:
-        if state[i] == 1:
-            return False
-        if state[i] == 2:
-            return True
-        state[i] = 1
-        for j in out[i]:
-            if not visit(j):
-                return False
-        state[i] = 2
-        return True
-
-    return all(visit(i) for i in range(len(nodes)))
+    for start in range(len(nodes)):
+        if state[start]:
+            continue
+        state[start] = 1
+        stack = [(start, iter(out[start]))]
+        while stack:
+            i, successors = stack[-1]
+            for j in successors:
+                if state[j] == 1:
+                    return False
+                if state[j] == 0:
+                    state[j] = 1
+                    stack.append((j, iter(out[j])))
+                    break
+            else:
+                state[i] = 2
+                stack.pop()
+    return True
 
 
 def is_binary_dag(g: Graph) -> bool:

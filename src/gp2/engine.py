@@ -7,16 +7,17 @@ items are created last.  Every mutation is journaled while a rollback
 scope is open, so if/try guards and loop iterations can be undone
 exactly; straight-line execution outside any scope journals nothing.
 
-Deleted records referenced from the journal are kept off the free list
-until the enclosing scope is undone or finally discarded, which is what
-keeps journal entries as bare handles sound.
+A record deleted under an open frame is flagged FLAG_IN_STACK and kept
+off the graph's free stack until the outermost frame commits (or an
+undo relinks it), which is what keeps journal entries as bare handles
+sound: a held record is never reused for a new item.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import FLAG_IN_STACK, FLAG_ROOT, Graph, GraphError
+from .graph import FLAG_IN_STACK, FLAG_ROOT, Graph
 from .match import compile_plan, find_match, prepare_rule
 from .rules import EvalError, Rule, instantiate_rhs
 
@@ -371,9 +372,9 @@ class ChangeStack:
     """Framed journal of graph mutations.
 
     Each rollback scope pushes a frame; undoing a frame replays its
-    entries in reverse.  Discarding an inner frame folds its entries
+    entries in reverse.  Committing an inner frame folds its entries
     into the parent so an outer scope can still undo them; only when the
-    last frame goes away are deferred-deleted records finally released.
+    last frame commits are deleted records released to the free stacks.
     """
 
     __slots__ = ("frames",)
@@ -419,49 +420,55 @@ class ChangeStack:
                 g.release_edge(entry[1])
 
 
-def undo_frame(g: Graph, stack: ChangeStack) -> None:
-    stack.undo_frame(g)
-
-
 # -- journaled mutations ---------------------------------------------------------
+#
+# Each helper mutates the graph and, when a rollback frame is open
+# (``frame`` is not None), records in it what undo needs.
 
 
 def journal_delete_node(g: Graph, frame, node) -> None:
-    frame.append(("nd", node, node.flags))
-    node.flags |= FLAG_IN_STACK
+    if frame is not None:
+        frame.append(("nd", node, node.flags))
+        node.flags |= FLAG_IN_STACK
     g.delete_node(node)
 
 
 def journal_delete_edge(g: Graph, frame, edge) -> None:
-    frame.append(("ed", edge, edge.flags))
-    edge.flags |= FLAG_IN_STACK
+    if frame is not None:
+        frame.append(("ed", edge, edge.flags))
+        edge.flags |= FLAG_IN_STACK
     g.delete_edge(edge)
 
 
 def journal_add_node(g: Graph, frame, label=(), mark="none", root=False):
     node = g.add_node(label, mark, root)
-    frame.append(("na", node))
+    if frame is not None:
+        frame.append(("na", node))
     return node
 
 
 def journal_add_edge(g: Graph, frame, src, tgt, label=(), mark="none"):
     edge = g.add_edge(src, tgt, label, mark)
-    frame.append(("ea", edge))
+    if frame is not None:
+        frame.append(("ea", edge))
     return edge
 
 
 def journal_relabel_node(g: Graph, frame, node, label) -> None:
-    frame.append(("rl", node, node.label))
+    if frame is not None:
+        frame.append(("rl", node, node.label))
     g.relabel_node(node, label)
 
 
 def journal_remark_node(g: Graph, frame, node, mark) -> None:
-    frame.append(("rm", node, node.mark))
+    if frame is not None:
+        frame.append(("rm", node, node.mark))
     node.mark = mark
 
 
 def journal_set_root(g: Graph, frame, node, flag) -> None:
-    frame.append(("rt", node, bool(node.flags & FLAG_ROOT)))
+    if frame is not None:
+        frame.append(("rt", node, bool(node.flags & FLAG_ROOT)))
     g.set_root(node, flag)
 
 
@@ -474,55 +481,34 @@ def apply_rule(rule: Rule, m, g: Graph, frame=None) -> None:
     any mutation."""
     new_nodes, new_edges = instantiate_rhs(
         rule, m.assignment, m.node_images, m.edge_images, g, m.orientations)
-    interface = rule.interface
 
     for host in m.edge_images.values():
-        if frame is not None:
-            journal_delete_edge(g, frame, host)
-        else:
-            g.delete_edge(host)
+        journal_delete_edge(g, frame, host)
 
-    iface = set(interface)
+    iface = set(rule.interface)
     for pn in rule.lhs.nodes:
-        if pn.pid in iface:
-            continue
-        host = m.node_images[pn.pid]
-        if frame is not None:
-            journal_delete_node(g, frame, host)
-        else:
-            g.delete_node(host)
+        if pn.pid not in iface:
+            journal_delete_node(g, frame, m.node_images[pn.pid])
 
     created: dict[int, object] = {}
     for item in new_nodes:
         if item.pid in iface:
             host = m.node_images[item.pid]
             if host.label != item.label:
-                if frame is not None:
-                    frame.append(("rl", host, host.label))
-                g.relabel_node(host, item.label)
+                journal_relabel_node(g, frame, host, item.label)
             if host.mark != item.mark:
-                if frame is not None:
-                    frame.append(("rm", host, host.mark))
-                host.mark = item.mark
-            was_root = bool(host.flags & FLAG_ROOT)
-            if was_root != item.root:
-                if frame is not None:
-                    frame.append(("rt", host, was_root))
-                g.set_root(host, item.root)
+                journal_remark_node(g, frame, host, item.mark)
+            if bool(host.flags & FLAG_ROOT) != item.root:
+                journal_set_root(g, frame, host, item.root)
         else:
-            host = g.add_node(item.label, item.mark, item.root)
-            created[item.pid] = host
-            if frame is not None:
-                frame.append(("na", host))
+            created[item.pid] = journal_add_node(g, frame, item.label, item.mark, item.root)
 
     for item in new_edges:
         src = created.get(item.src) or m.node_images.get(item.src)
         tgt = created.get(item.tgt) or m.node_images.get(item.tgt)
         if item.flip:
             src, tgt = tgt, src
-        edge = g.add_edge(src, tgt, item.label, item.mark)
-        if frame is not None:
-            frame.append(("ea", edge))
+        journal_add_edge(g, frame, src, tgt, item.label, item.mark)
 
 
 # -- whole-program execution -----------------------------------------------------

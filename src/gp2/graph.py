@@ -1,22 +1,29 @@
 """Host graphs: nodes, edges, labels, marks, roots.
 
-Two iteration backends coexist over the same records.  The chain
-backend follows the live-node list and therefore skips deleted nodes in
-one step; the index-scan backend walks every slot index below the
-high-water mark and filters on the in-graph flag, which is how the
-legacy layout iterated.  Both see exactly the live nodes.
+Node and edge records carry their own links.  Live nodes form one
+doubly linked chain from ``Graph.node_head``; each node heads its out-
+and in-edge lists, threaded through ``src_prev``/``src_next`` and
+``tgt_prev``/``tgt_next`` on the edges.  All three are head-inserted
+and unlink in O(1).
 
-Deletion is deferred: a record's slot is only returned to its store
-once nothing references it any more (neither the graph chains nor a
-change journal), so handles held elsewhere never dangle.
+Two iteration backends coexist over the same records.  The chain
+backend follows the live-node chain and therefore skips deleted nodes
+in one step; the index-scan backend walks every slot index below the
+high-water mark (``node_slots``) and filters on ``live_bytes``, which
+is how the legacy layout iterated.  Both see exactly the live nodes.
+
+Deleted records go on a LIFO free stack per record kind and are reused
+by the next add, keeping their slot index.  Release is deferred while a
+change journal holds the record (``FLAG_IN_STACK``), so handles held
+there never alias a new item; in minimal-GC mode records are never
+returned to the free stacks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from heapq import heappop, heappush
 from typing import Iterator, Optional
-
-from .storage import BigArray, Chain, Record, chain_entry_store, chain_push, chain_unlink
 
 # Marks ----------------------------------------------------------------
 
@@ -43,67 +50,23 @@ INT32_MIN = -(2 ** 31)
 INT32_MAX = 2 ** 31 - 1
 MAX_EXTERNAL_ID = 2 ** 63 - 1
 
-# Record sizes (bytes) used for store geometry.
-NODE_SIZE = 64
-EDGE_SIZE = 48
-
 
 class GraphError(Exception):
     pass
 
 
-class LabelStore:
-    """Interns host labels so identical lists share one tuple.
-
-    Reference counts let the store drop a label once no live item
-    carries it; the minimal-GC mode turns the counting off entirely.
-    """
-
-    __slots__ = ("_table", "refcounting")
-
-    def __init__(self, refcounting: bool = True):
-        self._table: dict[tuple, list] = {}
-        self.refcounting = refcounting
-
-    def intern(self, label: tuple) -> tuple:
-        entry = self._table.get(label)
-        if entry is None:
-            self._table[label] = [label, 1]
-            return label
-        if self.refcounting:
-            entry[1] += 1
-        return entry[0]
-
-    def release(self, label: tuple) -> None:
-        if not self.refcounting:
-            return
-        entry = self._table.get(label)
-        if entry is not None:
-            entry[1] -= 1
-            if entry[1] <= 0:
-                del self._table[label]
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
-class Node(Record):
+class Node:
     __slots__ = (
-        "label", "mark", "flags", "indegree", "outdegree",
-        "out_chain", "in_chain", "edge_entry_store", "chain_entry",
+        "slot_index", "label", "mark", "flags", "indegree", "outdegree",
+        "prev", "next", "out_head", "in_head",
     )
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.label = ()
-        self.mark = MARK_NONE
-        self.flags = 0
+    def __init__(self, slot_index: int) -> None:
+        self.slot_index = slot_index
         self.indegree = 0
         self.outdegree = 0
-        self.out_chain: Optional[Chain] = None
-        self.in_chain: Optional[Chain] = None
-        self.edge_entry_store: Optional[BigArray] = None
-        self.chain_entry = None
+        self.out_head: Optional[Edge] = None
+        self.in_head: Optional[Edge] = None
 
     @property
     def is_root(self) -> bool:
@@ -114,40 +77,14 @@ class Node(Record):
         return bool(self.flags & FLAG_IN_GRAPH)
 
 
-class Edge(Record):
-    __slots__ = ("label", "mark", "flags", "source", "target", "src_entry", "tgt_entry")
+class Edge:
+    __slots__ = (
+        "slot_index", "label", "mark", "flags", "source", "target",
+        "src_prev", "src_next", "tgt_prev", "tgt_next",
+    )
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.label = ()
-        self.mark = MARK_NONE
-        self.flags = 0
-        self.source: Optional[Node] = None
-        self.target: Optional[Node] = None
-        self.src_entry = None
-        self.tgt_entry = None
-
-
-class IdMap:
-    """External integer id -> node handle, sized by entry count only."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self) -> None:
-        self._map: dict[int, Node] = {}
-
-    def insert(self, external_id: int, node: Node) -> None:
-        if external_id < 0 or external_id > MAX_EXTERNAL_ID:
-            raise GraphError(f"node id out of range: {external_id}")
-        if external_id in self._map:
-            raise GraphError(f"duplicate node id: {external_id}")
-        self._map[external_id] = node
-
-    def lookup(self, external_id: int) -> Optional[Node]:
-        return self._map.get(external_id)
-
-    def __len__(self) -> int:
-        return len(self._map)
+    def __init__(self, slot_index: int) -> None:
+        self.slot_index = slot_index
 
 
 # How many flag bytes an index scan inspects per chunk before giving
@@ -157,20 +94,20 @@ SCAN_CHUNK = 128
 
 class Graph:
     __slots__ = (
-        "node_store", "edge_store", "node_chain_entry_store",
-        "node_chain", "root_list", "node_count", "edge_count",
-        "labels", "live_bytes", "iter_steps", "minimal_gc",
+        "node_slots", "free_nodes", "edge_high_water", "free_edges",
+        "node_head", "root_list", "node_count", "edge_count",
+        "live_bytes", "iter_steps", "minimal_gc",
     )
 
     def __init__(self, minimal_gc: bool = False):
-        self.node_store = BigArray(NODE_SIZE, Node)
-        self.edge_store = BigArray(EDGE_SIZE, Edge)
-        self.node_chain_entry_store = chain_entry_store()
-        self.node_chain = Chain()
+        self.node_slots: list[Node] = []
+        self.free_nodes: list[Node] = []
+        self.edge_high_water = 0
+        self.free_edges: list[Edge] = []
+        self.node_head: Optional[Node] = None
         self.root_list: list[Node] = []
         self.node_count = 0
         self.edge_count = 0
-        self.labels = LabelStore(refcounting=not minimal_gc)
         # One byte per node slot mirroring the in-graph bit; lets the
         # index-scan backend skip hole runs without touching records.
         self.live_bytes = bytearray()
@@ -182,61 +119,71 @@ class Graph:
     def add_node(self, label: tuple = (), mark: str = MARK_NONE, root: bool = False) -> Node:
         if mark not in NODE_MARKS:
             raise GraphError(f"not a node mark: {mark}")
-        node = self.node_store.alloc()
-        node.label = self.labels.intern(label)
+        if self.free_nodes:
+            node = self.free_nodes.pop()
+            self.live_bytes[node.slot_index] = 1
+        else:
+            node = Node(len(self.node_slots))
+            self.node_slots.append(node)
+            self.live_bytes.append(1)
+        node.label = label
         node.mark = mark
         node.flags = FLAG_IN_GRAPH
-        node.indegree = 0
-        node.outdegree = 0
-        if node.out_chain is None:
-            node.out_chain = Chain()
-            node.in_chain = Chain()
-            node.edge_entry_store = chain_entry_store()
-        node.chain_entry = chain_push(self.node_chain, node, self.node_chain_entry_store)
-        idx = node.slot_index
-        if idx == len(self.live_bytes):
-            self.live_bytes.append(1)
-        else:
-            self.live_bytes[idx] = 1
+        self._link_node(node)
         if root:
             node.flags |= FLAG_ROOT
             self.root_list.append(node)
         self.node_count += 1
         return node
 
+    def _link_node(self, node: Node) -> None:
+        head = self.node_head
+        node.prev = None
+        node.next = head
+        if head is not None:
+            head.prev = node
+        self.node_head = node
+
     def delete_node(self, node: Node) -> None:
         if not node.flags & FLAG_IN_GRAPH:
             raise GraphError("node is not in the graph")
         if node.indegree or node.outdegree:
             raise GraphError("cannot delete a node with incident edges")
-        chain_unlink(self.node_chain, node.chain_entry, self.node_chain_entry_store)
-        node.chain_entry = None
+        prev, nxt = node.prev, node.next
+        if prev is None:
+            self.node_head = nxt
+        else:
+            prev.next = nxt
+        if nxt is not None:
+            nxt.prev = prev
+        node.prev = node.next = None
         self.live_bytes[node.slot_index] = 0
         if node.flags & FLAG_ROOT:
             self.root_list.remove(node)
-        self.labels.release(node.label)
         node.flags &= ~(FLAG_IN_GRAPH | FLAG_ROOT)
         self.node_count -= 1
         if not node.flags & FLAG_IN_STACK and not self.minimal_gc:
-            self.node_store.free(node)
+            self.free_nodes.append(node)
 
     def restore_node(self, node: Node, flags: int) -> None:
         """Relink a deferred-deleted node exactly as it was (modulo its
         position in the node chain, which is head insertion)."""
         node.flags = flags & ~FLAG_IN_STACK | FLAG_IN_GRAPH
-        node.label = self.labels.intern(node.label)
-        node.chain_entry = chain_push(self.node_chain, node, self.node_chain_entry_store)
+        self._link_node(node)
         self.live_bytes[node.slot_index] = 1
         if node.flags & FLAG_ROOT:
             self.root_list.append(node)
         self.node_count += 1
 
     def release_node(self, node: Node) -> None:
-        """Drop a journal reference; frees the slot if nothing else
-        holds the record."""
+        """Drop a journal's hold on the record, freeing it if it is
+        deleted.  A record no journal holds is left alone, so releasing
+        twice cannot put it on the free stack twice."""
+        if not node.flags & FLAG_IN_STACK:
+            return
         node.flags &= ~FLAG_IN_STACK
         if not node.flags & FLAG_IN_GRAPH and not self.minimal_gc:
-            self.node_store.free(node)
+            self.free_nodes.append(node)
 
     # -- edges ----------------------------------------------------------
 
@@ -245,68 +192,84 @@ class Graph:
             raise GraphError(f"not an edge mark: {mark}")
         if not src.flags & FLAG_IN_GRAPH or not tgt.flags & FLAG_IN_GRAPH:
             raise GraphError("edge endpoint is not live")
-        edge = self.edge_store.alloc()
-        edge.label = self.labels.intern(label)
+        if self.free_edges:
+            edge = self.free_edges.pop()
+        else:
+            edge = Edge(self.edge_high_water)
+            self.edge_high_water += 1
+        edge.label = label
         edge.mark = mark
         edge.flags = FLAG_IN_SRC_CHAIN | FLAG_IN_TGT_CHAIN
         edge.source = src
         edge.target = tgt
-        edge.src_entry = chain_push(src.out_chain, edge, src.edge_entry_store)
-        edge.tgt_entry = chain_push(tgt.in_chain, edge, tgt.edge_entry_store)
+        self._link_edge(edge)
+        return edge
+
+    def _link_edge(self, edge: Edge) -> None:
+        src, tgt = edge.source, edge.target
+        head = src.out_head
+        edge.src_prev = None
+        edge.src_next = head
+        if head is not None:
+            head.src_prev = edge
+        src.out_head = edge
+        head = tgt.in_head
+        edge.tgt_prev = None
+        edge.tgt_next = head
+        if head is not None:
+            head.tgt_prev = edge
+        tgt.in_head = edge
         src.outdegree += 1
         tgt.indegree += 1
         self.edge_count += 1
-        return edge
 
     def delete_edge(self, edge: Edge) -> None:
         if not edge.flags & (FLAG_IN_SRC_CHAIN | FLAG_IN_TGT_CHAIN):
             raise GraphError("edge already deleted")
         src, tgt = edge.source, edge.target
-        chain_unlink(src.out_chain, edge.src_entry, src.edge_entry_store)
-        chain_unlink(tgt.in_chain, edge.tgt_entry, tgt.edge_entry_store)
-        edge.src_entry = edge.tgt_entry = None
+        prev, nxt = edge.src_prev, edge.src_next
+        if prev is None:
+            src.out_head = nxt
+        else:
+            prev.src_next = nxt
+        if nxt is not None:
+            nxt.src_prev = prev
+        prev, nxt = edge.tgt_prev, edge.tgt_next
+        if prev is None:
+            tgt.in_head = nxt
+        else:
+            prev.tgt_next = nxt
+        if nxt is not None:
+            nxt.tgt_prev = prev
+        edge.src_prev = edge.src_next = edge.tgt_prev = edge.tgt_next = None
         src.outdegree -= 1
         tgt.indegree -= 1
-        self.labels.release(edge.label)
         edge.flags &= ~(FLAG_IN_SRC_CHAIN | FLAG_IN_TGT_CHAIN)
         self.edge_count -= 1
         if not edge.flags & FLAG_IN_STACK and not self.minimal_gc:
-            self.edge_store.free(edge)
+            self.free_edges.append(edge)
 
     def restore_edge(self, edge: Edge, flags: int) -> None:
-        src, tgt = edge.source, edge.target
         edge.flags = flags & ~FLAG_IN_STACK | FLAG_IN_SRC_CHAIN | FLAG_IN_TGT_CHAIN
-        edge.label = self.labels.intern(edge.label)
-        edge.src_entry = chain_push(src.out_chain, edge, src.edge_entry_store)
-        edge.tgt_entry = chain_push(tgt.in_chain, edge, tgt.edge_entry_store)
-        src.outdegree += 1
-        tgt.indegree += 1
-        self.edge_count += 1
+        self._link_edge(edge)
 
     def release_edge(self, edge: Edge) -> None:
+        """As release_node, for edges."""
+        if not edge.flags & FLAG_IN_STACK:
+            return
         edge.flags &= ~FLAG_IN_STACK
         if not edge.flags & (FLAG_IN_SRC_CHAIN | FLAG_IN_TGT_CHAIN) and not self.minimal_gc:
-            self.edge_store.free(edge)
+            self.free_edges.append(edge)
 
     # -- in-place updates ------------------------------------------------
 
     def relabel_node(self, node: Node, label: tuple) -> None:
-        self.labels.release(node.label)
-        node.label = self.labels.intern(label)
+        node.label = label
 
     def remark_node(self, node: Node, mark: str) -> None:
         if mark not in NODE_MARKS:
             raise GraphError(f"not a node mark: {mark}")
         node.mark = mark
-
-    def relabel_edge(self, edge: Edge, label: tuple) -> None:
-        self.labels.release(edge.label)
-        edge.label = self.labels.intern(label)
-
-    def remark_edge(self, edge: Edge, mark: str) -> None:
-        if mark not in EDGE_MARKS:
-            raise GraphError(f"not an edge mark: {mark}")
-        edge.mark = mark
 
     def set_root(self, node: Node, flag: bool) -> None:
         if flag and not node.flags & FLAG_ROOT:
@@ -319,30 +282,29 @@ class Graph:
     # -- iteration --------------------------------------------------------
 
     def nodes_chain(self) -> Iterator[Node]:
-        entry = self.node_chain.head
-        steps = 0
-        while entry is not None:
-            steps += 1
-            yield entry.payload
-            entry = entry.next
-        self.iter_steps += steps
+        node = self.node_head
+        while node is not None:
+            self.iter_steps += 1
+            nxt = node.next
+            yield node
+            node = nxt
 
     def nodes_index_scan(self) -> Iterator[Node]:
         live = self.live_bytes
-        store = self.node_store
+        slots = self.node_slots
         i = 0
         while True:
-            hw = store.high_water
+            hw = len(slots)
             if i >= hw:
-                self.iter_steps += 0
                 return
-            j = live.find(1, i, min(i + SCAN_CHUNK, hw))
+            end = min(i + SCAN_CHUNK, hw)
+            j = live.find(1, i, end)
             if j < 0:
-                self.iter_steps += min(i + SCAN_CHUNK, hw) - i
-                i = min(i + SCAN_CHUNK, hw)
+                self.iter_steps += end - i
+                i = end
                 continue
             self.iter_steps += j - i + 1
-            yield store.get(j)
+            yield slots[j]
             i = j + 1
 
     def nodes_iter(self, backend: str = "chain") -> Iterator[Node]:
@@ -353,48 +315,53 @@ class Graph:
         raise GraphError(f"unknown iteration backend: {backend}")
 
     def out_edges(self, node: Node) -> Iterator[Edge]:
-        return iter(node.out_chain)
+        edge = node.out_head
+        while edge is not None:
+            nxt = edge.src_next
+            yield edge
+            edge = nxt
 
     def in_edges(self, node: Node) -> Iterator[Edge]:
-        return iter(node.in_chain)
+        edge = node.in_head
+        while edge is not None:
+            nxt = edge.tgt_next
+            yield edge
+            edge = nxt
 
     def nodes(self) -> list[Node]:
         return list(self.nodes_chain())
 
     def edges(self) -> list[Edge]:
-        out = []
-        for node in self.nodes_chain():
-            out.extend(node.out_chain)
-        return out
-
-    def teardown(self) -> None:
-        """Drop internal structure explicitly (skipped in fast-shutdown
-        mode, where the process exits right after output)."""
-        self.node_store = self.edge_store = self.node_chain_entry_store = None
-        self.node_chain = None
-        self.root_list = []
-        self.live_bytes = bytearray()
+        return [e for node in self.nodes_chain() for e in self.out_edges(node)]
 
 
 def check_consistency(g: Graph) -> None:
     """Test-build auditor for the structural invariants."""
     nodes = g.nodes()
     assert len(nodes) == g.node_count
+    for a, b in zip(nodes, nodes[1:]):
+        assert b.prev is a
     roots = [n for n in nodes if n.flags & FLAG_ROOT]
     assert set(id(n) for n in roots) == set(id(n) for n in g.root_list)
     total_out = 0
     for n in nodes:
-        assert g.live_bytes[n.slot_index] == 1
-        assert n.indegree == len(n.in_chain)
-        assert n.outdegree == len(n.out_chain)
+        assert g.node_slots[n.slot_index] is n
+        out, inc = list(g.out_edges(n)), list(g.in_edges(n))
+        assert n.indegree == len(inc)
+        assert n.outdegree == len(out)
         total_out += n.outdegree
-        for e in n.out_chain:
+        for a, b in zip(out, out[1:]):
+            assert b.src_prev is a
+        for a, b in zip(inc, inc[1:]):
+            assert b.tgt_prev is a
+        for e in out:
             assert e.source is n
-        for e in n.in_chain:
+        for e in inc:
             assert e.target is n
     assert total_out == g.edge_count
     live_idx = {n.slot_index for n in nodes}
-    for i in range(g.node_store.high_water):
+    assert len(g.live_bytes) == len(g.node_slots)
+    for i in range(len(g.node_slots)):
         assert (g.live_bytes[i] == 1) == (i in live_idx)
 
 
@@ -406,100 +373,115 @@ def _node_signature(n: Node, with_labels: bool) -> tuple:
     return (label, n.mark, bool(n.flags & FLAG_ROOT), n.indegree, n.outdegree)
 
 
-def _edge_key(e: Edge, mapping: dict, with_labels: bool) -> tuple:
-    label = e.label if with_labels else None
-    return (mapping[id(e.source)], mapping[id(e.target)], label, e.mark)
-
-
 def _edge_blocks(g: Graph, index: dict, with_labels: bool) -> dict:
     """Multiset of (label, mark) per ordered node pair, loops included."""
     blocks: dict[tuple[int, int], Counter] = {}
-    for node in g.nodes_chain():
-        for e in node.out_chain:
-            key = (index[id(e.source)], index[id(e.target)])
-            blocks.setdefault(key, Counter())[
-                (e.label if with_labels else None, e.mark)] += 1
+    for e in g.edges():
+        key = (index[id(e.source)], index[id(e.target)])
+        blocks.setdefault(key, Counter())[
+            (e.label if with_labels else None, e.mark)] += 1
     return blocks
+
+
+def _neighbours(count: int, blocks: dict) -> list[set[int]]:
+    nbrs: list[set[int]] = [set() for _ in range(count)]
+    for (a, b) in blocks:
+        if a != b:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return nbrs
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph, ignore_labels: bool = False) -> bool:
     """Label-, mark-, root- and direction-preserving isomorphism test.
 
-    Backtracking over node bijections; candidates are pruned by node
-    signature and, at every assignment, by the edge multisets between
-    the new node and everything already mapped.  Meant for the small
-    graphs that appear in tests.
+    Iterative backtracking over node bijections.  Nodes of g1 are taken
+    in an order that reaches each component from its rarest signature
+    and then grows along edges, so every later node has an already-mapped
+    neighbour; its candidates are that neighbour's image's neighbours
+    with the same signature.  A candidate is accepted when the edge
+    multisets to every already-mapped neighbour, on either side, agree.
     """
     with_labels = not ignore_labels
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         return False
     n1 = g1.nodes()
     n2 = g2.nodes()
-    sig1 = Counter(_node_signature(n, with_labels) for n in n1)
-    sig2 = Counter(_node_signature(n, with_labels) for n in n2)
-    if sig1 != sig2:
+    sig1 = [_node_signature(n, with_labels) for n in n1]
+    sig2 = [_node_signature(n, with_labels) for n in n2]
+    if Counter(sig1) != Counter(sig2):
         return False
 
-    idx1 = {id(n): i for i, n in enumerate(n1)}
-    idx2 = {id(n): i for i, n in enumerate(n2)}
-    blocks1 = _edge_blocks(g1, idx1, with_labels)
-    blocks2 = _edge_blocks(g2, idx2, with_labels)
+    blocks1 = _edge_blocks(g1, {id(n): i for i, n in enumerate(n1)}, with_labels)
+    blocks2 = _edge_blocks(g2, {id(n): i for i, n in enumerate(n2)}, with_labels)
+    nbrs1 = _neighbours(len(n1), blocks1)
+    nbrs2 = _neighbours(len(n2), blocks2)
 
     by_sig: dict[tuple, list[int]] = {}
-    for i, n in enumerate(n2):
-        by_sig.setdefault(_node_signature(n, with_labels), []).append(i)
+    for i, s in enumerate(sig2):
+        by_sig.setdefault(s, []).append(i)
 
-    # order g1 nodes so each one touches the already-ordered region where
-    # possible, rarest signatures first
-    neighbours: dict[int, set[int]] = {i: set() for i in range(len(n1))}
-    for (a, b) in blocks1:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    remaining = set(range(len(n1)))
+    def rarity(i: int) -> tuple[int, int]:
+        return len(by_sig[sig1[i]]), i
+
     order: list[int] = []
-    ordered: set[int] = set()
+    placed = [False] * len(n1)
+    for start in sorted(range(len(n1)), key=rarity):
+        if placed[start]:
+            continue
+        heap = [(rarity(start), start)]
+        while heap:
+            _, i = heappop(heap)
+            if placed[i]:
+                continue
+            placed[i] = True
+            order.append(i)
+            for j in nbrs1[i]:
+                if not placed[j]:
+                    heappush(heap, (rarity(j), j))
 
-    def rarity(i: int) -> int:
-        return len(by_sig[_node_signature(n1[i], with_labels)])
+    mapping: list[Optional[int]] = [None] * len(n1)   # g1 index -> g2 index
+    inverse: list[Optional[int]] = [None] * len(n2)
 
-    while remaining:
-        touching = [i for i in remaining if neighbours[i] & ordered]
-        pool = touching or list(remaining)
-        pick = min(pool, key=rarity)
-        order.append(pick)
-        ordered.add(pick)
-        remaining.discard(pick)
-
-    mapping: list[int | None] = [None] * len(n1)   # g1 index -> g2 index
-    used = [False] * len(n2)
+    def candidates(a: int) -> list[int]:
+        for p in nbrs1[a]:
+            q = mapping[p]
+            if q is not None:
+                return [b for b in nbrs2[q] if sig2[b] == sig1[a]]
+        return by_sig[sig1[a]]
 
     def compatible(a: int, b: int) -> bool:
         if blocks1.get((a, a)) != blocks2.get((b, b)):
             return False
-        for p in order:
+        for p in nbrs1[a]:
             q = mapping[p]
-            if q is None or p == a:
-                continue
-            if blocks1.get((a, p)) != blocks2.get((b, q)):
+            if q is not None and (blocks1.get((a, p)) != blocks2.get((b, q)) or
+                                  blocks1.get((p, a)) != blocks2.get((q, b))):
                 return False
-            if blocks1.get((p, a)) != blocks2.get((q, b)):
+        for q in nbrs2[b]:
+            p = inverse[q]
+            if p is not None and p not in nbrs1[a]:
                 return False
         return True
 
-    def assign(k: int) -> bool:
-        if k == len(order):
+    if not order:
+        return True
+    pending = [iter(candidates(order[0]))]
+    while pending:
+        a = order[len(pending) - 1]
+        for b in pending[-1]:
+            if inverse[b] is None and compatible(a, b):
+                mapping[a] = b
+                inverse[b] = a
+                break
+        else:
+            pending.pop()
+            if pending:
+                prev = order[len(pending) - 1]
+                inverse[mapping[prev]] = None
+                mapping[prev] = None
+            continue
+        if len(pending) == len(order):
             return True
-        a = order[k]
-        for b in by_sig[_node_signature(n1[a], with_labels)]:
-            if used[b]:
-                continue
-            mapping[a] = b
-            if compatible(a, b):
-                used[b] = True
-                if assign(k + 1):
-                    return True
-                used[b] = False
-            mapping[a] = None
-        return False
-
-    return assign(0)
+        pending.append(iter(candidates(order[len(pending)])))
+    return False

@@ -198,12 +198,7 @@ def _search_single(rule: Rule, g: Graph, mode: str, backend: str):
     condition = rule.condition
     steps = 0
 
-    if pn.root:
-        candidates = g.root_list
-    elif backend == "chain":
-        candidates = g.node_chain
-    else:
-        candidates = g.nodes_index_scan()
+    candidates = g.root_list if pn.root else g.nodes_iter(backend)
 
     for host in candidates:
         steps += 1
@@ -286,11 +281,7 @@ def _search(rule: Rule, g: Graph, mode: str, backend: str, optimize: bool):
             phases = (False, True) if pe.bidir else \
                 ((False,) if anchor == "src" else (True,))
             for reverse in phases:
-                # reverse=False walks the anchor's out-chain, True its in-chain
-                if not reverse:
-                    chain = anchor_img.out_chain
-                else:
-                    chain = anchor_img.in_chain
+                # reverse=False walks the anchor's out-edges, True its in-edges
                 if anchor == "src":
                     other_ni = tgt_ni
                     flipped = reverse
@@ -298,10 +289,10 @@ def _search(rule: Rule, g: Graph, mode: str, backend: str, optimize: bool):
                     other_ni = src_ni
                     flipped = not reverse
                 other_expected = node_img[other_ni]
-                entry = chain.head
-                while entry is not None:
-                    host = entry.payload
-                    entry = entry.next
+                edge = anchor_img.in_head if reverse else anchor_img.out_head
+                while edge is not None:
+                    host = edge
+                    edge = host.tgt_next if reverse else host.src_next
                     steps_taken += 1
                     if not _edge_ok(pe, host):
                         continue
@@ -422,9 +413,9 @@ def brute_force_match(rule: Rule, g: Graph, mode: str = "preserve") -> list[Matc
         pe = lhs.edges[j]
         src_img = chosen[lhs.by_id[pe.src]]
         tgt_img = chosen[lhs.by_id[pe.tgt]]
-        options = [(e, False) for e in src_img.out_chain if e.target is tgt_img]
+        options = [(e, False) for e in g.out_edges(src_img) if e.target is tgt_img]
         if pe.bidir and src_img is not tgt_img:
-            options += [(e, True) for e in src_img.in_chain if e.source is tgt_img]
+            options += [(e, True) for e in g.in_edges(src_img) if e.source is tgt_img]
         for host_edge, flipped in options:
             if any(host_edge is other for other in edge_map.values()):
                 continue

@@ -283,7 +283,7 @@ def eval_cond(cond, assignment: dict, node_images, g) -> bool:
         label = None
         if want_label is not None:
             label = as_list(eval_expr(want_label, assignment, node_images, g))
-        for e in src.out_chain:
+        for e in g.out_edges(src):
             if e.target is tgt and (label is None or e.label == label):
                 return True
         return False

@@ -28,10 +28,10 @@ from .graph import (
     INT32_MIN,
     MARK_ANY,
     MARK_NONE,
+    MAX_EXTERNAL_ID,
     NODE_MARKS,
     Graph,
-    GraphError,
-    IdMap,
+    Node,
 )
 from .rules import LabelPattern, PatternEdge, PatternGraph, PatternNode, Rule, RuleError
 
@@ -94,9 +94,9 @@ def tokenize(text: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if c.isdigit():
+        if c.isascii() and c.isdigit():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             tokens.append(Token("INT", int(text[i:j]), line, col))
             col += j - i
@@ -114,9 +114,9 @@ def tokenize(text: str) -> list[Token]:
             col += j - i + 1
             i = j + 1
             continue
-        if c.isalpha() or c == "_":
+        if c.isascii() and (c.isalpha() or c == "_"):
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(Token("IDENT", text[i:j], line, col))
             col += j - i
@@ -254,19 +254,18 @@ def parse_host_graph(text: str, minimal_gc: bool = False) -> Graph:
     # so the live chains then iterate in declaration order and printing
     # a parsed graph reproduces the input's ordering.
     g = Graph(minimal_gc=minimal_gc)
-    ids = IdMap()
-    seen = set()
+    ids: dict[int, Optional[Node]] = {}
     for id_tok, node_id, label, mark, root in node_decls:
-        if node_id in seen:
+        if node_id in ids:
             raise _error(id_tok, f"duplicate node id: {node_id}", "semantic")
-        if node_id < 0 or node_id > 2 ** 63 - 1:
+        if node_id < 0 or node_id > MAX_EXTERNAL_ID:
             raise _error(id_tok, f"node id out of range: {node_id}", "semantic")
-        seen.add(node_id)
+        ids[node_id] = None
     for id_tok, node_id, label, mark, root in reversed(node_decls):
-        ids.insert(node_id, g.add_node(label, mark, root))
+        ids[node_id] = g.add_node(label, mark, root)
     for src_tok, tgt_tok, label, mark in reversed(edge_decls):
-        src = ids.lookup(src_tok.value)
-        tgt = ids.lookup(tgt_tok.value)
+        src = ids.get(src_tok.value)
+        tgt = ids.get(tgt_tok.value)
         if src is None:
             raise _error(src_tok, f"edge refers to unknown node {src_tok.value}",
                          "semantic")
@@ -295,13 +294,10 @@ def print_graph(g: Graph) -> str:
         root = " (R)" if node.is_root else ""
         parts.append(f"({i}{root}, {_format_label(node.label, node.mark)})")
     parts.append("|")
-    eid = 0
-    for node in g.nodes_chain():
-        for edge in node.out_chain:
-            parts.append(
-                f"({eid}, {number[id(edge.source)]}, {number[id(edge.target)]}, "
-                f"{_format_label(edge.label, edge.mark)})")
-            eid += 1
+    for eid, edge in enumerate(g.edges()):
+        parts.append(
+            f"({eid}, {number[id(edge.source)]}, {number[id(edge.target)]}, "
+            f"{_format_label(edge.label, edge.mark)})")
     parts.append("]")
     return " ".join(parts)
 

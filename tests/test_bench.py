@@ -1,9 +1,9 @@
 import pytest
 
 from gp2 import bench, corpus
-from gp2.engine import ExecConfig, run_program
+from gp2.engine import OK, ExecConfig, Executable, run_program
 from gp2.graph import graphs_isomorphic
-from gp2.textio import parse_host_graph
+from gp2.textio import parse_host_graph, parse_program
 
 
 def counts(g):
@@ -165,3 +165,27 @@ def test_ratio_report_groups():
     assert key == ("is_discrete", "discrete", "chain", "preserve")
     assert info["classification"] in ("~linear", "~quadratic", "other")
     assert len(info["ratios"]) == 1
+
+
+def _iter_steps(program, graphs, backend):
+    """(node count, graph.iter_steps) of one run per host graph."""
+    executable = Executable(parse_program(corpus.load_program(program)),
+                            ExecConfig(backend=backend))
+    points = []
+    for g in graphs:
+        nodes = g.node_count
+        assert executable.run(g) == OK
+        points.append((nodes, g.iter_steps))
+    return points
+
+
+@pytest.mark.parametrize("program, graphs", [
+    ("is_discrete", lambda: [bench.gen_discrete(n) for n in (1000, 2000, 4000)]),
+    ("is_bin_dag", lambda: [bench.gen_full_binary_tree(d) for d in (9, 10, 11)]),
+])
+def test_iteration_step_counts_grow_linearly_on_chains_quadratically_on_scans(
+        program, graphs):
+    for backend, expected in (("chain", "~linear"), ("index_scan", "~quadratic")):
+        points = _iter_steps(program, graphs(), backend)
+        ratios = [r for _, r in bench.doubling_ratios(points)]
+        assert bench.classify(ratios) == expected, (backend, points)

@@ -136,3 +136,12 @@ def test_bench_cli_bad_config(tmp_path, capsys):
 def test_help(capsys):
     assert main(["--help"]) == 0
     assert "gp2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("host_text", ["[ (², empty) | ]", "[ (١, empty) | ]"])
+def test_non_ascii_digit_in_host_is_an_error_not_a_traceback(tmp_path, capsys, host_text):
+    prog = _write(tmp_path, "p.gp2", "Main = skip")
+    host = _write(tmp_path, "h.host", host_text)
+    assert main(["-h", host]) == 1
+    assert main([prog, host]) == 2
+    assert "lex error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -123,7 +124,7 @@ def test_trans_closure_path_example():
     heads = [n for n in nodes if n.outdegree == 2]
     tails = [n for n in nodes if n.indegree == 2]
     assert len(heads) == 1 and len(tails) == 1
-    assert any(e.target is tails[0] for e in heads[0].out_chain)
+    assert any(e.target is tails[0] for e in g.out_edges(heads[0]))
 
 
 def test_is_tree_on_grid_2x2_fails():
@@ -156,3 +157,15 @@ def test_program_rule_inventory():
     con = parse_program(corpus.load_program("is_con")).rules
     for rule_name in ("fwd", "bck"):
         assert all(e.bidir for e in con[rule_name].lhs.edges)
+
+
+def test_acyclicity_oracle_scales_to_long_paths():
+    g = Graph()
+    nodes = [g.add_node() for _ in range(5000)]
+    for a, b in zip(nodes, nodes[1:]):
+        g.add_edge(a, b)
+    start = time.perf_counter()
+    assert corpus.is_acyclic(g)
+    g.add_edge(nodes[-1], nodes[0])
+    assert not corpus.is_acyclic(g)
+    assert time.perf_counter() - start < 1.0

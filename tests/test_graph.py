@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,6 @@ from gp2.graph import (
     FLAG_ROOT,
     Graph,
     GraphError,
-    IdMap,
     check_consistency,
     graphs_isomorphic,
 )
@@ -15,9 +15,9 @@ from gp2.graph import (
 
 def test_add_node_to_empty_graph():
     g = Graph()
-    g.add_node()
+    n = g.add_node()
     assert g.node_count == 1
-    assert len(g.node_chain) == 1
+    assert g.nodes() == [n]
 
 
 def test_add_root_node_sets_flag_and_list():
@@ -52,7 +52,7 @@ def test_delete_sole_node():
     n = g.add_node()
     g.delete_node(n)
     assert g.node_count == 0
-    assert g.node_chain.head is None
+    assert g.node_head is None
 
 
 def test_delete_node_with_edges_is_contract_violation():
@@ -83,11 +83,11 @@ def test_edge_basics_and_loop_and_parallel():
     assert a.outdegree == 1 and b.indegree == 1
 
     loop = g.add_edge(a, a)
-    assert loop in list(a.out_chain) and loop in list(a.in_chain)
+    assert loop in list(g.out_edges(a)) and loop in list(g.in_edges(a))
     assert a.indegree == 1 and a.outdegree == 2
 
     g.add_edge(a, b)              # parallel edges are allowed
-    assert len(a.out_chain) == 3
+    assert len(list(g.out_edges(a))) == 3
     check_consistency(g)
 
 
@@ -97,7 +97,7 @@ def test_delete_one_parallel_edge_keeps_other():
     e1 = g.add_edge(a, b)
     e2 = g.add_edge(a, b)
     g.delete_edge(e1)
-    assert list(a.out_chain) == [e2]
+    assert list(g.out_edges(a)) == [e2]
     assert g.edge_count == 1
     g.delete_edge(e2)
     assert g.edge_count == 0
@@ -145,8 +145,8 @@ def test_chain_skips_holes_in_constant_steps():
     g.iter_steps = 0
     first = next(g.nodes_iter("chain"))
     assert first is nodes[-1]
-    # the generator hasn't swept the chain; grab one entry directly
-    assert g.node_chain.head.payload is nodes[-1]
+    assert g.iter_steps == 1
+    assert g.node_head is nodes[-1]
 
     g.iter_steps = 0
     assert list(g.nodes_iter("chain")) == [nodes[-1]]
@@ -162,6 +162,19 @@ def test_index_scan_pays_for_holes():
     g.iter_steps = 0
     assert list(g.nodes_iter("index_scan")) == [nodes[-1]]
     assert g.iter_steps == n
+
+
+def test_abandoned_scans_count_the_steps_taken():
+    for backend in ("chain", "index_scan"):
+        g = Graph()
+        for _ in range(10):
+            g.add_node()
+        g.iter_steps = 0
+        it = g.nodes_iter(backend)
+        for _ in range(3):
+            next(it)
+        del it
+        assert g.iter_steps == 3, backend
 
 
 def test_empty_graph_iteration():
@@ -216,34 +229,6 @@ def test_degree_counters_and_roots_after_random_mutations():
                 live.remove(n)
                 g.delete_node(n)
     check_consistency(g)
-
-
-def test_idmap_round_trips():
-    m = IdMap()
-    g = Graph()
-    n = g.add_node()
-    m.insert(0, n)
-    assert m.lookup(0) is n
-    assert m.lookup(10 ** 12) is None
-
-    with pytest.raises(GraphError):
-        m.insert(0, n)
-    with pytest.raises(GraphError):
-        m.insert(-1, n)
-
-    rng = random.Random(3)
-    m2 = IdMap()
-    keys = {}
-    for _ in range(10 ** 4):
-        k = rng.getrandbits(60)
-        if k in keys:
-            continue
-        node = g.add_node()
-        m2.insert(k, node)
-        keys[k] = node
-    for k, node in keys.items():
-        assert m2.lookup(k) is node
-    assert len(m2) == len(keys)
 
 
 def _path(labels):
@@ -305,3 +290,30 @@ def test_isomorphism_parallel_edge_multiplicity():
     g2.add_edge(c, d)
     g2.add_edge(d, c)
     assert not graphs_isomorphic(g1, g2)
+
+
+def _long_path(n, order_seed=None, reverse_at=None):
+    """Directed path 0 -> 1 -> ... -> n-1, nodes added in a shuffled
+    order when order_seed is given; the edge leaving reverse_at points
+    backwards."""
+    g = Graph()
+    order = list(range(n))
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(order)
+    nodes = [None] * n
+    for i in order:
+        nodes[i] = g.add_node()
+    for i in range(n - 1):
+        a, b = nodes[i], nodes[i + 1]
+        g.add_edge(*((b, a) if i == reverse_at else (a, b)))
+    return g
+
+
+def test_isomorphism_scales_to_long_paths():
+    start = time.perf_counter()
+    assert graphs_isomorphic(_long_path(3000), _long_path(3000, order_seed=1))
+    assert not graphs_isomorphic(_long_path(3000), _long_path(3000, reverse_at=1500))
+    # same degree multiset, so only the search can tell these apart
+    assert not graphs_isomorphic(_long_path(3000, reverse_at=1500),
+                                 _long_path(3000, order_seed=2, reverse_at=1501))
+    assert time.perf_counter() - start < 1.0

@@ -238,7 +238,7 @@ def test_matched_flags_always_cleared():
             find_match(rule, g)
         for n in g.nodes():
             assert not n.flags & FLAG_MATCHED
-            for e in n.out_chain:
+            for e in g.out_edges(n):
                 assert not e.flags & FLAG_MATCHED
 
 
@@ -250,7 +250,7 @@ def test_rooted_match_step_count_independent_of_host_size():
     for depth in (7, 10, 14, 17):
         g = gen_full_binary_tree(depth)
         # root one leaf: the deepest level was laid out first
-        leaf = g.node_store.get(0)
+        leaf = g.node_slots[0]
         g.set_root(leaf, True)
         m, steps = find_match_steps(prune0, g)
         assert m is not None

@@ -1,242 +1,218 @@
+"""Slot storage as the graph exposes it: the node slot list with its
+live-byte mirror, the LIFO free stacks, deferred release, and the
+intrusive chains threaded through node and edge records."""
+
 import random
 
 import pytest
 
-from gp2.storage import (
-    BigArray,
-    Chain,
-    Record,
-    StorageError,
-    chain_entry_store,
-    chain_push,
-    chain_unlink,
-    region_coords,
-)
-
-
-def test_inline_capacity_from_element_size():
-    assert BigArray(16).inline_cap == 10
-    assert BigArray(160).inline_cap == 1
-    assert BigArray(24).inline_cap == 6
-
-
-def test_bad_element_sizes_rejected():
-    with pytest.raises(StorageError):
-        BigArray(0)
-    with pytest.raises(StorageError):
-        BigArray(161)
+from gp2.graph import FLAG_IN_STACK, SCAN_CHUNK, Graph, GraphError, check_consistency
 
 
 def test_first_alloc_is_slot_zero():
-    ba = BigArray(16)
-    assert ba.alloc().slot_index == 0
+    g = Graph()
+    a, b = g.add_node(), g.add_node()
+    assert a.slot_index == 0 and g.add_edge(a, b).slot_index == 0
 
 
 def test_free_then_alloc_reuses_lifo():
-    ba = BigArray(16)
-    recs = [ba.alloc() for _ in range(3)]
-    ba.free(recs[1])
-    again = ba.alloc()
-    assert again is recs[1]
+    g = Graph()
+    nodes = [g.add_node() for _ in range(3)]
+    g.delete_node(nodes[1])
+    again = g.add_node()
+    assert again is nodes[1]
     assert again.slot_index == 1
 
 
-def test_coords_of_index_five_with_inline_capacity_two():
-    # elem_size 80 -> two inline slots; logical index 5 lands in
-    # region 1 at offset 3.
-    ba = BigArray(80)
-    assert ba.inline_cap == 2
-    for _ in range(6):
-        ba.alloc()
-    assert region_coords(5) == (1, 3)
-    assert ba.get(5).slot_index == 5
-
-
-def test_coordinate_formula_matches_linear_scan():
-    # Regions span logical ranges [2, 6), [6, 14), ... i.e. cumulative
-    # capacities 2, 4, 8, ...; a linear scan over those ranges must give
-    # the same (region, offset) as the set-bit formula.
-    limit = 10 ** 5
-    bounds = []
-    lo = 2
-    k = 1
-    while lo < limit + 16:
-        size = 1 << (k + 1)
-        bounds.append((k, lo, lo + size))
-        lo += size
-        k += 1
-    for i in range(2, limit):
-        for k, lo, hi in bounds:
-            if lo <= i < hi:
-                expected = (k, i - lo)
-                break
-        assert region_coords(i) == expected
-
-
 def test_free_sole_slot():
-    ba = BigArray(16)
-    rec = ba.alloc()
-    ba.free(rec)
-    assert ba.live_count == 0
-    assert ba.first_hole is rec
+    g = Graph()
+    n = g.add_node()
+    g.delete_node(n)
+    assert g.node_count == 0
+    assert g.live_bytes == bytearray([0])
+    assert g.add_node() is n
 
 
 def test_hole_list_links_lifo():
-    ba = BigArray(16)
-    a = ba.alloc()
-    b = ba.alloc()
-    ba.free(a)
-    ba.free(b)
-    assert ba.first_hole is b
-    assert b.next_hole is a
+    g = Graph()
+    a, b = g.add_node(), g.add_node()
+    g.delete_node(a)
+    g.delete_node(b)
+    assert g.add_node() is b
+    assert g.add_node() is a
 
 
 def test_free_alloc_cycle_does_not_grow():
-    ba = BigArray(16)
-    rec = ba.alloc()
+    g = Graph()
+    a = g.add_node()
+    e = g.add_edge(a, a)
     for _ in range(10_000):
-        ba.free(rec)
-        rec = ba.alloc()
-    assert ba.high_water == 1
+        g.delete_edge(e)
+        g.delete_node(a)
+        a = g.add_node()
+        e = g.add_edge(a, a)
+    assert len(g.node_slots) == 1
+    assert g.edge_high_water == 1
 
 
-def test_double_free_detected_in_debug_store():
-    ba = BigArray(16, check_liveness=True)
-    rec = ba.alloc()
-    ba.free(rec)
-    with pytest.raises(StorageError):
-        ba.free(rec)
+def test_double_release_is_a_no_op():
+    g = Graph()
+    n = g.add_node()
+    n.flags |= FLAG_IN_STACK
+    g.delete_node(n)
+    g.release_node(n)
+    g.release_node(n)
+    a, b = g.add_node(), g.add_node()
+    assert a is not b
+    assert g.node_count == 2
+    check_consistency(g)
+
+    x, y = g.add_node(), g.add_node()
+    e = g.add_edge(x, y)
+    e.flags |= FLAG_IN_STACK
+    g.delete_edge(e)
+    g.release_edge(e)
+    g.release_edge(e)
+    assert g.add_edge(x, y) is not g.add_edge(x, y)
 
 
-def test_use_after_free_detected_in_debug_store():
-    ba = BigArray(16, check_liveness=True)
-    rec = ba.alloc()
-    ba.free(rec)
-    with pytest.raises(StorageError):
-        ba.get(rec.slot_index)
+def test_use_after_delete_is_rejected():
+    g = Graph()
+    a, b = g.add_node(), g.add_node()
+    e = g.add_edge(a, b)
+    g.delete_edge(e)
+    with pytest.raises(GraphError):
+        g.delete_edge(e)
+    g.delete_node(b)
+    with pytest.raises(GraphError):
+        g.delete_node(b)
+    with pytest.raises(GraphError):
+        g.add_edge(a, b)
 
 
 def test_handle_stability_across_growth():
-    ba = BigArray(24)
-    first = ba.alloc()
-    for _ in range(10 ** 6):
-        ba.alloc()
-    assert ba.get(0) is first
-
-
-def test_region_count_logarithmic():
-    import math
-
-    ba = BigArray(160)  # inline holds one slot, everything else in regions
-    for n in (10, 1000, 100_000):
-        while ba.high_water < n:
-            ba.alloc()
-        assert ba.region_count() <= math.ceil(math.log2(n + 2))
+    g = Graph()
+    first = g.add_node()
+    for _ in range(10 ** 5):
+        g.add_node()
+    assert g.node_slots[0] is first
+    assert first.slot_index == 0
 
 
 def test_lifo_reuse_matches_stack_model():
     rng = random.Random(7)
-    ba = BigArray(16)
+    g = Graph()
     live = []
     free_stack = []   # oracle: indices freed, most recent last
     next_fresh = 0
     for _ in range(10 ** 4):
         if live and rng.random() < 0.45:
-            rec = live.pop(rng.randrange(len(live)))
-            ba.free(rec)
-            free_stack.append(rec.slot_index)
+            node = live.pop(rng.randrange(len(live)))
+            g.delete_node(node)
+            free_stack.append(node.slot_index)
         else:
-            rec = ba.alloc()
+            node = g.add_node()
             if free_stack:
-                assert rec.slot_index == free_stack.pop()
+                assert node.slot_index == free_stack.pop()
             else:
-                assert rec.slot_index == next_fresh
+                assert node.slot_index == next_fresh
                 next_fresh += 1
-            live.append(rec)
+            live.append(node)
 
 
 def test_index_scan_counts():
-    ba = BigArray(16)
-    seen = []
-    ba.index_scan(lambda i, rec: seen.append(i))
-    assert seen == []
+    g = Graph()
+    g.iter_steps = 0
+    assert list(g.nodes_index_scan()) == []
+    assert g.iter_steps == 0
 
-    recs = [ba.alloc() for _ in range(3)]
-    ba.free(recs[1])
-    seen = []
-    ba.index_scan(lambda i, rec: seen.append(i))
-    assert seen == [0, 1, 2]     # holes are visited too
+    nodes = [g.add_node() for _ in range(3)]
+    g.delete_node(nodes[1])
+    assert list(g.nodes_index_scan()) == [nodes[0], nodes[2]]
+    assert g.iter_steps == 3     # the hole is paid for too
 
-    while ba.high_water < 7:
-        ba.alloc()
-    seen = []
-    ba.index_scan(lambda i, rec: seen.append(i))
-    assert len(seen) == 7
+    while len(g.node_slots) < 7:
+        g.add_node()
+    g.iter_steps = 0
+    assert len(list(g.nodes_index_scan())) == g.node_count == 7
+    assert g.iter_steps == 7
 
 
-def test_index_scan_crosses_region_boundaries():
-    ba = BigArray(80)  # inline cap 2
-    recs = [ba.alloc() for _ in range(40)]
-    got = []
-    ba.index_scan(lambda i, rec: got.append(rec))
-    assert got == recs
+def test_index_scan_crosses_chunk_boundaries():
+    g = Graph()
+    nodes = [g.add_node() for _ in range(3 * SCAN_CHUNK + 5)]
+    for n in nodes[1:-1]:
+        if n.slot_index % 50:
+            g.delete_node(n)
+    g.iter_steps = 0
+    got = list(g.nodes_index_scan())
+    assert got == [n for n in nodes if n.in_graph]
+    assert g.iter_steps == len(nodes)
 
 
 def test_chain_push_and_iterate():
-    store = chain_entry_store()
-    chain = Chain()
-    chain_push(chain, "a", store)
-    assert len(chain) == 1
-    chain_push(chain, "b", store)
-    assert list(chain) == ["b", "a"]
+    g = Graph()
+    a = g.add_node()
+    assert g.nodes() == [a]
+    b = g.add_node()
+    assert g.nodes() == [b, a]
+    e1 = g.add_edge(a, b)
+    e2 = g.add_edge(a, b)
+    assert list(g.out_edges(a)) == [e2, e1]
+    assert list(g.in_edges(b)) == [e2, e1]
 
 
 def test_chain_push_count_matches_store():
-    store = chain_entry_store()
-    chain = Chain()
-    for i in range(50):
-        chain_push(chain, i, store)
-    assert len(chain) == 50
-    assert store.live_count == 50
+    g = Graph()
+    hub = g.add_node()
+    for _ in range(50):
+        g.add_edge(hub, g.add_node())
+    assert len(g.nodes()) == g.node_count == len(g.node_slots) == 51
+    assert len(list(g.out_edges(hub))) == hub.outdegree == 50
 
 
 def test_chain_unlink_sole_entry():
-    store = chain_entry_store()
-    chain = Chain()
-    e = chain_push(chain, "a", store)
-    chain_unlink(chain, e, store)
-    assert chain.head is None
-    assert store.live_count == 0
+    g = Graph()
+    a = g.add_node()
+    e = g.add_edge(a, a)
+    g.delete_edge(e)
+    assert a.out_head is None and a.in_head is None
+    g.delete_node(a)
+    assert g.node_head is None
 
 
 def test_chain_unlink_middle_and_head():
-    store = chain_entry_store()
-    chain = Chain()
-    ea = chain_push(chain, "a", store)
-    eb = chain_push(chain, "b", store)
-    ec = chain_push(chain, "c", store)
-    chain_unlink(chain, eb, store)
-    assert list(chain) == ["c", "a"]
-    chain_unlink(chain, ec, store)
-    assert list(chain) == ["a"]
-    assert chain.head is ea
+    g = Graph()
+    a, b, c = g.add_node(), g.add_node(), g.add_node()
+    g.delete_node(b)
+    assert g.nodes() == [c, a]
+    g.delete_node(c)
+    assert g.nodes() == [a]
+    assert g.node_head is a and a.prev is None
+
+    ea, eb, ec = (g.add_edge(a, a) for _ in range(3))
+    g.delete_edge(eb)
+    assert list(g.out_edges(a)) == list(g.in_edges(a)) == [ec, ea]
+    g.delete_edge(ec)
+    assert a.out_head is a.in_head is ea
 
 
 def test_chain_matches_shadow_set_after_random_mutations():
     rng = random.Random(21)
-    store = chain_entry_store()
-    chain = Chain()
-    entries = {}
-    shadow = set()
+    g = Graph()
+    hub = g.add_node()
+    nodes = {}
+    edges = {}
     for step in range(2000):
-        if shadow and rng.random() < 0.4:
-            key = rng.choice(sorted(shadow))
-            chain_unlink(chain, entries.pop(key), store)
-            shadow.discard(key)
+        if nodes and rng.random() < 0.4:
+            key = rng.choice(sorted(nodes))
+            g.delete_edge(edges.pop(key))
+            g.delete_node(nodes.pop(key))
         else:
-            key = step
-            entries[key] = chain_push(chain, key, store)
-            shadow.add(key)
+            nodes[step] = g.add_node(label=(step,))
+            edges[step] = g.add_edge(hub, nodes[step])
         if step % 97 == 0:
-            assert set(chain) == shadow
-    assert set(chain) == shadow
+            assert {n.label for n in g.nodes() if n is not hub} == \
+                {(k,) for k in nodes}
+            assert set(g.out_edges(hub)) == set(edges.values())
+    check_consistency(g)

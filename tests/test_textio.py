@@ -44,7 +44,7 @@ def test_marks_roots_strings_negatives():
 def test_huge_node_id_costs_one_entry():
     g = parse_host_graph(f"[ ({2 ** 40}, empty) | ]")
     assert g.node_count == 1
-    assert g.node_store.high_water == 1
+    assert len(g.node_slots) == 1
 
 
 def test_host_parse_errors():
@@ -219,3 +219,36 @@ def test_error_positions_point_into_input():
         assert (err.line, err.column) == (2, 4)
     else:
         raise AssertionError("expected a SourceError")
+
+
+@pytest.mark.parametrize("host", ["[ (², empty) | ]", "[ (١, empty) | ]",
+                                  "[ (0, empty) | (0, 0, ٠, empty) ]"])
+def test_non_ascii_digits_are_lex_errors(host):
+    with pytest.raises(SourceError) as err:
+        parse_host_graph(host)
+    assert err.value.kind == "lex"
+
+
+def test_non_ascii_letters_are_lex_errors():
+    with pytest.raises(SourceError) as err:
+        parse_program("Main = ré\nré(x:list) [ (1, x) | ] => [ (1, x) | ]")
+    assert err.value.kind == "lex"
+
+
+def test_node_id_range_is_checked():
+    assert parse_host_graph(f"[ ({2 ** 63 - 1}, empty) | ]").node_count == 1
+    with pytest.raises(SourceError) as err:
+        parse_host_graph(f"[ ({2 ** 63}, empty) | ]")
+    assert err.value.kind == "semantic"
+
+
+def test_host_ids_round_trip():
+    rng = random.Random(3)
+    ids = rng.sample(range(2 ** 60), 2000)
+    pairs = [(rng.randrange(len(ids)), rng.randrange(len(ids))) for _ in range(3000)]
+    nodes = " ".join(f"({k}, {i})" for i, k in enumerate(ids))
+    edges = " ".join(f"({j}, {ids[a]}, {ids[b]}, empty)" for j, (a, b) in enumerate(pairs))
+    g = parse_host_graph(f"[ {nodes} | {edges} ]")
+    assert sorted(n.label for n in g.nodes()) == [(i,) for i in range(len(ids))]
+    assert sorted((e.source.label[0], e.target.label[0]) for e in g.edges()) == \
+        sorted(pairs)
