@@ -340,7 +340,10 @@ def parse_config(text: str) -> BenchConfig:
                 if b not in ("chain", "index_scan"):
                     raise BenchError(f"line {lineno}: unknown backend {b!r}")
         elif key == "reps":
-            cfg.reps = int(value)
+            try:
+                cfg.reps = int(value)
+            except ValueError:
+                raise BenchError(f"line {lineno}: reps must be an integer") from None
         elif key == "mode":
             if value not in ("preserve", "reflect"):
                 raise BenchError(f"line {lineno}: unknown mode {value!r}")

@@ -126,17 +126,13 @@ def _run_bench(invocation: CliInvocation) -> int:
     except bench.BenchError as exc:
         print(f"bad bench configuration: {exc}", file=sys.stderr)
         return 1
-    reps = config.reps
-    env_reps = os.environ.get("GP2_BENCH_REPS")
-    if env_reps:
-        reps = max(1, int(env_reps))
     if config.program in corpus.ENTRIES:
         text = corpus.load_program(config.program)
     else:
         text = _read(config.program)
     try:
         samples = bench.run_bench(config.program, text, config.specs,
-                                  config.backends, reps, config.mode)
+                                  config.backends, config.reps, config.mode)
     except SourceError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -72,6 +72,10 @@ class RuleSet(Command):
                     return OK
         except EvalError as exc:
             raise EvalError(f"in rule {rule.name!r}: {exc}") from exc
+        except RecursionError:
+            # matching and evaluation recurse on pattern size and label
+            # nesting, and run deeper in the stack than the parser did
+            raise EvalError(f"in rule {rule.name!r}: nesting too deep") from None
         return FAILED
 
 
@@ -186,7 +190,10 @@ class Fail(Command):
 
 
 class Break(Command):
-    __slots__ = ()
+    __slots__ = ("loc",)
+
+    def __init__(self, loc=None):
+        self.loc = loc
 
     def run(self, ctx):
         return BROKE
@@ -258,98 +265,68 @@ def _walk(cmd):
         yield from _walk(cmd.body)
 
 
-def check_calls_and_recursion(program) -> None:
-    """Semantic checks shared by validation and execution: every called
-    name exists, braced sets call rules only, procedures are
-    non-recursive, and break sits inside some loop."""
+def inline_procedures(program):
+    """Check a parsed program's commands and return Main with every
+    procedure call expanded into its body (procedures are macros) and
+    bare rule calls turned into one-rule sets.
+
+    Raises SourceError at the offending command for, in this order: a
+    call of an undeclared name or a non-rule inside ``{...}`` in any
+    body; a recursive procedure, at the call that closes the cycle
+    (procedures Main never calls included); a break outside of any loop
+    in the expanded Main."""
     from .textio import SourceError
 
     def err(loc, message):
         line, col = loc or (1, 1)
         raise SourceError("semantic", line, col, message)
 
-    bodies = dict(program.procedures)
-    bodies["Main"] = program.main
-    for body in bodies.values():
+    procedures, rules = program.procedures, program.rules
+    for body in (*procedures.values(), program.main):
         for cmd in _walk(body):
             if isinstance(cmd, RuleSet):
                 for name in cmd.names:
-                    if name not in program.rules:
+                    if name not in rules:
                         err(cmd.loc, f"unknown rule {name!r} in rule-set call")
             elif isinstance(cmd, ProcCall):
-                if cmd.name not in program.procedures and cmd.name not in program.rules:
+                if cmd.name not in procedures and cmd.name not in rules:
                     err(cmd.loc, f"call of undeclared name {cmd.name!r}")
 
-    # procedure recursion
-    calls: dict[str, set[str]] = {}
-    for name, body in program.procedures.items():
-        calls[name] = {
-            c.name for c in _walk(body)
-            if isinstance(c, ProcCall) and c.name in program.procedures
-        }
-    state: dict[str, int] = {}
+    # A procedure is expanded once per loop context, and the result is
+    # shared by its call sites.  It enters ``expanded`` only when its
+    # expansion is done, so a call to one still ``active`` closes a cycle.
+    expanded: dict = {}
+    active: set[str] = set()
 
-    def visit(name, loc=None):
-        if state.get(name) == 1:
-            err(loc, f"recursive procedure {name!r}")
-        if state.get(name) == 2:
-            return
-        state[name] = 1
-        for callee in calls.get(name, ()):
-            visit(callee, loc)
-        state[name] = 2
-
-    for name in program.procedures:
-        visit(name)
-
-    inlined = inline_procedures(program)
-    _check_breaks(inlined, in_loop=False)
-
-
-def _check_breaks(cmd, in_loop: bool) -> None:
-    from .textio import SourceError
-
-    if isinstance(cmd, Break):
-        if not in_loop:
-            raise SourceError("semantic", 1, 1, "break outside of any loop")
-    elif isinstance(cmd, Seq):
-        for c in cmd.commands:
-            _check_breaks(c, in_loop)
-    elif isinstance(cmd, (If, Try)):
-        _check_breaks(cmd.guard, in_loop)
-        _check_breaks(cmd.then_cmd, in_loop)
-        _check_breaks(cmd.else_cmd, in_loop)
-    elif isinstance(cmd, Loop):
-        _check_breaks(cmd.body, True)
-
-
-def inline_procedures(program):
-    """Expand every procedure call into its body (procedures are macros)
-    and turn bare rule calls into one-rule sets."""
-
-    def expand(cmd, seen):
+    def expand(cmd, in_loop):
         if isinstance(cmd, ProcCall):
-            if cmd.name in program.procedures:
-                if cmd.name in seen:
-                    from .textio import SourceError
-                    line, col = cmd.loc or (1, 1)
-                    raise SourceError("semantic", line, col,
-                                      f"recursive procedure {cmd.name!r}")
-                return expand(program.procedures[cmd.name], seen | {cmd.name})
-            return RuleSet([cmd.name], cmd.loc)
+            if cmd.name not in procedures:
+                return RuleSet([cmd.name], cmd.loc)
+            key = (cmd.name, in_loop)
+            if key not in expanded:
+                if cmd.name in active:
+                    err(cmd.loc, f"recursive procedure {cmd.name!r}")
+                active.add(cmd.name)
+                expanded[key] = expand(procedures[cmd.name], in_loop)
+                active.discard(cmd.name)
+            return expanded[key]
+        if isinstance(cmd, Break) and not in_loop:
+            err(cmd.loc, "break outside of any loop")
         if isinstance(cmd, Seq):
-            return Seq([expand(c, seen) for c in cmd.commands])
+            return Seq([expand(c, in_loop) for c in cmd.commands])
         if isinstance(cmd, If):
-            return If(expand(cmd.guard, seen), expand(cmd.then_cmd, seen),
-                      expand(cmd.else_cmd, seen))
+            return If(expand(cmd.guard, in_loop), expand(cmd.then_cmd, in_loop),
+                      expand(cmd.else_cmd, in_loop))
         if isinstance(cmd, Try):
-            return Try(expand(cmd.guard, seen), expand(cmd.then_cmd, seen),
-                       expand(cmd.else_cmd, seen))
+            return Try(expand(cmd.guard, in_loop), expand(cmd.then_cmd, in_loop),
+                       expand(cmd.else_cmd, in_loop))
         if isinstance(cmd, Loop):
-            return Loop(expand(cmd.body, seen))
+            return Loop(expand(cmd.body, True))
         return cmd
 
-    return expand(program.main, frozenset())
+    for name in procedures:
+        expand(ProcCall(name), True)
+    return expand(program.main, False)
 
 
 def prepare_commands(cmd, rules: dict[str, Rule], optimize: bool) -> None:
@@ -556,7 +533,7 @@ class Executable:
 
     def __init__(self, parsed, cfg: ExecConfig):
         self.rules = parsed.rules
-        self.main = inline_procedures(parsed)
+        self.main = parsed.inlined
         prepare_commands(self.main, self.rules, cfg.optimize_plans)
         self.cfg = cfg
 

@@ -266,11 +266,6 @@ class Graph:
     def relabel_node(self, node: Node, label: tuple) -> None:
         node.label = label
 
-    def remark_node(self, node: Node, mark: str) -> None:
-        if mark not in NODE_MARKS:
-            raise GraphError(f"not a node mark: {mark}")
-        node.mark = mark
-
     def set_root(self, node: Node, flag: bool) -> None:
         if flag and not node.flags & FLAG_ROOT:
             node.flags |= FLAG_ROOT
@@ -328,11 +323,19 @@ class Graph:
             yield edge
             edge = nxt
 
+    # The backends above count their steps in ``iter_steps``; these
+    # walks, for printing and the oracles, do not.
+
     def nodes(self) -> list[Node]:
-        return list(self.nodes_chain())
+        nodes = []
+        node = self.node_head
+        while node is not None:
+            nodes.append(node)
+            node = node.next
+        return nodes
 
     def edges(self) -> list[Edge]:
-        return [e for node in self.nodes_chain() for e in self.out_edges(node)]
+        return [e for node in self.nodes() for e in self.out_edges(node)]
 
 
 def check_consistency(g: Graph) -> None:

@@ -6,10 +6,15 @@ and dividing by zero raises EvalError, which aborts the whole run.
 
 Expressions and conditions are plain tagged tuples, e.g.
 ``('add', ('var', 'n'), ('int', 1))`` or ``('not', ('edge', 1, 3, None))``.
+Analyses that only look for certain tuples (variables, degree operators,
+edge predicates) iterate ``subterms``, the one walker over both kinds;
+evaluation and type inference recurse, as they compute a value per
+tuple.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from .graph import EDGE_MARKS, MARK_ANY, NODE_MARKS
@@ -27,6 +32,16 @@ class EvalError(Exception):
 
 class RuleError(Exception):
     pass
+
+
+def subterms(term):
+    """Every tagged tuple of an expression or condition, the term itself
+    first, in left-to-right preorder."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(p for p in reversed(t) if isinstance(p, tuple))
 
 
 def wrap32(v: int) -> int:
@@ -363,72 +378,6 @@ def instantiate_rhs(rule: Rule, assignment: dict, node_images=None,
 # -- fast-rule classifier -------------------------------------------------
 
 
-def _label_var_uses(side: PatternGraph, variables: dict[str, str],
-                    lhs: bool) -> dict[str, int]:
-    counts: dict[str, int] = {}
-
-    def count_label(label):
-        if lhs:
-            for name, _ in label.variables():
-                counts[name] = counts.get(name, 0) + 1
-        else:
-            _count_expr_vars(label, counts)
-
-    for n in side.nodes:
-        count_label(n.label)
-    for e in side.edges:
-        count_label(e.label)
-    return counts
-
-
-def _count_expr_vars(expr, counts):
-    tag = expr[0]
-    if tag == "var":
-        counts[expr[1]] = counts.get(expr[1], 0) + 1
-        return
-    for part in expr[1:]:
-        if isinstance(part, tuple):
-            _count_expr_vars(part, counts)
-
-
-def _cond_has_edge_predicate(cond) -> bool:
-    if cond is None:
-        return False
-    tag = cond[0]
-    if tag == "edge":
-        return True
-    if tag in ("and", "or"):
-        return _cond_has_edge_predicate(cond[1]) or _cond_has_edge_predicate(cond[2])
-    if tag == "not":
-        return _cond_has_edge_predicate(cond[1])
-    return False
-
-
-def _expr_has_unbounded_var(expr, variables) -> bool:
-    tag = expr[0]
-    if tag == "var":
-        return variables.get(expr[1]) in UNBOUNDED_TYPES
-    return any(
-        _expr_has_unbounded_var(p, variables)
-        for p in expr[1:] if isinstance(p, tuple)
-    )
-
-
-def _cond_has_unbounded_equality(cond, variables) -> bool:
-    if cond is None:
-        return False
-    tag = cond[0]
-    if tag == "rel" and cond[1] in ("=", "!="):
-        return _expr_has_unbounded_var(cond[2], variables) and \
-            _expr_has_unbounded_var(cond[3], variables)
-    if tag in ("and", "or"):
-        return _cond_has_unbounded_equality(cond[1], variables) or \
-            _cond_has_unbounded_equality(cond[2], variables)
-    if tag == "not":
-        return _cond_has_unbounded_equality(cond[1], variables)
-    return False
-
-
 def check_fast_rule(rule: Rule) -> tuple[bool, list[str]]:
     """Decide whether the rule can be matched in constant time on hosts
     with bounded degree and bounded root count.
@@ -457,16 +406,26 @@ def check_fast_rule(rule: Rule) -> tuple[bool, list[str]]:
         problems.append(
             f"left-hand nodes not undirectedly reachable from a root: {unreachable}")
 
-    for side, graph, lhs in (("left", rule.lhs, True), ("right", rule.rhs, False)):
-        for name, count in _label_var_uses(graph, rule.variables, lhs).items():
+    lhs_uses = [name for item in rule.lhs.nodes + rule.lhs.edges
+                for name, _ in item.label.variables()]
+    rhs_uses = [t[1] for item in rule.rhs.nodes + rule.rhs.edges
+                for t in subterms(item.label) if t[0] == "var"]
+    for side, uses in (("left", lhs_uses), ("right", rhs_uses)):
+        for name, count in Counter(uses).items():
             if count > 1 and rule.variables.get(name) in UNBOUNDED_TYPES:
                 problems.append(
                     f"{rule.variables[name]} variable {name!r} occurs "
                     f"{count} times in the {side}-hand side")
 
-    if _cond_has_edge_predicate(rule.condition):
+    def unbounded(expr) -> bool:
+        return any(t[0] == "var" and rule.variables.get(t[1]) in UNBOUNDED_TYPES
+                   for t in subterms(expr))
+
+    conds = list(subterms(rule.condition)) if rule.condition is not None else []
+    if any(t[0] == "edge" for t in conds):
         problems.append("condition uses the edge predicate")
-    if _cond_has_unbounded_equality(rule.condition, rule.variables):
+    if any(t[0] == "rel" and t[1] in ("=", "!=") and unbounded(t[2]) and unbounded(t[3])
+           for t in conds):
         problems.append(
             "condition compares list/string/atom variables for (in)equality")
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .engine import Break, Fail, If, Loop, ProcCall, RuleSet, Seq, Skip, Try
+from .engine import (Break, Fail, If, Loop, ProcCall, RuleSet, Seq, Skip, Try,
+                     inline_procedures)
 from .graph import (
     EDGE_MARKS,
     INT32_MAX,
@@ -33,7 +34,8 @@ from .graph import (
     Graph,
     Node,
 )
-from .rules import LabelPattern, PatternEdge, PatternGraph, PatternNode, Rule, RuleError
+from .rules import (LabelPattern, PatternEdge, PatternGraph, PatternNode, Rule, RuleError,
+                    subterms)
 
 KEYWORDS = frozenset((
     "if", "then", "else", "try", "skip", "fail", "break", "where",
@@ -169,6 +171,32 @@ def _error(tok: Token, message: str, kind: str = "syntax") -> SourceError:
     return SourceError(kind, tok.line, tok.column, message)
 
 
+# -- graph items shared by host and rule graphs -----------------------------
+
+
+def _parse_marker(ts: _Stream, letter: str, message: str) -> bool:
+    """The optional ``(R)``/``(B)`` marker after an item id."""
+    if ts.peek().kind != "(":
+        return False
+    ts.next()
+    marker = ts.expect("IDENT")
+    if marker.value != letter:
+        raise _error(marker, message)
+    ts.expect(")")
+    return True
+
+
+def _parse_mark(ts: _Stream, marks, message: str) -> str:
+    """The optional ``# mark`` suffix of a label; ``message`` is formatted
+    with a mark not in ``marks``."""
+    if not ts.accept("#"):
+        return MARK_NONE
+    mtok = ts.expect("IDENT")
+    if mtok.value not in marks:
+        raise _error(mtok, message.format(mtok.value), "semantic")
+    return mtok.value
+
+
 # -- host graphs ----------------------------------------------------------
 
 
@@ -201,13 +229,7 @@ def _parse_host_label(ts: _Stream, marks) -> tuple[tuple, str]:
         while ts.accept(":"):
             items.append(_parse_host_atom(ts))
         atoms = tuple(items)
-    mark = MARK_NONE
-    if ts.accept("#"):
-        mtok = ts.expect("IDENT")
-        if mtok.value not in marks:
-            raise _error(mtok, f"{mtok.value!r} is not a valid mark here", "semantic")
-        mark = mtok.value
-    return atoms, mark
+    return atoms, _parse_mark(ts, marks, "{!r} is not a valid mark here")
 
 
 def parse_host_graph(text: str, minimal_gc: bool = False) -> Graph:
@@ -220,14 +242,7 @@ def parse_host_graph(text: str, minimal_gc: bool = False) -> Graph:
         if id_tok.kind == "-":
             raise _error(id_tok, "node ids must be non-negative integers", "semantic")
         node_id = ts.expect("INT").value
-        root = False
-        if ts.peek().kind == "(":
-            ts.next()
-            marker = ts.expect("IDENT")
-            if marker.value != "R":
-                raise _error(marker, "expected root marker (R)")
-            ts.expect(")")
-            root = True
+        root = _parse_marker(ts, "R", "expected root marker (R)")
         ts.expect(",")
         label, mark = _parse_host_label(ts, NODE_MARKS)
         ts.expect(")")
@@ -289,7 +304,7 @@ def _format_label(label: tuple, mark: str) -> str:
 def print_graph(g: Graph) -> str:
     parts = ["["]
     number = {}
-    for i, node in enumerate(g.nodes_chain()):
+    for i, node in enumerate(g.nodes()):
         number[id(node)] = i
         root = " (R)" if node.is_root else ""
         parts.append(f"({i}{root}, {_format_label(node.label, node.mark)})")
@@ -489,8 +504,20 @@ def _expr_to_label_pattern(expr, tok: Token, variables) -> LabelPattern:
         raise _error(tok, str(exc), "semantic")
 
 
+def _parse_rule_label(ts: _Stream, marks, message: str):
+    """A rule item's label, mark and closing ``)``: returns the label's
+    first token, its expression and the mark."""
+    lab_tok = ts.peek()
+    expr = _parse_expr(ts)
+    mark = _parse_mark(ts, ALL_MARKS, "unknown mark {!r}")
+    ts.expect(")")
+    if mark != MARK_ANY and mark not in marks:
+        raise _error(lab_tok, message.format(mark), "semantic")
+    return lab_tok, expr, mark
+
+
 def _parse_rule_side(ts: _Stream, variables, lhs: bool):
-    open_tok = ts.expect("[")
+    ts.expect("[")
     nodes = []
     node_ids = set()
     while ts.peek().kind == "(":
@@ -499,26 +526,9 @@ def _parse_rule_side(ts: _Stream, variables, lhs: bool):
         if id_tok.value in node_ids:
             raise _error(id_tok, f"node {id_tok.value} declared twice", "semantic")
         node_ids.add(id_tok.value)
-        root = False
-        if ts.peek().kind == "(":
-            ts.next()
-            marker = ts.expect("IDENT")
-            if marker.value != "R":
-                raise _error(marker, "expected root marker (R)")
-            ts.expect(")")
-            root = True
+        root = _parse_marker(ts, "R", "expected root marker (R)")
         ts.expect(",")
-        lab_tok = ts.peek()
-        expr = _parse_expr(ts)
-        mark = MARK_NONE
-        if ts.accept("#"):
-            mtok = ts.expect("IDENT")
-            if mtok.value not in ALL_MARKS:
-                raise _error(mtok, f"unknown mark {mtok.value!r}", "semantic")
-            mark = mtok.value
-        ts.expect(")")
-        if mark != MARK_ANY and mark not in NODE_MARKS:
-            raise _error(lab_tok, f"{mark!r} is not a node mark", "semantic")
+        lab_tok, expr, mark = _parse_rule_label(ts, NODE_MARKS, "{!r} is not a node mark")
         label = _expr_to_label_pattern(expr, lab_tok, variables) if lhs else expr
         nodes.append(PatternNode(id_tok.value, label, mark, root))
     ts.expect("|")
@@ -530,30 +540,13 @@ def _parse_rule_side(ts: _Stream, variables, lhs: bool):
         if eid_tok.value in edge_ids:
             raise _error(eid_tok, f"edge {eid_tok.value} declared twice", "semantic")
         edge_ids.add(eid_tok.value)
-        bidir = False
-        if ts.peek().kind == "(":
-            ts.next()
-            marker = ts.expect("IDENT")
-            if marker.value != "B":
-                raise _error(marker, "expected bidirectional marker (B)")
-            ts.expect(")")
-            bidir = True
+        bidir = _parse_marker(ts, "B", "expected bidirectional marker (B)")
         ts.expect(",")
         src_tok = ts.expect("INT")
         ts.expect(",")
         tgt_tok = ts.expect("INT")
         ts.expect(",")
-        lab_tok = ts.peek()
-        expr = _parse_expr(ts)
-        mark = MARK_NONE
-        if ts.accept("#"):
-            mtok = ts.expect("IDENT")
-            if mtok.value not in ALL_MARKS:
-                raise _error(mtok, f"unknown mark {mtok.value!r}", "semantic")
-            mark = mtok.value
-        ts.expect(")")
-        if mark != MARK_ANY and mark not in EDGE_MARKS:
-            raise _error(lab_tok, f"{mark!r} is not an edge mark", "semantic")
+        lab_tok, expr, mark = _parse_rule_label(ts, EDGE_MARKS, "{!r} is not an edge mark")
         for t in (src_tok, tgt_tok):
             if t.value not in node_ids:
                 raise _error(t, f"edge endpoint {t.value} is not a node on this side",
@@ -563,58 +556,6 @@ def _parse_rule_side(ts: _Stream, variables, lhs: bool):
                                  label, mark, bidir))
     ts.expect("]")
     return PatternGraph(nodes, edges)
-
-
-def _expr_vars(expr, acc: set):
-    if expr[0] == "var":
-        acc.add(expr[1])
-        return
-    for part in expr[1:]:
-        if isinstance(part, tuple):
-            _expr_vars(part, acc)
-
-
-def _cond_vars(cond, acc: set):
-    tag = cond[0]
-    if tag in ("and", "or"):
-        _cond_vars(cond[1], acc)
-        _cond_vars(cond[2], acc)
-    elif tag == "not":
-        _cond_vars(cond[1], acc)
-    elif tag == "rel":
-        _expr_vars(cond[2], acc)
-        _expr_vars(cond[3], acc)
-    elif tag == "edge":
-        if cond[3] is not None:
-            _expr_vars(cond[3], acc)
-    elif tag == "typecheck":
-        acc.add(cond[2])
-
-
-def _cond_node_refs(cond, acc: list):
-    tag = cond[0]
-    if tag in ("and", "or"):
-        _cond_node_refs(cond[1], acc)
-        _cond_node_refs(cond[2], acc)
-    elif tag == "not":
-        _cond_node_refs(cond[1], acc)
-    elif tag == "edge":
-        acc.append(cond[1])
-        acc.append(cond[2])
-        if cond[3] is not None:
-            _expr_node_refs(cond[3], acc)
-    elif tag == "rel":
-        _expr_node_refs(cond[2], acc)
-        _expr_node_refs(cond[3], acc)
-
-
-def _expr_node_refs(expr, acc: list):
-    if expr[0] in ("indeg", "outdeg"):
-        acc.append(expr[1])
-        return
-    for part in expr[1:]:
-        if isinstance(part, tuple):
-            _expr_node_refs(part, acc)
 
 
 def _expr_type(expr, variables, tok) -> str:
@@ -649,25 +590,6 @@ def _expr_type(expr, variables, tok) -> str:
         if _expr_type(sub, variables, tok) != "int":
             raise _error(tok, "arithmetic requires integer operands", "semantic")
     return "int"
-
-
-def _check_cond_types(cond, variables, tok):
-    tag = cond[0]
-    if tag in ("and", "or"):
-        _check_cond_types(cond[1], variables, tok)
-        _check_cond_types(cond[2], variables, tok)
-    elif tag == "not":
-        _check_cond_types(cond[1], variables, tok)
-    elif tag == "rel":
-        lt = _expr_type(cond[2], variables, tok)
-        rt = _expr_type(cond[3], variables, tok)
-        if cond[1] in (">", ">=", "<", "<="):
-            for t in (lt, rt):
-                if t != "int":
-                    raise _error(tok, f"ordering comparison requires integers, got {t}",
-                                 "semantic")
-    elif tag == "edge" and cond[3] is not None:
-        _expr_type(cond[3], variables, tok)
 
 
 def _parse_rule_decl(ts: _Stream, name_tok: Token) -> Rule:
@@ -706,22 +628,20 @@ def _parse_rule_decl(ts: _Stream, name_tok: Token) -> Rule:
 
 def _validate_rule(rule: Rule, tok: Token) -> None:
     bound = set()
-    for n in rule.lhs.nodes:
-        bound.update(name for name, _ in n.label.variables())
-    for e in rule.lhs.edges:
-        bound.update(name for name, _ in e.label.variables())
+    for item in rule.lhs.nodes + rule.lhs.edges:
+        bound.update(name for name, _ in item.label.variables())
 
     interface = set(rule.interface)
     rhs_vars: set[str] = set()
     for n in rule.rhs.nodes:
-        _expr_vars(n.label, rhs_vars)
+        rhs_vars.update(t[1] for t in subterms(n.label) if t[0] == "var")
         _expr_type(n.label, rule.variables, tok)
         if n.mark == MARK_ANY and n.pid not in interface:
             raise _error(tok, "wildcard mark on a created node has nothing "
                               "to inherit from", "semantic")
     lhs_edge_ids = {e.eid: e for e in rule.lhs.edges}
     for e in rule.rhs.edges:
-        _expr_vars(e.label, rhs_vars)
+        rhs_vars.update(t[1] for t in subterms(e.label) if t[0] == "var")
         _expr_type(e.label, rule.variables, tok)
         counterpart = lhs_edge_ids.get(e.eid)
         if e.mark == MARK_ANY and counterpart is None:
@@ -738,9 +658,10 @@ def _validate_rule(rule: Rule, tok: Token) -> None:
     if unbound:
         raise _error(tok, f"right-hand side uses unbound variables: "
                           f"{sorted(unbound)}", "semantic")
-    cond_vars: set[str] = set()
     if rule.condition is not None:
-        _cond_vars(rule.condition, cond_vars)
+        terms = list(subterms(rule.condition))
+        cond_vars = {t[1] for t in terms if t[0] == "var"} | \
+            {t[2] for t in terms if t[0] == "typecheck"}
         for name in sorted(cond_vars):
             if name not in rule.variables:
                 raise _error(tok, f"undeclared variable {name!r} in condition",
@@ -749,26 +670,28 @@ def _validate_rule(rule: Rule, tok: Token) -> None:
         if unbound:
             raise _error(tok, f"condition uses unbound variables: {sorted(unbound)}",
                          "semantic")
-        refs: list[int] = []
-        _cond_node_refs(rule.condition, refs)
-        for pid in refs:
-            if pid not in rule.lhs.by_id:
-                raise _error(tok, f"condition refers to node {pid}, which is not "
-                                  f"in the left-hand side", "semantic")
-        _check_cond_types(rule.condition, rule.variables, tok)
-    for n in rule.rhs.nodes:
-        _expr_node_refs_check(n.label, rule, tok)
-    for e in rule.rhs.edges:
-        _expr_node_refs_check(e.label, rule, tok)
-
-
-def _expr_node_refs_check(expr, rule, tok):
-    refs: list[int] = []
-    _expr_node_refs(expr, refs)
-    for pid in refs:
-        if pid not in rule.lhs.by_id:
-            raise _error(tok, f"degree operator refers to node {pid}, which is "
-                              f"not in the left-hand side", "semantic")
+        for t in terms:
+            if t[0] in ("edge", "indeg", "outdeg"):
+                for pid in t[1:3]:      # an edge's endpoints, a degree's node
+                    if pid not in rule.lhs.by_id:
+                        raise _error(tok, f"condition refers to node {pid}, which "
+                                          f"is not in the left-hand side", "semantic")
+        for t in terms:
+            if t[0] == "rel":
+                lt = _expr_type(t[2], rule.variables, tok)
+                rt = _expr_type(t[3], rule.variables, tok)
+                if t[1] in (">", ">=", "<", "<="):
+                    for ty in (lt, rt):
+                        if ty != "int":
+                            raise _error(tok, f"ordering comparison requires "
+                                              f"integers, got {ty}", "semantic")
+            elif t[0] == "edge" and t[3] is not None:
+                _expr_type(t[3], rule.variables, tok)
+    for item in rule.rhs.nodes + rule.rhs.edges:
+        for t in subterms(item.label):
+            if t[0] in ("indeg", "outdeg") and t[1] not in rule.lhs.by_id:
+                raise _error(tok, f"degree operator refers to node {t[1]}, which "
+                                  f"is not in the left-hand side", "semantic")
 
 
 # -- command sequences --------------------------------------------------------
@@ -837,7 +760,7 @@ def _parse_command_primary(ts: _Stream):
         return Fail()
     if word == "break":
         ts.next()
-        return Break()
+        return Break((tok.line, tok.column))
     if word in KEYWORDS:
         raise _error(tok, f"expected a command, found {describe(tok)}")
     ts.next()
@@ -852,10 +775,25 @@ class ParsedProgram:
         self.rules = rules
         self.procedures = procedures
         self.main = main
+        self.inlined = inline_procedures(self)   # Main, checked and expanded
+
+
+def _parse_text(text: str, parse):
+    """Run ``parse`` on the tokens of ``text``.  The parsers and checks
+    recurse on nesting, so input nested too deeply for the interpreter's
+    stack is a syntax error at the token where reading stopped."""
+    ts = _Stream(tokenize(text))
+    try:
+        return parse(ts)
+    except RecursionError:
+        raise _error(ts.peek(), "nesting too deep") from None
 
 
 def parse_program(text: str) -> ParsedProgram:
-    ts = _Stream(tokenize(text))
+    return _parse_text(text, _parse_program)
+
+
+def _parse_program(ts: _Stream) -> ParsedProgram:
     rules: dict[str, Rule] = {}
     procedures: dict = {}
     main = None
@@ -888,19 +826,14 @@ def parse_program(text: str) -> ParsedProgram:
         tok = ts.peek()
         raise _error(tok, "program has no Main declaration", "semantic")
 
-    program = ParsedProgram(rules, procedures, main)
-    _validate_program(program)
-    return program
-
-
-def _validate_program(program: ParsedProgram) -> None:
-    from .engine import check_calls_and_recursion
-
-    check_calls_and_recursion(program)
+    return ParsedProgram(rules, procedures, main)
 
 
 def parse_rule(text: str) -> Rule:
-    ts = _Stream(tokenize(text))
+    return _parse_text(text, _parse_rule)
+
+
+def _parse_rule(ts: _Stream) -> Rule:
     name_tok = ts.expect("IDENT")
     rule = _parse_rule_decl(ts, name_tok)
     tok = ts.peek()

@@ -107,30 +107,32 @@ def test_output_dir(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_cli_end_to_end(tmp_path, capsys, monkeypatch):
+def test_bench_cli_end_to_end(tmp_path, capsys):
     cfg = _write(tmp_path, "bench.txt",
                  "program = is_discrete\n"
                  "specs = discrete:40 discrete:80\n"
                  "backends = chain\n"
                  "reps = 4\n")
-    monkeypatch.setenv("GP2_BENCH_REPS", "2")
-    assert main(["bench", cfg]) == 0
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
+    out_file = tmp_path / "r.csv"
+    assert main(["bench", cfg, "-o", str(out_file)]) == 0
+    lines = out_file.read_text().splitlines()
     assert lines[0].startswith("program,kind,params")
     assert len(lines) == 3
-    assert ",2," in lines[1]       # env var overrode reps
-
-    out_file = tmp_path / "r.csv"
-    monkeypatch.delenv("GP2_BENCH_REPS")
-    assert main(["bench", cfg, "-o", str(out_file)]) == 0
-    assert out_file.read_text().splitlines()[1].count(";") == 3  # 4 reps recorded
+    assert lines[1].count(";") == 3  # 4 reps recorded
+    assert capsys.readouterr().out == ""
 
 
 def test_bench_cli_bad_config(tmp_path, capsys):
     cfg = _write(tmp_path, "bench.txt", "program = is_discrete\n")
     assert main(["bench", cfg]) == 1
     assert "configuration" in capsys.readouterr().err
+
+
+def test_bench_cli_non_integer_reps_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "bench.txt",
+                 "program = is_discrete\nspecs = discrete:40\nreps = x\n")
+    assert main(["bench", cfg]) == 1
+    assert "reps must be an integer" in capsys.readouterr().err
 
 
 def test_help(capsys):

@@ -11,6 +11,7 @@ from gp2.graph import (
     check_consistency,
     graphs_isomorphic,
 )
+from gp2.textio import parse_host_graph, print_graph
 
 
 def test_add_node_to_empty_graph():
@@ -124,8 +125,6 @@ def test_relabel_remark_set_root():
     g.set_root(n, True)
     g.set_root(n, False)
     assert g.root_list == []
-    g.remark_node(n, "grey")
-    assert n.mark == "grey"
 
 
 def test_both_backends_see_live_nodes_only():
@@ -175,6 +174,16 @@ def test_abandoned_scans_count_the_steps_taken():
             next(it)
         del it
         assert g.iter_steps == 3, backend
+
+
+def test_printing_and_listing_do_not_count_steps():
+    g = parse_host_graph("[ (0, 1) (1, 2) (2 (R), 3) | (0, 0, 1, empty) (1, 2, 2, 4) ]")
+    assert g.iter_steps == 0
+    print_graph(g)
+    assert len(g.nodes()) == 3 and len(g.edges()) == 2
+    assert g.iter_steps == 0
+    assert len(list(g.nodes_iter("chain"))) == 3
+    assert g.iter_steps == 3
 
 
 def test_empty_graph_iteration():
