@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import FLAG_IN_STACK, FLAG_ROOT, Graph
-from .match import compile_plan, find_match, prepare_rule
+from .match import find_match, search_steps
 from .rules import EvalError, Rule, instantiate_rhs
 
 OK = 0
@@ -73,8 +73,8 @@ class RuleSet(Command):
         except EvalError as exc:
             raise EvalError(f"in rule {rule.name!r}: {exc}") from exc
         except RecursionError:
-            # matching and evaluation recurse on pattern size and label
-            # nesting, and run deeper in the stack than the parser did
+            # label evaluation recurses on label nesting, and runs deeper
+            # in the stack than the parser did
             raise EvalError(f"in rule {rule.name!r}: nesting too deep") from None
         return FAILED
 
@@ -336,8 +336,7 @@ def prepare_commands(cmd, rules: dict[str, Rule], optimize: bool) -> None:
         if isinstance(c, RuleSet):
             c.rules = [rules[name] for name in c.names]
             for r in c.rules:
-                prepare_rule(r)
-                compile_plan(r, optimize)
+                search_steps(r, optimize)
         elif isinstance(c, Loop):
             c.needs_frame = not fails_cleanly(c.body)
 

@@ -7,6 +7,14 @@ components unreachable from any root fall back to global node
 iteration.  That ordering is what confines matching of fast rules to
 the neighbourhood of the host's roots.
 
+``find_match_steps`` is the one search.  It walks the plan iteratively,
+keeping one candidate iterator and one trail mark per step, so a
+left-hand side of any size matches without recursion.  Each candidate
+is checked when it is bound: injectivity, mark, root, label and, for a
+node the rule deletes, the dangling condition (its exact degree), so a
+dangling candidate is rejected before the rule's condition is ever
+evaluated.  The condition runs once every step is bound.
+
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
 costs only the items it touched.
@@ -14,9 +22,9 @@ costs only the items it touched.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
-from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, Graph, Node
+from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, Graph
 from .rules import Rule, eval_cond, label_match
 
 
@@ -36,30 +44,6 @@ class Match:
         )
 
 
-def prepare_rule(rule: Rule) -> None:
-    """Attach matcher metadata to a rule (idempotent)."""
-    if rule._scratch is not None:
-        return
-    lhs = rule.lhs
-    interface = set(rule.interface)
-    incident = [0] * len(lhs.nodes)
-    for e in lhs.edges:
-        incident[lhs.by_id[e.src]] += 1
-        incident[lhs.by_id[e.tgt]] += 1
-    deleted = [i for i, n in enumerate(lhs.nodes) if n.pid not in interface]
-    single = None
-    if len(lhs.nodes) == 1 and not lhs.edges:
-        single = (lhs.nodes[0], bool(deleted))
-    rule._scratch = {
-        "incident": incident,
-        "deleted": deleted,
-        "interface": frozenset(interface),
-        "single": single,
-        "node_img": [None] * len(lhs.nodes),
-        "edge_img": [None] * len(lhs.edges),
-    }
-
-
 def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
     """Produce the ordered matching plan for a rule.
 
@@ -69,7 +53,6 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
     cached = rule.plans.get(optimize)
     if cached is not None:
         return cached
-    prepare_rule(rule)
     lhs = rule.lhs
     steps: list[tuple] = []
     matched: set[int] = set()
@@ -155,218 +138,215 @@ def plan_is_well_formed(rule: Rule, plan: list[tuple]) -> bool:
         sorted(produced_edges) == list(range(len(lhs.edges)))
 
 
-def _node_ok(pn, host, mode: str) -> bool:
-    if host.flags & FLAG_MATCHED:
-        return False
-    if pn.mark != MARK_ANY and pn.mark != host.mark:
-        return False
-    if pn.root:
-        if not host.flags & FLAG_ROOT:
-            return False
-    elif mode == "reflect" and host.flags & FLAG_ROOT:
-        return False
-    return True
+def search_steps(rule: Rule, optimize: bool = True) -> list[tuple]:
+    """The rule's plan resolved for ``find_match_steps``, once per
+    (rule, optimize).
 
+    A node step is (kind, pid, label, mark, degree) with kind 'root'
+    (candidates from the root list) or 'node' (every host node).  An
+    edge step is ('edge', eid, label, mark, phases, anchor_pid,
+    other_pid, binds, other_label, other_mark, other_root, degree,
+    bidir): it walks the anchor's out-edges or in-edges, one list per
+    (reverse, flipped) phase, and either binds the other endpoint or
+    checks it against that endpoint's image.  A mark is None where the
+    pattern accepts any, and degree is the exact degree a deleted node
+    must have (-1 for a kept node), checked when the node is bound.
+    """
+    cached = rule.searches.get(optimize)
+    if cached is not None:
+        return cached
+    lhs = rule.lhs
+    kept = set(rule.interface)
+    degree = {pn.pid: -1 if pn.pid in kept else 0 for pn in lhs.nodes}
+    for pe in lhs.edges:
+        for pid in (pe.src, pe.tgt):
+            if pid not in kept:
+                degree[pid] += 1
 
-def _edge_ok(pe, host) -> bool:
-    if host.flags & FLAG_MATCHED:
-        return False
-    return pe.mark == MARK_ANY or pe.mark == host.mark
+    def mark(item):
+        return None if item.mark == MARK_ANY else item.mark
+
+    steps = []
+    bound = set()
+    for step in compile_plan(rule, optimize):
+        if step[0] != "edge":
+            pn = lhs.nodes[step[1]]
+            steps.append((step[0], pn.pid, pn.label, mark(pn), degree[pn.pid]))
+            bound.add(pn.pid)
+            continue
+        pe = lhs.edges[step[1]]
+        if step[2] == "src":
+            anchor, other = pe.src, pe.tgt
+            phases = ((False, False), (True, True)) if pe.bidir else ((False, False),)
+        else:
+            anchor, other = pe.tgt, pe.src
+            phases = ((False, True), (True, False)) if pe.bidir else ((True, False),)
+        on = lhs.nodes[lhs.by_id[other]]
+        steps.append(("edge", pe.eid, pe.label, mark(pe), phases, anchor, other,
+                      other not in bound, on.label, mark(on), on.root,
+                      degree[other], pe.bidir))
+        bound.add(other)
+    rule.searches[optimize] = steps
+    return steps
 
 
 def find_match(rule: Rule, g: Graph, mode: str = "preserve",
                backend: str = "chain", optimize: bool = True) -> Optional[Match]:
-    return _search(rule, g, mode, backend, optimize)[0]
+    return find_match_steps(rule, g, mode, backend, optimize)[0]
 
 
 def find_match_steps(rule: Rule, g: Graph, mode: str = "preserve",
                      backend: str = "chain", optimize: bool = True):
-    """As find_match, also reporting how many candidates were examined."""
-    return _search(rule, g, mode, backend, optimize)
+    """The first match in plan order, or None, and the number of host
+    candidates examined.
 
-
-def _search_single(rule: Rule, g: Graph, mode: str, backend: str):
-    """Tight path for one-node, zero-edge left-hand sides, which is what
-    the inner loops of reduction programs hammer."""
-    pn, deletes = rule._scratch["single"]
-    label = pn.label
-    kind = label.kind
-    want = label.detail
-    pmark = pn.mark
-    any_mark = pmark == MARK_ANY
+    Backtracking keeps, per plan step, its candidate iterator (a node
+    iterator, or the next edge and its phase) and the trail length
+    before its binding; stepping back clears the step's matched flags
+    and unbinds its variables.  ``images`` may keep a stale entry for a
+    step undone: the next binding of that step overwrites it.
+    """
+    steps = search_steps(rule, optimize)
+    n = len(steps)
     reflect = mode == "reflect"
     condition = rule.condition
-    steps = 0
-
-    candidates = g.root_list if pn.root else g.nodes_iter(backend)
-
-    for host in candidates:
-        steps += 1
-        flags = host.flags
-        if not any_mark and pmark != host.mark:
-            continue
-        if pn.root:
-            if not flags & FLAG_ROOT:
-                continue
-        elif reflect and flags & FLAG_ROOT:
-            continue
-        if deletes and (host.indegree or host.outdegree):
-            continue
-        if kind == "list_var":
-            assignment = {want: host.label}
-        elif kind == "const":
-            if host.label != want:
-                continue
-            assignment = {}
-        else:
-            assignment = {}
-            if label_match(label, host.label, assignment) is None:
-                continue
-        if condition is not None and \
-                not eval_cond(condition, assignment, {pn.pid: host}, g):
-            continue
-        return Match({pn.pid: host}, {}, assignment, {}), steps
-    return None, steps
-
-
-def _search(rule: Rule, g: Graph, mode: str, backend: str, optimize: bool):
-    plan = compile_plan(rule, optimize)
-    scratch = rule._scratch
-    if scratch["single"] is not None:
-        return _search_single(rule, g, mode, backend)
-    lhs = rule.lhs
-    node_img = scratch["node_img"]
-    edge_img = scratch["edge_img"]
-    for i in range(len(node_img)):
-        node_img[i] = None
-    for i in range(len(edge_img)):
-        edge_img[i] = None
-    if plan and plan[0][0] == "root" and not g.root_list:
-        return None, 0
-
+    images: dict = {}           # pattern node id -> host node
+    edge_images: dict = {}      # pattern edge id -> host edge
+    orientations: dict = {}     # pattern edge id -> True if flipped
     assignment: dict = {}
     trail: list = []
-    orientations: dict = {}
-    steps_taken = 0
-    nsteps = len(plan)
-    condition = rule.condition
-    deleted = scratch["deleted"]
-    incident = scratch["incident"]
-
-    def unbind(n):
-        for name in trail[n:]:
-            del assignment[name]
-        del trail[n:]
-
-    def solve(si: int) -> bool:
-        nonlocal steps_taken
-        if si == nsteps:
-            if condition is not None:
-                images = {pn.pid: node_img[i] for i, pn in enumerate(lhs.nodes)}
-                if not eval_cond(condition, assignment, images, g):
-                    return False
-            for ni in deleted:
-                host = node_img[ni]
-                if host.indegree + host.outdegree != incident[ni]:
-                    return False
-            return True
-        step = plan[si]
-        kind = step[0]
-        if kind == "edge":
-            _, ei, anchor = step
-            pe = lhs.edges[ei]
-            src_ni = lhs.by_id[pe.src]
-            tgt_ni = lhs.by_id[pe.tgt]
-            anchor_img = node_img[src_ni if anchor == "src" else tgt_ni]
-            phases = (False, True) if pe.bidir else \
-                ((False,) if anchor == "src" else (True,))
-            for reverse in phases:
-                # reverse=False walks the anchor's out-edges, True its in-edges
-                if anchor == "src":
-                    other_ni = tgt_ni
-                    flipped = reverse
-                else:
-                    other_ni = src_ni
-                    flipped = not reverse
-                other_expected = node_img[other_ni]
-                edge = anchor_img.in_head if reverse else anchor_img.out_head
-                while edge is not None:
-                    host = edge
-                    edge = host.tgt_next if reverse else host.src_next
-                    steps_taken += 1
-                    if not _edge_ok(pe, host):
-                        continue
-                    other_host = host.target if not reverse else host.source
-                    mark = len(trail)
-                    if other_expected is not None:
-                        if other_host is not other_expected:
-                            continue
-                        bound_node = False
-                    else:
-                        pn = lhs.nodes[other_ni]
-                        if not _node_ok(pn, other_host, mode):
-                            continue
-                        if label_match(pn.label, other_host.label, assignment, trail) is None:
-                            continue
-                        bound_node = True
-                    if label_match(pe.label, host.label, assignment, trail) is None:
-                        unbind(mark)
-                        continue
-                    host.flags |= FLAG_MATCHED
-                    edge_img[ei] = host
-                    if pe.bidir:
-                        orientations[pe.eid] = flipped
-                    if bound_node:
-                        other_host.flags |= FLAG_MATCHED
-                        node_img[other_ni] = other_host
-                    if solve(si + 1):
-                        return True
-                    host.flags &= ~FLAG_MATCHED
-                    edge_img[ei] = None
-                    if bound_node:
-                        other_host.flags &= ~FLAG_MATCHED
-                        node_img[other_ni] = None
-                    unbind(mark)
-            return False
-
-        ni = step[1]
-        pn = lhs.nodes[ni]
-        candidates = g.root_list if kind == "root" else g.nodes_iter(backend)
-        for host in candidates:
-            steps_taken += 1
-            if not _node_ok(pn, host, mode):
-                continue
-            mark = len(trail)
-            if label_match(pn.label, host.label, assignment, trail) is None:
-                continue
-            host.flags |= FLAG_MATCHED
-            node_img[ni] = host
-            if solve(si + 1):
-                return True
-            host.flags &= ~FLAG_MATCHED
-            node_img[ni] = None
-            unbind(mark)
-        return False
-
+    cursors = [None] * n        # node iterator, or next edge to try
+    phase_at = [0] * n
+    marks = [0] * n
+    candidates = 0
+    i = 0
+    fresh = True
     try:
-        found = solve(0)
-    except BaseException:
-        for img in node_img:
-            if img is not None:
-                img.flags &= ~FLAG_MATCHED
-        for img in edge_img:
-            if img is not None:
-                img.flags &= ~FLAG_MATCHED
-        raise
-    if not found:
-        return None, steps_taken
-    node_images = {pn.pid: node_img[i] for i, pn in enumerate(lhs.nodes)}
-    edge_images = {pe.eid: edge_img[i] for i, pe in enumerate(lhs.edges)}
-    for img in node_images.values():
-        img.flags &= ~FLAG_MATCHED
-    for img in edge_images.values():
-        img.flags &= ~FLAG_MATCHED
-    return Match(node_images, edge_images, dict(assignment), dict(orientations)), steps_taken
+        while True:
+            if i == n:
+                if condition is None or eval_cond(condition, assignment, images, g):
+                    return Match(images, edge_images, assignment, orientations), candidates
+                found = False
+            elif steps[i][0] != "edge":
+                kind, pid, label, mark, degree = steps[i]
+                root = kind == "root"
+                if fresh:
+                    cursors[i] = iter(g.root_list) if root else g.nodes_iter(backend)
+                    marks[i] = len(trail)
+                found = False
+                for host in cursors[i]:
+                    candidates += 1
+                    flags = host.flags
+                    if flags & FLAG_MATCHED:
+                        continue
+                    if mark is not None and mark != host.mark:
+                        continue
+                    if root:
+                        if not flags & FLAG_ROOT:
+                            continue
+                    elif reflect and flags & FLAG_ROOT:
+                        continue
+                    if degree >= 0 and host.indegree + host.outdegree != degree:
+                        continue
+                    if label_match(label, host.label, assignment, trail):
+                        host.flags = flags | FLAG_MATCHED
+                        images[pid] = host
+                        found = True
+                        break
+            else:
+                (_, eid, label, mark, phases, anchor_pid, other_pid, binds,
+                 other_label, other_mark, other_root, degree, bidir) = steps[i]
+                anchor = images[anchor_pid]
+                if fresh:
+                    p = 0
+                    reverse, flipped = phases[0]
+                    edge = anchor.in_head if reverse else anchor.out_head
+                    marks[i] = len(trail)
+                else:
+                    p = phase_at[i]
+                    reverse, flipped = phases[p]
+                    edge = cursors[i]
+                found = False
+                while True:
+                    # reverse=False walks the anchor's out-edges, True its in-edges
+                    while edge is not None:
+                        host = edge
+                        edge = host.tgt_next if reverse else host.src_next
+                        candidates += 1
+                        flags = host.flags
+                        if flags & FLAG_MATCHED:
+                            continue
+                        if mark is not None and mark != host.mark:
+                            continue
+                        other = host.source if reverse else host.target
+                        if binds:
+                            other_flags = other.flags
+                            if other_flags & FLAG_MATCHED:
+                                continue
+                            if other_mark is not None and other_mark != other.mark:
+                                continue
+                            if other_root:
+                                if not other_flags & FLAG_ROOT:
+                                    continue
+                            elif reflect and other_flags & FLAG_ROOT:
+                                continue
+                            if degree >= 0 and \
+                                    other.indegree + other.outdegree != degree:
+                                continue
+                            if not label_match(other_label, other.label, assignment, trail):
+                                continue
+                        elif other is not images[other_pid]:
+                            continue
+                        if not label_match(label, host.label, assignment, trail):
+                            _unbind(assignment, trail, marks[i])
+                            continue
+                        host.flags = flags | FLAG_MATCHED
+                        edge_images[eid] = host
+                        if bidir:
+                            orientations[eid] = flipped
+                        if binds:
+                            other.flags |= FLAG_MATCHED
+                            images[other_pid] = other
+                        found = True
+                        break
+                    if found or p + 1 == len(phases):
+                        break
+                    p += 1
+                    reverse, flipped = phases[p]
+                    edge = anchor.in_head if reverse else anchor.out_head
+                cursors[i] = edge
+                phase_at[i] = p
+            if found:
+                i += 1
+                fresh = True
+                continue
+            # step i has no further candidate (or the condition failed):
+            # undo the binding of the step before it and resume there
+            i -= 1
+            if i < 0:
+                return None, candidates
+            step = steps[i]
+            if step[0] != "edge":
+                images[step[1]].flags &= ~FLAG_MATCHED
+            else:
+                edge_images[step[1]].flags &= ~FLAG_MATCHED
+                if step[7]:
+                    images[step[6]].flags &= ~FLAG_MATCHED
+            _unbind(assignment, trail, marks[i])
+            fresh = False
+    finally:
+        # on a match, and on an exception from the condition; after a
+        # failed search every flag is already clear
+        for host in images.values():
+            host.flags &= ~FLAG_MATCHED
+        for host in edge_images.values():
+            host.flags &= ~FLAG_MATCHED
+
+
+def _unbind(assignment: dict, trail: list, mark: int) -> None:
+    for name in trail[mark:]:
+        del assignment[name]
+    del trail[mark:]
 
 
 # -- exhaustive oracle ------------------------------------------------------
@@ -375,7 +355,6 @@ def _search(rule: Rule, g: Graph, mode: str, backend: str, optimize: bool):
 def brute_force_match(rule: Rule, g: Graph, mode: str = "preserve") -> list[Match]:
     """Enumerate every valid match by trying all injective node maps and
     all injective edge assignments; meant for small test hosts."""
-    prepare_rule(rule)
     lhs = rule.lhs
     hosts = g.nodes()
     results: list[Match] = []
@@ -397,7 +376,7 @@ def brute_force_match(rule: Rule, g: Graph, mode: str = "preserve") -> list[Matc
             if not pn.root and mode == "reflect" and host.flags & FLAG_ROOT:
                 continue
             n = len(trail)
-            if label_match(pn.label, host.label, assignment, trail) is None:
+            if not label_match(pn.label, host.label, assignment, trail):
                 continue
             chosen.append(host)
             node_maps(i + 1, chosen, assignment, trail)
@@ -422,7 +401,7 @@ def brute_force_match(rule: Rule, g: Graph, mode: str = "preserve") -> list[Matc
             if pe.mark != MARK_ANY and pe.mark != host_edge.mark:
                 continue
             n = len(trail)
-            if label_match(pe.label, host_edge.label, assignment, trail) is None:
+            if not label_match(pe.label, host_edge.label, assignment, trail):
                 continue
             edge_map[j] = host_edge
             assign_edges(j + 1, edge_map, assignment, trail, chosen)
@@ -433,13 +412,10 @@ def brute_force_match(rule: Rule, g: Graph, mode: str = "preserve") -> list[Matc
 
     def finish(edge_map, assignment, chosen):
         images = {pn.pid: chosen[i] for i, pn in enumerate(lhs.nodes)}
+        if not _dangling_ok(rule, images):
+            return
         if rule.condition is not None:
             if not eval_cond(rule.condition, assignment, images, g):
-                return
-        incident = rule._scratch["incident"]
-        for ni in rule._scratch["deleted"]:
-            host = chosen[ni]
-            if host.indegree + host.outdegree != incident[ni]:
                 return
         edge_images = {lhs.edges[j].eid: e for j, e in edge_map.items()}
         orientations = {}
@@ -461,7 +437,6 @@ def audit_match(rule: Rule, g: Graph, m: Match, mode: str = "preserve") -> None:
     """Validity auditor: raises AssertionError unless the match is a
     structure-, label-, mark- and root-compatible injective embedding
     satisfying condition and dangling requirements."""
-    prepare_rule(rule)
     lhs = rule.lhs
     node_ids = [id(n) for n in m.node_images.values()]
     assert len(set(node_ids)) == len(node_ids), "node map is not injective"
@@ -478,7 +453,7 @@ def audit_match(rule: Rule, g: Graph, m: Match, mode: str = "preserve") -> None:
             assert host.flags & FLAG_ROOT, "root not preserved"
         elif mode == "reflect":
             assert not host.flags & FLAG_ROOT, "root not reflected"
-        assert label_match(pn.label, host.label, assignment, trail) is not None, \
+        assert label_match(pn.label, host.label, assignment, trail), \
             "node label does not unify"
     for pe in lhs.edges:
         host = m.edge_images[pe.eid]
@@ -489,15 +464,25 @@ def audit_match(rule: Rule, g: Graph, m: Match, mode: str = "preserve") -> None:
         assert host.source is src_img and host.target is tgt_img, \
             "edge endpoints do not commute with the node map"
         assert pe.mark == MARK_ANY or pe.mark == host.mark, "edge mark mismatch"
-        assert label_match(pe.label, host.label, assignment, trail) is not None, \
+        assert label_match(pe.label, host.label, assignment, trail), \
             "edge label does not unify"
     assert {k: assignment[k] for k in m.assignment} == m.assignment or \
         assignment == m.assignment, "recorded assignment disagrees"
+    assert _dangling_ok(rule, m.node_images), "dangling condition violated"
     if rule.condition is not None:
         assert eval_cond(rule.condition, m.assignment,
                          dict(m.node_images), g), "condition not satisfied"
-    incident = rule._scratch["incident"]
-    for ni in rule._scratch["deleted"]:
-        host = m.node_images[lhs.nodes[ni].pid]
-        assert host.indegree + host.outdegree == incident[ni], \
-            "dangling condition violated"
+
+
+def _dangling_ok(rule: Rule, node_images: dict) -> bool:
+    """Whether every node the rule deletes has, in the host, exactly as
+    many incident edges as the left-hand side gives it (loops twice)."""
+    kept = set(rule.interface)
+    for pn in rule.lhs.nodes:
+        if pn.pid not in kept:
+            incident = sum((pe.src == pn.pid) + (pe.tgt == pn.pid)
+                           for pe in rule.lhs.edges)
+            host = node_images[pn.pid]
+            if host.indegree + host.outdegree != incident:
+                return False
+    return True

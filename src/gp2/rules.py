@@ -15,7 +15,6 @@ tuple.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
 
 from .graph import EDGE_MARKS, MARK_ANY, NODE_MARKS
 
@@ -100,11 +99,11 @@ class LabelPattern:
                     raise RuleError("at most one list variable per label")
                 pos = i
         self.list_var_pos = pos
-        # matching fast paths: a lone list variable absorbs anything, a
-        # constant pattern is a plain comparison
+        # label_match's fast paths: a lone list variable binds the whole
+        # host label, a constant pattern is one tuple comparison
         if len(items) == 1 and pos == 0:
             self.kind = "list_var"
-            self.detail = items[0][1]
+            self.detail = None
         elif all(it[0] == "lit" for it in items):
             self.kind = "const"
             self.detail = tuple(it[1] for it in items)
@@ -119,7 +118,7 @@ class LabelPattern:
 class Rule:
     __slots__ = (
         "name", "variables", "lhs", "rhs", "condition", "interface",
-        "plans", "_scratch",
+        "plans", "searches",
     )
 
     def __init__(self, name: str, variables: dict[str, str],
@@ -130,83 +129,84 @@ class Rule:
         self.rhs = rhs
         self.condition = condition
         self.interface = sorted(set(lhs.by_id) & set(rhs.by_id))
-        self.plans: dict = {}
-        self._scratch = None
+        self.plans: dict = {}       # optimize -> match.compile_plan's steps
+        self.searches: dict = {}    # optimize -> match.search_steps' steps
 
 
 # -- label matching -----------------------------------------------------
 
 
-def _bind_atom(item, atom, assignment, trail) -> bool:
+def _bind_atom(item, value, assignment, trail) -> bool:
     kind = item[0]
     if kind == "lit":
-        return item[1] == atom
+        return item[1] == value
     name, vtype = item[1], item[2]
     if vtype == "int":
-        if not isinstance(atom, int):
+        if not isinstance(value, int):
             return False
     elif vtype == "string":
-        if not isinstance(atom, str):
+        if not isinstance(value, str):
             return False
     elif vtype == "char":
-        if not (isinstance(atom, str) and len(atom) == 1):
+        if not (isinstance(value, str) and len(value) == 1):
             return False
-    # atom type accepts both
+    # atom and list types accept anything
     bound = assignment.get(name, _UNSET)
     if bound is _UNSET:
-        assignment[name] = atom
+        assignment[name] = value
         trail.append(name)
         return True
-    return bound == atom
+    return bound == value
 
 
 _UNSET = object()
 
 
 def label_match(pattern: LabelPattern, host_label: tuple, assignment: dict,
-                trail: Optional[list] = None):
-    """Unify a pattern label with a host label, extending ``assignment``.
+                trail: list) -> bool:
+    """Unify a pattern label with a host label, extending ``assignment``
+    and appending each name this call binds to ``trail``.
 
-    Returns the list of variable names bound by this call, or None on
-    mismatch (in which case any partial bindings are already undone).
+    This is the one label binder of the matcher and its oracles.  On a
+    mismatch it returns False with this call's bindings already undone.
     """
-    own_trail = [] if trail is None else trail
-    start = len(own_trail)
+    kind = pattern.kind
+    if kind == "const":
+        return host_label == pattern.detail
+    if kind == "list_var":
+        return _bind_atom(pattern.items[0], host_label, assignment, trail)
+    start = len(trail)
+    if _unify(pattern, host_label, assignment, trail):
+        return True
+    for name in trail[start:]:
+        del assignment[name]
+    del trail[start:]
+    return False
 
-    def fail():
-        for name in own_trail[start:]:
-            del assignment[name]
-        del own_trail[start:]
-        return None
 
+def _unify(pattern: LabelPattern, host_label: tuple, assignment, trail) -> bool:
+    """The general case of label_match, leaving partial bindings on a
+    mismatch: atoms positionally around at most one list variable."""
     items = pattern.items
     pos = pattern.list_var_pos
     if pos is None:
         if len(items) != len(host_label):
-            return fail()
+            return False
         for item, atom in zip(items, host_label):
-            if not _bind_atom(item, atom, assignment, own_trail):
-                return fail()
-        return own_trail[start:]
-
+            if not _bind_atom(item, atom, assignment, trail):
+                return False
+        return True
     prefix, suffix = items[:pos], items[pos + 1:]
     if len(host_label) < len(prefix) + len(suffix):
-        return fail()
+        return False
     for item, atom in zip(prefix, host_label):
-        if not _bind_atom(item, atom, assignment, own_trail):
-            return fail()
+        if not _bind_atom(item, atom, assignment, trail):
+            return False
     for item, atom in zip(reversed(suffix), reversed(host_label)):
-        if not _bind_atom(item, atom, assignment, own_trail):
-            return fail()
+        if not _bind_atom(item, atom, assignment, trail):
+            return False
     mid = host_label[len(prefix):len(host_label) - len(suffix)]
-    name = items[pos][1]
-    bound = assignment.get(name, _UNSET)
-    if bound is _UNSET:
-        assignment[name] = mid
-        own_trail.append(name)
-    elif bound != mid:
-        return fail()
-    return own_trail[start:]
+    return _bind_atom(items[pos], mid, assignment, trail)
 
 
 # -- expression evaluation ----------------------------------------------

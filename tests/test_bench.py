@@ -1,6 +1,6 @@
 import pytest
 
-from gp2 import bench, corpus
+from gp2 import bench, corpus, engine, match
 from gp2.engine import OK, ExecConfig, Executable, run_program
 from gp2.graph import graphs_isomorphic
 from gp2.textio import parse_host_graph, parse_program
@@ -189,3 +189,36 @@ def test_iteration_step_counts_grow_linearly_on_chains_quadratically_on_scans(
         points = _iter_steps(program, graphs(), backend)
         ratios = [r for _, r in bench.doubling_ratios(points)]
         assert bench.classify(ratios) == expected, (backend, points)
+
+
+def _candidates(program, seeds, monkeypatch):
+    """(node count, candidates examined by find_match_steps) of one run
+    per generator seed, summed over the run as the benchmark does."""
+    total = [0]
+
+    def find_match(rule, g, mode="preserve", backend="chain", optimize=True):
+        m, candidates = match.find_match_steps(rule, g, mode, backend, optimize)
+        total[0] += candidates
+        return m
+
+    monkeypatch.setattr(engine, "find_match", find_match)
+    executable = Executable(parse_program(corpus.load_program(program)), ExecConfig())
+    points = []
+    for seed in seeds:
+        total[0] = 0
+        g = parse_host_graph(f"[ (0 (R), {seed}) | ]")
+        assert executable.run(g) == OK
+        points.append((g.node_count, total[0]))
+    return points
+
+
+@pytest.mark.parametrize("program, seeds, expected", [
+    ("gen_tree", (8, 9, 10), (6122, 12266, 24554)),
+    ("gen_star", (1000, 2000, 4000), (1502, 3002, 6002)),
+    ("gen_discrete", (1000, 2000, 4000), (4005, 8005, 16005)),
+])
+def test_fast_rule_generators_examine_linearly_many_candidates(
+        program, seeds, expected, monkeypatch):
+    points = _candidates(program, seeds, monkeypatch)
+    assert tuple(c for _, c in points) == expected
+    assert bench.classify([r for _, r in bench.doubling_ratios(points)]) == "~linear"

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from gp2 import corpus
-from gp2.graph import Graph
+from gp2.engine import ExecConfig, run_program
+from gp2.graph import FLAG_MATCHED, Graph
 from gp2.match import (
     audit_match,
     brute_force_match,
@@ -12,7 +13,8 @@ from gp2.match import (
     find_match_steps,
     plan_is_well_formed,
 )
-from gp2.textio import parse_program, parse_rule
+from gp2.rules import EvalError
+from gp2.textio import parse_host_graph, parse_program, parse_rule
 
 
 def _rules(name):
@@ -231,7 +233,6 @@ def test_reflect_matches_are_preserve_matches():
 def test_matched_flags_always_cleared():
     rng = random.Random(31)
     rules = all_corpus_rules()
-    from gp2.graph import FLAG_MATCHED
     for _ in range(20):
         g = random_host(rng)
         for name, rule in rules:
@@ -257,3 +258,41 @@ def test_rooted_match_step_count_independent_of_host_size():
         counts.append(steps)
     assert max(counts) < 2 * min(counts)
     assert max(counts) <= 16
+
+
+def test_dangling_is_checked_before_the_condition():
+    # the deleted node's image has an edge the rule does not delete, so
+    # no match exists and the failing condition is never evaluated
+    host = "[ (0, 1) (1, 1) | (0, 0, 1, empty) ]"
+    two = "Main = r\nr(n:int)\n[ (1, n) (2, n) | ] => [ (1, n) | ]\n  where n / 0 = 0\n"
+    one = "Main = r\nr(n:int)\n[ (1, n) | ] => [ | ]\n  where n / 0 = 0\n"
+    for program in (two, one):
+        for optimize in (True, False):
+            out = run_program(program, host, ExecConfig(optimize_plans=optimize))
+            assert out.status == "fail", (program, optimize, out.diagnostic)
+
+
+def test_matched_flags_cleared_when_the_condition_raises():
+    rule = parse_rule("r(n:int)\n[ (1, n) (2, n) | (0, 1, 2, empty) ] => "
+                      "[ (1, n) (2, n) | ]\n  where n / 0 = 0")
+    g = parse_host_graph("[ (0, 1) (1, 1) (2, 1) | (0, 0, 1, empty) (1, 1, 2, empty) ]")
+    for optimize in (True, False):
+        with pytest.raises(EvalError, match="division by zero"):
+            find_match(rule, g, optimize=optimize)
+        for n in g.nodes():
+            assert not n.flags & FLAG_MATCHED
+            for e in g.out_edges(n):
+                assert not e.flags & FLAG_MATCHED
+
+
+def test_left_hand_side_of_a_thousand_nodes_matches():
+    n = 1000
+    names = ",".join(f"x{i}" for i in range(n))
+    side = "[ " + " ".join(f"({i}, x{i})" for i in range(n)) + " | " + \
+        " ".join(f"({i}, {i}, {i + 1}, empty)" for i in range(n - 1)) + " ]"
+    program = f"Main = r\nr({names}:list)\n{side} => {side}\n"
+    host = "[ " + " ".join(f"({i}, {i})" for i in range(n)) + " | " + \
+        " ".join(f"({i}, {i}, {i + 1}, empty)" for i in range(n - 1)) + " ]"
+    out = run_program(program, host)
+    assert out.status == "success", out.diagnostic
+    assert out.graph.node_count == n and out.graph.edge_count == n - 1

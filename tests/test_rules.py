@@ -125,26 +125,28 @@ def test_indeg_outdeg_read_matched_node():
 def test_label_match_unification():
     lhs = parse_rule("r(x:list)\n[ (1, x) | ] => [ | ]").lhs
     asg = {}
-    assert label_match(lhs.nodes[0].label, (1, 2), asg) is not None
+    assert label_match(lhs.nodes[0].label, (1, 2), asg, [])
     assert asg == {"x": (1, 2)}
 
     lhs = parse_rule("r(n:int)\n[ (1, n) | ] => [ | ]").lhs
-    assert label_match(lhs.nodes[0].label, ("a",), {}) is None
+    assert not label_match(lhs.nodes[0].label, ("a",), {}, [])
 
     lhs = parse_rule("r(a:atom; x:list)\n[ (1, a:x) | ] => [ | ]").lhs
     asg = {}
-    assert label_match(lhs.nodes[0].label, (7,), asg) is not None
+    assert label_match(lhs.nodes[0].label, (7,), asg, [])
     assert asg == {"a": 7, "x": ()}
 
 
 def test_label_match_respects_existing_bindings():
     lhs = parse_rule("r(n:int; x:list)\n[ (1, n:x:n) | ] => [ | ]").lhs
     pattern = lhs.nodes[0].label
-    assert label_match(pattern, (3, 9, 3), {}) is not None
-    assert label_match(pattern, (3, 9, 4), {}) is None
-    asg = {"n": 5}
-    assert label_match(pattern, (5, 5), asg) is not None
-    assert asg["x"] == ()
+    assert label_match(pattern, (3, 9, 3), {}, [])
+    asg, trail = {}, []
+    assert not label_match(pattern, (3, 9, 4), asg, trail)
+    assert asg == {} and trail == []            # partial bindings undone
+    asg, trail = {"n": 5}, []
+    assert label_match(pattern, (5, 5), asg, trail)
+    assert asg["x"] == () and trail == ["x"]
 
 
 def test_instantiate_rhs_examples():
