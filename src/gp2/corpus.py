@@ -198,10 +198,6 @@ class CorpusEntry:
     oracle: Optional[Callable[[Graph], bool]]
     fixtures: tuple[tuple[str, str], ...]      # (fixture file, expected status)
 
-    @property
-    def program_text(self) -> str:
-        return load_program(self.name)
-
 
 ENTRIES: dict[str, CorpusEntry] = {
     e.name: e for e in (

@@ -1,23 +1,20 @@
-"""Program execution: rule application with rollback, control constructs.
+"""Program execution: rule application and control constructs.
 
 Rule application follows the deletion-before-insertion discipline:
 left-hand-only edges go first, then left-hand-only nodes, interface
 nodes are updated in place (relabel, remark, re-root), and right-hand
-items are created last.  Every mutation is journaled while a rollback
-scope is open, so if/try guards and loop iterations can be undone
-exactly; straight-line execution outside any scope journals nothing.
-
-A record deleted under an open frame is flagged FLAG_IN_STACK and kept
-off the graph's free stack until the outermost frame commits (or an
-undo relinks it), which is what keeps journal entries as bare handles
-sound: a held record is never reused for a new item.
+items are created last, all through ``Graph``'s mutators.  ``if``/``try``
+guards and loop iterations run inside a ``ChangeStack`` frame, which
+the graph journals its mutations into (see ``graph``), so they can be
+undone exactly; straight-line execution outside any frame journals
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import FLAG_IN_STACK, FLAG_ROOT, Graph
+from .graph import FLAG_ROOT, Graph
 from .match import find_match, search_steps
 from .rules import EvalError, Rule, instantiate_rhs
 
@@ -68,7 +65,7 @@ class RuleSet(Command):
             for rule in self.rules:
                 m = find_match(rule, g, ctx.mode, ctx.backend, ctx.optimize)
                 if m is not None:
-                    apply_rule(rule, m, g, ctx.stack.top())
+                    apply_rule(rule, m, g)
                     return OK
         except EvalError as exc:
             raise EvalError(f"in rule {rule.name!r}: {exc}") from exc
@@ -115,7 +112,7 @@ class If(Command):
         self.else_cmd = else_cmd
 
     def run(self, ctx):
-        ctx.stack.open_frame()
+        ctx.stack.open_frame(ctx.graph)
         st = self.guard.run(ctx)
         ctx.stack.undo_frame(ctx.graph)
         if st == BROKE:
@@ -133,7 +130,7 @@ class Try(Command):
         self.else_cmd = else_cmd
 
     def run(self, ctx):
-        ctx.stack.open_frame()
+        ctx.stack.open_frame(ctx.graph)
         st = self.guard.run(ctx)
         if st == FAILED:
             ctx.stack.undo_frame(ctx.graph)
@@ -159,7 +156,7 @@ class Loop(Command):
         if self.needs_frame:
             g = ctx.graph
             while True:
-                stack.open_frame()
+                stack.open_frame(g)
                 st = body.run(ctx)
                 if st == OK:
                     stack.commit_frame(g)
@@ -345,12 +342,13 @@ def prepare_commands(cmd, rules: dict[str, Rule], optimize: bool) -> None:
 
 
 class ChangeStack:
-    """Framed journal of graph mutations.
+    """Nested rollback frames over one graph's journal.
 
-    Each rollback scope pushes a frame; undoing a frame replays its
-    entries in reverse.  Committing an inner frame folds its entries
-    into the parent so an outer scope can still undo them; only when the
-    last frame commits are deleted records released to the free stacks.
+    Opening a frame points ``Graph.journal`` at a fresh entry list;
+    undoing it reverts the frame's entries.  Committing an inner frame
+    folds its entries into the parent so an outer scope can still undo
+    them; only when the last frame commits does the graph release the
+    records they hold.
     """
 
     __slots__ = ("frames",)
@@ -358,133 +356,54 @@ class ChangeStack:
     def __init__(self):
         self.frames: list[list] = []
 
-    def top(self):
-        return self.frames[-1] if self.frames else None
-
-    def open_frame(self) -> None:
-        self.frames.append([])
+    def open_frame(self, g: Graph) -> None:
+        g.journal = []
+        self.frames.append(g.journal)
 
     def undo_frame(self, g: Graph) -> None:
-        entries = self.frames.pop()
-        for entry in reversed(entries):
-            tag = entry[0]
-            if tag == "nd":
-                g.restore_node(entry[1], entry[2])
-            elif tag == "ed":
-                g.restore_edge(entry[1], entry[2])
-            elif tag == "ea":
-                g.delete_edge(entry[1])
-            elif tag == "na":
-                g.delete_node(entry[1])
-            elif tag == "rl":
-                g.relabel_node(entry[1], entry[2])
-            elif tag == "rm":
-                entry[1].mark = entry[2]
-            elif tag == "rt":
-                g.set_root(entry[1], entry[2])
+        g.undo(self.frames.pop())
+        g.journal = self.frames[-1] if self.frames else None
 
     def commit_frame(self, g: Graph) -> None:
         entries = self.frames.pop()
         if self.frames:
-            self.frames[-1].extend(entries)
-            return
-        for entry in entries:
-            tag = entry[0]
-            if tag == "nd":
-                g.release_node(entry[1])
-            elif tag == "ed":
-                g.release_edge(entry[1])
-
-
-# -- journaled mutations ---------------------------------------------------------
-#
-# Each helper mutates the graph and, when a rollback frame is open
-# (``frame`` is not None), records in it what undo needs.
-
-
-def journal_delete_node(g: Graph, frame, node) -> None:
-    if frame is not None:
-        frame.append(("nd", node, node.flags))
-        node.flags |= FLAG_IN_STACK
-    g.delete_node(node)
-
-
-def journal_delete_edge(g: Graph, frame, edge) -> None:
-    if frame is not None:
-        frame.append(("ed", edge, edge.flags))
-        edge.flags |= FLAG_IN_STACK
-    g.delete_edge(edge)
-
-
-def journal_add_node(g: Graph, frame, label=(), mark="none", root=False):
-    node = g.add_node(label, mark, root)
-    if frame is not None:
-        frame.append(("na", node))
-    return node
-
-
-def journal_add_edge(g: Graph, frame, src, tgt, label=(), mark="none"):
-    edge = g.add_edge(src, tgt, label, mark)
-    if frame is not None:
-        frame.append(("ea", edge))
-    return edge
-
-
-def journal_relabel_node(g: Graph, frame, node, label) -> None:
-    if frame is not None:
-        frame.append(("rl", node, node.label))
-    g.relabel_node(node, label)
-
-
-def journal_remark_node(g: Graph, frame, node, mark) -> None:
-    if frame is not None:
-        frame.append(("rm", node, node.mark))
-    node.mark = mark
-
-
-def journal_set_root(g: Graph, frame, node, flag) -> None:
-    if frame is not None:
-        frame.append(("rt", node, bool(node.flags & FLAG_ROOT)))
-    g.set_root(node, flag)
+            g.journal = self.frames[-1]
+            g.journal.extend(entries)
+        else:
+            g.journal = None
+            g.release(entries)
 
 
 # -- rule application ----------------------------------------------------------
 
 
-def apply_rule(rule: Rule, m, g: Graph, frame=None) -> None:
+def apply_rule(rule: Rule, m, g: Graph) -> None:
     """Replace the matched left-hand side with the instantiated right-hand
     side.  Evaluation happens first so an evaluation error aborts before
     any mutation."""
-    new_nodes, new_edges = instantiate_rhs(
-        rule, m.assignment, m.node_images, m.edge_images, g, m.orientations)
-
+    nodes, edges = instantiate_rhs(
+        rule, m.assignment, m.node_images, m.edge_images, m.orientations)
     for host in m.edge_images.values():
-        journal_delete_edge(g, frame, host)
-
-    iface = set(rule.interface)
-    for pn in rule.lhs.nodes:
-        if pn.pid not in iface:
-            journal_delete_node(g, frame, m.node_images[pn.pid])
-
-    created: dict[int, object] = {}
-    for item in new_nodes:
-        if item.pid in iface:
-            host = m.node_images[item.pid]
-            if host.label != item.label:
-                journal_relabel_node(g, frame, host, item.label)
-            if host.mark != item.mark:
-                journal_remark_node(g, frame, host, item.mark)
-            if bool(host.flags & FLAG_ROOT) != item.root:
-                journal_set_root(g, frame, host, item.root)
-        else:
-            created[item.pid] = journal_add_node(g, frame, item.label, item.mark, item.root)
-
-    for item in new_edges:
-        src = created.get(item.src) or m.node_images.get(item.src)
-        tgt = created.get(item.tgt) or m.node_images.get(item.tgt)
-        if item.flip:
+        g.delete_edge(host)
+    images = dict(m.node_images)
+    for pid in rule.deleted:
+        g.delete_node(images[pid])
+    for pn, (label, mark) in zip(rule.rhs.nodes, nodes):
+        host = images.get(pn.pid)
+        if host is None:
+            images[pn.pid] = g.add_node(label, mark, pn.root)
+            continue
+        if host.label != label:
+            g.relabel_node(host, label)
+        if host.mark != mark:
+            g.remark_node(host, mark)
+        if bool(host.flags & FLAG_ROOT) != pn.root:
+            g.set_root(host, pn.root)
+    for pe, (label, mark, flip) in zip(rule.rhs.edges, edges):
+        src, tgt = images[pe.src], images[pe.tgt]
+        if flip:
             src, tgt = tgt, src
-        journal_add_edge(g, frame, src, tgt, item.label, item.mark)
+        g.add_edge(src, tgt, label, mark)
 
 
 # -- whole-program execution -----------------------------------------------------
@@ -501,9 +420,11 @@ class _Ctx:
         self.optimize = cfg.optimize_plans
 
 
-def exec_command(cmd, g: Graph, cfg: ExecConfig, stack: ChangeStack | None = None) -> int:
-    ctx = _Ctx(g, stack if stack is not None else ChangeStack(), cfg)
-    return cmd.run(ctx)
+def exec_command(cmd, g: Graph, cfg: ExecConfig) -> int:
+    try:
+        return cmd.run(_Ctx(g, ChangeStack(), cfg))
+    finally:
+        g.journal = None        # an evaluation error leaves its frames open
 
 
 class Outcome:

@@ -13,10 +13,19 @@ high-water mark (``node_slots``) and filters on ``live_bytes``, which
 is how the legacy layout iterated.  Both see exactly the live nodes.
 
 Deleted records go on a LIFO free stack per record kind and are reused
-by the next add, keeping their slot index.  Release is deferred while a
-change journal holds the record (``FLAG_IN_STACK``), so handles held
-there never alias a new item; in minimal-GC mode records are never
-returned to the free stacks.
+by the next add, keeping their slot index; in minimal-GC mode they are
+never returned to the free stacks.
+
+The graph journals its own mutations.  While ``Graph.journal`` holds a
+list (a rollback frame, opened by ``engine.ChangeStack``), every
+mutator appends an entry naming its inverse mutator and that mutator's
+arguments, e.g. ``(Graph.restore_node, node, flags)``, so ``undo``
+replays a frame newest first through the same mutators.  A record
+deleted under an open frame is held (``FLAG_IN_STACK``) instead of
+freed, so the handles the entries keep never alias a new item; undoing
+the deletion relinks it, and ``release``, once the outermost frame
+commits, puts it on its free stack.  Entries are written and read only
+in this module.
 """
 
 from __future__ import annotations
@@ -41,10 +50,8 @@ EDGE_MARKS = frozenset((MARK_NONE, MARK_RED, MARK_GREEN, MARK_BLUE, MARK_DASHED)
 # Flag bits, packed into one byte per record.
 FLAG_ROOT = 0x01
 FLAG_IN_GRAPH = 0x02
-FLAG_IN_STACK = 0x04
+FLAG_IN_STACK = 0x04      # deleted, and held by a journal entry
 FLAG_MATCHED = 0x08
-FLAG_IN_SRC_CHAIN = 0x10
-FLAG_IN_TGT_CHAIN = 0x20
 
 INT32_MIN = -(2 ** 31)
 INT32_MAX = 2 ** 31 - 1
@@ -96,7 +103,7 @@ class Graph:
     __slots__ = (
         "node_slots", "free_nodes", "edge_high_water", "free_edges",
         "node_head", "root_list", "node_count", "edge_count",
-        "live_bytes", "iter_steps", "minimal_gc",
+        "live_bytes", "iter_steps", "minimal_gc", "journal",
     )
 
     def __init__(self, minimal_gc: bool = False):
@@ -113,6 +120,7 @@ class Graph:
         self.live_bytes = bytearray()
         self.iter_steps = 0
         self.minimal_gc = minimal_gc
+        self.journal: Optional[list] = None    # the open rollback frame
 
     # -- nodes ----------------------------------------------------------
 
@@ -134,6 +142,8 @@ class Graph:
             node.flags |= FLAG_ROOT
             self.root_list.append(node)
         self.node_count += 1
+        if self.journal is not None:
+            self.journal.append((Graph.delete_node, node))
         return node
 
     def _link_node(self, node: Node) -> None:
@@ -158,32 +168,26 @@ class Graph:
             nxt.prev = prev
         node.prev = node.next = None
         self.live_bytes[node.slot_index] = 0
-        if node.flags & FLAG_ROOT:
+        flags = node.flags
+        if flags & FLAG_ROOT:
             self.root_list.remove(node)
-        node.flags &= ~(FLAG_IN_GRAPH | FLAG_ROOT)
+        node.flags = 0
         self.node_count -= 1
-        if not node.flags & FLAG_IN_STACK and not self.minimal_gc:
+        if self.journal is not None:
+            self.journal.append((Graph.restore_node, node, flags))
+            node.flags = FLAG_IN_STACK
+        elif not self.minimal_gc:
             self.free_nodes.append(node)
 
     def restore_node(self, node: Node, flags: int) -> None:
-        """Relink a deferred-deleted node exactly as it was (modulo its
-        position in the node chain, which is head insertion)."""
-        node.flags = flags & ~FLAG_IN_STACK | FLAG_IN_GRAPH
+        """Relink a held node with the flags it had when it was deleted
+        (modulo its position in the node chain, which is head insertion)."""
+        node.flags = flags
         self._link_node(node)
         self.live_bytes[node.slot_index] = 1
-        if node.flags & FLAG_ROOT:
+        if flags & FLAG_ROOT:
             self.root_list.append(node)
         self.node_count += 1
-
-    def release_node(self, node: Node) -> None:
-        """Drop a journal's hold on the record, freeing it if it is
-        deleted.  A record no journal holds is left alone, so releasing
-        twice cannot put it on the free stack twice."""
-        if not node.flags & FLAG_IN_STACK:
-            return
-        node.flags &= ~FLAG_IN_STACK
-        if not node.flags & FLAG_IN_GRAPH and not self.minimal_gc:
-            self.free_nodes.append(node)
 
     # -- edges ----------------------------------------------------------
 
@@ -199,10 +203,12 @@ class Graph:
             self.edge_high_water += 1
         edge.label = label
         edge.mark = mark
-        edge.flags = FLAG_IN_SRC_CHAIN | FLAG_IN_TGT_CHAIN
+        edge.flags = FLAG_IN_GRAPH
         edge.source = src
         edge.target = tgt
         self._link_edge(edge)
+        if self.journal is not None:
+            self.journal.append((Graph.delete_edge, edge))
         return edge
 
     def _link_edge(self, edge: Edge) -> None:
@@ -224,7 +230,7 @@ class Graph:
         self.edge_count += 1
 
     def delete_edge(self, edge: Edge) -> None:
-        if not edge.flags & (FLAG_IN_SRC_CHAIN | FLAG_IN_TGT_CHAIN):
+        if not edge.flags & FLAG_IN_GRAPH:
             raise GraphError("edge already deleted")
         src, tgt = edge.source, edge.target
         prev, nxt = edge.src_prev, edge.src_next
@@ -244,35 +250,61 @@ class Graph:
         edge.src_prev = edge.src_next = edge.tgt_prev = edge.tgt_next = None
         src.outdegree -= 1
         tgt.indegree -= 1
-        edge.flags &= ~(FLAG_IN_SRC_CHAIN | FLAG_IN_TGT_CHAIN)
+        edge.flags = 0
         self.edge_count -= 1
-        if not edge.flags & FLAG_IN_STACK and not self.minimal_gc:
+        if self.journal is not None:
+            self.journal.append((Graph.restore_edge, edge))
+            edge.flags = FLAG_IN_STACK
+        elif not self.minimal_gc:
             self.free_edges.append(edge)
 
-    def restore_edge(self, edge: Edge, flags: int) -> None:
-        edge.flags = flags & ~FLAG_IN_STACK | FLAG_IN_SRC_CHAIN | FLAG_IN_TGT_CHAIN
+    def restore_edge(self, edge: Edge) -> None:
+        edge.flags = FLAG_IN_GRAPH
         self._link_edge(edge)
-
-    def release_edge(self, edge: Edge) -> None:
-        """As release_node, for edges."""
-        if not edge.flags & FLAG_IN_STACK:
-            return
-        edge.flags &= ~FLAG_IN_STACK
-        if not edge.flags & (FLAG_IN_SRC_CHAIN | FLAG_IN_TGT_CHAIN) and not self.minimal_gc:
-            self.free_edges.append(edge)
 
     # -- in-place updates ------------------------------------------------
 
     def relabel_node(self, node: Node, label: tuple) -> None:
+        if self.journal is not None:
+            self.journal.append((Graph.relabel_node, node, node.label))
         node.label = label
 
+    def remark_node(self, node: Node, mark: str) -> None:
+        if self.journal is not None:
+            self.journal.append((Graph.remark_node, node, node.mark))
+        node.mark = mark
+
     def set_root(self, node: Node, flag: bool) -> None:
+        if self.journal is not None:
+            self.journal.append((Graph.set_root, node, bool(node.flags & FLAG_ROOT)))
         if flag and not node.flags & FLAG_ROOT:
             node.flags |= FLAG_ROOT
             self.root_list.append(node)
         elif not flag and node.flags & FLAG_ROOT:
             node.flags &= ~FLAG_ROOT
             self.root_list.remove(node)
+
+    # -- the journal ------------------------------------------------------
+
+    def undo(self, entries: list) -> None:
+        """Revert journaled mutations, newest first, through their
+        inverse mutators.  Leaves the journal closed, so the reverting
+        mutations are not journaled."""
+        self.journal = None
+        for inverse, *args in reversed(entries):
+            inverse(self, *args)
+
+    def release(self, entries: list) -> None:
+        """Let go of the records that committed entries hold: each one
+        still deleted goes on its free stack.  A record no entry holds
+        any more is left alone, so releasing twice frees nothing twice."""
+        for entry in entries:
+            record = entry[1]
+            if record.flags & FLAG_IN_STACK:
+                record.flags = 0
+                if not self.minimal_gc:
+                    free = self.free_nodes if type(record) is Node else self.free_edges
+                    free.append(record)
 
     # -- iteration --------------------------------------------------------
 

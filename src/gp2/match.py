@@ -22,6 +22,7 @@ costs only the items it touched.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Optional
 
 from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, Graph
@@ -55,57 +56,55 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
         return cached
     lhs = rule.lhs
     steps: list[tuple] = []
-    matched: set[int] = set()
-    produced: set[int] = set()
+    ends = [(lhs.by_id[e.src], lhs.by_id[e.tgt]) for e in lhs.edges]
+    incident: list[list[int]] = [[] for _ in lhs.nodes]
+    for ei, (si, ti) in enumerate(ends):
+        incident[si].append(ei)
+        incident[ti].append(ei)
+    matched = [False] * len(lhs.nodes)
+    produced = [False] * len(lhs.edges)
+    heap: list[tuple[bool, int]] = []   # (only one end matched, edge index)
+
+    def match_node(ni):
+        matched[ni] = True
+        for ei in incident[ni]:
+            si, ti = ends[ei]
+            heappush(heap, (not (matched[si] and matched[ti]), ei))
 
     def emit_edges():
-        # close every edge whose endpoints are all matched, then extend
-        # along one edge with a single matched endpoint, repeating until
-        # the matched component is exhausted
-        progress = True
-        while progress:
-            progress = False
-            for ei, e in enumerate(lhs.edges):
-                if ei in produced:
-                    continue
-                si, ti = lhs.by_id[e.src], lhs.by_id[e.tgt]
-                if si in matched and ti in matched:
-                    steps.append(("edge", ei, "src"))
-                    produced.add(ei)
-                    progress = True
-            for ei, e in enumerate(lhs.edges):
-                if ei in produced:
-                    continue
-                si, ti = lhs.by_id[e.src], lhs.by_id[e.tgt]
-                if si in matched:
-                    steps.append(("edge", ei, "src"))
-                    produced.add(ei)
-                    matched.add(ti)
-                    progress = True
-                    break
-                if ti in matched:
-                    steps.append(("edge", ei, "tgt"))
-                    produced.add(ei)
-                    matched.add(si)
-                    progress = True
-                    break
+        # close every edge whose endpoints are all matched, in index
+        # order, then extend along the lowest edge with one matched
+        # endpoint, repeating until the matched component is exhausted
+        while heap:
+            ei = heappop(heap)[1]
+            if produced[ei]:
+                continue
+            produced[ei] = True
+            si, ti = ends[ei]
+            if matched[si]:
+                steps.append(("edge", ei, "src"))
+                if not matched[ti]:
+                    match_node(ti)
+            else:
+                steps.append(("edge", ei, "tgt"))
+                match_node(si)
 
     if optimize:
         for ni, pn in enumerate(lhs.nodes):
             if pn.root:
                 steps.append(("root", ni))
-                matched.add(ni)
+                match_node(ni)
         emit_edges()
         for ni, pn in enumerate(lhs.nodes):
-            if ni not in matched:
+            if not matched[ni]:
                 steps.append(("node", ni))
-                matched.add(ni)
+                match_node(ni)
                 emit_edges()
     else:
         # textual order, no planning: nodes as declared, then the edges
         for ni, pn in enumerate(lhs.nodes):
             steps.append(("root", ni) if pn.root else ("node", ni))
-            matched.add(ni)
+            match_node(ni)
         emit_edges()
 
     rule.plans[optimize] = steps
@@ -224,7 +223,7 @@ def find_match_steps(rule: Rule, g: Graph, mode: str = "preserve",
     try:
         while True:
             if i == n:
-                if condition is None or eval_cond(condition, assignment, images, g):
+                if condition is None or eval_cond(condition, assignment, images):
                     return Match(images, edge_images, assignment, orientations), candidates
                 found = False
             elif steps[i][0] != "edge":
@@ -415,7 +414,7 @@ def brute_force_match(rule: Rule, g: Graph, mode: str = "preserve") -> list[Matc
         if not _dangling_ok(rule, images):
             return
         if rule.condition is not None:
-            if not eval_cond(rule.condition, assignment, images, g):
+            if not eval_cond(rule.condition, assignment, images):
                 return
         edge_images = {lhs.edges[j].eid: e for j, e in edge_map.items()}
         orientations = {}
@@ -471,7 +470,7 @@ def audit_match(rule: Rule, g: Graph, m: Match, mode: str = "preserve") -> None:
     assert _dangling_ok(rule, m.node_images), "dangling condition violated"
     if rule.condition is not None:
         assert eval_cond(rule.condition, m.assignment,
-                         dict(m.node_images), g), "condition not satisfied"
+                         dict(m.node_images)), "condition not satisfied"
 
 
 def _dangling_ok(rule: Rule, node_images: dict) -> bool:

@@ -9,7 +9,7 @@ Expressions and conditions are plain tagged tuples, e.g.
 Analyses that only look for certain tuples (variables, degree operators,
 edge predicates) iterate ``subterms``, the one walker over both kinds;
 evaluation and type inference recurse, as they compute a value per
-tuple.
+tuple, so the validator bounds a term's ``nesting`` first.
 """
 
 from __future__ import annotations
@@ -41,6 +41,15 @@ def subterms(term):
         t = stack.pop()
         yield t
         stack.extend(p for p in reversed(t) if isinstance(p, tuple))
+
+
+def nesting(term) -> int:
+    """How many tagged tuples deep an expression or condition nests."""
+    depth, level = 0, [term]
+    while level:
+        depth += 1
+        level = [p for t in level for p in t if isinstance(p, tuple)]
+    return depth
 
 
 def wrap32(v: int) -> int:
@@ -118,7 +127,7 @@ class LabelPattern:
 class Rule:
     __slots__ = (
         "name", "variables", "lhs", "rhs", "condition", "interface",
-        "plans", "searches",
+        "deleted", "plans", "searches",
     )
 
     def __init__(self, name: str, variables: dict[str, str],
@@ -129,6 +138,7 @@ class Rule:
         self.rhs = rhs
         self.condition = condition
         self.interface = sorted(set(lhs.by_id) & set(rhs.by_id))
+        self.deleted = [n.pid for n in lhs.nodes if n.pid not in rhs.by_id]
         self.plans: dict = {}       # optimize -> match.compile_plan's steps
         self.searches: dict = {}    # optimize -> match.search_steps' steps
 
@@ -212,7 +222,7 @@ def _unify(pattern: LabelPattern, host_label: tuple, assignment, trail) -> bool:
 # -- expression evaluation ----------------------------------------------
 
 
-def eval_expr(expr, assignment: dict, node_images=None, g=None):
+def eval_expr(expr, assignment: dict, node_images=None):
     tag = expr[0]
     if tag == "int" or tag == "str":
         return expr[1]
@@ -224,20 +234,20 @@ def eval_expr(expr, assignment: dict, node_images=None, g=None):
     if tag == "empty":
         return ()
     if tag == "cons":
-        left = eval_expr(expr[1], assignment, node_images, g)
-        right = eval_expr(expr[2], assignment, node_images, g)
+        left = eval_expr(expr[1], assignment, node_images)
+        right = eval_expr(expr[2], assignment, node_images)
         return as_list(left) + as_list(right)
     if tag == "cat":
-        left = eval_expr(expr[1], assignment, node_images, g)
-        right = eval_expr(expr[2], assignment, node_images, g)
+        left = eval_expr(expr[1], assignment, node_images)
+        right = eval_expr(expr[2], assignment, node_images)
         if not isinstance(left, str) or not isinstance(right, str):
             raise EvalError("'.' requires string operands")
         return left + right
     if tag == "neg":
-        return wrap32(-_int_operand(expr[1], assignment, node_images, g))
+        return wrap32(-_int_operand(expr[1], assignment, node_images))
     if tag in ("add", "sub", "mul", "div"):
-        a = _int_operand(expr[1], assignment, node_images, g)
-        b = _int_operand(expr[2], assignment, node_images, g)
+        a = _int_operand(expr[1], assignment, node_images)
+        b = _int_operand(expr[2], assignment, node_images)
         if tag == "add":
             return wrap32(a + b)
         if tag == "sub":
@@ -255,27 +265,27 @@ def eval_expr(expr, assignment: dict, node_images=None, g=None):
     raise EvalError(f"bad expression node {tag!r}")
 
 
-def _int_operand(expr, assignment, node_images, g) -> int:
-    v = eval_expr(expr, assignment, node_images, g)
+def _int_operand(expr, assignment, node_images) -> int:
+    v = eval_expr(expr, assignment, node_images)
     if not isinstance(v, int):
         raise EvalError("arithmetic on a non-integer value")
     return v
 
 
-def eval_cond(cond, assignment: dict, node_images, g) -> bool:
+def eval_cond(cond, assignment: dict, node_images) -> bool:
     tag = cond[0]
     if tag == "and":
-        return eval_cond(cond[1], assignment, node_images, g) and \
-            eval_cond(cond[2], assignment, node_images, g)
+        return eval_cond(cond[1], assignment, node_images) and \
+            eval_cond(cond[2], assignment, node_images)
     if tag == "or":
-        return eval_cond(cond[1], assignment, node_images, g) or \
-            eval_cond(cond[2], assignment, node_images, g)
+        return eval_cond(cond[1], assignment, node_images) or \
+            eval_cond(cond[2], assignment, node_images)
     if tag == "not":
-        return not eval_cond(cond[1], assignment, node_images, g)
+        return not eval_cond(cond[1], assignment, node_images)
     if tag == "rel":
         op = cond[1]
-        left = eval_expr(cond[2], assignment, node_images, g)
-        right = eval_expr(cond[3], assignment, node_images, g)
+        left = eval_expr(cond[2], assignment, node_images)
+        right = eval_expr(cond[3], assignment, node_images)
         if op == "=":
             return as_list(left) == as_list(right)
         if op == "!=":
@@ -297,10 +307,12 @@ def eval_cond(cond, assignment: dict, node_images, g) -> bool:
         want_label = cond[3]
         label = None
         if want_label is not None:
-            label = as_list(eval_expr(want_label, assignment, node_images, g))
-        for e in g.out_edges(src):
+            label = as_list(eval_expr(want_label, assignment, node_images))
+        e = src.out_head
+        while e is not None:
             if e.target is tgt and (label is None or e.label == label):
                 return True
+            e = e.src_next
         return False
     if tag == "typecheck":
         vtype, name = cond[1], cond[2]
@@ -323,55 +335,35 @@ def eval_cond(cond, assignment: dict, node_images, g) -> bool:
 # -- right-hand-side instantiation ---------------------------------------
 
 
-class ConcreteItem:
-    __slots__ = ("pid", "label", "mark", "root")
-
-    def __init__(self, pid, label, mark, root):
-        self.pid = pid
-        self.label = label
-        self.mark = mark
-        self.root = root
-
-
-class ConcreteEdge:
-    __slots__ = ("src", "tgt", "label", "mark", "flip")
-
-    def __init__(self, src, tgt, label, mark, flip):
-        self.src = src
-        self.tgt = tgt
-        self.label = label
-        self.mark = mark
-        self.flip = flip
-
-
 def instantiate_rhs(rule: Rule, assignment: dict, node_images=None,
-                    edge_images=None, g=None, orientations=None):
+                    edge_images=None, orientations=None):
     """Evaluate every RHS expression to a host label and resolve
     wildcard marks to the matched host marks.
 
-    Returns (nodes, edges) of concrete items; a bidirectional RHS edge
-    is flipped when its matched counterpart was embedded against the
-    edge direction.
+    Returns (nodes, edges) in the order of ``rule.rhs``: a (label, mark)
+    pair per node and a (label, mark, flip) triple per edge, where flip
+    says a bidirectional edge's matched counterpart was embedded against
+    the edge direction.
     """
     nodes = []
     for pn in rule.rhs.nodes:
-        label = as_list(eval_expr(pn.label, assignment, node_images, g))
+        label = as_list(eval_expr(pn.label, assignment, node_images))
         mark = pn.mark
         if mark == MARK_ANY:
             mark = node_images[pn.pid].mark
         if mark not in NODE_MARKS:
             raise EvalError(f"{mark!r} is not a node mark")
-        nodes.append(ConcreteItem(pn.pid, label, mark, pn.root))
+        nodes.append((label, mark))
     edges = []
     for pe in rule.rhs.edges:
-        label = as_list(eval_expr(pe.label, assignment, node_images, g))
+        label = as_list(eval_expr(pe.label, assignment, node_images))
         mark = pe.mark
         if mark == MARK_ANY:
             mark = edge_images[pe.eid].mark
         if mark not in EDGE_MARKS:
             raise EvalError(f"{mark!r} is not an edge mark")
         flip = bool(pe.bidir and orientations and orientations.get(pe.eid))
-        edges.append(ConcreteEdge(pe.src, pe.tgt, label, mark, flip))
+        edges.append((label, mark, flip))
     return nodes, edges
 
 

@@ -35,7 +35,7 @@ from .graph import (
     Node,
 )
 from .rules import (LabelPattern, PatternEdge, PatternGraph, PatternNode, Rule, RuleError,
-                    subterms)
+                    nesting, subterms)
 
 KEYWORDS = frozenset((
     "if", "then", "else", "try", "skip", "fail", "break", "where",
@@ -626,7 +626,18 @@ def _parse_rule_decl(ts: _Stream, name_tok: Token) -> Rule:
     return rule
 
 
+# Evaluation recurses up to twice per nesting level: within this bound,
+# every label and condition that validates can also be evaluated.
+MAX_NESTING = 256
+
+
 def _validate_rule(rule: Rule, tok: Token) -> None:
+    terms = [item.label for item in rule.rhs.nodes + rule.rhs.edges]
+    if rule.condition is not None:
+        terms.append(rule.condition)
+    if max(map(nesting, terms), default=0) > MAX_NESTING:
+        raise _error(tok, f"label or condition nested deeper than {MAX_NESTING} "
+                          f"levels", "semantic")
     bound = set()
     for item in rule.lhs.nodes + rule.lhs.edges:
         bound.update(name for name, _ in item.label.variables())

@@ -21,18 +21,12 @@ from gp2.engine import (
     exec_command,
     fails_cleanly,
     inline_procedures,
-    journal_add_edge,
-    journal_add_node,
-    journal_delete_edge,
-    journal_delete_node,
-    journal_relabel_node,
-    journal_remark_node,
-    journal_set_root,
     prepare_commands,
     run_program,
 )
 from gp2.graph import FLAG_ROOT, Graph, check_consistency, graphs_isomorphic
 from gp2.match import find_match
+from gp2.rules import EvalError
 from gp2.textio import SourceError, parse_host_graph, parse_program, print_graph
 
 
@@ -140,10 +134,11 @@ def _snapshot(g):
 def test_undo_single_add():
     g = Graph()
     stack = ChangeStack()
-    stack.open_frame()
-    journal_add_node(g, stack.top(), (5,))
+    stack.open_frame(g)
+    g.add_node((5,))
     stack.undo_frame(g)
     assert _snapshot(g) == (0, 0, [])
+    assert g.journal is None
 
 
 def test_undo_restores_labels_and_counters_exactly():
@@ -153,15 +148,14 @@ def test_undo_restores_labels_and_counters_exactly():
     a = g.add_node((2,), mark="grey", root=True)
     e = g.add_edge(a, b, (9,))
     before = _snapshot(g)
-    stack.open_frame()
-    frame = stack.top()
-    journal_relabel_node(g, frame, a, (42,))
-    journal_remark_node(g, frame, a, "red")
-    journal_set_root(g, frame, a, False)
-    journal_delete_edge(g, frame, e)
-    journal_delete_node(g, frame, b)
-    new = journal_add_node(g, frame, (7,))
-    journal_add_edge(g, frame, a, new)
+    stack.open_frame(g)
+    g.relabel_node(a, (42,))
+    g.remark_node(a, "red")
+    g.set_root(a, False)
+    g.delete_edge(e)
+    g.delete_node(b)
+    new = g.add_node((7,))
+    g.add_edge(a, new)
     stack.undo_frame(g)
     assert _snapshot(g) == before
     # retained handles keep their identity and fields
@@ -175,16 +169,16 @@ def test_deferred_slot_release_on_commit_and_undo():
     g = Graph()
     stack = ChangeStack()
     n = g.add_node()
-    stack.open_frame()
-    journal_delete_node(g, stack.top(), n)
+    stack.open_frame(g)
+    g.delete_node(n)
     fresh = g.add_node()
     assert fresh is not n            # slot still referenced by the journal
     stack.commit_frame(g)
     reused = g.add_node()
     assert reused is n               # journal gone: LIFO reuse kicks in
 
-    stack.open_frame()
-    journal_delete_node(g, stack.top(), reused)
+    stack.open_frame(g)
+    g.delete_node(reused)
     stack.undo_frame(g)
     assert reused.in_graph
 
@@ -194,10 +188,10 @@ def test_nested_frames_fold_into_parent():
     stack = ChangeStack()
     base = g.add_node((1,))
     before = _snapshot(g)
-    stack.open_frame()
-    journal_add_node(g, stack.top(), (2,))
-    stack.open_frame()
-    journal_delete_node(g, stack.top(), base)
+    stack.open_frame(g)
+    g.add_node((2,))
+    stack.open_frame(g)
+    g.delete_node(base)
     stack.commit_frame(g)            # inner commits into outer
     assert g.node_count == 1
     stack.undo_frame(g)              # outer undo reverts both
@@ -223,30 +217,26 @@ def test_random_journaled_mutations_undo_exactly():
 
         copy = parse_host_graph(print_graph(g))
         stack = ChangeStack()
-        stack.open_frame()
-        frame = stack.top()
+        stack.open_frame(g)
         for _ in range(rng.randrange(1, 100)):
             op = rng.random()
             if op < 0.25:
-                live.append(journal_add_node(g, frame, (rng.randrange(5),)))
+                live.append(g.add_node((rng.randrange(5),)))
             elif op < 0.45 and live:
-                edges.append(journal_add_edge(
-                    g, frame, rng.choice(live), rng.choice(live)))
+                edges.append(g.add_edge(rng.choice(live), rng.choice(live)))
             elif op < 0.6 and edges:
-                e = edges.pop(rng.randrange(len(edges)))
-                journal_delete_edge(g, frame, e)
+                g.delete_edge(edges.pop(rng.randrange(len(edges))))
             elif op < 0.7 and live:
                 n = rng.choice(live)
                 if not n.indegree and not n.outdegree:
                     live.remove(n)
-                    journal_delete_node(g, frame, n)
+                    g.delete_node(n)
             elif op < 0.8 and live:
-                journal_relabel_node(g, frame, rng.choice(live), (rng.randrange(9),))
+                g.relabel_node(rng.choice(live), (rng.randrange(9),))
             elif op < 0.9 and live:
-                journal_remark_node(g, frame, rng.choice(live),
-                                    rng.choice(["none", "grey", "red"]))
+                g.remark_node(rng.choice(live), rng.choice(["none", "grey", "red"]))
             elif live:
-                journal_set_root(g, frame, rng.choice(live), rng.random() < 0.5)
+                g.set_root(rng.choice(live), rng.random() < 0.5)
         stack.undo_frame(g)
         assert _snapshot(g) == before
         assert graphs_isomorphic(g, copy)
@@ -254,6 +244,62 @@ def test_random_journaled_mutations_undo_exactly():
             assert node.in_graph
             assert (node.label, node.mark, node.is_root) == fields
         check_consistency(g)
+
+
+FIXTURES = sorted({f for entry in corpus.ENTRIES.values() for f, _ in entry.fixtures})
+
+
+def _first_matches(backend):
+    """(program, rule, fixture, host graph, match) for every corpus rule
+    with a match on a corpus fixture."""
+    for name in corpus.PROGRAM_NAMES:
+        for rule in _parsed(name).rules.values():
+            for fixture in FIXTURES:
+                g = parse_host_graph(corpus.load_fixture(fixture))
+                m = find_match(rule, g, backend=backend)
+                if m is not None:
+                    yield name, rule, fixture, g, m
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+def test_every_corpus_rule_application_undoes_exactly(backend):
+    applied = 0
+    for name, rule, fixture, g, m in _first_matches(backend):
+        before = _snapshot(g)
+        copy = parse_host_graph(print_graph(g))
+        nodes, edges = g.nodes(), g.edges()
+        node_fields = [(n.label, n.mark, n.flags) for n in nodes]
+        edge_fields = [(e.label, e.mark, e.source, e.target) for e in edges]
+        stack = ChangeStack()
+        stack.open_frame(g)
+        apply_rule(rule, m, g)
+        stack.undo_frame(g)
+        where = (name, rule.name, fixture)
+        assert _snapshot(g) == before, where
+        check_consistency(g)
+        assert graphs_isomorphic(g, copy), where
+        assert [(n.label, n.mark, n.flags) for n in nodes] == node_fields, where
+        assert [(e.label, e.mark, e.source, e.target) for e in edges] == \
+            edge_fields, where
+        applied += 1
+    assert applied > 100
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+def test_every_corpus_rule_application_commits_and_frees_once(backend):
+    for name, rule, fixture, g, m in _first_matches(backend):
+        deleted_nodes = [m.node_images[pid] for pid in rule.deleted]
+        deleted_edges = list(m.edge_images.values())
+        stack = ChangeStack()
+        stack.open_frame(g)
+        apply_rule(rule, m, g)
+        stack.commit_frame(g)
+        check_consistency(g)
+        where = (name, rule.name, fixture)
+        for record, free in [(n, g.free_nodes) for n in deleted_nodes] + \
+                [(e, g.free_edges) for e in deleted_edges]:
+            assert sum(r is record for r in free) == 1, where
+            assert record.flags == 0, where
 
 
 # -- control constructs ------------------------------------------------------------
@@ -391,6 +437,20 @@ def test_exec_command_direct():
     cfg = ExecConfig()
     assert exec_command(Skip(), g, cfg) == OK
     assert exec_command(Seq([Skip(), Skip()]), g, cfg) == OK
+
+
+def test_an_evaluation_error_closes_the_journal():
+    parsed = parse_program(
+        "Main = (mark; div)!\n"
+        "mark(n:int)\n[ (1, n) | ] => [ (1, n # red) | ]\n"
+        "div(n:int)\n[ (1, n # red) | ] => [ (1, 10/n) | ]")
+    g = parse_host_graph("[ (0, 0) | ]")
+    with pytest.raises(EvalError, match="division by zero"):
+        Executable(parsed, ExecConfig()).run(g)
+    assert g.journal is None
+    n = g.add_node()
+    g.delete_node(n)
+    assert g.free_nodes == [n]       # freed, not held by a dead frame
 
 
 def test_config_validation():

@@ -13,6 +13,7 @@ import pytest
 
 from gp2 import corpus
 from gp2.rules import check_fast_rule
+from gp2.engine import run_program
 from gp2.textio import SourceError, parse_host_graph, parse_program, parse_rule
 
 PARSERS = {"program": parse_program, "rule": parse_rule, "graph": parse_host_graph}
@@ -133,6 +134,38 @@ FRONT_END_CASES = [
 ]
 
 
+def _negated(depth):
+    """A program whose one rule relabels with a label nested ``depth``
+    tuples deep: unary minuses around a variable."""
+    return ("Main = r\nr(n:int)\n[ (1, n) | ] => [ (1, " + "-" * (depth - 1) +
+            "n) | ]")
+
+
+def _summed(depth):
+    """As _negated, for a condition: a sum of ``depth - 1`` terms
+    compared with 0."""
+    return ("Main = r\nr(n:int)\n[ (1, n) | ] => [ (1, n) | ] where " +
+            "+".join(["n"] * (depth - 1)) + " > 0")
+
+
+# Labels and conditions nested deeper than evaluation can follow are
+# rejected by the validator.
+FRONT_END_CASES += [
+    pytest.param('program', _negated(600),
+                 ('semantic', 2, 1, 'label or condition nested deeper than 256 levels'),
+                 id='label-600-deep'),
+    pytest.param('program', _summed(600),
+                 ('semantic', 2, 1, 'label or condition nested deeper than 256 levels'),
+                 id='condition-600-deep'),
+    pytest.param('program', _negated(257),
+                 ('semantic', 2, 1, 'label or condition nested deeper than 256 levels'),
+                 id='label-257-deep'),
+    pytest.param('program', _negated(256), None, id='label-256-deep'),
+    pytest.param('program', _negated(200), None, id='label-200-deep'),
+    pytest.param('program', _summed(200), None, id='condition-200-deep'),
+]
+
+
 @pytest.mark.parametrize("kind, text, expected", FRONT_END_CASES)
 def test_front_end_verdicts_are_pinned(kind, text, expected):
     try:
@@ -217,3 +250,12 @@ OTHER_FAST_RULE_VERDICTS = [
 @pytest.mark.parametrize("text, expected", OTHER_FAST_RULE_VERDICTS)
 def test_fast_rule_clauses_are_pinned(text, expected):
     assert check_fast_rule(parse_rule(text)) == expected
+
+
+@pytest.mark.parametrize("depth", [200, 256])
+def test_labels_and_conditions_that_validate_also_evaluate(depth):
+    out = run_program(_negated(depth), "[ (0, 1) | ]")
+    assert out.status == "success", out.diagnostic
+    assert out.output == f"[ (0, {(-1) ** (depth - 1)}) | ]"
+    out = run_program(_summed(depth), "[ (0, 1) | ]")
+    assert out.status == "success", out.diagnostic

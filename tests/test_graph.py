@@ -67,12 +67,14 @@ def test_delete_node_with_edges_is_contract_violation():
 def test_deferred_deletion_blocks_slot_reuse():
     g = Graph()
     n = g.add_node()
-    n.flags |= FLAG_IN_STACK      # a journal entry holds this record
+    entries = g.journal = []      # an open frame: its entry holds the record
     g.delete_node(n)
+    assert n.flags & FLAG_IN_STACK
+    g.journal = None
     other = g.add_node()
     assert other is not n
 
-    g.release_node(n)             # journal lets go: slot now reusable, LIFO
+    g.release(entries)            # journal lets go: slot now reusable, LIFO
     again = g.add_node()
     assert again is n
 
@@ -108,11 +110,13 @@ def test_deferred_edge_deletion():
     g = Graph()
     a, b = g.add_node(), g.add_node()
     e = g.add_edge(a, b)
-    e.flags |= FLAG_IN_STACK
+    entries = g.journal = []
     g.delete_edge(e)
+    assert e.flags & FLAG_IN_STACK
+    g.journal = None
     e2 = g.add_edge(a, b)
     assert e2 is not e
-    g.release_edge(e)
+    g.release(entries)
     e3 = g.add_edge(a, b)
     assert e3 is e
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -296,3 +297,16 @@ def test_left_hand_side_of_a_thousand_nodes_matches():
     out = run_program(program, host)
     assert out.status == "success", out.diagnostic
     assert out.graph.node_count == n and out.graph.edge_count == n - 1
+
+
+def test_planning_a_path_of_four_thousand_nodes_is_fast():
+    n = 4000
+    names = ",".join(f"x{i}" for i in range(n))
+    side = "[ " + " ".join(f"({i}, x{i})" for i in range(n)) + " | " + \
+        " ".join(f"({i}, {i}, {i + 1}, empty)" for i in range(n - 1)) + " ]"
+    rule = parse_rule(f"r({names}:list)\n{side} => {side}")
+    start = time.perf_counter()
+    plan = compile_plan(rule)
+    assert time.perf_counter() - start < 0.5
+    assert plan_is_well_formed(rule, plan)
+    assert plan[:2] == [("node", 0), ("edge", 0, "src")]

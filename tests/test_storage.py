@@ -58,10 +58,12 @@ def test_free_alloc_cycle_does_not_grow():
 def test_double_release_is_a_no_op():
     g = Graph()
     n = g.add_node()
-    n.flags |= FLAG_IN_STACK
+    entries = g.journal = []
     g.delete_node(n)
-    g.release_node(n)
-    g.release_node(n)
+    assert n.flags & FLAG_IN_STACK
+    g.journal = None
+    g.release(entries)
+    g.release(entries)
     a, b = g.add_node(), g.add_node()
     assert a is not b
     assert g.node_count == 2
@@ -69,10 +71,12 @@ def test_double_release_is_a_no_op():
 
     x, y = g.add_node(), g.add_node()
     e = g.add_edge(x, y)
-    e.flags |= FLAG_IN_STACK
+    entries = g.journal = []
     g.delete_edge(e)
-    g.release_edge(e)
-    g.release_edge(e)
+    assert e.flags & FLAG_IN_STACK
+    g.journal = None
+    g.release(entries)
+    g.release(entries)
     assert g.add_edge(x, y) is not g.add_edge(x, y)
 
 
