@@ -118,6 +118,14 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename or path}: {exc.strerror}")
+
+
 def _run_bench(invocation: CliInvocation) -> int:
     from . import bench, corpus
 
@@ -138,7 +146,7 @@ def _run_bench(invocation: CliInvocation) -> int:
         return 1
     csv_text = bench.emit_csv(samples)
     if invocation.out_dir:
-        Path(invocation.out_dir).write_text(csv_text)
+        _write(Path(invocation.out_dir), csv_text)
     else:
         sys.stdout.write(csv_text)
     return 0
@@ -147,49 +155,40 @@ def _run_bench(invocation: CliInvocation) -> int:
 def main(argv: list[str]) -> int:
     try:
         invocation = parse_args(argv)
+        if invocation.subcommand == "help":
+            print(USAGE)
+            return 0
+        if invocation.subcommand == "bench":
+            return _run_bench(invocation)
+        if invocation.subcommand.startswith("validate-"):
+            kind = invocation.subcommand.removeprefix("validate-")
+            try:
+                validate(kind, _read(invocation.paths[0]))
+            except SourceError as exc:
+                print(str(exc), file=sys.stderr)
+                return 1
+            return 0
+        return _run(invocation)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 
-    if invocation.subcommand == "help":
-        print(USAGE)
-        return 0
-    if invocation.subcommand == "bench":
-        return _run_bench(invocation)
-    if invocation.subcommand.startswith("validate-"):
-        kind = invocation.subcommand.removeprefix("validate-")
-        try:
-            validate(kind, _read(invocation.paths[0]))
-        except SourceError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        except UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 1
-        return 0
 
-    # run mode
-    try:
-        program_text = _read(invocation.paths[0])
-        host_text = _read(invocation.paths[1])
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    outcome = run_program(program_text, host_text, invocation.config)
-    if outcome.status == "success":
-        print(outcome.output)
-        if invocation.out_dir:
-            out = Path(invocation.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "out.host").write_text(outcome.output + "\n")
-        if invocation.config.fast_shutdown:
-            # leave the graph to the operating system
-            sys.stdout.flush()
-            sys.stderr.flush()
-            os._exit(0)
-        return 0
-    print(outcome.diagnostic, file=sys.stderr)
-    return outcome.exit_code
+def _run(invocation: CliInvocation) -> int:
+    outcome = run_program(_read(invocation.paths[0]), _read(invocation.paths[1]),
+                          invocation.config)
+    if outcome.status != "success":
+        print(outcome.diagnostic, file=sys.stderr)
+        return outcome.exit_code
+    print(outcome.output)
+    if invocation.out_dir:
+        _write(Path(invocation.out_dir) / "out.host", outcome.output + "\n")
+    if invocation.config.fast_shutdown:
+        # leave the graph to the operating system
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(0)
+    return 0
 
 
 def entry() -> None:

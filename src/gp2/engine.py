@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import FLAG_ROOT, Graph
-from .match import find_match, search_steps
+from .match import compile_plan, find_match
 from .rules import EvalError, Rule, instantiate_rhs
 
 OK = 0
@@ -327,13 +327,13 @@ def inline_procedures(program):
 
 
 def prepare_commands(cmd, rules: dict[str, Rule], optimize: bool) -> None:
-    """Resolve rule names, precompile plans, and mark which loops need a
-    per-iteration journal frame."""
+    """Resolve rule names, build each rule's search plan (``compile_plan``),
+    and mark which loops need a per-iteration journal frame."""
     for c in _walk(cmd):
         if isinstance(c, RuleSet):
             c.rules = [rules[name] for name in c.names]
             for r in c.rules:
-                search_steps(r, optimize)
+                compile_plan(r, optimize)
         elif isinstance(c, Loop):
             c.needs_frame = not fails_cleanly(c.body)
 

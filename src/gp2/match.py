@@ -1,11 +1,13 @@
 """Search plans and injective host-graph matching.
 
-A rule compiles to an ordered plan: root nodes are claimed first from
-the host's root list, every further pattern item is reached by walking
-an incident-edge chain of an already-matched node, and only pattern
-components unreachable from any root fall back to global node
-iteration.  That ordering is what confines matching of fast rules to
-the neighbourhood of the host's roots.
+``compile_plan`` builds each rule's one search plan: root nodes are
+claimed first from the host's root list, every further pattern item is
+reached by walking an incident-edge chain of an already-bound node, and
+only pattern components unreachable from any root fall back to global
+node iteration.  That ordering is what confines matching of fast rules
+to the neighbourhood of the host's roots.  Each step carries everything
+the search reads (ids, labels, marks, degrees, edge phases), so the
+plan is built once per rule and setting and cached in ``Rule.plans``.
 
 ``find_match_steps`` is the one search.  It walks the plan iteratively,
 keeping one candidate iterator and one trail mark per step, so a
@@ -46,147 +48,112 @@ class Match:
 
 
 def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
-    """Produce the ordered matching plan for a rule.
-
-    Steps are ('root', n), ('node', n) and ('edge', e, anchor) where
-    anchor names the already-matched endpoint ('src' or 'tgt').
-    """
-    cached = rule.plans.get(optimize)
-    if cached is not None:
-        return cached
-    lhs = rule.lhs
-    steps: list[tuple] = []
-    ends = [(lhs.by_id[e.src], lhs.by_id[e.tgt]) for e in lhs.edges]
-    incident: list[list[int]] = [[] for _ in lhs.nodes]
-    for ei, (si, ti) in enumerate(ends):
-        incident[si].append(ei)
-        incident[ti].append(ei)
-    matched = [False] * len(lhs.nodes)
-    produced = [False] * len(lhs.edges)
-    heap: list[tuple[bool, int]] = []   # (only one end matched, edge index)
-
-    def match_node(ni):
-        matched[ni] = True
-        for ei in incident[ni]:
-            si, ti = ends[ei]
-            heappush(heap, (not (matched[si] and matched[ti]), ei))
-
-    def emit_edges():
-        # close every edge whose endpoints are all matched, in index
-        # order, then extend along the lowest edge with one matched
-        # endpoint, repeating until the matched component is exhausted
-        while heap:
-            ei = heappop(heap)[1]
-            if produced[ei]:
-                continue
-            produced[ei] = True
-            si, ti = ends[ei]
-            if matched[si]:
-                steps.append(("edge", ei, "src"))
-                if not matched[ti]:
-                    match_node(ti)
-            else:
-                steps.append(("edge", ei, "tgt"))
-                match_node(si)
-
-    if optimize:
-        for ni, pn in enumerate(lhs.nodes):
-            if pn.root:
-                steps.append(("root", ni))
-                match_node(ni)
-        emit_edges()
-        for ni, pn in enumerate(lhs.nodes):
-            if not matched[ni]:
-                steps.append(("node", ni))
-                match_node(ni)
-                emit_edges()
-    else:
-        # textual order, no planning: nodes as declared, then the edges
-        for ni, pn in enumerate(lhs.nodes):
-            steps.append(("root", ni) if pn.root else ("node", ni))
-            match_node(ni)
-        emit_edges()
-
-    rule.plans[optimize] = steps
-    return steps
-
-
-def plan_is_well_formed(rule: Rule, plan: list[tuple]) -> bool:
-    lhs = rule.lhs
-    matched: set[int] = set()
-    produced_nodes: list[int] = []
-    produced_edges: list[int] = []
-    for step in plan:
-        if step[0] in ("root", "node"):
-            if step[1] in matched:
-                return False
-            produced_nodes.append(step[1])
-            matched.add(step[1])
-        else:
-            _, ei, anchor = step
-            e = lhs.edges[ei]
-            anchor_ni = lhs.by_id[e.src if anchor == "src" else e.tgt]
-            if anchor_ni not in matched:
-                return False
-            produced_edges.append(ei)
-            for ni in (lhs.by_id[e.src], lhs.by_id[e.tgt]):
-                if ni not in matched:
-                    produced_nodes.append(ni)
-                    matched.add(ni)
-    return sorted(produced_nodes) == list(range(len(lhs.nodes))) and \
-        sorted(produced_edges) == list(range(len(lhs.edges)))
-
-
-def search_steps(rule: Rule, optimize: bool = True) -> list[tuple]:
-    """The rule's plan resolved for ``find_match_steps``, once per
-    (rule, optimize).
+    """The rule's search plan for ``find_match_steps``, built once per
+    (rule, optimize) and cached in ``Rule.plans``.
 
     A node step is (kind, pid, label, mark, degree) with kind 'root'
     (candidates from the root list) or 'node' (every host node).  An
     edge step is ('edge', eid, label, mark, phases, anchor_pid,
     other_pid, binds, other_label, other_mark, other_root, degree,
-    bidir): it walks the anchor's out-edges or in-edges, one list per
-    (reverse, flipped) phase, and either binds the other endpoint or
-    checks it against that endpoint's image.  A mark is None where the
-    pattern accepts any, and degree is the exact degree a deleted node
-    must have (-1 for a kept node), checked when the node is bound.
+    bidir): it walks the bound anchor's out-edges or in-edges, one list
+    per (reverse, flipped) phase, and either binds the other endpoint
+    (``binds``) or checks it against that endpoint's image.  A mark is
+    None where the pattern accepts any, and degree is the exact degree
+    a deleted node must have (-1 for a kept node), checked when the
+    node is bound.
+
+    With ``optimize`` the roots come first, and before each further node
+    every edge reachable from a bound node is taken: all edges with both
+    ends bound in index order, then the lowest edge with one, repeating.
+    Only nodes no edge reaches get a global step.  Without it the nodes
+    come in textual order, then the edges.
     """
-    cached = rule.searches.get(optimize)
+    cached = rule.plans.get(optimize)
     if cached is not None:
         return cached
     lhs = rule.lhs
-    kept = set(rule.interface)
-    degree = {pn.pid: -1 if pn.pid in kept else 0 for pn in lhs.nodes}
-    for pe in lhs.edges:
-        for pid in (pe.src, pe.tgt):
-            if pid not in kept:
-                degree[pid] += 1
+    nodes = lhs.nodes
+    deleted = set(rule.deleted)
+    degree = [0 if pn.pid in deleted else -1 for pn in nodes]
+    ends = [(lhs.by_id[e.src], lhs.by_id[e.tgt]) for e in lhs.edges]
+    incident: list[list[int]] = [[] for _ in nodes]
+    for ei, (si, ti) in enumerate(ends):
+        for ni in (si, ti):
+            incident[ni].append(ei)
+            if degree[ni] >= 0:
+                degree[ni] += 1
+    bound = [False] * len(nodes)
+    taken = [False] * len(lhs.edges)
+    heap: list[tuple[bool, int]] = []   # (only one end bound, edge index)
+    steps: list[tuple] = []
 
     def mark(item):
         return None if item.mark == MARK_ANY else item.mark
 
-    steps = []
-    bound = set()
-    for step in compile_plan(rule, optimize):
-        if step[0] != "edge":
-            pn = lhs.nodes[step[1]]
-            steps.append((step[0], pn.pid, pn.label, mark(pn), degree[pn.pid]))
-            bound.add(pn.pid)
-            continue
-        pe = lhs.edges[step[1]]
-        if step[2] == "src":
-            anchor, other = pe.src, pe.tgt
-            phases = ((False, False), (True, True)) if pe.bidir else ((False, False),)
-        else:
-            anchor, other = pe.tgt, pe.src
-            phases = ((False, True), (True, False)) if pe.bidir else ((True, False),)
-        on = lhs.nodes[lhs.by_id[other]]
-        steps.append(("edge", pe.eid, pe.label, mark(pe), phases, anchor, other,
-                      other not in bound, on.label, mark(on), on.root,
-                      degree[other], pe.bidir))
-        bound.add(other)
-    rule.searches[optimize] = steps
+    def bind(ni):
+        bound[ni] = True
+        for ei in incident[ni]:
+            si, ti = ends[ei]
+            heappush(heap, (not (bound[si] and bound[ti]), ei))
+
+    def take_edges():
+        while heap:
+            ei = heappop(heap)[1]
+            if taken[ei]:
+                continue
+            taken[ei] = True
+            pe = lhs.edges[ei]
+            si, ti = ends[ei]
+            if bound[si]:
+                anchor, oi = pe.src, ti
+                phases = ((False, False), (True, True)) if pe.bidir else ((False, False),)
+            else:
+                anchor, oi = pe.tgt, si
+                phases = ((False, True), (True, False)) if pe.bidir else ((True, False),)
+            on = nodes[oi]
+            steps.append(("edge", pe.eid, pe.label, mark(pe), phases, anchor, on.pid,
+                          not bound[oi], on.label, mark(on), on.root, degree[oi],
+                          pe.bidir))
+            if not bound[oi]:
+                bind(oi)
+
+    order = range(len(nodes))
+    if optimize:
+        order = sorted(order, key=lambda ni: not nodes[ni].root)
+    for ni in order:
+        pn = nodes[ni]
+        if optimize and not pn.root:
+            take_edges()
+        if not bound[ni]:
+            steps.append(("root" if pn.root else "node", pn.pid, pn.label, mark(pn),
+                          degree[ni]))
+            bind(ni)
+    take_edges()
+    rule.plans[optimize] = steps
     return steps
+
+
+def plan_is_well_formed(rule: Rule, plan: list[tuple]) -> bool:
+    """Whether the plan binds every left-hand node and takes every edge
+    exactly once, each edge from an anchor already bound, binding its
+    other endpoint exactly when that one is not yet bound."""
+    edges = {pe.eid: pe for pe in rule.lhs.edges}
+    bound: set[int] = set()
+    taken: list[int] = []
+    for step in plan:
+        if step[0] != "edge":
+            if step[1] in bound:
+                return False
+            bound.add(step[1])
+            continue
+        pe = edges.get(step[1])
+        anchor, other, binds = step[5], step[6], step[7]
+        if pe is None or (anchor, other) not in ((pe.src, pe.tgt), (pe.tgt, pe.src)) \
+                or anchor not in bound or binds != (other not in bound):
+            return False
+        taken.append(pe.eid)
+        bound.add(other)
+    return sorted(bound) == sorted(rule.lhs.by_id) and sorted(taken) == sorted(edges)
 
 
 def find_match(rule: Rule, g: Graph, mode: str = "preserve",
@@ -205,7 +172,8 @@ def find_match_steps(rule: Rule, g: Graph, mode: str = "preserve",
     and unbinds its variables.  ``images`` may keep a stale entry for a
     step undone: the next binding of that step overwrites it.
     """
-    steps = search_steps(rule, optimize)
+    # read the cache first: every call of compile_plan makes its closure cells
+    steps = rule.plans.get(optimize) or compile_plan(rule, optimize)
     n = len(steps)
     reflect = mode == "reflect"
     condition = rule.condition

@@ -125,10 +125,8 @@ class LabelPattern:
 
 
 class Rule:
-    __slots__ = (
-        "name", "variables", "lhs", "rhs", "condition", "interface",
-        "deleted", "plans", "searches",
-    )
+    __slots__ = ("name", "variables", "lhs", "rhs", "condition", "interface",
+                 "deleted", "plans")
 
     def __init__(self, name: str, variables: dict[str, str],
                  lhs: PatternGraph, rhs: PatternGraph, condition=None):
@@ -139,8 +137,7 @@ class Rule:
         self.condition = condition
         self.interface = sorted(set(lhs.by_id) & set(rhs.by_id))
         self.deleted = [n.pid for n in lhs.nodes if n.pid not in rhs.by_id]
-        self.plans: dict = {}       # optimize -> match.compile_plan's steps
-        self.searches: dict = {}    # optimize -> match.search_steps' steps
+        self.plans: dict = {}       # optimize -> match.compile_plan's search plan
 
 
 # -- label matching -----------------------------------------------------

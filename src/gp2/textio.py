@@ -35,7 +35,7 @@ from .graph import (
     Node,
 )
 from .rules import (LabelPattern, PatternEdge, PatternGraph, PatternNode, Rule, RuleError,
-                    nesting, subterms)
+                    nesting, subterms, wrap32)
 
 KEYWORDS = frozenset((
     "if", "then", "else", "try", "skip", "fail", "break", "where",
@@ -200,19 +200,23 @@ def _parse_mark(ts: _Stream, marks, message: str) -> str:
 # -- host graphs ----------------------------------------------------------
 
 
+def _parse_int(ts: _Stream, minus: Optional[Token] = None) -> int:
+    """An integer literal, negated when ``minus`` precedes it; hosts and
+    rules alike take only values that fit 32 bits."""
+    tok = ts.expect("INT")
+    v = -tok.value if minus else tok.value
+    if not INT32_MIN <= v <= INT32_MAX:
+        raise _error(minus or tok, "integer does not fit 32 bits", "semantic")
+    return v
+
+
 def _parse_host_atom(ts: _Stream):
     tok = ts.peek()
     if tok.kind == "-":
         ts.next()
-        v = -ts.expect("INT").value
-        if v < INT32_MIN:
-            raise _error(tok, "integer does not fit 32 bits", "semantic")
-        return v
+        return _parse_int(ts, tok)
     if tok.kind == "INT":
-        ts.next()
-        if tok.value > INT32_MAX:
-            raise _error(tok, "integer does not fit 32 bits", "semantic")
-        return tok.value
+        return _parse_int(ts)
     if tok.kind == "STRING":
         ts.next()
         return tok.value
@@ -363,10 +367,14 @@ def _parse_term(ts: _Stream):
 
 
 def _parse_unary(ts: _Stream):
-    if ts.accept("-"):
+    minus = ts.accept("-")
+    if minus is not None:
+        if ts.peek().kind == "INT":
+            return ("int", _parse_int(ts, minus))
         inner = _parse_unary(ts)
         if inner[0] == "int":
-            return ("int", -inner[1])
+            # folded as evaluation would negate it
+            return ("int", wrap32(-inner[1]))
         return ("neg", inner)
     return _parse_primary(ts)
 
@@ -374,10 +382,7 @@ def _parse_unary(ts: _Stream):
 def _parse_primary(ts: _Stream):
     tok = ts.peek()
     if tok.kind == "INT":
-        ts.next()
-        if tok.value > INT32_MAX:
-            raise _error(tok, "integer does not fit 32 bits", "semantic")
-        return ("int", tok.value)
+        return ("int", _parse_int(ts))
     if tok.kind == "STRING":
         ts.next()
         return ("str", tok.value)

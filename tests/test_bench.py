@@ -191,9 +191,16 @@ def test_iteration_step_counts_grow_linearly_on_chains_quadratically_on_scans(
         assert bench.classify(ratios) == expected, (backend, points)
 
 
-def _candidates(program, seeds, monkeypatch):
-    """(node count, candidates examined by find_match_steps) of one run
-    per generator seed, summed over the run as the benchmark does."""
+def _seeds(*seeds):
+    return lambda: [parse_host_graph(f"[ (0 (R), {seed}) | ]") for seed in seeds]
+
+
+def _candidates(program, graphs, monkeypatch, backend="chain"):
+    """(size, candidates examined by find_match_steps, graph.iter_steps)
+    of one run per host graph, the candidates summed over the run as the
+    benchmark does.  The size is the node count of the host or of the
+    result, whichever is larger, so that generators and recognisers both
+    scale with it."""
     total = [0]
 
     def find_match(rule, g, mode="preserve", backend="chain", optimize=True):
@@ -202,23 +209,42 @@ def _candidates(program, seeds, monkeypatch):
         return m
 
     monkeypatch.setattr(engine, "find_match", find_match)
-    executable = Executable(parse_program(corpus.load_program(program)), ExecConfig())
+    executable = Executable(parse_program(corpus.load_program(program)),
+                            ExecConfig(backend=backend))
     points = []
-    for seed in seeds:
+    for g in graphs:
         total[0] = 0
-        g = parse_host_graph(f"[ (0 (R), {seed}) | ]")
+        nodes = g.node_count
         assert executable.run(g) == OK
-        points.append((g.node_count, total[0]))
+        points.append((max(nodes, g.node_count), total[0], g.iter_steps))
     return points
 
 
-@pytest.mark.parametrize("program, seeds, expected", [
-    ("gen_tree", (8, 9, 10), (6122, 12266, 24554)),
-    ("gen_star", (1000, 2000, 4000), (1502, 3002, 6002)),
-    ("gen_discrete", (1000, 2000, 4000), (4005, 8005, 16005)),
-])
-def test_fast_rule_generators_examine_linearly_many_candidates(
-        program, seeds, expected, monkeypatch):
-    points = _candidates(program, seeds, monkeypatch)
-    assert tuple(c for _, c in points) == expected
-    assert bench.classify([r for _, r in bench.doubling_ratios(points)]) == "~linear"
+def _trees():
+    return [bench.gen_full_binary_tree(d) for d in (9, 10, 11)]
+
+
+def _grids():
+    return [bench.gen_grid(w, w) for w in (16, 23, 32)]
+
+
+@pytest.mark.parametrize("program, hosts, backend, candidates, iter_steps", [
+    ("gen_tree", _seeds(8, 9, 10), "chain", (6122, 12266, 24554), (0, 0, 0)),
+    ("gen_star", _seeds(1000, 2000, 4000), "chain", (1502, 3002, 6002), (0, 0, 0)),
+    ("gen_discrete", _seeds(1000, 2000, 4000), "chain", (4005, 8005, 16005), (0, 0, 0)),
+    ("is_tree", _trees, "chain", (4089, 8185, 16377), (6, 6, 6)),
+    ("is_tree", _trees, "index_scan", (4041, 8131, 16317), (2556, 5116, 10236)),
+    ("is_con", _trees, "chain", (4850, 9714, 19442), (512, 1024, 2048)),
+    ("is_con", _trees, "index_scan", (4857, 9722, 19451), (512, 1024, 2048)),
+    ("is_con", _grids, "chain", (3110, 6473, 12622), (257, 530, 1025)),
+    ("is_con", _grids, "index_scan", (3094, 6472, 12590), (257, 530, 1025)),
+], ids=["gen_tree", "gen_star", "gen_discrete", "is_tree-trees-chain",
+        "is_tree-trees-index_scan", "is_con-trees-chain", "is_con-trees-index_scan",
+        "is_con-grids-chain", "is_con-grids-index_scan"])
+def test_examined_candidates_grow_linearly(
+        program, hosts, backend, candidates, iter_steps, monkeypatch):
+    points = _candidates(program, hosts(), monkeypatch, backend)
+    assert tuple(c for _, c, _ in points) == candidates
+    assert tuple(s for _, _, s in points) == iter_steps
+    ratios = bench.doubling_ratios([(n, c) for n, c, _ in points])
+    assert bench.classify([r for _, r in ratios]) == "~linear"

@@ -93,9 +93,10 @@ def test_validate_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_missing_file_is_usage_error(tmp_path, capsys):
-    assert main(["-p", str(tmp_path / "absent.gp2")]) == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [["-p"], ["bench"]], ids=["validate", "bench"])
+def test_missing_file_is_usage_error(tmp_path, capsys, argv):
+    assert main(argv + [str(tmp_path / "absent")]) == 1
+    assert capsys.readouterr().err.startswith("usage error: cannot read ")
 
 
 def test_output_dir(tmp_path, capsys):
@@ -105,6 +106,22 @@ def test_output_dir(tmp_path, capsys):
     assert main(["-o", str(outdir), prog, host]) == 0
     assert (outdir / "out.host").read_text().strip() == "[ (0, 5) | ]"
     capsys.readouterr()
+
+
+def test_output_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    prog = _write(tmp_path, "p.gp2", "Main = skip")
+    host = _write(tmp_path, "h.host", "[ (0, 5) | ]")
+    taken = _write(tmp_path, "taken", "")
+    assert main([prog, host, "-o", taken]) == 1
+    assert capsys.readouterr().err == f"usage error: cannot write {taken}: File exists\n"
+
+
+def test_bench_output_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "bench.txt",
+                 "program = is_discrete\nspecs = discrete:4\nreps = 1\n")
+    assert main(["bench", cfg, "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: cannot write {tmp_path}: Is a directory\n"
 
 
 def test_bench_cli_end_to_end(tmp_path, capsys):

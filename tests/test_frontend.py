@@ -166,6 +166,37 @@ FRONT_END_CASES += [
 ]
 
 
+# Integer literals are 32-bit in rules and hosts alike: a minus directly
+# before a literal is part of it, so -2147483648 fits.
+_TOO_BIG = 'integer does not fit 32 bits'
+FRONT_END_CASES += [
+    pytest.param('graph', '[ (0, -2147483648) | ]', None, id='host-int-min'),
+    pytest.param('graph', '[ (0, -2147483649) | ]', ('semantic', 1, 7, _TOO_BIG),
+                 id='host-below-int-min'),
+    pytest.param('graph', '[ (0, 2147483648) | ]', ('semantic', 1, 7, _TOO_BIG),
+                 id='host-above-int-max'),
+    pytest.param('rule', 'r()\n[ (1, -2147483648) | ] => [ (1, 0) | ]', None,
+                 id='rule-int-min'),
+    pytest.param('rule', 'r()\n[ (1, -2147483649) | ] => [ (1, 0) | ]',
+                 ('semantic', 2, 7, _TOO_BIG), id='rule-below-int-min'),
+    pytest.param('rule', 'r()\n[ (1, 2147483648) | ] => [ (1, 0) | ]',
+                 ('semantic', 2, 7, _TOO_BIG), id='rule-above-int-max'),
+    pytest.param('rule', 'r(n:int)\n[ (1, n) | ] => [ (1, n) | ] where n > -2147483648',
+                 None, id='condition-int-min'),
+    pytest.param('rule', 'r(n:int)\n[ (1, n) | ] => [ (1, n) | ] where n > -2147483649',
+                 ('semantic', 2, 40, _TOO_BIG), id='condition-below-int-min'),
+]
+
+
+def test_the_least_integer_matches_in_a_rule():
+    out = run_program("Main = r\nr()\n"
+                      "[ (1, -2147483648) | ] => [ (1, - -2147483648 # red) | ]",
+                      "[ (0, -2147483648) | ]")
+    assert out.status == "success", out.diagnostic
+    # negating it wraps round, folded at parse time as in evaluation
+    assert out.output == "[ (0, -2147483648 # red) | ]"
+
+
 @pytest.mark.parametrize("kind, text, expected", FRONT_END_CASES)
 def test_front_end_verdicts_are_pinned(kind, text, expected):
     try:

@@ -25,7 +25,7 @@ def _rules(name):
 def test_plan_for_rooted_rule_starts_at_root_without_global_search():
     up = _rules("is_bin_dag")["up"]
     plan = compile_plan(up)
-    assert plan[0] == ("root", 0)
+    assert plan[0][:2] == ("root", up.lhs.nodes[0].pid)
     assert all(step[0] != "node" for step in plan)
     assert plan_is_well_formed(up, plan)
 
@@ -33,7 +33,7 @@ def test_plan_for_rooted_rule_starts_at_root_without_global_search():
 def test_plan_for_unrooted_single_node_rule_is_global():
     del_rule = _rules("is_discrete")["del"]
     plan = compile_plan(del_rule)
-    assert plan == [("node", 0)]
+    assert [step[:2] for step in plan] == [("node", del_rule.lhs.nodes[0].pid)]
 
 
 def test_plan_for_three_node_chain():
@@ -55,8 +55,8 @@ def test_plans_well_formed_for_whole_corpus():
 def test_naive_plan_has_textual_node_order():
     link = _rules("trans_closure")["link"]
     plan = compile_plan(link, optimize=False)
-    assert [s for s in plan if s[0] == "node"] == \
-        [("node", 0), ("node", 1), ("node", 2)]
+    assert [s[:2] for s in plan if s[0] == "node"] == \
+        [("node", pn.pid) for pn in link.lhs.nodes]
 
 
 def test_no_match_on_empty_graph():
@@ -199,7 +199,8 @@ def all_corpus_rules():
     return out
 
 
-def test_find_match_agrees_with_brute_force_on_random_hosts():
+@pytest.mark.parametrize("optimize", [True, False])
+def test_find_match_agrees_with_brute_force_on_random_hosts(optimize):
     rng = random.Random(99)
     rules = all_corpus_rules()
     for _ in range(60):
@@ -211,12 +212,13 @@ def test_find_match_agrees_with_brute_force_on_random_hosts():
                     m.key() for m in brute_force_match(rule, g, mode)}
             for backend in ("chain", "index_scan"):
                 for name, rule in rules:
-                    m = find_match(rule, g, mode, backend)
+                    m = find_match(rule, g, mode, backend, optimize)
                     keys = expected[(name, rule.name)]
+                    where = (name, rule.name, mode, backend, optimize)
                     if m is None:
-                        assert not keys, (name, rule.name, mode, backend)
+                        assert not keys, where
                     else:
-                        assert m.key() in keys, (name, rule.name, mode, backend)
+                        assert m.key() in keys, where
                         audit_match(rule, g, m, mode)
 
 
@@ -309,4 +311,7 @@ def test_planning_a_path_of_four_thousand_nodes_is_fast():
     plan = compile_plan(rule)
     assert time.perf_counter() - start < 0.5
     assert plan_is_well_formed(rule, plan)
-    assert plan[:2] == [("node", 0), ("edge", 0, "src")]
+    first, edge = rule.lhs.nodes[0], rule.lhs.edges[0]
+    assert plan[0][:2] == ("node", first.pid)
+    # the first edge is walked from its source, the node just bound
+    assert plan[1][:2] == ("edge", edge.eid) and plan[1][5] == edge.src == first.pid
