@@ -126,6 +126,19 @@ def _write(path: Path, text: str) -> None:
         raise UsageError(f"cannot write {exc.filename or path}: {exc.strerror}")
 
 
+def _print(text: str) -> None:
+    """Write and flush ``text``.  A full or closed standard output is a usage
+    error, and fd 1 then points at the null device so exit flushes quietly."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise UsageError(f"cannot write standard output: {exc.strerror}")
+
+
 def _run_bench(invocation: CliInvocation) -> int:
     from . import bench, corpus
 
@@ -148,7 +161,7 @@ def _run_bench(invocation: CliInvocation) -> int:
     if invocation.out_dir:
         _write(Path(invocation.out_dir), csv_text)
     else:
-        sys.stdout.write(csv_text)
+        _print(csv_text)
     return 0
 
 
@@ -156,7 +169,7 @@ def main(argv: list[str]) -> int:
     try:
         invocation = parse_args(argv)
         if invocation.subcommand == "help":
-            print(USAGE)
+            _print(USAGE + "\n")
             return 0
         if invocation.subcommand == "bench":
             return _run_bench(invocation)
@@ -180,12 +193,11 @@ def _run(invocation: CliInvocation) -> int:
     if outcome.status != "success":
         print(outcome.diagnostic, file=sys.stderr)
         return outcome.exit_code
-    print(outcome.output)
+    _print(outcome.output + "\n")
     if invocation.out_dir:
         _write(Path(invocation.out_dir) / "out.host", outcome.output + "\n")
     if invocation.config.fast_shutdown:
         # leave the graph to the operating system
-        sys.stdout.flush()
         sys.stderr.flush()
         os._exit(0)
     return 0

@@ -15,10 +15,15 @@ reuse the host syntax with expression labels, and interface nodes are
 the ones whose number appears on both sides.  A bidirectional rule edge
 carries the marker ``(B)`` after its id.  Whitespace and newlines are
 insignificant; ``//`` starts a line comment.
+
+One compiled pattern scans the text a token at a time, as the parser
+takes them, so errors come in reading order: a lex error is reported
+only once reading reaches it, after any error before it.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .engine import (Break, Fail, If, Loop, ProcCall, RuleSet, Seq, Skip, Try,
@@ -57,8 +62,14 @@ class SourceError(Exception):
 
 # -- lexer ---------------------------------------------------------------
 
-_PUNCT2 = ("=>", "!=", ">=", "<=")
-_PUNCT1 = "[](){}|,;:#=!<>+-*/."
+# One token, after any blanks: ``lastgroup`` names its kind.  A string
+# with no closing quote on its line falls through to ``error`` at its
+# opening quote.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<newline>\n) | (?P<comment>//[^\n]*) | (?P<EOF>\Z)
+  | (?P<INT>\d+) | (?P<IDENT>[A-Za-z_]\w*) | (?P<STRING>"[^"\n]*")
+  | (?P<punct>=>|!=|>=|<=|[][(){}|,;:\#=!<>+*/.-]) | (?P<error>.))""",
+                    re.ASCII | re.VERBOSE)
 
 
 class Token:
@@ -71,92 +82,77 @@ class Token:
         self.column = column
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if text[i:i + 2] in _PUNCT2:
-            tokens.append(Token(text[i:i + 2], text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if c.isascii() and c.isdigit():
-            j = i
-            while j < n and text[j].isascii() and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n" or not text[j].isprintable():
-                    raise SourceError("lex", line, col, "bad character in string literal")
-                j += 1
-            if j >= n:
-                raise SourceError("lex", line, col, "unterminated string literal")
-            tokens.append(Token("STRING", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if c.isascii() and (c.isalpha() or c == "_"):
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise SourceError("lex", start_line, start_col, f"unexpected character {c!r}")
-    tokens.append(Token("EOF", None, line, col))
-    return tokens
-
-
 class _Stream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """The tokens of ``text``, each scanned when the parser takes the one
+    before it, so errors come in reading order.  The state is the
+    current token and where scanning resumes: (offset, line, offset of
+    the line's start)."""
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    __slots__ = ("text", "tok", "resume")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tok = Token(None, None, 1, 1)      # taken by the first next()
+        self.resume = (0, 1, 0)
+        self.next()
+
+    def peek(self) -> Token:
+        return self.tok
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        """Take the current token.  The state changes only once the
+        following token is scanned."""
+        tok = self.tok
+        if tok.kind == "EOF":
+            return tok
+        text, (offset, line, line_start) = self.text, self.resume
+        while True:
+            m = _TOKEN.match(text, offset)
+            kind, offset = m.lastgroup, m.end()
+            if kind == "newline":
+                line, line_start = line + 1, offset
+            elif kind != "comment":
+                break
+        value = m[kind]
+        column = m.start(kind) - line_start + 1
+        if kind == "punct":
+            kind = value
+        elif kind == "INT":
+            value = int(value)
+        elif kind == "STRING" and value.isprintable():
+            value = value[1:-1]
+        elif kind == "EOF":
+            value = None
+        elif kind != "IDENT":       # a lex error or an unprintable string
+            if value[0] != '"':
+                message = f"unexpected character {value!r}"
+            elif kind == "error" and text[offset:].isprintable():
+                message = "unterminated string literal"
+            else:
+                message = "bad character in string literal"
+            raise SourceError("lex", line, column, message)
+        self.tok, self.resume = Token(kind, value, line, column), (offset, line, line_start)
         return tok
 
+    def state(self) -> tuple:
+        return self.tok, self.resume
+
+    def restore(self, state: tuple) -> None:
+        self.tok, self.resume = state
+
+    def accept_word(self, word: str) -> Optional[Token]:
+        tok = self.tok
+        return self.next() if tok.kind == "IDENT" and tok.value == word else None
+
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind:
             raise SourceError("syntax", tok.line, tok.column,
                               f"expected {kind!r}, found {describe(tok)}")
         return self.next()
 
     def accept(self, kind: str) -> Optional[Token]:
-        if self.peek().kind == kind:
+        if self.tok.kind == kind:
             return self.next()
         return None
 
@@ -176,9 +172,8 @@ def _error(tok: Token, message: str, kind: str = "syntax") -> SourceError:
 
 def _parse_marker(ts: _Stream, letter: str, message: str) -> bool:
     """The optional ``(R)``/``(B)`` marker after an item id."""
-    if ts.peek().kind != "(":
+    if not ts.accept("("):
         return False
-    ts.next()
     marker = ts.expect("IDENT")
     if marker.value != letter:
         raise _error(marker, message)
@@ -212,11 +207,8 @@ def _parse_int(ts: _Stream, minus: Optional[Token] = None) -> int:
 
 def _parse_host_atom(ts: _Stream):
     tok = ts.peek()
-    if tok.kind == "-":
-        ts.next()
-        return _parse_int(ts, tok)
-    if tok.kind == "INT":
-        return _parse_int(ts)
+    if tok.kind == "-" or tok.kind == "INT":
+        return _parse_int(ts, ts.accept("-"))
     if tok.kind == "STRING":
         ts.next()
         return tok.value
@@ -224,9 +216,7 @@ def _parse_host_atom(ts: _Stream):
 
 
 def _parse_host_label(ts: _Stream, marks) -> tuple[tuple, str]:
-    tok = ts.peek()
-    if tok.kind == "IDENT" and tok.value == "empty":
-        ts.next()
+    if ts.accept_word("empty"):
         atoms = ()
     else:
         items = [_parse_host_atom(ts)]
@@ -237,11 +227,10 @@ def _parse_host_label(ts: _Stream, marks) -> tuple[tuple, str]:
 
 
 def parse_host_graph(text: str, minimal_gc: bool = False) -> Graph:
-    ts = _Stream(tokenize(text))
+    ts = _Stream(text)
     ts.expect("[")
     node_decls = []
-    while ts.peek().kind == "(":
-        ts.next()
+    while ts.accept("("):
         id_tok = ts.peek()
         if id_tok.kind == "-":
             raise _error(id_tok, "node ids must be non-negative integers", "semantic")
@@ -253,8 +242,7 @@ def parse_host_graph(text: str, minimal_gc: bool = False) -> Graph:
         node_decls.append((id_tok, node_id, label, mark, root))
     ts.expect("|")
     edge_decls = []
-    while ts.peek().kind == "(":
-        ts.next()
+    while ts.accept("("):
         ts.expect("INT")                        # edge id, cosmetic
         ts.expect(",")
         src_tok = ts.expect("INT")
@@ -414,23 +402,20 @@ _EXPR_CONT = (":", ".", "+", "-", "*", "/")
 
 def _parse_cond(ts: _Stream):
     left = _parse_cond_and(ts)
-    while ts.peek().kind == "IDENT" and ts.peek().value == "or":
-        ts.next()
+    while ts.accept_word("or"):
         left = ("or", left, _parse_cond_and(ts))
     return left
 
 
 def _parse_cond_and(ts: _Stream):
     left = _parse_cond_not(ts)
-    while ts.peek().kind == "IDENT" and ts.peek().value == "and":
-        ts.next()
+    while ts.accept_word("and"):
         left = ("and", left, _parse_cond_not(ts))
     return left
 
 
 def _parse_cond_not(ts: _Stream):
-    if ts.peek().kind == "IDENT" and ts.peek().value == "not":
-        ts.next()
+    if ts.accept_word("not"):
         return ("not", _parse_cond_not(ts))
     return _parse_cond_atom(ts)
 
@@ -448,17 +433,18 @@ def _parse_cond_atom(ts: _Stream):
             label = _parse_expr(ts)
         ts.expect(")")
         return ("edge", src, tgt, label)
-    if tok.kind == "IDENT" and tok.value in ("int", "char", "string", "atom") \
-            and ts.peek(1).kind == "(":
+    if tok.kind == "IDENT" and tok.value in ("int", "char", "string", "atom"):
+        saved = ts.state()
         ts.next()
-        ts.expect("(")
-        var = ts.expect("IDENT")
-        ts.expect(")")
-        return ("typecheck", tok.value, var.value)
+        if ts.accept("("):
+            var = ts.expect("IDENT")
+            ts.expect(")")
+            return ("typecheck", tok.value, var.value)
+        ts.restore(saved)
     if tok.kind == "(":
         # Could be a bracketed condition or a bracketed expression that
         # starts a comparison; try the condition reading first.
-        saved = ts.pos
+        saved = ts.state()
         try:
             ts.next()
             inner = _parse_cond(ts)
@@ -468,7 +454,7 @@ def _parse_cond_atom(ts: _Stream):
                 return inner
         except SourceError:
             pass
-        ts.pos = saved
+        ts.restore(saved)
     left = _parse_expr(ts)
     op = ts.peek()
     if op.kind not in _RELOPS:
@@ -525,8 +511,7 @@ def _parse_rule_side(ts: _Stream, variables, lhs: bool):
     ts.expect("[")
     nodes = []
     node_ids = set()
-    while ts.peek().kind == "(":
-        ts.next()
+    while ts.accept("("):
         id_tok = ts.expect("INT")
         if id_tok.value in node_ids:
             raise _error(id_tok, f"node {id_tok.value} declared twice", "semantic")
@@ -539,8 +524,7 @@ def _parse_rule_side(ts: _Stream, variables, lhs: bool):
     ts.expect("|")
     edges = []
     edge_ids = set()
-    while ts.peek().kind == "(":
-        ts.next()
+    while ts.accept("("):
         eid_tok = ts.expect("INT")
         if eid_tok.value in edge_ids:
             raise _error(eid_tok, f"edge {eid_tok.value} declared twice", "semantic")
@@ -622,8 +606,7 @@ def _parse_rule_decl(ts: _Stream, name_tok: Token) -> Rule:
     ts.expect("=>")
     rhs = _parse_rule_side(ts, variables, lhs=False)
     condition = None
-    if ts.peek().kind == "IDENT" and ts.peek().value == "where":
-        ts.next()
+    if ts.accept_word("where"):
         condition = _parse_cond(ts)
 
     rule = Rule(name, variables, lhs, rhs, condition)
@@ -752,8 +735,7 @@ def _parse_command_primary(ts: _Stream):
             raise _error(then_tok, "expected 'then'")
         then_cmd = _parse_command(ts)
         else_cmd = Skip()
-        if ts.peek().kind == "IDENT" and ts.peek().value == "else":
-            ts.next()
+        if ts.accept_word("else"):
             else_cmd = _parse_command(ts)
         return If(guard, then_cmd, else_cmd)
     if word == "try":
@@ -761,11 +743,9 @@ def _parse_command_primary(ts: _Stream):
         guard = _parse_command(ts)
         then_cmd = Skip()
         else_cmd = Skip()
-        if ts.peek().kind == "IDENT" and ts.peek().value == "then":
-            ts.next()
+        if ts.accept_word("then"):
             then_cmd = _parse_command(ts)
-        if ts.peek().kind == "IDENT" and ts.peek().value == "else":
-            ts.next()
+        if ts.accept_word("else"):
             else_cmd = _parse_command(ts)
         return Try(guard, then_cmd, else_cmd)
     if word == "skip":
@@ -798,7 +778,7 @@ def _parse_text(text: str, parse):
     """Run ``parse`` on the tokens of ``text``.  The parsers and checks
     recurse on nesting, so input nested too deeply for the interpreter's
     stack is a syntax error at the token where reading stopped."""
-    ts = _Stream(tokenize(text))
+    ts = _Stream(text)
     try:
         return parse(ts)
     except RecursionError:

@@ -1,5 +1,12 @@
+import errno
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gp2
 from gp2 import corpus
 from gp2.cli import CliInvocation, UsageError, main, parse_args
 
@@ -164,3 +171,33 @@ def test_non_ascii_digit_in_host_is_an_error_not_a_traceback(tmp_path, capsys, h
     assert main(["-h", host]) == 1
     assert main([prog, host]) == 2
     assert "lex error" in capsys.readouterr().err
+
+
+def _full_device():
+    return open("/dev/full", "w"), errno.ENOSPC
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return os.fdopen(write_end, "w"), errno.EPIPE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("sink", [_full_device, _closed_pipe], ids=["full", "closed-pipe"])
+@pytest.mark.parametrize("mode", ["run", "run-f", "bench", "help"])
+def test_stdout_write_error_is_a_usage_error(tmp_path, sink, mode):
+    # a 2,000-node graph overflows the output buffer, a help text does not
+    host = "[ " + " ".join(f"({i}, {i})" for i in range(2000)) + " | ]"
+    run = [_write(tmp_path, "p.gp2", "Main = skip"), _write(tmp_path, "h.host", host)]
+    cfg = _write(tmp_path, "b.txt", "program = is_discrete\nspecs = discrete:4\nreps = 1\n")
+    argv = {"run": run, "run-f": ["-f", *run], "bench": ["bench", cfg], "help": ["--help"]}
+    src = Path(gp2.__file__).resolve().parent.parent
+    stdout, code = sink()
+    with stdout:
+        result = subprocess.run(
+            [sys.executable, "-c", "from gp2.cli import entry; entry()", *argv[mode]],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 1
+    assert result.stderr == f"usage error: cannot write standard output: {os.strerror(code)}\n"

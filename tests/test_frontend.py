@@ -188,6 +188,27 @@ FRONT_END_CASES += [
 ]
 
 
+# Errors come in reading order: a lex error is raised when reading
+# reaches it, after any syntax or semantic error before it.  A string's
+# lex error sits at its opening quote.
+FRONT_END_CASES += [
+    pytest.param('graph', '[ (0 1) | ] ²', ('syntax', 1, 6, "expected ',', found 1"),
+                 id='syntax-before-lex'),
+    pytest.param('program', 'Main = skip\nMain = skip\nP = skip ²',
+                 ('semantic', 2, 1, 'repeated Main declaration'), id='semantic-before-lex'),
+    pytest.param('program', 'P = skip // c',
+                 ('semantic', 1, 14, 'program has no Main declaration'),
+                 id='end-after-trailing-comment'),
+    pytest.param('graph', '[ (0, "a\tb") | ]',
+                 ('lex', 1, 7, 'bad character in string literal'), id='string-tab'),
+    pytest.param('graph', '[ (0, "ab\n") | ]',
+                 ('lex', 1, 7, 'bad character in string literal'), id='string-line-break'),
+    pytest.param('graph', '[ (0, "ab', ('lex', 1, 7, 'unterminated string literal'),
+                 id='string-unterminated'),
+    pytest.param('graph', '[ (0, "é") | ]', None, id='string-non-ascii'),
+]
+
+
 def test_the_least_integer_matches_in_a_rule():
     out = run_program("Main = r\nr()\n"
                       "[ (1, -2147483648) | ] => [ (1, - -2147483648 # red) | ]",

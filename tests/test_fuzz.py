@@ -1,6 +1,7 @@
-"""Property tests of the front end: every input is either accepted or
-rejected with a SourceError, and the command line answers with exit
-code 0, 1 or 2, never a traceback.
+"""Property tests of the front end: every token the lexer yields sits
+at its own text, every input is either accepted or rejected with a
+SourceError, and the command line answers with exit code 0, 1 or 2,
+never a traceback.
 
 Inputs are strings over the token alphabet, corpus programs, rules and
 host graphs with a few tokens deleted, duplicated or replaced, and
@@ -10,6 +11,7 @@ derandomized, so a run is reproducible.
 
 import contextlib
 import io
+import re
 import signal
 
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from gp2 import corpus
 from gp2.cli import main
-from gp2.textio import SourceError, parse_host_graph, parse_program, parse_rule, tokenize
+from gp2.textio import SourceError, _Stream, parse_host_graph, parse_program, parse_rule
 
 FUZZ = settings(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -55,6 +57,14 @@ DEEP = (
 )
 
 
+def _tokens(text):
+    """The tokens of ``text`` up to and including EOF."""
+    ts = _Stream(text)
+    while ts.peek().kind != "EOF":
+        yield ts.next()
+    yield ts.peek()
+
+
 def _token_text(tok):
     return f'"{tok.value}"' if tok.kind == "STRING" else str(tok.value)
 
@@ -63,7 +73,7 @@ def _token_text(tok):
 def mutated(draw, texts):
     """One of ``texts`` with up to three tokens deleted, duplicated or
     replaced by a word of the alphabet; line breaks are kept."""
-    tokens = [(t.line, _token_text(t)) for t in tokenize(draw(st.sampled_from(texts)))[:-1]]
+    tokens = [(t.line, _token_text(t)) for t in _tokens(draw(st.sampled_from(texts)))][:-1]
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(tokens) - 1))
         op = draw(st.sampled_from(("delete", "duplicate", "replace")))
@@ -83,6 +93,22 @@ token_strings = st.lists(st.sampled_from(WORDS), max_size=30).map(" ".join)
 deep_programs = st.builds(lambda make, n: make(n), st.sampled_from(DEEP),
                           st.integers(1, 3000))
 programs = st.one_of(token_strings, mutated(PROGRAMS), deep_programs)
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.one_of(token_strings, st.sampled_from(PROGRAMS + RULES + HOSTS),
+                 mutated(PROGRAMS), mutated(RULES), mutated(HOSTS)))
+def test_token_positions_point_at_their_text(text):
+    starts = [0]
+    starts += [i + 1 for i, c in enumerate(text) if c == "\n"]
+    for tok in _tokens(text):
+        at = starts[tok.line - 1] + tok.column - 1
+        if tok.kind == "EOF":
+            assert at == len(text)
+        elif tok.kind == "INT":
+            assert int(re.match(r"[0-9]+", text[at:])[0]) == tok.value
+        else:
+            assert text.startswith(_token_text(tok), at)
 
 
 def _accepts_or_rejects(parse, text):

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from gp2 import corpus
+from gp2 import bench, corpus
 from gp2.engine import Fail, If, Loop, RuleSet, Seq, Skip, inline_procedures
 from gp2.graph import graphs_isomorphic
 from gp2.textio import (
@@ -252,3 +253,15 @@ def test_host_ids_round_trip():
     assert sorted(n.label for n in g.nodes()) == [(i,) for i in range(len(ids))]
     assert sorted((e.source.label[0], e.target.label[0]) for e in g.edges()) == \
         sorted(pairs)
+
+
+def test_host_parsing_holds_no_token_list():
+    text = print_graph(bench.generate(bench.parse_spec("discrete:5000")))
+    tracemalloc.start()
+    try:
+        g = parse_host_graph(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.node_count == 5000
+    assert peak <= 3 * held, (peak, held)
