@@ -55,9 +55,12 @@ def parse_spec(text: str) -> GeneratorSpec:
 MAX_GENERATED_NODES = 50_000_000
 
 
-def _check_size(n: int) -> None:
-    if n > MAX_GENERATED_NODES:
-        raise BenchError(f"refusing to generate {n} nodes")
+def _check_size(base: int, exponent: int = 1) -> None:
+    """Refuse more than MAX_GENERATED_NODES nodes, counted as ``base **
+    exponent``; an exponent too large for any base above 1 is refused
+    before the power is computed."""
+    if exponent > MAX_GENERATED_NODES.bit_length() or base ** exponent > MAX_GENERATED_NODES:
+        raise BenchError(f"refusing to generate more than {MAX_GENERATED_NODES} nodes")
 
 
 def gen_discrete(n: int) -> Graph:
@@ -72,7 +75,7 @@ def gen_full_binary_tree(depth: int) -> Graph:
     """Full binary tree with ``depth`` levels: 2**depth - 1 nodes with
     edges parent -> child.  Deepest level is laid out first so the slot
     order starts at the leaves while the chain starts at the top."""
-    _check_size(2 ** depth)
+    _check_size(2, depth)
     g = Graph()
     levels = []
     for d in range(depth - 1, -1, -1):
@@ -129,7 +132,7 @@ def gen_sierpinski(level: int) -> Graph:
     A triangle is (apex, corner0, corner1) with edges apex-0->corner0,
     apex-1->corner1, corner0-2->corner1.
     """
-    _check_size(3 ** level)
+    _check_size(3, level)
     g = Graph()
     apex = g.add_node(label=(1,))
     c0 = g.add_node(label=(0,))

@@ -7,7 +7,7 @@
     gp2 bench <config> [-o FILE]    run the benchmark harness, emit CSV
 
 Run flags: -f fast shutdown, -g minimal garbage collection: deleted
-records are never put back for reuse (needs -f), -n index-scan
+nodes are never put back for reuse (needs -f), -n index-scan
 iteration instead of node chains, -q skip search-plan optimisation,
 -m root-reflecting matches, -o DIR also write the output graph into DIR.
 
@@ -113,9 +113,11 @@ def parse_args(argv: list[str]) -> CliInvocation:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
 
 
 def _write(path: Path, text: str) -> None:
@@ -144,16 +146,15 @@ def _run_bench(invocation: CliInvocation) -> int:
 
     try:
         config = bench.parse_config(_read(invocation.paths[0]))
-    except bench.BenchError as exc:
-        print(f"bad bench configuration: {exc}", file=sys.stderr)
-        return 1
-    if config.program in corpus.ENTRIES:
-        text = corpus.load_program(config.program)
-    else:
-        text = _read(config.program)
-    try:
+        if config.program in corpus.ENTRIES:
+            text = corpus.load_program(config.program)
+        else:
+            text = _read(config.program)
         samples = bench.run_bench(config.program, text, config.specs,
                                   config.backends, config.reps, config.mode)
+    except bench.BenchError as exc:         # the generators check sizes too
+        print(f"bad bench configuration: {exc}", file=sys.stderr)
+        return 1
     except SourceError as exc:
         print(str(exc), file=sys.stderr)
         return 1

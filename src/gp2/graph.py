@@ -12,19 +12,21 @@ in one step; the index-scan backend walks every slot index below the
 high-water mark (``node_slots``) and filters on ``live_bytes``, which
 is how the legacy layout iterated.  Both see exactly the live nodes.
 
-Deleted records go on a LIFO free stack per record kind and are reused
-by the next add, keeping their slot index; in minimal-GC mode they are
-never returned to the free stacks.
+Deleted nodes go on a LIFO free stack and are reused by the next add,
+keeping their slot index; in minimal-GC mode they are never returned to
+the free stack.  Edges have no slots: they are reached only through
+their endpoints' lists, so a deleted edge is simply dropped and every
+add makes a new one.
 
 The graph journals its own mutations.  While ``Graph.journal`` holds a
 list (a rollback frame, opened by ``engine.ChangeStack``), every
 mutator appends an entry naming its inverse mutator and that mutator's
 arguments, e.g. ``(Graph.restore_node, node, flags)``, so ``undo``
-replays a frame newest first through the same mutators.  A record
+replays a frame newest first through the same mutators.  A node
 deleted under an open frame is held (``FLAG_IN_STACK``) instead of
-freed, so the handles the entries keep never alias a new item; undoing
+freed, so the handles the entries keep never alias a new node; undoing
 the deletion relinks it, and ``release``, once the outermost frame
-commits, puts it on its free stack.  Entries are written and read only
+commits, puts it on the free stack.  Entries are written and read only
 in this module.
 """
 
@@ -50,7 +52,7 @@ EDGE_MARKS = frozenset((MARK_NONE, MARK_RED, MARK_GREEN, MARK_BLUE, MARK_DASHED)
 # Flag bits, packed into one byte per record.
 FLAG_ROOT = 0x01
 FLAG_IN_GRAPH = 0x02
-FLAG_IN_STACK = 0x04      # deleted, and held by a journal entry
+FLAG_IN_STACK = 0x04      # a deleted node, held by a journal entry
 FLAG_MATCHED = 0x08
 
 INT32_MIN = -(2 ** 31)
@@ -86,12 +88,9 @@ class Node:
 
 class Edge:
     __slots__ = (
-        "slot_index", "label", "mark", "flags", "source", "target",
+        "label", "mark", "flags", "source", "target",
         "src_prev", "src_next", "tgt_prev", "tgt_next",
     )
-
-    def __init__(self, slot_index: int) -> None:
-        self.slot_index = slot_index
 
 
 # How many flag bytes an index scan inspects per chunk before giving
@@ -101,16 +100,13 @@ SCAN_CHUNK = 128
 
 class Graph:
     __slots__ = (
-        "node_slots", "free_nodes", "edge_high_water", "free_edges",
-        "node_head", "root_list", "node_count", "edge_count",
-        "live_bytes", "iter_steps", "minimal_gc", "journal",
+        "node_slots", "free_nodes", "node_head", "root_list", "node_count",
+        "edge_count", "live_bytes", "iter_steps", "minimal_gc", "journal",
     )
 
     def __init__(self, minimal_gc: bool = False):
         self.node_slots: list[Node] = []
         self.free_nodes: list[Node] = []
-        self.edge_high_water = 0
-        self.free_edges: list[Edge] = []
         self.node_head: Optional[Node] = None
         self.root_list: list[Node] = []
         self.node_count = 0
@@ -196,11 +192,7 @@ class Graph:
             raise GraphError(f"not an edge mark: {mark}")
         if not src.flags & FLAG_IN_GRAPH or not tgt.flags & FLAG_IN_GRAPH:
             raise GraphError("edge endpoint is not live")
-        if self.free_edges:
-            edge = self.free_edges.pop()
-        else:
-            edge = Edge(self.edge_high_water)
-            self.edge_high_water += 1
+        edge = Edge()
         edge.label = label
         edge.mark = mark
         edge.flags = FLAG_IN_GRAPH
@@ -254,9 +246,6 @@ class Graph:
         self.edge_count -= 1
         if self.journal is not None:
             self.journal.append((Graph.restore_edge, edge))
-            edge.flags = FLAG_IN_STACK
-        elif not self.minimal_gc:
-            self.free_edges.append(edge)
 
     def restore_edge(self, edge: Edge) -> None:
         edge.flags = FLAG_IN_GRAPH
@@ -295,16 +284,15 @@ class Graph:
             inverse(self, *args)
 
     def release(self, entries: list) -> None:
-        """Let go of the records that committed entries hold: each one
-        still deleted goes on its free stack.  A record no entry holds
-        any more is left alone, so releasing twice frees nothing twice."""
+        """Let go of the nodes that committed entries hold: each one still
+        deleted goes on the free stack.  A node no entry holds any more is
+        left alone, so releasing twice frees nothing twice."""
         for entry in entries:
-            record = entry[1]
+            record = entry[1]           # only a deleted node is ever held
             if record.flags & FLAG_IN_STACK:
                 record.flags = 0
                 if not self.minimal_gc:
-                    free = self.free_nodes if type(record) is Node else self.free_edges
-                    free.append(record)
+                    self.free_nodes.append(record)
 
     # -- iteration --------------------------------------------------------
 

@@ -43,7 +43,7 @@ class Match:
     def key(self):
         return (
             tuple(sorted((pid, img.slot_index) for pid, img in self.node_images.items())),
-            tuple(sorted((eid, img.slot_index) for eid, img in self.edge_images.items())),
+            tuple(sorted((eid, id(img)) for eid, img in self.edge_images.items())),
         )
 
 

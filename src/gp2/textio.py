@@ -37,7 +37,6 @@ from .graph import (
     MAX_EXTERNAL_ID,
     NODE_MARKS,
     Graph,
-    Node,
 )
 from .rules import (LabelPattern, PatternEdge, PatternGraph, PatternNode, Rule, RuleError,
                     nesting, subterms, wrap32)
@@ -70,6 +69,8 @@ _TOKEN = re.compile(r"""[ \t\r]*(?:
   | (?P<INT>\d+) | (?P<IDENT>[A-Za-z_]\w*) | (?P<STRING>"[^"\n]*")
   | (?P<punct>=>|!=|>=|<=|[][(){}|,;:\#=!<>+*/.-]) | (?P<error>.))""",
                     re.ASCII | re.VERBOSE)
+
+MAX_INT_DIGITS = 4300   # longer INT literals are a lex error, on every Python version
 
 
 class Token:
@@ -117,14 +118,16 @@ class _Stream:
         column = m.start(kind) - line_start + 1
         if kind == "punct":
             kind = value
-        elif kind == "INT":
+        elif kind == "INT" and len(value) <= MAX_INT_DIGITS:
             value = int(value)
         elif kind == "STRING" and value.isprintable():
             value = value[1:-1]
         elif kind == "EOF":
             value = None
-        elif kind != "IDENT":       # a lex error or an unprintable string
-            if value[0] != '"':
+        elif kind != "IDENT":       # a lex error, an unprintable string, a long INT
+            if kind == "INT":
+                message = "integer literal too long"
+            elif value[0] != '"':
                 message = f"unexpected character {value!r}"
             elif kind == "error" and text[offset:].isprintable():
                 message = "unterminated string literal"
@@ -227,31 +230,42 @@ def _parse_host_label(ts: _Stream, marks) -> tuple[tuple, str]:
 
 
 def parse_host_graph(text: str, minimal_gc: bool = False) -> Graph:
+    """Read a host graph, checking each item as it is read; until the
+    graph is built, only what ``add_node`` and ``add_edge`` take is kept."""
     ts = _Stream(text)
     ts.expect("[")
-    node_decls = []
+    index: dict[int, int] = {}                  # node id -> declaration place
+    nodes: list = []                            # (label, mark, root) per node
     while ts.accept("("):
         id_tok = ts.peek()
         if id_tok.kind == "-":
             raise _error(id_tok, "node ids must be non-negative integers", "semantic")
         node_id = ts.expect("INT").value
+        if node_id in index:
+            raise _error(id_tok, f"duplicate node id: {node_id}", "semantic")
+        if node_id > MAX_EXTERNAL_ID:
+            raise _error(id_tok, f"node id out of range: {node_id}", "semantic")
+        index[node_id] = len(nodes)
         root = _parse_marker(ts, "R", "expected root marker (R)")
         ts.expect(",")
         label, mark = _parse_host_label(ts, NODE_MARKS)
         ts.expect(")")
-        node_decls.append((id_tok, node_id, label, mark, root))
+        nodes.append((label, mark, root))
     ts.expect("|")
-    edge_decls = []
+    edges = []                  # (source place, target place, label, mark) per edge
     while ts.accept("("):
         ts.expect("INT")                        # edge id, cosmetic
-        ts.expect(",")
-        src_tok = ts.expect("INT")
-        ts.expect(",")
-        tgt_tok = ts.expect("INT")
+        ends = []                               # source, target
+        for _ in range(2):
+            ts.expect(",")
+            tok = ts.expect("INT")
+            if tok.value not in index:
+                raise _error(tok, f"edge refers to unknown node {tok.value}", "semantic")
+            ends.append(index[tok.value])
         ts.expect(",")
         label, mark = _parse_host_label(ts, EDGE_MARKS)
         ts.expect(")")
-        edge_decls.append((src_tok, tgt_tok, label, mark))
+        edges.append((*ends, label, mark))
     ts.expect("]")
     tok = ts.peek()
     if tok.kind != "EOF":
@@ -261,25 +275,11 @@ def parse_host_graph(text: str, minimal_gc: bool = False) -> Graph:
     # so the live chains then iterate in declaration order and printing
     # a parsed graph reproduces the input's ordering.
     g = Graph(minimal_gc=minimal_gc)
-    ids: dict[int, Optional[Node]] = {}
-    for id_tok, node_id, label, mark, root in node_decls:
-        if node_id in ids:
-            raise _error(id_tok, f"duplicate node id: {node_id}", "semantic")
-        if node_id < 0 or node_id > MAX_EXTERNAL_ID:
-            raise _error(id_tok, f"node id out of range: {node_id}", "semantic")
-        ids[node_id] = None
-    for id_tok, node_id, label, mark, root in reversed(node_decls):
-        ids[node_id] = g.add_node(label, mark, root)
-    for src_tok, tgt_tok, label, mark in reversed(edge_decls):
-        src = ids.get(src_tok.value)
-        tgt = ids.get(tgt_tok.value)
-        if src is None:
-            raise _error(src_tok, f"edge refers to unknown node {src_tok.value}",
-                         "semantic")
-        if tgt is None:
-            raise _error(tgt_tok, f"edge refers to unknown node {tgt_tok.value}",
-                         "semantic")
-        g.add_edge(src, tgt, label, mark)
+    for place in range(len(nodes) - 1, -1, -1):
+        nodes[place] = g.add_node(*nodes[place])
+    while edges:
+        source, target, label, mark = edges.pop()
+        g.add_edge(nodes[source], nodes[target], label, mark)
     return g
 
 

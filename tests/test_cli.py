@@ -159,6 +159,35 @@ def test_bench_cli_non_integer_reps_is_a_config_error(tmp_path, capsys):
     assert "reps must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["-p", "-r", "-h", "run-program", "run-host", "bench"])
+def test_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, mode):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"[ (0, \xff) | ]")
+    prog = _write(tmp_path, "p.gp2", "Main = skip")
+    host = _write(tmp_path, "h.host", "[ | ]")
+    cfg = _write(tmp_path, "b.txt", f"program = {bad}\nspecs = discrete:4\nreps = 1\n")
+    argv = {"-p": ["-p", str(bad)], "-r": ["-r", str(bad)], "-h": ["-h", str(bad)],
+            "run-program": [str(bad), host], "run-host": [prog, str(bad)],
+            "bench": ["bench", cfg]}[mode]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot read {bad}: ") and err.count("\n") == 1
+
+
+def test_five_thousand_digit_literal_is_a_lex_error(tmp_path, capsys):
+    host = _write(tmp_path, "h.host", f"[ ({'9' * 5000}, empty) | ]")
+    assert main(["-h", host]) == 1
+    assert capsys.readouterr().err == "lex error at 1:4: integer literal too long\n"
+
+
+@pytest.mark.parametrize("spec", ["tree:40", "sierpinski:100000000"])
+def test_bench_spec_too_large_is_a_config_error(tmp_path, capsys, spec):
+    cfg = _write(tmp_path, "b.txt", f"program = is_discrete\nspecs = {spec}\nreps = 1\n")
+    assert main(["bench", cfg]) == 1
+    assert capsys.readouterr().err == \
+        "bad bench configuration: refusing to generate more than 50000000 nodes\n"
+
+
 def test_help(capsys):
     assert main(["--help"]) == 0
     assert "gp2" in capsys.readouterr().out

@@ -296,10 +296,11 @@ def test_every_corpus_rule_application_commits_and_frees_once(backend):
         stack.commit_frame(g)
         check_consistency(g)
         where = (name, rule.name, fixture)
-        for record, free in [(n, g.free_nodes) for n in deleted_nodes] + \
-                [(e, g.free_edges) for e in deleted_edges]:
-            assert sum(r is record for r in free) == 1, where
-            assert record.flags == 0, where
+        for node in deleted_nodes:
+            assert sum(r is node for r in g.free_nodes) == 1, where
+            assert node.flags == 0, where
+        for edge in deleted_edges:
+            assert edge.flags == 0, where
 
 
 # -- control constructs ------------------------------------------------------------

@@ -209,6 +209,44 @@ FRONT_END_CASES += [
 ]
 
 
+# A host item is checked as it is read, so a host's first error is the
+# first in reading order too.
+FRONT_END_CASES += [
+    pytest.param('graph', '[ (0, empty) | (0, 0, 7, empty) (1, 0, 8, empty) ]',
+                 ('semantic', 1, 23, 'edge refers to unknown node 7'),
+                 id='host-first-unknown-endpoint'),
+    pytest.param('graph', '[ (0, empty) (0, empty) (1 x) | ]',
+                 ('semantic', 1, 15, 'duplicate node id: 0'), id='host-duplicate-before-syntax'),
+    pytest.param('graph', '[ (0, empty) | (0, 0, 7, empty) (1 x) ]',
+                 ('semantic', 1, 23, 'edge refers to unknown node 7'),
+                 id='host-unknown-endpoint-before-syntax'),
+    pytest.param('graph', '[ (9223372036854775808, empty) (1 x) | ]',
+                 ('semantic', 1, 4, 'node id out of range: 9223372036854775808'),
+                 id='host-id-range-before-syntax'),
+]
+
+
+# An integer literal of more than 4,300 digits is a lex error at its
+# first digit, wherever it stands; one of 4,300 digits is read as usual.
+_LONG = "9" * 5000
+_TOO_LONG = 'integer literal too long'
+FRONT_END_CASES += [
+    pytest.param('graph', f'[ ({_LONG}, empty) | ]', ('lex', 1, 4, _TOO_LONG),
+                 id='long-host-node-id'),
+    pytest.param('graph', f'[ (0, {_LONG}) | ]', ('lex', 1, 7, _TOO_LONG),
+                 id='long-host-label'),
+    pytest.param('graph', f'[ (0, empty) | (0, 0, {_LONG}, empty) ]', ('lex', 1, 23, _TOO_LONG),
+                 id='long-host-edge-endpoint'),
+    pytest.param('rule', f'r()\n[ (1, {_LONG}) | ] => [ (1, 0) | ]', ('lex', 2, 7, _TOO_LONG),
+                 id='long-rule-label'),
+    pytest.param('rule', f'r()\n[ ({_LONG}, 0) | ] => [ (1, 0) | ]', ('lex', 2, 4, _TOO_LONG),
+                 id='long-rule-node-id'),
+    pytest.param('graph', f'[ ({"9" * 4300}, empty) | ]',
+                 ('semantic', 1, 4, f'node id out of range: {"9" * 4300}'),
+                 id='host-node-id-of-4300-digits'),
+]
+
+
 def test_the_least_integer_matches_in_a_rule():
     out = run_program("Main = r\nr()\n"
                       "[ (1, -2147483648) | ] => [ (1, - -2147483648 # red) | ]",

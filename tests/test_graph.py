@@ -106,19 +106,23 @@ def test_delete_one_parallel_edge_keeps_other():
     assert g.edge_count == 0
 
 
-def test_deferred_edge_deletion():
+def test_deleted_edges_are_never_reused():
     g = Graph()
     a, b = g.add_node(), g.add_node()
-    e = g.add_edge(a, b)
+    deleted = g.add_edge(a, b)
+    g.delete_edge(deleted)                  # no open frame
+    assert deleted.flags == 0
+    assert g.add_edge(a, b) is not deleted
+    held = g.add_edge(a, b)
     entries = g.journal = []
-    g.delete_edge(e)
-    assert e.flags & FLAG_IN_STACK
+    g.delete_edge(held)                     # under an open frame
+    assert held.flags == 0
     g.journal = None
-    e2 = g.add_edge(a, b)
-    assert e2 is not e
+    made = [g.add_edge(a, b)]
     g.release(entries)
-    e3 = g.add_edge(a, b)
-    assert e3 is e
+    made.append(g.add_edge(a, b))
+    assert not any(e is held or e is deleted for e in made)
+    assert held.flags == deleted.flags == 0
 
 
 def test_relabel_remark_set_root():

@@ -255,13 +255,17 @@ def test_host_ids_round_trip():
         sorted(pairs)
 
 
-def test_host_parsing_holds_no_token_list():
-    text = print_graph(bench.generate(bench.parse_spec("discrete:5000")))
+@pytest.mark.parametrize("spec", ["discrete:5000", "tree:12", "grid:60x60"])
+def test_host_parsing_holds_no_token_list(spec):
+    # Reading keeps per item only what the graph is built from, so the
+    # peak stays within twice what the finished graph holds.
+    expected = bench.generate(bench.parse_spec(spec))
+    text = print_graph(expected)
     tracemalloc.start()
     try:
         g = parse_host_graph(text)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g.node_count == 5000
-    assert peak <= 3 * held, (peak, held)
+    assert (g.node_count, g.edge_count) == (expected.node_count, expected.edge_count)
+    assert peak <= 2 * held, (peak, held)
