@@ -1,10 +1,13 @@
 """Host graphs: nodes, edges, labels, marks, roots.
 
 Node and edge records carry their own links.  Live nodes form one
-doubly linked chain from ``Graph.node_head``; each node heads its out-
+doubly linked chain from ``Graph.node_head``, the oldest, to
+``Graph.node_tail``, the newest: a node is appended at the tail, so the
+chain backend visits the oldest first, and ``nodes()`` walks back from
+the tail, newest first, as a graph prints.  Each node heads its out-
 and in-edge lists, threaded through ``src_prev``/``src_next`` and
-``tgt_prev``/``tgt_next`` on the edges.  All three are head-inserted
-and unlink in O(1).
+``tgt_prev``/``tgt_next`` on the edges, which are head-inserted.  All
+three unlink in O(1).
 
 Two iteration backends coexist over the same records.  The chain
 backend follows the live-node chain and therefore skips deleted nodes
@@ -100,14 +103,16 @@ SCAN_CHUNK = 128
 
 class Graph:
     __slots__ = (
-        "node_slots", "free_nodes", "node_head", "root_list", "node_count",
-        "edge_count", "live_bytes", "iter_steps", "minimal_gc", "journal",
+        "node_slots", "free_nodes", "node_head", "node_tail", "root_list",
+        "node_count", "edge_count", "live_bytes", "iter_steps", "minimal_gc",
+        "journal",
     )
 
     def __init__(self, minimal_gc: bool = False):
         self.node_slots: list[Node] = []
         self.free_nodes: list[Node] = []
         self.node_head: Optional[Node] = None
+        self.node_tail: Optional[Node] = None
         self.root_list: list[Node] = []
         self.node_count = 0
         self.edge_count = 0
@@ -143,12 +148,14 @@ class Graph:
         return node
 
     def _link_node(self, node: Node) -> None:
-        head = self.node_head
-        node.prev = None
-        node.next = head
-        if head is not None:
-            head.prev = node
-        self.node_head = node
+        tail = self.node_tail
+        node.prev = tail
+        node.next = None
+        if tail is None:
+            self.node_head = node
+        else:
+            tail.next = node
+        self.node_tail = node
 
     def delete_node(self, node: Node) -> None:
         if not node.flags & FLAG_IN_GRAPH:
@@ -160,7 +167,9 @@ class Graph:
             self.node_head = nxt
         else:
             prev.next = nxt
-        if nxt is not None:
+        if nxt is None:
+            self.node_tail = prev
+        else:
             nxt.prev = prev
         node.prev = node.next = None
         self.live_bytes[node.slot_index] = 0
@@ -176,8 +185,8 @@ class Graph:
             self.free_nodes.append(node)
 
     def restore_node(self, node: Node, flags: int) -> None:
-        """Relink a held node with the flags it had when it was deleted
-        (modulo its position in the node chain, which is head insertion)."""
+        """Relink a held node with the flags it had when it was deleted.
+        It goes to the tail of the node chain, not back to its old place."""
         node.flags = flags
         self._link_node(node)
         self.live_bytes[node.slot_index] = 1
@@ -347,11 +356,12 @@ class Graph:
     # walks, for printing and the oracles, do not.
 
     def nodes(self) -> list[Node]:
+        """The live nodes, newest first."""
         nodes = []
-        node = self.node_head
+        node = self.node_tail
         while node is not None:
             nodes.append(node)
-            node = node.next
+            node = node.prev
         return nodes
 
     def edges(self) -> list[Edge]:
@@ -360,10 +370,16 @@ class Graph:
 
 def check_consistency(g: Graph) -> None:
     """Test-build auditor for the structural invariants."""
+    chain = []
+    node = g.node_head
+    while node is not None:
+        assert node.prev is (chain[-1] if chain else None)
+        chain.append(node)
+        node = node.next
+    assert g.node_tail is (chain[-1] if chain else None)
     nodes = g.nodes()
+    assert nodes == chain[::-1]
     assert len(nodes) == g.node_count
-    for a, b in zip(nodes, nodes[1:]):
-        assert b.prev is a
     roots = [n for n in nodes if n.flags & FLAG_ROOT]
     assert set(id(n) for n in roots) == set(id(n) for n in g.root_list)
     total_out = 0

@@ -12,10 +12,13 @@ plan is built once per rule and setting and cached in ``Rule.plans``.
 ``find_match_steps`` is the one search.  It walks the plan iteratively,
 keeping one candidate iterator and one trail mark per step, so a
 left-hand side of any size matches without recursion.  Each candidate
-is checked when it is bound: injectivity, mark, root, label and, for a
-node the rule deletes, the dangling condition (its exact degree), so a
-dangling candidate is rejected before the rule's condition is ever
-evaluated.  The condition runs once every step is bound.
+is checked when it is bound: injectivity, mark, root, degree, then
+label.  A node the rule deletes must have its exact degree (the dangling
+condition), so a dangling candidate is rejected before the rule's
+condition is ever evaluated.  A node the rule keeps must have at least
+as many out- and in-edges as its non-bidirectional left-hand edges give
+it, so a host node that cannot take them is rejected before its label
+is unified.  The condition runs once every step is bound.
 
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
@@ -51,16 +54,18 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
     """The rule's search plan for ``find_match_steps``, built once per
     (rule, optimize) and cached in ``Rule.plans``.
 
-    A node step is (kind, pid, label, mark, degree) with kind 'root'
-    (candidates from the root list) or 'node' (every host node).  An
-    edge step is ('edge', eid, label, mark, phases, anchor_pid,
-    other_pid, binds, other_label, other_mark, other_root, degree,
-    bidir): it walks the bound anchor's out-edges or in-edges, one list
-    per (reverse, flipped) phase, and either binds the other endpoint
-    (``binds``) or checks it against that endpoint's image.  A mark is
-    None where the pattern accepts any, and degree is the exact degree
-    a deleted node must have (-1 for a kept node), checked when the
-    node is bound.
+    A node step is (kind, pid, label, mark, degree, out_min, in_min)
+    with kind 'root' (candidates from the root list) or 'node' (every
+    host node).  An edge step is ('edge', eid, label, mark, phases,
+    anchor_pid, other_pid, binds, other_label, other_mark, other_root,
+    degree, out_min, in_min, bidir): it walks the bound anchor's
+    out-edges or in-edges, one list per (reverse, flipped) phase, and
+    either binds the other endpoint (``binds``) or checks it against
+    that endpoint's image.  A mark is None where the pattern accepts
+    any.  degree is the exact degree a deleted node must have (-1 for a
+    kept node); out_min and in_min are a kept node's least out- and
+    in-degree, its non-bidirectional left-hand edges out and in (a loop
+    counts once each way).  Both are checked when the node is bound.
 
     With ``optimize`` the roots come first, and before each further node
     every edge reachable from a bound node is taken: all edges with both
@@ -75,9 +80,14 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
     nodes = lhs.nodes
     deleted = set(rule.deleted)
     degree = [0 if pn.pid in deleted else -1 for pn in nodes]
+    out_min = [0] * len(nodes)
+    in_min = [0] * len(nodes)
     ends = [(lhs.by_id[e.src], lhs.by_id[e.tgt]) for e in lhs.edges]
     incident: list[list[int]] = [[] for _ in nodes]
     for ei, (si, ti) in enumerate(ends):
+        if not lhs.edges[ei].bidir:
+            out_min[si] += 1
+            in_min[ti] += 1
         for ni in (si, ti):
             incident[ni].append(ei)
             if degree[ni] >= 0:
@@ -113,7 +123,7 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
             on = nodes[oi]
             steps.append(("edge", pe.eid, pe.label, mark(pe), phases, anchor, on.pid,
                           not bound[oi], on.label, mark(on), on.root, degree[oi],
-                          pe.bidir))
+                          out_min[oi], in_min[oi], pe.bidir))
             if not bound[oi]:
                 bind(oi)
 
@@ -126,7 +136,7 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
             take_edges()
         if not bound[ni]:
             steps.append(("root" if pn.root else "node", pn.pid, pn.label, mark(pn),
-                          degree[ni]))
+                          degree[ni], out_min[ni], in_min[ni]))
             bind(ni)
     take_edges()
     rule.plans[optimize] = steps
@@ -195,7 +205,7 @@ def find_match_steps(rule: Rule, g: Graph, mode: str = "preserve",
                     return Match(images, edge_images, assignment, orientations), candidates
                 found = False
             elif steps[i][0] != "edge":
-                kind, pid, label, mark, degree = steps[i]
+                kind, pid, label, mark, degree, out_min, in_min = steps[i]
                 root = kind == "root"
                 if fresh:
                     cursors[i] = iter(g.root_list) if root else g.nodes_iter(backend)
@@ -213,7 +223,10 @@ def find_match_steps(rule: Rule, g: Graph, mode: str = "preserve",
                             continue
                     elif reflect and flags & FLAG_ROOT:
                         continue
-                    if degree >= 0 and host.indegree + host.outdegree != degree:
+                    if degree >= 0:
+                        if host.indegree + host.outdegree != degree:
+                            continue
+                    elif host.outdegree < out_min or host.indegree < in_min:
                         continue
                     if label_match(label, host.label, assignment, trail):
                         host.flags = flags | FLAG_MATCHED
@@ -222,7 +235,8 @@ def find_match_steps(rule: Rule, g: Graph, mode: str = "preserve",
                         break
             else:
                 (_, eid, label, mark, phases, anchor_pid, other_pid, binds,
-                 other_label, other_mark, other_root, degree, bidir) = steps[i]
+                 other_label, other_mark, other_root, degree, out_min, in_min,
+                 bidir) = steps[i]
                 anchor = images[anchor_pid]
                 if fresh:
                     p = 0
@@ -257,8 +271,10 @@ def find_match_steps(rule: Rule, g: Graph, mode: str = "preserve",
                                     continue
                             elif reflect and other_flags & FLAG_ROOT:
                                 continue
-                            if degree >= 0 and \
-                                    other.indegree + other.outdegree != degree:
+                            if degree >= 0:
+                                if other.indegree + other.outdegree != degree:
+                                    continue
+                            elif other.outdegree < out_min or other.indegree < in_min:
                                 continue
                             if not label_match(other_label, other.label, assignment, trail):
                                 continue

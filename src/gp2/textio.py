@@ -271,9 +271,9 @@ def parse_host_graph(text: str, minimal_gc: bool = False) -> Graph:
     if tok.kind != "EOF":
         raise _error(tok, f"unexpected {describe(tok)} after graph")
 
-    # Insert in reverse declaration order: the chains are head-inserted,
-    # so the live chains then iterate in declaration order and printing
-    # a parsed graph reproduces the input's ordering.
+    # Insert in reverse declaration order: printing walks the nodes, and
+    # each node's out-edges, newest first, so it reproduces the input's
+    # ordering.  Both backends then visit the last-declared node first.
     g = Graph(minimal_gc=minimal_gc)
     for place in range(len(nodes) - 1, -1, -1):
         nodes[place] = g.add_node(*nodes[place])

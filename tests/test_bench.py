@@ -3,7 +3,7 @@ import pytest
 from gp2 import bench, corpus, engine, match
 from gp2.engine import OK, ExecConfig, Executable, run_program
 from gp2.graph import graphs_isomorphic
-from gp2.textio import parse_host_graph, parse_program
+from gp2.textio import parse_host_graph, parse_program, print_graph
 
 
 def counts(g):
@@ -228,23 +228,67 @@ def _grids():
     return [bench.gen_grid(w, w) for w in (16, 23, 32)]
 
 
-@pytest.mark.parametrize("program, hosts, backend, candidates, iter_steps", [
-    ("gen_tree", _seeds(8, 9, 10), "chain", (6122, 12266, 24554), (0, 0, 0)),
-    ("gen_star", _seeds(1000, 2000, 4000), "chain", (1502, 3002, 6002), (0, 0, 0)),
-    ("gen_discrete", _seeds(1000, 2000, 4000), "chain", (4005, 8005, 16005), (0, 0, 0)),
-    ("is_tree", _trees, "chain", (4089, 8185, 16377), (6, 6, 6)),
-    ("is_tree", _trees, "index_scan", (4041, 8131, 16317), (2556, 5116, 10236)),
-    ("is_con", _trees, "chain", (4850, 9714, 19442), (512, 1024, 2048)),
-    ("is_con", _trees, "index_scan", (4857, 9722, 19451), (512, 1024, 2048)),
-    ("is_con", _grids, "chain", (3110, 6473, 12622), (257, 530, 1025)),
-    ("is_con", _grids, "index_scan", (3094, 6472, 12590), (257, 530, 1025)),
-], ids=["gen_tree", "gen_star", "gen_discrete", "is_tree-trees-chain",
-        "is_tree-trees-index_scan", "is_con-trees-chain", "is_con-trees-index_scan",
-        "is_con-grids-chain", "is_con-grids-index_scan"])
+def _lists():
+    return [bench.gen_linked_list(n) for n in (250, 500, 1000)]
+
+
+# (program, hosts, backend, candidates, iter_steps, growth of the candidates)
+COUNTER_ROWS = [
+    ("gen_tree", _seeds(8, 9, 10), "chain", (5868, 11756, 23532), (0, 0, 0), "~linear"),
+    ("gen_star", _seeds(1000, 2000, 4000), "chain", (1502, 3002, 6002), (0, 0, 0), "~linear"),
+    ("gen_discrete", _seeds(1000, 2000, 4000), "chain", (4003, 8003, 16003), (0, 0, 0),
+     "~linear"),
+    ("is_tree", _trees, "chain", (4041, 8131, 16317), (6, 6, 6), "~linear"),
+    ("is_tree", _trees, "index_scan", (4041, 8131, 16317), (2556, 5116, 10236), "~linear"),
+    ("is_con", _trees, "chain", (4857, 9722, 19451), (512, 1024, 2048), "~linear"),
+    ("is_con", _trees, "index_scan", (4857, 9722, 19451), (512, 1024, 2048), "~linear"),
+    ("is_con", _grids, "chain", (3094, 6472, 12590), (257, 530, 1025), "~linear"),
+    ("is_con", _grids, "index_scan", (3094, 6472, 12590), (257, 530, 1025), "~linear"),
+    ("is_bin_dag", _trees, "chain", (6123, 12267, 24555), (256, 512, 1024), "~linear"),
+    ("is_bin_dag", _trees, "index_scan", (6123, 12267, 24555), (33407, 132351, 526847),
+     "~linear"),
+    # par never matches and scans every node per call, as the program demands
+    ("is_series_par", _lists, "chain", (32123, 126748, 503498), (31625, 125750, 501500),
+     "~quadratic"),
+    ("is_series_par", _lists, "index_scan", (32123, 126748, 503498),
+     (62999, 250999, 1001999), "~quadratic"),
+]
+
+# the index-scan candidates of each (program, hosts)
+INDEX_SCAN_CANDIDATES = {
+    (program, hosts): candidates
+    for program, hosts, backend, candidates, _, _ in COUNTER_ROWS if backend == "index_scan"}
+
+
+@pytest.mark.parametrize(
+    "program, hosts, backend, candidates, iter_steps, growth", COUNTER_ROWS,
+    ids=["gen_tree", "gen_star", "gen_discrete", "is_tree-trees-chain",
+         "is_tree-trees-index_scan", "is_con-trees-chain", "is_con-trees-index_scan",
+         "is_con-grids-chain", "is_con-grids-index_scan", "is_bin_dag-trees-chain",
+         "is_bin_dag-trees-index_scan", "is_series_par-lists-chain",
+         "is_series_par-lists-index_scan"])
 def test_examined_candidates_grow_linearly(
-        program, hosts, backend, candidates, iter_steps, monkeypatch):
+        program, hosts, backend, candidates, iter_steps, growth, monkeypatch):
     points = _candidates(program, hosts(), monkeypatch, backend)
     assert tuple(c for _, c, _ in points) == candidates
     assert tuple(s for _, _, s in points) == iter_steps
+    # both backends visit the live nodes oldest first, so on these runs
+    # they examine the same candidates
+    assert candidates == INDEX_SCAN_CANDIDATES.get((program, hosts), candidates)
     ratios = bench.doubling_ratios([(n, c) for n, c, _ in points])
-    assert bench.classify([r for _, r in ratios]) == "~linear"
+    assert bench.classify([r for _, r in ratios]) == growth
+
+
+def _output(program, host_text, backend):
+    out = run_program(corpus.load_program(program), host_text, ExecConfig(backend=backend))
+    assert out.status == "success", (program, backend, out.diagnostic)
+    return out.output
+
+
+def test_backends_print_the_same_bytes_at_bench_sizes():
+    seed = "[ (0 (R), 6) | ]"
+    sierpinski = _output("gen_sierpinski", seed, "chain")
+    assert sierpinski == _output("gen_sierpinski", seed, "index_scan")
+    assert graphs_isomorphic(parse_host_graph(sierpinski), bench.gen_sierpinski(7))
+    grid = print_graph(bench.gen_grid(32, 32))
+    assert _output("is_con", grid, "chain") == _output("is_con", grid, "index_scan")

@@ -222,6 +222,56 @@ def test_find_match_agrees_with_brute_force_on_random_hosts(optimize):
                         audit_match(rule, g, m, mode)
 
 
+# Kept nodes whose left-hand edges give them degree lower bounds: a
+# non-bidirectional loop (one out, one in), a bidirectional edge (no
+# bound), and two parallel edges; the last rule deletes a node as well.
+DEGREE_RULES = [
+    "loop(a,b,x,y:list)\n"
+    "[ (1, x # any) (2, y # any) | (0, 1, 1, a # any) (1, 1, 2, b # any) ]\n"
+    "=> [ (1, x # any) (2, y # any) | (0, 1, 1, a # any) (1, 1, 2, b # any) ]",
+    "root_loop(a,x:list)\n"
+    "[ (1 (R), x # any) | (0, 1, 1, a # any) ] => [ (1 (R), x # any) | (0, 1, 1, a # any) ]",
+    "bidir(a,b,x,y:list)\n"
+    "[ (1, x # any) (2, y # any) | (0 (B), 1, 2, a # any) (1, 2, 1, b # any) ]\n"
+    "=> [ (1, x # any) (2, y # any) | (0 (B), 1, 2, a # any) (1, 2, 1, b # any) ]",
+    "bidir_loop(a,b,x,y:list)\n"
+    "[ (1, x # any) (2, y # any) | (0 (B), 1, 1, a # any) (1, 1, 2, b # any) ]\n"
+    "=> [ (1, x # any) (2, y # any) | (0 (B), 1, 1, a # any) (1, 1, 2, b # any) ]",
+    "parallel(a,b,x,y:list)\n"
+    "[ (1, x # any) (2, y # any) | (0, 1, 2, a # any) (1, 1, 2, b # any) ]\n"
+    "=> [ (1, x # any) (2, y # any) | (0, 1, 2, a # any) (1, 1, 2, b # any) ]",
+    "parallel_del(a,b,x,y:list)\n"
+    "[ (1, x # any) (2, y # any) | (0, 1, 2, a # any) (1, 1, 2, b # any) ]\n"
+    "=> [ (1, x # any) | ]",
+]
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_degree_bounds_agree_with_brute_force_on_random_hosts(optimize):
+    rng = random.Random(5)
+    rules = [parse_rule(text) for text in DEGREE_RULES]
+    hits = {rule.name: 0 for rule in rules}
+    misses = dict(hits)
+    for _ in range(150):
+        g = random_host(rng, max_nodes=5)
+        for mode in ("preserve", "reflect"):
+            for rule in rules:
+                keys = {m.key() for m in brute_force_match(rule, g, mode)}
+                if keys:
+                    hits[rule.name] += 1
+                else:
+                    misses[rule.name] += 1
+                for backend in ("chain", "index_scan"):
+                    m = find_match(rule, g, mode, backend, optimize)
+                    where = (rule.name, mode, backend)
+                    if m is None:
+                        assert not keys, where
+                    else:
+                        assert m.key() in keys, where
+                        audit_match(rule, g, m, mode)
+    assert all(hits.values()) and all(misses.values()), (hits, misses)
+
+
 def test_reflect_matches_are_preserve_matches():
     rng = random.Random(7)
     rules = all_corpus_rules()

@@ -201,6 +201,66 @@ def test_chain_unlink_middle_and_head():
     assert a.out_head is a.in_head is ea
 
 
+def _chain(g):
+    """The node chain walked from its head."""
+    chain, node = [], g.node_head
+    while node is not None:
+        chain.append(node)
+        node = node.next
+    return chain
+
+
+def test_chain_runs_oldest_first():
+    g = Graph()
+    a, b, c = g.add_node(), g.add_node(), g.add_node()
+    assert _chain(g) == [a, b, c]
+    assert g.node_head is a and g.node_tail is c
+    assert g.nodes() == [c, b, a]
+    assert list(g.nodes_iter("chain")) == list(g.nodes_iter("index_scan"))
+    check_consistency(g)
+
+
+def test_deleting_the_tail_the_head_and_the_sole_node():
+    g = Graph()
+    a, b, c = g.add_node(), g.add_node(), g.add_node()
+    g.delete_node(c)
+    assert _chain(g) == [a, b] and g.node_tail is b and b.next is None
+    check_consistency(g)
+    g.delete_node(a)
+    assert _chain(g) == [b] and g.node_head is g.node_tail is b
+    assert b.prev is None and b.next is None
+    check_consistency(g)
+    g.delete_node(b)
+    assert g.node_head is None and g.node_tail is None
+    check_consistency(g)
+    d = g.add_node()
+    assert _chain(g) == [d] and g.node_head is g.node_tail is d
+    check_consistency(g)
+
+
+def test_a_reused_slot_goes_to_the_tail():
+    g = Graph()
+    a, b, c = g.add_node(), g.add_node(), g.add_node()
+    g.delete_node(b)
+    assert g.add_node() is b
+    assert _chain(g) == [a, c, b] and g.node_tail is b
+    assert list(g.nodes_index_scan()) == [a, b, c]      # slot order
+    check_consistency(g)
+
+
+def test_undoing_a_tail_deletion_relinks_at_the_tail():
+    g = Graph()
+    a, b = g.add_node(), g.add_node()
+    entries = g.journal = []
+    g.delete_node(b)
+    assert g.node_tail is a
+    c = g.add_node()                # b is held, so c takes a new slot
+    assert _chain(g) == [a, c] and g.node_tail is c
+    g.undo(entries)
+    assert _chain(g) == [a, b] and g.node_tail is b
+    check_consistency(g)
+
+
 def test_chain_matches_shadow_set_after_random_mutations():
     rng = random.Random(21)
     g = Graph()
