@@ -24,13 +24,13 @@ add makes a new one.
 The graph journals its own mutations.  While ``Graph.journal`` holds a
 list (a rollback frame, opened by ``engine.ChangeStack``), every
 mutator appends an entry naming its inverse mutator and that mutator's
-arguments, e.g. ``(Graph.restore_node, node, flags)``, so ``undo``
+arguments, e.g. ``(Graph.relabel_node, node, label)``, so ``undo``
 replays a frame newest first through the same mutators.  A node
 deleted under an open frame is held (``FLAG_IN_STACK``) instead of
 freed, so the handles the entries keep never alias a new node; undoing
-the deletion relinks it, and ``release``, once the outermost frame
-commits, puts it on the free stack.  Entries are written and read only
-in this module.
+the deletion relinks it where it was, and ``release``, once the
+outermost frame commits, puts it on the free stack.  Entries are
+written and read only in this module.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class Graph:
         node.label = label
         node.mark = mark
         node.flags = FLAG_IN_GRAPH
-        self._link_node(node)
+        self._link_node(node, self.node_tail, None)
         if root:
             node.flags |= FLAG_ROOT
             self.root_list.append(node)
@@ -147,15 +147,17 @@ class Graph:
             self.journal.append((Graph.delete_node, node))
         return node
 
-    def _link_node(self, node: Node) -> None:
-        tail = self.node_tail
-        node.prev = tail
-        node.next = None
-        if tail is None:
+    def _link_node(self, node: Node, prev: Optional[Node], nxt: Optional[Node]):
+        node.prev = prev
+        node.next = nxt
+        if prev is None:
             self.node_head = node
         else:
-            tail.next = node
-        self.node_tail = node
+            prev.next = node
+        if nxt is None:
+            self.node_tail = node
+        else:
+            nxt.prev = node
 
     def delete_node(self, node: Node) -> None:
         if not node.flags & FLAG_IN_GRAPH:
@@ -179,16 +181,18 @@ class Graph:
         node.flags = 0
         self.node_count -= 1
         if self.journal is not None:
-            self.journal.append((Graph.restore_node, node, flags))
+            self.journal.append((Graph.restore_node, node, flags, prev, nxt))
             node.flags = FLAG_IN_STACK
         elif not self.minimal_gc:
             self.free_nodes.append(node)
 
-    def restore_node(self, node: Node, flags: int) -> None:
-        """Relink a held node with the flags it had when it was deleted.
-        It goes to the tail of the node chain, not back to its old place."""
+    def restore_node(self, node: Node, flags: int, prev: Optional[Node],
+                     nxt: Optional[Node]) -> None:
+        """Relink a held node with the flags it had when it was deleted,
+        between the chain neighbours it had then: undo replays newest
+        first, so they are neighbours again."""
         node.flags = flags
-        self._link_node(node)
+        self._link_node(node, prev, nxt)
         self.live_bytes[node.slot_index] = 1
         if flags & FLAG_ROOT:
             self.root_list.append(node)

@@ -9,16 +9,17 @@ to the neighbourhood of the host's roots.  Each step carries everything
 the search reads (ids, labels, marks, degrees, edge phases), so the
 plan is built once per rule and setting and cached in ``Rule.plans``.
 
-``find_match_steps`` is the one search.  It walks the plan iteratively,
-keeping one candidate iterator and one trail mark per step, so a
-left-hand side of any size matches without recursion.  Each candidate
-is checked when it is bound: injectivity, mark, root, degree, then
-label.  A node the rule deletes must have its exact degree (the dangling
-condition), so a dangling candidate is rejected before the rule's
-condition is ever evaluated.  A node the rule keeps must have at least
-as many out- and in-edges as its non-bidirectional left-hand edges give
-it, so a host node that cannot take them is rejected before its label
-is unified.  The condition runs once every step is bound.
+``matcher`` compiles each plan to one Python function, cached beside
+it, and ``find_match_steps`` calls that.  The function is the plan
+unrolled into a flat state machine, one block per step with its checks
+written out: a constant label is one tuple comparison, and each
+variable is a local, bound or compared as the plan order fixes.  Each
+candidate is checked when it is bound: injectivity, mark, root, degree,
+then label.  A node the rule deletes must have its exact degree (the
+dangling condition), so a dangling candidate is rejected before the
+rule's condition is ever evaluated.  A node the rule keeps must have at
+least as many out- and in-edges as its non-bidirectional left-hand
+edges give it.  The condition runs once every step is bound.
 
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
@@ -27,6 +28,7 @@ costs only the items it touched.
 
 from __future__ import annotations
 
+import linecache
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -51,7 +53,7 @@ class Match:
 
 
 def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
-    """The rule's search plan for ``find_match_steps``, built once per
+    """The rule's search plan, which ``matcher`` compiles, built once per
     (rule, optimize) and cached in ``Rule.plans``.
 
     A node step is (kind, pid, label, mark, degree, out_min, in_min)
@@ -75,7 +77,7 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
     """
     cached = rule.plans.get(optimize)
     if cached is not None:
-        return cached
+        return cached[0]
     lhs = rule.lhs
     nodes = lhs.nodes
     deleted = set(rule.deleted)
@@ -139,7 +141,7 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
                           degree[ni], out_min[ni], in_min[ni]))
             bind(ni)
     take_edges()
-    rule.plans[optimize] = steps
+    rule.plans[optimize] = (steps, None)
     return steps
 
 
@@ -174,162 +176,233 @@ def find_match(rule: Rule, g: Graph, mode: str = "preserve",
 def find_match_steps(rule: Rule, g: Graph, mode: str = "preserve",
                      backend: str = "chain", optimize: bool = True):
     """The first match in plan order, or None, and the number of host
-    candidates examined.
+    candidates examined."""
+    return matcher(rule, optimize)(g, mode == "reflect", backend)
 
-    Backtracking keeps, per plan step, its candidate iterator (a node
-    iterator, or the next edge and its phase) and the trail length
-    before its binding; stepping back clears the step's matched flags
-    and unbinds its variables.  ``images`` may keep a stale entry for a
-    step undone: the next binding of that step overwrites it.
+
+def matcher(rule: Rule, optimize: bool = True):
+    """The rule's search, compiled from its plan on first use and cached
+    beside it in ``Rule.plans``: ``search(g, reflect, backend)`` returns
+    what ``find_match_steps`` does."""
+    steps, search = rule.plans.get(optimize, (None, None))
+    if search is None:
+        steps = compile_plan(rule, optimize)
+        search = _generate(rule, steps, optimize)
+        rule.plans[optimize] = (steps, search)
+    return search
+
+
+# Plans longer than this put a guard on each run of this many steps, so
+# resuming step k from the loop top tests about k / _CHUNK + _CHUNK
+# conditions, not k.
+_CHUNK = 32
+
+# The test that rejects an atom for a variable's type (atom and list take any).
+_TYPE_MISMATCH = {
+    "int": "not isinstance({0}, int)",
+    "string": "not isinstance({0}, str)",
+    "char": "not (isinstance({0}, str) and len({0}) == 1)",
+}
+
+
+def _generate(rule: Rule, steps: list[tuple], optimize: bool):
+    """The rule's search as one Python function, with one ``if i == k:``
+    block per plan step, compiled under a file name that names the rule
+    and the setting and with its source in ``linecache``, so tracebacks,
+    profiles and ``inspect.getsource`` show its lines.
+
+    ``i`` is the step to try next.  A step that binds falls through into
+    the next block after setting up that step's candidates; a step out
+    of candidates unbinds the step before it and re-enters that step's
+    block from the loop top.  Which variables are bound at each step is
+    fixed by the plan, so each is a local, bound by assignment and
+    checked by ``==``.  Program text enters the source only as generated
+    names (``n``/``e`` + item index, ``v`` + variable number) and as
+    ``repr`` of ints, strings and tuples of them.
     """
-    # read the cache first: every call of compile_plan makes its closure cells
-    steps = rule.plans.get(optimize) or compile_plan(rule, optimize)
-    n = len(steps)
-    reflect = mode == "reflect"
-    condition = rule.condition
-    images: dict = {}           # pattern node id -> host node
-    edge_images: dict = {}      # pattern edge id -> host edge
-    orientations: dict = {}     # pattern edge id -> True if flipped
-    assignment: dict = {}
-    trail: list = []
-    cursors = [None] * n        # node iterator, or next edge to try
-    phase_at = [0] * n
-    marks = [0] * n
-    candidates = 0
-    i = 0
-    fresh = True
-    try:
-        while True:
-            if i == n:
-                if condition is None or eval_cond(condition, assignment, images):
-                    return Match(images, edge_images, assignment, orientations), candidates
-                found = False
-            elif steps[i][0] != "edge":
-                kind, pid, label, mark, degree, out_min, in_min = steps[i]
-                root = kind == "root"
-                if fresh:
-                    cursors[i] = iter(g.root_list) if root else g.nodes_iter(backend)
-                    marks[i] = len(trail)
-                found = False
-                for host in cursors[i]:
-                    candidates += 1
-                    flags = host.flags
-                    if flags & FLAG_MATCHED:
-                        continue
-                    if mark is not None and mark != host.mark:
-                        continue
-                    if root:
-                        if not flags & FLAG_ROOT:
-                            continue
-                    elif reflect and flags & FLAG_ROOT:
-                        continue
-                    if degree >= 0:
-                        if host.indegree + host.outdegree != degree:
-                            continue
-                    elif host.outdegree < out_min or host.indegree < in_min:
-                        continue
-                    if label_match(label, host.label, assignment, trail):
-                        host.flags = flags | FLAG_MATCHED
-                        images[pid] = host
-                        found = True
-                        break
+    lhs = rule.lhs
+    node = {pn.pid: f"n{j}" for j, pn in enumerate(lhs.nodes)}
+    edge = {pe.eid: f"e{j}" for j, pe in enumerate(lhs.edges)}
+    names: dict[str, str] = {}      # GP 2 variable -> local, in binding order
+    held: list[list[str]] = []      # per step, the records it flags
+    lines = ["def bind(cond):", "    def search(g, reflect, backend):",
+             "        candidates = 0", "        i = 0"]
+    shift = 0                       # 1 inside a chunk's guard
+
+    def emit(depth, text):
+        lines.append("    " * (depth + shift) + text)
+
+    def setup(k, depth):
+        """Start step k's candidates: a node iterator, or an edge list."""
+        if k == len(steps):
+            return
+        step = steps[k]
+        if step[0] == "root":
+            emit(depth, f"it{k} = iter(g.root_list)")
+        elif step[0] == "node":
+            emit(depth, f"it{k} = g.nodes_iter(backend)")
+        else:
+            reverse = step[4][0][0]
+            emit(depth, f"c{k} = {node[step[5]]}.{'in_head' if reverse else 'out_head'}")
+            if len(step[4]) > 1:
+                emit(depth, f"p{k} = 0")
+
+    def back(k, depth):
+        """Step k is out of candidates: unbind step k - 1 and resume it."""
+        if k == 0:
+            emit(depth, "return None, candidates")
+            return
+        for record in held[k - 1]:
+            emit(depth, f"{record}.flags &= ~{FLAG_MATCHED}")
+        emit(depth, f"i = {k - 1}")
+        emit(depth, "continue")
+
+    def check_node(n, flags, label, mark, root, degree, out_min, in_min, depth):
+        emit(depth, f"if {flags} & {FLAG_MATCHED}: continue")
+        if mark is not None:
+            emit(depth, f"if {n}.mark != {mark!r}: continue")
+        if root:
+            emit(depth, f"if not {flags} & {FLAG_ROOT}: continue")
+        else:
+            emit(depth, f"if reflect and {flags} & {FLAG_ROOT}: continue")
+        if degree >= 0:
+            emit(depth, f"if {n}.indegree + {n}.outdegree != {degree}: continue")
+        else:
+            if out_min:
+                emit(depth, f"if {n}.outdegree < {out_min}: continue")
+            if in_min:
+                emit(depth, f"if {n}.indegree < {in_min}: continue")
+        check_label(label, f"{n}.label", depth)
+
+    def check_label(pattern, subject, depth):
+        if pattern.kind == "const":
+            emit(depth, f"if {subject} != {pattern.detail!r}: continue")
+            return
+        items, pos = pattern.items, pattern.list_var_pos
+        if pattern.kind == "list_var":
+            atoms = [(subject, items[0])]
+        else:
+            emit(depth, f"label = {subject}")
+            if pos is None:
+                emit(depth, f"if len(label) != {len(items)}: continue")
+                atoms = [(f"label[{p}]", item) for p, item in enumerate(items)]
             else:
-                (_, eid, label, mark, phases, anchor_pid, other_pid, binds,
-                 other_label, other_mark, other_root, degree, out_min, in_min,
-                 bidir) = steps[i]
-                anchor = images[anchor_pid]
-                if fresh:
-                    p = 0
-                    reverse, flipped = phases[0]
-                    edge = anchor.in_head if reverse else anchor.out_head
-                    marks[i] = len(trail)
+                # atoms around the list variable: the prefix left to
+                # right, the suffix right to left, then the list
+                suffix = len(items) - pos - 1
+                emit(depth, f"if len(label) < {len(items) - 1}: continue")
+                atoms = [(f"label[{p}]", items[p]) for p in range(pos)]
+                atoms += [(f"label[{p - len(items)}]", items[p])
+                          for p in reversed(range(pos + 1, len(items)))]
+                end = f"len(label) - {suffix}" if suffix else ""
+                atoms.append((f"label[{pos}:{end}]", items[pos]))
+        for atom, item in atoms:
+            if item[0] == "lit":
+                emit(depth, f"if {atom} != {item[1]!r}: continue")
+            elif item[1] in names:
+                emit(depth, f"if {atom} != {names[item[1]]}: continue")
+            else:
+                local = names[item[1]] = f"v{len(names)}"
+                emit(depth, f"{local} = {atom}")
+                if item[2] in _TYPE_MISMATCH:
+                    emit(depth, f"if {_TYPE_MISMATCH[item[2]].format(local)}: continue")
+
+    setup(0, 2)
+    emit(2, "while True:")
+    for k, step in enumerate(steps):
+        if len(steps) > _CHUNK and k % _CHUNK == 0:
+            shift = 0
+            emit(3, f"if i < {k + _CHUNK}:")
+            shift = 1
+        emit(3, f"if i == {k}:")
+        if step[0] != "edge":
+            _, pid, label, mark, degree, out_min, in_min = step
+            n = node[pid]
+            emit(4, f"for {n} in it{k}:")
+            emit(5, "candidates += 1")
+            emit(5, f"f = {n}.flags")
+            check_node(n, "f", label, mark, step[0] == "root", degree, out_min,
+                       in_min, 5)
+            emit(5, f"{n}.flags = f | {FLAG_MATCHED}")
+            emit(5, "break")
+            emit(4, "else:")
+            back(k, 5)
+            held.append([n])
+        else:
+            (_, eid, label, mark, phases, anchor_pid, other_pid, binds,
+             other_label, other_mark, other_root, degree, out_min, in_min, _) = step
+            e, other = edge[eid], node[other_pid]
+            depth = 4
+            bound = len(names)
+            for p, (reverse, _) in enumerate(phases):
+                while len(names) > bound:   # each phase binds the same variables
+                    names.popitem()
+                if len(phases) > 1:
+                    emit(4, f"if p{k} == {p}:")
+                    depth = 5
+                emit(depth, f"while c{k} is not None:")
+                emit(depth + 1, f"{e} = c{k}")
+                emit(depth + 1, f"c{k} = {e}.{'tgt_next' if reverse else 'src_next'}")
+                emit(depth + 1, "candidates += 1")
+                emit(depth + 1, f"f = {e}.flags")
+                emit(depth + 1, f"if f & {FLAG_MATCHED}: continue")
+                if mark is not None:
+                    emit(depth + 1, f"if {e}.mark != {mark!r}: continue")
+                end = f"{e}.{'source' if reverse else 'target'}"
+                if binds:
+                    emit(depth + 1, f"{other} = {end}")
+                    emit(depth + 1, f"of = {other}.flags")
+                    check_node(other, "of", other_label, other_mark, other_root,
+                               degree, out_min, in_min, depth + 1)
                 else:
-                    p = phase_at[i]
-                    reverse, flipped = phases[p]
-                    edge = cursors[i]
-                found = False
-                while True:
-                    # reverse=False walks the anchor's out-edges, True its in-edges
-                    while edge is not None:
-                        host = edge
-                        edge = host.tgt_next if reverse else host.src_next
-                        candidates += 1
-                        flags = host.flags
-                        if flags & FLAG_MATCHED:
-                            continue
-                        if mark is not None and mark != host.mark:
-                            continue
-                        other = host.source if reverse else host.target
-                        if binds:
-                            other_flags = other.flags
-                            if other_flags & FLAG_MATCHED:
-                                continue
-                            if other_mark is not None and other_mark != other.mark:
-                                continue
-                            if other_root:
-                                if not other_flags & FLAG_ROOT:
-                                    continue
-                            elif reflect and other_flags & FLAG_ROOT:
-                                continue
-                            if degree >= 0:
-                                if other.indegree + other.outdegree != degree:
-                                    continue
-                            elif other.outdegree < out_min or other.indegree < in_min:
-                                continue
-                            if not label_match(other_label, other.label, assignment, trail):
-                                continue
-                        elif other is not images[other_pid]:
-                            continue
-                        if not label_match(label, host.label, assignment, trail):
-                            _unbind(assignment, trail, marks[i])
-                            continue
-                        host.flags = flags | FLAG_MATCHED
-                        edge_images[eid] = host
-                        if bidir:
-                            orientations[eid] = flipped
-                        if binds:
-                            other.flags |= FLAG_MATCHED
-                            images[other_pid] = other
-                        found = True
-                        break
-                    if found or p + 1 == len(phases):
-                        break
-                    p += 1
-                    reverse, flipped = phases[p]
-                    edge = anchor.in_head if reverse else anchor.out_head
-                cursors[i] = edge
-                phase_at[i] = p
-            if found:
-                i += 1
-                fresh = True
-                continue
-            # step i has no further candidate (or the condition failed):
-            # undo the binding of the step before it and resume there
-            i -= 1
-            if i < 0:
-                return None, candidates
-            step = steps[i]
-            if step[0] != "edge":
-                images[step[1]].flags &= ~FLAG_MATCHED
-            else:
-                edge_images[step[1]].flags &= ~FLAG_MATCHED
-                if step[7]:
-                    images[step[6]].flags &= ~FLAG_MATCHED
-            _unbind(assignment, trail, marks[i])
-            fresh = False
-    finally:
-        # on a match, and on an exception from the condition; after a
-        # failed search every flag is already clear
-        for host in images.values():
-            host.flags &= ~FLAG_MATCHED
-        for host in edge_images.values():
-            host.flags &= ~FLAG_MATCHED
+                    emit(depth + 1, f"if {end} is not {other}: continue")
+                check_label(label, f"{e}.label", depth + 1)
+                emit(depth + 1, f"{e}.flags = f | {FLAG_MATCHED}")
+                if binds:
+                    emit(depth + 1, f"{other}.flags = of | {FLAG_MATCHED}")
+                emit(depth + 1, "break")
+                emit(depth, "else:")
+                if p + 1 < len(phases):
+                    emit(depth + 1, f"p{k} = {p + 1}")
+                    emit(depth + 1, f"c{k} = {node[anchor_pid]}.in_head")
+                else:
+                    back(k, depth + 1)
+            held.append([e, other] if binds else [e])
+        emit(4, f"i = {k + 1}")
+        setup(k + 1, 4)
 
-
-def _unbind(assignment: dict, trail: list, mark: int) -> None:
-    for name in trail[mark:]:
-        del assignment[name]
-    del trail[mark:]
+    shift = 0
+    # every step is bound: clear the flags (the condition reads none),
+    # then test the condition and set them again if it fails
+    records = "".join(f"{r}, " for rs in held for r in rs)
+    images = ", ".join(f"{pid!r}: {n}" for pid, n in node.items())
+    emit(3, f"images = {{{images}}}")
+    emit(3, "asg = {" + ", ".join(f"{name!r}: {v}" for name, v in names.items()) + "}")
+    emit(3, f"for item in ({records}): item.flags &= ~{FLAG_MATCHED}")
+    edge_images = ", ".join(f"{eid!r}: {e}" for eid, e in edge.items())
+    orientations = ", ".join(
+        f"{step[1]!r}: {tuple(flip for _, flip in step[4])!r}[p{k}]"
+        for k, step in enumerate(steps) if step[0] == "edge" and step[14])
+    found = f"Match(images, {{{edge_images}}}, asg, {{{orientations}}}), candidates"
+    if rule.condition is None:
+        emit(3, f"return {found}")
+    else:
+        emit(3, "if eval_cond(cond, asg, images):")
+        emit(4, f"return {found}")
+        emit(3, f"for item in ({records}): item.flags |= {FLAG_MATCHED}")
+        back(len(steps), 3)
+    emit(1, "return search")
+    source = "\n".join(lines) + "\n"
+    cached = source.splitlines(True)
+    setting = "opt" if optimize else "noopt"
+    filename, copy = f"<gp2 match {rule.name} {setting}>", 1
+    while linecache.cache.get(filename, (0, 0, cached))[2] != cached:
+        copy += 1       # another rule of this name: keep both sources
+        filename = f"<gp2 match {rule.name} {setting} {copy}>"
+    linecache.cache[filename] = (len(source), None, cached, filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["bind"](rule.condition)
 
 
 # -- exhaustive oracle ------------------------------------------------------

@@ -108,8 +108,8 @@ class LabelPattern:
                     raise RuleError("at most one list variable per label")
                 pos = i
         self.list_var_pos = pos
-        # label_match's fast paths: a lone list variable binds the whole
-        # host label, a constant pattern is one tuple comparison
+        # the compiled matcher's fast paths: a lone list variable binds
+        # the whole host label, a constant pattern is one tuple comparison
         if len(items) == 1 and pos == 0:
             self.kind = "list_var"
             self.detail = None
@@ -137,7 +137,7 @@ class Rule:
         self.condition = condition
         self.interface = sorted(set(lhs.by_id) & set(rhs.by_id))
         self.deleted = [n.pid for n in lhs.nodes if n.pid not in rhs.by_id]
-        self.plans: dict = {}       # optimize -> match.compile_plan's search plan
+        self.plans: dict = {}       # optimize -> (plan steps, compiled search)
 
 
 # -- label matching -----------------------------------------------------
@@ -174,14 +174,10 @@ def label_match(pattern: LabelPattern, host_label: tuple, assignment: dict,
     """Unify a pattern label with a host label, extending ``assignment``
     and appending each name this call binds to ``trail``.
 
-    This is the one label binder of the matcher and its oracles.  On a
-    mismatch it returns False with this call's bindings already undone.
+    This is the label binder of the matching oracles; the compiled
+    matcher inlines the same unification.  On a mismatch it returns
+    False with this call's bindings already undone.
     """
-    kind = pattern.kind
-    if kind == "const":
-        return host_label == pattern.detail
-    if kind == "list_var":
-        return _bind_atom(pattern.items[0], host_label, assignment, trail)
     start = len(trail)
     if _unify(pattern, host_label, assignment, trail):
         return True
@@ -192,8 +188,8 @@ def label_match(pattern: LabelPattern, host_label: tuple, assignment: dict,
 
 
 def _unify(pattern: LabelPattern, host_label: tuple, assignment, trail) -> bool:
-    """The general case of label_match, leaving partial bindings on a
-    mismatch: atoms positionally around at most one list variable."""
+    """label_match, leaving partial bindings on a mismatch: atoms
+    positionally around at most one list variable."""
     items = pattern.items
     pos = pattern.list_var_pos
     if pos is None:

@@ -212,6 +212,7 @@ def test_random_journaled_mutations_undo_exactly():
         for _ in range(rng.randrange(0, 10)):
             edges.append(g.add_edge(rng.choice(live), rng.choice(live)))
         before = _snapshot(g)
+        order = g.nodes()
         retained = list(live)
         retained_fields = [(n.label, n.mark, n.is_root) for n in retained]
 
@@ -239,6 +240,7 @@ def test_random_journaled_mutations_undo_exactly():
                 g.set_root(rng.choice(live), rng.random() < 0.5)
         stack.undo_frame(g)
         assert _snapshot(g) == before
+        assert g.nodes() == order
         assert graphs_isomorphic(g, copy)
         for node, fields in zip(retained, retained_fields):
             assert node.in_graph
@@ -365,6 +367,17 @@ def test_try_rolls_back_on_failure_and_runs_else():
              "mark(x:list)\n[ (1, x) | ] => [ (1, x # red) | ]")
     out = _exec_text(text2, "[ (0, 5) | ]")
     assert parse_host_graph(out.output).nodes()[0].mark == "red"
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+def test_failed_try_restores_the_node_order(backend):
+    # each deleted node is relinked between its old chain neighbours
+    text = "Main = try (d; fail)\nd(x:list)\n[ (1, x) | ] => [ | ]"
+    host = "[ (0, 1) (1, 2) (2, 3) | ]"
+    out = _exec_text(text, host, backend=backend)
+    assert out.status == "success"
+    assert out.output == host
+    check_consistency(out.graph)
 
 
 def test_loop_keeps_last_successful_iteration():

@@ -1,10 +1,11 @@
+import inspect
 import random
 import time
 
 import pytest
 
 from gp2 import corpus
-from gp2.engine import ExecConfig, run_program
+from gp2.engine import OK, ExecConfig, Executable, run_program
 from gp2.graph import FLAG_MATCHED, Graph
 from gp2.match import (
     audit_match,
@@ -12,6 +13,7 @@ from gp2.match import (
     compile_plan,
     find_match,
     find_match_steps,
+    matcher,
     plan_is_well_formed,
 )
 from gp2.rules import EvalError
@@ -177,17 +179,17 @@ NODE_MARK_CHOICES = ["none", "none", "none", "grey", "blue", "red"]
 EDGE_MARK_CHOICES = ["none", "none", "none", "dashed", "blue"]
 
 
-def random_host(rng, max_nodes=8, marked=True, rooted=True) -> Graph:
+def random_host(rng, max_nodes=8, marked=True, rooted=True, labels=LABELS) -> Graph:
     g = Graph()
     nodes = []
     for _ in range(rng.randrange(0, max_nodes + 1)):
         mark = rng.choice(NODE_MARK_CHOICES) if marked else "none"
         root = rooted and rng.random() < 0.25
-        nodes.append(g.add_node(rng.choice(LABELS), mark, root))
+        nodes.append(g.add_node(rng.choice(labels), mark, root))
     if nodes:
         for _ in range(rng.randrange(0, 2 * len(nodes))):
             mark = rng.choice(EDGE_MARK_CHOICES) if marked else "none"
-            g.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(LABELS), mark)
+            g.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(labels), mark)
     return g
 
 
@@ -272,6 +274,70 @@ def test_degree_bounds_agree_with_brute_force_on_random_hosts(optimize):
     assert all(hits.values()) and all(misses.values()), (hits, misses)
 
 
+STRANGE = "a'b\\c{x}"
+
+# Labels the compiled search must take apart, each rule with the host
+# labels it is tried on: list variables with a prefix and a suffix,
+# repeated atom variables, typed atoms, and variables named after Python
+# keywords, builtins and the search's own locals, next to a string atom
+# full of quoting characters.
+LABEL_RULES = [
+    ("affix(a,b:int; s:string; l,m:list)\n"
+     "[ (1, a:l:b # any) (2, m) | (0, 1, 2, s:m:a) ]\n"
+     "=> [ (1, a:l:b # any) (2, m) | (0, 1, 2, s:m:a) ]",
+     [(1, 2, 1), (1,), ("s", 1, 1), ("s", 2, 1)]),
+    ("repeat(a:int; c:char; x:list)\n"
+     "[ (1, a:a:c) (2, c:x) | (0 (B), 1, 2, a:x) ] => [ (1, a:a:c) (2, x) | ]",
+     [(1, 1, "c"), ("c",), (1,), (1, 2, "c")]),
+    ("strange(g,len,None:int; iff:list)\n"
+     f'[ (1, g:"{STRANGE}":len) (2, None:iff) | (0 (B), 2, 1, len) ]\n'
+     f'=> [ (1, g:"{STRANGE}":len) (2, None:iff) | (0 (B), 2, 1, len) ]\n'
+     "where g < len or None = g",
+     [(1, STRANGE, 2), (2, STRANGE, 1), (2,), (1,)]),
+]
+
+
+def _label_rules():
+    rules = [parse_rule(text) for text, _ in LABEL_RULES]
+    # ``if`` is a GP 2 keyword, so the parser cannot take it as a name
+    for item in rules[2].lhs.nodes + rules[2].lhs.edges:
+        item.label.items = [("var", "if", it[2]) if it[:2] == ("var", "iff") else it
+                            for it in item.label.items]
+    return rules
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_compiled_labels_agree_with_the_oracles_on_random_hosts(optimize):
+    rng = random.Random(17)
+    for rule, (_, labels) in zip(_label_rules(), LABEL_RULES):
+        hits = misses = 0
+        for _ in range(600):
+            g = random_host(rng, max_nodes=6, labels=labels)
+            for mode in ("preserve", "reflect"):
+                keys = {m.key() for m in brute_force_match(rule, g, mode)}
+                hits += bool(keys)
+                misses += not keys
+                for backend in ("chain", "index_scan"):
+                    m = find_match(rule, g, mode, backend, optimize)
+                    where = (rule.name, mode, backend)
+                    if m is None:
+                        assert not keys, where
+                    else:
+                        assert m.key() in keys, where
+                        audit_match(rule, g, m, mode)
+        assert hits and misses, (rule.name, hits, misses)
+
+
+def test_compiled_search_shows_its_source():
+    rule = _label_rules()[2]
+    search = matcher(rule, optimize=False)
+    assert search.__code__.co_filename.startswith("<gp2 match strange noopt")
+    source = inspect.getsource(search)
+    assert source.startswith("    def search(g, reflect, backend):")
+    assert repr(STRANGE) in source
+    assert "'if': v" in source and "'None': v" in source
+
+
 def test_reflect_matches_are_preserve_matches():
     rng = random.Random(7)
     rules = all_corpus_rules()
@@ -346,9 +412,13 @@ def test_left_hand_side_of_a_thousand_nodes_matches():
     program = f"Main = r\nr({names}:list)\n{side} => {side}\n"
     host = "[ " + " ".join(f"({i}, {i})" for i in range(n)) + " | " + \
         " ".join(f"({i}, {i}, {i + 1}, empty)" for i in range(n - 1)) + " ]"
-    out = run_program(program, host)
-    assert out.status == "success", out.diagnostic
-    assert out.graph.node_count == n and out.graph.edge_count == n - 1
+    parsed = parse_program(program)
+    start = time.perf_counter()
+    executable = Executable(parsed, ExecConfig())     # compiles the search
+    assert time.perf_counter() - start < 3.0
+    g = parse_host_graph(host)
+    assert executable.run(g) == OK
+    assert g.node_count == n and g.edge_count == n - 1
 
 
 def test_planning_a_path_of_four_thousand_nodes_is_fast():
