@@ -8,11 +8,10 @@ scheduler noise better than means.
 
 from __future__ import annotations
 
-import csv
-import io
+import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import OK, ExecConfig, Executable
 from .graph import Graph
@@ -209,15 +208,14 @@ def time_execution(executable: Executable, g: Graph) -> tuple[float, str]:
 
 
 def run_bench(program_name: str, program_text: str, specs, backends,
-              reps: int = 3, mode: str = "preserve") -> list[BenchSample]:
+              reps: int = 3) -> list[BenchSample]:
     from .textio import parse_program
 
     parsed = parse_program(program_text)
     samples = []
     for spec in specs:
         for backend in backends:
-            cfg = ExecConfig(backend=backend, root_mode=mode)
-            executable = Executable(parsed, cfg)
+            executable = Executable(parsed, ExecConfig(backend=backend))
             times = []
             outcome = "success"
             nodes = edges = 0
@@ -227,7 +225,7 @@ def run_bench(program_name: str, program_text: str, specs, backends,
                 ms, outcome = time_execution(executable, g)
                 times.append(ms)
             samples.append(BenchSample(
-                program=program_name, spec=spec, backend=backend, mode=mode,
+                program=program_name, spec=spec, backend=backend, mode="preserve",
                 reps=reps, median_ms=statistics.median(times), all_ms=times,
                 nodes=nodes, edges=edges, outcome=outcome))
     return samples
@@ -276,87 +274,11 @@ def ratio_report(samples: list[BenchSample]) -> dict:
     return report
 
 
-# -- CSV -------------------------------------------------------------------
-
-CSV_COLUMNS = ["program", "kind", "params", "nodes", "edges", "backend",
-               "mode", "reps", "median_ms", "all_ms"]
+# -- JSON rows -----------------------------------------------------------------
 
 
-def emit_csv(samples: list[BenchSample]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for s in samples:
-        writer.writerow([
-            s.program, s.spec.kind, "x".join(str(p) for p in s.spec.params),
-            s.nodes, s.edges, s.backend, s.mode, s.reps,
-            f"{s.median_ms:.3f}", ";".join(f"{t:.3f}" for t in s.all_ms),
-        ])
-    return buf.getvalue()
-
-
-def parse_csv(text: str) -> list[BenchSample]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_COLUMNS:
-        raise BenchError("unexpected CSV header")
-    samples = []
-    for row in reader:
-        spec = GeneratorSpec(row[1], tuple(int(p) for p in row[2].split("x")))
-        samples.append(BenchSample(
-            program=row[0], spec=spec, nodes=int(row[3]), edges=int(row[4]),
-            backend=row[5], mode=row[6], reps=int(row[7]),
-            median_ms=float(row[8]), all_ms=[float(t) for t in row[9].split(";")]))
-    return samples
-
-
-# -- configuration files -------------------------------------------------------
-
-
-@dataclass
-class BenchConfig:
-    program: str = ""
-    specs: list[GeneratorSpec] = field(default_factory=list)
-    backends: list[str] = field(default_factory=lambda: ["chain"])
-    reps: int = 3
-    mode: str = "preserve"
-
-
-def parse_config(text: str) -> BenchConfig:
-    """Plain key = value lines: program, specs, backends, reps, mode."""
-    cfg = BenchConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//")[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise BenchError(f"line {lineno}: expected 'key = value'")
-        key, value = key.strip(), value.strip()
-        if key == "program":
-            cfg.program = value
-        elif key == "specs":
-            cfg.specs = [parse_spec(p) for p in value.replace(",", " ").split()]
-        elif key == "backends":
-            cfg.backends = value.replace(",", " ").split()
-            for b in cfg.backends:
-                if b not in ("chain", "index_scan"):
-                    raise BenchError(f"line {lineno}: unknown backend {b!r}")
-        elif key == "reps":
-            try:
-                cfg.reps = int(value)
-            except ValueError:
-                raise BenchError(f"line {lineno}: reps must be an integer") from None
-        elif key == "mode":
-            if value not in ("preserve", "reflect"):
-                raise BenchError(f"line {lineno}: unknown mode {value!r}")
-            cfg.mode = value
-        else:
-            raise BenchError(f"line {lineno}: unknown key {key!r}")
-    if not cfg.program:
-        raise BenchError("config selects no program")
-    if not cfg.specs:
-        raise BenchError("config selects no generator specs")
-    if cfg.reps < 1:
-        raise BenchError("reps must be at least 1")
-    return cfg
+def rows_json(samples: list[BenchSample]) -> str:
+    """One JSON array, one object per sample and one line per object; the
+    keys are the sample's fields, the spec written as ``kind:params``."""
+    rows = [json.dumps({**vars(s), "spec": str(s.spec)}) for s in samples]
+    return "[\n" + ",\n".join(rows) + "\n]\n"

@@ -4,12 +4,16 @@
     gp2 -r <rule>                   validate a single rule
     gp2 -h <graph>                  validate a host graph
     gp2 [flags] <program> <graph>   run a program on a host graph
-    gp2 bench <config> [-o FILE]    run the benchmark harness, emit CSV
+    gp2 bench <program> <spec>...   time both backends on generated hosts,
+                                    print JSON rows (-o FILE writes FILE)
 
 Run flags: -f fast shutdown, -g minimal garbage collection: deleted
 nodes are never put back for reuse (needs -f), -n index-scan
 iteration instead of node chains, -q skip search-plan optimisation,
 -m root-reflecting matches, -o DIR also write the output graph into DIR.
+
+A bench program is a corpus name or a program file; a spec is KIND:N
+(discrete, tree, list, star, sierpinski) or grid:WxH.
 
 Exit codes: 0 success (graph on stdout), 1 validation/usage error,
 2 program failure or runtime error (diagnostics on stderr).
@@ -23,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import ConfigError, ExecConfig, run_program
+from .rules import EvalError
 from .textio import SourceError, validate
 
 USAGE = __doc__
@@ -47,21 +52,15 @@ def parse_args(argv: list[str]) -> CliInvocation:
     if argv[0] == "--help":
         return CliInvocation("help", help=True)
     if argv[0] == "bench":
-        rest = argv[1:]
-        paths = []
-        out = None
-        i = 0
-        while i < len(rest):
-            if rest[i] == "-o":
-                if i + 1 >= len(rest):
-                    raise UsageError("-o needs a file argument")
-                out = rest[i + 1]
-                i += 2
-            else:
-                paths.append(rest[i])
-                i += 1
-        if len(paths) != 1:
-            raise UsageError("bench takes exactly one configuration file")
+        paths, out = argv[1:], None
+        while "-o" in paths:
+            i = paths.index("-o")
+            if i + 1 == len(paths):
+                raise UsageError("-o needs a file argument")
+            out = paths.pop(i + 1)
+            del paths[i]
+        if len(paths) < 2:
+            raise UsageError("bench takes a program and at least one generator spec")
         return CliInvocation("bench", paths, out_dir=out)
 
     validate_modes = {"-p": "validate-program", "-r": "validate-rule",
@@ -144,25 +143,28 @@ def _print(text: str) -> None:
 def _run_bench(invocation: CliInvocation) -> int:
     from . import bench, corpus
 
+    program, *specs = invocation.paths
     try:
-        config = bench.parse_config(_read(invocation.paths[0]))
-        if config.program in corpus.ENTRIES:
-            text = corpus.load_program(config.program)
+        specs = [bench.parse_spec(spec) for spec in specs]
+        if program in corpus.ENTRIES:
+            text = corpus.load_program(program)
         else:
-            text = _read(config.program)
-        samples = bench.run_bench(config.program, text, config.specs,
-                                  config.backends, config.reps, config.mode)
+            text = _read(program)
+        samples = bench.run_bench(program, text, specs, ("chain", "index_scan"))
     except bench.BenchError as exc:         # the generators check sizes too
         print(f"bad bench configuration: {exc}", file=sys.stderr)
         return 1
     except SourceError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    csv_text = bench.emit_csv(samples)
+    except EvalError as exc:                # a program error, as in a run
+        print(str(exc), file=sys.stderr)
+        return 2
+    rows = bench.rows_json(samples)
     if invocation.out_dir:
-        _write(Path(invocation.out_dir), csv_text)
+        _write(Path(invocation.out_dir), rows)
     else:
-        _print(csv_text)
+        _print(rows)
     return 0
 
 

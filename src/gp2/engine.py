@@ -27,7 +27,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecConfig:
     backend: str = "chain"            # 'chain' or 'index_scan'
     root_mode: str = "preserve"       # 'preserve' or 'reflect'
@@ -421,6 +421,7 @@ class _Ctx:
 
 
 def exec_command(cmd, g: Graph, cfg: ExecConfig) -> int:
+    g.minimal_gc = cfg.minimal_gc
     try:
         return cmd.run(_Ctx(g, ChangeStack(), cfg))
     finally:
@@ -460,26 +461,30 @@ class Executable:
     def run(self, g: Graph) -> int:
         return exec_command(self.main, g, self.cfg)
 
+    def run_text(self, host_text: str) -> Outcome:
+        """Read a host graph, run on it and print the result: the part of
+        ``run_program`` that one executable can repeat for many hosts."""
+        from . import textio
+
+        try:
+            g = textio.parse_host_graph(host_text)
+        except textio.SourceError as exc:
+            # a bad host graph is a runtime problem, not a validation one
+            return Outcome("program_error", diagnostic=str(exc))
+        try:
+            status = self.run(g)
+        except EvalError as exc:
+            return Outcome("program_error", diagnostic=str(exc))
+        if status == OK:
+            return Outcome("success", output=textio.print_graph(g), graph=g)
+        return Outcome("fail", diagnostic="program evaluated to fail", graph=g)
+
 
 def run_program(program_text: str, host_text: str, cfg: ExecConfig | None = None) -> Outcome:
     from . import textio
 
-    if cfg is None:
-        cfg = ExecConfig()
     try:
-        parsed = textio.parse_program(program_text)
-        executable = Executable(parsed, cfg)
+        executable = Executable(textio.parse_program(program_text), cfg or ExecConfig())
     except textio.SourceError as exc:
         return Outcome("validation_error", diagnostic=str(exc))
-    try:
-        g = textio.parse_host_graph(host_text, minimal_gc=cfg.minimal_gc)
-    except textio.SourceError as exc:
-        # a bad host graph is a runtime problem, not a validation one
-        return Outcome("program_error", diagnostic=str(exc))
-    try:
-        status = executable.run(g)
-    except EvalError as exc:
-        return Outcome("program_error", diagnostic=str(exc))
-    if status == OK:
-        return Outcome("success", output=textio.print_graph(g), graph=g)
-    return Outcome("fail", diagnostic="program evaluated to fail", graph=g)
+    return executable.run_text(host_text)

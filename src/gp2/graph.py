@@ -25,12 +25,13 @@ The graph journals its own mutations.  While ``Graph.journal`` holds a
 list (a rollback frame, opened by ``engine.ChangeStack``), every
 mutator appends an entry naming its inverse mutator and that mutator's
 arguments, e.g. ``(Graph.relabel_node, node, label)``, so ``undo``
-replays a frame newest first through the same mutators.  A node
+replays a frame newest first through the same mutators.  Undo puts
+every order back: a deleted node or edge is relinked after its old
+predecessors, and a root at its old place in ``root_list``.  A node
 deleted under an open frame is held (``FLAG_IN_STACK``) instead of
-freed, so the handles the entries keep never alias a new node; undoing
-the deletion relinks it where it was, and ``release``, once the
-outermost frame commits, puts it on the free stack.  Entries are
-written and read only in this module.
+freed, so the handles the entries keep never alias a new node;
+``release``, once the outermost frame commits, puts it on the free
+stack.  Entries are written and read only in this module.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class Graph:
         "journal",
     )
 
-    def __init__(self, minimal_gc: bool = False):
+    def __init__(self):
         self.node_slots: list[Node] = []
         self.free_nodes: list[Node] = []
         self.node_head: Optional[Node] = None
@@ -120,7 +121,7 @@ class Graph:
         # index-scan backend skip hole runs without touching records.
         self.live_bytes = bytearray()
         self.iter_steps = 0
-        self.minimal_gc = minimal_gc
+        self.minimal_gc = False             # set by the run, see ExecConfig
         self.journal: Optional[list] = None    # the open rollback frame
 
     # -- nodes ----------------------------------------------------------
@@ -176,26 +177,27 @@ class Graph:
         node.prev = node.next = None
         self.live_bytes[node.slot_index] = 0
         flags = node.flags
-        if flags & FLAG_ROOT:
-            self.root_list.remove(node)
+        root_at = self.root_list.index(node) if flags & FLAG_ROOT else None
+        if root_at is not None:
+            del self.root_list[root_at]
         node.flags = 0
         self.node_count -= 1
         if self.journal is not None:
-            self.journal.append((Graph.restore_node, node, flags, prev, nxt))
+            self.journal.append((Graph.restore_node, node, flags, prev, nxt, root_at))
             node.flags = FLAG_IN_STACK
         elif not self.minimal_gc:
             self.free_nodes.append(node)
 
     def restore_node(self, node: Node, flags: int, prev: Optional[Node],
-                     nxt: Optional[Node]) -> None:
-        """Relink a held node with the flags it had when it was deleted,
-        between the chain neighbours it had then: undo replays newest
-        first, so they are neighbours again."""
+                     nxt: Optional[Node], root_at: Optional[int]) -> None:
+        """Relink a held node with its old flags between its old chain
+        neighbours, and a root at its old place in ``root_list``: undo
+        replays newest first, so both are as they were after the deletion."""
         node.flags = flags
         self._link_node(node, prev, nxt)
         self.live_bytes[node.slot_index] = 1
-        if flags & FLAG_ROOT:
-            self.root_list.append(node)
+        if root_at is not None:
+            self.root_list.insert(root_at, node)
         self.node_count += 1
 
     # -- edges ----------------------------------------------------------
@@ -216,20 +218,25 @@ class Graph:
             self.journal.append((Graph.delete_edge, edge))
         return edge
 
-    def _link_edge(self, edge: Edge) -> None:
+    def _link_edge(self, edge: Edge, src_prev: Optional[Edge] = None,
+                   tgt_prev: Optional[Edge] = None) -> None:
+        """Link ``edge`` into its endpoints' lists after the given edges,
+        or at the heads when they are None."""
         src, tgt = edge.source, edge.target
-        head = src.out_head
-        edge.src_prev = None
-        edge.src_next = head
-        if head is not None:
-            head.src_prev = edge
-        src.out_head = edge
-        head = tgt.in_head
-        edge.tgt_prev = None
-        edge.tgt_next = head
-        if head is not None:
-            head.tgt_prev = edge
-        tgt.in_head = edge
+        if src_prev is None:
+            nxt, src.out_head = src.out_head, edge
+        else:
+            nxt, src_prev.src_next = src_prev.src_next, edge
+        edge.src_prev, edge.src_next = src_prev, nxt
+        if nxt is not None:
+            nxt.src_prev = edge
+        if tgt_prev is None:
+            nxt, tgt.in_head = tgt.in_head, edge
+        else:
+            nxt, tgt_prev.tgt_next = tgt_prev.tgt_next, edge
+        edge.tgt_prev, edge.tgt_next = tgt_prev, nxt
+        if nxt is not None:
+            nxt.tgt_prev = edge
         src.outdegree += 1
         tgt.indegree += 1
         self.edge_count += 1
@@ -238,31 +245,34 @@ class Graph:
         if not edge.flags & FLAG_IN_GRAPH:
             raise GraphError("edge already deleted")
         src, tgt = edge.source, edge.target
-        prev, nxt = edge.src_prev, edge.src_next
-        if prev is None:
+        src_prev, nxt = edge.src_prev, edge.src_next
+        if src_prev is None:
             src.out_head = nxt
         else:
-            prev.src_next = nxt
+            src_prev.src_next = nxt
         if nxt is not None:
-            nxt.src_prev = prev
-        prev, nxt = edge.tgt_prev, edge.tgt_next
-        if prev is None:
+            nxt.src_prev = src_prev
+        tgt_prev, nxt = edge.tgt_prev, edge.tgt_next
+        if tgt_prev is None:
             tgt.in_head = nxt
         else:
-            prev.tgt_next = nxt
+            tgt_prev.tgt_next = nxt
         if nxt is not None:
-            nxt.tgt_prev = prev
+            nxt.tgt_prev = tgt_prev
         edge.src_prev = edge.src_next = edge.tgt_prev = edge.tgt_next = None
         src.outdegree -= 1
         tgt.indegree -= 1
         edge.flags = 0
         self.edge_count -= 1
         if self.journal is not None:
-            self.journal.append((Graph.restore_edge, edge))
+            self.journal.append((Graph.restore_edge, edge, src_prev, tgt_prev))
 
-    def restore_edge(self, edge: Edge) -> None:
+    def restore_edge(self, edge: Edge, src_prev: Optional[Edge],
+                     tgt_prev: Optional[Edge]) -> None:
+        """Relink a deleted edge after the edges it followed in its
+        endpoints' lists, which undo has put back before it."""
         edge.flags = FLAG_IN_GRAPH
-        self._link_edge(edge)
+        self._link_edge(edge, src_prev, tgt_prev)
 
     # -- in-place updates ------------------------------------------------
 
@@ -276,15 +286,18 @@ class Graph:
             self.journal.append((Graph.remark_node, node, node.mark))
         node.mark = mark
 
-    def set_root(self, node: Node, flag: bool) -> None:
-        if self.journal is not None:
-            self.journal.append((Graph.set_root, node, bool(node.flags & FLAG_ROOT)))
-        if flag and not node.flags & FLAG_ROOT:
+    def set_root(self, node: Node, flag: bool, at: Optional[int] = None) -> None:
+        """Make ``node`` a root or not; undo passes ``at``, its old root-list place."""
+        was_root = bool(node.flags & FLAG_ROOT)
+        if flag and not was_root:
             node.flags |= FLAG_ROOT
-            self.root_list.append(node)
-        elif not flag and node.flags & FLAG_ROOT:
+            self.root_list.insert(len(self.root_list) if at is None else at, node)
+        elif not flag and was_root:
             node.flags &= ~FLAG_ROOT
-            self.root_list.remove(node)
+            at = self.root_list.index(node)
+            del self.root_list[at]
+        if self.journal is not None:
+            self.journal.append((Graph.set_root, node, was_root, at))
 
     # -- the journal ------------------------------------------------------
 

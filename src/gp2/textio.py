@@ -38,16 +38,15 @@ from .graph import (
     NODE_MARKS,
     Graph,
 )
-from .rules import (LabelPattern, PatternEdge, PatternGraph, PatternNode, Rule, RuleError,
-                    nesting, subterms, wrap32)
+from .rules import (VAR_TYPES, LabelPattern, PatternEdge, PatternGraph, PatternNode, Rule,
+                    RuleError, nesting, subterms, wrap32)
 
 KEYWORDS = frozenset((
     "if", "then", "else", "try", "skip", "fail", "break", "where",
-    "not", "and", "or", "edge", "empty", "indeg", "outdeg",
-    "int", "char", "string", "atom", "list",
+    "not", "and", "or", "edge", "empty", "indeg", "outdeg", *VAR_TYPES,
 ))
 
-ALL_MARKS = frozenset(("none", "red", "green", "blue", "grey", "dashed", "any"))
+ALL_MARKS = NODE_MARKS | EDGE_MARKS | {MARK_ANY}
 
 
 class SourceError(Exception):
@@ -229,7 +228,7 @@ def _parse_host_label(ts: _Stream, marks) -> tuple[tuple, str]:
     return atoms, _parse_mark(ts, marks, "{!r} is not a valid mark here")
 
 
-def parse_host_graph(text: str, minimal_gc: bool = False) -> Graph:
+def parse_host_graph(text: str) -> Graph:
     """Read a host graph, checking each item as it is read; until the
     graph is built, only what ``add_node`` and ``add_edge`` take is kept."""
     ts = _Stream(text)
@@ -274,7 +273,7 @@ def parse_host_graph(text: str, minimal_gc: bool = False) -> Graph:
     # Insert in reverse declaration order: printing walks the nodes, and
     # each node's out-edges, newest first, so it reproduces the input's
     # ordering.  Both backends then visit the last-declared node first.
-    g = Graph(minimal_gc=minimal_gc)
+    g = Graph()
     for place in range(len(nodes) - 1, -1, -1):
         nodes[place] = g.add_node(*nodes[place])
     while edges:
@@ -592,7 +591,7 @@ def _parse_rule_decl(ts: _Stream, name_tok: Token) -> Rule:
                 group.append(ts.expect("IDENT"))
             ts.expect(":")
             type_tok = ts.expect("IDENT")
-            if type_tok.value not in ("int", "char", "string", "atom", "list"):
+            if type_tok.value not in VAR_TYPES:
                 raise _error(type_tok, f"unknown variable type {type_tok.value!r}",
                              "semantic")
             for t in group:

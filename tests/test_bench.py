@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from gp2 import bench, corpus, engine, match
-from gp2.engine import OK, ExecConfig, Executable, run_program
+from gp2.engine import OK, ExecConfig, Executable
 from gp2.graph import graphs_isomorphic
 from gp2.textio import parse_host_graph, parse_program, print_graph
+from helpers import executable
 
 
 def counts(g):
@@ -39,7 +42,7 @@ def test_sierpinski_counts_follow_recurrence():
 
 
 def _engine_output(name, seed):
-    out = run_program(corpus.load_program(name), f"[ (0 (R), {seed}) | ]")
+    out = executable(name).run_text(f"[ (0 (R), {seed}) | ]")
     assert out.status == "success", (name, seed, out.diagnostic)
     return parse_host_graph(out.output)
 
@@ -123,36 +126,20 @@ def test_reference_slowdown_sits_in_quadratic_band():
     assert bench.classify([r]) == "~quadratic"
 
 
-def test_csv_round_trip():
-    assert bench.emit_csv([]).strip() == ",".join(bench.CSV_COLUMNS)
+def test_json_round_trip():
     samples = bench.run_bench(
         "is_discrete", corpus.load_program("is_discrete"),
-        [bench.parse_spec("discrete:30")], ["chain"], reps=2)
-    text = bench.emit_csv(samples)
-    assert len(text.splitlines()) == 2
-    back = bench.parse_csv(text)
-    assert len(back) == 1
-    s, b = samples[0], back[0]
-    assert (b.program, b.spec, b.nodes, b.edges, b.backend, b.mode, b.reps) == \
-        (s.program, s.spec, s.nodes, s.edges, s.backend, s.mode, s.reps)
-    assert abs(b.median_ms - s.median_ms) < 0.01
-
-
-def test_config_parsing():
-    cfg = bench.parse_config(
-        "program = is_discrete\n"
-        "specs = discrete:100, discrete:200\n"
-        "backends = chain index_scan\n"
-        "reps = 5\n"
-        "mode = preserve\n")
-    assert cfg.program == "is_discrete"
-    assert len(cfg.specs) == 2
-    assert cfg.backends == ["chain", "index_scan"]
-    assert cfg.reps == 5
-    with pytest.raises(bench.BenchError):
-        bench.parse_config("specs = discrete:10\n")
-    with pytest.raises(bench.BenchError):
-        bench.parse_config("program = x\nspecs = discrete:10\nbackends = turbo\n")
+        [bench.parse_spec("discrete:30"), bench.parse_spec("grid:2x3")],
+        ["chain", "index_scan"], reps=2)
+    text = bench.rows_json(samples)
+    assert len(text.splitlines()) == 2 + len(samples)     # one row a line
+    rows = json.loads(text)
+    assert [(r["spec"], r["backend"]) for r in rows] == [
+        ("discrete:30", "chain"), ("discrete:30", "index_scan"),
+        ("grid:2x3", "chain"), ("grid:2x3", "index_scan")]
+    back = [bench.BenchSample(**{**r, "spec": bench.parse_spec(r["spec"])}) for r in rows]
+    assert back == samples
+    assert json.loads(bench.rows_json([])) == []
 
 
 def test_ratio_report_groups():
@@ -280,7 +267,7 @@ def test_examined_candidates_grow_linearly(
 
 
 def _output(program, host_text, backend):
-    out = run_program(corpus.load_program(program), host_text, ExecConfig(backend=backend))
+    out = executable(program, ExecConfig(backend=backend)).run_text(host_text)
     assert out.status == "success", (program, backend, out.diagnostic)
     return out.output
 

@@ -1,4 +1,5 @@
 import errno
+import json
 import os
 import subprocess
 import sys
@@ -46,10 +47,14 @@ def test_unknown_flag_and_arity_errors():
 
 
 def test_bench_subcommand_parse():
-    inv = parse_args(["bench", "cfg.txt"])
-    assert inv.subcommand == "bench" and inv.paths == ["cfg.txt"]
-    inv = parse_args(["bench", "cfg.txt", "-o", "out.csv"])
-    assert inv.out_dir == "out.csv"
+    inv = parse_args(["bench", "is_discrete", "discrete:4"])
+    assert inv.subcommand == "bench" and inv.paths == ["is_discrete", "discrete:4"]
+    inv = parse_args(["bench", "is_discrete", "discrete:4", "-o", "out.json"])
+    assert inv.out_dir == "out.json"
+    inv = parse_args(["bench", "-o", "out.json", "is_discrete", "discrete:4"])
+    assert inv.out_dir == "out.json" and inv.paths == ["is_discrete", "discrete:4"]
+    with pytest.raises(UsageError, match="-o needs a file argument"):
+        parse_args(["bench", "is_discrete", "discrete:4", "-o"])
 
 
 def _write(tmp_path, name, text):
@@ -100,9 +105,10 @@ def test_validate_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [["-p"], ["bench"]], ids=["validate", "bench"])
+@pytest.mark.parametrize("argv", [lambda f: ["-p", f], lambda f: ["bench", f, "discrete:4"]],
+                         ids=["validate", "bench"])
 def test_missing_file_is_usage_error(tmp_path, capsys, argv):
-    assert main(argv + [str(tmp_path / "absent")]) == 1
+    assert main(argv(str(tmp_path / "absent"))) == 1
     assert capsys.readouterr().err.startswith("usage error: cannot read ")
 
 
@@ -124,39 +130,29 @@ def test_output_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_bench_output_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
-    cfg = _write(tmp_path, "bench.txt",
-                 "program = is_discrete\nspecs = discrete:4\nreps = 1\n")
-    assert main(["bench", cfg, "-o", str(tmp_path)]) == 1
+    assert main(["bench", "is_discrete", "discrete:4", "-o", str(tmp_path)]) == 1
     assert capsys.readouterr().err == \
         f"usage error: cannot write {tmp_path}: Is a directory\n"
 
 
 def test_bench_cli_end_to_end(tmp_path, capsys):
-    cfg = _write(tmp_path, "bench.txt",
-                 "program = is_discrete\n"
-                 "specs = discrete:40 discrete:80\n"
-                 "backends = chain\n"
-                 "reps = 4\n")
-    out_file = tmp_path / "r.csv"
-    assert main(["bench", cfg, "-o", str(out_file)]) == 0
-    lines = out_file.read_text().splitlines()
-    assert lines[0].startswith("program,kind,params")
-    assert len(lines) == 3
-    assert lines[1].count(";") == 3  # 4 reps recorded
+    out_file = tmp_path / "r.json"
+    assert main(["bench", "is_discrete", "discrete:40", "discrete:80",
+                 "-o", str(out_file)]) == 0
+    rows = json.loads(out_file.read_text())
+    assert [(r["spec"], r["backend"]) for r in rows] == [
+        ("discrete:40", "chain"), ("discrete:40", "index_scan"),
+        ("discrete:80", "chain"), ("discrete:80", "index_scan")]
+    for r in rows:
+        assert r["mode"] == "preserve" and r["reps"] == len(r["all_ms"]) == 3
+        assert r["outcome"] == "success" and r["spec"] == f"discrete:{r['nodes']}"
     assert capsys.readouterr().out == ""
 
 
-def test_bench_cli_bad_config(tmp_path, capsys):
-    cfg = _write(tmp_path, "bench.txt", "program = is_discrete\n")
-    assert main(["bench", cfg]) == 1
-    assert "configuration" in capsys.readouterr().err
-
-
-def test_bench_cli_non_integer_reps_is_a_config_error(tmp_path, capsys):
-    cfg = _write(tmp_path, "bench.txt",
-                 "program = is_discrete\nspecs = discrete:40\nreps = x\n")
-    assert main(["bench", cfg]) == 1
-    assert "reps must be an integer" in capsys.readouterr().err
+def test_bench_cli_bad_config(capsys):
+    assert main(["bench", "is_discrete"]) == 1
+    assert capsys.readouterr().err == \
+        "usage error: bench takes a program and at least one generator spec\n"
 
 
 @pytest.mark.parametrize("mode", ["-p", "-r", "-h", "run-program", "run-host", "bench"])
@@ -165,10 +161,9 @@ def test_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, mode):
     bad.write_bytes(b"[ (0, \xff) | ]")
     prog = _write(tmp_path, "p.gp2", "Main = skip")
     host = _write(tmp_path, "h.host", "[ | ]")
-    cfg = _write(tmp_path, "b.txt", f"program = {bad}\nspecs = discrete:4\nreps = 1\n")
     argv = {"-p": ["-p", str(bad)], "-r": ["-r", str(bad)], "-h": ["-h", str(bad)],
             "run-program": [str(bad), host], "run-host": [prog, str(bad)],
-            "bench": ["bench", cfg]}[mode]
+            "bench": ["bench", str(bad), "discrete:4"]}[mode]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot read {bad}: ") and err.count("\n") == 1
@@ -181,11 +176,21 @@ def test_five_thousand_digit_literal_is_a_lex_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", ["tree:40", "sierpinski:100000000"])
-def test_bench_spec_too_large_is_a_config_error(tmp_path, capsys, spec):
-    cfg = _write(tmp_path, "b.txt", f"program = is_discrete\nspecs = {spec}\nreps = 1\n")
-    assert main(["bench", cfg]) == 1
+def test_bench_spec_too_large_is_a_config_error(capsys, spec):
+    assert main(["bench", "is_discrete", spec]) == 1
     assert capsys.readouterr().err == \
         "bad bench configuration: refusing to generate more than 50000000 nodes\n"
+
+
+def test_bench_checks_specs_before_reading_the_program(tmp_path, capsys):
+    assert main(["bench", str(tmp_path / "absent"), "discrete:4", "blob:3"]) == 1
+    assert capsys.readouterr().err == "bad bench configuration: unknown graph kind 'blob'\n"
+
+
+def test_bench_evaluation_error_is_a_program_error(tmp_path, capsys):
+    prog = _write(tmp_path, "p.gp2", "Main = r\nr(x:list)\n[ (1, x) | ] => [ (1, 1 / 0) | ]")
+    assert main(["bench", prog, "discrete:3"]) == 2
+    assert capsys.readouterr().err == "in rule 'r': division by zero\n"
 
 
 def test_help(capsys):
@@ -219,8 +224,8 @@ def test_stdout_write_error_is_a_usage_error(tmp_path, sink, mode):
     # a 2,000-node graph overflows the output buffer, a help text does not
     host = "[ " + " ".join(f"({i}, {i})" for i in range(2000)) + " | ]"
     run = [_write(tmp_path, "p.gp2", "Main = skip"), _write(tmp_path, "h.host", host)]
-    cfg = _write(tmp_path, "b.txt", "program = is_discrete\nspecs = discrete:4\nreps = 1\n")
-    argv = {"run": run, "run-f": ["-f", *run], "bench": ["bench", cfg], "help": ["--help"]}
+    argv = {"run": run, "run-f": ["-f", *run], "bench": ["bench", "is_discrete", "discrete:4"],
+            "help": ["--help"]}
     src = Path(gp2.__file__).resolve().parent.parent
     stdout, code = sink()
     with stdout:

@@ -4,13 +4,15 @@ import time
 import pytest
 
 from gp2 import corpus
-from gp2.engine import ExecConfig, run_program
+from gp2.engine import ExecConfig
 from gp2.graph import Graph, graphs_isomorphic
 from gp2.textio import parse_host_graph, parse_program, print_graph
+from helpers import executable
 
 
 def _run(name, host_text, **cfg):
-    return run_program(corpus.load_program(name), host_text, ExecConfig(**cfg))
+    # one executable per (program, config), reused across hosts
+    return executable(name, ExecConfig(**cfg)).run_text(host_text)
 
 
 def random_unmarked_host(rng, max_nodes=10, labelled=False) -> Graph:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gp2 import corpus
+from gp2 import bench, corpus
 from gp2.engine import (
     BROKE,
     FAILED,
@@ -28,6 +28,7 @@ from gp2.graph import FLAG_ROOT, Graph, check_consistency, graphs_isomorphic
 from gp2.match import find_match
 from gp2.rules import EvalError
 from gp2.textio import SourceError, parse_host_graph, parse_program, print_graph
+from helpers import executable
 
 
 def _program(name):
@@ -199,6 +200,12 @@ def test_nested_frames_fold_into_parent():
     assert g.nodes() == [base]
 
 
+def _lists(g):
+    """Every live node's out- and in-edge list, and the root list, in order."""
+    return ([(list(g.out_edges(n)), list(g.in_edges(n))) for n in g.nodes()],
+            list(g.root_list))
+
+
 def test_random_journaled_mutations_undo_exactly():
     rng = random.Random(4242)
     for _ in range(100):
@@ -213,6 +220,7 @@ def test_random_journaled_mutations_undo_exactly():
             edges.append(g.add_edge(rng.choice(live), rng.choice(live)))
         before = _snapshot(g)
         order = g.nodes()
+        lists = _lists(g)
         retained = list(live)
         retained_fields = [(n.label, n.mark, n.is_root) for n in retained]
 
@@ -241,6 +249,7 @@ def test_random_journaled_mutations_undo_exactly():
         stack.undo_frame(g)
         assert _snapshot(g) == before
         assert g.nodes() == order
+        assert _lists(g) == lists
         assert graphs_isomorphic(g, copy)
         for node, fields in zip(retained, retained_fields):
             assert node.in_graph
@@ -380,6 +389,29 @@ def test_failed_try_restores_the_node_order(backend):
     check_consistency(out.graph)
 
 
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+def test_failed_try_restores_the_edge_order(backend):
+    # the deleted edge is relinked after its old neighbours in both lists
+    text = "Main = try (d; fail)\nd() [ (1, 0) (2, 0) | (0, 1, 2, 2) ] => [ (1, 0) (2, 0) | ]"
+    host = "[ (0, 0) (1, 0) | (0, 0, 1, 1) (1, 0, 1, 2) (2, 0, 1, 3) ]"
+    out = _exec_text(text, host, backend=backend)
+    assert out.status == "success"
+    assert out.output == host
+    check_consistency(out.graph)
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+@pytest.mark.parametrize("main", ["Main = try (u; fail); m", "Main = m"])
+def test_failed_try_restores_the_root_order(backend, main):
+    # the unrooted node goes back to its old place in the root list, so
+    # the next rooted match picks the root it would have picked anyway
+    rules = ("u(x:list) [ (1 (R), x) | ] => [ (1, x) | ]\n"
+             "m(x:list) [ (1 (R), x) | ] => [ (1 (R), x # red) | ]")
+    out = _exec_text(f"{main}\n{rules}", "[ (0 (R), 1) (1 (R), 2) | ]", backend=backend)
+    assert out.output == "[ (0 (R), 1) (1 (R), 2 # red) | ]"
+    check_consistency(out.graph)
+
+
 def test_loop_keeps_last_successful_iteration():
     # countdown decrements to 0 and then fails; the 0 state must survive
     text = ("Main = dec!\n"
@@ -475,12 +507,20 @@ def test_config_validation():
     ExecConfig(minimal_gc=True, fast_shutdown=True)
 
 
+@pytest.mark.parametrize("minimal_gc", [False, True])
+def test_executable_run_takes_the_gc_policy_from_its_config(minimal_gc):
+    cfg = ExecConfig(fast_shutdown=True, minimal_gc=minimal_gc)
+    g = bench.gen_discrete(5)
+    assert executable("is_discrete", cfg).run(g) == OK and g.node_count == 0
+    assert len(g.free_nodes) == (0 if minimal_gc else 5)
+
+
 def _outputs_for_all_configs(name, host_text):
     outs = []
     for backend in ("chain", "index_scan"):
         for fast, mingc in ((False, False), (True, False), (True, True)):
             cfg = ExecConfig(backend=backend, fast_shutdown=fast, minimal_gc=mingc)
-            outs.append(run_program(_maybe_load(name), host_text, cfg))
+            outs.append(executable(name, cfg).run_text(host_text))
     return outs
 
 
@@ -504,10 +544,8 @@ def test_corpus_outputs_identical_across_root_modes_on_unrooted_hosts():
             continue
         for fixture, expected in entry.fixtures:
             host_text = corpus.load_fixture(fixture)
-            a = run_program(_maybe_load(entry.name), host_text,
-                            ExecConfig(root_mode="preserve"))
-            b = run_program(_maybe_load(entry.name), host_text,
-                            ExecConfig(root_mode="reflect"))
+            a = executable(entry.name, ExecConfig(root_mode="preserve")).run_text(host_text)
+            b = executable(entry.name, ExecConfig(root_mode="reflect")).run_text(host_text)
             assert a.status == b.status == expected
             if expected == "success":
                 assert graphs_isomorphic(parse_host_graph(a.output),

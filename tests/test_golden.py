@@ -12,7 +12,8 @@ import json
 from pathlib import Path
 
 from gp2 import corpus
-from gp2.engine import ExecConfig, run_program
+from gp2.engine import ExecConfig
+from helpers import executable
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -46,7 +47,7 @@ def runs():
 
 
 def outcome(name, fixture, cfg):
-    out = run_program(corpus.load_program(name), corpus.load_fixture(fixture), cfg)
+    out = executable(name, cfg).run_text(corpus.load_fixture(fixture))
     text = out.output if out.status == "success" else out.diagnostic
     return [out.status, hashlib.sha1(text.encode()).hexdigest()[:12]]
 
