@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import ConfigError, ExecConfig, run_program
+from .engine import ExecConfig, run_program
 from .rules import EvalError
 from .textio import SourceError, validate
 
@@ -43,14 +43,14 @@ class CliInvocation:
     paths: list[str] = field(default_factory=list)   # validate-graph | run | bench
     config: ExecConfig = field(default_factory=ExecConfig)
     out_dir: str | None = None
-    help: bool = False
+    fast_shutdown: bool = False           # leave the graph to the OS on exit
 
 
 def parse_args(argv: list[str]) -> CliInvocation:
     if not argv:
         raise UsageError("no arguments; see --help")
     if argv[0] == "--help":
-        return CliInvocation("help", help=True)
+        return CliInvocation("help")
     if argv[0] == "bench":
         paths, out = argv[1:], None
         while "-o" in paths:
@@ -101,13 +101,12 @@ def parse_args(argv: list[str]) -> CliInvocation:
         i += 1
     if len(paths) != 2:
         raise UsageError("run mode takes a program file and a host graph file")
-    try:
-        cfg = ExecConfig(backend=backend, root_mode=mode,
-                         fast_shutdown=fast_shutdown, minimal_gc=minimal_gc,
-                         optimize_plans=optimize)
-    except ConfigError as exc:
-        raise UsageError(str(exc))
-    return CliInvocation("run", paths, config=cfg, out_dir=out_dir)
+    if minimal_gc and not fast_shutdown:
+        raise UsageError("minimal garbage collection requires fast shutdown")
+    cfg = ExecConfig(backend=backend, root_mode=mode, minimal_gc=minimal_gc,
+                     optimize_plans=optimize)
+    return CliInvocation("run", paths, config=cfg, out_dir=out_dir,
+                         fast_shutdown=fast_shutdown)
 
 
 def _read(path: str) -> str:
@@ -199,7 +198,7 @@ def _run(invocation: CliInvocation) -> int:
     _print(outcome.output + "\n")
     if invocation.out_dir:
         _write(Path(invocation.out_dir) / "out.host", outcome.output + "\n")
-    if invocation.config.fast_shutdown:
+    if invocation.fast_shutdown:
         # leave the graph to the operating system
         sys.stderr.flush()
         os._exit(0)

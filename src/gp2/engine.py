@@ -1,5 +1,16 @@
 """Program execution: rule application and control constructs.
 
+A command is a tagged tuple, as ``textio`` parses it:
+``('rules', names, loc)``, ``('call', name, loc)``, ``('seq', cmd, ...)``,
+``('if', guard, then, else)``, ``('try', guard, then, else)``,
+``('loop', body)``, ``('skip',)``, ``('fail',)`` and ``('break', loc)``.
+``inline_procedures`` checks a program's commands and expands its calls,
+and ``Executable`` builds the expanded Main once into nested functions
+``run(g, stack)`` that return OK, FAILED or BROKE: each rule set's
+searches are compiled then, and each loop gets a journal frame per
+iteration only when ``effects`` says its body may fail after changing
+the graph.
+
 Rule application follows the deletion-before-insertion discipline:
 left-hand-only edges go first, then left-hand-only nodes, interface
 nodes are updated in place (relabel, remark, re-root), and right-hand
@@ -31,8 +42,7 @@ class ConfigError(Exception):
 class ExecConfig:
     backend: str = "chain"            # 'chain' or 'index_scan'
     root_mode: str = "preserve"       # 'preserve' or 'reflect'
-    fast_shutdown: bool = False
-    minimal_gc: bool = False
+    minimal_gc: bool = False          # deleted nodes are never reused
     optimize_plans: bool = True
 
     def __post_init__(self):
@@ -40,226 +50,42 @@ class ExecConfig:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.root_mode not in ("preserve", "reflect"):
             raise ConfigError(f"unknown root mode {self.root_mode!r}")
-        if self.minimal_gc and not self.fast_shutdown:
-            raise ConfigError("minimal garbage collection requires fast shutdown")
 
 
-# -- command AST ---------------------------------------------------------
+# -- commands ------------------------------------------------------------------
 
 
-class Command:
-    __slots__ = ()
+_COMPOUND = ("seq", "if", "try", "loop")     # the tags whose fields are commands
 
 
-class RuleSet(Command):
-    __slots__ = ("names", "loc", "rules")
-
-    def __init__(self, names, loc=None):
-        self.names = names
-        self.loc = loc
-        self.rules: list[Rule] = []
-
-    def run(self, ctx):
-        g = ctx.graph
-        try:
-            for rule in self.rules:
-                m = find_match(rule, g, ctx.mode, ctx.backend, ctx.optimize)
-                if m is not None:
-                    apply_rule(rule, m, g)
-                    return OK
-        except EvalError as exc:
-            raise EvalError(f"in rule {rule.name!r}: {exc}") from exc
-        except RecursionError:
-            # label evaluation recurses on label nesting, and runs deeper
-            # in the stack than the parser did
-            raise EvalError(f"in rule {rule.name!r}: nesting too deep") from None
-        return FAILED
-
-
-class ProcCall(Command):
-    """Placeholder for a named call; inlining replaces it."""
-
-    __slots__ = ("name", "loc")
-
-    def __init__(self, name, loc=None):
-        self.name = name
-        self.loc = loc
-
-    def run(self, ctx):
-        raise RuntimeError(f"procedure call {self.name!r} was never inlined")
-
-
-class Seq(Command):
-    __slots__ = ("commands",)
-
-    def __init__(self, commands):
-        self.commands = commands
-
-    def run(self, ctx):
-        for cmd in self.commands:
-            st = cmd.run(ctx)
-            if st != OK:
-                return st
-        return OK
-
-
-class If(Command):
-    __slots__ = ("guard", "then_cmd", "else_cmd")
-
-    def __init__(self, guard, then_cmd, else_cmd):
-        self.guard = guard
-        self.then_cmd = then_cmd
-        self.else_cmd = else_cmd
-
-    def run(self, ctx):
-        ctx.stack.open_frame(ctx.graph)
-        st = self.guard.run(ctx)
-        ctx.stack.undo_frame(ctx.graph)
-        if st == BROKE:
-            return BROKE
-        branch = self.then_cmd if st == OK else self.else_cmd
-        return branch.run(ctx)
-
-
-class Try(Command):
-    __slots__ = ("guard", "then_cmd", "else_cmd")
-
-    def __init__(self, guard, then_cmd, else_cmd):
-        self.guard = guard
-        self.then_cmd = then_cmd
-        self.else_cmd = else_cmd
-
-    def run(self, ctx):
-        ctx.stack.open_frame(ctx.graph)
-        st = self.guard.run(ctx)
-        if st == FAILED:
-            ctx.stack.undo_frame(ctx.graph)
-            return self.else_cmd.run(ctx)
-        ctx.stack.commit_frame(ctx.graph)
-        if st == BROKE:
-            return BROKE
-        return self.then_cmd.run(ctx)
-
-
-class Loop(Command):
-    __slots__ = ("body", "needs_frame")
-
-    def __init__(self, body):
-        self.body = body
-        # Safe default; prepare_commands() refines it so loops whose
-        # bodies can only fail before mutating skip per-iteration frames.
-        self.needs_frame = True
-
-    def run(self, ctx):
-        body = self.body
-        stack = ctx.stack
-        if self.needs_frame:
-            g = ctx.graph
-            while True:
-                stack.open_frame(g)
-                st = body.run(ctx)
-                if st == OK:
-                    stack.commit_frame(g)
-                    continue
-                if st == FAILED:
-                    stack.undo_frame(g)
-                else:
-                    stack.commit_frame(g)
-                return OK
-        while True:
-            st = body.run(ctx)
-            if st != OK:
-                return OK
-
-
-class Skip(Command):
-    __slots__ = ()
-
-    def run(self, ctx):
-        return OK
-
-
-class Fail(Command):
-    __slots__ = ()
-
-    def run(self, ctx):
-        return FAILED
-
-
-class Break(Command):
-    __slots__ = ("loc",)
-
-    def __init__(self, loc=None):
-        self.loc = loc
-
-    def run(self, ctx):
-        return BROKE
-
-
-# -- static analysis -------------------------------------------------------
-
-
-def may_fail(cmd) -> bool:
-    if isinstance(cmd, (RuleSet, Fail)):
-        return True
-    if isinstance(cmd, Seq):
-        return any(may_fail(c) for c in cmd.commands)
-    if isinstance(cmd, (If, Try)):
-        return may_fail(cmd.then_cmd) or may_fail(cmd.else_cmd)
-    return False     # Skip, Break, Loop
-
-
-def may_mutate(cmd) -> bool:
-    if isinstance(cmd, RuleSet):
-        return True
-    if isinstance(cmd, Seq):
-        return any(may_mutate(c) for c in cmd.commands)
-    if isinstance(cmd, Loop):
-        return may_mutate(cmd.body)
-    if isinstance(cmd, If):
-        # guard effects are always rolled back
-        return may_mutate(cmd.then_cmd) or may_mutate(cmd.else_cmd)
-    if isinstance(cmd, Try):
-        return may_mutate(cmd.guard) or may_mutate(cmd.then_cmd) or \
-            may_mutate(cmd.else_cmd)
-    return False
-
-
-def fails_cleanly(cmd) -> bool:
-    """True when a failure of cmd implies it has not changed the graph."""
-    if isinstance(cmd, (RuleSet, Skip, Fail, Break, Loop)):
-        return True
-    if isinstance(cmd, Seq):
-        mutated = False
-        for c in cmd.commands:
-            if may_fail(c) and (mutated or not fails_cleanly(c)):
-                return False
-            if may_mutate(c):
-                mutated = True
-        return True
-    if isinstance(cmd, If):
-        return fails_cleanly(cmd.then_cmd) and fails_cleanly(cmd.else_cmd)
-    if isinstance(cmd, Try):
-        ok_path = not may_fail(cmd.then_cmd) or \
-            (fails_cleanly(cmd.then_cmd) and not may_mutate(cmd.guard))
-        return ok_path and fails_cleanly(cmd.else_cmd)
-    return False
-
-
-# -- inlining and preparation ------------------------------------------------
-
-
-def _walk(cmd):
-    yield cmd
-    if isinstance(cmd, Seq):
-        for c in cmd.commands:
-            yield from _walk(c)
-    elif isinstance(cmd, (If, Try)):
-        yield from _walk(cmd.guard)
-        yield from _walk(cmd.then_cmd)
-        yield from _walk(cmd.else_cmd)
-    elif isinstance(cmd, Loop):
-        yield from _walk(cmd.body)
+def effects(cmd) -> tuple[bool, bool, bool]:
+    """Whether ``cmd`` may fail, whether it may change the graph, and
+    whether a failure of it implies it has not changed the graph; for
+    the inlined tree, which has no calls."""
+    tag = cmd[0]
+    if tag == "rules":
+        return True, True, True
+    if tag == "fail":
+        return True, False, True
+    if tag in ("skip", "break"):
+        return False, False, True
+    if tag == "loop":
+        return False, effects(cmd[1])[1], True
+    if tag == "seq":
+        fail = mutate = False
+        clean = True
+        for c in cmd[1:]:
+            f, m, c_clean = effects(c)
+            if f and (mutate or not c_clean):
+                clean = False
+            fail, mutate = fail or f, mutate or m
+        return fail, mutate, clean
+    (_, g_mutate, _), (t_fail, t_mutate, t_clean), (e_fail, e_mutate, e_clean) = \
+        map(effects, cmd[1:])
+    if tag == "if":        # guard effects are always rolled back
+        return t_fail or e_fail, t_mutate or e_mutate, t_clean and e_clean
+    ok_path = not t_fail or (t_clean and not g_mutate)
+    return t_fail or e_fail, g_mutate or t_mutate or e_mutate, ok_path and e_clean
 
 
 def inline_procedures(program):
@@ -279,15 +105,22 @@ def inline_procedures(program):
         raise SourceError("semantic", line, col, message)
 
     procedures, rules = program.procedures, program.rules
+
+    def check(cmd):
+        tag = cmd[0]
+        if tag == "rules":
+            for name in cmd[1]:
+                if name not in rules:
+                    err(cmd[2], f"unknown rule {name!r} in rule-set call")
+        elif tag == "call":
+            if cmd[1] not in procedures and cmd[1] not in rules:
+                err(cmd[2], f"call of undeclared name {cmd[1]!r}")
+        elif tag in _COMPOUND:
+            for c in cmd[1:]:
+                check(c)
+
     for body in (*procedures.values(), program.main):
-        for cmd in _walk(body):
-            if isinstance(cmd, RuleSet):
-                for name in cmd.names:
-                    if name not in rules:
-                        err(cmd.loc, f"unknown rule {name!r} in rule-set call")
-            elif isinstance(cmd, ProcCall):
-                if cmd.name not in procedures and cmd.name not in rules:
-                    err(cmd.loc, f"call of undeclared name {cmd.name!r}")
+        check(body)
 
     # A procedure is expanded once per loop context, and the result is
     # shared by its call sites.  It enters ``expanded`` only when its
@@ -296,46 +129,117 @@ def inline_procedures(program):
     active: set[str] = set()
 
     def expand(cmd, in_loop):
-        if isinstance(cmd, ProcCall):
-            if cmd.name not in procedures:
-                return RuleSet([cmd.name], cmd.loc)
-            key = (cmd.name, in_loop)
+        tag = cmd[0]
+        if tag == "call":
+            _, name, loc = cmd
+            if name not in procedures:
+                return ("rules", (name,), loc)
+            key = (name, in_loop)
             if key not in expanded:
-                if cmd.name in active:
-                    err(cmd.loc, f"recursive procedure {cmd.name!r}")
-                active.add(cmd.name)
-                expanded[key] = expand(procedures[cmd.name], in_loop)
-                active.discard(cmd.name)
+                if name in active:
+                    err(loc, f"recursive procedure {name!r}")
+                active.add(name)
+                expanded[key] = expand(procedures[name], in_loop)
+                active.discard(name)
             return expanded[key]
-        if isinstance(cmd, Break) and not in_loop:
-            err(cmd.loc, "break outside of any loop")
-        if isinstance(cmd, Seq):
-            return Seq([expand(c, in_loop) for c in cmd.commands])
-        if isinstance(cmd, If):
-            return If(expand(cmd.guard, in_loop), expand(cmd.then_cmd, in_loop),
-                      expand(cmd.else_cmd, in_loop))
-        if isinstance(cmd, Try):
-            return Try(expand(cmd.guard, in_loop), expand(cmd.then_cmd, in_loop),
-                       expand(cmd.else_cmd, in_loop))
-        if isinstance(cmd, Loop):
-            return Loop(expand(cmd.body, True))
+        if tag == "break" and not in_loop:
+            err(cmd[1], "break outside of any loop")
+        if tag == "loop":
+            return ("loop", expand(cmd[1], True))
+        if tag in _COMPOUND:
+            return (tag, *(expand(c, in_loop) for c in cmd[1:]))
         return cmd
 
     for name in procedures:
-        expand(ProcCall(name), True)
+        expand(("call", name, None), True)
     return expand(program.main, False)
 
 
-def prepare_commands(cmd, rules: dict[str, Rule], optimize: bool) -> None:
-    """Resolve rule names, compile each rule's search (``matcher``), and
-    mark which loops need a per-iteration journal frame."""
-    for c in _walk(cmd):
-        if isinstance(c, RuleSet):
-            c.rules = [rules[name] for name in c.names]
-            for r in c.rules:
-                matcher(r, optimize)
-        elif isinstance(c, Loop):
-            c.needs_frame = not fails_cleanly(c.body)
+def _build(cmd, rules: dict[str, Rule], cfg: ExecConfig):
+    """``cmd`` as a function ``run(g, stack)`` that returns OK, FAILED or
+    BROKE.  Each rule's search is compiled here, and each loop is built
+    with a journal frame per iteration only if its body may fail after
+    changing the graph."""
+    tag = cmd[0]
+    if tag == "rules":
+        return _rule_set([rules[name] for name in cmd[1]], cfg)
+    if tag == "seq":
+        return _seq([_build(c, rules, cfg) for c in cmd[1:]])
+    if tag in ("if", "try"):
+        return _branch(tag == "try", *(_build(c, rules, cfg) for c in cmd[1:]))
+    if tag == "loop":
+        return _loop(_build(cmd[1], rules, cfg), not effects(cmd[1])[2])
+    status = {"skip": OK, "fail": FAILED, "break": BROKE}[tag]
+    return lambda g, stack: status
+
+
+def _rule_set(chosen: list[Rule], cfg: ExecConfig):
+    mode, backend, optimize = cfg.root_mode, cfg.backend, cfg.optimize_plans
+    for rule in chosen:
+        matcher(rule, optimize)
+
+    def run(g, stack):
+        try:
+            for rule in chosen:
+                m = find_match(rule, g, mode, backend, optimize)
+                if m is not None:
+                    apply_rule(rule, m, g)
+                    return OK
+        except EvalError as exc:
+            raise EvalError(f"in rule {rule.name!r}: {exc}") from exc
+        except RecursionError:
+            # label evaluation recurses on label nesting, and runs deeper
+            # in the stack than the parser did
+            raise EvalError(f"in rule {rule.name!r}: nesting too deep") from None
+        return FAILED
+    return run
+
+
+def _seq(parts):
+    def run(g, stack):
+        for part in parts:
+            st = part(g, stack)
+            if st != OK:
+                return st
+        return OK
+    return run
+
+
+def _branch(keep: bool, guard, then_run, else_run):
+    """``if`` (``keep`` false) or ``try``: the guard runs in a frame, which
+    only a ``try`` whose guard did not fail commits."""
+    def run(g, stack):
+        stack.open_frame(g)
+        st = guard(g, stack)
+        if keep and st != FAILED:
+            stack.commit_frame(g)
+        else:
+            stack.undo_frame(g)
+        if st == BROKE:
+            return BROKE
+        return (then_run if st == OK else else_run)(g, stack)
+    return run
+
+
+def _loop(body, framed: bool):
+    if not framed:
+        def run(g, stack):
+            while body(g, stack) == OK:
+                pass
+            return OK
+        return run
+
+    def run_framed(g, stack):
+        while True:
+            stack.open_frame(g)
+            st = body(g, stack)
+            if st == FAILED:
+                stack.undo_frame(g)
+                return OK
+            stack.commit_frame(g)
+            if st == BROKE:
+                return OK
+    return run_framed
 
 
 # -- the change journal -------------------------------------------------------
@@ -409,25 +313,6 @@ def apply_rule(rule: Rule, m, g: Graph) -> None:
 # -- whole-program execution -----------------------------------------------------
 
 
-class _Ctx:
-    __slots__ = ("graph", "stack", "mode", "backend", "optimize")
-
-    def __init__(self, graph, stack, cfg: ExecConfig):
-        self.graph = graph
-        self.stack = stack
-        self.mode = cfg.root_mode
-        self.backend = cfg.backend
-        self.optimize = cfg.optimize_plans
-
-
-def exec_command(cmd, g: Graph, cfg: ExecConfig) -> int:
-    g.minimal_gc = cfg.minimal_gc
-    try:
-        return cmd.run(_Ctx(g, ChangeStack(), cfg))
-    finally:
-        g.journal = None        # an evaluation error leaves its frames open
-
-
 class Outcome:
     """Result of a whole run: success carries the printed graph, the
     error variants carry a diagnostic."""
@@ -450,16 +335,19 @@ class Outcome:
 
 
 class Executable:
-    __slots__ = ("rules", "main", "cfg")
+    __slots__ = ("main", "cfg", "_run")
 
     def __init__(self, parsed, cfg: ExecConfig):
-        self.rules = parsed.rules
         self.main = parsed.inlined
-        prepare_commands(self.main, self.rules, cfg.optimize_plans)
         self.cfg = cfg
+        self._run = _build(self.main, parsed.rules, cfg)
 
     def run(self, g: Graph) -> int:
-        return exec_command(self.main, g, self.cfg)
+        g.minimal_gc = self.cfg.minimal_gc
+        try:
+            return self._run(g, ChangeStack())
+        finally:
+            g.journal = None        # an evaluation error leaves its frames open
 
     def run_text(self, host_text: str) -> Outcome:
         """Read a host graph, run on it and print the result: the part of

@@ -6,14 +6,14 @@ reached by walking an incident-edge chain of an already-bound node, and
 only pattern components unreachable from any root fall back to global
 node iteration.  That ordering is what confines matching of fast rules
 to the neighbourhood of the host's roots.  Each step carries everything
-the search reads (ids, labels, marks, degrees, edge phases), so the
-plan is built once per rule and setting and cached in ``Rule.plans``.
+the search reads (ids, labels, marks, degrees, edge phases).
 
-``matcher`` compiles each plan to one Python function, cached beside
-it, and ``find_match_steps`` calls that.  The function is the plan
-unrolled into a flat state machine, one block per step with its checks
-written out: a constant label is one tuple comparison, and each
-variable is a local, bound or compared as the plan order fixes.  Each
+``matcher`` compiles each plan to one Python function, once per rule
+and setting, caches both in ``Rule.plans``, and ``find_match_steps``
+calls that function.  It is the plan unrolled into a flat state
+machine, one block per step with its checks written out: a constant
+label is one tuple comparison, and each variable is a local, bound or
+compared as the plan order fixes.  Each
 candidate is checked when it is bound: injectivity, mark, root, degree,
 then label.  A node the rule deletes must have its exact degree (the
 dangling condition), so a dangling candidate is rejected before the
@@ -53,8 +53,7 @@ class Match:
 
 
 def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
-    """The rule's search plan, which ``matcher`` compiles, built once per
-    (rule, optimize) and cached in ``Rule.plans``.
+    """The rule's search plan, which ``matcher`` compiles and caches.
 
     A node step is (kind, pid, label, mark, degree, out_min, in_min)
     with kind 'root' (candidates from the root list) or 'node' (every
@@ -75,9 +74,6 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
     Only nodes no edge reaches get a global step.  Without it the nodes
     come in textual order, then the edges.
     """
-    cached = rule.plans.get(optimize)
-    if cached is not None:
-        return cached[0]
     lhs = rule.lhs
     nodes = lhs.nodes
     deleted = set(rule.deleted)
@@ -141,7 +137,6 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
                           degree[ni], out_min[ni], in_min[ni]))
             bind(ni)
     take_edges()
-    rule.plans[optimize] = (steps, None)
     return steps
 
 
@@ -184,12 +179,11 @@ def matcher(rule: Rule, optimize: bool = True):
     """The rule's search, compiled from its plan on first use and cached
     beside it in ``Rule.plans``: ``search(g, reflect, backend)`` returns
     what ``find_match_steps`` does."""
-    steps, search = rule.plans.get(optimize, (None, None))
-    if search is None:
+    cached = rule.plans.get(optimize)
+    if cached is None:
         steps = compile_plan(rule, optimize)
-        search = _generate(rule, steps, optimize)
-        rule.plans[optimize] = (steps, search)
-    return search
+        cached = rule.plans[optimize] = (steps, _generate(rule, steps, optimize))
+    return cached[1]
 
 
 # Plans longer than this put a guard on each run of this many steps, so

@@ -14,7 +14,9 @@ declarations ``name(vars) [ lhs ] => [ rhs ] where cond``; rule graphs
 reuse the host syntax with expression labels, and interface nodes are
 the ones whose number appears on both sides.  A bidirectional rule edge
 carries the marker ``(B)`` after its id.  Whitespace and newlines are
-insignificant; ``//`` starts a line comment.
+insignificant; ``//`` starts a line comment.  Commands parse to the
+tagged tuples listed in ``engine``, one per construct, with the source
+position of each rule set, call and break.
 
 One compiled pattern scans the text a token at a time, as the parser
 takes them, so errors come in reading order: a lex error is reported
@@ -26,8 +28,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .engine import (Break, Fail, If, Loop, ProcCall, RuleSet, Seq, Skip, Try,
-                     inline_procedures)
+from .engine import inline_procedures
 from .graph import (
     EDGE_MARKS,
     INT32_MAX,
@@ -699,13 +700,13 @@ def _parse_command_seq(ts: _Stream):
     cmds = [_parse_command(ts)]
     while ts.accept(";"):
         cmds.append(_parse_command(ts))
-    return cmds[0] if len(cmds) == 1 else Seq(cmds)
+    return cmds[0] if len(cmds) == 1 else ("seq", *cmds)
 
 
 def _parse_command(ts: _Stream):
     cmd = _parse_command_primary(ts)
     while ts.accept("!"):
-        cmd = Loop(cmd)
+        cmd = ("loop", cmd)
     return cmd
 
 
@@ -722,7 +723,7 @@ def _parse_command_primary(ts: _Stream):
         while ts.accept(","):
             names.append(ts.expect("IDENT"))
         ts.expect("}")
-        return RuleSet([t.value for t in names], (names[0].line, names[0].column))
+        return ("rules", tuple(t.value for t in names), (names[0].line, names[0].column))
     if tok.kind != "IDENT":
         raise _error(tok, f"expected a command, found {describe(tok)}")
     word = tok.value
@@ -733,33 +734,32 @@ def _parse_command_primary(ts: _Stream):
         if then_tok.value != "then":
             raise _error(then_tok, "expected 'then'")
         then_cmd = _parse_command(ts)
-        else_cmd = Skip()
+        else_cmd = ("skip",)
         if ts.accept_word("else"):
             else_cmd = _parse_command(ts)
-        return If(guard, then_cmd, else_cmd)
+        return ("if", guard, then_cmd, else_cmd)
     if word == "try":
         ts.next()
         guard = _parse_command(ts)
-        then_cmd = Skip()
-        else_cmd = Skip()
+        then_cmd = else_cmd = ("skip",)
         if ts.accept_word("then"):
             then_cmd = _parse_command(ts)
         if ts.accept_word("else"):
             else_cmd = _parse_command(ts)
-        return Try(guard, then_cmd, else_cmd)
+        return ("try", guard, then_cmd, else_cmd)
     if word == "skip":
         ts.next()
-        return Skip()
+        return ("skip",)
     if word == "fail":
         ts.next()
-        return Fail()
+        return ("fail",)
     if word == "break":
         ts.next()
-        return Break((tok.line, tok.column))
+        return ("break", (tok.line, tok.column))
     if word in KEYWORDS:
         raise _error(tok, f"expected a command, found {describe(tok)}")
     ts.next()
-    return ProcCall(tok.value, (tok.line, tok.column))
+    return ("call", tok.value, (tok.line, tok.column))
 
 
 # -- programs ------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import gp2
 from gp2 import corpus
-from gp2.cli import CliInvocation, UsageError, main, parse_args
+from gp2.cli import UsageError, main, parse_args
 
 
 def test_parse_validate_modes():
@@ -26,13 +26,16 @@ def test_parse_run_flags():
     assert inv.paths == ["prog", "host"]
 
     inv = parse_args(["-f", "-g", "-q", "prog", "host"])
-    assert inv.config.fast_shutdown and inv.config.minimal_gc
+    assert inv.fast_shutdown and inv.config.minimal_gc
     assert not inv.config.optimize_plans
 
 
-def test_minimal_gc_requires_fast_shutdown():
-    with pytest.raises(UsageError):
+def test_minimal_gc_requires_fast_shutdown(capsys):
+    with pytest.raises(UsageError, match="minimal garbage collection requires fast shutdown"):
         parse_args(["-g", "prog", "host"])
+    assert main(["-g", "prog", "host"]) == 1
+    assert capsys.readouterr().err == \
+        "usage error: minimal garbage collection requires fast shutdown\n"
 
 
 def test_unknown_flag_and_arity_errors():

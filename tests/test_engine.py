@@ -4,24 +4,14 @@ import pytest
 
 from gp2 import bench, corpus
 from gp2.engine import (
-    BROKE,
-    FAILED,
     OK,
     ChangeStack,
     ConfigError,
     ExecConfig,
     Executable,
-    If,
-    Loop,
-    RuleSet,
-    Seq,
-    Skip,
-    Try,
     apply_rule,
-    exec_command,
-    fails_cleanly,
+    effects,
     inline_procedures,
-    prepare_commands,
     run_program,
 )
 from gp2.graph import FLAG_ROOT, Graph, check_consistency, graphs_isomorphic
@@ -43,32 +33,25 @@ def _parsed(name):
 
 
 def test_inline_expands_procedures_transitively():
-    parsed = _parsed("is_bin_dag")
-    ast = inline_procedures(parsed)
-    # Reduce! within the main loop must now contain the Delete rule set
-    names = []
-
-    def collect(cmd):
-        if isinstance(cmd, RuleSet):
-            names.extend(cmd.names)
-        for attr in ("commands",):
-            for sub in getattr(cmd, attr, []):
-                collect(sub)
-        for attr in ("guard", "then_cmd", "else_cmd", "body"):
-            sub = getattr(cmd, attr, None)
-            if sub is not None:
-                collect(sub)
-
-    collect(ast)
-    assert "del22_d" in names and "set_flag" in names and "init" in names
+    # Main = (init; Reduce!; if flag then break)!; if flag then fail     (line 5)
+    # Reduce = up!; try Delete else set_flag                              (line 7)
+    # Delete = {del0, del1, del1_d, del21, del21_d, del22, del22_d}       (line 9)
+    delete = ("rules", ("del0", "del1", "del1_d", "del21", "del21_d", "del22",
+                        "del22_d"), (9, 11))
+    reduce = ("seq", ("loop", ("rules", ("up",), (7, 10))),
+              ("try", delete, ("skip",), ("rules", ("set_flag",), (7, 31))))
+    assert inline_procedures(_parsed("is_bin_dag")) == (
+        "seq",
+        ("loop", ("seq", ("rules", ("init",), (5, 9)), ("loop", reduce),
+                  ("if", ("rules", ("flag",), (5, 27)), ("break", (5, 37)), ("skip",)))),
+        ("if", ("rules", ("flag",), (5, 49)), ("fail",), ("skip",)))
 
 
 def test_two_level_nesting_expands():
     parsed = parse_program(
         "A = B; B\nB = r\nMain = A\nr(x:list)\n[ (1, x) | ] => [ (1, x) | ]")
-    ast = inline_procedures(parsed)
-    assert isinstance(ast, Seq)
-    assert all(isinstance(c, RuleSet) and c.names == ["r"] for c in ast.commands)
+    r = ("rules", ("r",), (2, 5))
+    assert inline_procedures(parsed) == ("seq", r, r)
 
 
 def test_inline_rejects_self_recursion():
@@ -462,27 +445,62 @@ def test_guarded_loop_iterations_roll_back_inside_if():
 
 
 def test_fails_cleanly_analysis():
-    parsed = _parsed("is_bin_dag")
-    ast = inline_procedures(parsed)
-    prepare_commands(ast, parsed.rules, True)
-    main_loop = ast.commands[0]
-    assert isinstance(main_loop, Loop)
-    assert main_loop.needs_frame is False      # body fails only at init
+    # a loop gets a frame per iteration only if its body does not fail cleanly
+    main_loop = inline_procedures(_parsed("is_bin_dag"))[1]
+    assert main_loop[0] == "loop"
+    assert effects(main_loop[1])[2] is True     # body fails only at init
 
-    parsed2 = _parsed("gen_tree")
-    ast2 = inline_procedures(parsed2)
-    prepare_commands(ast2, parsed2.rules, True)
-    outer = ast2.commands[1]
-    assert isinstance(outer, Loop)
-    assert outer.needs_frame is True           # ret can fail after gen! mutated
+    outer = inline_procedures(_parsed("gen_tree"))[2]
+    assert outer[0] == "loop"
+    assert effects(outer[1])[2] is False        # ret can fail after gen! mutated
 
 
-def test_exec_command_direct():
+R = ("rules", ("r",), None)
+SKIP, FAIL = ("skip",), ("fail",)
+
+
+@pytest.mark.parametrize("cmd, expected", [
+    (R, (True, True, True)),
+    (SKIP, (False, False, True)),
+    (FAIL, (True, False, True)),
+    (("break", None), (False, False, True)),
+    (("loop", R), (False, True, True)),
+    (("loop", SKIP), (False, False, True)),
+    (("seq", FAIL, R), (True, True, True)),         # fails before mutating
+    (("seq", R, FAIL), (True, True, False)),        # fails after mutating
+    (("seq", SKIP, ("seq", R, FAIL)), (True, True, False)),
+    (("if", R, SKIP, SKIP), (False, False, True)),  # guard effects roll back
+    (("if", SKIP, ("seq", R, FAIL), SKIP), (True, True, False)),
+    (("try", R, SKIP, SKIP), (False, True, True)),
+    (("try", R, FAIL, SKIP), (True, True, False)),  # then fails after the guard kept
+    (("try", SKIP, R, SKIP), (True, True, True)),
+    (("try", SKIP, SKIP, ("seq", R, FAIL)), (True, True, False)),
+])
+def test_effects_of_each_construct(cmd, expected):
+    assert effects(cmd) == expected
+
+
+def test_executable_run_direct():
     g = Graph()
     g.add_node()
-    cfg = ExecConfig()
-    assert exec_command(Skip(), g, cfg) == OK
-    assert exec_command(Seq([Skip(), Skip()]), g, cfg) == OK
+    for text in ("Main = skip", "Main = skip; skip"):
+        assert Executable(parse_program(text), ExecConfig()).run(g) == OK
+
+
+MARK = "mark(x:list) [ (1, x) | ] => [ (1, x # grey) | ]"
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+@pytest.mark.parametrize("main, expected", [
+    # a guard's break is undone by if and kept by try, and ends the loop
+    ("Main = (if (mark; break) then skip)!", "[ (0, 1) (1, 2) | ]"),
+    ("Main = (try (mark; break))!", "[ (0, 1) (1, 2 # grey) | ]"),
+    ("Main = (try (mark; break) then fail)!; mark", "[ (0, 1 # grey) (1, 2 # grey) | ]"),
+])
+def test_break_in_a_guard(backend, main, expected):
+    out = _exec_text(f"{main}\n{MARK}", "[ (0, 1) (1, 2) | ]", backend=backend)
+    assert out.status == "success"
+    assert out.output == expected
 
 
 def test_an_evaluation_error_closes_the_journal():
@@ -501,15 +519,15 @@ def test_an_evaluation_error_closes_the_journal():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ExecConfig(minimal_gc=True)
-    with pytest.raises(ConfigError):
         ExecConfig(backend="weird")
-    ExecConfig(minimal_gc=True, fast_shutdown=True)
+    with pytest.raises(ConfigError):
+        ExecConfig(root_mode="weird")
+    ExecConfig(minimal_gc=True)
 
 
 @pytest.mark.parametrize("minimal_gc", [False, True])
 def test_executable_run_takes_the_gc_policy_from_its_config(minimal_gc):
-    cfg = ExecConfig(fast_shutdown=True, minimal_gc=minimal_gc)
+    cfg = ExecConfig(minimal_gc=minimal_gc)
     g = bench.gen_discrete(5)
     assert executable("is_discrete", cfg).run(g) == OK and g.node_count == 0
     assert len(g.free_nodes) == (0 if minimal_gc else 5)
@@ -518,8 +536,8 @@ def test_executable_run_takes_the_gc_policy_from_its_config(minimal_gc):
 def _outputs_for_all_configs(name, host_text):
     outs = []
     for backend in ("chain", "index_scan"):
-        for fast, mingc in ((False, False), (True, False), (True, True)):
-            cfg = ExecConfig(backend=backend, fast_shutdown=fast, minimal_gc=mingc)
+        for minimal_gc in (False, True):
+            cfg = ExecConfig(backend=backend, minimal_gc=minimal_gc)
             outs.append(executable(name, cfg).run_text(host_text))
     return outs
 
