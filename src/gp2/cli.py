@@ -195,9 +195,9 @@ def _run(invocation: CliInvocation) -> int:
     if outcome.status != "success":
         print(outcome.diagnostic, file=sys.stderr)
         return outcome.exit_code
-    _print(outcome.output + "\n")
     if invocation.out_dir:
         _write(Path(invocation.out_dir) / "out.host", outcome.output + "\n")
+    _print(outcome.output + "\n")
     if invocation.fast_shutdown:
         # leave the graph to the operating system
         sys.stderr.flush()

@@ -18,9 +18,14 @@ insignificant; ``//`` starts a line comment.  Commands parse to the
 tagged tuples listed in ``engine``, one per construct, with the source
 position of each rule set, call and break.
 
-One compiled pattern scans the text a token at a time, as the parser
-takes them, so errors come in reading order: a lex error is reported
-only once reading reaches it, after any error before it.
+The token reader scans the text a token at a time with one compiled
+pattern, as the parser takes them, so errors come in reading order: a
+lex error is reported only once reading reaches it, after any error
+before it.  Host graphs are first read a whole item per pattern match,
+with the token reader's checks on each item.  At the first item those
+patterns do not cover, or that fails a check, the token reader takes
+over from that item's offset and reads to the end.  Every error is
+therefore raised by the token reader, with its message and position.
 """
 
 from __future__ import annotations
@@ -91,10 +96,10 @@ class _Stream:
 
     __slots__ = ("text", "tok", "resume")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, offset: int = 0):
         self.text = text
         self.tok = Token(None, None, 1, 1)      # taken by the first next()
-        self.resume = (0, 1, 0)
+        self.resume = (offset, text.count("\n", 0, offset) + 1, text.rfind("\n", 0, offset) + 1)
         self.next()
 
     def peek(self) -> Token:
@@ -229,30 +234,103 @@ def _parse_host_label(ts: _Stream, marks) -> tuple[tuple, str]:
     return atoms, _parse_mark(ts, marks, "{!r} is not a valid mark here")
 
 
-def parse_host_graph(text: str) -> Graph:
-    """Read a host graph, checking each item as it is read; until the
-    graph is built, only what ``add_node`` and ``add_edge`` take is kept."""
-    ts = _Stream(text)
-    ts.expect("[")
-    index: dict[int, int] = {}                  # node id -> declaration place
-    nodes: list = []                            # (label, mark, root) per node
-    while ts.accept("("):
-        id_tok = ts.peek()
-        if id_tok.kind == "-":
-            raise _error(id_tok, "node ids must be non-negative integers", "semantic")
-        node_id = ts.expect("INT").value
-        if node_id in index:
-            raise _error(id_tok, f"duplicate node id: {node_id}", "semantic")
-        if node_id > MAX_EXTERNAL_ID:
-            raise _error(id_tok, f"node id out of range: {node_id}", "semantic")
+# The fast reader takes a whole item per match.  Blanks are the lexer's,
+# ids have at most 19 digits and label ints at most 10, so every value
+# converts; a comment, a form feed or a longer int ends fast reading.
+_BLANKS = r"[ \t\r\n]*"
+_ATOM = r'(?:-?\d{1,10}|"[^"\n]*")'
+# An item's label, mark and closing ``)``; the groups are the atoms' text
+# and the mark.  Node items also capture the id and the root marker, edge
+# items the source and target ids.
+_LABEL = (rf"(empty|{_ATOM}(?:{_BLANKS}:{_BLANKS}{_ATOM})*)"
+          rf"(?:{_BLANKS}\#{_BLANKS}(\w+))?{_BLANKS}\)")
+_ID = rf"{_BLANKS}(\d{{1,19}}){_BLANKS}"
+_HOST_OPEN = re.compile(rf"{_BLANKS}\[", re.ASCII)
+_HOST_NODE = re.compile(rf"{_BLANKS}\({_ID}(\({_BLANKS}R{_BLANKS}\){_BLANKS})?,{_BLANKS}{_LABEL}",
+                        re.ASCII)
+_HOST_BAR = re.compile(rf"{_BLANKS}\|", re.ASCII)
+_HOST_EDGE = re.compile(rf"{_BLANKS}\({_BLANKS}\d{{1,19}}{_BLANKS},{_ID},{_ID},{_BLANKS}{_LABEL}",
+                        re.ASCII)
+_HOST_CLOSE = re.compile(rf"{_BLANKS}\]{_BLANKS}\Z", re.ASCII)
+_HOST_ATOM = re.compile(r'(-?\d+)|"([^"\n]*)"', re.ASCII)
+
+
+def _fast_label(text: str) -> Optional[tuple]:
+    """The atoms of a label that ``_LABEL`` matched, or None if one of
+    them fails the check the token reader makes."""
+    if text == "empty":
+        return ()
+    atoms = []
+    for number, string in _HOST_ATOM.findall(text):
+        if number:
+            value = int(number)
+            if not INT32_MIN <= value <= INT32_MAX:
+                return None
+            atoms.append(value)
+        elif string.isprintable():
+            atoms.append(string)
+        else:
+            return None
+    return tuple(atoms)
+
+
+def _read_host_fast(text: str, index: dict, nodes: list, edges: list) -> tuple[int, int]:
+    """Read items one match each while they match and pass every check.
+    Returns the offset where reading stopped and the section there: 0
+    before ``[``, 1 among the nodes, 2 among the edges, 3 when done."""
+    m = _HOST_OPEN.match(text)
+    if not m:
+        return 0, 0
+    offset = m.end()
+    while m := _HOST_NODE.match(text, offset):
+        node_id, root, label, mark = m.groups()
+        node_id, label = int(node_id), _fast_label(label)
+        if node_id in index or node_id > MAX_EXTERNAL_ID or label is None \
+                or mark and mark not in NODE_MARKS:
+            return offset, 1
         index[node_id] = len(nodes)
-        root = _parse_marker(ts, "R", "expected root marker (R)")
-        ts.expect(",")
-        label, mark = _parse_host_label(ts, NODE_MARKS)
-        ts.expect(")")
-        nodes.append((label, mark, root))
-    ts.expect("|")
-    edges = []                  # (source place, target place, label, mark) per edge
+        nodes.append((label, mark or MARK_NONE, root is not None))
+        offset = m.end()
+    m = _HOST_BAR.match(text, offset)
+    if not m:
+        return offset, 1
+    offset = m.end()
+    while m := _HOST_EDGE.match(text, offset):
+        source, target, label, mark = m.groups()
+        source, target = index.get(int(source)), index.get(int(target))
+        label = _fast_label(label)
+        if source is None or target is None or label is None \
+                or mark and mark not in EDGE_MARKS:
+            return offset, 2
+        edges.append((source, target, label, mark or MARK_NONE))
+        offset = m.end()
+    m = _HOST_CLOSE.match(text, offset)
+    return (m.end(), 3) if m else (offset, 2)
+
+
+def _read_host_tokens(ts: _Stream, section: int, index: dict, nodes: list,
+                      edges: list) -> None:
+    """Read the rest of a host graph a token at a time, from ``section``
+    as ``_read_host_fast`` numbers them, checking each item as it is read."""
+    if section == 0:
+        ts.expect("[")
+    if section <= 1:
+        while ts.accept("("):
+            id_tok = ts.peek()
+            if id_tok.kind == "-":
+                raise _error(id_tok, "node ids must be non-negative integers", "semantic")
+            node_id = ts.expect("INT").value
+            if node_id in index:
+                raise _error(id_tok, f"duplicate node id: {node_id}", "semantic")
+            if node_id > MAX_EXTERNAL_ID:
+                raise _error(id_tok, f"node id out of range: {node_id}", "semantic")
+            index[node_id] = len(nodes)
+            root = _parse_marker(ts, "R", "expected root marker (R)")
+            ts.expect(",")
+            label, mark = _parse_host_label(ts, NODE_MARKS)
+            ts.expect(")")
+            nodes.append((label, mark, root))
+        ts.expect("|")
     while ts.accept("("):
         ts.expect("INT")                        # edge id, cosmetic
         ends = []                               # source, target
@@ -271,6 +349,10 @@ def parse_host_graph(text: str) -> Graph:
     if tok.kind != "EOF":
         raise _error(tok, f"unexpected {describe(tok)} after graph")
 
+
+def _build_host(nodes: list, edges: list) -> Graph:
+    """The graph of the items read: ``nodes`` holds (label, mark, root)
+    per node and ``edges`` (source place, target place, label, mark)."""
     # Insert in reverse declaration order: printing walks the nodes, and
     # each node's out-edges, newest first, so it reproduces the input's
     # ordering.  Both backends then visit the last-declared node first.
@@ -281,6 +363,24 @@ def parse_host_graph(text: str) -> Graph:
         source, target, label, mark = edges.pop()
         g.add_edge(nodes[source], nodes[target], label, mark)
     return g
+
+
+def parse_host_graph(text: str) -> Graph:
+    """Read a host graph, checking each item as it is read; until the
+    graph is built, only what ``add_node`` and ``add_edge`` take is kept.
+
+    Items are read one pattern match each.  At the first item that the
+    patterns do not cover (a comment, an odd blank, a long int) or that
+    fails a check, the token reader takes over from that item's offset,
+    its line and column counted from the text, and reads to the end.
+    So every error is found, worded and placed by the token reader."""
+    index: dict[int, int] = {}                  # node id -> declaration place
+    nodes: list = []
+    edges: list = []
+    offset, section = _read_host_fast(text, index, nodes, edges)
+    if section < 3:
+        _read_host_tokens(_Stream(text, offset), section, index, nodes, edges)
+    return _build_host(nodes, edges)
 
 
 def _format_label(label: tuple, mark: str) -> str:

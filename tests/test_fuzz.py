@@ -17,9 +17,10 @@ import signal
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gp2 import corpus
+from gp2 import corpus, textio
 from gp2.cli import main
-from gp2.textio import SourceError, _Stream, parse_host_graph, parse_program, parse_rule
+from gp2.textio import (SourceError, _Stream, parse_host_graph, parse_program, parse_rule,
+                        print_graph)
 
 FUZZ = settings(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -46,6 +47,21 @@ RULES = [
     " where n >= 0 and (s = \"a\" or int(n))",
 ]
 HOSTS = [corpus.load_fixture(f) for e in corpus.ENTRIES.values() for f, _ in e.fixtures]
+# Hosts with every kind of atom, marks, roots, comments and odd blanks;
+# the lexable ones are also mutated with words that add comments and
+# form feeds.
+LEXABLE_HOSTS = [
+    '[ (0 (R), "a b":-3 # grey) // the first node\n  (1, -2147483648:"c" # red)\n'
+    '  (2, empty # none) (3 (R), 2147483647:"":0)\n|\n'
+    '  (0, 0, 1, 7 # dashed) (1, 1, 2, "e":-1 # blue)\r\n  (2, 3, 3, empty)\n]\n',
+    '[\t(5, "x")\t(9 (R), -0)\t|\t(4, 9, 5, 1 # green)\t]',
+]
+RICH_HOSTS = LEXABLE_HOSTS + [
+    "[ (0, 1)\f(1, 2) | (0, 0, 1, empty) ]",
+    "[ (0, 1)\n  (1, 2)\n|\n  (0, 0, 1, empty)\f]",
+]
+HOST_WORDS = PARSER_WORDS + ["\f", "// note\n", '"a:b"', '"\a"', "-5", "(R)", "# grey",
+                            "# dashed", "9223372036854775808"]
 
 R = "\nr(x:list)\n[ (1, x) | ] => [ (1, x) | ]"
 DEEP = (
@@ -143,6 +159,31 @@ def test_rule_parser_raises_only_source_errors(text):
 @given(st.one_of(token_strings, mutated(HOSTS)))
 def test_host_parser_raises_only_source_errors(text):
     _accepts_or_rejects(parse_host_graph, text)
+
+
+def _outcome(parse, text):
+    """The printed graph ``parse`` reads from ``text``, or its error."""
+    try:
+        return print_graph(parse(text))
+    except SourceError as exc:
+        return exc.kind, exc.line, exc.column, exc.message
+
+
+def _read_by_tokens(text):
+    index, nodes, edges = {}, [], []
+    textio._read_host_tokens(_Stream(text), 0, index, nodes, edges)
+    return textio._build_host(nodes, edges)
+
+
+@settings(FUZZ, max_examples=400)
+@given(st.one_of(st.sampled_from(HOSTS + RICH_HOSTS), mutated(HOSTS),
+                 mutated(LEXABLE_HOSTS, HOST_WORDS)))
+@example("[ (0, 1) | ] ]")
+@example('[ (0, 1) | (0, 0, 0, "\a") ]')
+@example("[ (9223372036854775808, empty) | ]")
+@example(f"[ (0, empty) | ({LONG_INT}, 0, 0, empty) ]")
+def test_host_reader_agrees_with_the_token_reader(text):
+    assert _outcome(parse_host_graph, text) == _outcome(_read_by_tokens, text)
 
 
 class _Diverged(BaseException):

@@ -3,9 +3,9 @@ import tracemalloc
 
 import pytest
 
-from gp2 import bench, corpus
+from gp2 import bench, corpus, textio
 from gp2.engine import inline_procedures
-from gp2.graph import graphs_isomorphic
+from gp2.graph import EDGE_MARKS, NODE_MARKS, graphs_isomorphic
 from gp2.textio import (
     SourceError,
     parse_host_graph,
@@ -216,6 +216,74 @@ def test_error_positions_point_into_input():
         assert (err.line, err.column) == (2, 4)
     else:
         raise AssertionError("expected a SourceError")
+
+
+# Each error sits at a later item of a multi-line host; the items before
+# it are read by patterns, and the token reader reports the error.
+HOST_ERRORS_AFTER_FAST_ITEMS = [
+    ('[ (0, 1)\n  (1, 2 # red)\n  (2 (R), "a")\n  (1, 3)\n|\n]',
+     "semantic error at 4:4: duplicate node id: 1"),
+    ("[ (0, 1)\n  (1, 2)\n|\n  (0, 0, 1, empty)\n  (1, 1, 0, 5 # dashed)\n"
+     "  (2, 1, 7, empty)\n]",
+     "semantic error at 6:10: edge refers to unknown node 7"),
+    ('[ (0, 1)\n  (1, -2:"x")\n  (2, 3:2147483648)\n| ]',
+     "semantic error at 3:9: integer does not fit 32 bits"),
+    ("[ (0, 1)\n  (1, 2)\n|\n  (0, 0, 1, empty)\n  (1, 1, 0, -2147483649) ]",
+     "semantic error at 5:13: integer does not fit 32 bits"),
+    ("[ (0, 1)\n  (1, 2 # grey)\n  (2, 3 # dashed)\n| ]",
+     "semantic error at 3:11: 'dashed' is not a valid mark here"),
+    ("[ (0, 1)\n  (1, 2)\n|\n  (0, 0, 1, 1 # dashed)\n  (1, 1, 0, 1 # grey)\n]",
+     "semantic error at 5:17: 'grey' is not a valid mark here"),
+    ("[ (0, 1)\n  (1, 2)\n  (2,\f3)\n| ]",
+     "lex error at 3:6: unexpected character '\\x0c'"),
+    ("[ (0, 1)\n  (1, 2) // the second node\n  (2, 3)\n  (3 4)\n| ]",
+     "syntax error at 4:6: expected ',', found 4"),
+    ("[ (0, 1)\n  (1, 2)\n|\n  (0, 0, 1, empty)\n  (1, 1, 0, empty)\n",
+     "syntax error at 6:1: expected ']', found end of input"),
+]
+
+
+@pytest.mark.parametrize("host, message", HOST_ERRORS_AFTER_FAST_ITEMS)
+def test_host_errors_after_fast_items(host, message, monkeypatch):
+    starts = []
+
+    class Stream(textio._Stream):
+        def __init__(self, text, offset=0):
+            starts.append(offset)
+            super().__init__(text, offset)
+
+    monkeypatch.setattr(textio, "_Stream", Stream)
+    with pytest.raises(SourceError) as err:
+        parse_host_graph(host)
+    assert str(err.value) == message
+    assert "\n" in host[:starts[0]]            # the first line was read by patterns
+
+
+# Every node and edge mark, roots, strings and negative ints.
+RICH_HOST = ('[ (0 (R), "a b":-7 # red) (1, -2147483648:2147483647 # green) '
+             '(2 (R), "" # blue) (3, empty # grey) (4, 5:"x") | '
+             '(0, 0, 1, "e":-1 # dashed) (1, 1, 2, empty # red) (2, 2, 3, 0 # green) '
+             '(3, 3, 0, 1:"y" # blue) (4, 4, 4, empty) ]')
+SMALL_SPECS = ["discrete:5", "tree:3", "grid:3x2", "list:4", "star:5", "sierpinski:2"]
+
+
+def test_small_specs_cover_every_generator():
+    assert {bench.parse_spec(spec).kind for spec in SMALL_SPECS} == set(bench._GENERATORS)
+    g = parse_host_graph(RICH_HOST)
+    assert {n.mark for n in g.nodes()} == NODE_MARKS
+    assert {e.mark for e in g.edges()} == EDGE_MARKS
+
+
+@pytest.mark.parametrize("host", [*SMALL_SPECS, RICH_HOST])
+def test_printed_hosts_are_read_without_the_token_reader(host, monkeypatch):
+    g = parse_host_graph(host) if host == RICH_HOST else bench.generate(bench.parse_spec(host))
+    text = print_graph(g)
+
+    def refuse(*args):
+        raise AssertionError("the token reader was used")
+
+    monkeypatch.setattr(textio, "_Stream", refuse)
+    assert print_graph(parse_host_graph(text)) == text
 
 
 @pytest.mark.parametrize("host", ["[ (², empty) | ]", "[ (١, empty) | ]",
