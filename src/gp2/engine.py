@@ -11,23 +11,29 @@ searches are compiled then, and each loop gets a journal frame per
 iteration only when ``effects`` says its body may fail after changing
 the graph.
 
-Rule application follows the deletion-before-insertion discipline:
-left-hand-only edges go first, then left-hand-only nodes, interface
-nodes are updated in place (relabel, remark, re-root), and right-hand
-items are created last, all through ``Graph``'s mutators.  ``if``/``try``
-guards and loop iterations run inside a ``ChangeStack`` frame, which
-the graph journals its mutations into (see ``graph``), so they can be
-undone exactly; straight-line execution outside any frame journals
-nothing.
+A rule is applied by its applier, which ``match`` generates beside its
+search: it evaluates every right-hand label first, so an EvalError
+changes nothing, then deletes the matched edges and left-hand-only
+nodes, updates interface nodes in place (relabel, remark, re-root) and
+creates right-hand-only items last, all through ``Graph``'s mutators.
+``if``/``try`` guards and loop iterations run inside a ``ChangeStack``
+frame, which the graph journals its mutations into (see ``graph``), so
+they can be undone exactly; straight-line execution outside any frame
+journals nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import FLAG_ROOT, Graph
-from .match import find_match, matcher
+from .graph import Graph
+from .match import applier, find_match, matcher
 from .rules import EvalError, Rule, instantiate_rhs
+
+# instantiate_rhs is not called here; tools that time it read it here.
+__all__ = ["OK", "FAILED", "BROKE", "ConfigError", "ExecConfig", "effects",
+           "inline_procedures", "ChangeStack", "apply_rule", "Outcome",
+           "Executable", "run_program", "instantiate_rhs"]
 
 OK = 0
 FAILED = 1
@@ -187,10 +193,6 @@ def _rule_set(chosen: list[Rule], cfg: ExecConfig):
                     return OK
         except EvalError as exc:
             raise EvalError(f"in rule {rule.name!r}: {exc}") from exc
-        except RecursionError:
-            # label evaluation recurses on label nesting, and runs deeper
-            # in the stack than the parser did
-            raise EvalError(f"in rule {rule.name!r}: nesting too deep") from None
         return FAILED
     return run
 
@@ -283,31 +285,8 @@ class ChangeStack:
 
 def apply_rule(rule: Rule, m, g: Graph) -> None:
     """Replace the matched left-hand side with the instantiated right-hand
-    side.  Evaluation happens first so an evaluation error aborts before
-    any mutation."""
-    nodes, edges = instantiate_rhs(
-        rule, m.assignment, m.node_images, m.edge_images, m.orientations)
-    for host in m.edge_images.values():
-        g.delete_edge(host)
-    images = dict(m.node_images)
-    for pid in rule.deleted:
-        g.delete_node(images[pid])
-    for pn, (label, mark) in zip(rule.rhs.nodes, nodes):
-        host = images.get(pn.pid)
-        if host is None:
-            images[pn.pid] = g.add_node(label, mark, pn.root)
-            continue
-        if host.label != label:
-            g.relabel_node(host, label)
-        if host.mark != mark:
-            g.remark_node(host, mark)
-        if bool(host.flags & FLAG_ROOT) != pn.root:
-            g.set_root(host, pn.root)
-    for pe, (label, mark, flip) in zip(rule.rhs.edges, edges):
-        src, tgt = images[pe.src], images[pe.tgt]
-        if flip:
-            src, tgt = tgt, src
-        g.add_edge(src, tgt, label, mark)
+    side, by the rule's compiled applier."""
+    applier(rule)(m, g)
 
 
 # -- whole-program execution -----------------------------------------------------

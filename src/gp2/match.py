@@ -19,7 +19,9 @@ then label.  A node the rule deletes must have its exact degree (the
 dangling condition), so a dangling candidate is rejected before the
 rule's condition is ever evaluated.  A node the rule keeps must have at
 least as many out- and in-edges as its non-bidirectional left-hand
-edges give it.  The condition runs once every step is bound.
+edges give it.  The condition runs once every step is bound, as inline
+Python; the same source holds the rule's ``applier``, straight-line code
+that evaluates every right-hand label, then makes its mutator calls.
 
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
@@ -33,7 +35,7 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, Graph
-from .rules import Rule, eval_cond, label_match
+from .rules import EvalError, Rule, eval_cond, has_edge, label_match
 
 
 class Match:
@@ -182,8 +184,14 @@ def matcher(rule: Rule, optimize: bool = True):
     cached = rule.plans.get(optimize)
     if cached is None:
         steps = compile_plan(rule, optimize)
-        cached = rule.plans[optimize] = (steps, _generate(rule, steps, optimize))
+        cached = rule.plans[optimize] = (steps, *_generate(rule, steps, optimize))
     return cached[1]
+
+
+def applier(rule: Rule):
+    """The rule's ``apply(m, g)``, compiled with its first search."""
+    plans = rule.plans or (matcher(rule) and rule.plans)
+    return next(iter(plans.values()))[2]
 
 
 # Plans longer than this put a guard on each run of this many steps, so
@@ -191,19 +199,117 @@ def matcher(rule: Rule, optimize: bool = True):
 # conditions, not k.
 _CHUNK = 32
 
-# The test that rejects an atom for a variable's type (atom and list take any).
-_TYPE_MISMATCH = {
-    "int": "not isinstance({0}, int)",
-    "string": "not isinstance({0}, str)",
-    "char": "not (isinstance({0}, str) and len({0}) == 1)",
-}
+# The Python of type tests and of the operators that wrap.
+_TYPE_TEST = {"int": "isinstance({0}, int)", "string": "isinstance({0}, str)",
+              "char": "isinstance({0}, str) and len({0}) == 1",
+              "atom": "not isinstance({0}, tuple)"}
+_ARITH = {"add": "+", "sub": "-", "mul": "*"}
+
+
+class _Terms:
+    """Labels and conditions compiled to flat statements, one local
+    ``t`` + number per compound subterm, as ``eval_expr``/``eval_cond``
+    evaluate them: 32-bit wrap, division truncating toward zero, each
+    EvalError where they raise it.  Each value has a kind, its GP 2 type
+    where known ("atom" where not): an int kind is not tested again.  The
+    right operand of ``and``/``or`` runs under a guard, ``if t1: ...``."""
+
+    def __init__(self, emit, names: dict, types: dict, node: dict):
+        self.emit, self.names, self.types, self.node = emit, names, types, node
+        self.count, self.guard = 0, None
+
+    def let(self, code: str, guarded: bool = True) -> str:
+        t = f"t{self.count}"
+        self.count += 1
+        guard = self.guard if guarded else None
+        self.emit(f"if {guard}: {t} = {code}" if guard else f"{t} = {code}")
+        return t
+
+    def check(self, test: str, message: str) -> None:
+        test = f"{self.guard} and ({test})" if self.guard else test
+        self.emit(f"if {test}: raise EvalError({message!r})")
+
+    def var(self, name: str) -> str:
+        if name not in self.names:
+            self.check("True", f"unbound variable {name!r}")
+        return self.names.get(name, "None")
+
+    @staticmethod
+    def as_list(code: str, kind: str) -> str:
+        return code if kind == "list" else f"({code},)"
+
+    def expr(self, t) -> tuple[str, str]:
+        """The code and kind of expression ``t``, once the statements it
+        needs are emitted: a local, a literal or a degree."""
+        tag = t[0]
+        if tag in ("int", "str"):
+            return repr(t[1]), "int" if tag == "int" else "string"
+        if tag == "empty":
+            return "()", "list"
+        if tag == "var":
+            return self.var(t[1]), self.types.get(t[1], "atom")
+        if tag in ("indeg", "outdeg"):
+            return f"{self.node[t[1]]}.{tag}ree", "int"
+        if tag in ("cons", "cat"):
+            (a, ka), (b, kb) = self.expr(t[1]), self.expr(t[2])
+            if tag == "cons":
+                return self.let(f"{self.as_list(a, ka)} + {self.as_list(b, kb)}"), "list"
+            if {ka, kb} - {"string", "char"}:
+                self.check(f"not (isinstance({a}, str) and isinstance({b}, str))",
+                           "'.' requires string operands")
+            return self.let(f"{a} + {b}"), "string"
+        a = self.int_operand(t[1])
+        if tag == "neg":
+            code = f"-{a}"
+        else:
+            b = self.int_operand(t[2])
+            if tag == "div":
+                self.check(f"{b} == 0", "division by zero")
+                code = f"({a} // {b} if ({a} < 0) == ({b} < 0) else -(-{a} // {b}))"
+            else:
+                code = f"{a} {_ARITH[tag]} {b}"
+        return self.let(f"({code} + 0x80000000 & 0xFFFFFFFF) - 0x80000000"), "int"
+
+    def int_operand(self, t) -> str:
+        code, kind = self.expr(t)
+        if kind != "int":
+            self.check(f"not isinstance({code}, int)", "arithmetic on a non-integer value")
+        return code
+
+    def cond(self, t) -> str:
+        """The local that holds condition ``t``, once it is emitted."""
+        tag = t[0]
+        if tag == "not":
+            return self.let(f"not {self.cond(t[1])}")
+        if tag in ("and", "or"):
+            a, outer = self.cond(t[1]), self.guard
+            test = a if tag == "and" else f"not {a}"
+            self.guard = self.let(f"{outer} and {test}" if outer else test, False)
+            b = self.cond(t[2])
+            self.guard = outer
+            return self.let(f"{a} {tag} {b}")
+        if tag == "edge":
+            label = "None" if t[3] is None else self.as_list(*self.expr(t[3]))
+            return self.let(f"has_edge({self.node[t[1]]}, {self.node[t[2]]}, {label})")
+        if tag == "typecheck":
+            return self.let(_TYPE_TEST[t[1]].format(self.var(t[2])))
+        op, (a, ka), (b, kb) = t[1], self.expr(t[2]), self.expr(t[3])
+        if op in ("=", "!="):
+            if "list" in (ka, kb):
+                a, b = self.as_list(a, ka), self.as_list(b, kb)
+            return self.let(f"{a} {'==' if op == '=' else '!='} {b}")
+        if ka != "int" or kb != "int":
+            self.check(f"not (isinstance({a}, int) and isinstance({b}, int))",
+                       "ordering comparison on non-integers")
+        return self.let(f"{a} {op} {b}")
 
 
 def _generate(rule: Rule, steps: list[tuple], optimize: bool):
-    """The rule's search as one Python function, with one ``if i == k:``
-    block per plan step, compiled under a file name that names the rule
-    and the setting and with its source in ``linecache``, so tracebacks,
-    profiles and ``inspect.getsource`` show its lines.
+    """The rule's search, with one ``if i == k:`` block per plan step,
+    and its applier, as two Python functions compiled together under a
+    file name that names the rule and the setting and with their source
+    in ``linecache``, so tracebacks, profiles and ``inspect.getsource``
+    show their lines.
 
     ``i`` is the step to try next.  A step that binds falls through into
     the next block after setting up that step's candidates; a step out
@@ -211,16 +317,15 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
     block from the loop top.  Which variables are bound at each step is
     fixed by the plan, so each is a local, bound by assignment and
     checked by ``==``.  Program text enters the source only as generated
-    names (``n``/``e`` + item index, ``v`` + variable number) and as
-    ``repr`` of ints, strings and tuples of them.
+    names (``n``/``e`` + item index, ``v`` + variable number, ``t`` +
+    subterm number) and as ``repr`` of ints, strings and tuples of them.
     """
     lhs = rule.lhs
     node = {pn.pid: f"n{j}" for j, pn in enumerate(lhs.nodes)}
     edge = {pe.eid: f"e{j}" for j, pe in enumerate(lhs.edges)}
     names: dict[str, str] = {}      # GP 2 variable -> local, in binding order
     held: list[list[str]] = []      # per step, the records it flags
-    lines = ["def bind(cond):", "    def search(g, reflect, backend):",
-             "        candidates = 0", "        i = 0"]
+    lines = ["def search(g, reflect, backend):", "    candidates = 0", "    i = 0"]
     shift = 0                       # 1 inside a chunk's guard
 
     def emit(depth, text):
@@ -298,42 +403,42 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
             else:
                 local = names[item[1]] = f"v{len(names)}"
                 emit(depth, f"{local} = {atom}")
-                if item[2] in _TYPE_MISMATCH:
-                    emit(depth, f"if {_TYPE_MISMATCH[item[2]].format(local)}: continue")
+                if item[2] in ("int", "string", "char"):
+                    emit(depth, f"if not ({_TYPE_TEST[item[2]].format(local)}): continue")
 
-    setup(0, 2)
-    emit(2, "while True:")
+    setup(0, 1)
+    emit(1, "while True:")
     for k, step in enumerate(steps):
         if len(steps) > _CHUNK and k % _CHUNK == 0:
             shift = 0
-            emit(3, f"if i < {k + _CHUNK}:")
+            emit(2, f"if i < {k + _CHUNK}:")
             shift = 1
-        emit(3, f"if i == {k}:")
+        emit(2, f"if i == {k}:")
         if step[0] != "edge":
             _, pid, label, mark, degree, out_min, in_min = step
             n = node[pid]
-            emit(4, f"for {n} in it{k}:")
-            emit(5, "candidates += 1")
-            emit(5, f"f = {n}.flags")
+            emit(3, f"for {n} in it{k}:")
+            emit(4, "candidates += 1")
+            emit(4, f"f = {n}.flags")
             check_node(n, "f", label, mark, step[0] == "root", degree, out_min,
-                       in_min, 5)
-            emit(5, f"{n}.flags = f | {FLAG_MATCHED}")
-            emit(5, "break")
-            emit(4, "else:")
-            back(k, 5)
+                       in_min, 4)
+            emit(4, f"{n}.flags = f | {FLAG_MATCHED}")
+            emit(4, "break")
+            emit(3, "else:")
+            back(k, 4)
             held.append([n])
         else:
             (_, eid, label, mark, phases, anchor_pid, other_pid, binds,
              other_label, other_mark, other_root, degree, out_min, in_min, _) = step
             e, other = edge[eid], node[other_pid]
-            depth = 4
+            depth = 3
             bound = len(names)
             for p, (reverse, _) in enumerate(phases):
                 while len(names) > bound:   # each phase binds the same variables
                     names.popitem()
                 if len(phases) > 1:
-                    emit(4, f"if p{k} == {p}:")
-                    depth = 5
+                    emit(3, f"if p{k} == {p}:")
+                    depth = 4
                 emit(depth, f"while c{k} is not None:")
                 emit(depth + 1, f"{e} = c{k}")
                 emit(depth + 1, f"c{k} = {e}.{'tgt_next' if reverse else 'src_next'}")
@@ -362,30 +467,61 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
                 else:
                     back(k, depth + 1)
             held.append([e, other] if binds else [e])
-        emit(4, f"i = {k + 1}")
-        setup(k + 1, 4)
+        emit(3, f"i = {k + 1}")
+        setup(k + 1, 3)
 
     shift = 0
     # every step is bound: clear the flags (the condition reads none),
     # then test the condition and set them again if it fails
     records = "".join(f"{r}, " for rs in held for r in rs)
-    images = ", ".join(f"{pid!r}: {n}" for pid, n in node.items())
-    emit(3, f"images = {{{images}}}")
-    emit(3, "asg = {" + ", ".join(f"{name!r}: {v}" for name, v in names.items()) + "}")
-    emit(3, f"for item in ({records}): item.flags &= ~{FLAG_MATCHED}")
-    edge_images = ", ".join(f"{eid!r}: {e}" for eid, e in edge.items())
-    orientations = ", ".join(
-        f"{step[1]!r}: {tuple(flip for _, flip in step[4])!r}[p{k}]"
-        for k, step in enumerate(steps) if step[0] == "edge" and step[14])
-    found = f"Match(images, {{{edge_images}}}, asg, {{{orientations}}}), candidates"
+    emit(2, f"for item in ({records}): item.flags &= ~{FLAG_MATCHED}")
+    orientations = {step[1]: f"{tuple(flip for _, flip in step[4])!r}[p{k}]"
+                    for k, step in enumerate(steps) if step[0] == "edge" and step[14]}
+    found = "Match({}), candidates".format(", ".join(
+        "{" + ", ".join(f"{key!r}: {v}" for key, v in d.items()) + "}"
+        for d in (node, edge, names, orientations)))
     if rule.condition is None:
-        emit(3, f"return {found}")
+        emit(2, f"return {found}")
     else:
-        emit(3, "if eval_cond(cond, asg, images):")
-        emit(4, f"return {found}")
-        emit(3, f"for item in ({records}): item.flags |= {FLAG_MATCHED}")
-        back(len(steps), 3)
-    emit(1, "return search")
+        test = _Terms(lambda text: emit(2, text), names, rule.variables, node)
+        emit(2, f"if {test.cond(rule.condition)}:")
+        emit(3, f"return {found}")
+        emit(2, f"for item in ({records}): item.flags |= {FLAG_MATCHED}")
+        back(len(steps), 2)
+
+    # the applier: every right-hand label first, then the mutator calls
+    # (matched edges, left-hand-only nodes, right-hand items in order)
+    emit(0, "def apply(m, g):")
+    for field, local in (("node_images", node), ("edge_images", edge), ("assignment", names)):
+        for key, v in local.items():
+            emit(1, f"{v} = m.{field}[{key!r}]")
+    terms = _Terms(lambda text: emit(1, text), names, rule.variables, node)
+    labels = [terms.let(terms.as_list(*terms.expr(item.label)))
+              for item in rule.rhs.nodes + rule.rhs.edges]
+    for e in edge.values():
+        emit(1, f"g.delete_edge({e})")
+    for pid in rule.deleted:
+        emit(1, f"g.delete_node({node[pid]})")
+    at = dict(node)
+    for pn, label in zip(rule.rhs.nodes, labels):
+        if pn.pid not in at:
+            at[pn.pid] = f"n{len(at)}"
+            emit(1, f"{at[pn.pid]} = g.add_node({label}, {pn.mark!r}, {pn.root})")
+            continue
+        n, old = at[pn.pid], lhs.nodes[lhs.by_id[pn.pid]]
+        emit(1, f"if {n}.label != {label}: g.relabel_node({n}, {label})")
+        if pn.mark not in (MARK_ANY, old.mark):
+            emit(1, f"if {n}.mark != {pn.mark!r}: g.remark_node({n}, {pn.mark!r})")
+        if not (pn.root and old.root):
+            emit(1, f"if {'not ' * pn.root}{n}.flags & {FLAG_ROOT}: "
+                    f"g.set_root({n}, {pn.root})")
+    for pe, label in zip(rule.rhs.edges, labels[len(rule.rhs.nodes):]):
+        ends = f"{at[pe.src]}, {at[pe.tgt]}"
+        if pe.bidir:
+            ends = (f"*(({at[pe.tgt]}, {at[pe.src]}) if m.orientations.get({pe.eid!r}) "
+                    f"else ({ends}))")
+        mark = f"{edge[pe.eid]}.mark" if pe.mark == MARK_ANY else repr(pe.mark)
+        emit(1, f"g.add_edge({ends}, {label}, {mark})")
     source = "\n".join(lines) + "\n"
     cached = source.splitlines(True)
     setting = "opt" if optimize else "noopt"
@@ -394,9 +530,9 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
         copy += 1       # another rule of this name: keep both sources
         filename = f"<gp2 match {rule.name} {setting} {copy}>"
     linecache.cache[filename] = (len(source), None, cached, filename)
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace["bind"](rule.condition)
+    namespace = {"Match": Match, "EvalError": EvalError, "has_edge": has_edge}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["search"], namespace["apply"]
 
 
 # -- exhaustive oracle ------------------------------------------------------

@@ -3,6 +3,8 @@
 Label expressions evaluate over 32-bit signed integers with C
 semantics: arithmetic wraps silently, division truncates toward zero,
 and dividing by zero raises EvalError, which aborts the whole run.
+``eval_expr``, ``eval_cond`` and ``instantiate_rhs`` are the reference
+interpreter of the terms that ``match`` compiles for runs.
 
 Expressions and conditions are plain tagged tuples, e.g.
 ``('add', ('var', 'n'), ('int', 1))`` or ``('not', ('edge', 1, 3, None))``.
@@ -137,7 +139,7 @@ class Rule:
         self.condition = condition
         self.interface = sorted(set(lhs.by_id) & set(rhs.by_id))
         self.deleted = [n.pid for n in lhs.nodes if n.pid not in rhs.by_id]
-        self.plans: dict = {}       # optimize -> (plan steps, compiled search)
+        self.plans: dict = {}       # optimize -> (plan steps, search, applier)
 
 
 # -- label matching -----------------------------------------------------
@@ -295,18 +297,10 @@ def eval_cond(cond, assignment: dict, node_images) -> bool:
             return left <= right
         raise EvalError(f"bad relational operator {op!r}")
     if tag == "edge":
-        src = node_images[cond[1]]
-        tgt = node_images[cond[2]]
-        want_label = cond[3]
-        label = None
-        if want_label is not None:
-            label = as_list(eval_expr(want_label, assignment, node_images))
-        e = src.out_head
-        while e is not None:
-            if e.target is tgt and (label is None or e.label == label):
-                return True
-            e = e.src_next
-        return False
+        label = cond[3]
+        if label is not None:
+            label = as_list(eval_expr(label, assignment, node_images))
+        return has_edge(node_images[cond[1]], node_images[cond[2]], label)
     if tag == "typecheck":
         vtype, name = cond[1], cond[2]
         try:
@@ -323,6 +317,17 @@ def eval_cond(cond, assignment: dict, node_images) -> bool:
             return not isinstance(v, tuple)
         raise EvalError(f"bad type check {vtype!r}")
     raise EvalError(f"bad condition node {tag!r}")
+
+
+def has_edge(src, tgt, label) -> bool:
+    """Whether an edge runs from ``src`` to ``tgt``, with ``label`` unless
+    that is None: the edge predicate, for ``eval_cond`` and compiled code."""
+    e = src.out_head
+    while e is not None:
+        if e.target is tgt and (label is None or e.label == label):
+            return True
+        e = e.src_next
+    return False
 
 
 # -- right-hand-side instantiation ---------------------------------------

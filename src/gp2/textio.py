@@ -714,8 +714,8 @@ def _parse_rule_decl(ts: _Stream, name_tok: Token) -> Rule:
     return rule
 
 
-# Evaluation recurses up to twice per nesting level: within this bound,
-# every label and condition that validates can also be evaluated.
+# Compiling and interpreting a term recurse up to twice per nesting level:
+# within this bound, every label and condition that validates can run.
 MAX_NESTING = 256
 
 

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
-from gp2 import bench, corpus
+from gp2 import bench, corpus, engine
+from gp2.cli import main
 from gp2.engine import (
     OK,
     ChangeStack,
@@ -14,7 +16,7 @@ from gp2.engine import (
     inline_procedures,
     run_program,
 )
-from gp2.graph import FLAG_ROOT, Graph, check_consistency, graphs_isomorphic
+from gp2.graph import FLAG_IN_GRAPH, FLAG_ROOT, Graph, check_consistency, graphs_isomorphic
 from gp2.match import find_match
 from gp2.rules import EvalError
 from gp2.textio import SourceError, parse_host_graph, parse_program, print_graph
@@ -104,6 +106,30 @@ def test_division_by_zero_aborts_with_program_error():
     assert "division by zero" in out.diagnostic
     assert "'r'" in out.diagnostic
     assert out.exit_code == 2
+
+
+# The last right-hand label divides by zero: evaluating it only after the
+# edge is deleted and the nodes are added would leave the graph changed.
+LATE_DIVISION = ("Main = r\n"
+                 "r(n:int)\n[ (1, n) (2, n) | (0, 1, 2, n) ] =>\n"
+                 "[ (1, n) (2, n+1) (3, n) | (0, 2, 1, n) (1, 2, 3, n) (2, 3, 1, n / 0) ]")
+LATE_DIVISION_HOST = "[ (0, 5) (1, 5) | (0, 0, 1, 5) ]"
+
+
+def test_labels_are_evaluated_before_any_change_outside_a_frame():
+    g = parse_host_graph(LATE_DIVISION_HOST)
+    with pytest.raises(EvalError, match="^in rule 'r': division by zero$"):
+        Executable(parse_program(LATE_DIVISION), ExecConfig()).run(g)
+    assert g.journal is None
+    assert print_graph(g) == print_graph(parse_host_graph(LATE_DIVISION_HOST))
+    check_consistency(g)
+
+
+def test_late_division_by_zero_cli_diagnostic(tmp_path, capsys):
+    (tmp_path / "p.gp2").write_text(LATE_DIVISION)
+    (tmp_path / "h.host").write_text(LATE_DIVISION_HOST)
+    assert main([str(tmp_path / "p.gp2"), str(tmp_path / "h.host")]) == 2
+    assert capsys.readouterr().err == "in rule 'r': division by zero\n"
 
 
 # -- the change journal ----------------------------------------------------------
@@ -295,6 +321,86 @@ def test_every_corpus_rule_application_commits_and_frees_once(backend):
             assert node.flags == 0, where
         for edge in deleted_edges:
             assert edge.flags == 0, where
+
+
+# -- rollback against a copying twin of the journal ---------------------------------
+
+
+class SnapshotStack:
+    """A ChangeStack twin that shares no code with the journal: opening
+    a frame copies every record's fields and the graph's lists (chains,
+    edge lists and ``root_list`` are all in them), and undoing it writes
+    the copy back.  The graph journals nothing under it."""
+
+    GRAPH = ("node_slots", "free_nodes", "node_head", "node_tail", "root_list",
+             "node_count", "edge_count", "live_bytes")
+
+    def __init__(self):
+        self.frames = []
+
+    def open_frame(self, g):
+        edges = []
+        for node in g.node_slots:
+            if node.flags & FLAG_IN_GRAPH:
+                e = node.out_head
+                while e is not None:
+                    edges.append(e)
+                    e = e.src_next
+        fields = [(r, [getattr(r, f) for f in type(r).__slots__])
+                  for r in [*g.node_slots, *edges]]
+        graph = {f: getattr(g, f) for f in self.GRAPH}
+        for f in ("node_slots", "free_nodes", "root_list", "live_bytes"):
+            graph[f] = graph[f][:]
+        self.frames.append((graph, fields))
+
+    def undo_frame(self, g):
+        graph, fields = self.frames.pop()
+        for f, value in graph.items():
+            setattr(g, f, value)
+        for record, values in fields:
+            for f, value in zip(type(record).__slots__, values):
+                setattr(record, f, value)
+
+    def commit_frame(self, g):
+        self.frames.pop()
+
+
+def _both_stacks(monkeypatch, name, cfg, host_text):
+    """The outcome of a corpus program under the journal and under the twin."""
+    out = executable(name, cfg).run_text(host_text)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "ChangeStack", SnapshotStack)
+        twin = executable(name, cfg).run_text(host_text)
+    return out, twin
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+def test_the_journal_restores_what_a_copying_twin_restores(monkeypatch, backend):
+    cfg = ExecConfig(backend=backend)
+    expected = {(e.name, f): status for e in corpus.ENTRIES.values()
+                for f, status in e.fixtures}
+    for name in corpus.PROGRAM_NAMES:
+        for fixture in FIXTURES:
+            out, twin = _both_stacks(monkeypatch, name, cfg, corpus.load_fixture(fixture))
+            where = (name, fixture)
+            assert (twin.status, twin.output) == (out.status, out.output), where
+            assert out.status == expected.get(where, out.status), where
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+@pytest.mark.parametrize("main", ["try (Whole; fail)", "if Whole then skip"])
+def test_a_rolled_back_corpus_program_prints_its_input(monkeypatch, backend, main):
+    cfg = ExecConfig(backend=backend)
+    for name in corpus.PROGRAM_NAMES:
+        program = re.sub(r"^Main\b", "Whole", _program(name), flags=re.M)
+        rolled_back = Executable(parse_program(f"{program}\nMain = {main}"), cfg)
+        for fixture in FIXTURES:
+            host_text = corpus.load_fixture(fixture)
+            want = print_graph(parse_host_graph(host_text))
+            for stack in (ChangeStack, SnapshotStack):
+                monkeypatch.setattr(engine, "ChangeStack", stack)
+                out = rolled_back.run_text(host_text)
+                assert out.output == want, (name, fixture, stack.__name__)
 
 
 # -- control constructs ------------------------------------------------------------

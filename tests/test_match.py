@@ -8,6 +8,7 @@ from gp2 import corpus
 from gp2.engine import OK, ExecConfig, Executable, run_program
 from gp2.graph import FLAG_MATCHED, Graph
 from gp2.match import (
+    applier,
     audit_match,
     brute_force_match,
     compile_plan,
@@ -333,9 +334,12 @@ def test_compiled_search_shows_its_source():
     search = matcher(rule, optimize=False)
     assert search.__code__.co_filename.startswith("<gp2 match strange noopt")
     source = inspect.getsource(search)
-    assert source.startswith("    def search(g, reflect, backend):")
+    assert source.startswith("def search(g, reflect, backend):")
     assert repr(STRANGE) in source
     assert "'if': v" in source and "'None': v" in source
+    apply = applier(rule)
+    assert apply.__code__.co_filename == search.__code__.co_filename
+    assert inspect.getsource(apply).startswith("def apply(m, g):")
 
 
 def test_reflect_matches_are_preserve_matches():

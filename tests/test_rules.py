@@ -1,11 +1,20 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gp2 import corpus
-from gp2.graph import Graph
+from gp2.engine import apply_rule
+from gp2.graph import FLAG_MATCHED, INT32_MAX, INT32_MIN, MARK_ANY, Graph
+from gp2.match import find_match
 from gp2.rules import (
     EvalError,
+    LabelPattern,
+    PatternGraph,
+    PatternNode,
+    Rule,
+    as_list,
     check_fast_rule,
     eval_cond,
     eval_expr,
@@ -13,7 +22,7 @@ from gp2.rules import (
     label_match,
     wrap32,
 )
-from gp2.textio import parse_program, parse_rule
+from gp2.textio import MAX_NESTING, parse_program, parse_rule
 
 
 def _rules(name):
@@ -269,3 +278,215 @@ def test_rhs_variables_subset_of_lhs_for_whole_corpus():
             for item in rule.rhs.nodes + rule.rhs.edges:
                 collect(item.label)
             assert rhs_vars <= lhs_vars, rule.name
+
+
+# -- the compiled labels and conditions against the interpreter ---------------
+
+# One variable of each type, bound by one left-hand node; "u" is declared
+# but never bound.
+VARIABLES = {"a": "int", "b": "int", "s": "string", "c": "char", "t": "atom",
+             "x": "list", "u": "int"}
+INT32 = st.one_of(st.integers(-3, 3), st.sampled_from([INT32_MIN, INT32_MAX]),
+                  st.integers(INT32_MIN, INT32_MAX))
+TEXT = st.text(alphabet="ab", max_size=2)
+ATOM = st.one_of(INT32, TEXT)
+VALUES = st.fixed_dictionaries({
+    "a": INT32, "b": INT32, "s": TEXT, "c": st.sampled_from("ab"), "t": ATOM,
+    "x": st.lists(ATOM, max_size=3).map(tuple)})
+# labels of the host node's loops, which its degrees and edge(1, 1) read
+LOOPS = st.lists(st.sampled_from([(), (1,), ("a",), (1, "a")]), max_size=2)
+
+EXPR_LEAVES = st.one_of(
+    st.builds(lambda n: ("int", n), INT32),
+    st.builds(lambda s: ("str", s), TEXT),
+    st.sampled_from([("var", name) for name in VARIABLES]),
+    st.sampled_from([("empty",), ("indeg", 1), ("outdeg", 1)]))
+UNARY = ["neg"]
+BINARY = ["add", "sub", "mul", "div", "cons", "cat"]
+
+
+def _expr_wraps(inner):
+    return st.one_of(st.builds(lambda e: ("neg", e), inner),
+                     st.builds(lambda tag, l, r: (tag, l, r), st.sampled_from(BINARY),
+                               inner, inner))
+
+
+EXPRS = st.recursive(EXPR_LEAVES, _expr_wraps, max_leaves=12)
+RELOPS = ["=", "!=", ">", ">=", "<", "<="]
+COND_LEAVES = st.one_of(
+    st.builds(lambda op, l, r: ("rel", op, l, r), st.sampled_from(RELOPS), EXPRS, EXPRS),
+    st.builds(lambda label: ("edge", 1, 1, label), st.none() | EXPRS),
+    st.builds(lambda ty, name: ("typecheck", ty, name),
+              st.sampled_from(["int", "string", "char", "atom"]),
+              st.sampled_from(list(VARIABLES))))
+CONDS = st.recursive(
+    COND_LEAVES,
+    lambda inner: st.one_of(st.builds(lambda c: ("not", c), inner),
+                            st.builds(lambda tag, l, r: (tag, l, r),
+                                      st.sampled_from(["and", "or"]), inner, inner)),
+    max_leaves=8)
+
+
+# Leaves of the deep terms, mostly ints so that the arithmetic often runs.
+DEEP_LEAVES = [("int", 0), ("int", 1), ("int", -1), ("int", 3), ("int", INT32_MIN),
+               ("int", INT32_MAX), ("var", "a"), ("var", "b"), ("indeg", 1),
+               ("outdeg", 1), ("str", "a"), ("var", "s"), ("var", "t"), ("var", "x"),
+               ("empty",)]
+
+
+def _deep_expr(seed):
+    """A leaf wrapped in 200 to 255 random operators: an expression nested
+    up to MAX_NESTING deep, the term the left or right operand of each."""
+    rng = random.Random(seed)
+    term = rng.choice(DEEP_LEAVES)
+    for _ in range(rng.randrange(MAX_NESTING - 56, MAX_NESTING)):
+        tag, other = rng.choice(UNARY + BINARY), rng.choice(DEEP_LEAVES)
+        term = (tag, term) if tag in UNARY else \
+            rng.choice([(tag, term, other), (tag, other, term)])
+    return term
+
+
+def _deep_cond(seed):
+    """As _deep_expr, for a condition of ``not``/``and``/``or`` over
+    comparisons of leaves."""
+    rng = random.Random(seed)
+
+    def rel():
+        return ("rel", rng.choice(RELOPS), rng.choice(DEEP_LEAVES), rng.choice(DEEP_LEAVES))
+    term = rel()
+    for _ in range(rng.randrange(MAX_NESTING - 56, MAX_NESTING - 1)):
+        tag = rng.choice(["not", "and", "or"])
+        term = ("not", term) if tag == "not" else rng.choice([(tag, term, rel()),
+                                                              (tag, rel(), term)])
+    return term
+
+
+def _outcome(fn):
+    try:
+        return "value", fn()
+    except EvalError as exc:
+        return "error", str(exc)
+
+
+def _host(values, loops):
+    g = Graph()
+    node = g.add_node((values["a"], values["b"], values["s"], values["c"], values["t"],
+                       *values["x"]))
+    for label in loops:
+        g.add_edge(node, node, label)
+    return g, node
+
+
+def _rule(label=None, condition=None):
+    """A rule whose left-hand node binds every variable but "u", and whose
+    right-hand node has ``label``, or keeps its label under ``condition``."""
+    items = [("var", name, VARIABLES[name]) for name in "absctx"]
+    lhs = PatternGraph([PatternNode(1, LabelPattern(items), MARK_ANY, False)], [])
+    rhs_label = label or ("cons", ("var", "a"), ("var", "x"))
+    rhs = PatternGraph([PatternNode(1, rhs_label, MARK_ANY, False)], [])
+    return Rule("r", VARIABLES, lhs, rhs, condition)
+
+
+def _check_expr(expr, values, loops):
+    g, node = _host(values, loops)
+    images = {1: node}
+    want = _outcome(lambda: as_list(eval_expr(expr, values, images)))
+    rule = _rule(label=expr)
+    m = find_match(rule, g)
+    got = _outcome(lambda: apply_rule(rule, m, g) or node.label)
+    assert got == want, expr
+    if want[0] == "error":      # evaluated before any change
+        assert node.label[:2] == (values["a"], values["b"])
+
+
+def _check_cond(cond, values, loops):
+    g, node = _host(values, loops)
+    want = _outcome(lambda: eval_cond(cond, values, {1: node}))
+    got = _outcome(lambda: find_match(_rule(condition=cond), g) is not None)
+    assert got == want, cond
+    assert all(not n.flags & FLAG_MATCHED for n in g.nodes())
+
+
+FUZZ = settings(deadline=None, database=None, derandomize=True, max_examples=200,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(EXPRS, VALUES, LOOPS)
+def test_compiled_labels_evaluate_as_the_interpreter(expr, values, loops):
+    _check_expr(expr, values, loops)
+
+
+@FUZZ
+@given(CONDS, VALUES, LOOPS)
+def test_compiled_conditions_evaluate_as_the_interpreter(cond, values, loops):
+    _check_cond(cond, values, loops)
+
+
+PINNED_VALUES = {"a": -7, "b": 2, "s": "ab", "c": "a", "t": "b", "x": (1, "a")}
+DEEP_VALUES = [PINNED_VALUES,
+               {"a": INT32_MIN, "b": -1, "s": "", "c": "b", "t": 0, "x": ()},
+               {"a": INT32_MAX, "b": 0, "s": "b", "c": "a", "t": -3, "x": ("a",)}]
+
+
+# Seeds, not Hypothesis examples: shrinking a deep term takes minutes.
+@pytest.mark.parametrize("seed", range(40))
+def test_deep_compiled_terms_evaluate_as_the_interpreter(seed):
+    values = DEEP_VALUES[seed % len(DEEP_VALUES)]
+    _check_expr(_deep_expr(seed), values, [(1, "a")])
+    _check_cond(_deep_cond(seed), values, [(), (1, "a")])
+
+
+PINNED_EXPRS = [
+    (("div", ("int", INT32_MIN), ("int", -1)), ("value", (INT32_MIN,))),
+    (("add", ("int", INT32_MAX), ("int", 1)), ("value", (INT32_MIN,))),
+    (("mul", ("int", INT32_MAX), ("int", 2)), ("value", (-2,))),
+    (("neg", ("int", INT32_MIN)), ("value", (INT32_MIN,))),
+    (("div", ("var", "a"), ("var", "b")), ("value", (-3,))),
+    (("div", ("neg", ("var", "a")), ("neg", ("var", "b"))), ("value", (-3,))),
+    (("div", ("var", "a"), ("neg", ("var", "b"))), ("value", (3,))),
+    (("div", ("var", "b"), ("int", 0)), ("error", "division by zero")),
+    (("cat", ("var", "t"), ("var", "c")), ("value", ("ba",))),
+    (("cat", ("var", "s"), ("int", 1)), ("error", "'.' requires string operands")),
+    (("cat", ("var", "x"), ("str", "a")), ("error", "'.' requires string operands")),
+    (("add", ("var", "t"), ("div", ("int", 1), ("int", 0))),
+     ("error", "arithmetic on a non-integer value")),
+    (("add", ("div", ("int", 1), ("int", 0)), ("var", "t")), ("error", "division by zero")),
+    (("cons", ("var", "x"), ("var", "u")), ("error", "unbound variable 'u'")),
+]
+ONE_BY_ZERO = ("rel", ">", ("div", ("int", 1), ("int", 0)), ("int", 0))
+PINNED_CONDS = [
+    (("rel", "<", ("var", "x"), ("int", 1)), ("error", "ordering comparison on non-integers")),
+    (("rel", ">=", ("var", "a"), ("var", "t")),
+     ("error", "ordering comparison on non-integers")),
+    (("rel", "=", ("var", "x"), ("cons", ("int", 1), ("str", "a"))), ("value", True)),
+    (("rel", "!=", ("var", "c"), ("cons", ("str", "a"), ("empty",))), ("value", False)),
+    (("edge", 1, 1, None), ("value", True)),
+    (("edge", 1, 1, ("var", "x")), ("value", True)),
+    (("edge", 1, 1, ("empty",)), ("value", False)),
+    (("or", ("rel", "=", ("var", "b"), ("int", 2)), ONE_BY_ZERO), ("value", True)),
+    (("and", ("rel", "=", ("var", "b"), ("int", 2)), ONE_BY_ZERO),
+     ("error", "division by zero")),
+    (("typecheck", "int", "u"), ("error", "unbound variable 'u'")),
+] + [(("typecheck", ty, name), ("value", ok)) for ty, name, ok in [
+    ("int", "a", True), ("int", "t", False), ("int", "x", False),
+    ("string", "s", True), ("string", "c", True), ("string", "a", False),
+    ("char", "c", True), ("char", "s", False), ("char", "t", True),
+    ("atom", "t", True), ("atom", "a", True), ("atom", "x", False)]]
+
+
+@pytest.mark.parametrize("expr, expected", PINNED_EXPRS)
+def test_compiled_labels_are_pinned(expr, expected):
+    g, node = _host(PINNED_VALUES, [(1, "a")])
+    rule = _rule(label=expr)
+    got = _outcome(lambda: apply_rule(rule, find_match(rule, g), g) or node.label)
+    assert got == expected
+    _check_expr(expr, PINNED_VALUES, [(1, "a")])
+
+
+@pytest.mark.parametrize("cond, expected", PINNED_CONDS)
+def test_compiled_conditions_are_pinned(cond, expected):
+    g, _ = _host(PINNED_VALUES, [(1, "a")])
+    got = _outcome(lambda: find_match(_rule(condition=cond), g) is not None)
+    assert got == expected
+    _check_cond(cond, PINNED_VALUES, [(1, "a")])
