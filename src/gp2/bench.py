@@ -197,6 +197,8 @@ class BenchSample:
     all_ms: list[float]
     nodes: int
     edges: int
+    candidates: int         # Graph.candidates and iter_steps after the last rep
+    iter_steps: int
     outcome: str = "success"
 
 
@@ -217,8 +219,6 @@ def run_bench(program_name: str, program_text: str, specs, backends,
         for backend in backends:
             executable = Executable(parsed, ExecConfig(backend=backend))
             times = []
-            outcome = "success"
-            nodes = edges = 0
             for _ in range(reps):
                 g = generate(spec)
                 nodes, edges = g.node_count, g.edge_count
@@ -227,7 +227,8 @@ def run_bench(program_name: str, program_text: str, specs, backends,
             samples.append(BenchSample(
                 program=program_name, spec=spec, backend=backend, mode="preserve",
                 reps=reps, median_ms=statistics.median(times), all_ms=times,
-                nodes=nodes, edges=edges, outcome=outcome))
+                nodes=nodes, edges=edges, candidates=g.candidates,
+                iter_steps=g.iter_steps, outcome=outcome))
     return samples
 
 

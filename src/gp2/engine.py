@@ -7,15 +7,16 @@ A command is a tagged tuple, as ``textio`` parses it:
 ``inline_procedures`` checks a program's commands and expands its calls,
 and ``Executable`` builds the expanded Main once into nested functions
 ``run(g, stack)`` that return OK, FAILED or BROKE: each rule set's
-searches are compiled then, and each loop gets a journal frame per
+steps are compiled then, and each loop gets a journal frame per
 iteration only when ``effects`` says its body may fail after changing
 the graph.
 
-A rule is applied by its applier, which ``match`` generates beside its
-search: it evaluates every right-hand label first, so an EvalError
-changes nothing, then deletes the matched edges and left-hand-only
-nodes, updates interface nodes in place (relabel, remark, re-root) and
-creates right-hand-only items last, all through ``Graph``'s mutators.
+A rule set calls its rules' compiled steps (see ``match``) until one
+rewrites at its match, building no ``Match``: it evaluates every
+right-hand label first, so an EvalError changes nothing, then deletes
+the matched edges and left-hand-only nodes, updates interface nodes in
+place (relabel, remark, re-root) and creates right-hand-only items
+last, all through ``Graph``'s mutators.
 ``if``/``try`` guards and loop iterations run inside a ``ChangeStack``
 frame, which the graph journals its mutations into (see ``graph``), so
 they can be undone exactly; straight-line execution outside any frame
@@ -27,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .match import applier, find_match, matcher
+from .match import compiled_step, find_match
 from .rules import EvalError, Rule, instantiate_rhs
 
-# instantiate_rhs is not called here; tools that time it read it here.
+# find_match and instantiate_rhs are not called here: they are for tools.
 __all__ = ["OK", "FAILED", "BROKE", "ConfigError", "ExecConfig", "effects",
            "inline_procedures", "ChangeStack", "apply_rule", "Outcome",
-           "Executable", "run_program", "instantiate_rhs"]
+           "Executable", "run_program", "find_match", "instantiate_rhs"]
 
 OK = 0
 FAILED = 1
@@ -163,7 +164,7 @@ def inline_procedures(program):
 
 def _build(cmd, rules: dict[str, Rule], cfg: ExecConfig):
     """``cmd`` as a function ``run(g, stack)`` that returns OK, FAILED or
-    BROKE.  Each rule's search is compiled here, and each loop is built
+    BROKE.  Each rule's step is compiled here, and each loop is built
     with a journal frame per iteration only if its body may fail after
     changing the graph."""
     tag = cmd[0]
@@ -180,16 +181,13 @@ def _build(cmd, rules: dict[str, Rule], cfg: ExecConfig):
 
 
 def _rule_set(chosen: list[Rule], cfg: ExecConfig):
-    mode, backend, optimize = cfg.root_mode, cfg.backend, cfg.optimize_plans
-    for rule in chosen:
-        matcher(rule, optimize)
+    reflect, backend = cfg.root_mode == "reflect", cfg.backend
+    steps = [(rule, compiled_step(rule, cfg.optimize_plans)) for rule in chosen]
 
     def run(g, stack):
         try:
-            for rule in chosen:
-                m = find_match(rule, g, mode, backend, optimize)
-                if m is not None:
-                    apply_rule(rule, m, g)
+            for rule, step in steps:
+                if step(g, reflect, backend):
                     return OK
         except EvalError as exc:
             raise EvalError(f"in rule {rule.name!r}: {exc}") from exc
@@ -283,10 +281,11 @@ class ChangeStack:
 # -- rule application ----------------------------------------------------------
 
 
-def apply_rule(rule: Rule, m, g: Graph) -> None:
-    """Replace the matched left-hand side with the instantiated right-hand
-    side, by the rule's compiled applier."""
-    applier(rule)(m, g)
+def apply_rule(rule: Rule, g: Graph, mode: str = "preserve",
+               backend: str = "chain", optimize: bool = True) -> bool:
+    """Apply the rule at its first match, the one ``find_match`` returns
+    on the same graph, and say whether it had one."""
+    return compiled_step(rule, optimize)(g, mode == "reflect", backend)
 
 
 # -- whole-program execution -----------------------------------------------------

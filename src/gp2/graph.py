@@ -13,7 +13,9 @@ Two iteration backends coexist over the same records.  The chain
 backend follows the live-node chain and therefore skips deleted nodes
 in one step; the index-scan backend walks every slot index below the
 high-water mark (``node_slots``) and filters on ``live_bytes``, which
-is how the legacy layout iterated.  Both see exactly the live nodes.
+is how the legacy layout iterated.  Both see exactly the live nodes
+and count their steps in ``iter_steps``; ``candidates`` counts the host
+items that the compiled rule steps (see ``match``) examine.
 
 Deleted nodes go on a LIFO free stack and are reused by the next add,
 keeping their slot index; in minimal-GC mode they are never returned to
@@ -31,8 +33,7 @@ predecessors, and a root at its old place in ``root_list``.  A node
 deleted under an open frame is held (``FLAG_IN_STACK``) instead of
 freed, so the handles the entries keep never alias a new node;
 ``release``, once the outermost frame commits, puts it on the free
-stack.  Entries are written and read only in this module.
-"""
+stack.  Entries are written and read only in this module."""
 
 from __future__ import annotations
 
@@ -105,8 +106,8 @@ SCAN_CHUNK = 128
 class Graph:
     __slots__ = (
         "node_slots", "free_nodes", "node_head", "node_tail", "root_list",
-        "node_count", "edge_count", "live_bytes", "iter_steps", "minimal_gc",
-        "journal",
+        "node_count", "edge_count", "live_bytes", "iter_steps", "candidates",
+        "minimal_gc", "journal",
     )
 
     def __init__(self):
@@ -121,6 +122,7 @@ class Graph:
         # index-scan backend skip hole runs without touching records.
         self.live_bytes = bytearray()
         self.iter_steps = 0
+        self.candidates = 0
         self.minimal_gc = False             # set by the run, see ExecConfig
         self.journal: Optional[list] = None    # the open rollback frame
 

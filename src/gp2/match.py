@@ -1,4 +1,4 @@
-"""Search plans and injective host-graph matching.
+"""Search plans, injective host-graph matching and compiled rewriting.
 
 ``compile_plan`` builds each rule's one search plan: root nodes are
 claimed first from the host's root list, every further pattern item is
@@ -8,24 +8,25 @@ node iteration.  That ordering is what confines matching of fast rules
 to the neighbourhood of the host's roots.  Each step carries everything
 the search reads (ids, labels, marks, degrees, edge phases).
 
-``matcher`` compiles each plan to one Python function, once per rule
-and setting, caches both in ``Rule.plans``, and ``find_match_steps``
-calls that function.  It is the plan unrolled into a flat state
-machine, one block per step with its checks written out: a constant
-label is one tuple comparison, and each variable is a local, bound or
-compared as the plan order fixes.  Each
+``compiled_step`` compiles each plan to one Python function, once per
+rule and setting, and caches it in ``Rule.plans``.  Its search is the
+plan unrolled into a flat state machine, one block per step with its
+checks written out: a constant label is one tuple comparison, and each
+variable is a local, bound or compared as the plan order fixes.  Each
 candidate is checked when it is bound: injectivity, mark, root, degree,
 then label.  A node the rule deletes must have its exact degree (the
 dangling condition), so a dangling candidate is rejected before the
 rule's condition is ever evaluated.  A node the rule keeps must have at
 least as many out- and in-edges as its non-bidirectional left-hand
 edges give it.  The condition runs once every step is bound, as inline
-Python; the same source holds the rule's ``applier``, straight-line code
-that evaluates every right-hand label, then makes its mutator calls.
+Python.  At the first hit the function rewrites on the locals the
+search bound, every right-hand label first, then the mutator calls; in
+find mode it returns the locals, for ``find_match`` to build a
+``Match``.  Each call adds its candidates to ``Graph.candidates``.
 
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
-costs only the items it touched.
+costs only the items it touched; every flag is clear on return.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class Match:
 
 
 def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
-    """The rule's search plan, which ``matcher`` compiles and caches.
+    """The rule's search plan, which ``compiled_step`` compiles and caches.
 
     A node step is (kind, pid, label, mark, degree, out_min, in_min)
     with kind 'root' (candidates from the root list) or 'node' (every
@@ -173,25 +174,25 @@ def find_match(rule: Rule, g: Graph, mode: str = "preserve",
 def find_match_steps(rule: Rule, g: Graph, mode: str = "preserve",
                      backend: str = "chain", optimize: bool = True):
     """The first match in plan order, or None, and the number of host
-    candidates examined."""
-    return matcher(rule, optimize)(g, mode == "reflect", backend)
+    candidates examined; the graph is left as it was."""
+    before, m = g.candidates, None
+    found = compiled_step(rule, optimize)(g, mode == "reflect", backend, True)
+    if found is not False:
+        values = iter(found)
+        m = Match(*({key: next(values) for key in keys} for keys in rule.plans[optimize][2]))
+    return m, g.candidates - before
 
 
-def matcher(rule: Rule, optimize: bool = True):
-    """The rule's search, compiled from its plan on first use and cached
-    beside it in ``Rule.plans``: ``search(g, reflect, backend)`` returns
-    what ``find_match_steps`` does."""
+def compiled_step(rule: Rule, optimize: bool = True):
+    """The rule's ``step(g, reflect, backend, find=False)``, compiled on
+    first use and cached in ``Rule.plans``: True once it has rewritten at
+    the first match, False if there is none.  With ``find``, the match's
+    node and edge images, variable values and orientations, in layout order."""
     cached = rule.plans.get(optimize)
     if cached is None:
         steps = compile_plan(rule, optimize)
         cached = rule.plans[optimize] = (steps, *_generate(rule, steps, optimize))
     return cached[1]
-
-
-def applier(rule: Rule):
-    """The rule's ``apply(m, g)``, compiled with its first search."""
-    plans = rule.plans or (matcher(rule) and rule.plans)
-    return next(iter(plans.values()))[2]
 
 
 # Plans longer than this put a guard on each run of this many steps, so
@@ -305,11 +306,11 @@ class _Terms:
 
 
 def _generate(rule: Rule, steps: list[tuple], optimize: bool):
-    """The rule's search, with one ``if i == k:`` block per plan step,
-    and its applier, as two Python functions compiled together under a
-    file name that names the rule and the setting and with their source
-    in ``linecache``, so tracebacks, profiles and ``inspect.getsource``
-    show their lines.
+    """The rule's step, with one ``if i == k:`` block per plan step and
+    the rewrite after them, and its layout (see ``compiled_step``).  It
+    is compiled under a file name that names the rule and the setting,
+    with its source in ``linecache``, so tracebacks, profiles and
+    ``inspect.getsource`` show its lines.
 
     ``i`` is the step to try next.  A step that binds falls through into
     the next block after setting up that step's candidates; a step out
@@ -325,7 +326,7 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
     edge = {pe.eid: f"e{j}" for j, pe in enumerate(lhs.edges)}
     names: dict[str, str] = {}      # GP 2 variable -> local, in binding order
     held: list[list[str]] = []      # per step, the records it flags
-    lines = ["def search(g, reflect, backend):", "    candidates = 0", "    i = 0"]
+    lines = ["def step(g, reflect, backend, find=False):", "    candidates = 0", "    i = 0"]
     shift = 0                       # 1 inside a chunk's guard
 
     def emit(depth, text):
@@ -349,7 +350,8 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
     def back(k, depth):
         """Step k is out of candidates: unbind step k - 1 and resume it."""
         if k == 0:
-            emit(depth, "return None, candidates")
+            emit(depth, "g.candidates += candidates")
+            emit(depth, "return False")
             return
         for record in held[k - 1]:
             emit(depth, f"{record}.flags &= ~{FLAG_MATCHED}")
@@ -475,26 +477,22 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
     # then test the condition and set them again if it fails
     records = "".join(f"{r}, " for rs in held for r in rs)
     emit(2, f"for item in ({records}): item.flags &= ~{FLAG_MATCHED}")
-    orientations = {step[1]: f"{tuple(flip for _, flip in step[4])!r}[p{k}]"
-                    for k, step in enumerate(steps) if step[0] == "edge" and step[14]}
-    found = "Match({}), candidates".format(", ".join(
-        "{" + ", ".join(f"{key!r}: {v}" for key, v in d.items()) + "}"
-        for d in (node, edge, names, orientations)))
     if rule.condition is None:
-        emit(2, f"return {found}")
+        emit(2, "break")
     else:
         test = _Terms(lambda text: emit(2, text), names, rule.variables, node)
-        emit(2, f"if {test.cond(rule.condition)}:")
-        emit(3, f"return {found}")
+        emit(2, f"if {test.cond(rule.condition)}: break")
         emit(2, f"for item in ({records}): item.flags |= {FLAG_MATCHED}")
         back(len(steps), 2)
+    emit(1, "g.candidates += candidates")
+    orientations = {step[1]: f"{tuple(flip for _, flip in step[4])!r}[p{k}]"
+                    for k, step in enumerate(steps) if step[0] == "edge" and step[14]}
+    layout = (node, edge, names, orientations)
+    emit(1, "if find: return ({})".format(
+        "".join(f"{v}, " for local in layout for v in local.values())))
 
-    # the applier: every right-hand label first, then the mutator calls
+    # the rewrite: every right-hand label first, then the mutator calls
     # (matched edges, left-hand-only nodes, right-hand items in order)
-    emit(0, "def apply(m, g):")
-    for field, local in (("node_images", node), ("edge_images", edge), ("assignment", names)):
-        for key, v in local.items():
-            emit(1, f"{v} = m.{field}[{key!r}]")
     terms = _Terms(lambda text: emit(1, text), names, rule.variables, node)
     labels = [terms.let(terms.as_list(*terms.expr(item.label)))
               for item in rule.rhs.nodes + rule.rhs.edges]
@@ -517,11 +515,11 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
                     f"g.set_root({n}, {pn.root})")
     for pe, label in zip(rule.rhs.edges, labels[len(rule.rhs.nodes):]):
         ends = f"{at[pe.src]}, {at[pe.tgt]}"
-        if pe.bidir:
-            ends = (f"*(({at[pe.tgt]}, {at[pe.src]}) if m.orientations.get({pe.eid!r}) "
-                    f"else ({ends}))")
+        if pe.bidir and pe.eid in orientations:
+            ends = f"*(({at[pe.tgt]}, {at[pe.src]}) if {orientations[pe.eid]} else ({ends}))"
         mark = f"{edge[pe.eid]}.mark" if pe.mark == MARK_ANY else repr(pe.mark)
         emit(1, f"g.add_edge({ends}, {label}, {mark})")
+    emit(1, "return True")
     source = "\n".join(lines) + "\n"
     cached = source.splitlines(True)
     setting = "opt" if optimize else "noopt"
@@ -530,9 +528,9 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
         copy += 1       # another rule of this name: keep both sources
         filename = f"<gp2 match {rule.name} {setting} {copy}>"
     linecache.cache[filename] = (len(source), None, cached, filename)
-    namespace = {"Match": Match, "EvalError": EvalError, "has_edge": has_edge}
+    namespace = {"EvalError": EvalError, "has_edge": has_edge}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["search"], namespace["apply"]
+    return namespace["step"], tuple(tuple(local) for local in layout)
 
 
 # -- exhaustive oracle ------------------------------------------------------

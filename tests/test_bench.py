@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gp2 import bench, corpus, engine, match
+from gp2 import bench, corpus
 from gp2.engine import OK, ExecConfig, Executable
 from gp2.graph import graphs_isomorphic
 from gp2.textio import parse_host_graph, parse_program, print_graph
@@ -90,6 +90,23 @@ def test_run_bench_produces_samples_and_median():
         assert s.reps == 3 and len(s.all_ms) == 3
         assert s.median_ms == sorted(s.all_ms)[1]
         assert s.outcome == "success"
+
+
+def test_bench_rows_carry_the_counters_of_every_rep(monkeypatch):
+    graphs = []
+    generate = bench.generate
+    monkeypatch.setattr(bench, "generate", lambda spec: graphs.append(generate(spec)) or graphs[-1])
+    samples = bench.run_bench(
+        "is_discrete", corpus.load_program("is_discrete"),
+        [bench.parse_spec("discrete:1000")], ["chain", "index_scan"], reps=3)
+    # one candidate per deleted node; the index scan walks the holes
+    # left of the first live slot on every call
+    assert [(r["backend"], r["candidates"], r["iter_steps"])
+            for r in json.loads(bench.rows_json(samples))] == [
+        ("chain", 1000, 1000), ("index_scan", 1000, 502500)]
+    assert len(graphs) == 6
+    for s, reps in zip(samples, (graphs[:3], graphs[3:])):
+        assert [(g.candidates, g.iter_steps) for g in reps] == [(s.candidates, s.iter_steps)] * 3
 
 
 def test_run_bench_records_failed_recognition():
@@ -182,28 +199,19 @@ def _seeds(*seeds):
     return lambda: [parse_host_graph(f"[ (0 (R), {seed}) | ]") for seed in seeds]
 
 
-def _candidates(program, graphs, monkeypatch, backend="chain"):
-    """(size, candidates examined by find_match_steps, graph.iter_steps)
-    of one run per host graph, the candidates summed over the run as the
-    benchmark does.  The size is the node count of the host or of the
-    result, whichever is larger, so that generators and recognisers both
-    scale with it."""
-    total = [0]
-
-    def find_match(rule, g, mode="preserve", backend="chain", optimize=True):
-        m, candidates = match.find_match_steps(rule, g, mode, backend, optimize)
-        total[0] += candidates
-        return m
-
-    monkeypatch.setattr(engine, "find_match", find_match)
+def _candidates(program, graphs, backend="chain"):
+    """(size, graph.candidates, graph.iter_steps) of one run per host
+    graph, each counter read before and after the run.  The size is the
+    node count of the host or of the result, whichever is larger, so
+    that generators and recognisers both scale with it."""
     executable = Executable(parse_program(corpus.load_program(program)),
                             ExecConfig(backend=backend))
     points = []
     for g in graphs:
-        total[0] = 0
-        nodes = g.node_count
+        nodes, candidates, steps = g.node_count, g.candidates, g.iter_steps
         assert executable.run(g) == OK
-        points.append((max(nodes, g.node_count), total[0], g.iter_steps))
+        points.append((max(nodes, g.node_count), g.candidates - candidates,
+                       g.iter_steps - steps))
     return points
 
 
@@ -255,8 +263,8 @@ INDEX_SCAN_CANDIDATES = {
          "is_bin_dag-trees-index_scan", "is_series_par-lists-chain",
          "is_series_par-lists-index_scan"])
 def test_examined_candidates_grow_linearly(
-        program, hosts, backend, candidates, iter_steps, growth, monkeypatch):
-    points = _candidates(program, hosts(), monkeypatch, backend)
+        program, hosts, backend, candidates, iter_steps, growth):
+    points = _candidates(program, hosts(), backend)
     assert tuple(c for _, c, _ in points) == candidates
     assert tuple(s for _, _, s in points) == iter_steps
     # both backends visit the live nodes oldest first, so on these runs

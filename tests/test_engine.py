@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gp2 import bench, corpus, engine
 from gp2.cli import main
@@ -16,7 +18,14 @@ from gp2.engine import (
     inline_procedures,
     run_program,
 )
-from gp2.graph import FLAG_IN_GRAPH, FLAG_ROOT, Graph, check_consistency, graphs_isomorphic
+from gp2.graph import (
+    FLAG_IN_GRAPH,
+    FLAG_MATCHED,
+    FLAG_ROOT,
+    Graph,
+    check_consistency,
+    graphs_isomorphic,
+)
 from gp2.match import find_match
 from gp2.rules import EvalError
 from gp2.textio import SourceError, parse_host_graph, parse_program, print_graph
@@ -68,8 +77,7 @@ def test_apply_root_promotion_keeps_handle():
     rules = _parsed("is_tree").rules
     g = parse_host_graph("[ (0, 7) | ]")
     node = g.nodes()[0]
-    m = find_match(rules["init"], g)
-    apply_rule(rules["init"], m, g)
+    assert apply_rule(rules["init"], g)
     assert g.nodes()[0] is node
     assert node.flags & FLAG_ROOT
     assert node.label == (7,)
@@ -79,9 +87,9 @@ def test_apply_root_promotion_keeps_handle():
 def test_apply_delete_to_empty_graph():
     rules = _parsed("is_bin_dag").rules
     g = parse_host_graph("[ (0 (R), empty) | ]")
-    m = find_match(rules["del0"], g)
-    apply_rule(rules["del0"], m, g)
+    assert apply_rule(rules["del0"], g)
     assert g.node_count == 0 and g.edge_count == 0
+    assert not apply_rule(rules["del0"], g)
 
 
 def test_apply_link_adds_one_edge_keeps_rest():
@@ -89,8 +97,7 @@ def test_apply_link_adds_one_edge_keeps_rest():
     g = parse_host_graph(
         "[ (0, 1) (1, 2) (2, 3) | (0, 0, 1, 10) (1, 1, 2, 20) ]")
     before = {id(n) for n in g.nodes()}
-    m = find_match(rules["link"], g)
-    apply_rule(rules["link"], m, g)
+    assert apply_rule(rules["link"], g)
     assert {id(n) for n in g.nodes()} == before
     assert g.edge_count == 3
     labels = sorted(tuple(e.label) for e in g.edges())
@@ -269,22 +276,36 @@ def test_random_journaled_mutations_undo_exactly():
 FIXTURES = sorted({f for entry in corpus.ENTRIES.values() for f, _ in entry.fixtures})
 
 
-def _first_matches(backend):
+def _flags(g):
+    return [(r, r.flags) for r in [*g.node_slots, *g.edges()]]
+
+
+def _first_matches(backend, optimize):
     """(program, rule, fixture, host graph, match) for every corpus rule
-    with a match on a corpus fixture."""
+    with a match on a corpus fixture.  Finding a match, or none, must
+    leave the graph as it was and every matched flag clear."""
     for name in corpus.PROGRAM_NAMES:
         for rule in _parsed(name).rules.values():
             for fixture in FIXTURES:
                 g = parse_host_graph(corpus.load_fixture(fixture))
-                m = find_match(rule, g, backend=backend)
+                printed, flags = print_graph(g), _flags(g)
+                m = find_match(rule, g, backend=backend, optimize=optimize)
+                where = (name, rule.name, fixture)
+                after = _flags(g)
+                assert print_graph(g) == printed and after == flags, where
+                assert not any(f & FLAG_MATCHED for _, f in after), where
                 if m is not None:
                     yield name, rule, fixture, g, m
 
 
-@pytest.mark.parametrize("backend", ["chain", "index_scan"])
-def test_every_corpus_rule_application_undoes_exactly(backend):
+BACKENDS_AND_PLANS = pytest.mark.parametrize(
+    "backend, optimize", [(b, o) for b in ("chain", "index_scan") for o in (True, False)])
+
+
+@BACKENDS_AND_PLANS
+def test_every_corpus_rule_application_undoes_exactly(backend, optimize):
     applied = 0
-    for name, rule, fixture, g, m in _first_matches(backend):
+    for name, rule, fixture, g, m in _first_matches(backend, optimize):
         before = _snapshot(g)
         copy = parse_host_graph(print_graph(g))
         nodes, edges = g.nodes(), g.edges()
@@ -292,7 +313,7 @@ def test_every_corpus_rule_application_undoes_exactly(backend):
         edge_fields = [(e.label, e.mark, e.source, e.target) for e in edges]
         stack = ChangeStack()
         stack.open_frame(g)
-        apply_rule(rule, m, g)
+        assert apply_rule(rule, g, backend=backend, optimize=optimize)
         stack.undo_frame(g)
         where = (name, rule.name, fixture)
         assert _snapshot(g) == before, where
@@ -305,17 +326,23 @@ def test_every_corpus_rule_application_undoes_exactly(backend):
     assert applied > 100
 
 
-@pytest.mark.parametrize("backend", ["chain", "index_scan"])
-def test_every_corpus_rule_application_commits_and_frees_once(backend):
-    for name, rule, fixture, g, m in _first_matches(backend):
+@BACKENDS_AND_PLANS
+def test_every_corpus_rule_application_commits_and_frees_once(backend, optimize):
+    for name, rule, fixture, g, m in _first_matches(backend, optimize):
         deleted_nodes = [m.node_images[pid] for pid in rule.deleted]
         deleted_edges = list(m.edge_images.values())
+        nodes, edges = g.nodes(), g.edges()
         stack = ChangeStack()
         stack.open_frame(g)
-        apply_rule(rule, m, g)
+        assert apply_rule(rule, g, backend=backend, optimize=optimize)
         stack.commit_frame(g)
         check_consistency(g)
         where = (name, rule.name, fixture)
+        # the application deleted exactly the images find_match returned
+        assert [n for n in nodes if n.in_graph] == \
+            [n for n in nodes if all(n is not d for d in deleted_nodes)], where
+        assert [e for e in edges if e.flags] == \
+            [e for e in edges if all(e is not d for d in deleted_edges)], where
         for node in deleted_nodes:
             assert sum(r is node for r in g.free_nodes) == 1, where
             assert node.flags == 0, where
@@ -401,6 +428,79 @@ def test_a_rolled_back_corpus_program_prints_its_input(monkeypatch, backend, mai
                 monkeypatch.setattr(engine, "ChangeStack", stack)
                 out = rolled_back.run_text(host_text)
                 assert out.output == want, (name, fixture, stack.__name__)
+
+
+def _shrinks(rule):
+    """Whether every application of ``rule`` removes at least one item."""
+    return len(rule.rhs.nodes) + len(rule.rhs.edges) < len(rule.lhs.nodes) + len(rule.lhs.edges)
+
+
+@st.composite
+def _small_hosts(draw):
+    """Up to five nodes and eight edges, loops and parallel edges among
+    them, with the labels, marks and roots the corpus rules read."""
+    n = draw(st.integers(1, 5))
+    nodes = [f"({i}{draw(st.sampled_from(['', ' (R)']))}, "
+             f"{draw(st.sampled_from(['empty', '0', '2', '3 # grey']))})" for i in range(n)]
+    edges = [f"({i}, {draw(st.integers(0, n - 1))}, {draw(st.integers(0, n - 1))}, "
+             f"{draw(st.sampled_from(['empty', '0', '1', '2 # dashed']))})"
+             for i in range(draw(st.integers(0, 8)))]
+    return f"[ {' '.join(nodes)} | {' '.join(edges)} ]"
+
+
+@st.composite
+def _corpus_rule_programs(draw):
+    """A corpus program with a drawn Main over its rules in ``try``,
+    ``if`` and ``!`` shapes, and a host: one of its fixtures or a small
+    drawn one.  Every way a loop body can succeed removes an item from
+    the graph, so every such program ends."""
+    name = draw(st.sampled_from(corpus.PROGRAM_NAMES))
+    rules = _parsed(name).rules
+    every = sorted(rules)
+    shrinking = [r for r in every if _shrinks(rules[r])]
+
+    def command(depth, body):
+        """Any command, or with ``body`` one that removes an item
+        whenever it succeeds."""
+        leaves = ["rules"] * 3 + (["break"] if body else ["skip", "fail"])
+        shapes = ["seq", "try", "if"] + (["loop"] if shrinking and not body else [])
+        kind = draw(st.sampled_from(leaves + shapes * 2 if depth else leaves))
+        if kind == "rules":
+            pool = shrinking if body else every
+            chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+            return "{" + ", ".join(chosen) + "}"
+        if kind in ("break", "skip", "fail"):
+            return kind
+        if kind == "loop":
+            return f"({command(depth - 1, True)})!"
+        if kind == "seq":
+            return f"({command(depth - 1, body)}; {command(depth - 1, body)})"
+        guard = command(depth - 1, body and kind == "try")
+        return (f"({kind} {guard} then {command(depth - 1, body)} "
+                f"else {command(depth - 1, body)})")
+
+    program = re.sub(r"^Main\b", "Whole", _program(name), flags=re.M)
+    # each top-level command runs on what the ones before it left, and
+    # half of them are rolled back
+    main = "; ".join(draw(st.sampled_from(["{}", "try {}", "try ({}; fail)", "if {} then skip"]))
+                     .format(command(3, False)) for _ in range(draw(st.integers(1, 4))))
+    fixtures = [corpus.load_fixture(f) for f, _ in corpus.ENTRIES[name].fixtures]
+    return f"{program}\nMain = {main}", draw(st.one_of(st.sampled_from(fixtures), _small_hosts()))
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=120,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_corpus_rule_programs(), st.sampled_from(["chain", "index_scan"]))
+def test_drawn_programs_print_the_same_under_a_copying_twin(program_and_host, backend):
+    program, host_text = program_and_host
+    run = Executable(parse_program(program), ExecConfig(backend=backend))
+    outcomes = []
+    for stack in (ChangeStack, SnapshotStack):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "ChangeStack", stack)
+            out = run.run_text(host_text)
+        outcomes.append((out.status, out.diagnostic, out.graph and print_graph(out.graph)))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- control constructs ------------------------------------------------------------

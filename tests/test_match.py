@@ -8,13 +8,12 @@ from gp2 import corpus
 from gp2.engine import OK, ExecConfig, Executable, run_program
 from gp2.graph import FLAG_MATCHED, Graph
 from gp2.match import (
-    applier,
     audit_match,
     brute_force_match,
     compile_plan,
+    compiled_step,
     find_match,
     find_match_steps,
-    matcher,
     plan_is_well_formed,
 )
 from gp2.rules import EvalError
@@ -329,17 +328,15 @@ def test_compiled_labels_agree_with_the_oracles_on_random_hosts(optimize):
         assert hits and misses, (rule.name, hits, misses)
 
 
-def test_compiled_search_shows_its_source():
+def test_compiled_step_shows_its_source():
     rule = _label_rules()[2]
-    search = matcher(rule, optimize=False)
-    assert search.__code__.co_filename.startswith("<gp2 match strange noopt")
-    source = inspect.getsource(search)
-    assert source.startswith("def search(g, reflect, backend):")
+    step = compiled_step(rule, optimize=False)
+    assert step.__code__.co_filename.startswith("<gp2 match strange noopt")
+    source = inspect.getsource(step)
+    assert source.startswith("def step(g, reflect, backend, find=False):")
     assert repr(STRANGE) in source
-    assert "'if': v" in source and "'None': v" in source
-    apply = applier(rule)
-    assert apply.__code__.co_filename == search.__code__.co_filename
-    assert inspect.getsource(apply).startswith("def apply(m, g):")
+    assert "g.add_edge(" in source and "Match" not in source
+    assert rule.plans[False][2][2] == ("g", "len", "None", "if")
 
 
 def test_reflect_matches_are_preserve_matches():
