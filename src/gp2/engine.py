@@ -7,16 +7,18 @@ A command is a tagged tuple, as ``textio`` parses it:
 ``inline_procedures`` checks a program's commands and expands its calls,
 and ``Executable`` builds the expanded Main once into nested functions
 ``run(g, stack)`` that return OK, FAILED or BROKE: each rule set's
-steps are compiled then, and each loop gets a journal frame per
-iteration only when ``effects`` says its body may fail after changing
-the graph.
+steps are compiled then, for the config's setting only, and each loop
+gets a journal frame per iteration only when ``effects`` says its body
+may fail after changing the graph.
 
 A rule set calls its rules' compiled steps (see ``match``) until one
-rewrites at its match, building no ``Match``: it evaluates every
-right-hand label first, so an EvalError changes nothing, then deletes
-the matched edges and left-hand-only nodes, updates interface nodes in
-place (relabel, remark, re-root) and creates right-hand-only items
-last, all through ``Graph``'s mutators.
+rewrites at its match, building no ``Match``, and counting its walks'
+steps and candidates on the graph (not when a condition raises
+EvalError mid-search).  A step evaluates every right-hand label first,
+so an EvalError changes nothing, then deletes the matched edges and
+left-hand-only nodes, updates interface nodes in place (relabel,
+remark, re-root) and creates right-hand-only items last, all through
+``Graph``'s mutators.
 ``if``/``try`` guards and loop iterations run inside a ``ChangeStack``
 frame, which the graph journals its mutations into (see ``graph``), so
 they can be undone exactly; straight-line execution outside any frame
@@ -181,13 +183,13 @@ def _build(cmd, rules: dict[str, Rule], cfg: ExecConfig):
 
 
 def _rule_set(chosen: list[Rule], cfg: ExecConfig):
-    reflect, backend = cfg.root_mode == "reflect", cfg.backend
-    steps = [(rule, compiled_step(rule, cfg.optimize_plans)) for rule in chosen]
+    setting = (cfg.optimize_plans, cfg.backend, cfg.root_mode == "reflect")
+    steps = [(rule, compiled_step(rule, *setting)) for rule in chosen]
 
     def run(g, stack):
         try:
             for rule, step in steps:
-                if step(g, reflect, backend):
+                if step(g):
                     return OK
         except EvalError as exc:
             raise EvalError(f"in rule {rule.name!r}: {exc}") from exc
@@ -285,7 +287,7 @@ def apply_rule(rule: Rule, g: Graph, mode: str = "preserve",
                backend: str = "chain", optimize: bool = True) -> bool:
     """Apply the rule at its first match, the one ``find_match`` returns
     on the same graph, and say whether it had one."""
-    return compiled_step(rule, optimize)(g, mode == "reflect", backend)
+    return compiled_step(rule, optimize, backend, mode == "reflect")(g)
 
 
 # -- whole-program execution -----------------------------------------------------

@@ -13,9 +13,10 @@ Two iteration backends coexist over the same records.  The chain
 backend follows the live-node chain and therefore skips deleted nodes
 in one step; the index-scan backend walks every slot index below the
 high-water mark (``node_slots``) and filters on ``live_bytes``, which
-is how the legacy layout iterated.  Both see exactly the live nodes
-and count their steps in ``iter_steps``; ``candidates`` counts the host
-items that the compiled rule steps (see ``match``) examine.
+is how the legacy layout iterated.  The compiled rule steps (see
+``match``) walk both inline, counting in ``iter_steps`` the steps
+``nodes_iter`` (left to oracles and tests) counts, and in ``candidates``
+the items they examine, unless a condition raises mid-search.
 
 Deleted nodes go on a LIFO free stack and are reused by the next add,
 keeping their slot index; in minimal-GC mode they are never returned to

@@ -9,20 +9,23 @@ to the neighbourhood of the host's roots.  Each step carries everything
 the search reads (ids, labels, marks, degrees, edge phases).
 
 ``compiled_step`` compiles each plan to one Python function, once per
-rule and setting, and caches it in ``Rule.plans``.  Its search is the
-plan unrolled into a flat state machine, one block per step with its
-checks written out: a constant label is one tuple comparison, and each
-variable is a local, bound or compared as the plan order fixes.  Each
-candidate is checked when it is bound: injectivity, mark, root, degree,
-then label.  A node the rule deletes must have its exact degree (the
-dangling condition), so a dangling candidate is rejected before the
-rule's condition is ever evaluated.  A node the rule keeps must have at
-least as many out- and in-edges as its non-bidirectional left-hand
-edges give it.  The condition runs once every step is bound, as inline
-Python.  At the first hit the function rewrites on the locals the
-search bound, every right-hand label first, then the mutator calls; in
-find mode it returns the locals, for ``find_match`` to build a
-``Match``.  Each call adds its candidates to ``Graph.candidates``.
+rule and setting (plan order, backend, root mode), and caches it in
+``Rule.plans``.  Its search is the plan unrolled into a flat state
+machine, one block per step with its checks written out: a constant
+label is one tuple comparison, each variable is a local, and a global
+node step walks the node chain or the slots inline.  Each candidate is
+checked when it is bound: injectivity, mark, root (a non-root only in
+reflect mode), degree, then label.  A node the rule deletes must have its exact degree
+(the dangling condition), so a dangling candidate is rejected before
+the rule's condition is ever evaluated.  A node the rule keeps must
+have at least as many out- and in-edges as its non-bidirectional
+left-hand edges give it.  The condition runs once every step is bound,
+as inline Python.  At the first hit the function rewrites on the locals
+the search bound, every right-hand label first, then the mutator calls;
+in find mode it returns the locals, for ``find_match``.  Each return
+adds the candidates examined to ``Graph.candidates`` and the walks'
+steps to ``Graph.iter_steps``; an EvalError raised by the condition
+mid-search adds to neither.
 
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
@@ -35,7 +38,7 @@ import linecache
 from heapq import heappop, heappush
 from typing import Optional
 
-from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, Graph
+from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, SCAN_CHUNK, Graph, GraphError
 from .rules import EvalError, Rule, eval_cond, has_edge, label_match
 
 
@@ -175,23 +178,27 @@ def find_match_steps(rule: Rule, g: Graph, mode: str = "preserve",
                      backend: str = "chain", optimize: bool = True):
     """The first match in plan order, or None, and the number of host
     candidates examined; the graph is left as it was."""
-    before, m = g.candidates, None
-    found = compiled_step(rule, optimize)(g, mode == "reflect", backend, True)
+    before, m, key = g.candidates, None, (optimize, backend, mode == "reflect")
+    found = compiled_step(rule, *key)(g, True)
     if found is not False:
         values = iter(found)
-        m = Match(*({key: next(values) for key in keys} for keys in rule.plans[optimize][2]))
+        m = Match(*({name: next(values) for name in keys} for keys in rule.plans[key][2]))
     return m, g.candidates - before
 
 
-def compiled_step(rule: Rule, optimize: bool = True):
-    """The rule's ``step(g, reflect, backend, find=False)``, compiled on
+def compiled_step(rule: Rule, optimize: bool = True, backend: str = "chain",
+                  reflect: bool = False):
+    """The rule's ``step(g, find=False)`` for one setting, compiled on
     first use and cached in ``Rule.plans``: True once it has rewritten at
     the first match, False if there is none.  With ``find``, the match's
     node and edge images, variable values and orientations, in layout order."""
-    cached = rule.plans.get(optimize)
+    key = (optimize, backend, reflect)
+    cached = rule.plans.get(key)
     if cached is None:
+        if backend not in ("chain", "index_scan"):
+            raise GraphError(f"unknown iteration backend: {backend}")
         steps = compile_plan(rule, optimize)
-        cached = rule.plans[optimize] = (steps, *_generate(rule, steps, optimize))
+        cached = rule.plans[key] = (steps, *_generate(rule, steps, *key))
     return cached[1]
 
 
@@ -209,21 +216,26 @@ _ARITH = {"add": "+", "sub": "-", "mul": "*"}
 
 class _Terms:
     """Labels and conditions compiled to flat statements, one local
-    ``t`` + number per compound subterm, as ``eval_expr``/``eval_cond``
-    evaluate them: 32-bit wrap, division truncating toward zero, each
-    EvalError where they raise it.  Each value has a kind, its GP 2 type
-    where known ("atom" where not): an int kind is not tested again.  The
-    right operand of ``and``/``or`` runs under a guard, ``if t1: ...``."""
+    ``t`` + number per distinct compound subterm (one set under a guard
+    is not reused), as ``eval_expr``/``eval_cond`` evaluate them: 32-bit
+    wrap, division truncating toward zero, each EvalError where they
+    raise it.  Each value has a kind, its GP 2 type where known ("atom"
+    where not): an int kind is not tested again.  The right operand of
+    ``and``/``or`` runs under a guard, ``if t1: ...``."""
 
     def __init__(self, emit, names: dict, types: dict, node: dict):
         self.emit, self.names, self.types, self.node = emit, names, types, node
-        self.count, self.guard = 0, None
+        self.count, self.guard, self.known = 0, None, {}
 
     def let(self, code: str, guarded: bool = True) -> str:
+        if code in self.known:
+            return self.known[code]
         t = f"t{self.count}"
         self.count += 1
         guard = self.guard if guarded else None
         self.emit(f"if {guard}: {t} = {code}" if guard else f"{t} = {code}")
+        if not guard:
+            self.known[code] = t
         return t
 
     def check(self, test: str, message: str) -> None:
@@ -305,7 +317,16 @@ class _Terms:
         return self.let(f"{a} {op} {b}")
 
 
-def _generate(rule: Rule, steps: list[tuple], optimize: bool):
+def _pattern_items(t) -> list:
+    """The left-hand pattern items, ('lit', atom) or ('var', name), that
+    right-hand label ``t`` writes out again; None stands for any other term."""
+    if t[0] == "cons":
+        return _pattern_items(t[1]) + _pattern_items(t[2])
+    return {"int": [("lit", t[-1])], "str": [("lit", t[-1])], "var": [t], "empty": []}.get(
+        t[0], [None])
+
+
+def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, reflect: bool):
     """The rule's step, with one ``if i == k:`` block per plan step and
     the rewrite after them, and its layout (see ``compiled_step``).  It
     is compiled under a file name that names the rule and the setting,
@@ -326,7 +347,11 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
     edge = {pe.eid: f"e{j}" for j, pe in enumerate(lhs.edges)}
     names: dict[str, str] = {}      # GP 2 variable -> local, in binding order
     held: list[list[str]] = []      # per step, the records it flags
-    lines = ["def step(g, reflect, backend, find=False):", "    candidates = 0", "    i = 0"]
+    walks = any(step[0] == "node" for step in steps)
+    lines = ["def step(g, find=False):", "    candidates = walked = i = 0"]
+    if walks and backend == "index_scan":
+        lines.append("    live, slots = g.live_bytes, g.node_slots; hw = len(slots)")
+    counters = "g.candidates += candidates" + "; g.iter_steps += walked" * walks
     shift = 0                       # 1 inside a chunk's guard
 
     def emit(depth, text):
@@ -340,7 +365,7 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
         if step[0] == "root":
             emit(depth, f"it{k} = iter(g.root_list)")
         elif step[0] == "node":
-            emit(depth, f"it{k} = g.nodes_iter(backend)")
+            emit(depth, f"c{k} = {'g.node_head' if backend == 'chain' else 0}")
         else:
             reverse = step[4][0][0]
             emit(depth, f"c{k} = {node[step[5]]}.{'in_head' if reverse else 'out_head'}")
@@ -350,7 +375,7 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
     def back(k, depth):
         """Step k is out of candidates: unbind step k - 1 and resume it."""
         if k == 0:
-            emit(depth, "g.candidates += candidates")
+            emit(depth, counters)
             emit(depth, "return False")
             return
         for record in held[k - 1]:
@@ -364,8 +389,8 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
             emit(depth, f"if {n}.mark != {mark!r}: continue")
         if root:
             emit(depth, f"if not {flags} & {FLAG_ROOT}: continue")
-        else:
-            emit(depth, f"if reflect and {flags} & {FLAG_ROOT}: continue")
+        elif reflect:
+            emit(depth, f"if {flags} & {FLAG_ROOT}: continue")
         if degree >= 0:
             emit(depth, f"if {n}.indegree + {n}.outdegree != {degree}: continue")
         else:
@@ -419,7 +444,16 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
         if step[0] != "edge":
             _, pid, label, mark, degree, out_min, in_min = step
             n = node[pid]
-            emit(3, f"for {n} in it{k}:")
+            if step[0] == "root":
+                emit(3, f"for {n} in it{k}:")
+            elif backend == "chain":     # each walk counts what nodes_iter counts
+                emit(3, f"while c{k} is not None:")
+                emit(4, f"{n} = c{k}; c{k} = {n}.next; walked += 1")
+            else:   # SCAN_CHUNK slots per find, as nodes_index_scan
+                emit(3, f"while c{k} < hw:")
+                emit(4, f"end = c{k} + {SCAN_CHUNK}; j = live.find(1, c{k}, end)")
+                emit(4, f"if j < 0: walked += end - c{k}; c{k} = end; continue")
+                emit(4, f"walked += j - c{k} + 1; {n} = slots[j]; c{k} = j + 1")
             emit(4, "candidates += 1")
             emit(4, f"f = {n}.flags")
             check_node(n, "f", label, mark, step[0] == "root", degree, out_min,
@@ -427,6 +461,8 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
             emit(4, f"{n}.flags = f | {FLAG_MATCHED}")
             emit(4, "break")
             emit(3, "else:")
+            if step[0] == "node" and backend == "index_scan":
+                emit(4, f"walked += hw - c{k}")   # the last chunk ran past hw
             back(k, 4)
             held.append([n])
         else:
@@ -484,7 +520,7 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
         emit(2, f"if {test.cond(rule.condition)}: break")
         emit(2, f"for item in ({records}): item.flags |= {FLAG_MATCHED}")
         back(len(steps), 2)
-    emit(1, "g.candidates += candidates")
+    emit(1, counters)
     orientations = {step[1]: f"{tuple(flip for _, flip in step[4])!r}[p{k}]"
                     for k, step in enumerate(steps) if step[0] == "edge" and step[14]}
     layout = (node, edge, names, orientations)
@@ -492,37 +528,47 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool):
         "".join(f"{v}, " for local in layout for v in local.values())))
 
     # the rewrite: every right-hand label first, then the mutator calls
-    # (matched edges, left-hand-only nodes, right-hand items in order)
+    # (matched edges, left-hand-only nodes, right-hand items in order);
+    # constants and locals are written where used, and a node whose label
+    # writes its left-hand pattern out again is not relabelled
     terms = _Terms(lambda text: emit(1, text), names, rule.variables, node)
-    labels = [terms.let(terms.as_list(*terms.expr(item.label)))
-              for item in rule.rhs.nodes + rule.rhs.edges]
+    same = {pn.pid for pn in rule.rhs.nodes if pn.pid in node and _pattern_items(pn.label)
+            == [item[:2] for item in lhs.nodes[lhs.by_id[pn.pid]].label.items]}
+    label = {}
+    for t in [pn.label for pn in rule.rhs.nodes if pn.pid not in same] + \
+            [pe.label for pe in rule.rhs.edges]:
+        code, kind = terms.expr(t)
+        label[t] = code if kind == "list" else f"({code},)" if t[0] in ("int", "str") \
+            else terms.let(f"({code},)")
     for e in edge.values():
         emit(1, f"g.delete_edge({e})")
     for pid in rule.deleted:
         emit(1, f"g.delete_node({node[pid]})")
     at = dict(node)
-    for pn, label in zip(rule.rhs.nodes, labels):
+    for pn in rule.rhs.nodes:
+        code = label.get(pn.label)
         if pn.pid not in at:
             at[pn.pid] = f"n{len(at)}"
-            emit(1, f"{at[pn.pid]} = g.add_node({label}, {pn.mark!r}, {pn.root})")
+            emit(1, f"{at[pn.pid]} = g.add_node({code}, {pn.mark!r}, {pn.root})")
             continue
         n, old = at[pn.pid], lhs.nodes[lhs.by_id[pn.pid]]
-        emit(1, f"if {n}.label != {label}: g.relabel_node({n}, {label})")
+        if pn.pid not in same:
+            emit(1, f"if {n}.label != {code}: g.relabel_node({n}, {code})")
         if pn.mark not in (MARK_ANY, old.mark):
             emit(1, f"if {n}.mark != {pn.mark!r}: g.remark_node({n}, {pn.mark!r})")
-        if not (pn.root and old.root):
+        if pn.root != old.root or not (pn.root or reflect):     # reflect: never a root
             emit(1, f"if {'not ' * pn.root}{n}.flags & {FLAG_ROOT}: "
                     f"g.set_root({n}, {pn.root})")
-    for pe, label in zip(rule.rhs.edges, labels[len(rule.rhs.nodes):]):
+    for pe in rule.rhs.edges:
         ends = f"{at[pe.src]}, {at[pe.tgt]}"
         if pe.bidir and pe.eid in orientations:
             ends = f"*(({at[pe.tgt]}, {at[pe.src]}) if {orientations[pe.eid]} else ({ends}))"
         mark = f"{edge[pe.eid]}.mark" if pe.mark == MARK_ANY else repr(pe.mark)
-        emit(1, f"g.add_edge({ends}, {label}, {mark})")
+        emit(1, f"g.add_edge({ends}, {label[pe.label]}, {mark})")
     emit(1, "return True")
     source = "\n".join(lines) + "\n"
     cached = source.splitlines(True)
-    setting = "opt" if optimize else "noopt"
+    setting = f"{'no' * (not optimize)}opt {backend} {('preserve', 'reflect')[reflect]}"
     filename, copy = f"<gp2 match {rule.name} {setting}>", 1
     while linecache.cache.get(filename, (0, 0, cached))[2] != cached:
         copy += 1       # another rule of this name: keep both sources

@@ -139,7 +139,7 @@ class Rule:
         self.condition = condition
         self.interface = sorted(set(lhs.by_id) & set(rhs.by_id))
         self.deleted = [n.pid for n in lhs.nodes if n.pid not in rhs.by_id]
-        self.plans: dict = {}       # optimize -> (plan steps, step, layout)
+        self.plans: dict = {}       # (optimize, backend, reflect) -> (plan, step, layout)
 
 
 # -- label matching -----------------------------------------------------

@@ -3,10 +3,12 @@ import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gp2 import corpus
 from gp2.engine import OK, ExecConfig, Executable, run_program
-from gp2.graph import FLAG_MATCHED, Graph
+from gp2.graph import FLAG_MATCHED, SCAN_CHUNK, Graph, GraphError, Node
 from gp2.match import (
     audit_match,
     brute_force_match,
@@ -16,8 +18,8 @@ from gp2.match import (
     find_match_steps,
     plan_is_well_formed,
 )
-from gp2.rules import EvalError
-from gp2.textio import parse_host_graph, parse_program, parse_rule
+from gp2.rules import EvalError, instantiate_rhs
+from gp2.textio import parse_host_graph, parse_program, parse_rule, print_graph
 
 
 def _rules(name):
@@ -331,12 +333,12 @@ def test_compiled_labels_agree_with_the_oracles_on_random_hosts(optimize):
 def test_compiled_step_shows_its_source():
     rule = _label_rules()[2]
     step = compiled_step(rule, optimize=False)
-    assert step.__code__.co_filename.startswith("<gp2 match strange noopt")
+    assert step.__code__.co_filename == "<gp2 match strange noopt chain preserve>"
     source = inspect.getsource(step)
-    assert source.startswith("def step(g, reflect, backend, find=False):")
+    assert source.startswith("def step(g, find=False):")
     assert repr(STRANGE) in source
     assert "g.add_edge(" in source and "Match" not in source
-    assert rule.plans[False][2][2] == ("g", "len", "None", "if")
+    assert rule.plans[False, "chain", False][2][2] == ("g", "len", "None", "if")
 
 
 def test_reflect_matches_are_preserve_matches():
@@ -436,3 +438,169 @@ def test_planning_a_path_of_four_thousand_nodes_is_fast():
     assert plan[0][:2] == ("node", first.pid)
     # the first edge is walked from its source, the node just bound
     assert plan[1][:2] == ("edge", edge.eid) and plan[1][5] == edge.src == first.pid
+
+
+# -- the inline walks against the Graph generators ------------------------
+
+SETTINGS = [(backend, mode) for backend in ("chain", "index_scan")
+            for mode in ("preserve", "reflect")]
+
+
+def _walk_hosts():
+    """Hosts labelled (slot index,), every third node a root, with holes
+    at the edges of the scan's chunks, one whole chunk of holes and
+    holes at the end: as deleted, with the last four holes reused (LIFO,
+    so chain and slot order differ), and under minimal_gc, which reuses
+    none."""
+    count = 3 * SCAN_CHUNK + 5
+    holes = [0, SCAN_CHUNK - 1, SCAN_CHUNK, *range(SCAN_CHUNK + 2, 2 * SCAN_CHUNK + 3),
+             count - 3, count - 2, count - 1]
+    hosts = []
+    for minimal_gc, added in ((False, 0), (False, 4), (True, 4)):
+        g = Graph()
+        g.minimal_gc = minimal_gc
+        nodes = [g.add_node((i,), root=i % 3 == 0) for i in range(count)]
+        for i in holes:
+            g.delete_node(nodes[i])
+        for i in range(added):
+            g.add_node((count + i,), root=i == 1)
+        hosts.append(g)
+    return hosts
+
+
+@pytest.mark.parametrize("backend,mode", SETTINGS)
+def test_inline_walks_visit_and_count_as_the_graph_generators(backend, mode):
+    # each match is marked red, so the next search finds the next node
+    rule = parse_rule("n(x:list)\n[ (1, x) | ] => [ (1, x) | ]")
+    for g in _walk_hosts():
+        want, start = [], g.iter_steps
+        for node in g.nodes_iter(backend):
+            if mode == "preserve" or not node.is_root:
+                want.append((node, g.iter_steps - start))
+        total = g.iter_steps - start
+        got = []
+        while True:
+            before = g.iter_steps
+            m = find_match(rule, g, mode, backend)
+            if m is None:
+                break
+            got.append((m.node_images[1], g.iter_steps - before))
+            g.remark_node(m.node_images[1], "red")
+        assert got == want
+        assert g.iter_steps - before == total
+
+
+def _first_pair(g, backend, reflect, holds):
+    """The two-node search written over ``Graph.nodes_iter``."""
+    for a in g.nodes_iter(backend):
+        if reflect and a.is_root:
+            continue
+        for b in g.nodes_iter(backend):
+            if b is not a and not (reflect and b.is_root) and holds(a.label[0], b.label[0]):
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("backend,mode", SETTINGS)
+def test_a_second_walk_restarts_and_the_first_resumes_after_a_backtrack(backend, mode):
+    conditions = [("x > 370 and y = x - 5", lambda x, y: x > 370 and y == x - 5),
+                  ("x > 1000", lambda x, y: False)]
+    for text, holds in conditions:
+        rule = parse_rule(f"pair(x, y:int)\n[ (1, x) (2, y) | ] => [ (1, x) (2, y) | ]\n"
+                          f"  where {text}")
+        for g in _walk_hosts():
+            start = g.iter_steps
+            want = _first_pair(g, backend, mode == "reflect", holds)
+            want_steps, before = g.iter_steps - start, g.iter_steps
+            m = find_match(rule, g, mode, backend)
+            assert (m and (m.node_images[1], m.node_images[2])) == want, text
+            assert g.iter_steps - before == want_steps, text
+
+
+def test_an_unknown_backend_fails_when_the_step_is_built():
+    for rule in _rules("is_bin_dag")["up"], _rules("is_discrete")["del"]:
+        with pytest.raises(GraphError, match="unknown iteration backend: slots"):
+            compiled_step(rule, True, "slots", False)
+        assert not rule.plans
+
+
+def test_generated_steps_test_no_setting_and_name_it_in_their_file():
+    for name, rule in all_corpus_rules():
+        files = set()
+        for backend, mode in SETTINGS:
+            step = compiled_step(rule, True, backend, mode == "reflect")
+            # another program may have a rule of this name: its file is "... 2>"
+            files.add(step.__code__.co_filename)
+            assert step.__code__.co_filename.startswith(
+                f"<gp2 match {rule.name} opt {backend} {mode}"), name
+            source = inspect.getsource(step)
+            for word in ("nodes_iter(", "reflect", "backend"):
+                assert word not in source, (name, rule.name, backend, mode, word)
+        assert len(files) == len(SETTINGS), name
+
+
+# -- an interface label written out again ---------------------------------
+
+
+def _reference_rewrite(rule, g, mode):
+    """An interface-only rule applied through ``find_match`` and the
+    interpreter, relabelling every node whose label differs."""
+    m = find_match(rule, g, mode)
+    if m is None:
+        return False
+    nodes, _ = instantiate_rhs(rule, m.assignment, m.node_images)
+    for pn, (label, mark) in zip(rule.rhs.nodes, nodes):
+        n = m.node_images[pn.pid]
+        if n.label != label:
+            g.relabel_node(n, label)
+        if n.mark != mark:
+            g.remark_node(n, mark)
+        if n.is_root != pn.root:
+            g.set_root(n, pn.root)
+    return True
+
+
+def _label_text(label):
+    return ":".join(f'"{a}"' if isinstance(a, str) else str(a) for a in label) or "empty"
+
+
+@st.composite
+def _rewritten_patterns(draw):
+    """A left-hand label of literals, an int and an atom variable and at
+    most one list variable; a right-hand label that is the same list or,
+    half the time, another one over its variables; and a host of 2-5
+    nodes labelled alike."""
+    atoms = draw(st.lists(st.sampled_from(["0", "1", '"a"', "i", "t"]), max_size=3))
+    if draw(st.booleans()):
+        atoms.insert(draw(st.integers(0, len(atoms))), "l")
+    rhs = atoms
+    if draw(st.booleans()):
+        used = sorted(set(atoms) & {"i", "t", "l"})
+        rhs = draw(st.lists(st.sampled_from(["0", '"a"', *used]), max_size=4))
+    labels = st.lists(st.sampled_from([0, 1, "a"]), max_size=4).map(tuple)
+    host = draw(st.lists(st.tuples(labels, st.booleans()), min_size=2, max_size=5))
+    return [":".join(side) or "empty" for side in (atoms, rhs)], host
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_rewritten_patterns(), st.sampled_from(["preserve", "reflect"]))
+def test_a_label_written_out_again_is_not_relabelled(case, mode):
+    (lhs, rhs), host = case
+    rule = parse_rule(f"r(i:int; t:atom; l,k:list)\n[ (1, {lhs}) (2, k) | ]\n"
+                      f"=> [ (1, {rhs} # red) (2, k:0) | ]")
+    step = compiled_step(rule, True, "chain", mode == "reflect")
+    source = inspect.getsource(step)
+    assert ("g.relabel_node(n0" in source) == (lhs != rhs)
+    assert "g.relabel_node(n1" in source
+    text = "[ " + " ".join(f"({j}{' (R)' * root}, {_label_text(label)})"
+                           for j, (label, root) in enumerate(host)) + " | ]"
+    runs = []
+    for apply in (step, lambda g: _reference_rewrite(rule, g, mode)):
+        g = parse_host_graph(text)
+        g.journal = []
+        applied = apply(g)
+        entries = [tuple(x.slot_index if isinstance(x, Node) else x for x in entry)
+                   for entry in g.journal]
+        runs.append((applied, entries, print_graph(g)))
+    assert runs[0] == runs[1]
