@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .engine import OK, ExecConfig, Executable
 from .graph import Graph
+from .textio import parse_program
 
 LINEAR_BAND = (1.4, 2.6)
 QUADRATIC_BAND = (3.2, 5.0)
@@ -202,17 +203,8 @@ class BenchSample:
     outcome: str = "success"
 
 
-def time_execution(executable: Executable, g: Graph) -> tuple[float, str]:
-    t0 = time.perf_counter()
-    status = executable.run(g)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return elapsed, ("success" if status == OK else "fail")
-
-
 def run_bench(program_name: str, program_text: str, specs, backends,
               reps: int = 3) -> list[BenchSample]:
-    from .textio import parse_program
-
     parsed = parse_program(program_text)
     samples = []
     for spec in specs:
@@ -222,8 +214,10 @@ def run_bench(program_name: str, program_text: str, specs, backends,
             for _ in range(reps):
                 g = generate(spec)
                 nodes, edges = g.node_count, g.edge_count
-                ms, outcome = time_execution(executable, g)
-                times.append(ms)
+                t0 = time.perf_counter()
+                status = executable.run(g)
+                times.append((time.perf_counter() - t0) * 1000.0)
+            outcome = "success" if status == OK else "fail"
             samples.append(BenchSample(
                 program=program_name, spec=spec, backend=backend, mode="preserve",
                 reps=reps, median_ms=statistics.median(times), all_ms=times,

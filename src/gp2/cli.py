@@ -140,6 +140,7 @@ def _print(text: str) -> None:
 
 
 def _run_bench(invocation: CliInvocation) -> int:
+    # imported here, so that running a program never loads them
     from . import bench, corpus
 
     program, *specs = invocation.paths

@@ -1,15 +1,13 @@
 """Program execution: rule application and control constructs.
 
-A command is a tagged tuple, as ``textio`` parses it:
-``('rules', names, loc)``, ``('call', name, loc)``, ``('seq', cmd, ...)``,
-``('if', guard, then, else)``, ``('try', guard, then, else)``,
-``('loop', body)``, ``('skip',)``, ``('fail',)`` and ``('break', loc)``.
-``inline_procedures`` checks a program's commands and expands its calls,
-and ``Executable`` builds the expanded Main once into nested functions
-``run(g, stack)`` that return OK, FAILED or BROKE: each rule set's
-steps are compiled then, for the config's setting only, and each loop
-gets a journal frame per iteration only when ``effects`` says its body
-may fail after changing the graph.
+``Executable`` runs Main as ``textio`` parses, checks and inlines it: a
+tree of tagged command tuples with no calls left.  It builds the tree
+once into nested functions ``run(g, stack)`` that return OK, FAILED or
+BROKE, compiling each rule set's steps for the config's setting only.
+``_build`` alone decides which runs get a journal frame: every
+``if``/``try`` guard, and a loop's iterations only when ``effects`` says
+its body may fail after changing the graph.  ``_framed`` alone opens,
+commits and undoes frames.
 
 A rule set calls its rules' compiled steps (see ``match``) until one
 rewrites at its match, building no ``Match``, and counting its walks'
@@ -18,25 +16,23 @@ EvalError mid-search).  A step evaluates every right-hand label first,
 so an EvalError changes nothing, then deletes the matched edges and
 left-hand-only nodes, updates interface nodes in place (relabel,
 remark, re-root) and creates right-hand-only items last, all through
-``Graph``'s mutators.
-``if``/``try`` guards and loop iterations run inside a ``ChangeStack``
-frame, which the graph journals its mutations into (see ``graph``), so
-they can be undone exactly; straight-line execution outside any frame
-journals nothing.
+``Graph``'s mutators.  A framed run's mutations are journalled into its
+``ChangeStack`` frame (see ``graph``), so they can be undone exactly;
+straight-line execution outside any frame journals nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import textio
 from .graph import Graph
 from .match import compiled_step, find_match
 from .rules import EvalError, Rule, instantiate_rhs
 
 # find_match and instantiate_rhs are not called here: they are for tools.
-__all__ = ["OK", "FAILED", "BROKE", "ConfigError", "ExecConfig", "effects",
-           "inline_procedures", "ChangeStack", "apply_rule", "Outcome",
-           "Executable", "run_program", "find_match", "instantiate_rhs"]
+__all__ = ["OK", "FAILED", "BROKE", "ConfigError", "ExecConfig", "effects", "ChangeStack",
+           "apply_rule", "Outcome", "Executable", "run_program", "find_match", "instantiate_rhs"]
 
 OK = 0
 FAILED = 1
@@ -62,9 +58,6 @@ class ExecConfig:
 
 
 # -- commands ------------------------------------------------------------------
-
-
-_COMPOUND = ("seq", "if", "try", "loop")     # the tags whose fields are commands
 
 
 def effects(cmd) -> tuple[bool, bool, bool]:
@@ -97,87 +90,23 @@ def effects(cmd) -> tuple[bool, bool, bool]:
     return t_fail or e_fail, g_mutate or t_mutate or e_mutate, ok_path and e_clean
 
 
-def inline_procedures(program):
-    """Check a parsed program's commands and return Main with every
-    procedure call expanded into its body (procedures are macros) and
-    bare rule calls turned into one-rule sets.
-
-    Raises SourceError at the offending command for, in this order: a
-    call of an undeclared name or a non-rule inside ``{...}`` in any
-    body; a recursive procedure, at the call that closes the cycle
-    (procedures Main never calls included); a break outside of any loop
-    in the expanded Main."""
-    from .textio import SourceError
-
-    def err(loc, message):
-        line, col = loc or (1, 1)
-        raise SourceError("semantic", line, col, message)
-
-    procedures, rules = program.procedures, program.rules
-
-    def check(cmd):
-        tag = cmd[0]
-        if tag == "rules":
-            for name in cmd[1]:
-                if name not in rules:
-                    err(cmd[2], f"unknown rule {name!r} in rule-set call")
-        elif tag == "call":
-            if cmd[1] not in procedures and cmd[1] not in rules:
-                err(cmd[2], f"call of undeclared name {cmd[1]!r}")
-        elif tag in _COMPOUND:
-            for c in cmd[1:]:
-                check(c)
-
-    for body in (*procedures.values(), program.main):
-        check(body)
-
-    # A procedure is expanded once per loop context, and the result is
-    # shared by its call sites.  It enters ``expanded`` only when its
-    # expansion is done, so a call to one still ``active`` closes a cycle.
-    expanded: dict = {}
-    active: set[str] = set()
-
-    def expand(cmd, in_loop):
-        tag = cmd[0]
-        if tag == "call":
-            _, name, loc = cmd
-            if name not in procedures:
-                return ("rules", (name,), loc)
-            key = (name, in_loop)
-            if key not in expanded:
-                if name in active:
-                    err(loc, f"recursive procedure {name!r}")
-                active.add(name)
-                expanded[key] = expand(procedures[name], in_loop)
-                active.discard(name)
-            return expanded[key]
-        if tag == "break" and not in_loop:
-            err(cmd[1], "break outside of any loop")
-        if tag == "loop":
-            return ("loop", expand(cmd[1], True))
-        if tag in _COMPOUND:
-            return (tag, *(expand(c, in_loop) for c in cmd[1:]))
-        return cmd
-
-    for name in procedures:
-        expand(("call", name, None), True)
-    return expand(program.main, False)
-
-
 def _build(cmd, rules: dict[str, Rule], cfg: ExecConfig):
     """``cmd`` as a function ``run(g, stack)`` that returns OK, FAILED or
-    BROKE.  Each rule's step is compiled here, and each loop is built
-    with a journal frame per iteration only if its body may fail after
-    changing the graph."""
+    BROKE.  Each rule's step is compiled here, and here alone it is
+    decided which runs get a journal frame: every ``if``/``try`` guard,
+    and each iteration of a loop whose body may fail after changing the
+    graph."""
     tag = cmd[0]
     if tag == "rules":
         return _rule_set([rules[name] for name in cmd[1]], cfg)
     if tag == "seq":
         return _seq([_build(c, rules, cfg) for c in cmd[1:]])
     if tag in ("if", "try"):
-        return _branch(tag == "try", *(_build(c, rules, cfg) for c in cmd[1:]))
+        guard, then_run, else_run = (_build(c, rules, cfg) for c in cmd[1:])
+        return _branch(_framed(guard, tag == "try"), then_run, else_run)
     if tag == "loop":
-        return _loop(_build(cmd[1], rules, cfg), not effects(cmd[1])[2])
+        body = _build(cmd[1], rules, cfg)
+        return _loop(body if effects(cmd[1])[2] else _framed(body, True))
     status = {"skip": OK, "fail": FAILED, "break": BROKE}[tag]
     return lambda g, stack: status
 
@@ -207,41 +136,35 @@ def _seq(parts):
     return run
 
 
-def _branch(keep: bool, guard, then_run, else_run):
-    """``if`` (``keep`` false) or ``try``: the guard runs in a frame, which
-    only a ``try`` whose guard did not fail commits."""
-    def run(g, stack):
+def _framed(run, keep: bool):
+    """``run`` inside a journal frame, committed if ``keep`` and ``run``
+    did not fail, and undone otherwise."""
+    def framed(g, stack):
         stack.open_frame(g)
-        st = guard(g, stack)
+        st = run(g, stack)
         if keep and st != FAILED:
             stack.commit_frame(g)
         else:
             stack.undo_frame(g)
+        return st
+    return framed
+
+
+def _branch(guard, then_run, else_run):
+    def run(g, stack):
+        st = guard(g, stack)
         if st == BROKE:
             return BROKE
         return (then_run if st == OK else else_run)(g, stack)
     return run
 
 
-def _loop(body, framed: bool):
-    if not framed:
-        def run(g, stack):
-            while body(g, stack) == OK:
-                pass
-            return OK
-        return run
-
-    def run_framed(g, stack):
-        while True:
-            stack.open_frame(g)
-            st = body(g, stack)
-            if st == FAILED:
-                stack.undo_frame(g)
-                return OK
-            stack.commit_frame(g)
-            if st == BROKE:
-                return OK
-    return run_framed
+def _loop(body):
+    def run(g, stack):
+        while body(g, stack) == OK:
+            pass
+        return OK
+    return run
 
 
 # -- the change journal -------------------------------------------------------
@@ -332,8 +255,6 @@ class Executable:
     def run_text(self, host_text: str) -> Outcome:
         """Read a host graph, run on it and print the result: the part of
         ``run_program`` that one executable can repeat for many hosts."""
-        from . import textio
-
         try:
             g = textio.parse_host_graph(host_text)
         except textio.SourceError as exc:
@@ -349,8 +270,6 @@ class Executable:
 
 
 def run_program(program_text: str, host_text: str, cfg: ExecConfig | None = None) -> Outcome:
-    from . import textio
-
     try:
         executable = Executable(textio.parse_program(program_text), cfg or ExecConfig())
     except textio.SourceError as exc:

@@ -297,7 +297,10 @@ class _Terms:
         if tag in ("and", "or"):
             a, outer = self.cond(t[1]), self.guard
             test = a if tag == "and" else f"not {a}"
-            self.guard = self.let(f"{outer} and {test}" if outer else test, False)
+            if outer or tag == "or":
+                self.guard = self.let(f"{outer} and {test}" if outer else test, False)
+            else:
+                self.guard = a      # a local set under no guard
             b = self.cond(t[2])
             self.guard = outer
             return self.let(f"{a} {tag} {b}")
@@ -521,7 +524,7 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
         emit(2, f"for item in ({records}): item.flags |= {FLAG_MATCHED}")
         back(len(steps), 2)
     emit(1, counters)
-    orientations = {step[1]: f"{tuple(flip for _, flip in step[4])!r}[p{k}]"
+    orientations = {step[1]: f"p{k} == {[flip for _, flip in step[4]].index(True)}"
                     for k, step in enumerate(steps) if step[0] == "edge" and step[14]}
     layout = (node, edge, names, orientations)
     emit(1, "if find: return ({})".format(
@@ -560,11 +563,13 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
             emit(1, f"if {'not ' * pn.root}{n}.flags & {FLAG_ROOT}: "
                     f"g.set_root({n}, {pn.root})")
     for pe in rule.rhs.edges:
-        ends = f"{at[pe.src]}, {at[pe.tgt]}"
-        if pe.bidir and pe.eid in orientations:
-            ends = f"*(({at[pe.tgt]}, {at[pe.src]}) if {orientations[pe.eid]} else ({ends}))"
         mark = f"{edge[pe.eid]}.mark" if pe.mark == MARK_ANY else repr(pe.mark)
-        emit(1, f"g.add_edge({ends}, {label[pe.label]}, {mark})")
+        rest = f"{label[pe.label]}, {mark})"
+        add = f"g.add_edge({at[pe.src]}, {at[pe.tgt]}, {rest}"
+        if pe.bidir and pe.eid in orientations:     # flipped: added the other way round
+            emit(1, f"if {orientations[pe.eid]}: g.add_edge({at[pe.tgt]}, {at[pe.src]}, {rest}")
+            add = "else: " + add
+        emit(1, add)
     emit(1, "return True")
     source = "\n".join(lines) + "\n"
     cached = source.splitlines(True)

@@ -14,9 +14,13 @@ declarations ``name(vars) [ lhs ] => [ rhs ] where cond``; rule graphs
 reuse the host syntax with expression labels, and interface nodes are
 the ones whose number appears on both sides.  A bidirectional rule edge
 carries the marker ``(B)`` after its id.  Whitespace and newlines are
-insignificant; ``//`` starts a line comment.  Commands parse to the
-tagged tuples listed in ``engine``, one per construct, with the source
-position of each rule set, call and break.
+insignificant; ``//`` starts a line comment.  Commands parse to tagged
+tuples, one per construct, with the source position of each rule set,
+call and break: ``('rules', names, loc)``, ``('call', name, loc)``,
+``('seq', cmd, ...)``, ``('if', guard, then, else)``, ``('try', guard,
+then, else)``, ``('loop', body)``, ``('skip',)``, ``('fail',)`` and
+``('break', loc)``.  ``inline_procedures`` checks a program's commands
+and expands its calls into the Main that ``engine`` runs.
 
 The token reader scans the text a token at a time with one compiled
 pattern, as the parser takes them, so errors come in reading order: a
@@ -33,7 +37,6 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .engine import inline_procedures
 from .graph import (
     EDGE_MARKS,
     INT32_MAX,
@@ -412,46 +415,31 @@ def print_graph(g: Graph) -> str:
 # -- expressions ----------------------------------------------------------
 
 
+# Binary operators, one level per dict from the loosest binding, each
+# mapping an operator token (a word by its text) to its tag: expressions
+# and conditions.  All of them associate to the left.
+_EXPR_LEVELS = ({":": "cons"}, {".": "cat"}, {"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
+_COND_LEVELS = ({"or": "or"}, {"and": "and"})
+
+
+def _parse_binary(ts: _Stream, levels: tuple, operand, i: int = 0):
+    """A chain of operators of ``levels[i]``, whose operands are chains of
+    the next level's or, below the last, what ``operand`` parses."""
+    last = i + 1 == len(levels)
+    left = operand(ts) if last else _parse_binary(ts, levels, operand, i + 1)
+    ops = levels[i]
+    while True:
+        tok = ts.peek()
+        tag = ops.get(tok.value if tok.kind == "IDENT" else tok.kind)
+        if tag is None:
+            return left
+        ts.next()
+        right = operand(ts) if last else _parse_binary(ts, levels, operand, i + 1)
+        left = (tag, left, right)
+
+
 def _parse_expr(ts: _Stream):
-    return _parse_cons(ts)
-
-
-def _parse_cons(ts: _Stream):
-    left = _parse_cat(ts)
-    while ts.accept(":"):
-        right = _parse_cat(ts)
-        left = ("cons", left, right)
-    return left
-
-
-def _parse_cat(ts: _Stream):
-    left = _parse_sum(ts)
-    while ts.accept("."):
-        right = _parse_sum(ts)
-        left = ("cat", left, right)
-    return left
-
-
-def _parse_sum(ts: _Stream):
-    left = _parse_term(ts)
-    while True:
-        if ts.accept("+"):
-            left = ("add", left, _parse_term(ts))
-        elif ts.accept("-"):
-            left = ("sub", left, _parse_term(ts))
-        else:
-            return left
-
-
-def _parse_term(ts: _Stream):
-    left = _parse_unary(ts)
-    while True:
-        if ts.accept("*"):
-            left = ("mul", left, _parse_unary(ts))
-        elif ts.accept("/"):
-            left = ("div", left, _parse_unary(ts))
-        else:
-            return left
+    return _parse_binary(ts, _EXPR_LEVELS, _parse_unary)
 
 
 def _parse_unary(ts: _Stream):
@@ -497,21 +485,7 @@ def _parse_primary(ts: _Stream):
 # -- conditions ------------------------------------------------------------
 
 _RELOPS = ("=", "!=", ">", ">=", "<", "<=")
-_EXPR_CONT = (":", ".", "+", "-", "*", "/")
-
-
-def _parse_cond(ts: _Stream):
-    left = _parse_cond_and(ts)
-    while ts.accept_word("or"):
-        left = ("or", left, _parse_cond_and(ts))
-    return left
-
-
-def _parse_cond_and(ts: _Stream):
-    left = _parse_cond_not(ts)
-    while ts.accept_word("and"):
-        left = ("and", left, _parse_cond_not(ts))
-    return left
+_EXPR_CONT = {op for level in _EXPR_LEVELS for op in level}
 
 
 def _parse_cond_not(ts: _Stream):
@@ -547,7 +521,7 @@ def _parse_cond_atom(ts: _Stream):
         saved = ts.state()
         try:
             ts.next()
-            inner = _parse_cond(ts)
+            inner = _parse_binary(ts, _COND_LEVELS, _parse_cond_not)
             ts.expect(")")
             nxt = ts.peek()
             if nxt.kind not in _RELOPS and nxt.kind not in _EXPR_CONT:
@@ -707,7 +681,7 @@ def _parse_rule_decl(ts: _Stream, name_tok: Token) -> Rule:
     rhs = _parse_rule_side(ts, variables, lhs=False)
     condition = None
     if ts.accept_word("where"):
-        condition = _parse_cond(ts)
+        condition = _parse_binary(ts, _COND_LEVELS, _parse_cond_not)
 
     rule = Rule(name, variables, lhs, rhs, condition)
     _validate_rule(rule, name_tok)
@@ -863,6 +837,74 @@ def _parse_command_primary(ts: _Stream):
 
 
 # -- programs ------------------------------------------------------------------
+
+
+_COMPOUND = ("seq", "if", "try", "loop")     # the tags whose fields are commands
+
+
+def inline_procedures(program):
+    """Check a parsed program's commands and return Main with every
+    procedure call expanded into its body (procedures are macros) and
+    bare rule calls turned into one-rule sets.
+
+    Raises SourceError at the offending command for, in this order: a
+    call of an undeclared name or a non-rule inside ``{...}`` in any
+    body; a recursive procedure, at the call that closes the cycle
+    (procedures Main never calls included); a break outside of any loop
+    in the expanded Main."""
+    def err(loc, message):
+        line, col = loc or (1, 1)
+        raise SourceError("semantic", line, col, message)
+
+    procedures, rules = program.procedures, program.rules
+
+    def check(cmd):
+        tag = cmd[0]
+        if tag == "rules":
+            for name in cmd[1]:
+                if name not in rules:
+                    err(cmd[2], f"unknown rule {name!r} in rule-set call")
+        elif tag == "call":
+            if cmd[1] not in procedures and cmd[1] not in rules:
+                err(cmd[2], f"call of undeclared name {cmd[1]!r}")
+        elif tag in _COMPOUND:
+            for c in cmd[1:]:
+                check(c)
+
+    for body in (*procedures.values(), program.main):
+        check(body)
+
+    # A procedure is expanded once per loop context, and the result is
+    # shared by its call sites.  It enters ``expanded`` only when its
+    # expansion is done, so a call to one still ``active`` closes a cycle.
+    expanded: dict = {}
+    active: set[str] = set()
+
+    def expand(cmd, in_loop):
+        tag = cmd[0]
+        if tag == "call":
+            _, name, loc = cmd
+            if name not in procedures:
+                return ("rules", (name,), loc)
+            key = (name, in_loop)
+            if key not in expanded:
+                if name in active:
+                    err(loc, f"recursive procedure {name!r}")
+                active.add(name)
+                expanded[key] = expand(procedures[name], in_loop)
+                active.discard(name)
+            return expanded[key]
+        if tag == "break" and not in_loop:
+            err(cmd[1], "break outside of any loop")
+        if tag == "loop":
+            return ("loop", expand(cmd[1], True))
+        if tag in _COMPOUND:
+            return (tag, *(expand(c, in_loop) for c in cmd[1:]))
+        return cmd
+
+    for name in procedures:
+        expand(("call", name, None), True)
+    return expand(program.main, False)
 
 
 class ParsedProgram:

@@ -15,7 +15,6 @@ from gp2.engine import (
     Executable,
     apply_rule,
     effects,
-    inline_procedures,
     run_program,
 )
 from gp2.graph import (
@@ -28,7 +27,7 @@ from gp2.graph import (
 )
 from gp2.match import find_match
 from gp2.rules import EvalError
-from gp2.textio import SourceError, parse_host_graph, parse_program, print_graph
+from gp2.textio import SourceError, inline_procedures, parse_host_graph, parse_program, print_graph
 from helpers import executable
 
 
@@ -659,6 +658,34 @@ def test_fails_cleanly_analysis():
     outer = inline_procedures(_parsed("gen_tree"))[2]
     assert outer[0] == "loop"
     assert effects(outer[1])[2] is False        # ret can fail after gen! mutated
+
+
+# Journal frames (opened, committed, undone) in one run: every if/try
+# guard gets one, and a loop's iterations only when its body may fail
+# after changing the graph.
+FRAME_PINS = [
+    ("is_con", "tree:12", (4097, 4095, 2)),
+    ("is_con", "grid:60x60", (3602, 3600, 2)),
+    ("is_bin_dag", "tree:12", (14335, 8190, 6145)),
+    ("is_tree", "tree:12", (3, 0, 3)),
+    ("is_discrete", "discrete:1000", (1, 0, 1)),
+    ("gen_tree", "[ (0 (R), 12) | ]", (6143, 6142, 1)),
+    ("gen_sierpinski", "[ (0 (R), 6) | ]", (0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+@pytest.mark.parametrize("name, host, frames", FRAME_PINS)
+def test_frames_opened_committed_and_undone(monkeypatch, backend, name, host, frames):
+    counts = dict.fromkeys(("open_frame", "commit_frame", "undo_frame"), 0)
+    for method in counts:
+        def counted(self, g, method=method, original=getattr(ChangeStack, method)):
+            counts[method] += 1
+            original(self, g)
+        monkeypatch.setattr(ChangeStack, method, counted)
+    g = parse_host_graph(host) if host[0] == "[" else bench.generate(bench.parse_spec(host))
+    executable(name, ExecConfig(backend=backend)).run(g)
+    assert tuple(counts.values()) == frames
 
 
 R = ("rules", ("r",), None)

@@ -36,3 +36,46 @@ def test_no_module_imports_a_name_it_never_reads():
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom a import b, c as d\n__all__ = ['d']\nos.sep\n"
     assert unused_imports(source) == ["b (line 2)"]
+
+
+def package_imports(source: str) -> tuple[set[str], dict[str, set[str]]]:
+    """The package modules ``source`` imports at module level, and those
+    it imports inside each function, by function name."""
+    def modules(node):
+        return {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+
+    tree = ast.parse(source)
+    top = set().union(*(modules(node) for node in tree.body
+                        if isinstance(node, ast.ImportFrom) and node.level))
+    local: dict[str, set[str]] = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    local.setdefault(func.name, set()).update(modules(node))
+    return top, local
+
+
+def import_cycles(imports: dict[str, set[str]]) -> list[str]:
+    """The modules left once every module whose imports are all gone has
+    been taken away, repeatedly: those on or behind an import cycle."""
+    left = dict(imports)
+    while ready := [m for m, deps in left.items() if not deps & left.keys()]:
+        for m in ready:
+            del left[m]
+    return sorted(left)
+
+
+def test_package_imports_form_no_cycle_and_stay_at_module_level():
+    top, local = {}, {}
+    for path in sorted((ROOT / "src" / "gp2").glob("*.py")):
+        top[path.stem], functions = package_imports(path.read_text())
+        local.update({f"{path.stem}.{name}": mods for name, mods in functions.items()})
+    assert import_cycles(top) == []
+    assert local == {"cli._run_bench": {"bench", "corpus"}}
+
+
+def test_the_checks_see_a_local_import_and_a_cycle():
+    source = "from . import a\nfrom .b.c import d\ndef f():\n    from .e import g\n"
+    assert package_imports(source) == ({"a", "b"}, {"f": {"e"}})
+    assert import_cycles({"a": {"b"}, "b": {"a"}, "c": {"a"}, "d": set()}) == ["a", "b", "c"]

@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 import time
 
 import pytest
@@ -339,6 +340,27 @@ def test_compiled_step_shows_its_source():
     assert repr(STRANGE) in source
     assert "g.add_edge(" in source and "Match" not in source
     assert rule.plans[False, "chain", False][2][2] == ("g", "len", "None", "if")
+
+
+def test_an_unguarded_and_guards_its_right_operand_with_its_left_local():
+    rule = parse_rule("pair(x, y:int)\n[ (1, x) (2, y) | ] => [ (1, x) (2, y) | ]\n"
+                      "where x > 370 and y = x - 5")
+    lines = [line.strip() for line in inspect.getsource(compiled_step(rule)).splitlines()]
+    assert "t0 = v0 > 370" in lines and "if t0: t2 = v1 == t1" in lines
+    assert not [line for line in lines if re.fullmatch(r"t\d+ = t\d+", line)]   # no copy
+
+
+def test_a_bidirectional_edge_is_added_back_the_way_it_was_matched():
+    fwd = _rules("is_con")["fwd"]
+    source = inspect.getsource(compiled_step(fwd))
+    assert "    if find: return (n0, n1, e0, v0, v1, v2, p1 == 1, )\n" in source
+    assert ("    if p1 == 1: g.add_edge(n1, n0, v2, 'dashed')\n"
+            "    else: g.add_edge(n0, n1, v2, 'dashed')\n") in source
+    assert "*(" not in source and "(False, True)" not in source
+    for host in ("[ (0 (R), 1 # grey) (1, 2) | (0, 0, 1, 3) ]",
+                 "[ (0 (R), 1 # grey) (1, 2) | (0, 1, 0, 3) ]"):
+        flipped = host.endswith("(0, 1, 0, 3) ]")
+        assert find_match(fwd, parse_host_graph(host)).orientations[0] is flipped
 
 
 def test_reflect_matches_are_preserve_matches():

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from gp2 import bench, corpus, textio
-from gp2.engine import inline_procedures
+from gp2.textio import inline_procedures
 from gp2.graph import EDGE_MARKS, NODE_MARKS, graphs_isomorphic
 from gp2.textio import (
     SourceError,
