@@ -1,13 +1,15 @@
 """Program execution: rule application and control constructs.
 
 ``Executable`` runs Main as ``textio`` parses, checks and inlines it: a
-tree of tagged command tuples with no calls left.  It builds the tree
-once into nested functions ``run(g, stack)`` that return OK, FAILED or
-BROKE, compiling each rule set's steps for the config's setting only.
-``_build`` alone decides which runs get a journal frame: every
-``if``/``try`` guard, and a loop's iterations only when ``effects`` says
-its body may fail after changing the graph.  ``_framed`` alone opens,
-commits and undoes frames.
+tree of tagged command tuples with no calls left.  ``_build`` walks the
+tree once, building it into nested functions ``run(g, stack)`` that
+return OK, FAILED or BROKE, compiling each rule set's steps for the
+config's setting only, and computing each command's effects (may it
+fail, may it change the graph, does a failure leave the graph as it
+was) from its children's.  From these alone it places journal frames:
+around a loop body or ``try`` guard that may fail after changing the
+graph, and an ``if`` guard that may change it.  ``_framed`` alone
+opens, commits and undoes frames.
 
 A rule set calls its rules' compiled steps (see ``match``) until one
 rewrites at its match, building no ``Match``, and counting its walks'
@@ -31,7 +33,7 @@ from .match import compiled_step, find_match
 from .rules import EvalError, Rule, instantiate_rhs
 
 # find_match and instantiate_rhs are not called here: they are for tools.
-__all__ = ["OK", "FAILED", "BROKE", "ConfigError", "ExecConfig", "effects", "ChangeStack",
+__all__ = ["OK", "FAILED", "BROKE", "ConfigError", "ExecConfig", "ChangeStack",
            "apply_rule", "Outcome", "Executable", "run_program", "find_match", "instantiate_rhs"]
 
 OK = 0
@@ -60,55 +62,40 @@ class ExecConfig:
 # -- commands ------------------------------------------------------------------
 
 
-def effects(cmd) -> tuple[bool, bool, bool]:
-    """Whether ``cmd`` may fail, whether it may change the graph, and
-    whether a failure of it implies it has not changed the graph; for
-    the inlined tree, which has no calls."""
-    tag = cmd[0]
-    if tag == "rules":
-        return True, True, True
-    if tag == "fail":
-        return True, False, True
-    if tag in ("skip", "break"):
-        return False, False, True
-    if tag == "loop":
-        return False, effects(cmd[1])[1], True
-    if tag == "seq":
-        fail = mutate = False
-        clean = True
-        for c in cmd[1:]:
-            f, m, c_clean = effects(c)
-            if f and (mutate or not c_clean):
-                clean = False
-            fail, mutate = fail or f, mutate or m
-        return fail, mutate, clean
-    (_, g_mutate, _), (t_fail, t_mutate, t_clean), (e_fail, e_mutate, e_clean) = \
-        map(effects, cmd[1:])
-    if tag == "if":        # guard effects are always rolled back
-        return t_fail or e_fail, t_mutate or e_mutate, t_clean and e_clean
-    ok_path = not t_fail or (t_clean and not g_mutate)
-    return t_fail or e_fail, g_mutate or t_mutate or e_mutate, ok_path and e_clean
-
-
 def _build(cmd, rules: dict[str, Rule], cfg: ExecConfig):
-    """``cmd`` as a function ``run(g, stack)`` that returns OK, FAILED or
-    BROKE.  Each rule's step is compiled here, and here alone it is
-    decided which runs get a journal frame: every ``if``/``try`` guard,
-    and each iteration of a loop whose body may fail after changing the
-    graph."""
+    """``cmd`` as ``(run, fail, mutate, clean)``: ``run(g, stack)``
+    returns OK, FAILED or BROKE, and ``cmd`` may fail, may change the
+    graph, and leaves the graph as it was when it fails.  The three are
+    computed from the children's as they are built, and they alone
+    place frames: a loop body or ``try`` guard gets one that commits on
+    success when it may fail after changing the graph, and an ``if``
+    guard one that is always undone when it may change the graph."""
     tag = cmd[0]
     if tag == "rules":
-        return _rule_set([rules[name] for name in cmd[1]], cfg)
-    if tag == "seq":
-        return _seq([_build(c, rules, cfg) for c in cmd[1:]])
-    if tag in ("if", "try"):
-        guard, then_run, else_run = (_build(c, rules, cfg) for c in cmd[1:])
-        return _branch(_framed(guard, tag == "try"), then_run, else_run)
+        return _rule_set([rules[name] for name in cmd[1]], cfg), True, True, True
     if tag == "loop":
-        body = _build(cmd[1], rules, cfg)
-        return _loop(body if effects(cmd[1])[2] else _framed(body, True))
+        body, _, mutate, clean = _build(cmd[1], rules, cfg)
+        return _loop(body if clean else _framed(body, True)), False, mutate, True
+    if tag == "seq":
+        parts, fail, mutate, clean = [], False, False, True
+        for c in cmd[1:]:
+            run, c_fail, c_mutate, c_clean = _build(c, rules, cfg)
+            parts.append(run)
+            clean = clean and not (c_fail and (mutate or not c_clean))
+            fail, mutate = fail or c_fail, mutate or c_mutate
+        return _seq(parts), fail, mutate, clean
+    if tag in ("if", "try"):
+        (guard, _, g_mutate, g_clean), (then_run, t_fail, t_mutate, t_clean), \
+            (else_run, e_fail, e_mutate, e_clean) = (_build(c, rules, cfg) for c in cmd[1:])
+        if tag == "if":        # guard effects are always rolled back
+            run = _branch(_framed(guard, False) if g_mutate else guard, then_run, else_run)
+            return run, t_fail or e_fail, t_mutate or e_mutate, t_clean and e_clean
+        run = _branch(guard if g_clean else _framed(guard, True), then_run, else_run)
+        ok_path = not t_fail or (t_clean and not g_mutate)
+        return (run, t_fail or e_fail, g_mutate or t_mutate or e_mutate,
+                ok_path and e_clean)
     status = {"skip": OK, "fail": FAILED, "break": BROKE}[tag]
-    return lambda g, stack: status
+    return (lambda g, stack: status), status == FAILED, False, True
 
 
 def _rule_set(chosen: list[Rule], cfg: ExecConfig):
@@ -243,7 +230,7 @@ class Executable:
     def __init__(self, parsed, cfg: ExecConfig):
         self.main = parsed.inlined
         self.cfg = cfg
-        self._run = _build(self.main, parsed.rules, cfg)
+        self._run = _build(self.main, parsed.rules, cfg)[0]
 
     def run(self, g: Graph) -> int:
         g.minimal_gc = self.cfg.minimal_gc

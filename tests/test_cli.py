@@ -10,6 +10,7 @@ import pytest
 import gp2
 from gp2 import corpus
 from gp2.cli import UsageError, main, parse_args
+from gp2.engine import run_program
 
 
 def test_parse_validate_modes():
@@ -160,6 +161,34 @@ def test_bench_cli_bad_config(capsys):
         "usage error: bench takes a program and at least one generator spec\n"
 
 
+def test_bench_cli_without_output_file_prints_the_rows(capsys):
+    assert main(["bench", "is_discrete", "discrete:4"]) == 0
+    out, err = capsys.readouterr()
+    rows = json.loads(out)
+    assert [(r["spec"], r["backend"], r["outcome"]) for r in rows] == [
+        ("discrete:4", "chain", "success"), ("discrete:4", "index_scan", "success")]
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "is_discrete", "discrete"],
+     "bad bench configuration: generator spec needs parameters: 'discrete'"),
+    (["bench", "is_discrete", "discrete:x"],
+     "bad bench configuration: bad generator parameters in 'discrete:x'"),
+    (["prog", "host", "-o"], "usage error: -o needs a directory argument"),
+], ids=["spec-without-parameters", "spec-with-bad-parameters", "run-o-without-directory"])
+def test_bad_spec_or_option_is_a_one_line_error(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+def test_bench_program_with_a_syntax_error(tmp_path, capsys):
+    prog = _write(tmp_path, "p.gp2", "Main = \n")
+    assert main(["bench", prog, "discrete:4"]) == 1
+    assert capsys.readouterr() == \
+        ("", "syntax error at 2:1: expected a command, found end of input\n")
+
+
 @pytest.mark.parametrize("mode", ["-p", "-r", "-h", "run-program", "run-host", "bench"])
 def test_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, mode):
     bad = tmp_path / "bad.txt"
@@ -222,8 +251,19 @@ def _closed_pipe():
     return os.fdopen(write_end, "w"), errno.EPIPE
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("sink", [_full_device, _closed_pipe], ids=["full", "closed-pipe"])
+_NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+SINKS = [pytest.param(_full_device, id="full", marks=_NEEDS_DEV_FULL),
+         pytest.param(_closed_pipe, id="closed-pipe")]
+
+
+def _cli(argv, **kwargs):
+    """Run ``python -m gp2.cli`` on ``argv`` in a child process, with no shell."""
+    src = Path(gp2.__file__).resolve().parent.parent
+    return subprocess.run([sys.executable, "-m", "gp2.cli", *argv], text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)}, **kwargs)
+
+
+@pytest.mark.parametrize("sink", SINKS)
 @pytest.mark.parametrize("mode", ["run", "run-f", "bench", "help"])
 def test_stdout_write_error_is_a_usage_error(tmp_path, sink, mode):
     # a 2,000-node graph overflows the output buffer, a help text does not
@@ -231,12 +271,27 @@ def test_stdout_write_error_is_a_usage_error(tmp_path, sink, mode):
     run = [_write(tmp_path, "p.gp2", "Main = skip"), _write(tmp_path, "h.host", host)]
     argv = {"run": run, "run-f": ["-f", *run], "bench": ["bench", "is_discrete", "discrete:4"],
             "help": ["--help"]}
-    src = Path(gp2.__file__).resolve().parent.parent
     stdout, code = sink()
     with stdout:
-        result = subprocess.run(
-            [sys.executable, "-c", "from gp2.cli import entry; entry()", *argv[mode]],
-            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)})
+        result = _cli(argv[mode], stdout=stdout, stderr=subprocess.PIPE)
     assert result.returncode == 1
     assert result.stderr == f"usage error: cannot write standard output: {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("sink", SINKS)
+def test_stdout_write_error_in_process(monkeypatch, capsys, sink):
+    stdout, code = sink()
+    with stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["--help"]) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: cannot write standard output: {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("flags", [["-f"], ["-f", "-g"]], ids=["f", "f-g"])
+def test_fast_shutdown_prints_the_graph_and_exits_zero(tmp_path, flags):
+    prog = _write(tmp_path, "p.gp2", corpus.load_program("trans_closure"))
+    host = _write(tmp_path, "h.host", corpus.load_fixture("path3"))
+    expected = run_program(corpus.load_program("trans_closure"), corpus.load_fixture("path3"))
+    result = _cli([*flags, prog, host], capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected.output + "\n", "")

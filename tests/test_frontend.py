@@ -12,6 +12,7 @@ exercise the other clauses, are pinned as well.
 import pytest
 
 from gp2 import corpus
+from gp2.cli import main
 from gp2.rules import check_fast_rule
 from gp2.engine import run_program
 from gp2.textio import SourceError, parse_host_graph, parse_program, parse_rule
@@ -247,6 +248,16 @@ FRONT_END_CASES += [
 ]
 
 
+# Commands missing their keyword, or with one where a command belongs.
+_R = '\nr(x:list)\n[ (1, x) | ] => [ (1, x) | ]'
+FRONT_END_CASES += [
+    pytest.param('program', 'Main = if r skip' + _R, ('syntax', 1, 13, "expected 'then'"),
+                 id='if-without-then'),
+    pytest.param('program', 'Main = r; then' + _R,
+                 ('syntax', 1, 11, "expected a command, found 'then'"), id='then-as-command'),
+]
+
+
 def test_the_least_integer_matches_in_a_rule():
     out = run_program("Main = r\nr()\n"
                       "[ (1, -2147483648) | ] => [ (1, - -2147483648 # red) | ]",
@@ -349,3 +360,30 @@ def test_labels_and_conditions_that_validate_also_evaluate(depth):
     assert out.output == f"[ (0, {(-1) ** (depth - 1)}) | ]"
     out = run_program(_summed(depth), "[ (0, 1) | ]")
     assert out.status == "success", out.diagnostic
+
+
+_DEEP = 3000
+DEEPLY_NESTED = {
+    'label': 'Main = r\nr(n:int)\n[ (1, n) | ] => [ (1, ' + '(' * _DEEP + 'n' + ')' * _DEEP
+             + ') | ]',
+    'not-chain': 'Main = r\nr(n:int)\n[ (1, n) | ] => [ (1, n) | ] where ' + 'not ' * _DEEP
+                 + 'n > 0',
+    'commands': 'Main = ' + '(' * _DEEP + 'skip' + ')' * _DEEP,
+    'if-chain': 'Main = ' + 'if ' * _DEEP + 'skip' + ' then skip' * _DEEP,
+}
+
+
+# Input nested deeper than the parser can recurse is a syntax error, not
+# a traceback.  Where reading stopped depends on the caller's stack depth,
+# so the position is not pinned.
+@pytest.mark.parametrize("shape", DEEPLY_NESTED)
+def test_nesting_too_deep_to_parse_is_a_syntax_error(tmp_path, capsys, shape):
+    with pytest.raises(SourceError) as info:
+        parse_program(DEEPLY_NESTED[shape])
+    assert (info.value.kind, info.value.message) == ('syntax', 'nesting too deep')
+    program = tmp_path / 'deep.gp2'
+    program.write_text(DEEPLY_NESTED[shape])
+    assert main(['-p', str(program)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('syntax error at ') and err.endswith(': nesting too deep\n')
+    assert err.count('\n') == 1

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gp2 import corpus
+from gp2 import bench, corpus
 from gp2.engine import apply_rule
 from gp2.graph import FLAG_MATCHED, INT32_MAX, INT32_MIN, MARK_ANY, Graph
 from gp2.match import find_match
@@ -22,7 +23,7 @@ from gp2.rules import (
     label_match,
     wrap32,
 )
-from gp2.textio import MAX_NESTING, parse_program, parse_rule
+from gp2.textio import MAX_NESTING, parse_host_graph, parse_program, parse_rule, print_graph
 
 
 def _rules(name):
@@ -489,3 +490,68 @@ def test_compiled_conditions_are_pinned(cond, expected):
     got = _outcome(lambda: find_match(_rule(condition=cond), g) is not None)
     assert got == expected
     _check_cond(cond, PINNED_VALUES, [(1, "a")])
+
+
+# Every corpus rule with right-hand edges, and two that inherit an edge's
+# mark, one of them through a bidirectional edge.
+RHS_EDGE_RULES = [r for name in corpus.PROGRAM_NAMES for r in _rules(name).values()
+                  if r.rhs.edges] + [parse_rule(text) for text in (
+    "relay(x, y, n:list) [ (1, x) (2, y) | (0, 1, 2, n # any) ] => "
+    "[ (1, x) (2, y) (3, 7) | (0, 1, 2, n:1 # any) (1, 2, 3, n) ]",
+    "swap(x, y, n:list) [ (1, x) (2, y) | (0 (B), 1, 2, n # any) ] => "
+    "[ (1, x # red) (2, y) | (0 (B), 1, 2, n:2 # any) ]")]
+
+
+def _rhs_edge_hosts():
+    """Every corpus fixture and a few small generated hosts, each also
+    with each node in turn a grey root and every other edge dashed."""
+    fixtures = sorted({f for e in corpus.ENTRIES.values() for f, _ in e.fixtures})
+    bases = [corpus.load_fixture(f) for f in fixtures] + [
+        print_graph(bench.generate(bench.parse_spec(spec)))
+        for spec in ("tree:3", "grid:3x3", "list:4", "star:4", "sierpinski:1")]
+    for text in bases:
+        yield text
+        for i in range(len(parse_host_graph(text).nodes())):
+            g = parse_host_graph(text)
+            nodes = g.nodes()
+            for node in nodes:
+                g.set_root(node, node is nodes[i])
+            g.remark_node(nodes[i], "grey")
+            for k, e in enumerate(g.edges()):
+                if k % 2:
+                    e.mark = "dashed"
+            yield print_graph(g)
+
+
+@pytest.mark.parametrize("mode", ["preserve", "reflect"])
+def test_reference_rhs_edges_are_the_edges_a_rewrite_adds(mode):
+    hosts = list(_rhs_edge_hosts())
+    applied, flipped, inherited = 0, 0, set()
+    for rule in RHS_EDGE_RULES:
+        for host in hosts:
+            g = parse_host_graph(host)
+            m = find_match(rule, g, mode)
+            if m is None:
+                continue
+            _, edges = instantiate_rhs(rule, m.assignment, m.node_images, m.edge_images,
+                                       m.orientations)
+            before = g.edges()      # alive, so no added edge reuses an id
+            assert apply_rule(rule, g, mode)
+            old = {id(e) for e in before}
+            added = [e for e in g.edges() if id(e) not in old]
+            assert Counter((e.label, e.mark) for e in added) == \
+                Counter((label, mark) for label, mark, _ in edges), rule.name
+            between = Counter()
+            for pe, (label, mark, flip) in zip(rule.rhs.edges, edges):
+                if pe.mark == MARK_ANY:
+                    inherited.add(mark)
+                if pe.src in rule.lhs.by_id and pe.tgt in rule.lhs.by_id:
+                    src, tgt = m.node_images[pe.src], m.node_images[pe.tgt]
+                    if flip:
+                        src, tgt = tgt, src
+                        flipped += 1
+                    between[label, mark, id(src), id(tgt)] += 1
+            got = Counter((e.label, e.mark, id(e.source), id(e.target)) for e in added)
+            assert not between - got, rule.name
+            applied += 1
+    assert applied > 100 and flipped > 0 and inherited == {"none", "dashed"}
