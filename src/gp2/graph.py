@@ -59,7 +59,7 @@ EDGE_MARKS = frozenset((MARK_NONE, MARK_RED, MARK_GREEN, MARK_BLUE, MARK_DASHED)
 FLAG_ROOT = 0x01
 FLAG_IN_GRAPH = 0x02
 FLAG_IN_STACK = 0x04      # a deleted node, held by a journal entry
-FLAG_MATCHED = 0x08
+FLAG_MATCHED = 0x08       # held by a search, where another left-hand item may meet it
 
 INT32_MIN = -(2 ** 31)
 INT32_MAX = 2 ** 31 - 1

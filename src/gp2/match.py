@@ -14,28 +14,34 @@ rule and setting (plan order, backend, root mode), and caches it in
 machine, one block per step with its checks written out: a constant
 label is one tuple comparison, each variable is a local, and a global
 node step walks the node chain or the slots inline.  Each candidate is
-checked when it is bound: injectivity, mark, root (a non-root only in
-reflect mode), degree, then label.  A node the rule deletes must have its exact degree
-(the dangling condition), so a dangling candidate is rejected before
-the rule's condition is ever evaluated.  A node the rule keeps must
-have at least as many out- and in-edges as its non-bidirectional
-left-hand edges give it.  The condition runs once every step is bound,
-as inline Python.  At the first hit the function rewrites on the locals
-the search bound, every right-hand label first, then the mutator calls;
-in find mode it returns the locals, for ``find_match``.  Each return
-adds the candidates examined to ``Graph.candidates`` and the walks'
-steps to ``Graph.iter_steps``; an EvalError raised by the condition
-mid-search adds to neither.
+checked when it is bound: injectivity (only against items that may meet
+it), mark, root (a non-root only in reflect mode; none from the root
+list, which holds only roots), degree, then label.  A node the rule
+deletes must have its exact degree (the dangling condition), so a
+dangling candidate is rejected before the rule's condition is ever
+evaluated.  A node the rule keeps must have at least as many out- and
+in-edges as its non-bidirectional left-hand edges give it.  The
+condition runs once every step is bound, as inline Python.  At the
+first hit the function rewrites on the locals the search bound, every
+right-hand label first, then the mutator calls; in find mode it returns
+the locals, for ``find_match``.  Each return adds the candidates
+examined to ``Graph.candidates`` and the walks' steps to
+``Graph.iter_steps``; an EvalError raised by the condition mid-search
+adds to neither.
 
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
-costs only the items it touched; every flag is clear on return.
+costs only the items it touched; every flag is clear on return.  A flag
+is set only between items that may meet (``_may_meet``): a record is
+flagged only if a later item may match the same host item, and tested
+only if an earlier one may.
 """
 
 from __future__ import annotations
 
 import linecache
 from heapq import heappop, heappush
+from math import inf
 from typing import Optional
 
 from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, SCAN_CHUNK, Graph, GraphError
@@ -329,6 +335,15 @@ def _pattern_items(t) -> list:
         t[0], [None])
 
 
+def _may_meet(a: tuple, b: tuple) -> bool:
+    """Whether one host item may match two left-hand items, given each one's kind, mark,
+    constant label and reflect-mode root (None: any), label length and degree ranges."""
+    return a[0] == b[0] and (a[1] is None or b[1] is None or a[1] == b[1]) \
+        and (a[2] is None or b[2] is None or a[2] == b[2]) \
+        and (a[3] is None or b[3] is None or a[3] == b[3]) \
+        and max(a[4], b[4]) <= min(a[5], b[5]) and max(a[6], b[6]) <= min(a[7], b[7])
+
+
 def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, reflect: bool):
     """The rule's step, with one ``if i == k:`` block per plan step and
     the rewrite after them, and its layout (see ``compiled_step``).  It
@@ -350,6 +365,21 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
     edge = {pe.eid: f"e{j}" for j, pe in enumerate(lhs.edges)}
     names: dict[str, str] = {}      # GP 2 variable -> local, in binding order
     held: list[list[str]] = []      # per step, the records it flags
+    facts: dict[str, tuple] = {}    # bound record -> what _may_meet compares, in binding order
+    for s in steps:
+        if s[0] == "edge":
+            new = [(edge[s[1]], s[2], s[3], None, -1, 0, 0)] + [(node[s[6]], *s[8:14])] * s[7]
+        else:
+            new = [(node[s[1]], s[2], s[3], s[0] == "root", *s[4:7])]
+        for r, label, mark, root, degree, out_min, in_min in new:
+            size = len(label.items)
+            facts[r] = (r[0], mark, label.detail, root if reflect else None,
+                        *((size, size) if label.list_var_pos is None else (size - 1, inf)),
+                        *((out_min + in_min, inf) if degree < 0 else (degree, degree)))
+    order = list(facts.items())
+    tested = {r for j, (r, a) in enumerate(order) if any(_may_meet(a, b) for _, b in order[:j])}
+    flagged = {r for j, (r, a) in enumerate(order)
+               if any(_may_meet(a, b) for _, b in order[j + 1:])}
     walks = any(step[0] == "node" for step in steps)
     lines = ["def step(g, find=False):", "    candidates = walked = i = 0"]
     if walks and backend == "index_scan":
@@ -386,14 +416,15 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
         emit(depth, f"i = {k - 1}")
         emit(depth, "continue")
 
-    def check_node(n, flags, label, mark, root, degree, out_min, in_min, depth):
-        emit(depth, f"if {flags} & {FLAG_MATCHED}: continue")
+    def check_node(n, label, mark, root, degree, out_min, in_min, depth):
+        if n in tested:
+            emit(depth, f"if {n}.flags & {FLAG_MATCHED}: continue")
         if mark is not None:
             emit(depth, f"if {n}.mark != {mark!r}: continue")
         if root:
-            emit(depth, f"if not {flags} & {FLAG_ROOT}: continue")
-        elif reflect:
-            emit(depth, f"if {flags} & {FLAG_ROOT}: continue")
+            emit(depth, f"if not {n}.flags & {FLAG_ROOT}: continue")
+        elif reflect and root is not None:  # None at a root step: the root list holds only roots
+            emit(depth, f"if {n}.flags & {FLAG_ROOT}: continue")
         if degree >= 0:
             emit(depth, f"if {n}.indegree + {n}.outdegree != {degree}: continue")
         else:
@@ -445,8 +476,8 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
             shift = 1
         emit(2, f"if i == {k}:")
         if step[0] != "edge":
-            _, pid, label, mark, degree, out_min, in_min = step
-            n = node[pid]
+            n = node[step[1]]
+            held.append([n] if n in flagged else [])
             if step[0] == "root":
                 emit(3, f"for {n} in it{k}:")
             elif backend == "chain":     # each walk counts what nodes_iter counts
@@ -458,20 +489,18 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
                 emit(4, f"if j < 0: walked += end - c{k}; c{k} = end; continue")
                 emit(4, f"walked += j - c{k} + 1; {n} = slots[j]; c{k} = j + 1")
             emit(4, "candidates += 1")
-            emit(4, f"f = {n}.flags")
-            check_node(n, "f", label, mark, step[0] == "root", degree, out_min,
-                       in_min, 4)
-            emit(4, f"{n}.flags = f | {FLAG_MATCHED}")
+            check_node(n, *step[2:4], None if step[0] == "root" else False, *step[4:], 4)
+            for r in held[k]:
+                emit(4, f"{r}.flags |= {FLAG_MATCHED}")
             emit(4, "break")
             emit(3, "else:")
             if step[0] == "node" and backend == "index_scan":
                 emit(4, f"walked += hw - c{k}")   # the last chunk ran past hw
             back(k, 4)
-            held.append([n])
         else:
-            (_, eid, label, mark, phases, anchor_pid, other_pid, binds,
-             other_label, other_mark, other_root, degree, out_min, in_min, _) = step
+            _, eid, label, mark, phases, anchor_pid, other_pid, binds = step[:8]
             e, other = edge[eid], node[other_pid]
+            held.append([r for r in (e, other)[:1 + binds] if r in flagged])
             depth = 3
             bound = len(names)
             for p, (reverse, _) in enumerate(phases):
@@ -484,22 +513,19 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
                 emit(depth + 1, f"{e} = c{k}")
                 emit(depth + 1, f"c{k} = {e}.{'tgt_next' if reverse else 'src_next'}")
                 emit(depth + 1, "candidates += 1")
-                emit(depth + 1, f"f = {e}.flags")
-                emit(depth + 1, f"if f & {FLAG_MATCHED}: continue")
+                if e in tested:
+                    emit(depth + 1, f"if {e}.flags & {FLAG_MATCHED}: continue")
                 if mark is not None:
                     emit(depth + 1, f"if {e}.mark != {mark!r}: continue")
                 end = f"{e}.{'source' if reverse else 'target'}"
                 if binds:
                     emit(depth + 1, f"{other} = {end}")
-                    emit(depth + 1, f"of = {other}.flags")
-                    check_node(other, "of", other_label, other_mark, other_root,
-                               degree, out_min, in_min, depth + 1)
+                    check_node(other, *step[8:14], depth + 1)
                 else:
                     emit(depth + 1, f"if {end} is not {other}: continue")
                 check_label(label, f"{e}.label", depth + 1)
-                emit(depth + 1, f"{e}.flags = f | {FLAG_MATCHED}")
-                if binds:
-                    emit(depth + 1, f"{other}.flags = of | {FLAG_MATCHED}")
+                for r in held[k]:
+                    emit(depth + 1, f"{r}.flags |= {FLAG_MATCHED}")
                 emit(depth + 1, "break")
                 emit(depth, "else:")
                 if p + 1 < len(phases):
@@ -507,7 +533,6 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
                     emit(depth + 1, f"c{k} = {node[anchor_pid]}.in_head")
                 else:
                     back(k, depth + 1)
-            held.append([e, other] if binds else [e])
         emit(3, f"i = {k + 1}")
         setup(k + 1, 3)
 
@@ -515,13 +540,15 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
     # every step is bound: clear the flags (the condition reads none),
     # then test the condition and set them again if it fails
     records = "".join(f"{r}, " for rs in held for r in rs)
-    emit(2, f"for item in ({records}): item.flags &= ~{FLAG_MATCHED}")
+    if records:
+        emit(2, f"for item in ({records}): item.flags &= ~{FLAG_MATCHED}")
     if rule.condition is None:
         emit(2, "break")
     else:
         test = _Terms(lambda text: emit(2, text), names, rule.variables, node)
         emit(2, f"if {test.cond(rule.condition)}: break")
-        emit(2, f"for item in ({records}): item.flags |= {FLAG_MATCHED}")
+        if records:
+            emit(2, f"for item in ({records}): item.flags |= {FLAG_MATCHED}")
         back(len(steps), 2)
     emit(1, counters)
     orientations = {step[1]: f"p{k} == {[flip for _, flip in step[4]].index(True)}"

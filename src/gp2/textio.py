@@ -39,6 +39,7 @@ from typing import Optional
 
 from .graph import (
     EDGE_MARKS,
+    FLAG_ROOT,
     INT32_MAX,
     INT32_MIN,
     MARK_ANY,
@@ -387,27 +388,29 @@ def parse_host_graph(text: str) -> Graph:
 
 
 def _format_label(label: tuple, mark: str) -> str:
-    if not label:
-        text = "empty"
-    else:
-        text = ":".join(f'"{a}"' if isinstance(a, str) else str(a) for a in label)
-    if mark != MARK_NONE:
-        text += f" # {mark}"
-    return text
+    text = ":".join(f'"{a}"' if isinstance(a, str) else str(a) for a in label) or "empty"
+    return text if mark == MARK_NONE else f"{text} # {mark}"
 
 
 def print_graph(g: Graph) -> str:
     parts = ["["]
-    number = {}
-    for i, node in enumerate(g.nodes()):
-        number[id(node)] = i
-        root = " (R)" if node.is_root else ""
-        parts.append(f"({i}{root}, {_format_label(node.label, node.mark)})")
+    nodes = g.nodes()
+    number = {node: i for i, node in enumerate(nodes)}
+    texts: dict = {}        # (label, mark) -> its text, formatted once
+    for i, node in enumerate(nodes):
+        key = (node.label, node.mark)
+        text = texts.get(key) or texts.setdefault(key, _format_label(*key))
+        parts.append(f"({i} (R), {text})" if node.flags & FLAG_ROOT else f"({i}, {text})")
     parts.append("|")
-    for eid, edge in enumerate(g.edges()):
-        parts.append(
-            f"({eid}, {number[id(edge.source)]}, {number[id(edge.target)]}, "
-            f"{_format_label(edge.label, edge.mark)})")
+    eid = 0
+    for src, node in enumerate(nodes):
+        edge = node.out_head
+        while edge is not None:
+            key = (edge.label, edge.mark)
+            text = texts.get(key) or texts.setdefault(key, _format_label(*key))
+            parts.append(f"({eid}, {src}, {number[edge.target]}, {text})")
+            eid += 1
+            edge = edge.src_next
     parts.append("]")
     return " ".join(parts)
 

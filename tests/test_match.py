@@ -1,4 +1,5 @@
 import inspect
+import linecache
 import random
 import re
 import time
@@ -277,6 +278,83 @@ def test_degree_bounds_agree_with_brute_force_on_random_hosts(optimize):
     assert all(hits.values()) and all(misses.values()), (hits, misses)
 
 
+# Pairs of left-hand items that may meet (match one host item) and pairs
+# the rule keeps apart, each rule with the records its search flags under
+# textual order in preserve and in reflect mode: of two items that may
+# meet, the earlier is flagged.
+MEET_RULES = [
+    ("twin(x:list)\n[ (1, x) (2, x) | ] => [ (1, x) (2, x) | ]", "n0", "n0"),
+    # the second loop's bound end is its anchor
+    ("loops(a,b,x:list)\n[ (1, x) | (0, 1, 1, a) (1, 1, 1, b) ]\n"
+     "=> [ (1, x) | (0, 1, 1, a) (1, 1, 1, b) ]", "e0", "e0"),
+    # node 3 is deleted with degree 1: it may meet node 1 (out_min 1),
+    # not node 2 (out_min 1 and in_min 1)
+    ("del_deg1(a,b,x,y,z:list)\n[ (1, x) (2, y) (3, z) | (0, 1, 2, a) (1, 2, 3, b) ]\n"
+     "=> [ (1, x) (2, y) | (0, 1, 2, a) ]", "n0 e0", "n0 e0"),
+    ("del_deg0(a,x,y,z:list)\n[ (1, x) (2, y) (3, z) | (0, 1, 2, a) ]\n"
+     "=> [ (1, x) (2, y) | (0, 1, 2, a) ]", "n0", "n0"),
+    # deleted nodes of degree 1, 1 and 0
+    ("del_all(a,x,y,z:list)\n[ (1, x) (2, y) (3, z) | (0, 1, 2, a) ] => [ | ]", "n0", "n0"),
+    ("rooted(x,y:list)\n[ (1 (R), x) (2, y) | ] => [ (1 (R), x) (2, y) | ]", "n0", ""),
+    ("any_mark(x,y:list)\n[ (1, x # any) (2, y # red) | ] => [ (1, x # any) (2, y # red) | ]",
+     "n0", "n0"),
+    ("marks(x,y:list)\n[ (1, x # grey) (2, y) | ] => [ (1, x # grey) (2, y) | ]", "", ""),
+    ("same_edges(x,y:list)\n[ (1, x) (2, y) | (0, 1, 2, 0) (1, 1, 2, 0) ]\n"
+     "=> [ (1, x) (2, y) | (0, 1, 2, 0) (1, 1, 2, 0) ]", "n0 e0", "n0 e0"),
+    ("other_edges(x,y:list)\n[ (1, x) (2, y) | (0, 1, 2, 0) (1, 1, 2, 1) ]\n"
+     "=> [ (1, x) (2, y) | (0, 1, 2, 0) (1, 1, 2, 1) ]", "n0", "n0"),
+    ("consts()\n[ (1, 0) (2, 1) (3, 0) | ] => [ (1, 0) (2, 1) (3, 0) | ]", "n0", "n0"),
+    ("lengths(a,b,c:int)\n[ (1, a) (2, b:c) | ] => [ (1, a) (2, b:c) | ]", "", ""),
+    ("lists(x,y:list)\n[ (1, x) (2, 1:y) | ] => [ (1, x) (2, 1:y) | ]", "n0", "n0"),
+    ("short(y:list)\n[ (1, empty) (2, 0:y) | ] => [ (1, empty) (2, 0:y) | ]", "", ""),
+]
+MEET_LABELS = [(), (0,), (1,), (0, 1), (1, 0, 1)]
+# hosts on which a missing flag would show: one node for two left-hand
+# nodes, parallel edges labelled 0 and 0, 0 and 1, or one edge, and
+# nodes labelled 0, 1 and 0, or 0 and 1
+MEET_HOSTS = ["[ (0, 0) | ]", "[ (0, 0) (1, 1) | (0, 0, 1, 0) (1, 0, 1, 0) ]",
+              "[ (0, 0) (1, 1) | (0, 0, 1, 0) (1, 0, 1, 1) ]", "[ (0, 0) (1, 1) | (0, 0, 1, 0) ]",
+              "[ (0, 0) (1, 1) (2, 0) | ]", "[ (0, 0) (1, 1) | ]"]
+
+
+def _flagged(step) -> str:
+    """The records a step flags, as its final clear lists them."""
+    found = re.search(r"for item in \((.*)\): item\.flags &= ~8", inspect.getsource(step))
+    return " ".join(found[1].replace(",", " ").split()) if found else ""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_items_that_may_meet_agree_with_brute_force_on_random_hosts(optimize):
+    rng = random.Random(23)
+    rules = [parse_rule(text) for text, _, _ in MEET_RULES]
+    for rule, (_, preserve, reflect) in zip(rules, MEET_RULES):
+        for mode, flagged in (("preserve", preserve), ("reflect", reflect)):
+            assert _flagged(compiled_step(rule, False, "chain", mode == "reflect")) == \
+                flagged, (rule.name, mode)
+    hits = {rule.name: 0 for rule in rules}
+    misses = dict(hits)
+    hosts = [parse_host_graph(text) for text in MEET_HOSTS] + \
+        [random_host(rng, max_nodes=5, marked=j % 2 == 0, labels=MEET_LABELS)
+         for j in range(200)]
+    for g in hosts:
+        for mode in ("preserve", "reflect"):
+            for rule in rules:
+                keys = {m.key() for m in brute_force_match(rule, g, mode)}
+                hits[rule.name] += bool(keys)
+                misses[rule.name] += not keys
+                for backend in ("chain", "index_scan"):
+                    m = find_match(rule, g, mode, backend, optimize)
+                    where = (rule.name, mode, backend)
+                    if m is None:
+                        assert not keys, where
+                    else:
+                        assert m.key() in keys, where
+                        audit_match(rule, g, m, mode)
+                    if g is hosts[0] and rule.name == "twin":
+                        assert m is None
+    assert all(hits.values()) and all(misses.values()), (hits, misses)
+
+
 STRANGE = "a'b\\c{x}"
 
 # Labels the compiled search must take apart, each rule with the host
@@ -446,6 +524,22 @@ def test_left_hand_side_of_a_thousand_nodes_matches():
     assert g.node_count == n and g.edge_count == n - 1
 
 
+def test_a_thousand_left_hand_nodes_that_cannot_meet_build_fast_and_flag_nothing():
+    # no two labels agree, so every pair of nodes and of edges is compared
+    n = 1000
+    side = "[ " + " ".join(f"({i}, {i})" for i in range(n)) + " | " + \
+        " ".join(f"({i}, {i}, {i + 1}, {i})" for i in range(n - 1)) + " ]"
+    parsed = parse_program(f"Main = r\nr()\n{side} => {side}\n")
+    start = time.perf_counter()
+    executable = Executable(parsed, ExecConfig())     # compiles the search
+    assert time.perf_counter() - start < 3.0
+    step = compiled_step(parsed.rules["r"])
+    assert not MATCHED_FLAG.search("".join(linecache.getlines(step.__code__.co_filename)))
+    g = parse_host_graph(side)
+    assert executable.run(g) == OK
+    assert print_graph(g) == print_graph(parse_host_graph(side))
+
+
 def test_planning_a_path_of_four_thousand_nodes_is_fast():
     n = 4000
     names = ",".join(f"x{i}" for i in range(n))
@@ -559,6 +653,46 @@ def test_generated_steps_test_no_setting_and_name_it_in_their_file():
             for word in ("nodes_iter(", "reflect", "backend"):
                 assert word not in source, (name, rule.name, backend, mode, word)
         assert len(files) == len(SETTINGS), name
+
+
+MATCHED_FLAG = re.compile(rf"[|&] {FLAG_MATCHED}\b|~{FLAG_MATCHED}\b")
+
+
+def _step_block(source, k):
+    """The generated lines of plan step ``k``, under its ``if i == k:``."""
+    lines = source.splitlines()
+    start = next(j for j, line in enumerate(lines) if line.strip() == f"if i == {k}:")
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    block = []
+    for line in lines[start + 1:]:
+        if len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line)
+    return "\n".join(block)
+
+
+@pytest.mark.parametrize("backend,mode", SETTINGS)
+def test_only_items_that_may_meet_touch_matched_flags(backend, mode):
+    reflect = mode == "reflect"
+    # a grey and an unmarked node; one node
+    for rule in _rules("gen_tree")["gen"], _rules("is_discrete")["del"]:
+        assert not MATCHED_FLAG.search(inspect.getsource(
+            compiled_step(rule, True, backend, reflect))), rule.name
+    # three edges labelled 0, 1 and 2
+    expand = compiled_step(_rules("gen_sierpinski")["expand"], True, backend, reflect)
+    assert not re.search(r"\be\d+\.flags", inspect.getsource(expand))
+    assert _flagged(expand) and "e" not in _flagged(expand)
+    pair = compiled_step(parse_rule("r(x,y:list)\n[ (1, x) (2, y) | ] => [ (1, x) (2, y) | ]"),
+                         True, backend, reflect)
+    source = inspect.getsource(pair)
+    assert "n0.flags |= 8" in source and "if n1.flags & 8: continue" in source
+    assert _flagged(pair) == "n0"
+    # the root list holds only roots
+    for name, rule in all_corpus_rules():
+        source = inspect.getsource(compiled_step(rule, True, backend, reflect))
+        for k, step in enumerate(rule.plans[True, backend, reflect][0]):
+            if step[0] == "root":
+                assert not re.search(r"flags & 1\b", _step_block(source, k)), (name, rule.name)
 
 
 # -- an interface label written out again ---------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from gp2 import bench, corpus, textio
 from gp2.textio import inline_procedures
-from gp2.graph import EDGE_MARKS, NODE_MARKS, graphs_isomorphic
+from gp2.graph import EDGE_MARKS, NODE_MARKS, Graph, graphs_isomorphic
 from gp2.textio import (
     SourceError,
     parse_host_graph,
@@ -72,6 +72,51 @@ def test_print_empty_graph():
 def test_print_root_grey_node():
     assert print_graph(parse_host_graph("[ (7 (R), 5 # grey) | ]")) == \
         "[ (0 (R), 5 # grey) | ]"
+
+
+def _reference_format_label(label, mark):
+    if not label:
+        text = "empty"
+    else:
+        text = ":".join(f'"{a}"' if isinstance(a, str) else str(a) for a in label)
+    if mark != "none":
+        text += f" # {mark}"
+    return text
+
+
+def _reference_print_graph(g):
+    """The plain formatter: ``g.edges()``, ``is_root`` and a label
+    formatted for every item."""
+    parts = ["["]
+    number = {}
+    for i, node in enumerate(g.nodes()):
+        number[id(node)] = i
+        root = " (R)" if node.is_root else ""
+        parts.append(f"({i}{root}, {_reference_format_label(node.label, node.mark)})")
+    parts.append("|")
+    for eid, edge in enumerate(g.edges()):
+        parts.append(
+            f"({eid}, {number[id(edge.source)]}, {number[id(edge.target)]}, "
+            f"{_reference_format_label(edge.label, edge.mark)})")
+    parts.append("]")
+    return " ".join(parts)
+
+
+def test_print_graph_agrees_with_the_reference_formatter():
+    rng = random.Random(13)
+    labels = [(), (0,), (-4, "zz"), ("a",), ("", 7), (1, 2, 3), ("a b",)]
+    for _ in range(200):
+        g = Graph()
+        nodes = [g.add_node(rng.choice(labels), rng.choice(sorted(NODE_MARKS)),
+                            rng.random() < 0.3) for _ in range(rng.randrange(12))]
+        edges = [g.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(labels),
+                            rng.choice(sorted(EDGE_MARKS))) for _ in range(20 if nodes else 0)]
+        for edge in rng.sample(edges, len(edges) // 4):     # holes in the edge lists
+            g.delete_edge(edge)
+        for node in nodes:
+            if node.indegree + node.outdegree == 0 and rng.random() < 0.3:
+                g.delete_node(node)
+        assert print_graph(g) == _reference_print_graph(g)
 
 
 def _random_host_text(rng):
