@@ -15,12 +15,14 @@ A rule set calls its rules' compiled steps (see ``match``) until one
 rewrites at its match, building no ``Match``, and counting its walks'
 steps and candidates on the graph (not when a condition raises
 EvalError mid-search).  A step evaluates every right-hand label first,
-so an EvalError changes nothing, then deletes the matched edges and
-left-hand-only nodes, updates interface nodes in place (relabel,
-remark, re-root) and creates right-hand-only items last, all through
-``Graph``'s mutators.  A framed run's mutations are journalled into its
-``ChangeStack`` frame (see ``graph``), so they can be undone exactly;
-straight-line execution outside any frame journals nothing.
+so an EvalError changes nothing, then deletes the matched edges it
+does not keep and the left-hand-only nodes, updates interface nodes in
+place (relabel, remark, re-root) and creates right-hand-only items
+last, in right-hand order, all through ``Graph``'s mutators.  A kept
+edge is readded at its place in that order, keeping its record.  A
+framed run's mutations are journalled into its ``ChangeStack`` frame
+(see ``graph``), so they can be undone exactly; straight-line
+execution outside any frame journals nothing.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ class ChangeStack:
     Opening a frame points ``Graph.journal`` at a fresh entry list;
     undoing it reverts the frame's entries.  Committing an inner frame
     folds its entries into the parent so an outer scope can still undo
-    them; only when the last frame commits does the graph release the
-    records they hold.
+    them.  Only when the outermost frame closes, by commit or by undo,
+    does the graph release the nodes deleted under it (``Graph.held``).
     """
 
     __slots__ = ("frames",)
@@ -178,7 +180,10 @@ class ChangeStack:
 
     def undo_frame(self, g: Graph) -> None:
         g.undo(self.frames.pop())
-        g.journal = self.frames[-1] if self.frames else None
+        if self.frames:
+            g.journal = self.frames[-1]
+        else:
+            g.release()
 
     def commit_frame(self, g: Graph) -> None:
         entries = self.frames.pop()
@@ -187,7 +192,7 @@ class ChangeStack:
             g.journal.extend(entries)
         else:
             g.journal = None
-            g.release(entries)
+            g.release()
 
 
 # -- rule application ----------------------------------------------------------

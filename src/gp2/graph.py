@@ -22,7 +22,9 @@ Deleted nodes go on a LIFO free stack and are reused by the next add,
 keeping their slot index; in minimal-GC mode they are never returned to
 the free stack.  Edges have no slots: they are reached only through
 their endpoints' lists, so a deleted edge is simply dropped and every
-add makes a new one.
+add makes a new one.  An edge a rule keeps keeps its record:
+``readd_edge`` relabels, remarks and relinks it where deleting and
+adding it back would have put the new one.
 
 The graph journals its own mutations.  While ``Graph.journal`` holds a
 list (a rollback frame, opened by ``engine.ChangeStack``), every
@@ -31,10 +33,11 @@ arguments, e.g. ``(Graph.relabel_node, node, label)``, so ``undo``
 replays a frame newest first through the same mutators.  Undo puts
 every order back: a deleted node or edge is relinked after its old
 predecessors, and a root at its old place in ``root_list``.  A node
-deleted under an open frame is held (``FLAG_IN_STACK``) instead of
-freed, so the handles the entries keep never alias a new node;
-``release``, once the outermost frame commits, puts it on the free
-stack.  Entries are written and read only in this module."""
+deleted under an open frame is held (``FLAG_IN_STACK``, and listed in
+``held``) instead of freed, so the handles the entries keep never alias
+a new node; ``release``, once the outermost frame closes, puts each
+node still held on the free stack.  Entries are written and read only
+in this module."""
 
 from __future__ import annotations
 
@@ -76,13 +79,6 @@ class Node:
         "prev", "next", "out_head", "in_head",
     )
 
-    def __init__(self, slot_index: int) -> None:
-        self.slot_index = slot_index
-        self.indegree = 0
-        self.outdegree = 0
-        self.out_head: Optional[Edge] = None
-        self.in_head: Optional[Edge] = None
-
     @property
     def is_root(self) -> bool:
         return bool(self.flags & FLAG_ROOT)
@@ -108,7 +104,7 @@ class Graph:
     __slots__ = (
         "node_slots", "free_nodes", "node_head", "node_tail", "root_list",
         "node_count", "edge_count", "live_bytes", "iter_steps", "candidates",
-        "minimal_gc", "journal",
+        "minimal_gc", "journal", "held",
     )
 
     def __init__(self):
@@ -126,23 +122,33 @@ class Graph:
         self.candidates = 0
         self.minimal_gc = False             # set by the run, see ExecConfig
         self.journal: Optional[list] = None    # the open rollback frame
+        self.held: list[Node] = []          # nodes deleted under it, to release
 
     # -- nodes ----------------------------------------------------------
 
     def add_node(self, label: tuple = (), mark: str = MARK_NONE, root: bool = False) -> Node:
         if mark not in NODE_MARKS:
             raise GraphError(f"not a node mark: {mark}")
-        if self.free_nodes:
+        if self.free_nodes:     # a freed node has no edges
             node = self.free_nodes.pop()
             self.live_bytes[node.slot_index] = 1
         else:
-            node = Node(len(self.node_slots))
+            node = Node()
+            node.slot_index = len(self.node_slots)
+            node.indegree = node.outdegree = 0
+            node.out_head = node.in_head = None
             self.node_slots.append(node)
             self.live_bytes.append(1)
         node.label = label
         node.mark = mark
         node.flags = FLAG_IN_GRAPH
-        self._link_node(node, self.node_tail, None)
+        tail = node.prev = self.node_tail
+        node.next = None
+        if tail is None:
+            self.node_head = node
+        else:
+            tail.next = node
+        self.node_tail = node
         if root:
             node.flags |= FLAG_ROOT
             self.root_list.append(node)
@@ -150,18 +156,6 @@ class Graph:
         if self.journal is not None:
             self.journal.append((Graph.delete_node, node))
         return node
-
-    def _link_node(self, node: Node, prev: Optional[Node], nxt: Optional[Node]):
-        node.prev = prev
-        node.next = nxt
-        if prev is None:
-            self.node_head = node
-        else:
-            prev.next = node
-        if nxt is None:
-            self.node_tail = node
-        else:
-            nxt.prev = node
 
     def delete_node(self, node: Node) -> None:
         if not node.flags & FLAG_IN_GRAPH:
@@ -188,6 +182,7 @@ class Graph:
         if self.journal is not None:
             self.journal.append((Graph.restore_node, node, flags, prev, nxt, root_at))
             node.flags = FLAG_IN_STACK
+            self.held.append(node)
         elif not self.minimal_gc:
             self.free_nodes.append(node)
 
@@ -197,7 +192,16 @@ class Graph:
         neighbours, and a root at its old place in ``root_list``: undo
         replays newest first, so both are as they were after the deletion."""
         node.flags = flags
-        self._link_node(node, prev, nxt)
+        node.prev = prev
+        node.next = nxt
+        if prev is None:
+            self.node_head = node
+        else:
+            prev.next = node
+        if nxt is None:
+            self.node_tail = node
+        else:
+            nxt.prev = node
         self.live_bytes[node.slot_index] = 1
         if root_at is not None:
             self.root_list.insert(root_at, node)
@@ -216,15 +220,77 @@ class Graph:
         edge.flags = FLAG_IN_GRAPH
         edge.source = src
         edge.target = tgt
-        self._link_edge(edge)
+        edge.src_prev = edge.tgt_prev = None
+        nxt = edge.src_next = src.out_head
+        if nxt is not None:
+            nxt.src_prev = edge
+        src.out_head = edge
+        nxt = edge.tgt_next = tgt.in_head
+        if nxt is not None:
+            nxt.tgt_prev = edge
+        tgt.in_head = edge
+        src.outdegree += 1
+        tgt.indegree += 1
+        self.edge_count += 1
         if self.journal is not None:
             self.journal.append((Graph.delete_edge, edge))
         return edge
 
-    def _link_edge(self, edge: Edge, src_prev: Optional[Edge] = None,
-                   tgt_prev: Optional[Edge] = None) -> None:
-        """Link ``edge`` into its endpoints' lists after the given edges,
-        or at the heads when they are None."""
+    def delete_edge(self, edge: Edge) -> None:
+        if not edge.flags & FLAG_IN_GRAPH:
+            raise GraphError("edge already deleted")
+        if self.journal is not None:
+            self.journal.append((Graph.restore_edge, edge, edge.src_prev, edge.tgt_prev))
+        self._unlink_edge(edge)
+        edge.src_prev = edge.src_next = edge.tgt_prev = edge.tgt_next = None
+        edge.source.outdegree -= 1
+        edge.target.indegree -= 1
+        edge.flags = 0
+        self.edge_count -= 1
+
+    def restore_edge(self, edge: Edge, src_prev: Optional[Edge],
+                     tgt_prev: Optional[Edge]) -> None:
+        """Relink a deleted edge after the edges it followed in its
+        endpoints' lists, which undo has put back before it."""
+        edge.flags = FLAG_IN_GRAPH
+        self._link_edge(edge, src_prev, tgt_prev)
+        edge.source.outdegree += 1
+        edge.target.indegree += 1
+        self.edge_count += 1
+
+    def readd_edge(self, edge: Edge, label: tuple, mark: str,
+                   src_prev: Optional[Edge] = None, tgt_prev: Optional[Edge] = None) -> None:
+        """Give a live edge ``label`` and ``mark`` and relink it after the
+        given edges, by default at the heads, as deleting and adding it
+        back would; its own inverse, as ``set_root``'s ``at`` is."""
+        if self.journal is not None:
+            self.journal.append((Graph.readd_edge, edge, edge.label, edge.mark,
+                                 edge.src_prev, edge.tgt_prev))
+        self._unlink_edge(edge)
+        edge.label = label
+        edge.mark = mark
+        self._link_edge(edge, src_prev, tgt_prev)
+
+    def _unlink_edge(self, edge: Edge) -> None:
+        """Take ``edge`` out of its endpoints' lists; its own links stay."""
+        prev, nxt = edge.src_prev, edge.src_next
+        if prev is None:
+            edge.source.out_head = nxt
+        else:
+            prev.src_next = nxt
+        if nxt is not None:
+            nxt.src_prev = prev
+        prev, nxt = edge.tgt_prev, edge.tgt_next
+        if prev is None:
+            edge.target.in_head = nxt
+        else:
+            prev.tgt_next = nxt
+        if nxt is not None:
+            nxt.tgt_prev = prev
+
+    def _link_edge(self, edge: Edge, src_prev: Optional[Edge], tgt_prev: Optional[Edge]) -> None:
+        """Link an unlinked ``edge`` into its endpoints' lists after the
+        given edges, or at the heads when they are None."""
         src, tgt = edge.source, edge.target
         if src_prev is None:
             nxt, src.out_head = src.out_head, edge
@@ -240,42 +306,6 @@ class Graph:
         edge.tgt_prev, edge.tgt_next = tgt_prev, nxt
         if nxt is not None:
             nxt.tgt_prev = edge
-        src.outdegree += 1
-        tgt.indegree += 1
-        self.edge_count += 1
-
-    def delete_edge(self, edge: Edge) -> None:
-        if not edge.flags & FLAG_IN_GRAPH:
-            raise GraphError("edge already deleted")
-        src, tgt = edge.source, edge.target
-        src_prev, nxt = edge.src_prev, edge.src_next
-        if src_prev is None:
-            src.out_head = nxt
-        else:
-            src_prev.src_next = nxt
-        if nxt is not None:
-            nxt.src_prev = src_prev
-        tgt_prev, nxt = edge.tgt_prev, edge.tgt_next
-        if tgt_prev is None:
-            tgt.in_head = nxt
-        else:
-            tgt_prev.tgt_next = nxt
-        if nxt is not None:
-            nxt.tgt_prev = tgt_prev
-        edge.src_prev = edge.src_next = edge.tgt_prev = edge.tgt_next = None
-        src.outdegree -= 1
-        tgt.indegree -= 1
-        edge.flags = 0
-        self.edge_count -= 1
-        if self.journal is not None:
-            self.journal.append((Graph.restore_edge, edge, src_prev, tgt_prev))
-
-    def restore_edge(self, edge: Edge, src_prev: Optional[Edge],
-                     tgt_prev: Optional[Edge]) -> None:
-        """Relink a deleted edge after the edges it followed in its
-        endpoints' lists, which undo has put back before it."""
-        edge.flags = FLAG_IN_GRAPH
-        self._link_edge(edge, src_prev, tgt_prev)
 
     # -- in-place updates ------------------------------------------------
 
@@ -312,16 +342,16 @@ class Graph:
         for inverse, *args in reversed(entries):
             inverse(self, *args)
 
-    def release(self, entries: list) -> None:
-        """Let go of the nodes that committed entries hold: each one still
-        deleted goes on the free stack.  A node no entry holds any more is
-        left alone, so releasing twice frees nothing twice."""
-        for entry in entries:
-            record = entry[1]           # only a deleted node is ever held
-            if record.flags & FLAG_IN_STACK:
-                record.flags = 0
+    def release(self) -> None:
+        """Let go of the nodes deleted under frames that have all closed:
+        each one still held goes on the free stack.  One that undo put
+        back is no longer held, and one held twice is freed once."""
+        for node in self.held:
+            if node.flags & FLAG_IN_STACK:
+                node.flags = 0
                 if not self.minimal_gc:
-                    self.free_nodes.append(record)
+                    self.free_nodes.append(node)
+        self.held = []
 
     # -- iteration --------------------------------------------------------
 

@@ -539,16 +539,16 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
     shift = 0
     # every step is bound: clear the flags (the condition reads none),
     # then test the condition and set them again if it fails
-    records = "".join(f"{r}, " for rs in held for r in rs)
-    if records:
-        emit(2, f"for item in ({records}): item.flags &= ~{FLAG_MATCHED}")
+    records = [r for rs in held for r in rs]
+    for r in records:
+        emit(2, f"{r}.flags &= ~{FLAG_MATCHED}")
     if rule.condition is None:
         emit(2, "break")
     else:
         test = _Terms(lambda text: emit(2, text), names, rule.variables, node)
         emit(2, f"if {test.cond(rule.condition)}: break")
-        if records:
-            emit(2, f"for item in ({records}): item.flags |= {FLAG_MATCHED}")
+        for r in records:
+            emit(2, f"{r}.flags |= {FLAG_MATCHED}")
         back(len(steps), 2)
     emit(1, counters)
     orientations = {step[1]: f"p{k} == {[flip for _, flip in step[4]].index(True)}"
@@ -558,9 +558,11 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
         "".join(f"{v}, " for local in layout for v in local.values())))
 
     # the rewrite: every right-hand label first, then the mutator calls
-    # (matched edges, left-hand-only nodes, right-hand items in order);
-    # constants and locals are written where used, and a node whose label
-    # writes its left-hand pattern out again is not relabelled
+    # (matched edges not kept, left-hand-only nodes, right-hand items in
+    # order); constants and locals are written where used, and a node whose
+    # label writes its left-hand pattern out again is not relabelled.  A kept
+    # edge (a left-hand edge's id, ends and bidirectional flag) keeps its
+    # record and host direction: nothing before its readd reads an edge list
     terms = _Terms(lambda text: emit(1, text), names, rule.variables, node)
     same = {pn.pid for pn in rule.rhs.nodes if pn.pid in node and _pattern_items(pn.label)
             == [item[:2] for item in lhs.nodes[lhs.by_id[pn.pid]].label.items]}
@@ -570,8 +572,11 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
         code, kind = terms.expr(t)
         label[t] = code if kind == "list" else f"({code},)" if t[0] in ("int", "str") \
             else terms.let(f"({code},)")
-    for e in edge.values():
-        emit(1, f"g.delete_edge({e})")
+    ends = {pe.eid: (pe.src, pe.tgt, pe.bidir) for pe in lhs.edges}
+    kept = {pe.eid for pe in rule.rhs.edges if ends.get(pe.eid) == (pe.src, pe.tgt, pe.bidir)}
+    for eid, e in edge.items():
+        if eid not in kept:
+            emit(1, f"g.delete_edge({e})")
     for pid in rule.deleted:
         emit(1, f"g.delete_node({node[pid]})")
     at = dict(node)
@@ -587,11 +592,15 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
         if pn.mark not in (MARK_ANY, old.mark):
             emit(1, f"if {n}.mark != {pn.mark!r}: g.remark_node({n}, {pn.mark!r})")
         if pn.root != old.root or not (pn.root or reflect):     # reflect: never a root
-            emit(1, f"if {'not ' * pn.root}{n}.flags & {FLAG_ROOT}: "
-                    f"g.set_root({n}, {pn.root})")
+            # a rooted left-hand node, or any in reflect mode, fixes the image's flag
+            test = f"if {'not ' * pn.root}{n}.flags & {FLAG_ROOT}: "
+            emit(1, f"{test * (not (reflect or old.root))}g.set_root({n}, {pn.root})")
     for pe in rule.rhs.edges:
         mark = f"{edge[pe.eid]}.mark" if pe.mark == MARK_ANY else repr(pe.mark)
         rest = f"{label[pe.label]}, {mark})"
+        if pe.eid in kept:
+            emit(1, f"g.readd_edge({edge[pe.eid]}, {rest}")
+            continue
         add = f"g.add_edge({at[pe.src]}, {at[pe.tgt]}, {rest}"
         if pe.bidir and pe.eid in orientations:     # flipped: added the other way round
             emit(1, f"if {orientations[pe.eid]}: g.add_edge({at[pe.tgt]}, {at[pe.src]}, {rest}")

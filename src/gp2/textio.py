@@ -384,6 +384,7 @@ def parse_host_graph(text: str) -> Graph:
     offset, section = _read_host_fast(text, index, nodes, edges)
     if section < 3:
         _read_host_tokens(_Stream(text, offset), section, index, nodes, edges)
+    del index                                   # edges hold places: free it before the build
     return _build_host(nodes, edges)
 
 

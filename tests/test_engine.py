@@ -25,7 +25,7 @@ from gp2.graph import (
     graphs_isomorphic,
 )
 from gp2.match import find_match
-from gp2.rules import EvalError
+from gp2.rules import EvalError, instantiate_rhs
 from gp2.textio import (
     SourceError,
     inline_procedures,
@@ -34,7 +34,7 @@ from gp2.textio import (
     parse_rule,
     print_graph,
 )
-from helpers import executable
+from helpers import executable, kept_edges
 
 
 def _program(name):
@@ -265,8 +265,10 @@ def test_random_journaled_mutations_undo_exactly():
                 g.relabel_node(rng.choice(live), (rng.randrange(9),))
             elif op < 0.9 and live:
                 g.remark_node(rng.choice(live), rng.choice(["none", "grey", "red"]))
-            elif live:
+            elif op < 0.95 and live:
                 g.set_root(rng.choice(live), rng.random() < 0.5)
+            elif edges:
+                g.readd_edge(rng.choice(edges), (rng.randrange(3),), rng.choice(["none", "red"]))
         stack.undo_frame(g)
         assert _snapshot(g) == before
         assert g.nodes() == order
@@ -333,9 +335,16 @@ def test_every_corpus_rule_application_undoes_exactly(backend, optimize):
 
 @BACKENDS_AND_PLANS
 def test_every_corpus_rule_application_commits_and_frees_once(backend, optimize):
+    kept_seen = set()
     for name, rule, fixture, g, m in _first_matches(backend, optimize):
         deleted_nodes = [m.node_images[pid] for pid in rule.deleted]
-        deleted_edges = list(m.edge_images.values())
+        kept = kept_edges(rule)
+        deleted_edges = [e for eid, e in m.edge_images.items() if eid not in kept]
+        _, rhs_edges = instantiate_rhs(rule, m.assignment, m.node_images, m.edge_images,
+                                       m.orientations)
+        rhs_fields = dict(zip((pe.eid for pe in rule.rhs.edges), rhs_edges))
+        kept_fields = [(e, *rhs_fields[eid][:2], e.source, e.target)
+                       for eid, e in m.edge_images.items() if eid in kept]
         nodes, edges = g.nodes(), g.edges()
         stack = ChangeStack()
         stack.open_frame(g)
@@ -353,6 +362,16 @@ def test_every_corpus_rule_application_commits_and_frees_once(backend, optimize)
             assert node.flags == 0, where
         for edge in deleted_edges:
             assert edge.flags == 0, where
+        # a kept edge is the same live record, between the same nodes,
+        # with its right-hand label and mark
+        for edge, label, mark, src, tgt in kept_fields:
+            assert edge.flags == FLAG_IN_GRAPH, where
+            assert (edge.label, edge.mark, edge.source, edge.target) == \
+                (label, mark, src, tgt), where
+        if kept_fields:
+            kept_seen.add(rule.name)
+    # the other corpus rules that keep an edge need a root the fixtures lack
+    assert kept_seen == {"par", "link"}
 
 
 # -- rollback against a copying twin of the journal ---------------------------------
@@ -433,6 +452,73 @@ def test_a_rolled_back_corpus_program_prints_its_input(monkeypatch, backend, mai
                 monkeypatch.setattr(engine, "ChangeStack", stack)
                 out = rolled_back.run_text(host_text)
                 assert out.output == want, (name, fixture, stack.__name__)
+
+
+# Kept edges, relabelled, remarked and with an inherited mark; the
+# bidirectional one is matched along its host direction on the first host
+# and against it on the second.
+KEEP = ("keep(x, y:list)\n"
+        "[ (1, x) (2, y) | (0, 1, 2, x # any) (1 (B), 1, 2, y) (2, 2, 2, x # dashed) ]\n"
+        "=> [ (1, x) (2, y) | (0, 1, 2, x:1 # any) (1 (B), 1, 2, y # red) (2, 2, 2, x) ]")
+# Edges labelled 9 head the out-lists, so an undo that relinks a kept edge
+# anywhere but after its old neighbour shows in the printed graph.
+KEEP_HOSTS = ["[ (0, 0) (1, 2) (2, 3) | (0, 0, 1, 9) (1, 1, 1, 9) (2, 0, 1, 0 # red) "
+              "(3, 0, 1, 2) (4, 1, 1, 0 # dashed) (5, 2, 0, 1) ]",
+              "[ (0, 0) (1, 2) (2, 3) | (0, 0, 1, 9) (1, 1, 1, 9) (2, 0, 1, 0) "
+              "(3, 1, 0, 2) (4, 1, 1, 0 # dashed) (5, 0, 2, 1) ]"]
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+@pytest.mark.parametrize("main", ["try (keep; fail)", "if keep then skip"])
+def test_a_rolled_back_rule_keeping_edges_prints_its_input(monkeypatch, backend, main):
+    rule = parse_rule(KEEP)
+    assert kept_edges(rule) == {0, 1, 2}
+    cfg = ExecConfig(backend=backend)
+    flipped = []
+    for host_text in KEEP_HOSTS:
+        want = print_graph(parse_host_graph(host_text))
+        m = find_match(rule, parse_host_graph(host_text), backend=backend)
+        flipped.append(m.orientations[1])
+        applied = Executable(parse_program(f"Main = keep\n{KEEP}"), cfg).run_text(host_text)
+        assert applied.status == "success" and applied.output != want
+        for stack in (ChangeStack, SnapshotStack):
+            monkeypatch.setattr(engine, "ChangeStack", stack)
+            out = Executable(parse_program(f"Main = {main}\n{KEEP}"), cfg).run_text(host_text)
+            assert out.output == want, (host_text, stack.__name__)
+    assert flipped == [False, True]
+
+
+def test_always_undone_guards_leave_no_node_held():
+    # each if guard deletes a node under its own outermost frame
+    parsed = parse_program("Main = (if del then skip; tick)!\n"
+                           "del(x:list) [ (1, x) | ] => [ | ]\n"
+                           "tick(x:list) [ (1, x # grey) | ] => [ (1, x) | ]")
+    g = bench.gen_discrete(50)
+    for node in g.nodes():
+        g.remark_node(node, "grey")
+    assert Executable(parsed, ExecConfig()).run(g) == OK
+    assert g.held == [] and g.free_nodes == [] and g.node_count == 50
+    check_consistency(g)
+
+
+def test_grow_tree_journals_and_adds_exactly(monkeypatch):
+    # before kept edges were readded, the same run journaled 3,438 entries
+    # in 1,019 add_edge and 509 delete_edge calls
+    counts = dict.fromkeys(("entries", "add_edge", "delete_edge"), 0)
+    for method in ("commit_frame", "undo_frame"):
+        def closed(self, g, original=getattr(ChangeStack, method)):
+            counts["entries"] += len(self.frames[-1])
+            original(self, g)
+        monkeypatch.setattr(ChangeStack, method, closed)
+    for method in ("add_edge", "delete_edge"):
+        def called(self, *args, method=method, original=getattr(Graph, method)):
+            counts[method] += 1
+            return original(self, *args)
+        monkeypatch.setattr(Graph, method, called)
+    g = parse_host_graph("[ (0 (R), 8) | ]")
+    assert executable("gen_tree", ExecConfig()).run(g) == OK
+    assert counts == {"entries": 3056, "add_edge": 637, "delete_edge": 127}
+    assert g.node_count == 511 and g.held == []
 
 
 def _shrinks(rule):

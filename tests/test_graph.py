@@ -74,7 +74,7 @@ def test_deferred_deletion_blocks_slot_reuse():
     other = g.add_node()
     assert other is not n
 
-    g.release(entries)            # journal lets go: slot now reusable, LIFO
+    g.release()                   # journal lets go: slot now reusable, LIFO
     again = g.add_node()
     assert again is n
 
@@ -119,10 +119,46 @@ def test_deleted_edges_are_never_reused():
     assert held.flags == 0
     g.journal = None
     made = [g.add_edge(a, b)]
-    g.release(entries)
+    g.release()
     made.append(g.add_edge(a, b))
     assert not any(e is held or e is deleted for e in made)
     assert held.flags == deleted.flags == 0
+
+
+def test_readd_edge_orders_lists_as_delete_then_add():
+    rng = random.Random(909)
+    loops = parallel = 0
+    for _ in range(300):
+        size = rng.randrange(1, 4)
+        ends = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randrange(1, 9))]
+        loops += any(s == t for s, t in ends)
+        parallel += len(set(ends)) < len(ends)
+        graphs = []
+        for _ in range(2):
+            g = Graph()
+            nodes = [g.add_node() for _ in range(size)]
+            graphs.append((g, nodes, [g.add_edge(nodes[s], nodes[t], (k,)) for k, (s, t) in
+                                      enumerate(ends)]))
+        (kept, _, kept_edges), (made, _, made_edges) = graphs
+        for _ in range(rng.randrange(1, 5)):
+            k = rng.randrange(len(ends))
+            label, mark = (rng.randrange(9),), rng.choice(["none", "red"])
+            record = kept_edges[k]
+            kept.readd_edge(record, label, mark)
+            assert kept_edges[k] is record
+            old = made_edges[k]
+            made.delete_edge(old)
+            made_edges[k] = made.add_edge(old.source, old.target, label, mark)
+
+        def lists(g, nodes, edges):
+            place = {id(e): k for k, e in enumerate(edges)}
+            return (g.edge_count,
+                    [(n.outdegree, n.indegree, [place[id(e)] for e in g.out_edges(n)],
+                      [place[id(e)] for e in g.in_edges(n)]) for n in nodes],
+                    [(e.label, e.mark) for e in edges])
+        assert lists(*graphs[0]) == lists(*graphs[1])
+        check_consistency(kept)
+    assert loops > 50 and parallel > 50
 
 
 def test_relabel_remark_set_root():

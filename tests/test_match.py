@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gp2 import corpus
-from gp2.engine import OK, ExecConfig, Executable, run_program
+from gp2.engine import OK, ExecConfig, Executable, apply_rule, run_program
 from gp2.graph import FLAG_MATCHED, SCAN_CHUNK, Graph, GraphError, Node
 from gp2.match import (
     audit_match,
@@ -318,9 +318,10 @@ MEET_HOSTS = ["[ (0, 0) | ]", "[ (0, 0) (1, 1) | (0, 0, 1, 0) (1, 0, 1, 0) ]",
 
 
 def _flagged(step) -> str:
-    """The records a step flags, as its final clear lists them."""
-    found = re.search(r"for item in \((.*)\): item\.flags &= ~8", inspect.getsource(step))
-    return " ".join(found[1].replace(",", " ").split()) if found else ""
+    """The records a step flags, as its final clear lists them: the first
+    run of clearing lines under the search loop, one line per record."""
+    found = re.search(r"(?:^        \w+\.flags &= ~8\n)+", inspect.getsource(step), re.M)
+    return " ".join(re.findall(r"(\w+)\.flags", found[0])) if found else ""
 
 
 @pytest.mark.parametrize("optimize", [True, False])
@@ -416,7 +417,7 @@ def test_compiled_step_shows_its_source():
     source = inspect.getsource(step)
     assert source.startswith("def step(g, find=False):")
     assert repr(STRANGE) in source
-    assert "g.add_edge(" in source and "Match" not in source
+    assert "g.readd_edge(e0, " in source and "Match" not in source
     assert rule.plans[False, "chain", False][2][2] == ("g", "len", "None", "if")
 
 
@@ -432,13 +433,37 @@ def test_a_bidirectional_edge_is_added_back_the_way_it_was_matched():
     fwd = _rules("is_con")["fwd"]
     source = inspect.getsource(compiled_step(fwd))
     assert "    if find: return (n0, n1, e0, v0, v1, v2, p1 == 1, )\n" in source
-    assert ("    if p1 == 1: g.add_edge(n1, n0, v2, 'dashed')\n"
-            "    else: g.add_edge(n0, n1, v2, 'dashed')\n") in source
+    # the edge is kept: its record, and so its host direction, stay
+    assert "    g.readd_edge(e0, v2, 'dashed')\n" in source
+    assert "g.add_edge(" not in source and "g.delete_edge(" not in source
     assert "*(" not in source and "(False, True)" not in source
     for host in ("[ (0 (R), 1 # grey) (1, 2) | (0, 0, 1, 3) ]",
                  "[ (0 (R), 1 # grey) (1, 2) | (0, 1, 0, 3) ]"):
         flipped = host.endswith("(0, 1, 0, 3) ]")
-        assert find_match(fwd, parse_host_graph(host)).orientations[0] is flipped
+        g = parse_host_graph(host)
+        assert find_match(fwd, g).orientations[0] is flipped
+        [edge] = g.edges()
+        ends = edge.source, edge.target
+        assert apply_rule(fwd, g)
+        assert g.edges() == [edge] and (edge.source, edge.target) == ends
+        assert (edge.label, edge.mark) == ((3,), "dashed")
+        assert print_graph(g) == host.replace("3) ]", "3 # dashed) ]").replace(
+            "(0 (R), 1 # grey) (1, 2)", "(0, 1 # grey) (1 (R), 2 # grey)")
+
+
+@pytest.mark.parametrize("mode", ["preserve", "reflect"])
+def test_a_root_flag_the_match_fixes_is_set_without_a_test(mode):
+    ret = inspect.getsource(compiled_step(_rules("gen_tree")["ret"], True, "chain",
+                                          mode == "reflect"))
+    # a rooted left-hand node's image is a root, and in reflect mode an
+    # unrooted one's is not; only in preserve mode may it be either
+    assert "    g.set_root(n1, False)\n" in ret
+    assert {"preserve": "    if not n0.flags & 1: g.set_root(n0, True)\n",
+            "reflect": "    g.set_root(n0, True)\n"}[mode] in ret
+    # each flagged record is cleared by a line of its own
+    for name, rule in all_corpus_rules():
+        assert "for item in" not in inspect.getsource(
+            compiled_step(rule, True, "chain", mode == "reflect")), (name, rule.name)
 
 
 def test_reflect_matches_are_preserve_matches():

@@ -60,8 +60,8 @@ def test_double_release_is_a_no_op():
     g.delete_node(n)
     assert n.flags & FLAG_IN_STACK
     g.journal = None
-    g.release(entries)
-    g.release(entries)
+    g.release()
+    g.release()
     a, b = g.add_node(), g.add_node()
     assert a is not b
     assert g.node_count == 2
@@ -73,11 +73,25 @@ def test_double_release_is_a_no_op():
     g.delete_edge(e)              # an edge is never held, only unlinked
     assert e.flags == 0
     g.journal = None
-    g.release(entries)
-    g.release(entries)
+    g.release()
+    g.release()
     assert e.flags == 0
     assert g.edge_count == 0 and x.out_head is None and y.in_head is None
     check_consistency(g)
+
+
+def test_a_node_held_twice_is_freed_once():
+    g = Graph()
+    n = g.add_node()
+    g.journal = []
+    g.delete_node(n)
+    g.undo(g.journal)             # restored, but still listed as held
+    g.journal = []
+    g.delete_node(n)
+    assert g.held == [n, n]
+    g.journal = None
+    g.release()
+    assert g.free_nodes == [n] and g.held == [] and n.flags == 0
 
 
 def test_use_after_delete_is_rejected():
