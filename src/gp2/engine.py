@@ -34,7 +34,10 @@ from .graph import Graph
 from .match import compiled_step, find_match
 from .rules import EvalError, Rule, instantiate_rhs
 
-# find_match and instantiate_rhs are not called here: they are for tools.
+# find_match and instantiate_rhs are not called here.  They stay because
+# perfbench/tracing.py wraps engine.find_match, engine.apply_rule and
+# engine.instantiate_rhs, and match.eval_cond, by name through vars(module)[attr],
+# and calls match.find_match_steps: without them, perfbench's --trace 1 fails.
 __all__ = ["OK", "FAILED", "BROKE", "ConfigError", "ExecConfig", "ChangeStack",
            "apply_rule", "Outcome", "Executable", "run_program", "find_match", "instantiate_rhs"]
 

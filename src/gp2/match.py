@@ -5,8 +5,10 @@ claimed first from the host's root list, every further pattern item is
 reached by walking an incident-edge chain of an already-bound node, and
 only pattern components unreachable from any root fall back to global
 node iteration.  That ordering is what confines matching of fast rules
-to the neighbourhood of the host's roots.  Each step carries everything
-the search reads (ids, labels, marks, degrees, edge phases).
+to the neighbourhood of the host's roots.  Each step is a ``Step`` that
+points at the rule's own left-hand items; the order and each edge's
+walk phases are all the plan adds.  ``check_fast_rule`` reads
+reachability from a root off the same plan.
 
 ``compiled_step`` compiles each plan to one Python function, once per
 rule and setting (plan order, backend, root mode), and caches it in
@@ -40,12 +42,17 @@ only if an earlier one may.
 from __future__ import annotations
 
 import linecache
+from collections import Counter
 from heapq import heappop, heappush
 from math import inf
 from typing import Optional
 
 from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, SCAN_CHUNK, Graph, GraphError
-from .rules import EvalError, Rule, eval_cond, has_edge, label_match
+from .rules import EvalError, Rule, eval_cond, has_edge, label_match, subterms
+
+# variable types whose repetition or comparison breaks the fast-rule
+# guarantees (their domains are unbounded)
+UNBOUNDED_TYPES = frozenset(("list", "string", "atom"))
 
 
 class Match:
@@ -64,51 +71,43 @@ class Match:
         )
 
 
-def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
-    """The rule's search plan, which ``compiled_step`` compiles and caches.
+class Step:
+    """One plan step.  A 'root' step (candidates from the root list) or a
+    'node' step (every host node) binds ``node``.  An 'edge' step walks
+    the bound ``anchor``'s out-edges or in-edges, one list per (reverse,
+    flipped) phase, to match ``edge``, and either binds its other end
+    ``node`` (``binds``) or checks it against that end's image.  Each
+    field is one of the rule's own left-hand items, not a copy."""
 
-    A node step is (kind, pid, label, mark, degree, out_min, in_min)
-    with kind 'root' (candidates from the root list) or 'node' (every
-    host node).  An edge step is ('edge', eid, label, mark, phases,
-    anchor_pid, other_pid, binds, other_label, other_mark, other_root,
-    degree, out_min, in_min, bidir): it walks the bound anchor's
-    out-edges or in-edges, one list per (reverse, flipped) phase, and
-    either binds the other endpoint (``binds``) or checks it against
-    that endpoint's image.  A mark is None where the pattern accepts
-    any.  degree is the exact degree a deleted node must have (-1 for a
-    kept node); out_min and in_min are a kept node's least out- and
-    in-degree, its non-bidirectional left-hand edges out and in (a loop
-    counts once each way).  Both are checked when the node is bound.
+    __slots__ = ("kind", "node", "edge", "anchor", "phases", "binds")
+
+    def __init__(self, kind, node, edge=None, anchor=None, phases=(), binds=True):
+        self.kind, self.node, self.edge, self.anchor = kind, node, edge, anchor
+        self.phases, self.binds = phases, binds
+
+
+def compile_plan(rule: Rule, optimize: bool = True) -> list[Step]:
+    """The rule's search plan, its steps in order, which ``compiled_step``
+    compiles and caches.
 
     With ``optimize`` the roots come first, and before each further node
     every edge reachable from a bound node is taken: all edges with both
     ends bound in index order, then the lowest edge with one, repeating.
     Only nodes no edge reaches get a global step.  Without it the nodes
-    come in textual order, then the edges.
+    come in textual order, then the edges.  Either way every left-hand
+    root, and only a root, is bound by a 'root' step.
     """
     lhs = rule.lhs
     nodes = lhs.nodes
-    deleted = set(rule.deleted)
-    degree = [0 if pn.pid in deleted else -1 for pn in nodes]
-    out_min = [0] * len(nodes)
-    in_min = [0] * len(nodes)
     ends = [(lhs.by_id[e.src], lhs.by_id[e.tgt]) for e in lhs.edges]
     incident: list[list[int]] = [[] for _ in nodes]
     for ei, (si, ti) in enumerate(ends):
-        if not lhs.edges[ei].bidir:
-            out_min[si] += 1
-            in_min[ti] += 1
         for ni in (si, ti):
             incident[ni].append(ei)
-            if degree[ni] >= 0:
-                degree[ni] += 1
     bound = [False] * len(nodes)
     taken = [False] * len(lhs.edges)
     heap: list[tuple[bool, int]] = []   # (only one end bound, edge index)
-    steps: list[tuple] = []
-
-    def mark(item):
-        return None if item.mark == MARK_ANY else item.mark
+    steps: list[Step] = []
 
     def bind(ni):
         bound[ni] = True
@@ -125,15 +124,12 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
             pe = lhs.edges[ei]
             si, ti = ends[ei]
             if bound[si]:
-                anchor, oi = pe.src, ti
+                ai, oi = si, ti
                 phases = ((False, False), (True, True)) if pe.bidir else ((False, False),)
             else:
-                anchor, oi = pe.tgt, si
+                ai, oi = ti, si
                 phases = ((False, True), (True, False)) if pe.bidir else ((True, False),)
-            on = nodes[oi]
-            steps.append(("edge", pe.eid, pe.label, mark(pe), phases, anchor, on.pid,
-                          not bound[oi], on.label, mark(on), on.root, degree[oi],
-                          out_min[oi], in_min[oi], pe.bidir))
+            steps.append(Step("edge", nodes[oi], pe, nodes[ai], phases, not bound[oi]))
             if not bound[oi]:
                 bind(oi)
 
@@ -145,34 +141,82 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[tuple]:
         if optimize and not pn.root:
             take_edges()
         if not bound[ni]:
-            steps.append(("root" if pn.root else "node", pn.pid, pn.label, mark(pn),
-                          degree[ni], out_min[ni], in_min[ni]))
+            steps.append(Step("root" if pn.root else "node", pn))
             bind(ni)
     take_edges()
     return steps
 
 
-def plan_is_well_formed(rule: Rule, plan: list[tuple]) -> bool:
+def plan_is_well_formed(rule: Rule, plan: list[Step]) -> bool:
     """Whether the plan binds every left-hand node and takes every edge
     exactly once, each edge from an anchor already bound, binding its
-    other endpoint exactly when that one is not yet bound."""
+    other endpoint exactly when that one is not yet bound, and binds
+    every root, and only a root, at a 'root' step."""
     edges = {pe.eid: pe for pe in rule.lhs.edges}
     bound: set[int] = set()
     taken: list[int] = []
     for step in plan:
-        if step[0] != "edge":
-            if step[1] in bound:
-                return False
-            bound.add(step[1])
-            continue
-        pe = edges.get(step[1])
-        anchor, other, binds = step[5], step[6], step[7]
-        if pe is None or (anchor, other) not in ((pe.src, pe.tgt), (pe.tgt, pe.src)) \
-                or anchor not in bound or binds != (other not in bound):
+        pid, pe = step.node.pid, step.edge
+        if (step.kind == "root") != (step.binds and step.node.root):
             return False
-        taken.append(pe.eid)
-        bound.add(other)
+        if step.kind == "edge":
+            ends = (step.anchor.pid, pid)
+            if edges.get(pe.eid) is not pe or ends not in ((pe.src, pe.tgt), (pe.tgt, pe.src)) \
+                    or ends[0] not in bound or step.binds != (pid not in bound):
+                return False
+            taken.append(pe.eid)
+        elif pid in bound:
+            return False
+        bound.add(pid)
     return sorted(bound) == sorted(rule.lhs.by_id) and sorted(taken) == sorted(edges)
+
+
+def check_fast_rule(rule: Rule) -> tuple[bool, list[str]]:
+    """Decide whether the rule can be matched in constant time on hosts
+    with bounded degree and bounded root count.
+
+    The three requirements: every left-hand node is undirectedly
+    reachable from a root, that is bound before the optimised plan's
+    first global 'node' step; no list/string/atom variable occurs twice
+    in either side; and the condition uses no edge predicate and no
+    (in)equality with such variables on both sides.
+    """
+    problems = []
+
+    reached = set()
+    for step in compile_plan(rule):
+        if step.kind == "node":
+            break
+        reached.add(step.node.pid)
+    unreachable = [n.pid for n in rule.lhs.nodes if n.pid not in reached]
+    if unreachable:
+        problems.append(
+            f"left-hand nodes not undirectedly reachable from a root: {unreachable}")
+
+    lhs_uses = [name for item in rule.lhs.nodes + rule.lhs.edges
+                for name, _ in item.label.variables()]
+    rhs_uses = [t[1] for item in rule.rhs.nodes + rule.rhs.edges
+                for t in subterms(item.label) if t[0] == "var"]
+    for side, uses in (("left", lhs_uses), ("right", rhs_uses)):
+        for name, count in Counter(uses).items():
+            if count > 1 and rule.variables.get(name) in UNBOUNDED_TYPES:
+                problems.append(
+                    f"{rule.variables[name]} variable {name!r} occurs "
+                    f"{count} times in the {side}-hand side")
+
+    def unbounded(expr) -> bool:
+        return any(t[0] == "var" and rule.variables.get(t[1]) in UNBOUNDED_TYPES
+                   for t in subterms(expr))
+
+    conds = list(subterms(rule.condition)) if rule.condition is not None else []
+    if any(t[0] == "edge" for t in conds):
+        problems.append("condition uses the edge predicate")
+    if any(t[0] == "rel" and t[1] in ("=", "!=") and unbounded(t[2]) and unbounded(t[3])
+           for t in conds):
+        problems.append(
+            "condition compares list/string/atom variables for (in)equality")
+
+    return not problems, problems
 
 
 def find_match(rule: Rule, g: Graph, mode: str = "preserve",
@@ -344,7 +388,7 @@ def _may_meet(a: tuple, b: tuple) -> bool:
         and max(a[4], b[4]) <= min(a[5], b[5]) and max(a[6], b[6]) <= min(a[7], b[7])
 
 
-def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, reflect: bool):
+def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, reflect: bool):
     """The rule's step, with one ``if i == k:`` block per plan step and
     the rewrite after them, and its layout (see ``compiled_step``).  It
     is compiled under a file name that names the rule and the setting,
@@ -363,24 +407,35 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
     lhs = rule.lhs
     node = {pn.pid: f"n{j}" for j, pn in enumerate(lhs.nodes)}
     edge = {pe.eid: f"e{j}" for j, pe in enumerate(lhs.edges)}
+    # a node the rule deletes must have its exact degree (a loop counts
+    # twice); a kept one at least its non-bidirectional edges out and in
+    deleted = set(rule.deleted)
+    degree = Counter(end for pe in lhs.edges for end in (pe.src, pe.tgt))
+    out_min = Counter(pe.src for pe in lhs.edges if not pe.bidir)
+    in_min = Counter(pe.tgt for pe in lhs.edges if not pe.bidir)
     names: dict[str, str] = {}      # GP 2 variable -> local, in binding order
     held: list[list[str]] = []      # per step, the records it flags
     facts: dict[str, tuple] = {}    # bound record -> what _may_meet compares, in binding order
+
+    def fact(kind, item, root, degrees):
+        size = len(item.label.items)
+        return (kind, None if item.mark == MARK_ANY else item.mark, item.label.detail,
+                root if reflect else None,
+                *((size, size) if item.label.list_var_pos is None else (size - 1, inf)), *degrees)
+
     for s in steps:
-        if s[0] == "edge":
-            new = [(edge[s[1]], s[2], s[3], None, -1, 0, 0)] + [(node[s[6]], *s[8:14])] * s[7]
-        else:
-            new = [(node[s[1]], s[2], s[3], s[0] == "root", *s[4:7])]
-        for r, label, mark, root, degree, out_min, in_min in new:
-            size = len(label.items)
-            facts[r] = (r[0], mark, label.detail, root if reflect else None,
-                        *((size, size) if label.list_var_pos is None else (size - 1, inf)),
-                        *((out_min + in_min, inf) if degree < 0 else (degree, degree)))
+        if s.kind == "edge":
+            facts[edge[s.edge.eid]] = fact("e", s.edge, None, (0, inf))
+        if s.binds:
+            pid = s.node.pid
+            kept = (out_min[pid] + in_min[pid], inf)
+            facts[node[pid]] = fact("n", s.node, s.node.root,
+                                    (degree[pid],) * 2 if pid in deleted else kept)
     order = list(facts.items())
     tested = {r for j, (r, a) in enumerate(order) if any(_may_meet(a, b) for _, b in order[:j])}
     flagged = {r for j, (r, a) in enumerate(order)
                if any(_may_meet(a, b) for _, b in order[j + 1:])}
-    walks = any(step[0] == "node" for step in steps)
+    walks = any(step.kind == "node" for step in steps)
     lines = ["def step(g, find=False):", "    candidates = walked = i = 0"]
     if walks and backend == "index_scan":
         lines.append("    live, slots = g.live_bytes, g.node_slots; hw = len(slots)")
@@ -395,14 +450,14 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
         if k == len(steps):
             return
         step = steps[k]
-        if step[0] == "root":
+        if step.kind == "root":
             emit(depth, f"it{k} = iter(g.root_list)")
-        elif step[0] == "node":
+        elif step.kind == "node":
             emit(depth, f"c{k} = {'g.node_head' if backend == 'chain' else 0}")
         else:
-            reverse = step[4][0][0]
-            emit(depth, f"c{k} = {node[step[5]]}.{'in_head' if reverse else 'out_head'}")
-            if len(step[4]) > 1:
+            reverse = step.phases[0][0]
+            emit(depth, f"c{k} = {node[step.anchor.pid]}.{'in_head' if reverse else 'out_head'}")
+            if len(step.phases) > 1:
                 emit(depth, f"p{k} = 0")
 
     def back(k, depth):
@@ -416,23 +471,22 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
         emit(depth, f"i = {k - 1}")
         emit(depth, "continue")
 
-    def check_node(n, label, mark, root, degree, out_min, in_min, depth):
+    def check_node(pn, depth):
+        n, pid = node[pn.pid], pn.pid
         if n in tested:
             emit(depth, f"if {n}.flags & {FLAG_MATCHED}: continue")
-        if mark is not None:
-            emit(depth, f"if {n}.mark != {mark!r}: continue")
-        if root:
-            emit(depth, f"if not {n}.flags & {FLAG_ROOT}: continue")
-        elif reflect and root is not None:  # None at a root step: the root list holds only roots
+        if pn.mark != MARK_ANY:
+            emit(depth, f"if {n}.mark != {pn.mark!r}: continue")
+        if reflect and not pn.root:     # a root is bound from the root list, which holds only roots
             emit(depth, f"if {n}.flags & {FLAG_ROOT}: continue")
-        if degree >= 0:
-            emit(depth, f"if {n}.indegree + {n}.outdegree != {degree}: continue")
+        if pid in deleted:
+            emit(depth, f"if {n}.indegree + {n}.outdegree != {degree[pid]}: continue")
         else:
-            if out_min:
-                emit(depth, f"if {n}.outdegree < {out_min}: continue")
-            if in_min:
-                emit(depth, f"if {n}.indegree < {in_min}: continue")
-        check_label(label, f"{n}.label", depth)
+            if out_min[pid]:
+                emit(depth, f"if {n}.outdegree < {out_min[pid]}: continue")
+            if in_min[pid]:
+                emit(depth, f"if {n}.indegree < {in_min[pid]}: continue")
+        check_label(pn.label, f"{n}.label", depth)
 
     def check_label(pattern, subject, depth):
         if pattern.kind == "const":
@@ -475,10 +529,10 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
             emit(2, f"if i < {k + _CHUNK}:")
             shift = 1
         emit(2, f"if i == {k}:")
-        if step[0] != "edge":
-            n = node[step[1]]
+        n = node[step.node.pid]
+        if step.kind != "edge":
             held.append([n] if n in flagged else [])
-            if step[0] == "root":
+            if step.kind == "root":
                 emit(3, f"for {n} in it{k}:")
             elif backend == "chain":     # each walk counts what nodes_iter counts
                 emit(3, f"while c{k} is not None:")
@@ -489,18 +543,18 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
                 emit(4, f"if j < 0: walked += end - c{k}; c{k} = end; continue")
                 emit(4, f"walked += j - c{k} + 1; {n} = slots[j]; c{k} = j + 1")
             emit(4, "candidates += 1")
-            check_node(n, *step[2:4], None if step[0] == "root" else False, *step[4:], 4)
+            check_node(step.node, 4)
             for r in held[k]:
                 emit(4, f"{r}.flags |= {FLAG_MATCHED}")
             emit(4, "break")
             emit(3, "else:")
-            if step[0] == "node" and backend == "index_scan":
+            if step.kind == "node" and backend == "index_scan":
                 emit(4, f"walked += hw - c{k}")   # the last chunk ran past hw
             back(k, 4)
         else:
-            _, eid, label, mark, phases, anchor_pid, other_pid, binds = step[:8]
-            e, other = edge[eid], node[other_pid]
-            held.append([r for r in (e, other)[:1 + binds] if r in flagged])
+            pe, phases = step.edge, step.phases
+            e = edge[pe.eid]
+            held.append([r for r in (e, n)[:1 + step.binds] if r in flagged])
             depth = 3
             bound = len(names)
             for p, (reverse, _) in enumerate(phases):
@@ -515,22 +569,22 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
                 emit(depth + 1, "candidates += 1")
                 if e in tested:
                     emit(depth + 1, f"if {e}.flags & {FLAG_MATCHED}: continue")
-                if mark is not None:
-                    emit(depth + 1, f"if {e}.mark != {mark!r}: continue")
+                if pe.mark != MARK_ANY:
+                    emit(depth + 1, f"if {e}.mark != {pe.mark!r}: continue")
                 end = f"{e}.{'source' if reverse else 'target'}"
-                if binds:
-                    emit(depth + 1, f"{other} = {end}")
-                    check_node(other, *step[8:14], depth + 1)
+                if step.binds:
+                    emit(depth + 1, f"{n} = {end}")
+                    check_node(step.node, depth + 1)
                 else:
-                    emit(depth + 1, f"if {end} is not {other}: continue")
-                check_label(label, f"{e}.label", depth + 1)
+                    emit(depth + 1, f"if {end} is not {n}: continue")
+                check_label(pe.label, f"{e}.label", depth + 1)
                 for r in held[k]:
                     emit(depth + 1, f"{r}.flags |= {FLAG_MATCHED}")
                 emit(depth + 1, "break")
                 emit(depth, "else:")
                 if p + 1 < len(phases):
                     emit(depth + 1, f"p{k} = {p + 1}")
-                    emit(depth + 1, f"c{k} = {node[anchor_pid]}.in_head")
+                    emit(depth + 1, f"c{k} = {node[step.anchor.pid]}.in_head")
                 else:
                     back(k, depth + 1)
         emit(3, f"i = {k + 1}")
@@ -551,8 +605,8 @@ def _generate(rule: Rule, steps: list[tuple], optimize: bool, backend: str, refl
             emit(2, f"{r}.flags |= {FLAG_MATCHED}")
         back(len(steps), 2)
     emit(1, counters)
-    orientations = {step[1]: f"p{k} == {[flip for _, flip in step[4]].index(True)}"
-                    for k, step in enumerate(steps) if step[0] == "edge" and step[14]}
+    orientations = {step.edge.eid: f"p{k} == {[flip for _, flip in step.phases].index(True)}"
+                    for k, step in enumerate(steps) if step.kind == "edge" and step.edge.bidir}
     layout = (node, edge, names, orientations)
     emit(1, "if find: return ({})".format(
         "".join(f"{v}, " for local in layout for v in local.values())))

@@ -16,15 +16,9 @@ tuple, so the validator bounds a term's ``nesting`` first.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .graph import EDGE_MARKS, MARK_ANY, NODE_MARKS
 
 VAR_TYPES = ("int", "char", "string", "atom", "list")
-
-# variable types whose repetition or comparison breaks the fast-rule
-# guarantees (their domains are unbounded)
-UNBOUNDED_TYPES = frozenset(("list", "string", "atom"))
 
 
 class EvalError(Exception):
@@ -139,7 +133,7 @@ class Rule:
         self.condition = condition
         self.interface = sorted(set(lhs.by_id) & set(rhs.by_id))
         self.deleted = [n.pid for n in lhs.nodes if n.pid not in rhs.by_id]
-        self.plans: dict = {}       # (optimize, backend, reflect) -> (plan, step, layout)
+        self.plans: dict = {}       # (optimize, backend, reflect) -> (steps, step, layout)
 
 
 # -- label matching -----------------------------------------------------
@@ -363,60 +357,3 @@ def instantiate_rhs(rule: Rule, assignment: dict, node_images=None,
         flip = bool(pe.bidir and orientations and orientations.get(pe.eid))
         edges.append((label, mark, flip))
     return nodes, edges
-
-
-# -- fast-rule classifier -------------------------------------------------
-
-
-def check_fast_rule(rule: Rule) -> tuple[bool, list[str]]:
-    """Decide whether the rule can be matched in constant time on hosts
-    with bounded degree and bounded root count.
-
-    The three requirements: every left-hand node is undirectedly
-    reachable from a root; no list/string/atom variable occurs twice in
-    either side; and the condition uses no edge predicate and no
-    (in)equality with such variables on both sides.
-    """
-    problems = []
-
-    reached = {n.pid for n in rule.lhs.nodes if n.root}
-    frontier = list(reached)
-    adj: dict[int, list[int]] = {}
-    for e in rule.lhs.edges:
-        adj.setdefault(e.src, []).append(e.tgt)
-        adj.setdefault(e.tgt, []).append(e.src)
-    while frontier:
-        pid = frontier.pop()
-        for other in adj.get(pid, ()):
-            if other not in reached:
-                reached.add(other)
-                frontier.append(other)
-    unreachable = [n.pid for n in rule.lhs.nodes if n.pid not in reached]
-    if unreachable:
-        problems.append(
-            f"left-hand nodes not undirectedly reachable from a root: {unreachable}")
-
-    lhs_uses = [name for item in rule.lhs.nodes + rule.lhs.edges
-                for name, _ in item.label.variables()]
-    rhs_uses = [t[1] for item in rule.rhs.nodes + rule.rhs.edges
-                for t in subterms(item.label) if t[0] == "var"]
-    for side, uses in (("left", lhs_uses), ("right", rhs_uses)):
-        for name, count in Counter(uses).items():
-            if count > 1 and rule.variables.get(name) in UNBOUNDED_TYPES:
-                problems.append(
-                    f"{rule.variables[name]} variable {name!r} occurs "
-                    f"{count} times in the {side}-hand side")
-
-    def unbounded(expr) -> bool:
-        return any(t[0] == "var" and rule.variables.get(t[1]) in UNBOUNDED_TYPES
-                   for t in subterms(expr))
-
-    conds = list(subterms(rule.condition)) if rule.condition is not None else []
-    if any(t[0] == "edge" for t in conds):
-        problems.append("condition uses the edge predicate")
-    if any(t[0] == "rel" and t[1] in ("=", "!=") and unbounded(t[2]) and unbounded(t[3])
-           for t in conds):
-        problems.append(
-            "condition compares list/string/atom variables for (in)equality")
-
-    return not problems, problems

@@ -13,8 +13,8 @@ import pytest
 
 from gp2 import corpus
 from gp2.cli import main
-from gp2.rules import check_fast_rule
 from gp2.engine import run_program
+from gp2.match import check_fast_rule
 from gp2.textio import SourceError, parse_host_graph, parse_program, parse_rule
 
 PARSERS = {"program": parse_program, "rule": parse_rule, "graph": parse_host_graph}

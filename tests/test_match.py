@@ -12,6 +12,7 @@ from gp2 import corpus
 from gp2.engine import OK, ExecConfig, Executable, apply_rule, run_program
 from gp2.graph import FLAG_MATCHED, SCAN_CHUNK, Graph, GraphError, Node
 from gp2.match import (
+    Step,
     audit_match,
     brute_force_match,
     compile_plan,
@@ -31,22 +32,22 @@ def _rules(name):
 def test_plan_for_rooted_rule_starts_at_root_without_global_search():
     up = _rules("is_bin_dag")["up"]
     plan = compile_plan(up)
-    assert plan[0][:2] == ("root", up.lhs.nodes[0].pid)
-    assert all(step[0] != "node" for step in plan)
+    assert plan[0].kind == "root" and plan[0].node is up.lhs.nodes[0]
+    assert all(step.kind != "node" for step in plan)
     assert plan_is_well_formed(up, plan)
 
 
 def test_plan_for_unrooted_single_node_rule_is_global():
     del_rule = _rules("is_discrete")["del"]
     plan = compile_plan(del_rule)
-    assert [step[:2] for step in plan] == [("node", del_rule.lhs.nodes[0].pid)]
+    assert [(step.kind, step.node) for step in plan] == [("node", del_rule.lhs.nodes[0])]
 
 
 def test_plan_for_three_node_chain():
     link = _rules("trans_closure")["link"]
     plan = compile_plan(link)
-    assert sum(1 for s in plan if s[0] == "node") == 1
-    assert sum(1 for s in plan if s[0] == "edge") == 2
+    assert sum(1 for s in plan if s.kind == "node") == 1
+    assert sum(1 for s in plan if s.kind == "edge") == 2
     assert plan_is_well_formed(link, plan)
 
 
@@ -58,11 +59,27 @@ def test_plans_well_formed_for_whole_corpus():
             assert plan_is_well_formed(rule_b, compile_plan(rule_b, False)), rule.name
 
 
+def test_plan_binds_roots_only_at_root_steps():
+    rule = parse_rule("r(x,y:list)\n[ (1 (R), x) (2 (R), y) (3, x) | (0, 1, 2, empty) ]"
+                      " => [ (1 (R), x) (2 (R), y) (3, x) | (0, 1, 2, empty) ]")
+    one, two, three = rule.lhs.nodes
+    edge = rule.lhs.edges[0]
+    assert [(s.kind, s.node) for s in compile_plan(rule)] == \
+        [("root", one), ("root", two), ("edge", two), ("node", three)]
+    assert plan_is_well_formed(rule, compile_plan(rule))
+    walk = ((False, False),)
+    # the root 2 bound through the edge from 1
+    assert not plan_is_well_formed(rule, [Step("root", one), Step("edge", two, edge, one, walk),
+                                          Step("node", three)])
+    # the non-root 3 bound at a root step
+    assert not plan_is_well_formed(rule, [Step("root", one), Step("root", two), Step("root", three),
+                                          Step("edge", two, edge, one, walk, False)])
+
+
 def test_naive_plan_has_textual_node_order():
     link = _rules("trans_closure")["link"]
     plan = compile_plan(link, optimize=False)
-    assert [s[:2] for s in plan if s[0] == "node"] == \
-        [("node", pn.pid) for pn in link.lhs.nodes]
+    assert [s.node for s in plan if s.kind == "node"] == link.lhs.nodes
 
 
 def test_no_match_on_empty_graph():
@@ -576,9 +593,10 @@ def test_planning_a_path_of_four_thousand_nodes_is_fast():
     assert time.perf_counter() - start < 0.5
     assert plan_is_well_formed(rule, plan)
     first, edge = rule.lhs.nodes[0], rule.lhs.edges[0]
-    assert plan[0][:2] == ("node", first.pid)
+    assert plan[0].kind == "node" and plan[0].node is first
     # the first edge is walked from its source, the node just bound
-    assert plan[1][:2] == ("edge", edge.eid) and plan[1][5] == edge.src == first.pid
+    assert plan[1].kind == "edge" and plan[1].edge is edge and plan[1].anchor is first
+    assert edge.src == first.pid
 
 
 # -- the inline walks against the Graph generators ------------------------
@@ -716,7 +734,7 @@ def test_only_items_that_may_meet_touch_matched_flags(backend, mode):
     for name, rule in all_corpus_rules():
         source = inspect.getsource(compiled_step(rule, True, backend, reflect))
         for k, step in enumerate(rule.plans[True, backend, reflect][0]):
-            if step[0] == "root":
+            if step.kind == "root":
                 assert not re.search(r"flags & 1\b", _step_block(source, k)), (name, rule.name)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gp2 import bench, corpus
 from gp2.engine import apply_rule
 from gp2.graph import FLAG_MATCHED, INT32_MAX, INT32_MIN, MARK_ANY, Graph
-from gp2.match import find_match
+from gp2.match import check_fast_rule, find_match
 from gp2.rules import (
     EvalError,
     LabelPattern,
@@ -16,7 +16,6 @@ from gp2.rules import (
     PatternNode,
     Rule,
     as_list,
-    check_fast_rule,
     eval_cond,
     eval_expr,
     instantiate_rhs,
@@ -228,38 +227,40 @@ def test_check_fast_rule_other_clauses():
     assert fast, problems
 
 
-def _random_pattern_rule(rng):
-    n = rng.randrange(1, 9)
-    roots = [rng.random() < 0.3 for _ in range(n)]
-    nodes = " ".join(
-        f"({i}{' (R)' if roots[i] else ''}, empty)" for i in range(n))
-    edges = []
-    for e in range(rng.randrange(0, n + 3)):
-        edges.append(f"({e}, {rng.randrange(n)}, {rng.randrange(n)}, empty)")
-    text = f"r()\n[ {nodes} | {' '.join(edges)} ] => [ {nodes} | {' '.join(edges)} ]"
-    return parse_rule(text), roots
+@st.composite
+def _pattern_rules(draw):
+    """Rules that keep a left-hand side of at most 5 nodes, any of them
+    rooted, and at most 6 edges, any of them bidirectional."""
+    n = draw(st.integers(1, 5))
+    roots = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()),
+                          max_size=6))
+    nodes = " ".join(f"({i}{' (R)' * root}, empty)" for i, root in enumerate(roots))
+    items = " ".join(f"({e}{' (B)' * bidir}, {s}, {t}, empty)"
+                     for e, (s, t, bidir) in enumerate(edges))
+    side = f"[ {nodes} | {items} ]"
+    return parse_rule(f"r()\n{side} => {side}")
 
 
-def test_fast_rule_reachability_matches_bfs_oracle():
-    rng = random.Random(23)
-    for _ in range(300):
-        rule, roots = _random_pattern_rule(rng)
-        # plain undirected breadth-first search over the pattern
-        adj = {i: set() for i in range(len(rule.lhs.nodes))}
-        for e in rule.lhs.edges:
-            adj[e.src].add(e.tgt)
-            adj[e.tgt].add(e.src)
-        frontier = [i for i, r in enumerate(roots) if r]
-        seen = set(frontier)
-        while frontier:
-            nxt = frontier.pop()
-            for other in adj[nxt]:
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        all_reached = len(seen) == len(rule.lhs.nodes)
-        fast, problems = check_fast_rule(rule)
-        assert fast == all_reached
+@settings(deadline=None, database=None, derandomize=True, max_examples=300)
+@given(_pattern_rules())
+def test_fast_rule_reachability_matches_bfs_oracle(rule):
+    # plain undirected search over the pattern from its roots
+    adj = {pn.pid: set() for pn in rule.lhs.nodes}
+    for e in rule.lhs.edges:
+        adj[e.src].add(e.tgt)
+        adj[e.tgt].add(e.src)
+    frontier = [pn.pid for pn in rule.lhs.nodes if pn.root]
+    seen = set(frontier)
+    while frontier:
+        for other in adj[frontier.pop()] - seen:
+            seen.add(other)
+            frontier.append(other)
+    unreachable = [pn.pid for pn in rule.lhs.nodes if pn.pid not in seen]
+    fast, problems = check_fast_rule(rule)
+    assert fast == (not unreachable)
+    assert problems == [f"left-hand nodes not undirectedly reachable from a root: {unreachable}"
+                        ] * bool(unreachable)
 
 
 def test_rhs_variables_subset_of_lhs_for_whole_corpus():
