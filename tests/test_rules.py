@@ -229,12 +229,12 @@ def test_check_fast_rule_other_clauses():
 
 @st.composite
 def _pattern_rules(draw):
-    """Rules that keep a left-hand side of at most 5 nodes, any of them
-    rooted, and at most 6 edges, any of them bidirectional."""
-    n = draw(st.integers(1, 5))
+    """Rules that keep a left-hand side of at most 8 nodes, any of them
+    rooted, and at most 10 edges, any of them bidirectional."""
+    n = draw(st.integers(1, 8))
     roots = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()),
-                          max_size=6))
+                          max_size=10))
     nodes = " ".join(f"({i}{' (R)' * root}, empty)" for i, root in enumerate(roots))
     items = " ".join(f"({e}{' (B)' * bidir}, {s}, {t}, empty)"
                      for e, (s, t, bidir) in enumerate(edges))
