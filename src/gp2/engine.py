@@ -2,27 +2,17 @@
 
 ``Executable`` runs Main as ``textio`` parses, checks and inlines it: a
 tree of tagged command tuples with no calls left.  ``_build`` walks the
-tree once, building it into nested functions ``run(g, stack)`` that
-return OK, FAILED or BROKE, compiling each rule set's steps for the
+tree once, compiling each rule set's steps (see ``match``) for the
 config's setting only, and computing each command's effects (may it
 fail, may it change the graph, does a failure leave the graph as it
 was) from its children's.  From these alone it places journal frames:
 around a loop body or ``try`` guard that may fail after changing the
-graph, and an ``if`` guard that may change it.  ``_framed`` alone
-opens, commits and undoes frames.
-
-A rule set calls its rules' compiled steps (see ``match``) until one
-rewrites at its match, building no ``Match``, and counting its walks'
-steps and candidates on the graph (not when a condition raises
-EvalError mid-search).  A step evaluates every right-hand label first,
-so an EvalError changes nothing, then deletes the matched edges it
-does not keep and the left-hand-only nodes, updates interface nodes in
-place (relabel, remark, re-root) and creates right-hand-only items
-last, in right-hand order, all through ``Graph``'s mutators.  A kept
-edge is readded at its place in that order, keeping its record.  A
-framed run's mutations are journalled into its ``ChangeStack`` frame
-(see ``graph``), so they can be undone exactly; straight-line
-execution outside any frame journals nothing.
+graph, and an ``if`` guard that may change it.  ``_compile`` writes the
+result as one generated function ``main(g, stack)`` that returns OK,
+FAILED or BROKE: a loop is a ``while``, a rule set calls its steps with
+``or`` until one rewrites, and frames are opened, committed and undone
+inline through the run's ``ChangeStack``.  Only a framed run's
+mutations are journalled (see ``graph``), so they can be undone exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +21,7 @@ from dataclasses import dataclass
 
 from . import textio
 from .graph import Graph
-from .match import compiled_step, find_match
+from .match import compiled_step, exec_source, find_match
 from .rules import EvalError, Rule, instantiate_rhs
 
 # find_match and instantiate_rhs are not called here.  They stay because
@@ -68,95 +58,123 @@ class ExecConfig:
 
 
 def _build(cmd, rules: dict[str, Rule], cfg: ExecConfig):
-    """``cmd`` as ``(run, fail, mutate, clean)``: ``run(g, stack)``
-    returns OK, FAILED or BROKE, and ``cmd`` may fail, may change the
-    graph, and leaves the graph as it was when it fails.  The three are
-    computed from the children's as they are built, and they alone
-    place frames: a loop body or ``try`` guard gets one that commits on
-    success when it may fail after changing the graph, and an ``if``
-    guard one that is always undone when it may change the graph."""
+    """``cmd`` as ``(code, fail, mutate, clean)``: ``cmd`` may fail, may
+    change the graph, and leaves the graph as it was when it fails,
+    computed from the children's as they are built.  They alone place
+    frames: a loop body or ``try`` guard gets one that commits on success
+    when it may fail after changing the graph, and an ``if`` guard one
+    that is always undone when it may change the graph.  ``code`` is
+    ``cmd`` for ``_compile``, with each rule set's compiled steps and
+    names, each loop's and branch's frame, and each sequence flat."""
     tag = cmd[0]
     if tag == "rules":
-        return _rule_set([rules[name] for name in cmd[1]], cfg), True, True, True
+        setting = (cfg.optimize_plans, cfg.backend, cfg.root_mode == "reflect")
+        steps = [compiled_step(rules[name], *setting) for name in cmd[1]]
+        return ("rules", steps, ", ".join(cmd[1])), True, True, True
     if tag == "loop":
         body, _, mutate, clean = _build(cmd[1], rules, cfg)
-        return _loop(body if clean else _framed(body, True)), False, mutate, True
+        return ("loop", body, not clean), False, mutate, True
     if tag == "seq":
-        parts, fail, mutate, clean = [], False, False, True
+        parts, fail, mutate, clean = ["seq"], False, False, True
         for c in cmd[1:]:
-            run, c_fail, c_mutate, c_clean = _build(c, rules, cfg)
-            parts.append(run)
+            code, c_fail, c_mutate, c_clean = _build(c, rules, cfg)
+            parts.extend(code[1:] if code[0] == "seq" else (code,))
             clean = clean and not (c_fail and (mutate or not c_clean))
             fail, mutate = fail or c_fail, mutate or c_mutate
-        return _seq(parts), fail, mutate, clean
+        return tuple(parts), fail, mutate, clean
     if tag in ("if", "try"):
-        (guard, _, g_mutate, g_clean), (then_run, t_fail, t_mutate, t_clean), \
-            (else_run, e_fail, e_mutate, e_clean) = (_build(c, rules, cfg) for c in cmd[1:])
+        (guard, _, g_mutate, g_clean), (then, t_fail, t_mutate, t_clean), \
+            (other, e_fail, e_mutate, e_clean) = (_build(c, rules, cfg) for c in cmd[1:])
         if tag == "if":        # guard effects are always rolled back
-            run = _branch(_framed(guard, False) if g_mutate else guard, then_run, else_run)
-            return run, t_fail or e_fail, t_mutate or e_mutate, t_clean and e_clean
-        run = _branch(guard if g_clean else _framed(guard, True), then_run, else_run)
+            return (("branch", guard, g_mutate, False, then, other), t_fail or e_fail,
+                    t_mutate or e_mutate, t_clean and e_clean)
         ok_path = not t_fail or (t_clean and not g_mutate)
-        return (run, t_fail or e_fail, g_mutate or t_mutate or e_mutate,
-                ok_path and e_clean)
-    status = {"skip": OK, "fail": FAILED, "break": BROKE}[tag]
-    return (lambda g, stack: status), status == FAILED, False, True
+        return (("branch", guard, not g_clean, True, then, other), t_fail or e_fail,
+                g_mutate or t_mutate or e_mutate, ok_path and e_clean)
+    return (tag,), tag == "fail", False, True
 
 
-def _rule_set(chosen: list[Rule], cfg: ExecConfig):
-    setting = (cfg.optimize_plans, cfg.backend, cfg.root_mode == "reflect")
-    steps = [(rule, compiled_step(rule, *setting)) for rule in chosen]
-
-    def run(g, stack):
-        try:
-            for rule, step in steps:
-                if step(g):
-                    return OK
-        except EvalError as exc:
-            raise EvalError(f"in rule {rule.name!r}: {exc}") from exc
-        return FAILED
-    return run
+# Loops and branches deeper than this many indents get a function of their own:
+# CPython refuses more than 20 nested blocks in a function, or 100 indents.
+_DEPTH = 16
 
 
-def _seq(parts):
-    def run(g, stack):
-        for part in parts:
-            st = part(g, stack)
-            if st != OK:
-                return st
-        return OK
-    return run
+def _compile(code):
+    """``main(g, stack)`` for ``_build``'s ``code``, its steps closure
+    cells of ``make``.  ``write`` emits a command as statements that fall
+    through on OK and run ``fail`` on FAILED and ``brk`` on BROKE, neither
+    inside a loop that the command opens.  A sequence's parts are written
+    in one call, so the recursion grows as ``_build``'s does."""
+    steps: dict = {}                # compiled step -> s + number
+    functions: list[str] = []
+    lines: list[str] = []
 
+    def emit(depth, text, names=""):
+        if text:
+            lines.append("    " * depth + text + f"  # {names}" * bool(names))
 
-def _framed(run, keep: bool):
-    """``run`` inside a journal frame, committed if ``keep`` and ``run``
-    did not fail, and undone otherwise."""
-    def framed(g, stack):
-        stack.open_frame(g)
-        st = run(g, stack)
-        if keep and st != FAILED:
-            stack.commit_frame(g)
-        else:
-            stack.undo_frame(g)
-        return st
-    return framed
+    def test(rules):
+        calls = [f"{steps.setdefault(step, f's{len(steps)}')}(g)" for step in rules[1]]
+        return calls[0] if len(calls) == 1 else f"({' or '.join(calls)})"
 
+    def function(code, name=""):
+        """Write ``code`` as a function ``(g, stack)`` that returns its status."""
+        nonlocal lines
+        outer, lines = lines, []
+        write(code, 2, f"return {FAILED}", f"return {BROKE}")
+        name = name or f"f{len(functions)}"
+        head = [f"    def {name}(g, stack):", "        open_frame, commit_frame, undo_frame = "
+                "stack.open_frame, stack.commit_frame, stack.undo_frame"]
+        functions.append("".join(f"{line}\n" for line in head + lines + [f"        return {OK}"]))
+        lines = outer
+        return name
 
-def _branch(guard, then_run, else_run):
-    def run(g, stack):
-        st = guard(g, stack)
-        if st == BROKE:
-            return BROKE
-        return (then_run if st == OK else else_run)(g, stack)
-    return run
+    def write(code, depth, fail, brk):
+        for part in code[1:] if code[0] == "seq" else (code,):
+            tag = part[0]
+            if tag == "rules":
+                emit(depth, f"if not {test(part)}: {fail}", part[2])
+            elif tag in ("skip", "fail", "break"):
+                emit(depth, {"skip": "pass", "fail": fail, "break": brk}[tag])
+            elif depth > _DEPTH:
+                emit(depth, f"st = {function(part)}(g, stack)")
+                emit(depth, f"if st == {FAILED}: {fail}")
+                emit(depth, f"if st == {BROKE}: {brk}")
+            elif tag == "loop":
+                _, body, framed = part
+                if body[0] == "rules":      # fails cleanly: never framed
+                    emit(depth, f"while {test(body)}: pass", body[2])
+                    continue
+                emit(depth, "while True:")
+                emit(depth + 1, "open_frame(g)" * framed)
+                write(body, depth + 1, "undo_frame(g); " * framed + "break",
+                      "commit_frame(g); " * framed + "break")
+                emit(depth + 1, "commit_frame(g)" * framed)
+            else:
+                _, guard, framed, keep, then, other = part
+                close = ("commit_frame(g); " if keep else "undo_frame(g); ") * framed
+                undo = "undo_frame(g); " * framed
+                emit(depth, "open_frame(g)" * framed)
+                if guard[0] == "rules":
+                    emit(depth, f"if {test(guard)}:", guard[2])
+                else:       # the guard in a loop that runs once, its status in st
+                    emit(depth, "while True:")
+                    write(guard, depth + 1, f"{undo}st = {FAILED}; break",
+                          f"{close}st = {BROKE}; break")
+                    emit(depth + 1, f"{close}st = {OK}; break")
+                    emit(depth, f"if st == {BROKE}: {brk}")
+                    emit(depth, f"if st == {OK}:")
+                    close = undo = ""
+                emit(depth + 1, close[:-2])
+                write(then, depth + 1, fail, brk)
+                if other[0] != "skip" or undo:
+                    emit(depth, "else:")
+                    emit(depth + 1, undo[:-2])
+                    write(other, depth + 1, fail, brk)
 
-
-def _loop(body):
-    def run(g, stack):
-        while body(g, stack) == OK:
-            pass
-        return OK
-    return run
+    function(code, "main")
+    source = f"def make({', '.join(steps.values())}):\n{''.join(functions)}    return main\n"
+    return exec_source(source, "gp2 main", {})["make"](*steps)
 
 
 # -- the change journal -------------------------------------------------------
@@ -238,7 +256,7 @@ class Executable:
     def __init__(self, parsed, cfg: ExecConfig):
         self.main = parsed.inlined
         self.cfg = cfg
-        self._run = _build(self.main, parsed.rules, cfg)[0]
+        self._run = _compile(_build(self.main, parsed.rules, cfg)[0])
 
     def run(self, g: Graph) -> int:
         g.minimal_gc = self.cfg.minimal_gc

@@ -29,7 +29,9 @@ right-hand label first, then the mutator calls; in find mode it returns
 the locals, for ``find_match``.  Each return adds the candidates
 examined to ``Graph.candidates`` and the walks' steps to
 ``Graph.iter_steps``; an EvalError raised by the condition mid-search
-adds to neither.
+adds to neither.  Every EvalError the function raises names its rule
+(``in rule 'r': ...``) in the message written into its source, so no
+caller, ``engine``'s generated ``main`` included, adds the name.
 
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
@@ -269,13 +271,15 @@ class _Terms:
     ``t`` + number per distinct compound subterm (one set under a guard
     is not reused), as ``eval_expr``/``eval_cond`` evaluate them: 32-bit
     wrap, division truncating toward zero, each EvalError where they
-    raise it.  Each value has a kind, its GP 2 type where known ("atom"
-    where not): an int kind is not tested again.  The right operand of
-    ``and``/``or`` runs under a guard, ``if t1: ...``."""
+    raise it, its message prefixed with the rule's name.  Each value has
+    a kind, its GP 2 type where known ("atom" where not): an int kind is
+    not tested again.  The right operand of ``and``/``or`` runs under a
+    guard, ``if t1: ...``."""
 
-    def __init__(self, emit, names: dict, types: dict, node: dict):
-        self.emit, self.names, self.types, self.node = emit, names, types, node
+    def __init__(self, emit, names: dict, rule: Rule, node: dict):
+        self.emit, self.names, self.types, self.node = emit, names, rule.variables, node
         self.count, self.guard, self.known = 0, None, {}
+        self.prefix = f"in rule {rule.name!r}: "
 
     def let(self, code: str, guarded: bool = True) -> str:
         if code in self.known:
@@ -290,7 +294,7 @@ class _Terms:
 
     def check(self, test: str, message: str) -> None:
         test = f"{self.guard} and ({test})" if self.guard else test
-        self.emit(f"if {test}: raise EvalError({message!r})")
+        self.emit(f"if {test}: raise EvalError({self.prefix + message!r})")
 
     def var(self, name: str) -> str:
         if name not in self.names:
@@ -391,9 +395,8 @@ def _may_meet(a: tuple, b: tuple) -> bool:
 def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, reflect: bool):
     """The rule's step, with one ``if i == k:`` block per plan step and
     the rewrite after them, and its layout (see ``compiled_step``).  It
-    is compiled under a file name that names the rule and the setting,
-    with its source in ``linecache``, so tracebacks, profiles and
-    ``inspect.getsource`` show its lines.
+    is compiled by ``exec_source`` under a file name that names the rule
+    and the setting.
 
     ``i`` is the step to try next.  A step that binds falls through into
     the next block after setting up that step's candidates; a step out
@@ -599,7 +602,7 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
     if rule.condition is None:
         emit(2, "break")
     else:
-        test = _Terms(lambda text: emit(2, text), names, rule.variables, node)
+        test = _Terms(lambda text: emit(2, text), names, rule, node)
         emit(2, f"if {test.cond(rule.condition)}: break")
         for r in records:
             emit(2, f"{r}.flags |= {FLAG_MATCHED}")
@@ -617,7 +620,7 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
     # label writes its left-hand pattern out again is not relabelled.  A kept
     # edge (a left-hand edge's id, ends and bidirectional flag) keeps its
     # record and host direction: nothing before its readd reads an edge list
-    terms = _Terms(lambda text: emit(1, text), names, rule.variables, node)
+    terms = _Terms(lambda text: emit(1, text), names, rule, node)
     same = {pn.pid for pn in rule.rhs.nodes if pn.pid in node and _pattern_items(pn.label)
             == [item[:2] for item in lhs.nodes[lhs.by_id[pn.pid]].label.items]}
     label = {}
@@ -661,17 +664,25 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
             add = "else: " + add
         emit(1, add)
     emit(1, "return True")
-    source = "\n".join(lines) + "\n"
-    cached = source.splitlines(True)
     setting = f"{'no' * (not optimize)}opt {backend} {('preserve', 'reflect')[reflect]}"
-    filename, copy = f"<gp2 match {rule.name} {setting}>", 1
-    while linecache.cache.get(filename, (0, 0, cached))[2] != cached:
-        copy += 1       # another rule of this name: keep both sources
-        filename = f"<gp2 match {rule.name} {setting} {copy}>"
-    linecache.cache[filename] = (len(source), None, cached, filename)
-    namespace = {"EvalError": EvalError, "has_edge": has_edge}
-    exec(compile(source, filename, "exec"), namespace)
+    namespace = exec_source("\n".join(lines) + "\n", f"gp2 match {rule.name} {setting}",
+                            {"EvalError": EvalError, "has_edge": has_edge})
     return namespace["step"], tuple(tuple(local) for local in layout)
+
+
+def exec_source(source: str, name: str, namespace: dict) -> dict:
+    """Run generated ``source`` in ``namespace`` under the file name
+    ``<name>``, with the source in ``linecache``, so tracebacks, profiles
+    and ``inspect.getsource`` show its lines.  The same source reuses its
+    entry; another one of that name gets ``<name 2>``, ``<name 3>``..."""
+    cached = source.splitlines(True)
+    filename, copy = f"<{name}>", 1
+    while linecache.cache.get(filename, (0, 0, cached))[2] != cached:
+        copy += 1
+        filename = f"<{name} {copy}>"
+    linecache.cache[filename] = (len(source), None, cached, filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 # -- exhaustive oracle ------------------------------------------------------

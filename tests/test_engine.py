@@ -1,5 +1,8 @@
+import inspect
+import linecache
 import random
 import re
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,7 +37,7 @@ from gp2.textio import (
     parse_rule,
     print_graph,
 )
-from helpers import executable, kept_edges
+from helpers import executable, interpret, kept_edges
 
 
 def _program(name):
@@ -594,6 +597,72 @@ def test_drawn_programs_print_the_same_under_a_copying_twin(program_and_host, ba
     assert outcomes[0] == outcomes[1]
 
 
+class CountingStack(ChangeStack):
+    """The journal, counting the frames it opens, commits and undoes."""
+
+    def __init__(self):
+        super().__init__()
+        self.counts = [0, 0, 0]
+
+    def open_frame(self, g):
+        self.counts[0] += 1
+        super().open_frame(g)
+
+    def commit_frame(self, g):
+        self.counts[1] += 1
+        super().commit_frame(g)
+
+    def undo_frame(self, g):
+        self.counts[2] += 1
+        super().undo_frame(g)
+
+
+def _generated_and_reference(program, host_text, cfg):
+    """The status, diagnostic, printed graph and frame counts of a run of
+    the generated ``main``, and of one of the reference interpreter."""
+    parsed = parse_program(program)
+    stacks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "ChangeStack", lambda: stacks.append(CountingStack()) or stacks[-1])
+        out = Executable(parsed, cfg).run_text(host_text)
+    generated = (out.status, out.diagnostic, out.graph and print_graph(out.graph), stacks[0].counts)
+    g, stack = parse_host_graph(host_text), CountingStack()
+    g.minimal_gc = cfg.minimal_gc
+    try:
+        status = interpret(parsed.inlined, parsed.rules, cfg)[0](g, stack)
+        reference = ("success", None) if status == OK else ("fail", "program evaluated to fail")
+        reference += (print_graph(g),)
+    except EvalError as exc:
+        reference = ("program_error", str(exc), None)
+    finally:
+        g.journal = None
+    return generated, (*reference, stack.counts)
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_corpus_rule_programs(), st.sampled_from(["chain", "index_scan"]),
+       st.sampled_from(["preserve", "reflect"]))
+def test_generated_main_runs_as_the_reference_interpreter(program_and_host, backend, mode):
+    program, host_text = program_and_host
+    generated, reference = _generated_and_reference(
+        program, host_text, ExecConfig(backend=backend, root_mode=mode))
+    assert generated == reference
+
+
+@pytest.mark.parametrize("main", [
+    "(mark; break)!; mark", "((mark; break)!; mark)!", "(if (mark; break) then skip)!",
+    "(try (mark; break) then fail)!; mark", "(mark; {none, mark}; break)!",
+    "try (mark!; fail) else (mark; mark)", "if (try fail else mark) then mark else fail",
+])
+def test_generated_main_frames_and_breaks_as_the_reference(main):
+    program = f"Main = {main}\n{MARK}\nnone(x:list) [ (1, x # red) | ] => [ | ]"
+    for backend in ("chain", "index_scan"):
+        generated, reference = _generated_and_reference(
+            program, "[ (0, 1) (1, 2) (2, 3) | ]", ExecConfig(backend=backend))
+        assert generated == reference, backend
+
+
 # -- control constructs ------------------------------------------------------------
 
 
@@ -868,6 +937,89 @@ def test_an_evaluation_error_closes_the_journal():
     n = g.add_node()
     g.delete_node(n)
     assert g.free_nodes == [n]       # freed, not held by a dead frame
+
+
+# -- the generated main -------------------------------------------------------------
+
+
+DEEP_RULES = ("r(x:list) [ (1, x) | ] => [ (1, x # grey) | ]\n"
+              "del(x:list) [ (1, x) | ] => [ | ]")
+DEEP_HOST = "[ (0, 1) (1, 2) (2, 3) | ]"
+
+
+def _nested(times, wrap, inner):
+    for _ in range(times):
+        inner = wrap(inner)
+    return inner
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+@pytest.mark.parametrize("main, expected", [
+    (_nested(400, "if {} then skip else skip".format, "r"), DEEP_HOST),
+    (_nested(400, "try {} then skip".format, "r"), "[ (0, 1) (1, 2) (2, 3 # grey) | ]"),
+    (_nested(300, "({}; break)!".format, "del"), "[ (0, 1) (1, 2) | ]"),
+    ("; ".join(["skip"] * 3000), DEEP_HOST),
+])
+def test_deep_programs_build_and_run(backend, main, expected):
+    # deeper than CPython nests blocks or indents in one function
+    start = time.perf_counter()
+    run = Executable(parse_program(f"Main = {main}\n{DEEP_RULES}"), ExecConfig(backend=backend))
+    assert time.perf_counter() - start <= 1.0
+    out = run.run_text(DEEP_HOST)
+    assert (out.status, out.output) == ("success", expected)
+
+
+SET_AR = ("a(x:list) [ (1, x # red) | ] => [ | ]\n"
+          "r(n:int) [ (1, n) | ] => [ (1, n / 0) | ]\n"
+          "grow(n:int) [ (1, n) | ] => [ (1, n) (2, n) | ]")
+
+
+@pytest.mark.parametrize("main", ["{a, r}", "(grow; {a, r})!"])
+def test_a_rule_set_error_names_the_rule_that_raised_it(main):
+    run = Executable(parse_program(f"Main = {main}\n{SET_AR}"), ExecConfig())
+    assert ("open_frame(g)\n" in inspect.getsource(run._run)) == (main != "{a, r}")
+    g = parse_host_graph("[ (0, 1) | ]")
+    with pytest.raises(EvalError, match="^in rule 'r': division by zero$"):
+        run.run(g)
+    assert g.journal is None
+
+
+def test_generated_main_of_gen_tree_and_is_discrete():
+    # one while for (gen!; ret; step!)!, framed once around its body, and
+    # one frame on is_discrete, for its if guard and not for del!
+    bind = ("        open_frame, commit_frame, undo_frame = "
+            "stack.open_frame, stack.commit_frame, stack.undo_frame\n")
+    assert inspect.getsource(executable("gen_tree")._run) == (
+        "    def main(g, stack):\n" + bind +
+        "        if not s0(g): return 1  # init\n"
+        "        while True:\n"
+        "            open_frame(g)\n"
+        "            while s1(g): pass  # gen\n"
+        "            if not s2(g): undo_frame(g); break  # ret\n"
+        "            while s3(g): pass  # step\n"
+        "            commit_frame(g)\n"
+        "        if not s4(g): return 1  # finish\n"
+        "        return 0\n")
+    assert inspect.getsource(executable("is_discrete")._run) == (
+        "    def main(g, stack):\n" + bind +
+        "        while s0(g): pass  # del\n"
+        "        open_frame(g)\n"
+        "        if s1(g):  # node\n"
+        "            undo_frame(g)\n"
+        "            return 1\n"
+        "        else:\n"
+        "            undo_frame(g)\n"
+        "            pass\n"
+        "        return 0\n")
+
+
+def test_the_same_main_reuses_its_source_entry():
+    text = corpus.load_program("is_bin_dag")
+    first = Executable(parse_program(text), ExecConfig())._run.__code__.co_filename
+    entries = len(linecache.cache)
+    again = Executable(parse_program(text), ExecConfig())._run.__code__.co_filename
+    assert again == first and len(linecache.cache) == entries
+    assert first.startswith("<gp2 main")
 
 
 def test_config_validation():

@@ -364,11 +364,15 @@ def _deep_cond(seed):
     return term
 
 
-def _outcome(fn):
+def _outcome(fn, rule=None):
+    """What ``fn`` returns, or the message of the EvalError it raises,
+    which names ``rule`` first when a compiled step of it raised it."""
     try:
         return "value", fn()
     except EvalError as exc:
-        return "error", str(exc)
+        prefix = f"in rule {rule!r}: " if rule else ""
+        assert str(exc).startswith(prefix), str(exc)
+        return "error", str(exc)[len(prefix):]
 
 
 def _host(values, loops):
@@ -395,7 +399,7 @@ def _check_expr(expr, values, loops):
     images = {1: node}
     want = _outcome(lambda: as_list(eval_expr(expr, values, images)))
     rule = _rule(label=expr)
-    got = _outcome(lambda: apply_rule(rule, g) and node.label)
+    got = _outcome(lambda: apply_rule(rule, g) and node.label, "r")
     assert got == want, expr
     if want[0] == "error":      # evaluated before any change
         assert node.label[:2] == (values["a"], values["b"])
@@ -404,7 +408,7 @@ def _check_expr(expr, values, loops):
 def _check_cond(cond, values, loops):
     g, node = _host(values, loops)
     want = _outcome(lambda: eval_cond(cond, values, {1: node}))
-    got = _outcome(lambda: find_match(_rule(condition=cond), g) is not None)
+    got = _outcome(lambda: find_match(_rule(condition=cond), g) is not None, "r")
     assert got == want, cond
     assert all(not n.flags & FLAG_MATCHED for n in g.nodes())
 
@@ -481,7 +485,7 @@ PINNED_CONDS = [
 def test_compiled_labels_are_pinned(expr, expected):
     g, node = _host(PINNED_VALUES, [(1, "a")])
     rule = _rule(label=expr)
-    got = _outcome(lambda: apply_rule(rule, g) and node.label)
+    got = _outcome(lambda: apply_rule(rule, g) and node.label, "r")
     assert got == expected
     _check_expr(expr, PINNED_VALUES, [(1, "a")])
 
@@ -489,7 +493,7 @@ def test_compiled_labels_are_pinned(expr, expected):
 @pytest.mark.parametrize("cond, expected", PINNED_CONDS)
 def test_compiled_conditions_are_pinned(cond, expected):
     g, _ = _host(PINNED_VALUES, [(1, "a")])
-    got = _outcome(lambda: find_match(_rule(condition=cond), g) is not None)
+    got = _outcome(lambda: find_match(_rule(condition=cond), g) is not None, "r")
     assert got == expected
     _check_cond(cond, PINNED_VALUES, [(1, "a")])
 
