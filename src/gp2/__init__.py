@@ -8,13 +8,12 @@ the legacy index scan over every slot, holes included.
 """
 
 from .engine import ExecConfig, Outcome, run_program
-from .graph import Graph, graphs_isomorphic
+from .graph import Graph
 from .textio import SourceError, parse_host_graph, parse_program, print_graph, validate
 
 __all__ = [
-    "ExecConfig", "Graph", "Outcome", "SourceError", "graphs_isomorphic",
-    "parse_host_graph", "parse_program", "print_graph", "run_program",
-    "validate",
+    "ExecConfig", "Graph", "Outcome", "SourceError", "parse_host_graph",
+    "parse_program", "print_graph", "run_program", "validate",
 ]
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import ExecConfig, run_program
@@ -37,13 +36,17 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class CliInvocation:
-    subcommand: str                       # validate-program | validate-rule |
-    paths: list[str] = field(default_factory=list)   # validate-graph | run | bench
-    config: ExecConfig = field(default_factory=ExecConfig)
-    out_dir: str | None = None
-    fast_shutdown: bool = False           # leave the graph to the OS on exit
+    __slots__ = ("subcommand", "paths", "config", "out_dir", "fast_shutdown")
+
+    def __init__(self, subcommand: str, paths: list[str] | None = None,
+                 config: ExecConfig | None = None, out_dir: str | None = None,
+                 fast_shutdown: bool = False):
+        self.subcommand = subcommand      # help | validate-program | validate-rule |
+        self.paths = paths or []          # validate-graph | run | bench
+        self.config = config or ExecConfig()
+        self.out_dir = out_dir
+        self.fast_shutdown = fast_shutdown    # leave the graph to the OS on exit
 
 
 def parse_args(argv: list[str]) -> CliInvocation:

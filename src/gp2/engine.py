@@ -17,8 +17,6 @@ mutations are journalled (see ``graph``), so they can be undone exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import textio
 from .graph import Graph
 from .match import compiled_step, exec_source, find_match
@@ -40,18 +38,26 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class ExecConfig:
-    backend: str = "chain"            # 'chain' or 'index_scan'
-    root_mode: str = "preserve"       # 'preserve' or 'reflect'
-    minimal_gc: bool = False          # deleted nodes are never reused
-    optimize_plans: bool = True
+    __slots__ = ("backend", "root_mode", "minimal_gc", "optimize_plans")
 
-    def __post_init__(self):
-        if self.backend not in ("chain", "index_scan"):
-            raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.root_mode not in ("preserve", "reflect"):
-            raise ConfigError(f"unknown root mode {self.root_mode!r}")
+    def __init__(self, backend: str = "chain", root_mode: str = "preserve",
+                 minimal_gc: bool = False, optimize_plans: bool = True):
+        if backend not in ("chain", "index_scan"):
+            raise ConfigError(f"unknown backend {backend!r}")
+        if root_mode not in ("preserve", "reflect"):
+            raise ConfigError(f"unknown root mode {root_mode!r}")
+        self.backend = backend                # 'chain' or 'index_scan'
+        self.root_mode = root_mode            # 'preserve' or 'reflect'
+        self.minimal_gc = minimal_gc          # deleted nodes are never reused
+        self.optimize_plans = optimize_plans
+
+    def __eq__(self, other) -> bool:        # by value, so a config can key a cache
+        return type(other) is ExecConfig and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self.__slots__))
 
 
 # -- commands ------------------------------------------------------------------

@@ -8,7 +8,8 @@ node iteration.  That ordering is what confines matching of fast rules
 to the neighbourhood of the host's roots.  Each step is a ``Step`` that
 points at the rule's own left-hand items; the order and each edge's
 walk phases are all the plan adds.  ``check_fast_rule`` reads
-reachability from a root off the same plan.
+reachability from a root off the same plan.  The exhaustive matcher and
+the match auditor that tests hold the steps to are in ``reference``.
 
 ``compiled_step`` compiles each plan to one Python function, once per
 rule and setting (plan order, backend, root mode), and caches it in
@@ -50,7 +51,12 @@ from math import inf
 from typing import Optional
 
 from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, SCAN_CHUNK, Graph, GraphError
-from .rules import EvalError, Rule, eval_cond, has_edge, label_match, subterms
+from .rules import EvalError, Rule, eval_cond, has_edge, subterms
+
+# eval_cond is not called here.  It stays because perfbench/tracing.py wraps
+# match.eval_cond by name through vars(module)[attr], as engine's comment says.
+__all__ = ["UNBOUNDED_TYPES", "Match", "Step", "compile_plan", "check_fast_rule",
+           "find_match", "find_match_steps", "compiled_step", "exec_source", "eval_cond"]
 
 # variable types whose repetition or comparison breaks the fast-rule
 # guarantees (their domains are unbounded)
@@ -65,12 +71,6 @@ class Match:
         self.edge_images = edge_images      # pattern edge id -> host edge
         self.assignment = assignment
         self.orientations = orientations    # pattern edge id -> True if flipped
-
-    def key(self):
-        return (
-            tuple(sorted((pid, img.slot_index) for pid, img in self.node_images.items())),
-            tuple(sorted((eid, id(img)) for eid, img in self.edge_images.items())),
-        )
 
 
 class Step:
@@ -147,30 +147,6 @@ def compile_plan(rule: Rule, optimize: bool = True) -> list[Step]:
             bind(ni)
     take_edges()
     return steps
-
-
-def plan_is_well_formed(rule: Rule, plan: list[Step]) -> bool:
-    """Whether the plan binds every left-hand node and takes every edge
-    exactly once, each edge from an anchor already bound, binding its
-    other endpoint exactly when that one is not yet bound, and binds
-    every root, and only a root, at a 'root' step."""
-    edges = {pe.eid: pe for pe in rule.lhs.edges}
-    bound: set[int] = set()
-    taken: list[int] = []
-    for step in plan:
-        pid, pe = step.node.pid, step.edge
-        if (step.kind == "root") != (step.binds and step.node.root):
-            return False
-        if step.kind == "edge":
-            ends = (step.anchor.pid, pid)
-            if edges.get(pe.eid) is not pe or ends not in ((pe.src, pe.tgt), (pe.tgt, pe.src)) \
-                    or ends[0] not in bound or step.binds != (pid not in bound):
-                return False
-            taken.append(pe.eid)
-        elif pid in bound:
-            return False
-        bound.add(pid)
-    return sorted(bound) == sorted(rule.lhs.by_id) and sorted(taken) == sorted(edges)
 
 
 def check_fast_rule(rule: Rule) -> tuple[bool, list[str]]:
@@ -670,155 +646,21 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
     return namespace["step"], tuple(tuple(local) for local in layout)
 
 
+# name -> {source: file name} of every source exec_source has run
+_FILES: dict[str, dict[str, str]] = {}
+
+
 def exec_source(source: str, name: str, namespace: dict) -> dict:
     """Run generated ``source`` in ``namespace`` under the file name
     ``<name>``, with the source in ``linecache``, so tracebacks, profiles
     and ``inspect.getsource`` show its lines.  The same source reuses its
-    entry; another one of that name gets ``<name 2>``, ``<name 3>``..."""
-    cached = source.splitlines(True)
-    filename, copy = f"<{name}>", 1
-    while linecache.cache.get(filename, (0, 0, cached))[2] != cached:
-        copy += 1
-        filename = f"<{name} {copy}>"
-    linecache.cache[filename] = (len(source), None, cached, filename)
+    file name, found in ``_FILES``; another one of that name gets ``<name 2>``,
+    ``<name 3>``...  The entry is written on every call, so one that
+    ``linecache.clearcache`` dropped comes back."""
+    files = _FILES.setdefault(name, {})
+    filename = files.get(source)
+    if filename is None:
+        filename = files[source] = f"<{name} {len(files) + 1}>" if files else f"<{name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
     return namespace
-
-
-# -- exhaustive oracle ------------------------------------------------------
-
-
-def brute_force_match(rule: Rule, g: Graph, mode: str = "preserve") -> list[Match]:
-    """Enumerate every valid match by trying all injective node maps and
-    all injective edge assignments; meant for small test hosts."""
-    lhs = rule.lhs
-    hosts = g.nodes()
-    results: list[Match] = []
-    seen = set()
-    k = len(lhs.nodes)
-
-    def node_maps(i, chosen, assignment, trail):
-        if i == k:
-            assign_edges(0, {}, assignment, trail, chosen)
-            return
-        pn = lhs.nodes[i]
-        for host in hosts:
-            if any(host is c for c in chosen):
-                continue
-            if pn.mark != MARK_ANY and pn.mark != host.mark:
-                continue
-            if pn.root and not host.flags & FLAG_ROOT:
-                continue
-            if not pn.root and mode == "reflect" and host.flags & FLAG_ROOT:
-                continue
-            n = len(trail)
-            if not label_match(pn.label, host.label, assignment, trail):
-                continue
-            chosen.append(host)
-            node_maps(i + 1, chosen, assignment, trail)
-            chosen.pop()
-            for name in trail[n:]:
-                del assignment[name]
-            del trail[n:]
-
-    def assign_edges(j, edge_map, assignment, trail, chosen):
-        if j == len(lhs.edges):
-            finish(edge_map, assignment, chosen)
-            return
-        pe = lhs.edges[j]
-        src_img = chosen[lhs.by_id[pe.src]]
-        tgt_img = chosen[lhs.by_id[pe.tgt]]
-        options = [(e, False) for e in g.out_edges(src_img) if e.target is tgt_img]
-        if pe.bidir and src_img is not tgt_img:
-            options += [(e, True) for e in g.in_edges(src_img) if e.source is tgt_img]
-        for host_edge, flipped in options:
-            if any(host_edge is other for other in edge_map.values()):
-                continue
-            if pe.mark != MARK_ANY and pe.mark != host_edge.mark:
-                continue
-            n = len(trail)
-            if not label_match(pe.label, host_edge.label, assignment, trail):
-                continue
-            edge_map[j] = host_edge
-            assign_edges(j + 1, edge_map, assignment, trail, chosen)
-            del edge_map[j]
-            for name in trail[n:]:
-                del assignment[name]
-            del trail[n:]
-
-    def finish(edge_map, assignment, chosen):
-        images = {pn.pid: chosen[i] for i, pn in enumerate(lhs.nodes)}
-        if not _dangling_ok(rule, images):
-            return
-        if rule.condition is not None:
-            if not eval_cond(rule.condition, assignment, images):
-                return
-        edge_images = {lhs.edges[j].eid: e for j, e in edge_map.items()}
-        orientations = {}
-        for j, e in edge_map.items():
-            pe = lhs.edges[j]
-            if pe.bidir:
-                orientations[pe.eid] = e.source is not chosen[lhs.by_id[pe.src]]
-        m = Match(images, edge_images, dict(assignment), orientations)
-        key = m.key()
-        if key not in seen:
-            seen.add(key)
-            results.append(m)
-
-    node_maps(0, [], {}, [])
-    return results
-
-
-def audit_match(rule: Rule, g: Graph, m: Match, mode: str = "preserve") -> None:
-    """Validity auditor: raises AssertionError unless the match is a
-    structure-, label-, mark- and root-compatible injective embedding
-    satisfying condition and dangling requirements."""
-    lhs = rule.lhs
-    node_ids = [id(n) for n in m.node_images.values()]
-    assert len(set(node_ids)) == len(node_ids), "node map is not injective"
-    edge_ids = [id(e) for e in m.edge_images.values()]
-    assert len(set(edge_ids)) == len(edge_ids), "edge map is not injective"
-
-    assignment: dict = {}
-    trail: list = []
-    for pn in lhs.nodes:
-        host = m.node_images[pn.pid]
-        assert host.in_graph, "image node is not live"
-        assert pn.mark == MARK_ANY or pn.mark == host.mark, "mark mismatch"
-        if pn.root:
-            assert host.flags & FLAG_ROOT, "root not preserved"
-        elif mode == "reflect":
-            assert not host.flags & FLAG_ROOT, "root not reflected"
-        assert label_match(pn.label, host.label, assignment, trail), \
-            "node label does not unify"
-    for pe in lhs.edges:
-        host = m.edge_images[pe.eid]
-        src_img = m.node_images[pe.src]
-        tgt_img = m.node_images[pe.tgt]
-        if pe.bidir and m.orientations.get(pe.eid):
-            src_img, tgt_img = tgt_img, src_img
-        assert host.source is src_img and host.target is tgt_img, \
-            "edge endpoints do not commute with the node map"
-        assert pe.mark == MARK_ANY or pe.mark == host.mark, "edge mark mismatch"
-        assert label_match(pe.label, host.label, assignment, trail), \
-            "edge label does not unify"
-    assert {k: assignment[k] for k in m.assignment} == m.assignment or \
-        assignment == m.assignment, "recorded assignment disagrees"
-    assert _dangling_ok(rule, m.node_images), "dangling condition violated"
-    if rule.condition is not None:
-        assert eval_cond(rule.condition, m.assignment,
-                         dict(m.node_images)), "condition not satisfied"
-
-
-def _dangling_ok(rule: Rule, node_images: dict) -> bool:
-    """Whether every node the rule deletes has, in the host, exactly as
-    many incident edges as the left-hand side gives it (loops twice)."""
-    kept = set(rule.interface)
-    for pn in rule.lhs.nodes:
-        if pn.pid not in kept:
-            incident = sum((pe.src == pn.pid) + (pe.tgt == pn.pid)
-                           for pe in rule.lhs.edges)
-            host = node_images[pn.pid]
-            if host.indegree + host.outdegree != incident:
-                return False
-    return True

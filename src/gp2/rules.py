@@ -136,78 +136,6 @@ class Rule:
         self.plans: dict = {}       # (optimize, backend, reflect) -> (steps, step, layout)
 
 
-# -- label matching -----------------------------------------------------
-
-
-def _bind_atom(item, value, assignment, trail) -> bool:
-    kind = item[0]
-    if kind == "lit":
-        return item[1] == value
-    name, vtype = item[1], item[2]
-    if vtype == "int":
-        if not isinstance(value, int):
-            return False
-    elif vtype == "string":
-        if not isinstance(value, str):
-            return False
-    elif vtype == "char":
-        if not (isinstance(value, str) and len(value) == 1):
-            return False
-    # atom and list types accept anything
-    bound = assignment.get(name, _UNSET)
-    if bound is _UNSET:
-        assignment[name] = value
-        trail.append(name)
-        return True
-    return bound == value
-
-
-_UNSET = object()
-
-
-def label_match(pattern: LabelPattern, host_label: tuple, assignment: dict,
-                trail: list) -> bool:
-    """Unify a pattern label with a host label, extending ``assignment``
-    and appending each name this call binds to ``trail``.
-
-    This is the label binder of the matching oracles; the compiled
-    matcher inlines the same unification.  On a mismatch it returns
-    False with this call's bindings already undone.
-    """
-    start = len(trail)
-    if _unify(pattern, host_label, assignment, trail):
-        return True
-    for name in trail[start:]:
-        del assignment[name]
-    del trail[start:]
-    return False
-
-
-def _unify(pattern: LabelPattern, host_label: tuple, assignment, trail) -> bool:
-    """label_match, leaving partial bindings on a mismatch: atoms
-    positionally around at most one list variable."""
-    items = pattern.items
-    pos = pattern.list_var_pos
-    if pos is None:
-        if len(items) != len(host_label):
-            return False
-        for item, atom in zip(items, host_label):
-            if not _bind_atom(item, atom, assignment, trail):
-                return False
-        return True
-    prefix, suffix = items[:pos], items[pos + 1:]
-    if len(host_label) < len(prefix) + len(suffix):
-        return False
-    for item, atom in zip(prefix, host_label):
-        if not _bind_atom(item, atom, assignment, trail):
-            return False
-    for item, atom in zip(reversed(suffix), reversed(host_label)):
-        if not _bind_atom(item, atom, assignment, trail):
-            return False
-    mid = host_label[len(prefix):len(host_label) - len(suffix)]
-    return _bind_atom(items[pos], mid, assignment, trail)
-
-
 # -- expression evaluation ----------------------------------------------
 
 

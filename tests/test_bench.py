@@ -4,7 +4,7 @@ import pytest
 
 from gp2 import bench, corpus
 from gp2.engine import OK, ExecConfig, Executable
-from gp2.graph import graphs_isomorphic
+from gp2.oracles import graphs_isomorphic
 from gp2.textio import parse_host_graph, parse_program, print_graph
 from helpers import executable
 

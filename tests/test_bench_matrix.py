@@ -18,7 +18,10 @@ def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
                    check=True, capture_output=True)
     result = json.loads(out.read_text())
     lines = sum(len(path.read_text().splitlines()) for path in (src / "gp2").glob("*.py"))
-    assert [side["gp2_lines"] for side in result["meta"]["sides"].values()] == [lines, lines]
+    meta = result["meta"]
+    assert list(meta) == ["sides", "repeats", "cli_repeats", "python", "machine", "cpus"]
+    assert (meta["repeats"], meta["cli_repeats"]) == (3, 7)
+    assert [side["gp2_lines"] for side in meta["sides"].values()] == [lines, lines]
     rows = result["rows"]
     # the sides alternate, and so does which one goes first
     assert [(row["side"], row["backend"]) for row in rows] == [

@@ -5,7 +5,8 @@ import pytest
 
 from gp2 import corpus
 from gp2.engine import ExecConfig
-from gp2.graph import Graph, graphs_isomorphic
+from gp2.graph import Graph
+from gp2.oracles import graphs_isomorphic
 from gp2.textio import parse_host_graph, parse_program, print_graph
 from helpers import executable
 

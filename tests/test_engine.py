@@ -19,15 +19,9 @@ from gp2.engine import (
     apply_rule,
     run_program,
 )
-from gp2.graph import (
-    FLAG_IN_GRAPH,
-    FLAG_MATCHED,
-    FLAG_ROOT,
-    Graph,
-    check_consistency,
-    graphs_isomorphic,
-)
+from gp2.graph import FLAG_IN_GRAPH, FLAG_MATCHED, FLAG_ROOT, Graph
 from gp2.match import find_match
+from gp2.oracles import check_consistency, graphs_isomorphic
 from gp2.rules import EvalError, instantiate_rhs
 from gp2.textio import (
     SourceError,

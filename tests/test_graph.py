@@ -3,14 +3,8 @@ import time
 
 import pytest
 
-from gp2.graph import (
-    FLAG_IN_STACK,
-    FLAG_ROOT,
-    Graph,
-    GraphError,
-    check_consistency,
-    graphs_isomorphic,
-)
+from gp2.graph import FLAG_IN_STACK, FLAG_ROOT, Graph, GraphError
+from gp2.oracles import check_consistency, graphs_isomorphic
 from gp2.textio import parse_host_graph, print_graph
 
 

@@ -1,6 +1,11 @@
-"""Every module of the package and of the tests reads each name it imports."""
+"""Every module of the package and of the tests reads each name it imports, the
+package's imports form no cycle, and a run loads no module that only tests need."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +84,37 @@ def test_the_checks_see_a_local_import_and_a_cycle():
     source = "from . import a\nfrom .b.c import d\ndef f():\n    from .e import g\n"
     assert package_imports(source) == ({"a", "b"}, {"f": {"e"}})
     assert import_cycles({"a": {"b"}, "b": {"a"}, "c": {"a"}, "d": set()}) == ["a", "b", "c"]
+
+
+# The modules a run imports, and the ones it must not.
+RUN_PATH = ("__init__", "cli", "engine", "graph", "match", "rules", "textio")
+TEST_ONLY = {"reference", "oracles"}
+
+
+def test_no_run_path_module_imports_the_test_only_modules():
+    for name in RUN_PATH:
+        top, local = package_imports((ROOT / "src" / "gp2" / f"{name}.py").read_text())
+        assert not (top.union(*local.values()) & TEST_ONLY), name
+
+
+# Imports gp2.cli, runs is_discrete on a fixture, and prints the modules it
+# loaded that a run should not.
+NOT_LOADED = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from gp2 import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    status = cli.main([sys.argv[1], sys.argv[2]])
+unwanted = {"gp2.reference", "gp2.oracles", "gp2.bench", "gp2.corpus", "dataclasses", "inspect"}
+print(json.dumps([status, out.getvalue(), sorted(unwanted & (set(sys.modules) - before))]))
+"""
+
+
+def test_a_cli_run_loads_no_test_only_or_bench_module_and_no_dataclasses():
+    gp2 = ROOT / "src" / "gp2"
+    result = subprocess.run(
+        [sys.executable, "-c", NOT_LOADED, str(gp2 / "programs" / "is_discrete.gp2"),
+         str(gp2 / "fixtures" / "discrete_pos.host")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+        check=True)
+    assert json.loads(result.stdout) == [0, "[ | ]\n", []]

@@ -11,16 +11,9 @@ from hypothesis import strategies as st
 from gp2 import corpus
 from gp2.engine import OK, ExecConfig, Executable, apply_rule, run_program
 from gp2.graph import FLAG_MATCHED, SCAN_CHUNK, Graph, GraphError, Node
-from gp2.match import (
-    Step,
-    audit_match,
-    brute_force_match,
-    compile_plan,
-    compiled_step,
-    find_match,
-    find_match_steps,
-    plan_is_well_formed,
-)
+from gp2.match import (Step, compile_plan, compiled_step, exec_source, find_match,
+                       find_match_steps)
+from gp2.reference import audit_match, brute_force_match, match_key, plan_is_well_formed
 from gp2.rules import EvalError, instantiate_rhs
 from gp2.textio import parse_host_graph, parse_program, parse_rule, print_graph
 
@@ -232,7 +225,7 @@ def test_find_match_agrees_with_brute_force_on_random_hosts(optimize):
             expected = {}
             for name, rule in rules:
                 expected[(name, rule.name)] = {
-                    m.key() for m in brute_force_match(rule, g, mode)}
+                    match_key(m) for m in brute_force_match(rule, g, mode)}
             for backend in ("chain", "index_scan"):
                 for name, rule in rules:
                     m = find_match(rule, g, mode, backend, optimize)
@@ -241,7 +234,7 @@ def test_find_match_agrees_with_brute_force_on_random_hosts(optimize):
                     if m is None:
                         assert not keys, where
                     else:
-                        assert m.key() in keys, where
+                        assert match_key(m) in keys, where
                         audit_match(rule, g, m, mode)
 
 
@@ -279,7 +272,7 @@ def test_degree_bounds_agree_with_brute_force_on_random_hosts(optimize):
         g = random_host(rng, max_nodes=5)
         for mode in ("preserve", "reflect"):
             for rule in rules:
-                keys = {m.key() for m in brute_force_match(rule, g, mode)}
+                keys = {match_key(m) for m in brute_force_match(rule, g, mode)}
                 if keys:
                     hits[rule.name] += 1
                 else:
@@ -290,7 +283,7 @@ def test_degree_bounds_agree_with_brute_force_on_random_hosts(optimize):
                     if m is None:
                         assert not keys, where
                     else:
-                        assert m.key() in keys, where
+                        assert match_key(m) in keys, where
                         audit_match(rule, g, m, mode)
     assert all(hits.values()) and all(misses.values()), (hits, misses)
 
@@ -357,7 +350,7 @@ def test_items_that_may_meet_agree_with_brute_force_on_random_hosts(optimize):
     for g in hosts:
         for mode in ("preserve", "reflect"):
             for rule in rules:
-                keys = {m.key() for m in brute_force_match(rule, g, mode)}
+                keys = {match_key(m) for m in brute_force_match(rule, g, mode)}
                 hits[rule.name] += bool(keys)
                 misses[rule.name] += not keys
                 for backend in ("chain", "index_scan"):
@@ -366,7 +359,7 @@ def test_items_that_may_meet_agree_with_brute_force_on_random_hosts(optimize):
                     if m is None:
                         assert not keys, where
                     else:
-                        assert m.key() in keys, where
+                        assert match_key(m) in keys, where
                         audit_match(rule, g, m, mode)
                     if g is hosts[0] and rule.name == "twin":
                         assert m is None
@@ -413,7 +406,7 @@ def test_compiled_labels_agree_with_the_oracles_on_random_hosts(optimize):
         for _ in range(600):
             g = random_host(rng, max_nodes=6, labels=labels)
             for mode in ("preserve", "reflect"):
-                keys = {m.key() for m in brute_force_match(rule, g, mode)}
+                keys = {match_key(m) for m in brute_force_match(rule, g, mode)}
                 hits += bool(keys)
                 misses += not keys
                 for backend in ("chain", "index_scan"):
@@ -422,7 +415,7 @@ def test_compiled_labels_agree_with_the_oracles_on_random_hosts(optimize):
                     if m is None:
                         assert not keys, where
                     else:
-                        assert m.key() in keys, where
+                        assert match_key(m) in keys, where
                         audit_match(rule, g, m, mode)
         assert hits and misses, (rule.name, hits, misses)
 
@@ -436,6 +429,47 @@ def test_compiled_step_shows_its_source():
     assert repr(STRANGE) in source
     assert "g.readd_edge(e0, " in source and "Match" not in source
     assert rule.plans[False, "chain", False][2][2] == ("g", "len", "None", "if")
+
+
+class CountingCache(dict):
+    """A stand-in for ``linecache.cache`` that counts lookups and writes."""
+
+    uses = 0
+
+    def __getitem__(self, key):
+        self.uses += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.uses += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.uses += 1
+        return super().__contains__(key)
+
+    def __setitem__(self, key, value):
+        self.uses += 1
+        super().__setitem__(key, value)
+
+
+def test_each_source_of_a_name_gets_its_own_file_in_one_cache_use(monkeypatch):
+    cache = CountingCache(linecache.cache)
+    monkeypatch.setattr(linecache, "cache", cache)
+    name, uses = "exec_source test", []
+
+    def build(i):
+        before = cache.uses
+        namespace = exec_source(f"def f():\n    return {i}\n", name, {})
+        uses.append(cache.uses - before)
+        return namespace["f"].__code__.co_filename
+
+    files = [build(i) for i in range(300)]
+    assert files[:3] == [f"<{name}>", f"<{name} 2>", f"<{name} 3>"]
+    assert len(set(files)) == 300
+    assert build(0) == files[0]             # the same source reuses its file
+    assert uses == [1] * 301                # one write, however many entries exist
+    assert linecache.getlines(files[299]) == ["def f():\n", "    return 299\n"]
 
 
 def test_an_unguarded_and_guards_its_right_operand_with_its_left_local():
@@ -489,8 +523,8 @@ def test_reflect_matches_are_preserve_matches():
     for _ in range(40):
         g = random_host(rng)
         for name, rule in rules:
-            reflect = {m.key() for m in brute_force_match(rule, g, "reflect")}
-            preserve = {m.key() for m in brute_force_match(rule, g, "preserve")}
+            reflect = {match_key(m) for m in brute_force_match(rule, g, "reflect")}
+            preserve = {match_key(m) for m in brute_force_match(rule, g, "preserve")}
             assert reflect <= preserve
 
 

@@ -19,9 +19,9 @@ from gp2.rules import (
     eval_cond,
     eval_expr,
     instantiate_rhs,
-    label_match,
     wrap32,
 )
+from gp2.reference import label_match
 from gp2.textio import MAX_NESTING, parse_host_graph, parse_program, parse_rule, print_graph
 from helpers import kept_edges
 

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from gp2.graph import FLAG_IN_STACK, SCAN_CHUNK, Graph, GraphError, check_consistency
+from gp2.graph import FLAG_IN_STACK, SCAN_CHUNK, Graph, GraphError
+from gp2.oracles import check_consistency
 
 
 def test_first_alloc_is_slot_zero():

@@ -5,7 +5,8 @@ import pytest
 
 from gp2 import bench, corpus, textio
 from gp2.textio import inline_procedures
-from gp2.graph import EDGE_MARKS, NODE_MARKS, Graph, graphs_isomorphic
+from gp2.graph import EDGE_MARKS, NODE_MARKS, Graph
+from gp2.oracles import graphs_isomorphic
 from gp2.textio import (
     SourceError,
     parse_host_graph,

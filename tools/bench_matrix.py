@@ -1,6 +1,6 @@
 """Before/after rows of one fixed matrix of programs x hosts x backends.
 
-    python3 tools/bench_matrix.py -o BENCH_22.json parent=../parent/src change=src
+    python3 tools/bench_matrix.py -o BENCH_23.json parent=../parent/src change=src
 
 Each ``NAME=SRC`` argument is one side: a ``src`` directory that holds a
 ``gp2`` package.  Every row of ``MATRIX`` runs on both backends, each
@@ -10,7 +10,7 @@ records the host's size, the outcome, the exact work counts (candidates
 examined, iteration steps, journal frames opened, committed and
 undone), the median of three timings of each layer the CLI goes through
 (``parse_host_graph``, ``Executable(...)``, ``run``, ``print_graph``), and
-the median of three wall times of ``python3 -m gp2.cli`` in a
+the median of seven wall times of ``python3 -m gp2.cli`` in a
 subprocess.  The counts come from a fourth, untimed run.  Wall times are
 rough on a shared machine; the counts are exact and must not differ
 between runs of the same code.
@@ -35,7 +35,8 @@ import tempfile
 import time
 from pathlib import Path
 
-REPEATS = 3
+REPEATS = 3             # in-process timings of each layer
+CLI_REPEATS = 7         # wall times of the CLI, for e2e_ms
 
 
 def seed(value: int) -> str:
@@ -125,7 +126,7 @@ def _cli_times(program_text: str, host_text: str, backend: str) -> list[float]:
         program_file.write_text(program_text)
         host_file.write_text(host_text)
         times = []
-        for _ in range(REPEATS):
+        for _ in range(CLI_REPEATS):
             start = time.perf_counter()
             subprocess.run([sys.executable, "-m", "gp2.cli", *flags, str(program_file),
                             str(host_file)], stdout=subprocess.DEVNULL,
@@ -180,8 +181,9 @@ def main(argv: list[str]) -> int:
             rows.append(row)
             print(f"{name:>8} {program:>15} {host:>20} {backend:>10} {row['outcome']:>8} "
                   f"run {row['run_ms']:9.1f} ms  e2e {row['e2e_ms']:9.1f} ms", flush=True)
-    result = {"meta": {"sides": meta, "repeats": REPEATS, "python": platform.python_version(),
-                       "machine": platform.machine(), "cpus": os.cpu_count()},
+    result = {"meta": {"sides": meta, "repeats": REPEATS, "cli_repeats": CLI_REPEATS,
+                       "python": platform.python_version(), "machine": platform.machine(),
+                       "cpus": os.cpu_count()},
               "rows": rows}
     args.output.write_text(json.dumps(result, indent=1) + "\n")
     return 0
