@@ -1,18 +1,21 @@
 """Program execution: rule application and control constructs.
 
 ``Executable`` runs Main as ``textio`` parses, checks and inlines it: a
-tree of tagged command tuples with no calls left.  ``_build`` walks the
-tree once, compiling each rule set's steps (see ``match``) for the
-config's setting only, and computing each command's effects (may it
-fail, may it change the graph, does a failure leave the graph as it
-was) from its children's.  From these alone it places journal frames:
-around a loop body or ``try`` guard that may fail after changing the
-graph, and an ``if`` guard that may change it.  ``_compile`` writes the
-result as one generated function ``main(g, stack)`` that returns OK,
-FAILED or BROKE: a loop is a ``while``, a rule set calls its steps with
-``or`` until one rewrites, and frames are opened, committed and undone
-inline through the run's ``ChangeStack``.  Only a framed run's
-mutations are journalled (see ``graph``), so they can be undone exactly.
+tree of tagged command tuples with no calls left, in which the call
+sites of a procedure share one expansion.  ``_build`` walks the tree
+once, building a shared command once, compiling each rule set's steps
+(see ``match``) for the config's setting only, and computing each
+command's effects (may it fail, may it change the graph, does a failure
+leave the graph as it was): a rule set's from its steps, any other's
+from its children's.  From these alone it places journal frames: around
+a loop body or ``try`` guard that may fail after changing the graph, and
+an ``if`` guard that may change it.  ``_compile`` writes the result as
+one generated function ``main(g, stack)`` that returns OK, FAILED or
+BROKE: a loop is a ``while``, a rule set calls its steps with ``or``
+until one rewrites, a shared command is a function, and frames are
+opened, committed and undone inline through the run's ``ChangeStack``.
+Only a framed run's mutations are journalled (see ``graph``), so they
+can be undone exactly.
 """
 
 from __future__ import annotations
@@ -63,41 +66,56 @@ class ExecConfig:
 # -- commands ------------------------------------------------------------------
 
 
-def _build(cmd, rules: dict[str, Rule], cfg: ExecConfig):
-    """``cmd`` as ``(code, fail, mutate, clean)``: ``cmd`` may fail, may
-    change the graph, and leaves the graph as it was when it fails,
-    computed from the children's as they are built.  They alone place
-    frames: a loop body or ``try`` guard gets one that commits on success
-    when it may fail after changing the graph, and an ``if`` guard one
-    that is always undone when it may change the graph.  ``code`` is
-    ``cmd`` for ``_compile``, with each rule set's compiled steps and
-    names, each loop's and branch's frame, and each sequence flat."""
-    tag = cmd[0]
-    if tag == "rules":
-        setting = (cfg.optimize_plans, cfg.backend, cfg.root_mode == "reflect")
-        steps = [compiled_step(rules[name], *setting) for name in cmd[1]]
-        return ("rules", steps, ", ".join(cmd[1])), True, True, True
-    if tag == "loop":
-        body, _, mutate, clean = _build(cmd[1], rules, cfg)
-        return ("loop", body, not clean), False, mutate, True
-    if tag == "seq":
-        parts, fail, mutate, clean = ["seq"], False, False, True
-        for c in cmd[1:]:
-            code, c_fail, c_mutate, c_clean = _build(c, rules, cfg)
-            parts.extend(code[1:] if code[0] == "seq" else (code,))
-            clean = clean and not (c_fail and (mutate or not c_clean))
-            fail, mutate = fail or c_fail, mutate or c_mutate
-        return tuple(parts), fail, mutate, clean
-    if tag in ("if", "try"):
-        (guard, _, g_mutate, g_clean), (then, t_fail, t_mutate, t_clean), \
-            (other, e_fail, e_mutate, e_clean) = (_build(c, rules, cfg) for c in cmd[1:])
-        if tag == "if":        # guard effects are always rolled back
-            return (("branch", guard, g_mutate, False, then, other), t_fail or e_fail,
-                    t_mutate or e_mutate, t_clean and e_clean)
-        ok_path = not t_fail or (t_clean and not g_mutate)
-        return (("branch", guard, not g_clean, True, then, other), t_fail or e_fail,
-                g_mutate or t_mutate or e_mutate, ok_path and e_clean)
-    return (tag,), tag == "fail", False, True
+def _build(main, rules: dict[str, Rule], cfg: ExecConfig, shared: set):
+    """``main`` as ``(code, fail, mutate, clean)``: ``main`` may fail, may
+    change the graph, and leaves the graph as it was when it fails.  A
+    rule set may change it if one of its steps writes anything; another
+    command's effects come from its children's.  They alone place frames:
+    a loop body or ``try`` guard gets one that commits on success when it
+    may fail after changing the graph, and an ``if`` guard one that is
+    always undone when it may change the graph.  ``code`` is ``main`` for
+    ``_compile``, with each rule set's steps and names, and each loop's
+    and branch's frame.  A command that call sites share is built once,
+    and the id of its code put in ``shared``."""
+    setting = (cfg.optimize_plans, cfg.backend, cfg.root_mode == "reflect")
+    built: dict = {}            # id(cmd) -> build(cmd)
+
+    def build(cmd):
+        if id(cmd) in built:
+            shared.add(id(built[id(cmd)][0]))
+            return built[id(cmd)]
+        tag = cmd[0]
+        if tag == "rules":
+            steps = [compiled_step(rules[name], *setting) for name in cmd[1]]
+            writes = any(rules[name].plans[setting][3] for name in cmd[1])
+            result = ("rules", steps, ", ".join(cmd[1])), True, writes, True
+        elif tag == "loop":
+            body, _, mutate, clean = build(cmd[1])
+            result = ("loop", body, not clean), False, mutate, True
+        elif tag == "seq":
+            parts, fail, mutate, clean = ["seq"], False, False, True
+            for c in cmd[1:]:
+                code, c_fail, c_mutate, c_clean = build(c)
+                parts.append(code)
+                clean = clean and not (c_fail and (mutate or not c_clean))
+                fail, mutate = fail or c_fail, mutate or c_mutate
+            result = tuple(parts), fail, mutate, clean
+        elif tag in ("if", "try"):
+            (guard, _, g_mutate, g_clean), (then, t_fail, t_mutate, t_clean), \
+                (other, e_fail, e_mutate, e_clean) = (build(c) for c in cmd[1:])
+            if tag == "if":        # guard effects are always rolled back
+                result = (("branch", guard, g_mutate, False, then, other), t_fail or e_fail,
+                          t_mutate or e_mutate, t_clean and e_clean)
+            else:
+                ok_path = not t_fail or (t_clean and not g_mutate)
+                result = (("branch", guard, not g_clean, True, then, other), t_fail or e_fail,
+                          g_mutate or t_mutate or e_mutate, ok_path and e_clean)
+        else:
+            result = (tag,), tag == "fail", False, True
+        built[id(cmd)] = result
+        return result
+
+    return build(main)
 
 
 # Loops and branches deeper than this many indents get a function of their own:
@@ -105,13 +123,15 @@ def _build(cmd, rules: dict[str, Rule], cfg: ExecConfig):
 _DEPTH = 16
 
 
-def _compile(code):
+def _compile(code, shared: set):
     """``main(g, stack)`` for ``_build``'s ``code``, its steps closure
     cells of ``make``.  ``write`` emits a command as statements that fall
     through on OK and run ``fail`` on FAILED and ``brk`` on BROKE, neither
-    inside a loop that the command opens.  A sequence's parts are written
-    in one call, so the recursion grows as ``_build``'s does."""
+    inside a loop that the command opens.  A compound command that is
+    ``shared`` between sites, or nested deeper than ``_DEPTH``, is written
+    once as a function that returns its status."""
     steps: dict = {}                # compiled step -> s + number
+    made: dict = {}                 # id of a command written as a function -> its name
     functions: list[str] = []
     lines: list[str] = []
 
@@ -127,56 +147,58 @@ def _compile(code):
         """Write ``code`` as a function ``(g, stack)`` that returns its status."""
         nonlocal lines
         outer, lines = lines, []
-        write(code, 2, f"return {FAILED}", f"return {BROKE}")
-        name = name or f"f{len(functions)}"
+        write(code, 2, f"return {FAILED}", f"return {BROKE}", inline=True)
+        name = made[id(code)] = name or f"f{len(functions)}"
         head = [f"    def {name}(g, stack):", "        open_frame, commit_frame, undo_frame = "
                 "stack.open_frame, stack.commit_frame, stack.undo_frame"]
         functions.append("".join(f"{line}\n" for line in head + lines + [f"        return {OK}"]))
         lines = outer
         return name
 
-    def write(code, depth, fail, brk):
-        for part in code[1:] if code[0] == "seq" else (code,):
-            tag = part[0]
-            if tag == "rules":
-                emit(depth, f"if not {test(part)}: {fail}", part[2])
-            elif tag in ("skip", "fail", "break"):
-                emit(depth, {"skip": "pass", "fail": fail, "break": brk}[tag])
-            elif depth > _DEPTH:
-                emit(depth, f"st = {function(part)}(g, stack)")
-                emit(depth, f"if st == {FAILED}: {fail}")
-                emit(depth, f"if st == {BROKE}: {brk}")
-            elif tag == "loop":
-                _, body, framed = part
-                if body[0] == "rules":      # fails cleanly: never framed
-                    emit(depth, f"while {test(body)}: pass", body[2])
-                    continue
+    def write(part, depth, fail, brk, inline=False):
+        tag = part[0]
+        if tag == "rules":
+            emit(depth, f"if not {test(part)}: {fail}", part[2])
+        elif tag in ("skip", "fail", "break"):
+            emit(depth, {"skip": "pass", "fail": fail, "break": brk}[tag])
+        elif not inline and (id(part) in shared or depth > _DEPTH):
+            emit(depth, f"st = {made.get(id(part)) or function(part)}(g, stack)")
+            emit(depth, f"if st == {FAILED}: {fail}")
+            emit(depth, f"if st == {BROKE}: {brk}")
+        elif tag == "seq":
+            for c in part[1:]:
+                write(c, depth, fail, brk)
+        elif tag == "loop":
+            _, body, framed = part
+            if body[0] == "rules":      # fails cleanly: never framed
+                emit(depth, f"while {test(body)}: pass", body[2])
+                return
+            emit(depth, "while True:")
+            emit(depth + 1, "open_frame(g)" * framed)
+            write(body, depth + 1, "undo_frame(g); " * framed + "break",
+                  "commit_frame(g); " * framed + "break")
+            emit(depth + 1, "commit_frame(g)" * framed)
+        else:
+            _, guard, framed, keep, then, other = part
+            close = ("commit_frame(g); " if keep else "undo_frame(g); ") * framed
+            undo = "undo_frame(g); " * framed
+            emit(depth, "open_frame(g)" * framed)
+            if guard[0] == "rules":
+                emit(depth, f"if {test(guard)}:", guard[2])
+            else:       # the guard in a loop that runs once, its status in st
                 emit(depth, "while True:")
-                emit(depth + 1, "open_frame(g)" * framed)
-                write(body, depth + 1, "undo_frame(g); " * framed + "break",
-                      "commit_frame(g); " * framed + "break")
-                emit(depth + 1, "commit_frame(g)" * framed)
-            else:
-                _, guard, framed, keep, then, other = part
-                close = ("commit_frame(g); " if keep else "undo_frame(g); ") * framed
-                undo = "undo_frame(g); " * framed
-                emit(depth, "open_frame(g)" * framed)
-                if guard[0] == "rules":
-                    emit(depth, f"if {test(guard)}:", guard[2])
-                else:       # the guard in a loop that runs once, its status in st
-                    emit(depth, "while True:")
-                    write(guard, depth + 1, f"{undo}st = {FAILED}; break",
-                          f"{close}st = {BROKE}; break")
-                    emit(depth + 1, f"{close}st = {OK}; break")
-                    emit(depth, f"if st == {BROKE}: {brk}")
-                    emit(depth, f"if st == {OK}:")
-                    close = undo = ""
-                emit(depth + 1, close[:-2])
-                write(then, depth + 1, fail, brk)
-                if other[0] != "skip" or undo:
-                    emit(depth, "else:")
-                    emit(depth + 1, undo[:-2])
-                    write(other, depth + 1, fail, brk)
+                write(guard, depth + 1, f"{undo}st = {FAILED}; break",
+                      f"{close}st = {BROKE}; break")
+                emit(depth + 1, f"{close}st = {OK}; break")
+                emit(depth, f"if st == {BROKE}: {brk}")
+                emit(depth, f"if st == {OK}:")
+                close = undo = ""
+            emit(depth + 1, close[:-2])
+            write(then, depth + 1, fail, brk)
+            if other[0] != "skip" or undo:
+                emit(depth, "else:")
+                emit(depth + 1, undo[:-2])
+                write(other, depth + 1, fail, brk)
 
     function(code, "main")
     source = f"def make({', '.join(steps.values())}):\n{''.join(functions)}    return main\n"
@@ -257,12 +279,12 @@ class Outcome:
 
 
 class Executable:
-    __slots__ = ("main", "cfg", "_run")
+    __slots__ = ("cfg", "_run")
 
     def __init__(self, parsed, cfg: ExecConfig):
-        self.main = parsed.inlined
         self.cfg = cfg
-        self._run = _compile(_build(self.main, parsed.rules, cfg)[0])
+        shared: set = set()
+        self._run = _compile(_build(parsed.inlined, parsed.rules, cfg, shared)[0], shared)
 
     def run(self, g: Graph) -> int:
         g.minimal_gc = self.cfg.minimal_gc

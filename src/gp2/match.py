@@ -26,13 +26,15 @@ evaluated.  A node the rule keeps must have at least as many out- and
 in-edges as its non-bidirectional left-hand edges give it.  The
 condition runs once every step is bound, as inline Python.  At the
 first hit the function rewrites on the locals the search bound, every
-right-hand label first, then the mutator calls; in find mode it returns
-the locals, for ``find_match``.  Each return adds the candidates
-examined to ``Graph.candidates`` and the walks' steps to
-``Graph.iter_steps``; an EvalError raised by the condition mid-search
-adds to neither.  Every EvalError the function raises names its rule
-(``in rule 'r': ...``) in the message written into its source, so no
-caller, ``engine``'s generated ``main`` included, adds the name.
+right-hand label first, then the mutator calls, none for what stays as
+it was; ``Rule.plans`` notes whether any is left, for ``engine``'s
+frames.  In find mode it returns the locals, for ``find_match``.  Each
+return adds the candidates examined to ``Graph.candidates`` and the
+walks' steps to ``Graph.iter_steps``; an EvalError raised by the
+condition mid-search adds to neither.  Every EvalError the function
+raises names its rule (``in rule 'r': ...``) in the message written into
+its source, so no caller, ``engine``'s generated ``main`` included, adds
+the name.
 
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
@@ -370,9 +372,9 @@ def _may_meet(a: tuple, b: tuple) -> bool:
 
 def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, reflect: bool):
     """The rule's step, with one ``if i == k:`` block per plan step and
-    the rewrite after them, and its layout (see ``compiled_step``).  It
-    is compiled by ``exec_source`` under a file name that names the rule
-    and the setting.
+    the rewrite after them, its layout, and whether the rewrite writes
+    anything (see ``compiled_step``).  It is compiled by ``exec_source``
+    under a file name that names the rule and the setting.
 
     ``i`` is the step to try next.  A step that binds falls through into
     the next block after setting up that step's candidates; a step out
@@ -589,6 +591,7 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
     layout = (node, edge, names, orientations)
     emit(1, "if find: return ({})".format(
         "".join(f"{v}, " for local in layout for v in local.values())))
+    find_end = len(lines)
 
     # the rewrite: every right-hand label first, then the mutator calls
     # (matched edges not kept, left-hand-only nodes, right-hand items in
@@ -639,11 +642,12 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
             emit(1, f"if {orientations[pe.eid]}: g.add_edge({at[pe.tgt]}, {at[pe.src]}, {rest}")
             add = "else: " + add
         emit(1, add)
+    writes = len(lines) > find_end
     emit(1, "return True")
     setting = f"{'no' * (not optimize)}opt {backend} {('preserve', 'reflect')[reflect]}"
     namespace = exec_source("\n".join(lines) + "\n", f"gp2 match {rule.name} {setting}",
                             {"EvalError": EvalError, "has_edge": has_edge})
-    return namespace["step"], tuple(tuple(local) for local in layout)
+    return namespace["step"], tuple(tuple(local) for local in layout), writes
 
 
 # name -> {source: file name} of every source exec_source has run

@@ -133,7 +133,7 @@ class Rule:
         self.condition = condition
         self.interface = sorted(set(lhs.by_id) & set(rhs.by_id))
         self.deleted = [n.pid for n in lhs.nodes if n.pid not in rhs.by_id]
-        self.plans: dict = {}       # (optimize, backend, reflect) -> (steps, step, layout)
+        self.plans: dict = {}       # (optimize, backend, reflect) -> (steps, step, layout, writes)
 
 
 # -- expression evaluation ----------------------------------------------

@@ -20,18 +20,51 @@ def kept_edges(rule):
     return {pe.eid for pe in rule.rhs.edges if ends.get(pe.eid) == (pe.src, pe.tgt, pe.bidir)}
 
 
+def predicate(rule, mode):
+    """Whether ``rule`` leaves every graph it matches as it was, read off
+    its text: no edges on either side, the same node ids on both, and
+    each right-hand node its left-hand node's label pattern written back,
+    its mark equal or ``any``, and its root flag equal.  In preserve mode
+    every node must be rooted too: a non-root one may match a root, whose
+    flag the rewrite then clears."""
+    if rule.lhs.edges or rule.rhs.edges or set(rule.lhs.by_id) != set(rule.rhs.by_id):
+        return False
+    for right in rule.rhs.nodes:
+        left = rule.lhs.nodes[rule.lhs.by_id[right.pid]]
+        if _atoms(right.label) != [item[:2] for item in left.label.items] \
+                or right.mark not in ("any", left.mark) or right.root != left.root \
+                or mode == "preserve" and not left.root:
+            return False
+    return True
+
+
+def _atoms(term):
+    """A right-hand label as label pattern items, ``None`` for a term
+    that is not a literal or a variable."""
+    tag = term[0]
+    if tag == "cons":
+        return _atoms(term[1]) + _atoms(term[2])
+    if tag == "var":
+        return [term[:2]]
+    if tag in ("int", "str"):
+        return [("lit", term[1])]
+    return [] if tag == "empty" else [None]
+
+
 def interpret(cmd, rules, cfg):
     """The reference for the generated ``main``: an inlined command as
     ``(run, fail, mutate, clean)``, where ``run(g, stack)`` is a tree of
     nested closures that return OK, FAILED or BROKE, and the effects
     place frames by the rule ``engine._build`` states, computed here on
-    their own."""
+    their own: a rule set may change the graph unless each of its rules
+    is a ``predicate``."""
     tag = cmd[0]
     if tag == "rules":
         chosen = [rules[name] for name in cmd[1]]
         setting = (cfg.root_mode, cfg.backend, cfg.optimize_plans)
+        mutate = not all(predicate(rule, cfg.root_mode) for rule in chosen)
         return (lambda g, stack: OK if any(apply_rule(rule, g, *setting) for rule in chosen)
-                else FAILED), True, True, True
+                else FAILED), True, mutate, True
     if tag == "loop":
         body, _, mutate, clean = interpret(cmd[1], rules, cfg)
         body = body if clean else _framed(body, True)

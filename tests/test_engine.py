@@ -541,39 +541,51 @@ def _corpus_rule_programs(draw):
     """A corpus program with a drawn Main over its rules in ``try``,
     ``if`` and ``!`` shapes, and a host: one of its fixtures or a small
     drawn one.  Every way a loop body can succeed removes an item from
-    the graph, so every such program ends."""
+    the graph, so every such program ends.  Half the time a drawn
+    procedure ``Shared``, which has no ``break`` and removes an item
+    whenever it succeeds, is called twice in a row inside a loop and
+    outside, and anywhere a command may be a call, so one build of it
+    runs from several sites."""
     name = draw(st.sampled_from(corpus.PROGRAM_NAMES))
     rules = _parsed(name).rules
     every = sorted(rules)
     shrinking = [r for r in every if _shrinks(rules[r])]
+    calls = []      # the procedures a command may call
 
-    def command(depth, body):
+    def command(depth, body, breaks=True):
         """Any command, or with ``body`` one that removes an item
-        whenever it succeeds."""
-        leaves = ["rules"] * 3 + (["break"] if body else ["skip", "fail"])
+        whenever it succeeds, and has a ``break`` only with ``breaks``."""
+        leaves = ["rules"] * 3 + calls + (["break"] * breaks if body else ["skip", "fail"])
         shapes = ["seq", "try", "if"] + (["loop"] if shrinking and not body else [])
         kind = draw(st.sampled_from(leaves + shapes * 2 if depth else leaves))
         if kind == "rules":
             pool = shrinking if body else every
             chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
             return "{" + ", ".join(chosen) + "}"
-        if kind in ("break", "skip", "fail"):
+        if kind in ("break", "skip", "fail", "Shared"):
             return kind
         if kind == "loop":
             return f"({command(depth - 1, True)})!"
         if kind == "seq":
-            return f"({command(depth - 1, body)}; {command(depth - 1, body)})"
-        guard = command(depth - 1, body and kind == "try")
-        return (f"({kind} {guard} then {command(depth - 1, body)} "
-                f"else {command(depth - 1, body)})")
+            return f"({command(depth - 1, body, breaks)}; {command(depth - 1, body, breaks)})"
+        guard = command(depth - 1, body and kind == "try", breaks)
+        return (f"({kind} {guard} then {command(depth - 1, body, breaks)} "
+                f"else {command(depth - 1, body, breaks)})")
 
     program = re.sub(r"^Main\b", "Whole", _program(name), flags=re.M)
+    if shrinking and draw(st.booleans()):
+        program += f"\nShared = {command(2, True, False)}"
+        calls += ["Shared"] * 2
     # each top-level command runs on what the ones before it left, and
     # half of them are rolled back
-    main = "; ".join(draw(st.sampled_from(["{}", "try {}", "try ({}; fail)", "if {} then skip"]))
-                     .format(command(3, False)) for _ in range(draw(st.integers(1, 4))))
+    shapes = st.sampled_from(["{}", "try {}", "try ({}; fail)", "if {} then skip"])
+    parts = [draw(shapes).format(command(3, False)) for _ in range(draw(st.integers(1, 4)))]
+    if calls:
+        parts = draw(st.permutations(
+            parts + [draw(shapes).format("(Shared; Shared)"), "(Shared; Shared)!"]))
     fixtures = [corpus.load_fixture(f) for f, _ in corpus.ENTRIES[name].fixtures]
-    return f"{program}\nMain = {main}", draw(st.one_of(st.sampled_from(fixtures), _small_hosts()))
+    return f"{program}\nMain = {'; '.join(parts)}", draw(
+        st.one_of(st.sampled_from(fixtures), _small_hosts()))
 
 
 @settings(deadline=None, database=None, derandomize=True, max_examples=120,
@@ -648,6 +660,9 @@ def test_generated_main_runs_as_the_reference_interpreter(program_and_host, back
     "(mark; break)!; mark", "((mark; break)!; mark)!", "(if (mark; break) then skip)!",
     "(try (mark; break) then fail)!; mark", "(mark; {none, mark}; break)!",
     "try (mark!; fail) else (mark; mark)", "if (try fail else mark) then mark else fail",
+    # two shared procedures, each a function called from two sites
+    "A; B; A; B\nA = mark; mark\nB = try (mark; none) else mark",
+    "(A; B; A)!\nA = if none then fail else mark\nB = try (mark; none) else break",
 ])
 def test_generated_main_frames_and_breaks_as_the_reference(main):
     program = f"Main = {main}\n{MARK}\nnone(x:list) [ (1, x # red) | ] => [ | ]"
@@ -812,7 +827,7 @@ RULES = {"r": parse_rule("r(x:list) [ (1, x) | ] => [ (1, x # grey) | ]")}
 def effects(cmd, rules=RULES):
     """Whether ``cmd`` may fail, may change the graph, and leaves the
     graph as it was when it fails, as ``_build`` computes them."""
-    return engine._build(cmd, rules, ExecConfig())[1:]
+    return engine._build(cmd, rules, ExecConfig(), set())[1:]
 
 
 def test_fails_cleanly_analysis():
@@ -830,23 +845,33 @@ def test_fails_cleanly_analysis():
 
 # Journal frames (opened, committed, undone) in one run: a loop body or
 # try guard gets one only when it may fail after changing the graph, and
-# an if guard only when it may change the graph.  The frames left on
-# is_con and is_tree are their closing if guards; on is_bin_dag, the
-# framed iterations of Reduce! and its if guards on flag.
+# an if guard only when it may change the graph.  A rule set changes it
+# only if a rule's compiled rewrite writes anything: is_bin_dag's flag
+# writes nothing in both modes, and the closing guards of is_con,
+# is_discrete and is_series_par nothing in reflect mode, where a non-root
+# node never matches a root.  In preserve mode those guards may clear a
+# root flag, and is_tree's re-adds an edge in both, so each opens a frame
+# and undoes it.  The rest on is_bin_dag are Reduce!'s framed iterations.
 FRAME_PINS = [
-    ("is_con", "tree:12", (1, 0, 1)),
-    ("is_con", "grid:60x60", (1, 0, 1)),
-    ("is_bin_dag", "tree:12", (8192, 4095, 4097)),
-    ("is_tree", "tree:12", (1, 0, 1)),
-    ("is_discrete", "discrete:1000", (1, 0, 1)),
-    ("gen_tree", "[ (0 (R), 12) | ]", (6143, 6142, 1)),
-    ("gen_sierpinski", "[ (0 (R), 6) | ]", (0, 0, 0)),
+    ("is_con", "tree:12", "preserve", (1, 0, 1)),
+    ("is_con", "grid:60x60", "preserve", (1, 0, 1)),
+    ("is_bin_dag", "tree:12", "preserve", (6143, 4095, 2048)),
+    ("is_tree", "tree:12", "preserve", (1, 0, 1)),
+    ("is_discrete", "discrete:1000", "preserve", (1, 0, 1)),
+    ("gen_tree", "[ (0 (R), 12) | ]", "preserve", (6143, 6142, 1)),
+    ("gen_sierpinski", "[ (0 (R), 6) | ]", "preserve", (0, 0, 0)),
+    ("is_con", "tree:12", "reflect", (0, 0, 0)),
+    ("is_bin_dag", "tree:12", "reflect", (6143, 4095, 2048)),
+    ("is_tree", "tree:12", "reflect", (1, 0, 1)),
+    ("is_discrete", "discrete:1000", "reflect", (0, 0, 0)),
+    ("is_series_par", "list:250", "reflect", (0, 0, 0)),
+    ("gen_tree", "[ (0 (R), 12) | ]", "reflect", (6143, 6142, 1)),
 ]
 
 
 @pytest.mark.parametrize("backend", ["chain", "index_scan"])
-@pytest.mark.parametrize("name, host, frames", FRAME_PINS)
-def test_frames_opened_committed_and_undone(monkeypatch, backend, name, host, frames):
+@pytest.mark.parametrize("name, host, mode, frames", FRAME_PINS)
+def test_frames_opened_committed_and_undone(monkeypatch, backend, name, host, mode, frames):
     counts = dict.fromkeys(("open_frame", "commit_frame", "undo_frame"), 0)
     for method in counts:
         def counted(self, g, method=method, original=getattr(ChangeStack, method)):
@@ -854,7 +879,7 @@ def test_frames_opened_committed_and_undone(monkeypatch, backend, name, host, fr
             original(self, g)
         monkeypatch.setattr(ChangeStack, method, counted)
     g = parse_host_graph(host) if host[0] == "[" else bench.generate(bench.parse_spec(host))
-    executable(name, ExecConfig(backend=backend)).run(g)
+    executable(name, ExecConfig(backend=backend, root_mode=mode)).run(g)
     assert tuple(counts.values()) == frames
 
 
@@ -961,6 +986,23 @@ def test_deep_programs_build_and_run(backend, main, expected):
     assert time.perf_counter() - start <= 1.0
     out = run.run_text(DEEP_HOST)
     assert (out.status, out.output) == ("success", expected)
+
+
+@pytest.mark.parametrize("main, status, printed", [
+    ("P16", "fail", "[ (0, 1 # grey) (1, 2 # grey) (2, 3 # grey) | ]"),
+    ("(P16; break)!", "success", DEEP_HOST),      # the failed body is undone
+])
+def test_a_shared_procedure_is_built_and_written_once(main, status, printed):
+    # P16 makes 65,536 rule-set calls; textio shares each Pi between the
+    # two calls in P(i + 1), and the build and the source follow suit
+    procedures = "".join(f"P{i} = P{i - 1}; P{i - 1}\n" for i in range(1, 17))
+    start = time.perf_counter()
+    run = Executable(parse_program(f"Main = {main}\nP0 = r\n{procedures}{DEEP_RULES}"),
+                     ExecConfig())
+    assert time.perf_counter() - start <= 1.0
+    assert len(linecache.getlines(run._run.__code__.co_filename)) <= 10 * 16
+    out = run.run_text(DEEP_HOST)
+    assert (out.status, print_graph(out.graph)) == (status, printed)
 
 
 SET_AR = ("a(x:list) [ (1, x # red) | ] => [ | ]\n"

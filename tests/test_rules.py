@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gp2 import bench, corpus
 from gp2.engine import apply_rule
 from gp2.graph import FLAG_MATCHED, INT32_MAX, INT32_MIN, MARK_ANY, Graph
-from gp2.match import check_fast_rule, find_match
+from gp2.match import check_fast_rule, compiled_step, find_match
 from gp2.rules import (
     EvalError,
     LabelPattern,
@@ -23,7 +23,7 @@ from gp2.rules import (
 )
 from gp2.reference import label_match
 from gp2.textio import MAX_NESTING, parse_host_graph, parse_program, parse_rule, print_graph
-from helpers import kept_edges
+from helpers import kept_edges, predicate
 
 
 def _rules(name):
@@ -496,6 +496,56 @@ def test_compiled_conditions_are_pinned(cond, expected):
     got = _outcome(lambda: find_match(_rule(condition=cond), g) is not None, "r")
     assert got == expected
     _check_cond(cond, PINNED_VALUES, [(1, "a")])
+
+
+@st.composite
+def _node_rules(draw):
+    """Rules over up to three nodes and at most a loop, whose right-hand
+    side repeats the left-hand one but for what is drawn: a node's root
+    flag, label or mark changed, a node deleted or added, an edge."""
+    labels, marks = ["x", "x:1", "1:x", "1", '"a"', "empty"], ["", " # red", " # any"]
+    lhs = [(i, draw(st.booleans()), draw(st.sampled_from(labels[:3] if i == 0 else labels)),
+            draw(st.sampled_from(marks))) for i in range(draw(st.integers(1, 3)))]
+    rhs = []
+    for i, root, label, mark in lhs:
+        if i and not draw(st.integers(0, 3)):
+            continue            # deleted
+        change = draw(st.integers(0, 5))       # 1 to 3 change a field
+        root ^= change == 1
+        label = draw(st.sampled_from(labels + ["x + 1"])) if change == 2 else label
+        mark = draw(st.sampled_from(marks)) if change == 3 else mark
+        rhs.append((i, root, label, mark))
+    rhs += [(len(lhs), False, "2", "")] * (not draw(st.integers(0, 3)))
+    loop = "(0, 0, 0, 1)"
+    edges = draw(st.sampled_from([("", "")] * 3 + [(loop, ""), ("", loop), (loop, loop)]))
+    side = [" ".join(f"({i}{' (R)' * root}, {label}{mark})" for i, root, label, mark in nodes)
+            for nodes in (lhs, rhs)]
+    return parse_rule(f"r(x:int)\n[ {side[0]} | {edges[0]} ] => [ {side[1]} | {edges[1]} ]")
+
+
+def _check_writes(rule):
+    for optimize in (True, False):
+        for backend in ("chain", "index_scan"):
+            for mode in ("preserve", "reflect"):
+                compiled_step(rule, optimize, backend, mode == "reflect")
+                writes = rule.plans[optimize, backend, mode == "reflect"][3]
+                assert writes == (not predicate(rule, mode)), (rule.name, backend, mode)
+
+
+def test_a_corpus_rule_writes_unless_it_is_a_predicate():
+    rules = [rule for name in corpus.PROGRAM_NAMES for rule in _rules(name).values()]
+    for rule in rules:
+        _check_writes(rule)
+    # flag in both modes, and match, node and two_nodes in reflect mode
+    assert sorted({r.name for r in rules if predicate(r, "preserve")}) == ["flag"]
+    assert sorted({r.name for r in rules if predicate(r, "reflect")}) == [
+        "flag", "match", "node", "two_nodes"]
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=300)
+@given(st.one_of(_pattern_rules(), _node_rules()))
+def test_a_drawn_rule_writes_unless_it_is_a_predicate(rule):
+    _check_writes(rule)
 
 
 # Every corpus rule with right-hand edges, and two that inherit an edge's

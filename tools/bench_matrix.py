@@ -1,25 +1,29 @@
-"""Before/after rows of one fixed matrix of programs x hosts x backends.
+"""Before/after rows of one fixed matrix of programs x hosts x modes x backends.
 
-    python3 tools/bench_matrix.py -o BENCH_23.json parent=../parent/src change=src
+    python3 tools/bench_matrix.py -o BENCH_24.json parent=../parent/src change=src
 
 Each ``NAME=SRC`` argument is one side: a ``src`` directory that holds a
-``gp2`` package.  Every row of ``MATRIX`` runs on both backends, each
-side in a fresh interpreter with ``PYTHONPATH`` set to its ``src``; the
-sides alternate row by row, and which goes first alternates too.  A row
-records the host's size, the outcome, the exact work counts (candidates
-examined, iteration steps, journal frames opened, committed and
-undone), the median of three timings of each layer the CLI goes through
-(``parse_host_graph``, ``Executable(...)``, ``run``, ``print_graph``), and
-the median of seven wall times of ``python3 -m gp2.cli`` in a
-subprocess.  The counts come from a fourth, untimed run.  Wall times are
-rough on a shared machine; the counts are exact and must not differ
-between runs of the same code.
+``gp2`` package.  Every row of ``MATRIX`` runs on both backends, in its
+root mode, ``PROCESSES`` times on each side, each time in a fresh
+interpreter with ``PYTHONPATH`` set to its side's ``src``.  The sides
+alternate process by process, and which goes first alternates row by
+row, so a spell in which the machine runs slow falls on both sides.  A
+row records the host's size, the outcome, the exact work counts
+(candidates examined, iteration steps, journal frames opened, committed
+and undone), and the median over all of a side's processes of the
+timings of each layer the CLI goes through (``parse_host_graph``,
+``Executable(...)``, ``run``, ``print_graph``), ``REPEATS`` a process,
+and of the wall times of ``python3 -m gp2.cli`` in a subprocess,
+``CLI_REPEATS`` a process.  The counts come from one more, untimed run
+in each process, and must be equal in all of a side's processes: the
+script stops with an error if they are not.  Wall times are rough on a
+shared machine; the counts are exact.
 
 The rows use only APIs that every side since the first BENCH file has:
 ``textio.parse_program``/``parse_host_graph``/``print_graph``,
 ``engine.Executable``/``ExecConfig``/``ChangeStack``,
 ``bench.generate``/``parse_spec`` and ``corpus.load_program``.
-``--only PROGRAM HOST`` runs one row instead of the matrix.
+``--only PROGRAM HOST`` runs one row, in preserve mode, instead of the matrix.
 """
 
 from __future__ import annotations
@@ -35,8 +39,12 @@ import tempfile
 import time
 from pathlib import Path
 
-REPEATS = 3             # in-process timings of each layer
-CLI_REPEATS = 7         # wall times of the CLI, for e2e_ms
+PROCESSES = 3           # measuring processes per side and row
+REPEATS = 1             # in-process timings of each layer, per process
+CLI_REPEATS = 2         # wall times of the CLI, for e2e_ms, per process
+COUNTS = ("nodes", "edges", "outcome", "candidates", "iter_steps",
+          "frames_opened", "frames_committed", "frames_undone")
+TIMES = ("parse_host_ms", "build_ms", "run_ms", "print_ms", "e2e_ms")
 
 
 def seed(value: int) -> str:
@@ -44,17 +52,24 @@ def seed(value: int) -> str:
     return f"[ (0 (R), {value}) | ]"
 
 
-# (program, host): a host is a ``bench`` generator spec, or host text.
+# (program, host, root mode): a host is a ``bench`` generator spec, or
+# host text.  The reflect rows are the recognisers whose closing guard
+# changes nothing in reflect mode, so it opens no journal frame there.
 MATRIX = [
-    *(("is_discrete", f"discrete:{n}") for n in (10000, 20000, 40000)),
-    *((program, host) for program in ("is_tree", "is_con", "is_bin_dag")
-      for host in ("tree:12", "tree:13", "tree:14", "grid:100x100")),
-    *(("is_con", f"star:{n}") for n in (1000, 2000, 4000)),
-    *(("is_series_par", f"list:{n}") for n in (250, 500, 1000)),
-    *(("gen_tree", seed(n)) for n in (11, 12)),
-    *(("gen_sierpinski", seed(n)) for n in (6, 7)),
-    *(("gen_star", seed(n)) for n in (10000, 20000)),
-    *(("gen_discrete", seed(n)) for n in (10000, 20000)),
+    *((program, host, "preserve") for program, host in (
+        *(("is_discrete", f"discrete:{n}") for n in (10000, 20000, 40000)),
+        *((program, host) for program in ("is_tree", "is_con", "is_bin_dag")
+          for host in ("tree:12", "tree:13", "tree:14", "grid:100x100")),
+        *(("is_con", f"star:{n}") for n in (1000, 2000, 4000)),
+        *(("is_series_par", f"list:{n}") for n in (250, 500, 1000)),
+        *(("gen_tree", seed(n)) for n in (11, 12)),
+        *(("gen_sierpinski", seed(n)) for n in (6, 7)),
+        *(("gen_star", seed(n)) for n in (10000, 20000)),
+        *(("gen_discrete", seed(n)) for n in (10000, 20000)))),
+    ("is_discrete", "discrete:10000", "reflect"),
+    ("is_con", "tree:12", "reflect"),
+    ("is_series_par", "list:250", "reflect"),
+    ("is_bin_dag", "tree:12", "reflect"),
 ]
 BACKENDS = ("chain", "index_scan")
 
@@ -63,8 +78,9 @@ def _median_ms(times: list[float]) -> float:
     return round(statistics.median(times) * 1000.0, 3)
 
 
-def measure(program: str, host: str, backend: str) -> dict:
-    """One row, measured on the ``gp2`` this interpreter imports."""
+def measure(program: str, host: str, backend: str, mode: str) -> dict:
+    """One process's counts and time samples (in seconds) of a row,
+    measured on the ``gp2`` this interpreter imports."""
     from gp2 import bench, corpus, engine, textio
 
     frames = [0, 0, 0]      # opened, committed, undone
@@ -85,8 +101,8 @@ def measure(program: str, host: str, backend: str) -> dict:
     text = corpus.load_program(program)
     host_text = host if host.startswith("[") else \
         textio.print_graph(bench.generate(bench.parse_spec(host)))
-    cfg = engine.ExecConfig(backend=backend)
-    times: dict[str, list[float]] = {"parse_host": [], "build": [], "run": [], "print": []}
+    cfg = engine.ExecConfig(backend=backend, root_mode=mode)
+    times: dict[str, list[float]] = {key: [] for key in TIMES}
     plain = engine.ChangeStack
     for repeat in range(REPEATS + 1):
         counted = repeat == REPEATS
@@ -104,23 +120,30 @@ def measure(program: str, host: str, backend: str) -> dict:
         textio.print_graph(g)
         done = time.perf_counter()
         if not counted:
-            for key, start, end in (("parse_host", clock, built), ("build", built, ran),
-                                    ("run", ran, printed), ("print", printed, done)):
+            for key, start, end in (("parse_host_ms", clock, built), ("build_ms", built, ran),
+                                    ("run_ms", ran, printed), ("print_ms", printed, done)):
                 times[key].append(end - start)
     engine.ChangeStack = plain
-    row = {"program": program, "host": host, "backend": backend,
-           "nodes": size[0], "edges": size[1], "outcome": outcome,
-           "candidates": g.candidates, "iter_steps": g.iter_steps,
-           "frames_opened": frames[0], "frames_committed": frames[1],
-           "frames_undone": frames[2]}
-    row.update({f"{key}_ms": _median_ms(values) for key, values in times.items()})
-    row["e2e_ms"] = _median_ms(_cli_times(text, host_text, backend))
-    return row
+    times["e2e_ms"] = _cli_times(text, host_text, backend, mode)
+    counts = (*size, outcome, g.candidates, g.iter_steps, *frames)
+    return {"program": program, "host": host, "backend": backend, "mode": mode,
+            **dict(zip(COUNTS, counts)), **times}
 
 
-def _cli_times(program_text: str, host_text: str, backend: str) -> list[float]:
+def merge(samples: list[dict]) -> dict:
+    """One side's row from its processes' samples: the counts, which
+    must be equal in all of them, and each time's median over all."""
+    first = samples[0]
+    for other in samples[1:]:
+        if any(other[key] != first[key] for key in COUNTS):
+            raise SystemExit(f"counts differ between the processes of one side: "
+                             f"{[[s[key] for key in COUNTS] for s in samples]}")
+    return {**first, **{key: _median_ms([t for s in samples for t in s[key]]) for key in TIMES}}
+
+
+def _cli_times(program_text: str, host_text: str, backend: str, mode: str) -> list[float]:
     """Wall times of ``python3 -m gp2.cli`` on the row, in subprocesses."""
-    flags = ["-n"] if backend == "index_scan" else []
+    flags = ["-n"] * (backend == "index_scan") + ["-m"] * (mode == "reflect")
     with tempfile.TemporaryDirectory() as tmp:
         program_file, host_file = Path(tmp, "program.gp2"), Path(tmp, "host.host")
         program_file.write_text(program_text)
@@ -147,9 +170,9 @@ def _lines(src: Path) -> int:
     return sum(len(path.read_text().splitlines()) for path in (src / "gp2").glob("*.py"))
 
 
-def _run_side(src: Path, program: str, host: str, backend: str) -> dict:
+def _run_side(src: Path, program: str, host: str, backend: str, mode: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    result = subprocess.run([sys.executable, __file__, "--measure", program, host, backend],
+    result = subprocess.run([sys.executable, __file__, "--measure", program, host, backend, mode],
                             env=env, capture_output=True, text=True, check=True)
     return json.loads(result.stdout)
 
@@ -159,7 +182,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("sides", nargs="*", metavar="NAME=SRC")
     parser.add_argument("-o", "--output", type=Path)
     parser.add_argument("--only", nargs=2, metavar=("PROGRAM", "HOST"))
-    parser.add_argument("--measure", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--measure", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
         print(json.dumps(measure(*args.measure)))
@@ -170,20 +193,25 @@ def main(argv: list[str]) -> int:
     sources = {name: Path(src) for name, src in sides.items()}
     meta = {name: {"src": str(src), "commit": _commit(src), "gp2_lines": _lines(src)}
             for name, src in sources.items()}
-    matrix = [tuple(args.only)] if args.only else MATRIX
+    matrix = [(*args.only, "preserve")] if args.only else MATRIX
     rows = []
-    for i, ((program, host), backend) in enumerate(
+    for i, ((program, host, mode), backend) in enumerate(
             (cell, backend) for cell in matrix for backend in BACKENDS):
         order = list(sources.items())
-        for name, src in order[i % 2:] + order[:i % 2]:
-            row = {"side": name, "commit": meta[name]["commit"],
-                   **_run_side(src, program, host, backend)}
+        order = order[i % 2:] + order[:i % 2]
+        samples: dict[str, list[dict]] = {name: [] for name, _ in order}
+        for _ in range(PROCESSES):
+            for name, src in order:
+                samples[name].append(_run_side(src, program, host, backend, mode))
+        for name, _ in order:
+            row = {"side": name, "commit": meta[name]["commit"], **merge(samples[name])}
             rows.append(row)
-            print(f"{name:>8} {program:>15} {host:>20} {backend:>10} {row['outcome']:>8} "
-                  f"run {row['run_ms']:9.1f} ms  e2e {row['e2e_ms']:9.1f} ms", flush=True)
-    result = {"meta": {"sides": meta, "repeats": REPEATS, "cli_repeats": CLI_REPEATS,
-                       "python": platform.python_version(), "machine": platform.machine(),
-                       "cpus": os.cpu_count()},
+            print(f"{name:>8} {program:>15} {host:>20} {mode:>8} {backend:>10} "
+                  f"{row['outcome']:>8} run {row['run_ms']:9.1f} ms  e2e {row['e2e_ms']:9.1f} ms",
+                  flush=True)
+    result = {"meta": {"sides": meta, "processes": PROCESSES, "repeats": REPEATS,
+                       "cli_repeats": CLI_REPEATS, "python": platform.python_version(),
+                       "machine": platform.machine(), "cpus": os.cpu_count()},
               "rows": rows}
     args.output.write_text(json.dumps(result, indent=1) + "\n")
     return 0
