@@ -41,7 +41,8 @@ def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
 
 
 def test_a_side_is_the_median_of_all_its_samples_and_its_counts_must_agree():
-    spec = importlib.util.spec_from_file_location("bench_matrix", ROOT / "tools" / "bench_matrix.py")
+    path = ROOT / "tools" / "bench_matrix.py"
+    spec = importlib.util.spec_from_file_location("bench_matrix", path)
     bench_matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_matrix)
     counts = dict(zip(COUNTS, [1, 0, "success", 348, 0, 23, 22, 1]))
