@@ -1,21 +1,16 @@
-"""Host-graph generators, timing harness, and complexity-ratio analysis.
+"""Host-graph generators and complexity-ratio analysis.
 
-Timing covers command execution only: generating the host and printing
-the result both happen outside the clock, since the backend comparison
-is about execution behaviour.  Medians over repetitions resist
-scheduler noise better than means.
+A generator spec ``KIND:N`` (discrete, tree, list, star, sierpinski) or
+``grid:WxH`` names one generated host.  ``doubling_ratios`` and
+``classify`` sort the growth of a measure over sizes that double into
+linear, quadratic or other, by the two bands below.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
-import time
 from dataclasses import dataclass
 
-from .engine import OK, ExecConfig, Executable
 from .graph import Graph
-from .textio import parse_program
 
 LINEAR_BAND = (1.4, 2.6)
 QUADRATIC_BAND = (3.2, 5.0)
@@ -29,9 +24,6 @@ class BenchError(Exception):
 class GeneratorSpec:
     kind: str
     params: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return f"{self.kind}:{'x'.join(str(p) for p in self.params)}"
 
 
 def parse_spec(text: str) -> GeneratorSpec:
@@ -184,48 +176,6 @@ def generate(spec: GeneratorSpec) -> Graph:
     return _GENERATORS[spec.kind](*spec.params)
 
 
-# -- the harness -----------------------------------------------------------
-
-
-@dataclass
-class BenchSample:
-    program: str
-    spec: GeneratorSpec
-    backend: str
-    mode: str
-    reps: int
-    median_ms: float
-    all_ms: list[float]
-    nodes: int
-    edges: int
-    candidates: int         # Graph.candidates and iter_steps after the last rep
-    iter_steps: int
-    outcome: str = "success"
-
-
-def run_bench(program_name: str, program_text: str, specs, backends,
-              reps: int = 3) -> list[BenchSample]:
-    parsed = parse_program(program_text)
-    samples = []
-    for spec in specs:
-        for backend in backends:
-            executable = Executable(parsed, ExecConfig(backend=backend))
-            times = []
-            for _ in range(reps):
-                g = generate(spec)
-                nodes, edges = g.node_count, g.edge_count
-                t0 = time.perf_counter()
-                status = executable.run(g)
-                times.append((time.perf_counter() - t0) * 1000.0)
-            outcome = "success" if status == OK else "fail"
-            samples.append(BenchSample(
-                program=program_name, spec=spec, backend=backend, mode="preserve",
-                reps=reps, median_ms=statistics.median(times), all_ms=times,
-                nodes=nodes, edges=edges, candidates=g.candidates,
-                iter_steps=g.iter_steps, outcome=outcome))
-    return samples
-
-
 # -- ratio analysis ----------------------------------------------------------
 
 
@@ -250,30 +200,3 @@ def classify(ratios: list[float]) -> str:
     if all(QUADRATIC_BAND[0] <= r <= QUADRATIC_BAND[1] for r in ratios):
         return "~quadratic"
     return "other"
-
-
-def ratio_report(samples: list[BenchSample]) -> dict:
-    """Group samples by (program, kind, backend, mode) and classify each
-    group's growth from its doubling ratios."""
-    groups: dict[tuple, list[BenchSample]] = {}
-    for s in samples:
-        groups.setdefault((s.program, s.spec.kind, s.backend, s.mode), []).append(s)
-    report = {}
-    for key, group in groups.items():
-        pairs = [(s.nodes, s.median_ms) for s in group]
-        ratios = doubling_ratios(pairs)
-        report[key] = {
-            "ratios": ratios,
-            "classification": classify([r for _, r in ratios]),
-        }
-    return report
-
-
-# -- JSON rows -----------------------------------------------------------------
-
-
-def rows_json(samples: list[BenchSample]) -> str:
-    """One JSON array, one object per sample and one line per object; the
-    keys are the sample's fields, the spec written as ``kind:params``."""
-    rows = [json.dumps({**vars(s), "spec": str(s.spec)}) for s in samples]
-    return "[\n" + ",\n".join(rows) + "\n]\n"

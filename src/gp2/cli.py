@@ -4,16 +4,11 @@
     gp2 -r <rule>                   validate a single rule
     gp2 -h <graph>                  validate a host graph
     gp2 [flags] <program> <graph>   run a program on a host graph
-    gp2 bench <program> <spec>...   time both backends on generated hosts,
-                                    print JSON rows (-o FILE writes FILE)
 
 Run flags: -f fast shutdown, -g minimal garbage collection: deleted
 nodes are never put back for reuse (needs -f), -n index-scan
 iteration instead of node chains, -q skip search-plan optimisation,
 -m root-reflecting matches, -o DIR also write the output graph into DIR.
-
-A bench program is a corpus name or a program file; a spec is KIND:N
-(discrete, tree, list, star, sierpinski) or grid:WxH.
 
 Exit codes: 0 success (graph on stdout), 1 validation/usage error,
 2 program failure or runtime error (diagnostics on stderr).
@@ -26,7 +21,6 @@ import sys
 from pathlib import Path
 
 from .engine import ExecConfig, run_program
-from .rules import EvalError
 from .textio import SourceError, validate
 
 USAGE = __doc__
@@ -43,9 +37,9 @@ class CliInvocation:
                  config: ExecConfig | None = None, out_dir: str | None = None,
                  fast_shutdown: bool = False):
         self.subcommand = subcommand      # help | validate-program | validate-rule |
-        self.paths = paths or []          # validate-graph | run | bench
+        self.paths = paths or []          # validate-graph | run
         self.config = config or ExecConfig()
-        self.out_dir = out_dir
+        self.out_dir = out_dir            # a run also writes out.host here
         self.fast_shutdown = fast_shutdown    # leave the graph to the OS on exit
 
 
@@ -54,18 +48,6 @@ def parse_args(argv: list[str]) -> CliInvocation:
         raise UsageError("no arguments; see --help")
     if argv[0] == "--help":
         return CliInvocation("help")
-    if argv[0] == "bench":
-        paths, out = argv[1:], None
-        while "-o" in paths:
-            i = paths.index("-o")
-            if i + 1 == len(paths):
-                raise UsageError("-o needs a file argument")
-            out = paths.pop(i + 1)
-            del paths[i]
-        if len(paths) < 2:
-            raise UsageError("bench takes a program and at least one generator spec")
-        return CliInvocation("bench", paths, out_dir=out)
-
     validate_modes = {"-p": "validate-program", "-r": "validate-rule",
                       "-h": "validate-graph"}
     if argv[0] in validate_modes:
@@ -142,43 +124,12 @@ def _print(text: str) -> None:
         raise UsageError(f"cannot write standard output: {exc.strerror}")
 
 
-def _run_bench(invocation: CliInvocation) -> int:
-    # imported here, so that running a program never loads them
-    from . import bench, corpus
-
-    program, *specs = invocation.paths
-    try:
-        specs = [bench.parse_spec(spec) for spec in specs]
-        if program in corpus.ENTRIES:
-            text = corpus.load_program(program)
-        else:
-            text = _read(program)
-        samples = bench.run_bench(program, text, specs, ("chain", "index_scan"))
-    except bench.BenchError as exc:         # the generators check sizes too
-        print(f"bad bench configuration: {exc}", file=sys.stderr)
-        return 1
-    except SourceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except EvalError as exc:                # a program error, as in a run
-        print(str(exc), file=sys.stderr)
-        return 2
-    rows = bench.rows_json(samples)
-    if invocation.out_dir:
-        _write(Path(invocation.out_dir), rows)
-    else:
-        _print(rows)
-    return 0
-
-
 def main(argv: list[str]) -> int:
     try:
         invocation = parse_args(argv)
         if invocation.subcommand == "help":
             _print(USAGE + "\n")
             return 0
-        if invocation.subcommand == "bench":
-            return _run_bench(invocation)
         if invocation.subcommand.startswith("validate-"):
             kind = invocation.subcommand.removeprefix("validate-")
             try:

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from gp2 import bench, corpus
@@ -72,48 +70,21 @@ def test_generators_match_engine_up_to_labels():
 def test_parse_spec():
     assert bench.parse_spec("grid:3x4") == bench.GeneratorSpec("grid", (3, 4))
     assert bench.parse_spec("discrete:100") == bench.GeneratorSpec("discrete", (100,))
-    with pytest.raises(bench.BenchError):
-        bench.parse_spec("grid:3")
-    with pytest.raises(bench.BenchError):
-        bench.parse_spec("blob:3")
-    with pytest.raises(bench.BenchError):
-        bench.parse_spec("discrete:0")
+    for text, message in (("discrete", "generator spec needs parameters: 'discrete'"),
+                          ("discrete:x", "bad generator parameters in 'discrete:x'"),
+                          ("blob:3", "unknown graph kind 'blob'"),
+                          ("grid:3", "grid takes 2 parameter(s)"),
+                          ("discrete:0", "generator parameters must be positive: 'discrete:0'")):
+        with pytest.raises(bench.BenchError) as error:
+            bench.parse_spec(text)
+        assert str(error.value) == message
 
 
-def test_run_bench_produces_samples_and_median():
-    samples = bench.run_bench(
-        "is_discrete", corpus.load_program("is_discrete"),
-        [bench.parse_spec("discrete:50"), bench.parse_spec("discrete:100")],
-        ["chain", "index_scan"], reps=3)
-    assert len(samples) == 4
-    for s in samples:
-        assert s.reps == 3 and len(s.all_ms) == 3
-        assert s.median_ms == sorted(s.all_ms)[1]
-        assert s.outcome == "success"
-
-
-def test_bench_rows_carry_the_counters_of_every_rep(monkeypatch):
-    graphs = []
-    generate = bench.generate
-    monkeypatch.setattr(bench, "generate", lambda spec: graphs.append(generate(spec)) or graphs[-1])
-    samples = bench.run_bench(
-        "is_discrete", corpus.load_program("is_discrete"),
-        [bench.parse_spec("discrete:1000")], ["chain", "index_scan"], reps=3)
-    # one candidate per deleted node; the index scan walks the holes
-    # left of the first live slot on every call
-    assert [(r["backend"], r["candidates"], r["iter_steps"])
-            for r in json.loads(bench.rows_json(samples))] == [
-        ("chain", 1000, 1000), ("index_scan", 1000, 502500)]
-    assert len(graphs) == 6
-    for s, reps in zip(samples, (graphs[:3], graphs[3:])):
-        assert [(g.candidates, g.iter_steps) for g in reps] == [(s.candidates, s.iter_steps)] * 3
-
-
-def test_run_bench_records_failed_recognition():
-    samples = bench.run_bench(
-        "is_tree", corpus.load_program("is_tree"),
-        [bench.parse_spec("grid:3x3")], ["chain"], reps=1)
-    assert samples[0].outcome == "fail"
+@pytest.mark.parametrize("spec", ["tree:40", "sierpinski:100000000"])
+def test_a_spec_too_large_is_refused_before_it_is_built(spec):
+    with pytest.raises(bench.BenchError) as error:
+        bench.generate(bench.parse_spec(spec))
+    assert str(error.value) == "refusing to generate more than 50000000 nodes"
 
 
 def test_doubling_ratios_and_classification():
@@ -141,34 +112,6 @@ def test_reference_slowdown_sits_in_quadratic_band():
     assert n == 10000
     assert abs(r - 3.593) < 0.01
     assert bench.classify([r]) == "~quadratic"
-
-
-def test_json_round_trip():
-    samples = bench.run_bench(
-        "is_discrete", corpus.load_program("is_discrete"),
-        [bench.parse_spec("discrete:30"), bench.parse_spec("grid:2x3")],
-        ["chain", "index_scan"], reps=2)
-    text = bench.rows_json(samples)
-    assert len(text.splitlines()) == 2 + len(samples)     # one row a line
-    rows = json.loads(text)
-    assert [(r["spec"], r["backend"]) for r in rows] == [
-        ("discrete:30", "chain"), ("discrete:30", "index_scan"),
-        ("grid:2x3", "chain"), ("grid:2x3", "index_scan")]
-    back = [bench.BenchSample(**{**r, "spec": bench.parse_spec(r["spec"])}) for r in rows]
-    assert back == samples
-    assert json.loads(bench.rows_json([])) == []
-
-
-def test_ratio_report_groups():
-    samples = bench.run_bench(
-        "is_discrete", corpus.load_program("is_discrete"),
-        [bench.parse_spec("discrete:200"), bench.parse_spec("discrete:400")],
-        ["chain"], reps=1)
-    report = bench.ratio_report(samples)
-    ((key, info),) = report.items()
-    assert key == ("is_discrete", "discrete", "chain", "preserve")
-    assert info["classification"] in ("~linear", "~quadratic", "other")
-    assert len(info["ratios"]) == 1
 
 
 def _iter_steps(program, graphs, backend):
@@ -215,6 +158,10 @@ def _candidates(program, graphs, backend="chain"):
     return points
 
 
+def _discretes():
+    return [bench.gen_discrete(n) for n in (1000, 2000, 4000)]
+
+
 def _trees():
     return [bench.gen_full_binary_tree(d) for d in (9, 10, 11)]
 
@@ -232,6 +179,11 @@ COUNTER_ROWS = [
     ("gen_tree", _seeds(8, 9, 10), "chain", (5868, 11756, 23532), (0, 0, 0), "~linear"),
     ("gen_star", _seeds(1000, 2000, 4000), "chain", (1502, 3002, 6002), (0, 0, 0), "~linear"),
     ("gen_discrete", _seeds(1000, 2000, 4000), "chain", (4003, 8003, 16003), (0, 0, 0),
+     "~linear"),
+    # one candidate per deleted node; the index scan walks the holes
+    # left of the first live slot on every call
+    ("is_discrete", _discretes, "chain", (1000, 2000, 4000), (1000, 2000, 4000), "~linear"),
+    ("is_discrete", _discretes, "index_scan", (1000, 2000, 4000), (502500, 2005000, 8010000),
      "~linear"),
     ("is_tree", _trees, "chain", (4041, 8131, 16317), (6, 6, 6), "~linear"),
     ("is_tree", _trees, "index_scan", (4041, 8131, 16317), (2556, 5116, 10236), "~linear"),
@@ -257,7 +209,8 @@ INDEX_SCAN_CANDIDATES = {
 
 @pytest.mark.parametrize(
     "program, hosts, backend, candidates, iter_steps, growth", COUNTER_ROWS,
-    ids=["gen_tree", "gen_star", "gen_discrete", "is_tree-trees-chain",
+    ids=["gen_tree", "gen_star", "gen_discrete", "is_discrete-discretes-chain",
+         "is_discrete-discretes-index_scan", "is_tree-trees-chain",
          "is_tree-trees-index_scan", "is_con-trees-chain", "is_con-trees-index_scan",
          "is_con-grids-chain", "is_con-grids-index_scan", "is_bin_dag-trees-chain",
          "is_bin_dag-trees-index_scan", "is_series_par-lists-chain",

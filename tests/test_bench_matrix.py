@@ -8,10 +8,20 @@ from pathlib import Path
 
 import pytest
 
+from gp2 import bench, corpus, textio
+
 ROOT = Path(__file__).resolve().parents[1]
 COUNTS = ("nodes", "edges", "outcome", "candidates", "iter_steps",
           "frames_opened", "frames_committed", "frames_undone")
 TIMES = ("parse_host_ms", "build_ms", "run_ms", "print_ms", "e2e_ms")
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_matrix",
+                                                  ROOT / "tools" / "bench_matrix.py")
+    bench_matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_matrix)
+    return bench_matrix
 
 
 def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
@@ -20,12 +30,16 @@ def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
                     "--only", "gen_tree", "[ (0 (R), 4) | ]", f"one={src}", f"two={src}"],
                    check=True, capture_output=True)
     result = json.loads(out.read_text())
-    lines = sum(len(path.read_text().splitlines()) for path in (src / "gp2").glob("*.py"))
+    modules = {path.stem: len(path.read_text().splitlines())
+               for path in (src / "gp2").glob("*.py")}
     meta = result["meta"]
     assert list(meta) == ["sides", "processes", "repeats", "cli_repeats", "python", "machine",
                           "cpus"]
     assert (meta["processes"], meta["repeats"], meta["cli_repeats"]) == (3, 1, 2)
-    assert [side["gp2_lines"] for side in meta["sides"].values()] == [lines, lines]
+    for side in meta["sides"].values():
+        assert list(side) == ["src", "commit", "gp2_lines", "gp2_module_lines"]
+        assert side["gp2_module_lines"] == modules
+        assert side["gp2_lines"] == sum(modules.values())
     rows = result["rows"]
     # the sides alternate, and so does which one goes first
     assert [(row["side"], row["backend"]) for row in rows] == [
@@ -41,10 +55,7 @@ def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
 
 
 def test_a_side_is_the_median_of_all_its_samples_and_its_counts_must_agree():
-    path = ROOT / "tools" / "bench_matrix.py"
-    spec = importlib.util.spec_from_file_location("bench_matrix", path)
-    bench_matrix = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_matrix)
+    bench_matrix = load_tool()
     counts = dict(zip(COUNTS, [1, 0, "success", 348, 0, 23, 22, 1]))
     samples = [{"program": "p", **counts, **{key: [t] for key in TIMES}}
                for t in (0.001, 0.005, 0.002)]
@@ -55,3 +66,15 @@ def test_a_side_is_the_median_of_all_its_samples_and_its_counts_must_agree():
     samples[2]["frames_undone"] = 2
     with pytest.raises(SystemExit, match="counts differ"):
         bench_matrix.merge(samples)
+
+
+def test_a_failed_recognition_is_a_fail_row_and_the_cli_must_exit_with_its_code(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    bench_matrix = load_tool()
+    row = bench_matrix.measure("is_tree", "grid:3x3", "chain", "preserve")
+    assert (row["outcome"], len(row["e2e_ms"])) == ("fail", 2)
+    cell = {key: row[key] for key in ("program", "host", "backend", "mode")}
+    host_text = textio.print_graph(bench.generate(bench.parse_spec("grid:3x3")))
+    with pytest.raises(SystemExit, match=r"^the CLI exited 2, not 0 for 'success', on "
+                                         r"\{'program': 'is_tree', 'host': 'grid:3x3'"):
+        bench_matrix._cli_times(cell, corpus.load_program("is_tree"), host_text, "success")

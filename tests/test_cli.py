@@ -1,5 +1,4 @@
 import errno
-import json
 import os
 import subprocess
 import sys
@@ -48,17 +47,8 @@ def test_unknown_flag_and_arity_errors():
         parse_args([])
     with pytest.raises(UsageError):
         parse_args(["-p"])
-
-
-def test_bench_subcommand_parse():
-    inv = parse_args(["bench", "is_discrete", "discrete:4"])
-    assert inv.subcommand == "bench" and inv.paths == ["is_discrete", "discrete:4"]
-    inv = parse_args(["bench", "is_discrete", "discrete:4", "-o", "out.json"])
-    assert inv.out_dir == "out.json"
-    inv = parse_args(["bench", "-o", "out.json", "is_discrete", "discrete:4"])
-    assert inv.out_dir == "out.json" and inv.paths == ["is_discrete", "discrete:4"]
-    with pytest.raises(UsageError, match="-o needs a file argument"):
-        parse_args(["bench", "is_discrete", "discrete:4", "-o"])
+    with pytest.raises(UsageError, match="run mode takes a program file and a host graph file"):
+        parse_args(["bench", "is_discrete", "discrete:4"])
 
 
 def _write(tmp_path, name, text):
@@ -109,10 +99,8 @@ def test_validate_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [lambda f: ["-p", f], lambda f: ["bench", f, "discrete:4"]],
-                         ids=["validate", "bench"])
-def test_missing_file_is_usage_error(tmp_path, capsys, argv):
-    assert main(argv(str(tmp_path / "absent"))) == 1
+def test_missing_file_is_usage_error(tmp_path, capsys):
+    assert main(["-p", str(tmp_path / "absent")]) == 1
     assert capsys.readouterr().err.startswith("usage error: cannot read ")
 
 
@@ -135,69 +123,19 @@ def test_output_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     assert out == ""
 
 
-def test_bench_output_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
-    assert main(["bench", "is_discrete", "discrete:4", "-o", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == \
-        f"usage error: cannot write {tmp_path}: Is a directory\n"
+def test_run_o_without_directory_is_a_one_line_error(capsys):
+    assert main(["prog", "host", "-o"]) == 1
+    assert capsys.readouterr() == ("", "usage error: -o needs a directory argument\n")
 
 
-def test_bench_cli_end_to_end(tmp_path, capsys):
-    out_file = tmp_path / "r.json"
-    assert main(["bench", "is_discrete", "discrete:40", "discrete:80",
-                 "-o", str(out_file)]) == 0
-    rows = json.loads(out_file.read_text())
-    assert [(r["spec"], r["backend"]) for r in rows] == [
-        ("discrete:40", "chain"), ("discrete:40", "index_scan"),
-        ("discrete:80", "chain"), ("discrete:80", "index_scan")]
-    for r in rows:
-        assert r["mode"] == "preserve" and r["reps"] == len(r["all_ms"]) == 3
-        assert r["outcome"] == "success" and r["spec"] == f"discrete:{r['nodes']}"
-    assert capsys.readouterr().out == ""
-
-
-def test_bench_cli_bad_config(capsys):
-    assert main(["bench", "is_discrete"]) == 1
-    assert capsys.readouterr().err == \
-        "usage error: bench takes a program and at least one generator spec\n"
-
-
-def test_bench_cli_without_output_file_prints_the_rows(capsys):
-    assert main(["bench", "is_discrete", "discrete:4"]) == 0
-    out, err = capsys.readouterr()
-    rows = json.loads(out)
-    assert [(r["spec"], r["backend"], r["outcome"]) for r in rows] == [
-        ("discrete:4", "chain", "success"), ("discrete:4", "index_scan", "success")]
-    assert err == ""
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["bench", "is_discrete", "discrete"],
-     "bad bench configuration: generator spec needs parameters: 'discrete'"),
-    (["bench", "is_discrete", "discrete:x"],
-     "bad bench configuration: bad generator parameters in 'discrete:x'"),
-    (["prog", "host", "-o"], "usage error: -o needs a directory argument"),
-], ids=["spec-without-parameters", "spec-with-bad-parameters", "run-o-without-directory"])
-def test_bad_spec_or_option_is_a_one_line_error(capsys, argv, message):
-    assert main(argv) == 1
-    assert capsys.readouterr() == ("", message + "\n")
-
-
-def test_bench_program_with_a_syntax_error(tmp_path, capsys):
-    prog = _write(tmp_path, "p.gp2", "Main = \n")
-    assert main(["bench", prog, "discrete:4"]) == 1
-    assert capsys.readouterr() == \
-        ("", "syntax error at 2:1: expected a command, found end of input\n")
-
-
-@pytest.mark.parametrize("mode", ["-p", "-r", "-h", "run-program", "run-host", "bench"])
+@pytest.mark.parametrize("mode", ["-p", "-r", "-h", "run-program", "run-host"])
 def test_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, mode):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"[ (0, \xff) | ]")
     prog = _write(tmp_path, "p.gp2", "Main = skip")
     host = _write(tmp_path, "h.host", "[ | ]")
     argv = {"-p": ["-p", str(bad)], "-r": ["-r", str(bad)], "-h": ["-h", str(bad)],
-            "run-program": [str(bad), host], "run-host": [prog, str(bad)],
-            "bench": ["bench", str(bad), "discrete:4"]}[mode]
+            "run-program": [str(bad), host], "run-host": [prog, str(bad)]}[mode]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot read {bad}: ") and err.count("\n") == 1
@@ -207,24 +145,6 @@ def test_five_thousand_digit_literal_is_a_lex_error(tmp_path, capsys):
     host = _write(tmp_path, "h.host", f"[ ({'9' * 5000}, empty) | ]")
     assert main(["-h", host]) == 1
     assert capsys.readouterr().err == "lex error at 1:4: integer literal too long\n"
-
-
-@pytest.mark.parametrize("spec", ["tree:40", "sierpinski:100000000"])
-def test_bench_spec_too_large_is_a_config_error(capsys, spec):
-    assert main(["bench", "is_discrete", spec]) == 1
-    assert capsys.readouterr().err == \
-        "bad bench configuration: refusing to generate more than 50000000 nodes\n"
-
-
-def test_bench_checks_specs_before_reading_the_program(tmp_path, capsys):
-    assert main(["bench", str(tmp_path / "absent"), "discrete:4", "blob:3"]) == 1
-    assert capsys.readouterr().err == "bad bench configuration: unknown graph kind 'blob'\n"
-
-
-def test_bench_evaluation_error_is_a_program_error(tmp_path, capsys):
-    prog = _write(tmp_path, "p.gp2", "Main = r\nr(x:list)\n[ (1, x) | ] => [ (1, 1 / 0) | ]")
-    assert main(["bench", prog, "discrete:3"]) == 2
-    assert capsys.readouterr().err == "in rule 'r': division by zero\n"
 
 
 def test_help(capsys):
@@ -264,13 +184,12 @@ def _cli(argv, **kwargs):
 
 
 @pytest.mark.parametrize("sink", SINKS)
-@pytest.mark.parametrize("mode", ["run", "run-f", "bench", "help"])
+@pytest.mark.parametrize("mode", ["run", "run-f", "help"])
 def test_stdout_write_error_is_a_usage_error(tmp_path, sink, mode):
     # a 2,000-node graph overflows the output buffer, a help text does not
     host = "[ " + " ".join(f"({i}, {i})" for i in range(2000)) + " | ]"
     run = [_write(tmp_path, "p.gp2", "Main = skip"), _write(tmp_path, "h.host", host)]
-    argv = {"run": run, "run-f": ["-f", *run], "bench": ["bench", "is_discrete", "discrete:4"],
-            "help": ["--help"]}
+    argv = {"run": run, "run-f": ["-f", *run], "help": ["--help"]}
     stdout, code = sink()
     with stdout:
         result = _cli(argv[mode], stdout=stdout, stderr=subprocess.PIPE)

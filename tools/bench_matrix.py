@@ -16,8 +16,11 @@ timings of each layer the CLI goes through (``parse_host_graph``,
 and of the wall times of ``python3 -m gp2.cli`` in a subprocess,
 ``CLI_REPEATS`` a process.  The counts come from one more, untimed run
 in each process, and must be equal in all of a side's processes: the
-script stops with an error if they are not.  Wall times are rough on a
-shared machine; the counts are exact.
+script stops with an error if they are not, and also if a CLI run exits
+with another code than the row's outcome gives (0 for success, 2 for
+fail).  Wall times are rough on a shared machine; the counts are exact.
+Each side's meta holds the lines of its ``gp2`` package, in all and by
+module.
 
 The rows use only APIs that every side since the first BENCH file has:
 ``textio.parse_program``/``parse_host_graph``/``print_graph``,
@@ -45,6 +48,7 @@ CLI_REPEATS = 2         # wall times of the CLI, for e2e_ms, per process
 COUNTS = ("nodes", "edges", "outcome", "candidates", "iter_steps",
           "frames_opened", "frames_committed", "frames_undone")
 TIMES = ("parse_host_ms", "build_ms", "run_ms", "print_ms", "e2e_ms")
+EXIT_CODES = {"success": 0, "fail": 2}     # of the CLI, by in-process outcome
 
 
 def seed(value: int) -> str:
@@ -124,10 +128,10 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
                                     ("run_ms", ran, printed), ("print_ms", printed, done)):
                 times[key].append(end - start)
     engine.ChangeStack = plain
-    times["e2e_ms"] = _cli_times(text, host_text, backend, mode)
+    row = {"program": program, "host": host, "backend": backend, "mode": mode}
+    times["e2e_ms"] = _cli_times(row, text, host_text, outcome)
     counts = (*size, outcome, g.candidates, g.iter_steps, *frames)
-    return {"program": program, "host": host, "backend": backend, "mode": mode,
-            **dict(zip(COUNTS, counts)), **times}
+    return {**row, **dict(zip(COUNTS, counts)), **times}
 
 
 def merge(samples: list[dict]) -> dict:
@@ -141,9 +145,11 @@ def merge(samples: list[dict]) -> dict:
     return {**first, **{key: _median_ms([t for s in samples for t in s[key]]) for key in TIMES}}
 
 
-def _cli_times(program_text: str, host_text: str, backend: str, mode: str) -> list[float]:
-    """Wall times of ``python3 -m gp2.cli`` on the row, in subprocesses."""
-    flags = ["-n"] * (backend == "index_scan") + ["-m"] * (mode == "reflect")
+def _cli_times(row: dict, program_text: str, host_text: str, outcome: str) -> list[float]:
+    """Wall times of ``python3 -m gp2.cli`` on the row, in subprocesses.
+    Each must exit with the code of the row's in-process ``outcome``."""
+    flags = ["-n"] * (row["backend"] == "index_scan") + ["-m"] * (row["mode"] == "reflect")
+    expected = EXIT_CODES[outcome]
     with tempfile.TemporaryDirectory() as tmp:
         program_file, host_file = Path(tmp, "program.gp2"), Path(tmp, "host.host")
         program_file.write_text(program_text)
@@ -151,10 +157,13 @@ def _cli_times(program_text: str, host_text: str, backend: str, mode: str) -> li
         times = []
         for _ in range(CLI_REPEATS):
             start = time.perf_counter()
-            subprocess.run([sys.executable, "-m", "gp2.cli", *flags, str(program_file),
-                            str(host_file)], stdout=subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL, check=False)
+            result = subprocess.run([sys.executable, "-m", "gp2.cli", *flags, str(program_file),
+                                     str(host_file)], stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.PIPE, text=True, check=False)
             times.append(time.perf_counter() - start)
+            if result.returncode != expected:
+                raise SystemExit(f"the CLI exited {result.returncode}, not {expected} for "
+                                 f"{outcome!r}, on {row}: {result.stderr.strip()}")
     return times
 
 
@@ -166,14 +175,21 @@ def _commit(src: Path) -> str | None:
     return result.stdout.strip() or None
 
 
-def _lines(src: Path) -> int:
-    return sum(len(path.read_text().splitlines()) for path in (src / "gp2").glob("*.py"))
+def _meta(src: Path) -> dict:
+    """A side's source, commit, and the lines of its ``gp2`` package, in
+    all and by module."""
+    modules = {path.stem: len(path.read_text().splitlines())
+               for path in sorted((src / "gp2").glob("*.py"))}
+    return {"src": str(src), "commit": _commit(src), "gp2_lines": sum(modules.values()),
+            "gp2_module_lines": modules}
 
 
 def _run_side(src: Path, program: str, host: str, backend: str, mode: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     result = subprocess.run([sys.executable, __file__, "--measure", program, host, backend, mode],
-                            env=env, capture_output=True, text=True, check=True)
+                            env=env, capture_output=True, text=True, check=False)
+    if result.returncode:
+        raise SystemExit(f"side {src}: {result.stderr.strip()}")
     return json.loads(result.stdout)
 
 
@@ -191,8 +207,7 @@ def main(argv: list[str]) -> int:
     if not sides or not args.output:
         parser.error("give -o FILE and at least one NAME=SRC")
     sources = {name: Path(src) for name, src in sides.items()}
-    meta = {name: {"src": str(src), "commit": _commit(src), "gp2_lines": _lines(src)}
-            for name, src in sources.items()}
+    meta = {name: _meta(src) for name, src in sources.items()}
     matrix = [(*args.only, "preserve")] if args.only else MATRIX
     rows = []
     for i, ((program, host, mode), backend) in enumerate(
