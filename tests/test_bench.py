@@ -70,14 +70,20 @@ def test_generators_match_engine_up_to_labels():
 def test_parse_spec():
     assert bench.parse_spec("grid:3x4") == bench.GeneratorSpec("grid", (3, 4))
     assert bench.parse_spec("discrete:100") == bench.GeneratorSpec("discrete", (100,))
-    for text, message in (("discrete", "generator spec needs parameters: 'discrete'"),
-                          ("discrete:x", "bad generator parameters in 'discrete:x'"),
-                          ("blob:3", "unknown graph kind 'blob'"),
-                          ("grid:3", "grid takes 2 parameter(s)"),
-                          ("discrete:0", "generator parameters must be positive: 'discrete:0'")):
-        with pytest.raises(bench.BenchError) as error:
-            bench.parse_spec(text)
-        assert str(error.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("discrete", "generator spec needs parameters: 'discrete'"),
+    ("discrete:x", "bad generator parameters in 'discrete:x'"),
+    ("blob:3", "unknown graph kind 'blob'"),
+    ("grid:3", "grid takes 2 parameter(s)"),
+    ("discrete:0", "generator parameters must be positive: 'discrete:0'"),
+], ids=["spec-without-parameters", "spec-with-bad-parameters", "unknown-kind",
+        "grid-with-one-parameter", "zero-parameter"])
+def test_parse_spec_error(text, message):
+    with pytest.raises(bench.BenchError) as error:
+        bench.parse_spec(text)
+    assert str(error.value) == message
 
 
 @pytest.mark.parametrize("spec", ["tree:40", "sierpinski:100000000"])

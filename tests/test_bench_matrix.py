@@ -78,3 +78,27 @@ def test_a_failed_recognition_is_a_fail_row_and_the_cli_must_exit_with_its_code(
     with pytest.raises(SystemExit, match=r"^the CLI exited 2, not 0 for 'success', on "
                                          r"\{'program': 'is_tree', 'host': 'grid:3x3'"):
         bench_matrix._cli_times(cell, corpus.load_program("is_tree"), host_text, "success")
+
+
+CELL = {"program": "p", "host": "discrete:1", "backend": "chain", "mode": "preserve"}
+
+
+def test_a_cli_run_that_exits_with_the_outcome_s_code_is_timed(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    bench_matrix = load_tool()
+    times = bench_matrix._cli_times(CELL, "Main = skip", "[ (0, empty) | ]", "success")
+    assert len(times) == bench_matrix.CLI_REPEATS and all(t > 0 for t in times)
+
+
+@pytest.mark.parametrize("program, outcome, code", [
+    ("Main = r\nr(x:list)\n[ (1, x) | ] => [ (1, x) | ]", "fail", 0),
+    ("Main = ", "success", 1),
+], ids=["fail-exits-0", "syntax-error-exits-1"])
+def test_a_cli_exit_code_that_is_not_the_outcome_s_stops_the_matrix(monkeypatch, program,
+                                                                     outcome, code):
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    bench_matrix = load_tool()
+    expected = bench_matrix.EXIT_CODES[outcome]
+    with pytest.raises(SystemExit, match=rf"^the CLI exited {code}, not {expected} for "
+                                         rf"'{outcome}', on \{{'program': 'p'"):
+        bench_matrix._cli_times(CELL, program, "[ (0, empty) | ]", outcome)

@@ -99,9 +99,18 @@ def test_validate_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_missing_file_is_usage_error(tmp_path, capsys):
-    assert main(["-p", str(tmp_path / "absent")]) == 1
-    assert capsys.readouterr().err.startswith("usage error: cannot read ")
+@pytest.mark.parametrize("mode", ["-p", "-r", "-h", "run-program", "run-host"],
+                         ids=["validate", "validate-rule", "validate-graph", "run-program",
+                              "run-host"])
+def test_missing_file_is_usage_error(tmp_path, capsys, mode):
+    absent = str(tmp_path / "absent")
+    prog = _write(tmp_path, "p.gp2", "Main = skip")
+    host = _write(tmp_path, "h.host", "[ | ]")
+    argv = {"-p": ["-p", absent], "-r": ["-r", absent], "-h": ["-h", absent],
+            "run-program": [absent, host], "run-host": [prog, absent]}[mode]
+    assert main(argv) == 1
+    assert capsys.readouterr() == \
+        ("", f"usage error: cannot read {absent}: No such file or directory\n")
 
 
 def test_output_dir(tmp_path, capsys):
@@ -123,9 +132,18 @@ def test_output_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     assert out == ""
 
 
-def test_run_o_without_directory_is_a_one_line_error(capsys):
-    assert main(["prog", "host", "-o"]) == 1
-    assert capsys.readouterr() == ("", "usage error: -o needs a directory argument\n")
+@pytest.mark.parametrize("argv, message", [
+    (["prog", "host", "-o"], "-o needs a directory argument"),
+    ([], "no arguments; see --help"),
+    (["-z", "prog", "host"], "unknown flag '-z'"),
+    (["prog"], "run mode takes a program file and a host graph file"),
+    (["-p"], "-p takes exactly one file"),
+    (["bench", "is_discrete", "discrete"], "run mode takes a program file and a host graph file"),
+], ids=["run-o-without-directory", "no-arguments", "unknown-flag", "run-with-one-file",
+        "validate-without-a-file", "bench-with-a-spec"])
+def test_bad_spec_or_option_is_a_one_line_error(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 @pytest.mark.parametrize("mode", ["-p", "-r", "-h", "run-program", "run-host"])
