@@ -17,9 +17,10 @@ rule and setting (plan order, backend, root mode), and caches it in
 machine, one block per step with its checks written out: a constant
 label is one tuple comparison, each variable is a local, and a global
 node step walks the node chain or the slots inline.  Each candidate is
-checked when it is bound: injectivity (only against items that may meet
-it), mark, root (a non-root only in reflect mode; none from the root
-list, which holds only roots), degree, then label.  A node the rule
+checked when it is bound: a node label fixed before the step first, in
+one comparison, then injectivity (only against items that may meet it),
+mark, root (a non-root only in reflect mode; none from the root list,
+which holds only roots), degree and any other label.  A node the rule
 deletes must have its exact degree (the dangling condition), so a
 dangling candidate is rejected before the rule's condition is ever
 evaluated.  A node the rule keeps must have at least as many out- and
@@ -30,11 +31,11 @@ right-hand label first, then the mutator calls, none for what stays as
 it was; ``Rule.plans`` notes whether any is left, for ``engine``'s
 frames.  In find mode it returns the locals, for ``find_match``.  Each
 return adds the candidates examined to ``Graph.candidates`` and the
-walks' steps to ``Graph.iter_steps``; an EvalError raised by the
-condition mid-search adds to neither.  Every EvalError the function
-raises names its rule (``in rule 'r': ...``) in the message written into
-its source, so no caller, ``engine``'s generated ``main`` included, adds
-the name.
+walks' steps to ``Graph.iter_steps``, where a node-chain walk counts
+each step once for both; an EvalError raised by the condition
+mid-search adds to neither.  Every EvalError the function raises names
+its rule (``in rule 'r': ...``) in the message written into its source,
+so no caller, ``engine``'s generated ``main`` included, adds the name.
 
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
@@ -377,13 +378,14 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
     under a file name that names the rule and the setting.
 
     ``i`` is the step to try next.  A step that binds falls through into
-    the next block after setting up that step's candidates; a step out
-    of candidates unbinds the step before it and re-enters that step's
-    block from the loop top.  Which variables are bound at each step is
-    fixed by the plan, so each is a local, bound by assignment and
-    checked by ``==``.  Program text enters the source only as generated
-    names (``n``/``e`` + item index, ``v`` + variable number, ``t`` +
-    subterm number) and as ``repr`` of ints, strings and tuples of them.
+    the next block after setting up that step's candidates and fixed
+    label; a step out of candidates unbinds the step before it and
+    re-enters that step's block from the loop top.  Which variables are
+    bound at each step is fixed by the plan, so each is a local, bound by
+    assignment and checked by ``==``.  Program text enters the source
+    only as generated names (``n``/``e`` + item index, ``v`` + variable
+    number, ``t`` + subterm number, ``d`` + step number) and as ``repr``
+    of ints, strings and tuples of them.
     """
     lhs = rule.lhs
     node = {pn.pid: f"n{j}" for j, pn in enumerate(lhs.nodes)}
@@ -420,17 +422,26 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
     lines = ["def step(g, find=False):", "    candidates = walked = i = 0"]
     if walks and backend == "index_scan":
         lines.append("    live, slots = g.live_bytes, g.node_slots; hw = len(slots)")
-    counters = "g.candidates += candidates" + "; g.iter_steps += walked" * walks
+    counters = "g.candidates += candidates" + (" + walked" * (backend == "chain")
+                                               + "; g.iter_steps += walked") * walks
+    first: dict[int, str] = {}      # left-hand node -> its label, where fixed before its step
     shift = 0                       # 1 inside a chunk's guard
 
     def emit(depth, text):
         lines.append("    " * (depth + shift) + text)
 
     def setup(k, depth):
-        """Start step k's candidates: a node iterator, or an edge list."""
+        """Start step k's candidates, a node iterator or an edge list, and fixed label."""
         if k == len(steps):
             return
         step = steps[k]
+        label = step.node.label
+        if step.binds and all(item[0] == "lit" or item[1] in names for item in label.items):
+            first[step.node.pid] = repr(label.detail) if label.kind == "const" else f"d{k}"
+            if label.kind != "const":
+                atoms = ("*" * (item[2] == "list") + names[item[1]] if item[0] == "var"
+                         else repr(item[1]) for item in label.items)
+                emit(depth, f"d{k} = ({''.join(atom + ', ' for atom in atoms)})")
         if step.kind == "root":
             emit(depth, f"it{k} = iter(g.root_list)")
         elif step.kind == "node":
@@ -454,6 +465,8 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
 
     def check_node(pn, depth):
         n, pid = node[pn.pid], pn.pid
+        if pid in first:
+            emit(depth, f"if {n}.label != {first[pid]}: continue")
         if n in tested:
             emit(depth, f"if {n}.flags & {FLAG_MATCHED}: continue")
         if pn.mark != MARK_ANY:
@@ -467,7 +480,8 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
                 emit(depth, f"if {n}.outdegree < {out_min[pid]}: continue")
             if in_min[pid]:
                 emit(depth, f"if {n}.indegree < {in_min[pid]}: continue")
-        check_label(pn.label, f"{n}.label", depth)
+        if pid not in first:
+            check_label(pn.label, f"{n}.label", depth)
 
     def check_label(pattern, subject, depth):
         if pattern.kind == "const":
@@ -523,7 +537,8 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
                 emit(4, f"end = c{k} + {SCAN_CHUNK}; j = live.find(1, c{k}, end)")
                 emit(4, f"if j < 0: walked += end - c{k}; c{k} = end; continue")
                 emit(4, f"walked += j - c{k} + 1; {n} = slots[j]; c{k} = j + 1")
-            emit(4, "candidates += 1")
+            if step.kind == "root" or backend != "chain":
+                emit(4, "candidates += 1")
             check_node(step.node, 4)
             for r in held[k]:
                 emit(4, f"{r}.flags |= {FLAG_MATCHED}")

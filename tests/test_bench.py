@@ -233,6 +233,17 @@ def test_examined_candidates_grow_linearly(
     assert bench.classify([r for _, r in ratios]) == growth
 
 
+# gen_sierpinski at seeds 4, 5 and 6: expand is not rooted, so each call
+# walks the node chain from its head, and the counts grow about ninefold
+# as the triangle triples.  They are pinned exactly, not classified.
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+def test_sierpinski_search_counts_are_pinned(backend):
+    points = _candidates("gen_sierpinski", _seeds(4, 5, 6)(), backend)
+    assert tuple(n for n, _, _ in points) == (123, 366, 1095)
+    assert tuple(c for _, c, _ in points) == (1175, 7213, 54849)
+    assert tuple(s for _, _, s in points) == (900, 6389, 52378)
+
+
 def _output(program, host_text, backend):
     out = executable(program, ExecConfig(backend=backend)).run_text(host_text)
     assert out.status == "success", (program, backend, out.diagnostic)

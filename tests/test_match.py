@@ -772,6 +772,70 @@ def test_only_items_that_may_meet_touch_matched_flags(backend, mode):
                 assert not re.search(r"flags & 1\b", _step_block(source, k)), (name, rule.name)
 
 
+def _fixed_before(steps, k) -> bool:
+    """Whether the label of the node step ``k`` binds is fixed before the
+    step: every variable in it is in a label an earlier step bound."""
+    bound = {name for s in steps[:k] for item in (s.edge, s.node if s.binds else None)
+             if item is not None for name, _ in item.label.variables()}
+    return steps[k].binds and all(name in bound for name, _ in steps[k].node.label.variables())
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+@pytest.mark.parametrize("backend,mode", SETTINGS)
+def test_a_fixed_node_label_is_checked_first_and_a_chain_walk_counts_each_step_once(
+        optimize, backend, mode):
+    reflect, fixed = mode == "reflect", 0
+    for name, rule in all_corpus_rules() + [(None, parse_rule(text)) for text in FIXED_RULES]:
+        source = inspect.getsource(compiled_step(rule, optimize, backend, reflect))
+        steps = rule.plans[optimize, backend, reflect][0]
+        for k, step in enumerate(steps):
+            block, where = _step_block(source, k).splitlines(), (name, rule.name, k)
+            if step.kind == "node" and backend == "chain":
+                assert "candidates += 1" not in "\n".join(block), where
+            if not _fixed_before(steps, k):
+                continue
+            fixed += 1
+            n = f"n{rule.lhs.by_id[step.node.pid]}"
+            binds = [j for j, line in enumerate(block) if re.search(rf"\b{n} (=|in) ", line)]
+            assert binds, where
+            for j in binds:
+                first = next(line.strip() for line in block[j + 1:] if "if " in line)
+                assert re.fullmatch(rf"if {n}\.label != (\(.*\)|d{k}): continue", first), where
+                assert first.count("!=") == 1, where
+    # gen_sierpinski's expand (n, bound at the root) and the constant
+    # labels of gen_tree, gen_star and gen_discrete, and FIXED_RULES
+    assert fixed >= 10
+
+
+# Node labels that earlier steps fix: a bound list variable alone and
+# with literals on either side, and an int and an atom variable.
+FIXED_RULES = [
+    "r(x:list)\n[ (1, x) (2, x) | ] => [ (1, x) (2, x) | ]",
+    "r(x:list)\n[ (1, x) (2, 1:x) (3, x:2) | (0, 1, 2, empty) ] => [ | ]",
+    "r(a:int; b:atom)\n[ (1, a:b) (2, b) (3, a) | (0, 1, 2, empty) (1, 2, 3, a) ] => [ | ]",
+]
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_fixed_node_labels_agree_with_brute_force_on_random_hosts(optimize):
+    rng = random.Random(5)
+    labels = LABELS + [(2, 1), (1, 1), (1, 2, 2), (1, 1, 2)]
+    rules = [parse_rule(text) for text in FIXED_RULES]
+    found = 0
+    for _ in range(80):
+        g = random_host(rng, labels=labels)
+        for rule, mode in ((rule, mode) for rule in rules for mode in ("preserve", "reflect")):
+            keys = {match_key(m) for m in brute_force_match(rule, g, mode)}
+            for backend in ("chain", "index_scan"):
+                m = find_match(rule, g, mode, backend, optimize)
+                assert (m is None) == (not keys), (rule.name, mode, backend)
+                if m is not None:
+                    found += 1
+                    assert match_key(m) in keys
+                    audit_match(rule, g, m, mode)
+    assert found > 50
+
+
 # -- an interface label written out again ---------------------------------
 
 
