@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COUNTS = ("nodes", "edges", "outcome", "candidates", "iter_steps",
           "frames_opened", "frames_committed", "frames_undone")
 TIMES = ("parse_host_ms", "build_ms", "run_ms", "print_ms", "e2e_ms")
+RELS = ("parse_host_rel", "build_rel", "run_rel", "print_rel", "e2e_rel")
 
 
 def load_tool():
@@ -46,10 +47,13 @@ def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
         ("one", "chain"), ("two", "chain"), ("two", "index_scan"), ("one", "index_scan")]
     for row in rows:
         assert list(row) == ["side", "commit", "program", "host", "backend", "mode",
-                             *COUNTS, *TIMES]
+                             *COUNTS, *TIMES, *RELS, "reference_ms"]
         assert (row["program"], row["host"], row["mode"]) == (
             "gen_tree", "[ (0 (R), 4) | ]", "preserve")
-        assert all(row[key] > 0 for key in TIMES)
+        assert all(row[key] > 0 for key in (*TIMES, *RELS, "reference_ms"))
+        # each time over the reference pass around it, so about the ratio of the medians
+        for ms, rel in zip(TIMES, RELS):
+            assert 0.5 < row[rel] * row["reference_ms"] / row[ms] < 2, (ms, row)
         # one frame per expansion of the root cursor; the last one is undone
         assert [row[key] for key in COUNTS] == [1, 0, "success", 348, 0, 23, 22, 1]
 
@@ -57,12 +61,16 @@ def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
 def test_a_side_is_the_median_of_all_its_samples_and_its_counts_must_agree():
     bench_matrix = load_tool()
     counts = dict(zip(COUNTS, [1, 0, "success", 348, 0, 23, 22, 1]))
-    samples = [{"program": "p", **counts, **{key: [t] for key in TIMES}}
+    samples = [{"program": "p", **counts, **{key: [t] for key in TIMES},
+                **{key: [t * 10] for key in RELS}, "reference_ms": [t * 1e5, 150.0]}
                for t in (0.001, 0.005, 0.002)]
     samples[1]["run_ms"] = [0.003, 0.004]
+    samples[1]["run_rel"] = [0.03, 0.04]
     row = bench_matrix.merge(samples)
     assert row == {"program": "p", **counts, "parse_host_ms": 2.0, "build_ms": 2.0,
-                   "run_ms": 2.5, "print_ms": 2.0, "e2e_ms": 2.0}
+                   "run_ms": 2.5, "print_ms": 2.0, "e2e_ms": 2.0, "parse_host_rel": 0.02,
+                   "build_rel": 0.02, "run_rel": 0.025, "print_rel": 0.02, "e2e_rel": 0.02,
+                   "reference_ms": 150.0}
     samples[2]["frames_undone"] = 2
     with pytest.raises(SystemExit, match="counts differ"):
         bench_matrix.merge(samples)
@@ -72,7 +80,9 @@ def test_a_failed_recognition_is_a_fail_row_and_the_cli_must_exit_with_its_code(
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     bench_matrix = load_tool()
     row = bench_matrix.measure("is_tree", "grid:3x3", "chain", "preserve")
-    assert (row["outcome"], len(row["e2e_ms"])) == ("fail", 2)
+    assert (row["outcome"], len(row["e2e_ms"]), len(row["e2e_rel"])) == ("fail", 2, 2)
+    # one pass before and one after the run's layers, and the same around the CLI runs
+    assert len(row["run_rel"]) == 1 and len(row["reference_ms"]) == 4
     cell = {key: row[key] for key in ("program", "host", "backend", "mode")}
     host_text = textio.print_graph(bench.generate(bench.parse_spec("grid:3x3")))
     with pytest.raises(SystemExit, match=r"^the CLI exited 2, not 0 for 'success', on "

@@ -14,11 +14,19 @@ and undone), and the median over all of a side's processes of the
 timings of each layer the CLI goes through (``parse_host_graph``,
 ``Executable(...)``, ``run``, ``print_graph``), ``REPEATS`` a process,
 and of the wall times of ``python3 -m gp2.cli`` in a subprocess,
-``CLI_REPEATS`` a process.  The counts come from one more, untimed run
-in each process, and must be equal in all of a side's processes: the
-script stops with an error if they are not, and also if a CLI run exits
-with another code than the row's outcome gives (0 for success, 2 for
-fail).  Wall times are rough on a shared machine; the counts are exact.
+``CLI_REPEATS`` a process.  Each time is also given relative to the
+machine's speed at that moment (``*_rel``): the pass of perfbench's
+reference workload (``perfbench/reference.py`` of this checkout, the
+same for every side) is timed just before and just after each timed
+block, the layers of one run or the CLI runs, and the block's times are
+divided by the mean of the two.  A row keeps the median pass, in ms
+(``reference_ms``).  A slow spell of a shared machine outlasts a process
+and slows all of its timings; it slows the reference passes with them.
+The counts come from one more, untimed run in each process, and must be
+equal in all of a side's processes: the script stops with an error if
+they are not, and also if a CLI run exits with another code than the
+row's outcome gives (0 for success, 2 for fail).  Wall times are rough
+on a shared machine; the counts are exact.
 Each side's meta holds the lines of its ``gp2`` package, in all and by
 module.
 
@@ -32,6 +40,7 @@ The rows use only APIs that every side since the first BENCH file has:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -48,6 +57,8 @@ CLI_REPEATS = 2         # wall times of the CLI, for e2e_ms, per process
 COUNTS = ("nodes", "edges", "outcome", "candidates", "iter_steps",
           "frames_opened", "frames_committed", "frames_undone")
 TIMES = ("parse_host_ms", "build_ms", "run_ms", "print_ms", "e2e_ms")
+RELS = tuple(key.replace("_ms", "_rel") for key in TIMES)
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 EXIT_CODES = {"success": 0, "fail": 2}     # of the CLI, by in-process outcome
 
 
@@ -78,15 +89,21 @@ MATRIX = [
 BACKENDS = ("chain", "index_scan")
 
 
-def _median_ms(times: list[float]) -> float:
-    return round(statistics.median(times) * 1000.0, 3)
+def _reference():
+    """``time_ms`` of perfbench's reference workload, imported unchanged."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.time_ms
 
 
 def measure(program: str, host: str, backend: str, mode: str) -> dict:
-    """One process's counts and time samples (in seconds) of a row,
-    measured on the ``gp2`` this interpreter imports."""
+    """One process's counts, time samples (in seconds), relative times and
+    reference passes (in ms) of a row, measured on the ``gp2`` this
+    interpreter imports."""
     from gp2 import bench, corpus, engine, textio
 
+    reference = _reference()
     frames = [0, 0, 0]      # opened, committed, undone
 
     class CountingStack(engine.ChangeStack):
@@ -106,12 +123,21 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
     host_text = host if host.startswith("[") else \
         textio.print_graph(bench.generate(bench.parse_spec(host)))
     cfg = engine.ExecConfig(backend=backend, root_mode=mode)
-    times: dict[str, list[float]] = {key: [] for key in TIMES}
+    times: dict[str, list[float]] = {key: [] for key in (*TIMES, *RELS, "reference_ms")}
+
+    def timed(block, before, after):
+        """Note each (key, seconds) of a block timed between two reference passes."""
+        times["reference_ms"] += before, after
+        for key, seconds in block:
+            times[key].append(seconds)
+            times[key.replace("_ms", "_rel")].append(seconds * 2000.0 / (before + after))
+
     plain = engine.ChangeStack
     for repeat in range(REPEATS + 1):
         counted = repeat == REPEATS
         engine.ChangeStack = CountingStack if counted else plain
         parsed = textio.parse_program(text)
+        before = None if counted else reference()
         clock = time.perf_counter()
         g = textio.parse_host_graph(host_text)
         if repeat == 0:
@@ -124,25 +150,36 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
         textio.print_graph(g)
         done = time.perf_counter()
         if not counted:
-            for key, start, end in (("parse_host_ms", clock, built), ("build_ms", built, ran),
-                                    ("run_ms", ran, printed), ("print_ms", printed, done)):
-                times[key].append(end - start)
+            g = executable = None   # no live graph in the reference pass
+            timed([(key, end - start) for key, start, end in (
+                ("parse_host_ms", clock, built), ("build_ms", built, ran),
+                ("run_ms", ran, printed), ("print_ms", printed, done))], before, reference())
     engine.ChangeStack = plain
     row = {"program": program, "host": host, "backend": backend, "mode": mode}
-    times["e2e_ms"] = _cli_times(row, text, host_text, outcome)
     counts = (*size, outcome, g.candidates, g.iter_steps, *frames)
+    g = executable = None
+    before = reference()
+    cli = _cli_times(row, text, host_text, outcome)
+    timed([("e2e_ms", seconds) for seconds in cli], before, reference())
     return {**row, **dict(zip(COUNTS, counts)), **times}
 
 
 def merge(samples: list[dict]) -> dict:
     """One side's row from its processes' samples: the counts, which
-    must be equal in all of them, and each time's median over all."""
+    must be equal in all of them, and the median over all of each time,
+    each relative time and the reference passes."""
     first = samples[0]
     for other in samples[1:]:
         if any(other[key] != first[key] for key in COUNTS):
             raise SystemExit(f"counts differ between the processes of one side: "
                              f"{[[s[key] for key in COUNTS] for s in samples]}")
-    return {**first, **{key: _median_ms([t for s in samples for t in s[key]]) for key in TIMES}}
+
+    def median(key):
+        return statistics.median(t for s in samples for t in s[key])
+
+    return {**first, **{key: round(median(key) * 1000.0, 3) for key in TIMES},
+            **{key: round(median(key), 6) for key in RELS},
+            "reference_ms": round(median("reference_ms"), 3)}
 
 
 def _cli_times(row: dict, program_text: str, host_text: str, outcome: str) -> list[float]:
@@ -222,7 +259,8 @@ def main(argv: list[str]) -> int:
             row = {"side": name, "commit": meta[name]["commit"], **merge(samples[name])}
             rows.append(row)
             print(f"{name:>8} {program:>15} {host:>20} {mode:>8} {backend:>10} "
-                  f"{row['outcome']:>8} run {row['run_ms']:9.1f} ms  e2e {row['e2e_ms']:9.1f} ms",
+                  f"{row['outcome']:>8} run {row['run_ms']:9.1f} ms {row['run_rel']:8.4f}  "
+                  f"e2e {row['e2e_ms']:9.1f} ms {row['e2e_rel']:8.4f}",
                   flush=True)
     result = {"meta": {"sides": meta, "processes": PROCESSES, "repeats": REPEATS,
                        "cli_repeats": CLI_REPEATS, "python": platform.python_version(),
