@@ -136,7 +136,7 @@ def gen_sierpinski(level: int) -> Graph:
     for generation in range(1, level):
         next_triangles = []
         for apex, p, q in triangles:
-            g.relabel_node(apex, (generation + 1,))
+            g.relabel(apex, (generation + 1,))
             mid_p = g.add_node(label=(generation + 1,))
             mid_q = g.add_node(label=(generation + 1,))
             corner = g.add_node(label=(0,))

@@ -22,14 +22,12 @@ Deleted nodes go on a LIFO free stack and are reused by the next add,
 keeping their slot index; in minimal-GC mode they are never returned to
 the free stack.  Edges have no slots: they are reached only through
 their endpoints' lists, so a deleted edge is simply dropped and every
-add makes a new one.  An edge a rule keeps keeps its record:
-``readd_edge`` relabels, remarks and relinks it where deleting and
-adding it back would have put the new one.
+add makes a new one.
 
 The graph journals its own mutations.  While ``Graph.journal`` holds a
 list (a rollback frame, opened by ``engine.ChangeStack``), every
 mutator appends an entry naming its inverse mutator and that mutator's
-arguments, e.g. ``(Graph.relabel_node, node, label)``, so ``undo``
+arguments, e.g. ``(Graph.relabel, item, label)``, so ``undo``
 replays a frame newest first through the same mutators.  Undo puts
 every order back: a deleted node or edge is relinked after its old
 predecessors, and a root at its old place in ``root_list``.  A node
@@ -240,38 +238,6 @@ class Graph:
             raise GraphError("edge already deleted")
         if self.journal is not None:
             self.journal.append((Graph.restore_edge, edge, edge.src_prev, edge.tgt_prev))
-        self._unlink_edge(edge)
-        edge.src_prev = edge.src_next = edge.tgt_prev = edge.tgt_next = None
-        edge.source.outdegree -= 1
-        edge.target.indegree -= 1
-        edge.flags = 0
-        self.edge_count -= 1
-
-    def restore_edge(self, edge: Edge, src_prev: Optional[Edge],
-                     tgt_prev: Optional[Edge]) -> None:
-        """Relink a deleted edge after the edges it followed in its
-        endpoints' lists, which undo has put back before it."""
-        edge.flags = FLAG_IN_GRAPH
-        self._link_edge(edge, src_prev, tgt_prev)
-        edge.source.outdegree += 1
-        edge.target.indegree += 1
-        self.edge_count += 1
-
-    def readd_edge(self, edge: Edge, label: tuple, mark: str,
-                   src_prev: Optional[Edge] = None, tgt_prev: Optional[Edge] = None) -> None:
-        """Give a live edge ``label`` and ``mark`` and relink it after the
-        given edges, by default at the heads, as deleting and adding it
-        back would; its own inverse, as ``set_root``'s ``at`` is."""
-        if self.journal is not None:
-            self.journal.append((Graph.readd_edge, edge, edge.label, edge.mark,
-                                 edge.src_prev, edge.tgt_prev))
-        self._unlink_edge(edge)
-        edge.label = label
-        edge.mark = mark
-        self._link_edge(edge, src_prev, tgt_prev)
-
-    def _unlink_edge(self, edge: Edge) -> None:
-        """Take ``edge`` out of its endpoints' lists; its own links stay."""
         prev, nxt = edge.src_prev, edge.src_next
         if prev is None:
             edge.source.out_head = nxt
@@ -286,10 +252,18 @@ class Graph:
             prev.tgt_next = nxt
         if nxt is not None:
             nxt.tgt_prev = prev
+        edge.src_prev = edge.src_next = edge.tgt_prev = edge.tgt_next = None
+        edge.source.outdegree -= 1
+        edge.target.indegree -= 1
+        edge.flags = 0
+        self.edge_count -= 1
 
-    def _link_edge(self, edge: Edge, src_prev: Optional[Edge], tgt_prev: Optional[Edge]) -> None:
-        """Link an unlinked ``edge`` into its endpoints' lists after the
-        given edges, or at the heads when they are None."""
+    def restore_edge(self, edge: Edge, src_prev: Optional[Edge],
+                     tgt_prev: Optional[Edge]) -> None:
+        """Relink a deleted edge after the edges it followed in its
+        endpoints' lists, which undo has put back before it, or at the
+        heads where it had none."""
+        edge.flags = FLAG_IN_GRAPH
         src, tgt = edge.source, edge.target
         if src_prev is None:
             nxt, src.out_head = src.out_head, edge
@@ -305,18 +279,23 @@ class Graph:
         edge.tgt_prev, edge.tgt_next = tgt_prev, nxt
         if nxt is not None:
             nxt.tgt_prev = edge
+        src.outdegree += 1
+        tgt.indegree += 1
+        self.edge_count += 1
 
     # -- in-place updates ------------------------------------------------
 
-    def relabel_node(self, node: Node, label: tuple) -> None:
+    def relabel(self, item, label: tuple) -> None:
+        """Give a node or an edge ``label``, where it is."""
         if self.journal is not None:
-            self.journal.append((Graph.relabel_node, node, node.label))
-        node.label = label
+            self.journal.append((Graph.relabel, item, item.label))
+        item.label = label
 
-    def remark_node(self, node: Node, mark: str) -> None:
+    def remark(self, item, mark: str) -> None:
+        """Give a node or an edge ``mark``, where it is."""
         if self.journal is not None:
-            self.journal.append((Graph.remark_node, node, node.mark))
-        node.mark = mark
+            self.journal.append((Graph.remark, item, item.mark))
+        item.mark = mark
 
     def set_root(self, node: Node, flag: bool, at: Optional[int] = None) -> None:
         """Make ``node`` a root or not; undo passes ``at``, its old root-list place."""

@@ -14,28 +14,29 @@ the match auditor that tests hold the steps to are in ``reference``.
 ``compiled_step`` compiles each plan to one Python function, once per
 rule and setting (plan order, backend, root mode), and caches it in
 ``Rule.plans``.  Its search is the plan unrolled into a flat state
-machine, one block per step with its checks written out: a constant
-label is one tuple comparison, each variable is a local, and a global
-node step walks the node chain or the slots inline.  Each candidate is
-checked when it is bound: a node label fixed before the step first, in
-one comparison, then injectivity (only against items that may meet it),
-mark, root (a non-root only in reflect mode; none from the root list,
-which holds only roots), degree and any other label.  A node the rule
-deletes must have its exact degree (the dangling condition), so a
-dangling candidate is rejected before the rule's condition is ever
-evaluated.  A node the rule keeps must have at least as many out- and
-in-edges as its non-bidirectional left-hand edges give it.  The
-condition runs once every step is bound, as inline Python.  At the
-first hit the function rewrites on the locals the search bound, every
-right-hand label first, then the mutator calls, none for what stays as
-it was; ``Rule.plans`` notes whether any is left, for ``engine``'s
-frames.  In find mode it returns the locals, for ``find_match``.  Each
-return adds the candidates examined to ``Graph.candidates`` and the
-walks' steps to ``Graph.iter_steps``, where a node-chain walk counts
-each step once for both; an EvalError raised by the condition
-mid-search adds to neither.  Every EvalError the function raises names
-its rule (``in rule 'r': ...``) in the message written into its source,
-so no caller, ``engine``'s generated ``main`` included, adds the name.
+machine, one block per step with its checks written out: each variable
+is a local, and a global node step walks the node chain or the slots
+inline.  Each candidate is checked when it is bound: a label fixed
+before the step first, in one tuple comparison, then injectivity (only
+against items that may meet it), mark, an edge's other end, root (a
+non-root only in reflect mode; none from the root list, which holds only
+roots), degree and any other label.  A node the rule deletes must have
+its exact degree (the dangling condition), so a dangling candidate is
+rejected before the rule's condition is ever evaluated.  A node the rule
+keeps must have at least as many out- and in-edges as its
+non-bidirectional left-hand edges give it.  The condition runs once
+every step is bound, as inline Python.  At the first hit the function
+rewrites on the locals the search bound, every right-hand label first,
+then the mutator calls, none for what stays as it was: a kept node or
+edge is updated where it is.  ``Rule.plans`` notes whether any call is
+left, for ``engine``'s frames.  In find mode it returns the locals, for
+``find_match``.  Each return adds the candidates examined to
+``Graph.candidates`` and the walks' steps to ``Graph.iter_steps``, where
+a node-chain walk counts each step once for both; an EvalError raised by
+the condition mid-search adds to neither.  Every EvalError the function
+raises names its rule (``in rule 'r': ...``) in the message written into
+its source, so no caller, ``engine``'s generated ``main`` included, adds
+the name.
 
 Injectivity is enforced with per-record matched flags, set while a
 candidate is held and cleared again on backtracking, so each attempt
@@ -379,13 +380,14 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
 
     ``i`` is the step to try next.  A step that binds falls through into
     the next block after setting up that step's candidates and fixed
-    label; a step out of candidates unbinds the step before it and
+    labels; a step out of candidates unbinds the step before it and
     re-enters that step's block from the loop top.  Which variables are
     bound at each step is fixed by the plan, so each is a local, bound by
     assignment and checked by ``==``.  Program text enters the source
     only as generated names (``n``/``e`` + item index, ``v`` + variable
-    number, ``t`` + subterm number, ``d`` + step number) and as ``repr``
-    of ints, strings and tuples of them.
+    number, ``t`` + subterm number, ``d``/``f`` + step number for the
+    step's fixed node/edge label) and as ``repr`` of ints, strings and
+    tuples of them.
     """
     lhs = rule.lhs
     node = {pn.pid: f"n{j}" for j, pn in enumerate(lhs.nodes)}
@@ -401,8 +403,10 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
     facts: dict[str, tuple] = {}    # bound record -> what _may_meet compares, in binding order
 
     def fact(kind, item, root, degrees):
-        size = len(item.label.items)
-        return (kind, None if item.mark == MARK_ANY else item.mark, item.label.detail,
+        items = item.label.items
+        const = tuple(it[1] for it in items) if all(it[0] == "lit" for it in items) else None
+        size = len(items)
+        return (kind, None if item.mark == MARK_ANY else item.mark, const,
                 root if reflect else None,
                 *((size, size) if item.label.list_var_pos is None else (size - 1, inf)), *degrees)
 
@@ -424,24 +428,28 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
         lines.append("    live, slots = g.live_bytes, g.node_slots; hw = len(slots)")
     counters = "g.candidates += candidates" + (" + walked" * (backend == "chain")
                                                + "; g.iter_steps += walked") * walks
-    first: dict[int, str] = {}      # left-hand node -> its label, where fixed before its step
+    first: dict[str, str] = {}      # record -> its label, where fixed before its step
     shift = 0                       # 1 inside a chunk's guard
 
     def emit(depth, text):
         lines.append("    " * (depth + shift) + text)
 
     def setup(k, depth):
-        """Start step k's candidates, a node iterator or an edge list, and fixed label."""
+        """Start step k's candidates, a node iterator or an edge list, and fixed labels."""
         if k == len(steps):
             return
         step = steps[k]
-        label = step.node.label
-        if step.binds and all(item[0] == "lit" or item[1] in names for item in label.items):
-            first[step.node.pid] = repr(label.detail) if label.kind == "const" else f"d{k}"
-            if label.kind != "const":
+        fixed = [(node[step.node.pid], step.node.label, f"d{k}")] if step.binds else []
+        if step.kind == "edge":
+            fixed.append((edge[step.edge.eid], step.edge.label, f"f{k}"))
+        for record, label, local in fixed:
+            if all(item[0] == "lit" for item in label.items):
+                first[record] = repr(tuple(item[1] for item in label.items))
+            elif all(item[0] == "lit" or item[1] in names for item in label.items):
+                first[record] = local
                 atoms = ("*" * (item[2] == "list") + names[item[1]] if item[0] == "var"
                          else repr(item[1]) for item in label.items)
-                emit(depth, f"d{k} = ({''.join(atom + ', ' for atom in atoms)})")
+                emit(depth, f"{local} = ({''.join(atom + ', ' for atom in atoms)})")
         if step.kind == "root":
             emit(depth, f"it{k} = iter(g.root_list)")
         elif step.kind == "node":
@@ -465,8 +473,8 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
 
     def check_node(pn, depth):
         n, pid = node[pn.pid], pn.pid
-        if pid in first:
-            emit(depth, f"if {n}.label != {first[pid]}: continue")
+        if n in first:
+            emit(depth, f"if {n}.label != {first[n]}: continue")
         if n in tested:
             emit(depth, f"if {n}.flags & {FLAG_MATCHED}: continue")
         if pn.mark != MARK_ANY:
@@ -480,15 +488,13 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
                 emit(depth, f"if {n}.outdegree < {out_min[pid]}: continue")
             if in_min[pid]:
                 emit(depth, f"if {n}.indegree < {in_min[pid]}: continue")
-        if pid not in first:
+        if n not in first:
             check_label(pn.label, f"{n}.label", depth)
 
     def check_label(pattern, subject, depth):
-        if pattern.kind == "const":
-            emit(depth, f"if {subject} != {pattern.detail!r}: continue")
-            return
+        """Check a label that is not fixed before its step (see ``first``)."""
         items, pos = pattern.items, pattern.list_var_pos
-        if pattern.kind == "list_var":
+        if pos == 0 and len(items) == 1:    # a lone list variable is the whole label
             atoms = [(subject, items[0])]
         else:
             emit(depth, f"label = {subject}")
@@ -563,6 +569,8 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
                 emit(depth + 1, f"{e} = c{k}")
                 emit(depth + 1, f"c{k} = {e}.{'tgt_next' if reverse else 'src_next'}")
                 emit(depth + 1, "candidates += 1")
+                if e in first:
+                    emit(depth + 1, f"if {e}.label != {first[e]}: continue")
                 if e in tested:
                     emit(depth + 1, f"if {e}.flags & {FLAG_MATCHED}: continue")
                 if pe.mark != MARK_ANY:
@@ -573,7 +581,8 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
                     check_node(step.node, depth + 1)
                 else:
                     emit(depth + 1, f"if {end} is not {n}: continue")
-                check_label(pe.label, f"{e}.label", depth + 1)
+                if e not in first:
+                    check_label(pe.label, f"{e}.label", depth + 1)
                 for r in held[k]:
                     emit(depth + 1, f"{r}.flags |= {FLAG_MATCHED}")
                 emit(depth + 1, "break")
@@ -610,48 +619,55 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
 
     # the rewrite: every right-hand label first, then the mutator calls
     # (matched edges not kept, left-hand-only nodes, right-hand items in
-    # order); constants and locals are written where used, and a node whose
-    # label writes its left-hand pattern out again is not relabelled.  A kept
-    # edge (a left-hand edge's id, ends and bidirectional flag) keeps its
-    # record and host direction: nothing before its readd reads an edge list
+    # order); constants and locals are written where used.  A kept item (a
+    # node of a left-hand node's id; an edge of a left-hand edge's id, ends
+    # and bidirectional flag) keeps its record and its place in every list,
+    # and is updated in place: not relabelled where its label writes its
+    # left-hand pattern out again, nor remarked where its mark is any or equal
     terms = _Terms(lambda text: emit(1, text), names, rule, node)
-    same = {pn.pid for pn in rule.rhs.nodes if pn.pid in node and _pattern_items(pn.label)
-            == [item[:2] for item in lhs.nodes[lhs.by_id[pn.pid]].label.items]}
+    twin = {pn: lhs.nodes[lhs.by_id[pn.pid]] for pn in rule.rhs.nodes if pn.pid in node}
+    old_edge = {(pe.eid, pe.src, pe.tgt, pe.bidir): pe for pe in lhs.edges}
+    twin.update((pe, old_edge[key]) for pe in rule.rhs.edges
+                if (key := (pe.eid, pe.src, pe.tgt, pe.bidir)) in old_edge)
+    kept = set(twin.values())
+    same = {item for item, old in twin.items()
+            if _pattern_items(item.label) == [atom[:2] for atom in old.label.items]}
     label = {}
-    for t in [pn.label for pn in rule.rhs.nodes if pn.pid not in same] + \
-            [pe.label for pe in rule.rhs.edges]:
+    for t in [item.label for item in rule.rhs.nodes + rule.rhs.edges if item not in same]:
         code, kind = terms.expr(t)
         label[t] = code if kind == "list" else f"({code},)" if t[0] in ("int", "str") \
             else terms.let(f"({code},)")
-    ends = {pe.eid: (pe.src, pe.tgt, pe.bidir) for pe in lhs.edges}
-    kept = {pe.eid for pe in rule.rhs.edges if ends.get(pe.eid) == (pe.src, pe.tgt, pe.bidir)}
-    for eid, e in edge.items():
-        if eid not in kept:
-            emit(1, f"g.delete_edge({e})")
+
+    def update(record, item):
+        if item not in same:
+            emit(1, f"if {record}.label != {label[item.label]}: "
+                    f"g.relabel({record}, {label[item.label]})")
+        if item.mark not in (MARK_ANY, twin[item].mark):
+            emit(1, f"if {record}.mark != {item.mark!r}: g.remark({record}, {item.mark!r})")
+
+    for pe in lhs.edges:
+        if pe not in kept:
+            emit(1, f"g.delete_edge({edge[pe.eid]})")
     for pid in rule.deleted:
         emit(1, f"g.delete_node({node[pid]})")
     at = dict(node)
     for pn in rule.rhs.nodes:
-        code = label.get(pn.label)
-        if pn.pid not in at:
+        if pn not in twin:
             at[pn.pid] = f"n{len(at)}"
-            emit(1, f"{at[pn.pid]} = g.add_node({code}, {pn.mark!r}, {pn.root})")
+            emit(1, f"{at[pn.pid]} = g.add_node({label[pn.label]}, {pn.mark!r}, {pn.root})")
             continue
-        n, old = at[pn.pid], lhs.nodes[lhs.by_id[pn.pid]]
-        if pn.pid not in same:
-            emit(1, f"if {n}.label != {code}: g.relabel_node({n}, {code})")
-        if pn.mark not in (MARK_ANY, old.mark):
-            emit(1, f"if {n}.mark != {pn.mark!r}: g.remark_node({n}, {pn.mark!r})")
+        n, old = at[pn.pid], twin[pn]
+        update(n, pn)
         if pn.root != old.root or not (pn.root or reflect):     # reflect: never a root
             # a rooted left-hand node, or any in reflect mode, fixes the image's flag
             test = f"if {'not ' * pn.root}{n}.flags & {FLAG_ROOT}: "
             emit(1, f"{test * (not (reflect or old.root))}g.set_root({n}, {pn.root})")
     for pe in rule.rhs.edges:
+        if pe in twin:
+            update(edge[pe.eid], pe)
+            continue
         mark = f"{edge[pe.eid]}.mark" if pe.mark == MARK_ANY else repr(pe.mark)
         rest = f"{label[pe.label]}, {mark})"
-        if pe.eid in kept:
-            emit(1, f"g.readd_edge({edge[pe.eid]}, {rest}")
-            continue
         add = f"g.add_edge({at[pe.src]}, {at[pe.tgt]}, {rest}"
         if pe.bidir and pe.eid in orientations:     # flipped: added the other way round
             emit(1, f"if {orientations[pe.eid]}: g.add_edge({at[pe.tgt]}, {at[pe.src]}, {rest}")

@@ -92,7 +92,7 @@ class LabelPattern:
     """A left-hand-side label: fixed atoms and typed variables around at
     most one list variable, unified positionally against a host label."""
 
-    __slots__ = ("items", "list_var_pos", "kind", "detail")
+    __slots__ = ("items", "list_var_pos")
 
     def __init__(self, items: list[tuple]):
         # items: ('lit', atom) or ('var', name, type)
@@ -104,17 +104,6 @@ class LabelPattern:
                     raise RuleError("at most one list variable per label")
                 pos = i
         self.list_var_pos = pos
-        # the compiled matcher's fast paths: a lone list variable binds
-        # the whole host label, a constant pattern is one tuple comparison
-        if len(items) == 1 and pos == 0:
-            self.kind = "list_var"
-            self.detail = None
-        elif all(it[0] == "lit" for it in items):
-            self.kind = "const"
-            self.detail = tuple(it[1] for it in items)
-        else:
-            self.kind = "general"
-            self.detail = None
 
     def variables(self):
         return [(it[1], it[2]) for it in self.items if it[0] == "var"]

@@ -22,20 +22,29 @@ def kept_edges(rule):
 
 def predicate(rule, mode):
     """Whether ``rule`` leaves every graph it matches as it was, read off
-    its text: no edges on either side, the same node ids on both, and
-    each right-hand node its left-hand node's label pattern written back,
-    its mark equal or ``any``, and its root flag equal.  In preserve mode
+    its text: the same node ids on both sides, every left-hand edge kept
+    (see ``kept_edges``) and no other right-hand edge, and each right-hand
+    item its left-hand twin's label pattern written back and its mark
+    equal or ``any``, and each node its root flag equal.  In preserve mode
     every node must be rooted too: a non-root one may match a root, whose
     flag the rewrite then clears."""
-    if rule.lhs.edges or rule.rhs.edges or set(rule.lhs.by_id) != set(rule.rhs.by_id):
+    kept = kept_edges(rule)
+    if set(rule.lhs.by_id) != set(rule.rhs.by_id) or len(kept) != len(rule.lhs.edges) \
+            or len(rule.rhs.edges) != len(kept):
         return False
-    for right in rule.rhs.nodes:
-        left = rule.lhs.nodes[rule.lhs.by_id[right.pid]]
-        if _atoms(right.label) != [item[:2] for item in left.label.items] \
-                or right.mark not in ("any", left.mark) or right.root != left.root \
-                or mode == "preserve" and not left.root:
+    left_edge = {pe.eid: pe for pe in rule.lhs.edges}
+    twins = [(right, rule.lhs.nodes[rule.lhs.by_id[right.pid]]) for right in rule.rhs.nodes]
+    for right, left in twins + [(right, left_edge[right.eid]) for right in rule.rhs.edges]:
+        if not written_back(right, left) or right.mark not in ("any", left.mark):
             return False
-    return True
+    return all(right.root == left.root and (mode == "reflect" or left.root)
+               for right, left in twins)
+
+
+def written_back(right, left):
+    """Whether right-hand item ``right`` writes the label pattern of its
+    left-hand twin ``left`` out again, atom for atom."""
+    return _atoms(right.label) == [item[:2] for item in left.label.items]
 
 
 def _atoms(term):

@@ -182,7 +182,7 @@ def _lists():
 
 # (program, hosts, backend, candidates, iter_steps, growth of the candidates)
 COUNTER_ROWS = [
-    ("gen_tree", _seeds(8, 9, 10), "chain", (5868, 11756, 23532), (0, 0, 0), "~linear"),
+    ("gen_tree", _seeds(8, 9, 10), "chain", (5741, 11501, 23021), (0, 0, 0), "~linear"),
     ("gen_star", _seeds(1000, 2000, 4000), "chain", (1502, 3002, 6002), (0, 0, 0), "~linear"),
     ("gen_discrete", _seeds(1000, 2000, 4000), "chain", (4003, 8003, 16003), (0, 0, 0),
      "~linear"),
@@ -193,10 +193,10 @@ COUNTER_ROWS = [
      "~linear"),
     ("is_tree", _trees, "chain", (4041, 8131, 16317), (6, 6, 6), "~linear"),
     ("is_tree", _trees, "index_scan", (4041, 8131, 16317), (2556, 5116, 10236), "~linear"),
-    ("is_con", _trees, "chain", (4857, 9722, 19451), (512, 1024, 2048), "~linear"),
-    ("is_con", _trees, "index_scan", (4857, 9722, 19451), (512, 1024, 2048), "~linear"),
-    ("is_con", _grids, "chain", (3094, 6472, 12590), (257, 530, 1025), "~linear"),
-    ("is_con", _grids, "index_scan", (3094, 6472, 12590), (257, 530, 1025), "~linear"),
+    ("is_con", _trees, "chain", (4849, 9713, 19441), (512, 1024, 2048), "~linear"),
+    ("is_con", _trees, "index_scan", (4849, 9713, 19441), (512, 1024, 2048), "~linear"),
+    ("is_con", _grids, "chain", (3191, 6681, 13039), (257, 530, 1025), "~linear"),
+    ("is_con", _grids, "index_scan", (3191, 6681, 13039), (257, 530, 1025), "~linear"),
     ("is_bin_dag", _trees, "chain", (6123, 12267, 24555), (256, 512, 1024), "~linear"),
     ("is_bin_dag", _trees, "index_scan", (6123, 12267, 24555), (33407, 132351, 526847),
      "~linear"),

@@ -55,12 +55,12 @@ def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
         for ms, rel in zip(TIMES, RELS):
             assert 0.5 < row[rel] * row["reference_ms"] / row[ms] < 2, (ms, row)
         # one frame per expansion of the root cursor; the last one is undone
-        assert [row[key] for key in COUNTS] == [1, 0, "success", 348, 0, 23, 22, 1]
+        assert [row[key] for key in COUNTS] == [1, 0, "success", 341, 0, 23, 22, 1]
 
 
 def test_a_side_is_the_median_of_all_its_samples_and_its_counts_must_agree():
     bench_matrix = load_tool()
-    counts = dict(zip(COUNTS, [1, 0, "success", 348, 0, 23, 22, 1]))
+    counts = dict(zip(COUNTS, [1, 0, "success", 341, 0, 23, 22, 1]))
     samples = [{"program": "p", **counts, **{key: [t] for key in TIMES},
                 **{key: [t * 10] for key in RELS}, "reference_ms": [t * 1e5, 150.0]}
                for t in (0.001, 0.005, 0.002)]
@@ -81,8 +81,9 @@ def test_a_failed_recognition_is_a_fail_row_and_the_cli_must_exit_with_its_code(
     bench_matrix = load_tool()
     row = bench_matrix.measure("is_tree", "grid:3x3", "chain", "preserve")
     assert (row["outcome"], len(row["e2e_ms"]), len(row["e2e_rel"])) == ("fail", 2, 2)
-    # one pass before and one after the run's layers, and the same around the CLI runs
-    assert len(row["run_rel"]) == 1 and len(row["reference_ms"]) == 4
+    # one pass before and one after the run's layers, and one before the
+    # first CLI run and one after each
+    assert len(row["run_rel"]) == 1 and len(row["reference_ms"]) == 5
     cell = {key: row[key] for key in ("program", "host", "backend", "mode")}
     host_text = textio.print_graph(bench.generate(bench.parse_spec("grid:3x3")))
     with pytest.raises(SystemExit, match=r"^the CLI exited 2, not 0 for 'success', on "
@@ -96,8 +97,10 @@ CELL = {"program": "p", "host": "discrete:1", "backend": "chain", "mode": "prese
 def test_a_cli_run_that_exits_with_the_outcome_s_code_is_timed(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     bench_matrix = load_tool()
-    times = bench_matrix._cli_times(CELL, "Main = skip", "[ (0, empty) | ]", "success")
-    assert len(times) == bench_matrix.CLI_REPEATS and all(t > 0 for t in times)
+    calls = []
+    times = bench_matrix._cli_times(CELL, "Main = skip", "[ (0, empty) | ]", "success",
+                                    lambda: calls.append(len(calls)))
+    assert len(times) == len(calls) == bench_matrix.CLI_REPEATS and all(t > 0 for t in times)
 
 
 @pytest.mark.parametrize("program, outcome, code", [

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gp2.graph import FLAG_IN_STACK, FLAG_ROOT, Graph, GraphError
+from gp2.graph import FLAG_IN_STACK, FLAG_ROOT, Edge, Graph, GraphError
 from gp2.oracles import check_consistency, graphs_isomorphic
 from gp2.textio import parse_host_graph, print_graph
 
@@ -119,7 +119,7 @@ def test_deleted_edges_are_never_reused():
     assert held.flags == deleted.flags == 0
 
 
-def test_readd_edge_orders_lists_as_delete_then_add():
+def test_an_edge_relabelled_or_remarked_keeps_its_place_and_undo_restores_it():
     rng = random.Random(909)
     loops = parallel = 0
     for _ in range(300):
@@ -127,38 +127,41 @@ def test_readd_edge_orders_lists_as_delete_then_add():
         ends = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randrange(1, 9))]
         loops += any(s == t for s, t in ends)
         parallel += len(set(ends)) < len(ends)
-        graphs = []
-        for _ in range(2):
-            g = Graph()
-            nodes = [g.add_node() for _ in range(size)]
-            graphs.append((g, nodes, [g.add_edge(nodes[s], nodes[t], (k,)) for k, (s, t) in
-                                      enumerate(ends)]))
-        (kept, _, kept_edges), (made, _, made_edges) = graphs
-        for _ in range(rng.randrange(1, 5)):
-            k = rng.randrange(len(ends))
-            label, mark = (rng.randrange(9),), rng.choice(["none", "red"])
-            record = kept_edges[k]
-            kept.readd_edge(record, label, mark)
-            assert kept_edges[k] is record
-            old = made_edges[k]
-            made.delete_edge(old)
-            made_edges[k] = made.add_edge(old.source, old.target, label, mark)
+        g = Graph()
+        nodes = [g.add_node() for _ in range(size)]
+        edges = [g.add_edge(nodes[s], nodes[t], (k,)) for k, (s, t) in enumerate(ends)]
 
-        def lists(g, nodes, edges):
-            place = {id(e): k for k, e in enumerate(edges)}
-            return (g.edge_count,
-                    [(n.outdegree, n.indegree, [place[id(e)] for e in g.out_edges(n)],
-                      [place[id(e)] for e in g.in_edges(n)]) for n in nodes],
-                    [(e.label, e.mark) for e in edges])
-        assert lists(*graphs[0]) == lists(*graphs[1])
-        check_consistency(kept)
+        def lists():
+            return g.edge_count, [(n.outdegree, n.indegree, list(g.out_edges(n)),
+                                   list(g.in_edges(n))) for n in nodes]
+
+        def records():
+            return [tuple(getattr(e, field) for field in Edge.__slots__) for e in edges]
+        before, fields = lists(), records()
+        entries = g.journal = []
+        calls = rng.randrange(1, 5)
+        for _ in range(calls):
+            edge = rng.choice(edges)
+            if rng.random() < 0.5:
+                label = (rng.randrange(9),)
+                g.relabel(edge, label)
+                assert edge.label == label
+            else:
+                mark = rng.choice(["none", "red", "dashed"])
+                g.remark(edge, mark)
+                assert edge.mark == mark
+            assert lists() == before
+        assert len(entries) == calls      # one entry each
+        g.undo(entries)
+        assert lists() == before and records() == fields
+        check_consistency(g)
     assert loops > 50 and parallel > 50
 
 
 def test_relabel_remark_set_root():
     g = Graph()
     n = g.add_node()
-    g.relabel_node(n, (5,))
+    g.relabel(n, (5,))
     assert n.label == (5,)
     g.set_root(n, True)
     g.set_root(n, False)

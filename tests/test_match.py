@@ -3,6 +3,7 @@ import linecache
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +17,7 @@ from gp2.match import (Step, compile_plan, compiled_step, exec_source, find_matc
 from gp2.reference import audit_match, brute_force_match, match_key, plan_is_well_formed
 from gp2.rules import EvalError, instantiate_rhs
 from gp2.textio import parse_host_graph, parse_program, parse_rule, print_graph
+from helpers import kept_edges, predicate, written_back
 
 
 def _rules(name):
@@ -427,7 +429,7 @@ def test_compiled_step_shows_its_source():
     source = inspect.getsource(step)
     assert source.startswith("def step(g, find=False):")
     assert repr(STRANGE) in source
-    assert "g.readd_edge(e0, " in source and "Match" not in source
+    assert "if e0.label != f2: continue" in source and "Match" not in source
     assert rule.plans[False, "chain", False][2][2] == ("g", "len", "None", "if")
 
 
@@ -484,8 +486,8 @@ def test_a_bidirectional_edge_is_added_back_the_way_it_was_matched():
     fwd = _rules("is_con")["fwd"]
     source = inspect.getsource(compiled_step(fwd))
     assert "    if find: return (n0, n1, e0, v0, v1, v2, p1 == 1, )\n" in source
-    # the edge is kept: its record, and so its host direction, stay
-    assert "    g.readd_edge(e0, v2, 'dashed')\n" in source
+    # the edge is kept: its record, its host direction and its places stay
+    assert "    if e0.mark != 'dashed': g.remark(e0, 'dashed')\n" in source
     assert "g.add_edge(" not in source and "g.delete_edge(" not in source
     assert "*(" not in source and "(False, True)" not in source
     for host in ("[ (0 (R), 1 # grey) (1, 2) | (0, 0, 1, 3) ]",
@@ -678,7 +680,7 @@ def test_inline_walks_visit_and_count_as_the_graph_generators(backend, mode):
             if m is None:
                 break
             got.append((m.node_images[1], g.iter_steps - before))
-            g.remark_node(m.node_images[1], "red")
+            g.remark(m.node_images[1], "red")
         assert got == want
         assert g.iter_steps - before == total
 
@@ -772,39 +774,77 @@ def test_only_items_that_may_meet_touch_matched_flags(backend, mode):
                 assert not re.search(r"flags & 1\b", _step_block(source, k)), (name, rule.name)
 
 
-def _fixed_before(steps, k) -> bool:
-    """Whether the label of the node step ``k`` binds is fixed before the
-    step: every variable in it is in a label an earlier step bound."""
-    bound = {name for s in steps[:k] for item in (s.edge, s.node if s.binds else None)
-             if item is not None for name, _ in item.label.variables()}
-    return steps[k].binds and all(name in bound for name, _ in steps[k].node.label.variables())
+def _fixed_before(steps, k, item) -> bool:
+    """Whether the label of ``item``, the node or the edge plan step ``k``
+    binds, is fixed before the step: every variable in it is in a label
+    an earlier step bound."""
+    bound = {name for s in steps[:k] for it in (s.edge, s.node if s.binds else None)
+             if it is not None for name, _ in it.label.variables()}
+    return all(name in bound for name, _ in item.label.variables())
+
+
+def _first_check(block, local, k, where):
+    """Assert that every candidate ``local`` gets in the step block is
+    checked first against its fixed label, in one comparison."""
+    binds = [j for j, line in enumerate(block) if re.search(rf"\b{local} (=|in) ", line)]
+    assert binds, where
+    for j in binds:
+        rest = [line.strip() for line in block[j + 1:]]
+        at = next(i for i, line in enumerate(rest) if line.startswith("if "))
+        fixed = rf"\(.*\)|{'d' if local[0] == 'n' else 'f'}{k}"
+        assert re.fullmatch(rf"if {local}\.label != ({fixed}): continue", rest[at]), where
+        assert rest[at].count("!=") == 1, where
+        if local[0] == "e":     # straight after the count
+            assert rest[at - 1] == "candidates += 1", where
+
+
+def _kept_edge_updates(rule):
+    """Per kept edge's local, the updates its rewrite must emit: a
+    relabel unless its label is written back, a remark unless its mark
+    is any or unchanged."""
+    left, kept = {pe.eid: (j, pe) for j, pe in enumerate(rule.lhs.edges)}, kept_edges(rule)
+    updates = {}
+    for pe in rule.rhs.edges:
+        if pe.eid in kept:
+            j, old = left[pe.eid]
+            updates[f"e{j}"] = ["relabel"] * (not written_back(pe, old)) + \
+                ["remark"] * (pe.mark not in ("any", old.mark))
+    return updates
 
 
 @pytest.mark.parametrize("optimize", [True, False])
 @pytest.mark.parametrize("backend,mode", SETTINGS)
-def test_a_fixed_node_label_is_checked_first_and_a_chain_walk_counts_each_step_once(
+def test_fixed_labels_first_kept_edges_in_place_and_a_chain_walk_step_counted_once(
         optimize, backend, mode):
-    reflect, fixed = mode == "reflect", 0
+    reflect, fixed, kept = mode == "reflect", Counter(), Counter()
     for name, rule in all_corpus_rules() + [(None, parse_rule(text)) for text in FIXED_RULES]:
         source = inspect.getsource(compiled_step(rule, optimize, backend, reflect))
+        assert "readd" not in source
         steps = rule.plans[optimize, backend, reflect][0]
         for k, step in enumerate(steps):
             block, where = _step_block(source, k).splitlines(), (name, rule.name, k)
             if step.kind == "node" and backend == "chain":
                 assert "candidates += 1" not in "\n".join(block), where
-            if not _fixed_before(steps, k):
-                continue
-            fixed += 1
-            n = f"n{rule.lhs.by_id[step.node.pid]}"
-            binds = [j for j, line in enumerate(block) if re.search(rf"\b{n} (=|in) ", line)]
-            assert binds, where
-            for j in binds:
-                first = next(line.strip() for line in block[j + 1:] if "if " in line)
-                assert re.fullmatch(rf"if {n}\.label != (\(.*\)|d{k}): continue", first), where
-                assert first.count("!=") == 1, where
+            if step.binds and _fixed_before(steps, k, step.node):
+                fixed["node"] += 1
+                _first_check(block, f"n{rule.lhs.by_id[step.node.pid]}", k, where)
+            if step.kind == "edge" and _fixed_before(steps, k, step.edge):
+                fixed["edge"] += 1
+                e = f"e{rule.lhs.edges.index(step.edge)}"
+                _first_check(block, e, k, where)
+        # a kept edge is updated in place, and not at all when written back
+        rewrite = source.split("    if find: return", 1)[1].splitlines()[1:]
+        for e, updates in _kept_edge_updates(rule).items():
+            kept[bool(updates)] += 1
+            got = [re.match(r"if \S+ != .*: g\.(\w+)\(", line.strip()) for line in rewrite
+                   if re.search(rf"\b{e}\b", line)]
+            assert [m and m[1] for m in got] == updates, (name, rule.name, e)
     # gen_sierpinski's expand (n, bound at the root) and the constant
-    # labels of gen_tree, gen_star and gen_discrete, and FIXED_RULES
-    assert fixed >= 10
+    # labels of gen_tree, gen_star and gen_discrete, and FIXED_RULES;
+    # every constant edge label, and FIXED_RULES' a; kept edges written
+    # back (gen_tree's ret) and updated (is_con's fwd and bck)
+    assert fixed["node"] >= 10 and fixed["edge"] >= 10, fixed
+    assert kept[False] and kept[True], kept
 
 
 # Node labels that earlier steps fix: a bound list variable alone and
@@ -836,6 +876,108 @@ def test_fixed_node_labels_agree_with_brute_force_on_random_hosts(optimize):
     assert found > 50
 
 
+# -- drawn rules against the brute-force matcher ------------------------------
+
+DRAWN_HOST_LABELS = [(), (0,), (1,), (0, 1), (1, 1), (1, 0, 1)]
+
+
+def _drawn_label(rng):
+    """Up to two literals and int variables, and half the time one list
+    variable among them: a left-hand label, or one written back."""
+    atoms = [rng.choice(["0", "1", "i", "j"]) for _ in range(rng.randrange(3))]
+    if rng.random() < 0.5:
+        atoms.insert(rng.randrange(len(atoms) + 1), rng.choice(["x", "y"]))
+    return ":".join(atoms) or "empty"
+
+
+def _drawn_rule(rng):
+    """The GP 2 text of a rule of 1-4 nodes and 0-4 edges, any of them
+    rooted, bidirectional or marked ``any``, whose variables recur across
+    labels, so that a label may be fixed by an earlier step or bind.  Its
+    right-hand side deletes some nodes and edges, keeps the others with
+    their labels written back or replaced and their marks kept or
+    changed, and may add an edge."""
+    n = rng.randrange(1, 5)
+    nodes = [(i, rng.random() < 0.3, _drawn_label(rng),
+              rng.choice(["", "", " # red", " # grey", " # any"])) for i in range(n)]
+    edges = [(e, rng.randrange(n), rng.randrange(n), rng.random() < 0.3, _drawn_label(rng),
+              rng.choice(["", "", " # red", " # dashed", " # any"]))
+             for e in range(rng.randrange(5))]
+    kept = {i for i in range(1, n) if rng.random() < 0.8} | {0}
+    right_nodes = [(i, root ^ (rng.random() < 0.2), label if rng.random() < 0.7 else "1",
+                    mark if rng.random() < 0.7 else rng.choice(["", " # red", " # any"]))
+                   for i, root, label, mark in nodes if i in kept]
+    right_edges = [(e, s, t, bidir, label if rng.random() < 0.7 else "0",
+                    mark if rng.random() < 0.7 else rng.choice(["", " # red", " # any"]))
+                   for e, s, t, bidir, label, mark in edges
+                   if s in kept and t in kept and rng.random() < 0.8]
+    if rng.random() < 0.3:
+        right_edges.append((9, rng.choice(sorted(kept)), rng.choice(sorted(kept)), False, "1", ""))
+
+    def side(nodes, edges):
+        return "[ " + " ".join(f"({i}{' (R)' * root}, {label}{mark})"
+                               for i, root, label, mark in nodes) + " | " + \
+            " ".join(f"({e}{' (B)' * bidir}, {s}, {t}, {label}{mark})"
+                     for e, s, t, bidir, label, mark in edges) + " ]"
+    return f"r(i,j:int; x,y:list)\n{side(nodes, edges)} => {side(right_nodes, right_edges)}"
+
+
+def _host_with_an_image(rng, rule):
+    """A random host of up to 3 nodes, an image of the rule's left-hand
+    side under random variable values beside it, and up to 3 random
+    edges that may join the two."""
+    g = random_host(rng, max_nodes=3, labels=DRAWN_HOST_LABELS)
+    values = {"i": rng.randrange(2), "j": rng.randrange(2),
+              "x": rng.choice([(), (1,), (0, 1)]), "y": rng.choice([(), (0,)])}
+
+    def label(pattern):
+        return tuple(atom for item in pattern.items for atom in
+                     ((item[1],) if item[0] == "lit" else values[item[1]]
+                      if item[2] == "list" else (values[item[1]],)))
+    image = {}
+    for pn in rule.lhs.nodes:
+        mark = rng.choice(NODE_MARK_CHOICES) if pn.mark == "any" else pn.mark
+        image[pn.pid] = g.add_node(label(pn.label), mark, pn.root or rng.random() < 0.2)
+    for pe in rule.lhs.edges:
+        ends = [image[pe.src], image[pe.tgt]]
+        if pe.bidir and rng.random() < 0.5:
+            ends.reverse()
+        mark = rng.choice(EDGE_MARK_CHOICES) if pe.mark == "any" else pe.mark
+        g.add_edge(*ends, label(pe.label), mark)
+    nodes = g.nodes()
+    for _ in range(rng.randrange(4)):
+        g.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(DRAWN_HOST_LABELS))
+    return g
+
+
+def test_drawn_rules_find_a_match_of_the_brute_force_set_in_every_setting():
+    rng = random.Random(2002)
+    seen = Counter()
+    for _ in range(300):
+        text = _drawn_rule(rng)
+        rule = parse_rule(text)
+        g = _host_with_an_image(rng, rule)
+        for mode in ("preserve", "reflect"):
+            keys = {match_key(m) for m in brute_force_match(rule, g, mode)}
+            seen["hit" if keys else "miss"] += 1
+            for optimize in (True, False):
+                for backend in ("chain", "index_scan"):
+                    m = find_match(rule, g, mode, backend, optimize)
+                    where = (text, mode, backend, optimize)
+                    assert (m is None) == (not keys), where
+                    if m is not None:
+                        assert match_key(m) in keys, where
+                        audit_match(rule, g, m, mode)
+                    writes = rule.plans[optimize, backend, mode == "reflect"][3]
+                    assert writes == (not predicate(rule, mode)), where
+        source = "".join(linecache.getlines(compiled_step(rule).__code__.co_filename))
+        seen["fixed edge label"] += bool(re.search(r"^ *f\d+ = \(", source, re.M))
+        seen["late edge label"] += bool(re.search(r"(label|v\d+) = e\d+\.label", source))
+        seen["kept edge"] += bool(kept_edges(rule))
+        seen["bidirectional"] += any(pe.bidir for pe in rule.lhs.edges)
+    assert min(seen.values()) >= 50, seen
+
+
 # -- an interface label written out again ---------------------------------
 
 
@@ -849,9 +991,9 @@ def _reference_rewrite(rule, g, mode):
     for pn, (label, mark) in zip(rule.rhs.nodes, nodes):
         n = m.node_images[pn.pid]
         if n.label != label:
-            g.relabel_node(n, label)
+            g.relabel(n, label)
         if n.mark != mark:
-            g.remark_node(n, mark)
+            g.remark(n, mark)
         if n.is_root != pn.root:
             g.set_root(n, pn.root)
     return True
@@ -888,8 +1030,8 @@ def test_a_label_written_out_again_is_not_relabelled(case, mode):
                       f"=> [ (1, {rhs} # red) (2, k:0) | ]")
     step = compiled_step(rule, True, "chain", mode == "reflect")
     source = inspect.getsource(step)
-    assert ("g.relabel_node(n0" in source) == (lhs != rhs)
-    assert "g.relabel_node(n1" in source
+    assert ("g.relabel(n0" in source) == (lhs != rhs)
+    assert "g.relabel(n1" in source
     text = "[ " + " ".join(f"({j}{' (R)' * root}, {_label_text(label)})"
                            for j, (label, root) in enumerate(host)) + " | ]"
     runs = []

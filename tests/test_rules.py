@@ -502,7 +502,8 @@ def test_compiled_conditions_are_pinned(cond, expected):
 def _node_rules(draw):
     """Rules over up to three nodes and at most a loop, whose right-hand
     side repeats the left-hand one but for what is drawn: a node's root
-    flag, label or mark changed, a node deleted or added, an edge."""
+    flag, label or mark changed, a node deleted or added, an edge added,
+    deleted, kept as it was or kept with its label or mark changed."""
     labels, marks = ["x", "x:1", "1:x", "1", '"a"', "empty"], ["", " # red", " # any"]
     lhs = [(i, draw(st.booleans()), draw(st.sampled_from(labels[:3] if i == 0 else labels)),
             draw(st.sampled_from(marks))) for i in range(draw(st.integers(1, 3)))]
@@ -516,8 +517,10 @@ def _node_rules(draw):
         mark = draw(st.sampled_from(marks)) if change == 3 else mark
         rhs.append((i, root, label, mark))
     rhs += [(len(lhs), False, "2", "")] * (not draw(st.integers(0, 3)))
-    loop = "(0, 0, 0, 1)"
-    edges = draw(st.sampled_from([("", "")] * 3 + [(loop, ""), ("", loop), (loop, loop)]))
+    loop, any_loop = "(0, 0, 0, 1)", "(0, 0, 0, 1 # any)"
+    edges = draw(st.sampled_from([("", "")] * 3 + [
+        (loop, ""), ("", loop), (loop, loop), (any_loop, any_loop),
+        (loop, "(0, 0, 0, 2)"), (loop, "(0, 0, 0, 1 # red)"), (any_loop, "(0, 0, 0, 1 # red)")]))
     side = [" ".join(f"({i}{' (R)' * root}, {label}{mark})" for i, root, label, mark in nodes)
             for nodes in (lhs, rhs)]
     return parse_rule(f"r(x:int)\n[ {side[0]} | {edges[0]} ] => [ {side[1]} | {edges[1]} ]")
@@ -536,10 +539,10 @@ def test_a_corpus_rule_writes_unless_it_is_a_predicate():
     rules = [rule for name in corpus.PROGRAM_NAMES for rule in _rules(name).values()]
     for rule in rules:
         _check_writes(rule)
-    # flag in both modes, and match, node and two_nodes in reflect mode
+    # flag in both modes, and has_loop, match, node and two_nodes in reflect mode
     assert sorted({r.name for r in rules if predicate(r, "preserve")}) == ["flag"]
     assert sorted({r.name for r in rules if predicate(r, "reflect")}) == [
-        "flag", "match", "node", "two_nodes"]
+        "flag", "has_loop", "match", "node", "two_nodes"]
 
 
 @settings(deadline=None, database=None, derandomize=True, max_examples=300)
@@ -572,7 +575,7 @@ def _rhs_edge_hosts():
             nodes = g.nodes()
             for node in nodes:
                 g.set_root(node, node is nodes[i])
-            g.remark_node(nodes[i], "grey")
+            g.remark(nodes[i], "grey")
             for k, e in enumerate(g.edges()):
                 if k % 2:
                     e.mark = "dashed"
@@ -594,7 +597,7 @@ def test_reference_rhs_edges_are_the_edges_a_rewrite_adds(mode):
             before = g.edges()      # alive, so no added edge reuses an id
             kept = {id(m.edge_images[eid]) for eid in kept_edges(rule)}
             assert apply_rule(rule, g, mode)
-            # what a rewrite adds: new records, and the kept ones it readds
+            # what a rewrite adds: new records, and the kept ones it updates in place
             old = {id(e) for e in before} - kept
             added = [e for e in g.edges() if id(e) not in old]
             assert Counter((e.label, e.mark) for e in added) == \

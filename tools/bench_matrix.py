@@ -17,9 +17,10 @@ and of the wall times of ``python3 -m gp2.cli`` in a subprocess,
 ``CLI_REPEATS`` a process.  Each time is also given relative to the
 machine's speed at that moment (``*_rel``): the pass of perfbench's
 reference workload (``perfbench/reference.py`` of this checkout, the
-same for every side) is timed just before and just after each timed
-block, the layers of one run or the CLI runs, and the block's times are
-divided by the mean of the two.  A row keeps the median pass, in ms
+same for every side) is timed just before and just after the layers of
+one run, and before the first CLI run and after each one, and each time
+is divided by the mean of the two passes around it.  A row keeps the
+median pass, in ms
 (``reference_ms``).  A slow spell of a shared machine outlasts a process
 and slows all of its timings; it slows the reference passes with them.
 The counts come from one more, untimed run in each process, and must be
@@ -125,9 +126,13 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
     cfg = engine.ExecConfig(backend=backend, root_mode=mode)
     times: dict[str, list[float]] = {key: [] for key in (*TIMES, *RELS, "reference_ms")}
 
+    def passed():
+        """One reference pass, in ms, also noted in ``reference_ms``."""
+        times["reference_ms"].append(reference())
+        return times["reference_ms"][-1]
+
     def timed(block, before, after):
         """Note each (key, seconds) of a block timed between two reference passes."""
-        times["reference_ms"] += before, after
         for key, seconds in block:
             times[key].append(seconds)
             times[key.replace("_ms", "_rel")].append(seconds * 2000.0 / (before + after))
@@ -137,7 +142,7 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
         counted = repeat == REPEATS
         engine.ChangeStack = CountingStack if counted else plain
         parsed = textio.parse_program(text)
-        before = None if counted else reference()
+        before = None if counted else passed()
         clock = time.perf_counter()
         g = textio.parse_host_graph(host_text)
         if repeat == 0:
@@ -153,14 +158,17 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
             g = executable = None   # no live graph in the reference pass
             timed([(key, end - start) for key, start, end in (
                 ("parse_host_ms", clock, built), ("build_ms", built, ran),
-                ("run_ms", ran, printed), ("print_ms", printed, done))], before, reference())
+                ("run_ms", ran, printed), ("print_ms", printed, done))], before, passed())
     engine.ChangeStack = plain
     row = {"program": program, "host": host, "backend": backend, "mode": mode}
     counts = (*size, outcome, g.candidates, g.iter_steps, *frames)
     g = executable = None
-    before = reference()
-    cli = _cli_times(row, text, host_text, outcome)
-    timed([("e2e_ms", seconds) for seconds in cli], before, reference())
+    first = len(times["reference_ms"])
+    passed()
+    cli = _cli_times(row, text, host_text, outcome, passed)
+    passes = times["reference_ms"][first:]
+    for seconds, before, after in zip(cli, passes, passes[1:]):
+        timed([("e2e_ms", seconds)], before, after)
     return {**row, **dict(zip(COUNTS, counts)), **times}
 
 
@@ -182,9 +190,11 @@ def merge(samples: list[dict]) -> dict:
             "reference_ms": round(median("reference_ms"), 3)}
 
 
-def _cli_times(row: dict, program_text: str, host_text: str, outcome: str) -> list[float]:
+def _cli_times(row: dict, program_text: str, host_text: str, outcome: str,
+               after=lambda: None) -> list[float]:
     """Wall times of ``python3 -m gp2.cli`` on the row, in subprocesses.
-    Each must exit with the code of the row's in-process ``outcome``."""
+    Each must exit with the code of the row's in-process ``outcome``.
+    ``after`` is called after each run, outside its time."""
     flags = ["-n"] * (row["backend"] == "index_scan") + ["-m"] * (row["mode"] == "reflect")
     expected = EXIT_CODES[outcome]
     with tempfile.TemporaryDirectory() as tmp:
@@ -201,6 +211,7 @@ def _cli_times(row: dict, program_text: str, host_text: str, outcome: str) -> li
             if result.returncode != expected:
                 raise SystemExit(f"the CLI exited {result.returncode}, not {expected} for "
                                  f"{outcome!r}, on {row}: {result.stderr.strip()}")
+            after()
     return times
 
 
