@@ -9,7 +9,10 @@ command's effects (may it fail, may it change the graph, does a failure
 leave the graph as it was): a rule set's from its steps, any other's
 from its children's.  From these alone it places journal frames: around
 a loop body or ``try`` guard that may fail after changing the graph, and
-an ``if`` guard that may change it.  ``_compile`` writes the result as
+an ``if`` guard that may change it.  A framed body or guard that is a
+sequence closes its frame after its last part that may fail: the parts
+after it cannot fail, so they run in the parent frame, or unjournaled
+when there is none.  ``_compile`` writes the result as
 one generated function ``main(g, stack)`` that returns OK, FAILED or
 BROKE: a loop is a ``while``, a rule set calls its steps with ``or``
 until one rewrites, a shared command is a function, and frames are
@@ -73,12 +76,23 @@ def _build(main, rules: dict[str, Rule], cfg: ExecConfig, shared: set):
     command's effects come from its children's.  They alone place frames:
     a loop body or ``try`` guard gets one that commits on success when it
     may fail after changing the graph, and an ``if`` guard one that is
-    always undone when it may change the graph.  ``code`` is ``main`` for
-    ``_compile``, with each rule set's steps and names, and each loop's
-    and branch's frame.  A command that call sites share is built once,
-    and the id of its code put in ``shared``."""
+    always undone when it may change the graph.  A framed body or guard
+    that is a sequence commits right after its last part that may fail,
+    and the parts after it, its ``tail``, run outside the frame.
+    ``code`` is ``main`` for ``_compile``, with each rule set's steps and
+    names, and each loop's and branch's frame and tail.  A command that
+    call sites share is built once, and the id of its code put in
+    ``shared``."""
     setting = (cfg.optimize_plans, cfg.backend, cfg.root_mode == "reflect")
     built: dict = {}            # id(cmd) -> build(cmd)
+
+    def split(cmd, code, framed):
+        """A framed sequence's code as the part its frame holds, up to its
+        last part that may fail, and the parts after it."""
+        if not framed or cmd[0] != "seq":
+            return code, ()
+        last = max(j for j, c in enumerate(cmd[1:], 1) if built[id(c)][1])
+        return code[:last + 1], code[last + 1:]
 
     def build(cmd):
         if id(cmd) in built:
@@ -91,7 +105,7 @@ def _build(main, rules: dict[str, Rule], cfg: ExecConfig, shared: set):
             result = ("rules", steps, ", ".join(cmd[1])), True, writes, True
         elif tag == "loop":
             body, _, mutate, clean = build(cmd[1])
-            result = ("loop", body, not clean), False, mutate, True
+            result = ("loop", *split(cmd[1], body, not clean), not clean), False, mutate, True
         elif tag == "seq":
             parts, fail, mutate, clean = ["seq"], False, False, True
             for c in cmd[1:]:
@@ -104,12 +118,13 @@ def _build(main, rules: dict[str, Rule], cfg: ExecConfig, shared: set):
             (guard, _, g_mutate, g_clean), (then, t_fail, t_mutate, t_clean), \
                 (other, e_fail, e_mutate, e_clean) = (build(c) for c in cmd[1:])
             if tag == "if":        # guard effects are always rolled back
-                result = (("branch", guard, g_mutate, False, then, other), t_fail or e_fail,
+                result = (("branch", guard, g_mutate, False, then, other, ()), t_fail or e_fail,
                           t_mutate or e_mutate, t_clean and e_clean)
             else:
                 ok_path = not t_fail or (t_clean and not g_mutate)
-                result = (("branch", guard, not g_clean, True, then, other), t_fail or e_fail,
-                          g_mutate or t_mutate or e_mutate, ok_path and e_clean)
+                guard, tail = split(cmd[1], guard, not g_clean)
+                result = (("branch", guard, not g_clean, True, then, other, tail),
+                          t_fail or e_fail, g_mutate or t_mutate or e_mutate, ok_path and e_clean)
         else:
             result = (tag,), tag == "fail", False, True
         built[id(cmd)] = result
@@ -169,7 +184,7 @@ def _compile(code, shared: set):
             for c in part[1:]:
                 write(c, depth, fail, brk)
         elif tag == "loop":
-            _, body, framed = part
+            _, body, tail, framed = part
             if body[0] == "rules":      # fails cleanly: never framed
                 emit(depth, f"while {test(body)}: pass", body[2])
                 return
@@ -178,8 +193,10 @@ def _compile(code, shared: set):
             write(body, depth + 1, "undo_frame(g); " * framed + "break",
                   "commit_frame(g); " * framed + "break")
             emit(depth + 1, "commit_frame(g)" * framed)
+            for c in tail:
+                write(c, depth + 1, "break", "break")
         else:
-            _, guard, framed, keep, then, other = part
+            _, guard, framed, keep, then, other, tail = part
             close = ("commit_frame(g); " if keep else "undo_frame(g); ") * framed
             undo = "undo_frame(g); " * framed
             emit(depth, "open_frame(g)" * framed)
@@ -189,7 +206,10 @@ def _compile(code, shared: set):
                 emit(depth, "while True:")
                 write(guard, depth + 1, f"{undo}st = {FAILED}; break",
                       f"{close}st = {BROKE}; break")
-                emit(depth + 1, f"{close}st = {OK}; break")
+                emit(depth + 1, close[:-2])
+                for c in tail:
+                    write(c, depth + 1, f"st = {FAILED}; break", f"st = {BROKE}; break")
+                emit(depth + 1, f"st = {OK}; break")
                 emit(depth, f"if st == {BROKE}: {brk}")
                 emit(depth, f"if st == {OK}:")
                 close = undo = ""
@@ -215,7 +235,8 @@ class ChangeStack:
     undoing it reverts the frame's entries.  Committing an inner frame
     folds its entries into the parent so an outer scope can still undo
     them.  Only when the outermost frame closes, by commit or by undo,
-    does the graph release the nodes deleted under it (``Graph.held``).
+    does the graph release the nodes deleted under it (``Graph.held``),
+    if there are any.
     """
 
     __slots__ = ("frames",)
@@ -231,7 +252,7 @@ class ChangeStack:
         g.undo(self.frames.pop())
         if self.frames:
             g.journal = self.frames[-1]
-        else:
+        elif g.held:
             g.release()
 
     def commit_frame(self, g: Graph) -> None:
@@ -241,7 +262,8 @@ class ChangeStack:
             g.journal.extend(entries)
         else:
             g.journal = None
-            g.release()
+            if g.held:
+                g.release()
 
 
 # -- rule application ----------------------------------------------------------

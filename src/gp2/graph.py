@@ -28,14 +28,17 @@ The graph journals its own mutations.  While ``Graph.journal`` holds a
 list (a rollback frame, opened by ``engine.ChangeStack``), every
 mutator appends an entry naming its inverse mutator and that mutator's
 arguments, e.g. ``(Graph.relabel, item, label)``, so ``undo``
-replays a frame newest first through the same mutators.  Undo puts
-every order back: a deleted node or edge is relinked after its old
+replays a frame newest first through the same mutators.  A root move is
+one-way: ``root`` journals ``(Graph.unroot, node)`` and ``unroot``
+journals ``(Graph.root, node, at)``, its place in ``root_list``.  Undo
+puts every order back: a deleted node or edge is relinked after its old
 predecessors, and a root at its old place in ``root_list``.  A node
 deleted under an open frame is held (``FLAG_IN_STACK``, and listed in
 ``held``) instead of freed, so the handles the entries keep never alias
 a new node; ``release``, once the outermost frame closes, puts each
-node still held on the free stack.  Entries are written and read only
-in this module.  The consistency check and the isomorphism test that
+node still held on the free stack.  A node deleted while no frame is
+open, as after the outermost frame's commit, is freed at once.  Entries
+are written and read only in this module.  The consistency check and the isomorphism test that
 tests run over these records are in ``oracles``."""
 
 from __future__ import annotations
@@ -297,18 +300,21 @@ class Graph:
             self.journal.append((Graph.remark, item, item.mark))
         item.mark = mark
 
-    def set_root(self, node: Node, flag: bool, at: Optional[int] = None) -> None:
-        """Make ``node`` a root or not; undo passes ``at``, its old root-list place."""
-        was_root = bool(node.flags & FLAG_ROOT)
-        if flag and not was_root:
-            node.flags |= FLAG_ROOT
-            self.root_list.insert(len(self.root_list) if at is None else at, node)
-        elif not flag and was_root:
-            node.flags &= ~FLAG_ROOT
-            at = self.root_list.index(node)
-            del self.root_list[at]
+    def root(self, node: Node, at: Optional[int] = None) -> None:
+        """Make non-root ``node`` a root, last in ``root_list``; undo
+        passes ``at``, its old place there."""
+        node.flags |= FLAG_ROOT
+        self.root_list.insert(len(self.root_list) if at is None else at, node)
         if self.journal is not None:
-            self.journal.append((Graph.set_root, node, was_root, at))
+            self.journal.append((Graph.unroot, node))
+
+    def unroot(self, node: Node) -> None:
+        """Make root ``node`` a non-root."""
+        node.flags &= ~FLAG_ROOT
+        at = self.root_list.index(node)
+        del self.root_list[at]
+        if self.journal is not None:
+            self.journal.append((Graph.root, node, at))
 
     # -- the journal ------------------------------------------------------
 

@@ -11,12 +11,15 @@ walk phases are all the plan adds.  ``check_fast_rule`` reads
 reachability from a root off the same plan.  The exhaustive matcher and
 the match auditor that tests hold the steps to are in ``reference``.
 
-``compiled_step`` compiles each plan to one Python function, once per
+``compiled_step`` compiles each plan to a Python function, once per
 rule and setting (plan order, backend, root mode), and caches it in
-``Rule.plans``.  Its search is the plan unrolled into a flat state
-machine, one block per step with its checks written out: each variable
-is a local, and a global node step walks the node chain or the slots
-inline.  Each candidate is checked when it is bound: a label fixed
+``Rule.plans``.  Its search is the plan as nested loops, one per step
+(two for a bidirectional edge, its phases around its edge list), each
+inside the one before, with the step's checks written out: each
+variable is a local, and a global node step walks the node chain or the
+slots inline.  A nest of more than ``_LOOPS`` loops continues in another
+generated function, called at the innermost point with the locals bound
+so far.  Each candidate is checked when it is bound: a label fixed
 before the step first, in one tuple comparison, then injectivity (only
 against items that may meet it), mark, an edge's other end, root (a
 non-root only in reflect mode; none from the root list, which holds only
@@ -24,26 +27,30 @@ roots), degree and any other label.  A node the rule deletes must have
 its exact degree (the dangling condition), so a dangling candidate is
 rejected before the rule's condition is ever evaluated.  A node the rule
 keeps must have at least as many out- and in-edges as its
-non-bidirectional left-hand edges give it.  The condition runs once
-every step is bound, as inline Python.  At the first hit the function
-rewrites on the locals the search bound, every right-hand label first,
-then the mutator calls, none for what stays as it was: a kept node or
-edge is updated where it is.  ``Rule.plans`` notes whether any call is
-left, for ``engine``'s frames.  In find mode it returns the locals, for
-``find_match``.  Each return adds the candidates examined to
-``Graph.candidates`` and the walks' steps to ``Graph.iter_steps``, where
+non-bidirectional left-hand edges give it.  The condition runs at the
+innermost point, once every step is bound, as inline Python.  At the
+first hit ``step`` rewrites on the locals the search bound, every
+right-hand label first, then the mutator calls, none for what stays as
+it was: a kept node or edge is updated where it is, and a root flag set
+or cleared by the one-way ``Graph.root``/``Graph.unroot``.
+``Rule.plans`` notes whether any call is left, for ``engine``'s frames.
+In find mode it returns the locals, for ``find_match``.  Each return of
+each generated function adds the candidates it examined to
+``Graph.candidates`` and its walks' steps to ``Graph.iter_steps``, where
 a node-chain walk counts each step once for both; an EvalError raised by
 the condition mid-search adds to neither.  Every EvalError the function
 raises names its rule (``in rule 'r': ...``) in the message written into
 its source, so no caller, ``engine``'s generated ``main`` included, adds
 the name.
 
-Injectivity is enforced with per-record matched flags, set while a
-candidate is held and cleared again on backtracking, so each attempt
-costs only the items it touched; every flag is clear on return.  A flag
-is set only between items that may meet (``_may_meet``): a record is
-flagged only if a later item may match the same host item, and tested
-only if an earlier one may.
+Injectivity is enforced with per-record matched flags: a step sets its
+flags when a candidate passes its checks and clears them when its loop
+moves on, so each attempt costs only the items it touched.  The
+innermost point clears them all before the condition, and sets them
+again if it fails, so every flag is clear on each return and each
+raise.  A flag is set only between items that may meet (``_may_meet``):
+a record is flagged only if a later item may match the same host item,
+and tested only if an earlier one may.
 """
 
 from __future__ import annotations
@@ -234,10 +241,9 @@ def compiled_step(rule: Rule, optimize: bool = True, backend: str = "chain",
     return cached[1]
 
 
-# Plans longer than this put a guard on each run of this many steps, so
-# resuming step k from the loop top tests about k / _CHUNK + _CHUNK
-# conditions, not k.
-_CHUNK = 32
+# A nest of more loops than this continues in another function: CPython
+# refuses more than 20 nested loops in one.
+_LOOPS = 16
 
 # The Python of type tests and of the operators that wrap.
 _TYPE_TEST = {"int": "isinstance({0}, int)", "string": "isinstance({0}, str)",
@@ -373,21 +379,23 @@ def _may_meet(a: tuple, b: tuple) -> bool:
 
 
 def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, reflect: bool):
-    """The rule's step, with one ``if i == k:`` block per plan step and
-    the rewrite after them, its layout, and whether the rewrite writes
+    """The rule's step, its layout, and whether the rewrite writes
     anything (see ``compiled_step``).  It is compiled by ``exec_source``
     under a file name that names the rule and the setting.
 
-    ``i`` is the step to try next.  A step that binds falls through into
-    the next block after setting up that step's candidates and fixed
-    labels; a step out of candidates unbinds the step before it and
-    re-enters that step's block from the loop top.  Which variables are
-    bound at each step is fixed by the plan, so each is a local, bound by
-    assignment and checked by ``==``.  Program text enters the source
-    only as generated names (``n``/``e`` + item index, ``v`` + variable
-    number, ``t`` + subterm number, ``d``/``f`` + step number for the
-    step's fixed node/edge label) and as ``repr`` of ints, strings and
-    tuples of them.
+    A candidate that fails a check is skipped with ``continue``; one
+    that passes them all sets its step's matched flags and enters the
+    next step's loop, and the flags are cleared at the end of its body.
+    A bidirectional edge's phases are ``p`` + step number.  A function
+    that continues the nest, ``step_`` + the number of its first step,
+    takes the locals bound so far, adds its own counts, and returns all
+    the locals on a match, for the rewrite in ``step``, and False on
+    none.  Which variables are bound at each step is fixed by the plan,
+    so each is a local, bound by assignment and checked by ``==``.
+    Program text enters the source only as generated names (``n``/``e``
+    + item index, ``v`` + variable number, ``t`` + subterm number,
+    ``c``/``d``/``f`` + step number for the step's cursor and its fixed
+    node/edge label) and as ``repr`` of ints, strings and tuples of them.
     """
     lhs = rule.lhs
     node = {pn.pid: f"n{j}" for j, pn in enumerate(lhs.nodes)}
@@ -422,54 +430,26 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
     tested = {r for j, (r, a) in enumerate(order) if any(_may_meet(a, b) for _, b in order[:j])}
     flagged = {r for j, (r, a) in enumerate(order)
                if any(_may_meet(a, b) for _, b in order[j + 1:])}
-    walks = any(step.kind == "node" for step in steps)
-    lines = ["def step(g, find=False):", "    candidates = walked = i = 0"]
-    if walks and backend == "index_scan":
-        lines.append("    live, slots = g.live_bytes, g.node_slots; hw = len(slots)")
-    counters = "g.candidates += candidates" + (" + walked" * (backend == "chain")
-                                               + "; g.iter_steps += walked") * walks
+    # the steps in runs of at most _LOOPS loops, one function each
+    runs: list[list[int]] = [[]]
+    loops = 0
+    for k, step in enumerate(steps):
+        if loops + max(len(step.phases), 1) > _LOOPS:
+            runs.append([])
+            loops = 0
+        runs[-1].append(k)
+        loops += max(len(step.phases), 1)
+    out: list[str] = []             # the lines of the function being written
+    scope: list[str] = []           # the locals bound so far, in binding order
     first: dict[str, str] = {}      # record -> its label, where fixed before its step
-    shift = 0                       # 1 inside a chunk's guard
+    body: dict[int, int] = {}       # step -> the depth of its loop's body
 
     def emit(depth, text):
-        lines.append("    " * (depth + shift) + text)
+        out.append("    " * depth + text)
 
-    def setup(k, depth):
-        """Start step k's candidates, a node iterator or an edge list, and fixed labels."""
-        if k == len(steps):
-            return
-        step = steps[k]
-        fixed = [(node[step.node.pid], step.node.label, f"d{k}")] if step.binds else []
-        if step.kind == "edge":
-            fixed.append((edge[step.edge.eid], step.edge.label, f"f{k}"))
-        for record, label, local in fixed:
-            if all(item[0] == "lit" for item in label.items):
-                first[record] = repr(tuple(item[1] for item in label.items))
-            elif all(item[0] == "lit" or item[1] in names for item in label.items):
-                first[record] = local
-                atoms = ("*" * (item[2] == "list") + names[item[1]] if item[0] == "var"
-                         else repr(item[1]) for item in label.items)
-                emit(depth, f"{local} = ({''.join(atom + ', ' for atom in atoms)})")
-        if step.kind == "root":
-            emit(depth, f"it{k} = iter(g.root_list)")
-        elif step.kind == "node":
-            emit(depth, f"c{k} = {'g.node_head' if backend == 'chain' else 0}")
-        else:
-            reverse = step.phases[0][0]
-            emit(depth, f"c{k} = {node[step.anchor.pid]}.{'in_head' if reverse else 'out_head'}")
-            if len(step.phases) > 1:
-                emit(depth, f"p{k} = 0")
-
-    def back(k, depth):
-        """Step k is out of candidates: unbind step k - 1 and resume it."""
-        if k == 0:
-            emit(depth, counters)
-            emit(depth, "return False")
-            return
-        for record in held[k - 1]:
-            emit(depth, f"{record}.flags &= ~{FLAG_MATCHED}")
-        emit(depth, f"i = {k - 1}")
-        emit(depth, "continue")
+    def bind(local):
+        scope.append(local)
+        return local
 
     def check_node(pn, depth):
         n, pid = node[pn.pid], pn.pid
@@ -517,166 +497,231 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
             elif item[1] in names:
                 emit(depth, f"if {atom} != {names[item[1]]}: continue")
             else:
-                local = names[item[1]] = f"v{len(names)}"
+                local = names[item[1]] = bind(f"v{len(names)}")
                 emit(depth, f"{local} = {atom}")
                 if item[2] in ("int", "string", "char"):
                     emit(depth, f"if not ({_TYPE_TEST[item[2]].format(local)}): continue")
 
-    setup(0, 1)
-    emit(1, "while True:")
-    for k, step in enumerate(steps):
-        if len(steps) > _CHUNK and k % _CHUNK == 0:
-            shift = 0
-            emit(2, f"if i < {k + _CHUNK}:")
-            shift = 1
-        emit(2, f"if i == {k}:")
+    def open_step(k, depth):
+        """Step k's fixed labels, its loop and its checks; the depth of its body."""
+        step = steps[k]
         n = node[step.node.pid]
+        fixed = [(n, step.node.label, f"d{k}")] if step.binds else []
+        if step.kind == "edge":
+            fixed.append((edge[step.edge.eid], step.edge.label, f"f{k}"))
+        for record, label, local in fixed:
+            if all(item[0] == "lit" for item in label.items):
+                first[record] = repr(tuple(item[1] for item in label.items))
+            elif all(item[0] == "lit" or item[1] in names for item in label.items):
+                first[record] = local
+                atoms = ("*" * (item[2] == "list") + names[item[1]] if item[0] == "var"
+                         else repr(item[1]) for item in label.items)
+                emit(depth, f"{local} = ({''.join(atom + ', ' for atom in atoms)})")
+        if step.kind == "root":
+            emit(depth, f"for {bind(n)} in g.root_list:")
+            emit(depth + 1, "candidates += 1")
+        elif step.kind == "node" and backend == "chain":    # each walk counts what nodes_iter counts
+            emit(depth, f"c{k} = g.node_head")
+            emit(depth, f"while c{k} is not None:")
+            emit(depth + 1, f"{bind(n)} = c{k}; c{k} = {n}.next; walked += 1")
+        elif step.kind == "node":   # SCAN_CHUNK slots per find, as nodes_index_scan
+            emit(depth, f"c{k} = 0")
+            emit(depth, f"while c{k} < hw:")
+            emit(depth + 1, f"end = c{k} + {SCAN_CHUNK}; j = live.find(1, c{k}, end)")
+            emit(depth + 1, f"if j < 0: walked += end - c{k}; c{k} = end; continue")
+            emit(depth + 1, f"walked += j - c{k} + 1; {bind(n)} = slots[j]; c{k} = j + 1")
+            emit(depth + 1, "candidates += 1")
         if step.kind != "edge":
+            depth += 1
             held.append([n] if n in flagged else [])
-            if step.kind == "root":
-                emit(3, f"for {n} in it{k}:")
-            elif backend == "chain":     # each walk counts what nodes_iter counts
-                emit(3, f"while c{k} is not None:")
-                emit(4, f"{n} = c{k}; c{k} = {n}.next; walked += 1")
-            else:   # SCAN_CHUNK slots per find, as nodes_index_scan
-                emit(3, f"while c{k} < hw:")
-                emit(4, f"end = c{k} + {SCAN_CHUNK}; j = live.find(1, c{k}, end)")
-                emit(4, f"if j < 0: walked += end - c{k}; c{k} = end; continue")
-                emit(4, f"walked += j - c{k} + 1; {n} = slots[j]; c{k} = j + 1")
-            if step.kind == "root" or backend != "chain":
-                emit(4, "candidates += 1")
-            check_node(step.node, 4)
-            for r in held[k]:
-                emit(4, f"{r}.flags |= {FLAG_MATCHED}")
-            emit(4, "break")
-            emit(3, "else:")
-            if step.kind == "node" and backend == "index_scan":
-                emit(4, f"walked += hw - c{k}")   # the last chunk ran past hw
-            back(k, 4)
+            check_node(step.node, depth)
         else:
-            pe, phases = step.edge, step.phases
+            pe, a = step.edge, node[step.anchor.pid]
             e = edge[pe.eid]
             held.append([r for r in (e, n)[:1 + step.binds] if r in flagged])
-            depth = 3
-            bound = len(names)
-            for p, (reverse, _) in enumerate(phases):
-                while len(names) > bound:   # each phase binds the same variables
-                    names.popitem()
-                if len(phases) > 1:
-                    emit(3, f"if p{k} == {p}:")
-                    depth = 4
-                emit(depth, f"while c{k} is not None:")
-                emit(depth + 1, f"{e} = c{k}")
-                emit(depth + 1, f"c{k} = {e}.{'tgt_next' if reverse else 'src_next'}")
-                emit(depth + 1, "candidates += 1")
-                if e in first:
-                    emit(depth + 1, f"if {e}.label != {first[e]}: continue")
-                if e in tested:
-                    emit(depth + 1, f"if {e}.flags & {FLAG_MATCHED}: continue")
-                if pe.mark != MARK_ANY:
-                    emit(depth + 1, f"if {e}.mark != {pe.mark!r}: continue")
-                end = f"{e}.{'source' if reverse else 'target'}"
-                if step.binds:
-                    emit(depth + 1, f"{n} = {end}")
-                    check_node(step.node, depth + 1)
-                else:
-                    emit(depth + 1, f"if {end} is not {n}: continue")
-                if e not in first:
-                    check_label(pe.label, f"{e}.label", depth + 1)
-                for r in held[k]:
-                    emit(depth + 1, f"{r}.flags |= {FLAG_MATCHED}")
-                emit(depth + 1, "break")
-                emit(depth, "else:")
-                if p + 1 < len(phases):
-                    emit(depth + 1, f"p{k} = {p + 1}")
-                    emit(depth + 1, f"c{k} = {node[step.anchor.pid]}.in_head")
-                else:
-                    back(k, depth + 1)
-        emit(3, f"i = {k + 1}")
-        setup(k + 1, 3)
+            ways = [(f"{a}.in_head", f"{e}.tgt_next", f"{e}.source"),
+                    (f"{a}.out_head", f"{e}.src_next", f"{e}.target")]
+            if len(step.phases) > 1:    # the in-list in phase 1
+                emit(depth, f"for {bind(f'p{k}')} in (0, 1):")
+                depth += 1
+                head, nxt, end = (f"{x} if p{k} else {y}" for x, y in zip(*ways))
+                far = f"({end})"
+            else:
+                head, nxt, end = ways[not step.phases[0][0]]
+                far = end
+            emit(depth, f"c{k} = {head}")
+            emit(depth, f"while c{k} is not None:")
+            depth += 1
+            emit(depth, f"{bind(e)} = c{k}")
+            emit(depth, f"c{k} = {nxt}")
+            emit(depth, "candidates += 1")
+            if e in first:
+                emit(depth, f"if {e}.label != {first[e]}: continue")
+            if e in tested:
+                emit(depth, f"if {e}.flags & {FLAG_MATCHED}: continue")
+            if pe.mark != MARK_ANY:
+                emit(depth, f"if {e}.mark != {pe.mark!r}: continue")
+            if step.binds:
+                emit(depth, f"{bind(n)} = {end}")
+                check_node(step.node, depth)
+            else:
+                emit(depth, f"if {far} is not {n}: continue")
+            if e not in first:
+                check_label(pe.label, f"{e}.label", depth)
+        for r in held[k]:
+            emit(depth, f"{r}.flags |= {FLAG_MATCHED}")
+        body[k] = depth
+        return depth
 
-    shift = 0
-    # every step is bound: clear the flags (the condition reads none),
-    # then test the condition and set them again if it fails
-    records = [r for rs in held for r in rs]
-    for r in records:
-        emit(2, f"{r}.flags &= ~{FLAG_MATCHED}")
-    if rule.condition is None:
-        emit(2, "break")
-    else:
-        test = _Terms(lambda text: emit(2, text), names, rule, node)
-        emit(2, f"if {test.cond(rule.condition)}: break")
-        for r in records:
-            emit(2, f"{r}.flags |= {FLAG_MATCHED}")
-        back(len(steps), 2)
-    emit(1, counters)
+    def open_run(run):
+        """Start a function's nest: its counters and the loops of ``run``.
+        The statement that adds its counts, and the innermost depth."""
+        walks = any(steps[k].kind == "node" for k in run)
+        emit(1, "candidates = walked = 0" if walks else "candidates = 0")
+        if walks and backend == "index_scan":
+            emit(1, "live, slots = g.live_bytes, g.node_slots; hw = len(slots)")
+        depth = 1
+        for k in run:
+            depth = open_step(k, depth)
+        return "g.candidates += candidates" + (" + walked" * (backend == "chain")
+                                               + "; g.iter_steps += walked") * walks, depth
+
+    def close_run(run, counted):
+        """Close the loops of ``run``, each step clearing its flags as its
+        loop moves on, and return False."""
+        for k in reversed(run):
+            for r in held[k]:
+                emit(body[k], f"{r}.flags &= ~{FLAG_MATCHED}")
+            if steps[k].kind == "node" and backend == "index_scan":
+                emit(body[k] - 1, f"walked += hw - c{k}")    # the last chunk ran past hw
+        emit(1, counted)
+        emit(1, "return False")
+
     orientations = {step.edge.eid: f"p{k} == {[flip for _, flip in step.phases].index(True)}"
                     for k, step in enumerate(steps) if step.kind == "edge" and step.edge.bidir}
     layout = (node, edge, names, orientations)
-    emit(1, "if find: return ({})".format(
-        "".join(f"{v}, " for local in layout for v in local.values())))
-    find_end = len(lines)
 
-    # the rewrite: every right-hand label first, then the mutator calls
-    # (matched edges not kept, left-hand-only nodes, right-hand items in
-    # order); constants and locals are written where used.  A kept item (a
-    # node of a left-hand node's id; an edge of a left-hand edge's id, ends
-    # and bidirectional flag) keeps its record and its place in every list,
-    # and is updated in place: not relabelled where its label writes its
-    # left-hand pattern out again, nor remarked where its mark is any or equal
-    terms = _Terms(lambda text: emit(1, text), names, rule, node)
-    twin = {pn: lhs.nodes[lhs.by_id[pn.pid]] for pn in rule.rhs.nodes if pn.pid in node}
-    old_edge = {(pe.eid, pe.src, pe.tgt, pe.bidir): pe for pe in lhs.edges}
-    twin.update((pe, old_edge[key]) for pe in rule.rhs.edges
-                if (key := (pe.eid, pe.src, pe.tgt, pe.bidir)) in old_edge)
-    kept = set(twin.values())
-    same = {item for item, old in twin.items()
-            if _pattern_items(item.label) == [atom[:2] for atom in old.label.items]}
-    label = {}
-    for t in [item.label for item in rule.rhs.nodes + rule.rhs.edges if item not in same]:
-        code, kind = terms.expr(t)
-        label[t] = code if kind == "list" else f"({code},)" if t[0] in ("int", "str") \
-            else terms.let(f"({code},)")
+    def tail(depth, counted):
+        """At the first match: the counts, the match in find mode, then the
+        rewrite, every right-hand label first, then the mutator calls
+        (matched edges not kept, left-hand-only nodes, right-hand items
+        in order); constants and locals are written where used.  A kept
+        item (a node of a left-hand node's id; an edge of a left-hand
+        edge's id, ends and bidirectional flag) keeps its record and its
+        place in every list, and is updated in place: not relabelled
+        where its label writes its left-hand pattern out again, nor
+        remarked where its mark is any or equal.  Whether it writes."""
+        emit(depth, counted)
+        emit(depth, "if find: return ({})".format(
+            "".join(f"{v}, " for local in layout for v in local.values())))
+        start = len(out)
+        terms = _Terms(lambda text: emit(depth, text), names, rule, node)
+        twin = {pn: lhs.nodes[lhs.by_id[pn.pid]] for pn in rule.rhs.nodes if pn.pid in node}
+        old_edge = {(pe.eid, pe.src, pe.tgt, pe.bidir): pe for pe in lhs.edges}
+        twin.update((pe, old_edge[key]) for pe in rule.rhs.edges
+                    if (key := (pe.eid, pe.src, pe.tgt, pe.bidir)) in old_edge)
+        kept = set(twin.values())
+        same = {item for item, old in twin.items()
+                if _pattern_items(item.label) == [atom[:2] for atom in old.label.items]}
+        label = {}
+        for t in [item.label for item in rule.rhs.nodes + rule.rhs.edges if item not in same]:
+            code, kind = terms.expr(t)
+            label[t] = code if kind == "list" else f"({code},)" if t[0] in ("int", "str") \
+                else terms.let(f"({code},)")
 
-    def update(record, item):
-        if item not in same:
-            emit(1, f"if {record}.label != {label[item.label]}: "
-                    f"g.relabel({record}, {label[item.label]})")
-        if item.mark not in (MARK_ANY, twin[item].mark):
-            emit(1, f"if {record}.mark != {item.mark!r}: g.remark({record}, {item.mark!r})")
+        def update(record, item):
+            if item not in same:
+                emit(depth, f"if {record}.label != {label[item.label]}: "
+                            f"g.relabel({record}, {label[item.label]})")
+            if item.mark not in (MARK_ANY, twin[item].mark):
+                # the search has checked a left-hand mark that is not any
+                test = f"if {record}.mark != {item.mark!r}: " * (twin[item].mark == MARK_ANY)
+                emit(depth, f"{test}g.remark({record}, {item.mark!r})")
 
-    for pe in lhs.edges:
-        if pe not in kept:
-            emit(1, f"g.delete_edge({edge[pe.eid]})")
-    for pid in rule.deleted:
-        emit(1, f"g.delete_node({node[pid]})")
-    at = dict(node)
-    for pn in rule.rhs.nodes:
-        if pn not in twin:
-            at[pn.pid] = f"n{len(at)}"
-            emit(1, f"{at[pn.pid]} = g.add_node({label[pn.label]}, {pn.mark!r}, {pn.root})")
-            continue
-        n, old = at[pn.pid], twin[pn]
-        update(n, pn)
-        if pn.root != old.root or not (pn.root or reflect):     # reflect: never a root
-            # a rooted left-hand node, or any in reflect mode, fixes the image's flag
-            test = f"if {'not ' * pn.root}{n}.flags & {FLAG_ROOT}: "
-            emit(1, f"{test * (not (reflect or old.root))}g.set_root({n}, {pn.root})")
-    for pe in rule.rhs.edges:
-        if pe in twin:
-            update(edge[pe.eid], pe)
-            continue
-        mark = f"{edge[pe.eid]}.mark" if pe.mark == MARK_ANY else repr(pe.mark)
-        rest = f"{label[pe.label]}, {mark})"
-        add = f"g.add_edge({at[pe.src]}, {at[pe.tgt]}, {rest}"
-        if pe.bidir and pe.eid in orientations:     # flipped: added the other way round
-            emit(1, f"if {orientations[pe.eid]}: g.add_edge({at[pe.tgt]}, {at[pe.src]}, {rest}")
-            add = "else: " + add
-        emit(1, add)
-    writes = len(lines) > find_end
-    emit(1, "return True")
+        for pe in lhs.edges:
+            if pe not in kept:
+                emit(depth, f"g.delete_edge({edge[pe.eid]})")
+        for pid in rule.deleted:
+            emit(depth, f"g.delete_node({node[pid]})")
+        at = dict(node)
+        for pn in rule.rhs.nodes:
+            if pn not in twin:
+                at[pn.pid] = f"n{len(at)}"
+                emit(depth, f"{at[pn.pid]} = g.add_node({label[pn.label]}, {pn.mark!r}, {pn.root})")
+                continue
+            n, old = at[pn.pid], twin[pn]
+            update(n, pn)
+            if pn.root != old.root or not (pn.root or reflect):     # reflect: never a root
+                # a rooted left-hand node, or any in reflect mode, fixes the image's flag
+                test = f"if {'not ' * pn.root}{n}.flags & {FLAG_ROOT}: "
+                emit(depth, f"{test * (not (reflect or old.root))}"
+                            f"g.{'root' if pn.root else 'unroot'}({n})")
+        for pe in rule.rhs.edges:
+            if pe in twin:
+                update(edge[pe.eid], pe)
+                continue
+            mark = f"{edge[pe.eid]}.mark" if pe.mark == MARK_ANY else repr(pe.mark)
+            rest = f"{label[pe.label]}, {mark})"
+            add = f"g.add_edge({at[pe.src]}, {at[pe.tgt]}, {rest}"
+            if pe.bidir and pe.eid in orientations:     # flipped: added the other way round
+                emit(depth, f"if {orientations[pe.eid]}: "
+                            f"g.add_edge({at[pe.tgt]}, {at[pe.src]}, {rest}")
+                add = "else: " + add
+            emit(depth, add)
+        emit(depth, "return True")
+        return len(out) - 1 > start
+
+    functions: list[list[str]] = []
+
+    def bound():
+        """The locals bound so far, listed for a call, a definition or a return."""
+        return "".join(f"{v}, " for v in scope)
+
+    def nest(i):
+        """Write run i's function, and before its innermost point the
+        functions that continue its nest; whether the rewrite writes."""
+        nonlocal out
+        out = [f"def step_{runs[i][0]}(g, {bound()}):" if i else "def step(g, find=False):"]
+        functions.append(out)
+        counted, depth = open_run(runs[i])
+        if i + 1 < len(runs):
+            call = f"found = step_{runs[i + 1][0]}(g, {bound()})"
+            writes, out = nest(i + 1), functions[i]
+            emit(depth, call)
+            emit(depth, "if found is not False:")
+            if i:
+                emit(depth + 1, counted)
+                emit(depth + 1, "return found")
+            else:
+                emit(depth + 1, f"{bound()}= found")
+                writes = tail(depth + 1, counted)
+        else:
+            # every step is bound: clear the flags (the condition reads
+            # none), then test the condition and set them again if it fails
+            records = [r for rs in held for r in rs]
+            for r in records:
+                emit(depth, f"{r}.flags &= ~{FLAG_MATCHED}")
+            inner = depth
+            if rule.condition is not None:
+                test = _Terms(lambda text: emit(depth, text), names, rule, node)
+                emit(depth, f"if {test.cond(rule.condition)}:")
+                inner += 1
+            writes = False
+            if i:
+                emit(inner, counted)
+                emit(inner, f"return ({bound()})")
+            else:
+                writes = tail(inner, counted)
+            if rule.condition is not None:
+                for r in records:
+                    emit(depth, f"{r}.flags |= {FLAG_MATCHED}")
+        close_run(runs[i], counted)
+        return writes
+
+    writes = nest(0)
     setting = f"{'no' * (not optimize)}opt {backend} {('preserve', 'reflect')[reflect]}"
-    namespace = exec_source("\n".join(lines) + "\n", f"gp2 match {rule.name} {setting}",
+    namespace = exec_source("".join(f"{line}\n" for f in functions for line in f),
+                            f"gp2 match {rule.name} {setting}",
                             {"EvalError": EvalError, "has_edge": has_edge})
     return namespace["step"], tuple(tuple(local) for local in layout), writes
 

@@ -66,7 +66,8 @@ def interpret(cmd, rules, cfg):
     nested closures that return OK, FAILED or BROKE, and the effects
     place frames by the rule ``engine._build`` states, computed here on
     their own: a rule set may change the graph unless each of its rules
-    is a ``predicate``."""
+    is a ``predicate``.  A framed loop body or ``try`` guard that is a
+    sequence commits after its last part that may fail (``_committed``)."""
     tag = cmd[0]
     if tag == "rules":
         chosen = [rules[name] for name in cmd[1]]
@@ -76,7 +77,7 @@ def interpret(cmd, rules, cfg):
                 else FAILED), True, mutate, True
     if tag == "loop":
         body, _, mutate, clean = interpret(cmd[1], rules, cfg)
-        body = body if clean else _framed(body, True)
+        body = body if clean else _committed(cmd[1], body, rules, cfg)
 
         def loop(g, stack):
             while body(g, stack) == OK:
@@ -90,14 +91,7 @@ def interpret(cmd, rules, cfg):
             parts.append(run)
             clean = clean and not (c_fail and (mutate or not c_clean))
             fail, mutate = fail or c_fail, mutate or c_mutate
-
-        def seq(g, stack):
-            for part in parts:
-                status = part(g, stack)
-                if status != OK:
-                    return status
-            return OK
-        return seq, fail, mutate, clean
+        return _seq(parts), fail, mutate, clean
     if tag in ("if", "try"):
         (guard, _, g_mutate, g_clean), (then, t_fail, t_mutate, t_clean), \
             (other, e_fail, e_mutate, e_clean) = (interpret(c, rules, cfg) for c in cmd[1:])
@@ -105,7 +99,7 @@ def interpret(cmd, rules, cfg):
             guard = _framed(guard, False) if g_mutate else guard
             effects = t_fail or e_fail, t_mutate or e_mutate, t_clean and e_clean
         else:
-            guard = guard if g_clean else _framed(guard, True)
+            guard = guard if g_clean else _committed(cmd[1], guard, rules, cfg)
             ok_path = not t_fail or (t_clean and not g_mutate)
             effects = t_fail or e_fail, g_mutate or t_mutate or e_mutate, ok_path and e_clean
 
@@ -115,6 +109,29 @@ def interpret(cmd, rules, cfg):
         return (branch, *effects)
     status = {"skip": OK, "fail": FAILED, "break": BROKE}[tag]
     return (lambda g, stack: status), status == FAILED, False, True
+
+
+def _seq(parts):
+    """The runs ``parts`` one after another, up to the first that does not return OK."""
+    def seq(g, stack):
+        for part in parts:
+            status = part(g, stack)
+            if status != OK:
+                return status
+        return OK
+    return seq
+
+
+def _committed(cmd, run, rules, cfg):
+    """``run`` of ``cmd`` in a frame that commits unless it fails, where
+    a sequence's frame holds only its parts up to the last that may fail
+    and the parts after it run outside."""
+    if cmd[0] != "seq":
+        return _framed(run, True)
+    parts = [interpret(c, rules, cfg) for c in cmd[1:]]
+    last = max(j for j, part in enumerate(parts) if part[1])
+    return _seq([_framed(_seq([part[0] for part in parts[:last + 1]]), True),
+                 *(part[0] for part in parts[last + 1:])])
 
 
 def _framed(run, keep):

@@ -12,7 +12,7 @@ from gp2 import bench, corpus, textio
 
 ROOT = Path(__file__).resolve().parents[1]
 COUNTS = ("nodes", "edges", "outcome", "candidates", "iter_steps",
-          "frames_opened", "frames_committed", "frames_undone")
+          "frames_opened", "frames_committed", "frames_undone", "journal_entries")
 TIMES = ("parse_host_ms", "build_ms", "run_ms", "print_ms", "e2e_ms")
 RELS = ("parse_host_rel", "build_rel", "run_rel", "print_rel", "e2e_rel")
 
@@ -54,13 +54,14 @@ def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
         # each time over the reference pass around it, so about the ratio of the medians
         for ms, rel in zip(TIMES, RELS):
             assert 0.5 < row[rel] * row["reference_ms"] / row[ms] < 2, (ms, row)
-        # one frame per expansion of the root cursor; the last one is undone
-        assert [row[key] for key in COUNTS] == [1, 0, "success", 341, 0, 23, 22, 1]
+        # one frame per expansion of the root cursor; the last one is
+        # undone; each journals gen!'s and ret's writes, not step!'s
+        assert [row[key] for key in COUNTS] == [1, 0, "success", 341, 0, 23, 22, 1, 119]
 
 
 def test_a_side_is_the_median_of_all_its_samples_and_its_counts_must_agree():
     bench_matrix = load_tool()
-    counts = dict(zip(COUNTS, [1, 0, "success", 341, 0, 23, 22, 1]))
+    counts = dict(zip(COUNTS, [1, 0, "success", 341, 0, 23, 22, 1, 119]))
     samples = [{"program": "p", **counts, **{key: [t] for key in TIMES},
                 **{key: [t * 10] for key in RELS}, "reference_ms": [t * 1e5, 150.0]}
                for t in (0.001, 0.005, 0.002)]

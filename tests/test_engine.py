@@ -170,7 +170,7 @@ def test_undo_restores_labels_and_counters_exactly():
     stack.open_frame(g)
     g.relabel(a, (42,))
     g.remark(a, "red")
-    g.set_root(a, False)
+    g.unroot(a)
     g.delete_edge(e)
     g.delete_node(b)
     new = g.add_node((7,))
@@ -263,7 +263,9 @@ def test_random_journaled_mutations_undo_exactly():
             elif op < 0.8 and live:
                 g.remark(rng.choice(live), rng.choice(["none", "grey", "red"]))
             elif op < 0.87 and live:
-                g.set_root(rng.choice(live), rng.random() < 0.5)
+                n, flag = rng.choice(live), rng.random() < 0.5
+                if flag != n.is_root:
+                    (g.root if flag else g.unroot)(n)
             elif op < 0.94 and edges:
                 g.relabel(rng.choice(edges), (rng.randrange(3),))
             elif edges:
@@ -514,8 +516,39 @@ def test_grow_tree_journals_and_adds_exactly(monkeypatch):
         monkeypatch.setattr(Graph, method, called)
     g = parse_host_graph("[ (0 (R), 8) | ]")
     assert executable("gen_tree", ExecConfig()).run(g) == OK
-    assert counts == {"entries": 2674, "add_edge": 637, "delete_edge": 127}
+    # step! runs after the frame has committed, unjournaled
+    assert counts == {"entries": 2039, "add_edge": 637, "delete_edge": 127}
     assert g.node_count == 511 and g.held == []
+
+
+# Each iteration reddens the grey node, turns a 0 grey, and deletes the
+# red nodes; the last one fails at b, once no 0 is left, and undoes a!.
+COMMIT_AFTER_B = ("Main = (a!; b; c!)!\n"
+                  "a(x:list) [ (1, x # grey) | ] => [ (1, x # red) | ]\n"
+                  "b() [ (1, 0) | ] => [ (1, 1 # grey) | ]\n"
+                  "c(x:list) [ (1, x # red) | ] => [ | ]")
+
+
+def test_the_parts_after_the_last_that_may_fail_run_after_the_frame_commits(monkeypatch):
+    host, out = "[ (0, 0) (1, 0) (2, 5 # grey) (3, 7) | ]", "[ (0, 1 # grey) (1, 7) | ]"
+    assert "            commit_frame(g)\n            while s2(g): pass  # c\n" in \
+        inspect.getsource(Executable(parse_program(COMMIT_AFTER_B), ExecConfig())._run)
+    deleted = []
+
+    def delete_node(g, node, original=Graph.delete_node):
+        original(g, node)
+        # no frame is open: c's node is freed at once, not held
+        assert g.journal is None and g.free_nodes[-1] is node and g.held == []
+        deleted.append(node)
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "delete_node", delete_node)
+        generated, reference = _generated_and_reference(COMMIT_AFTER_B, host, ExecConfig())
+    # three frames, the last undone; a's remark and b's relabel and
+    # remark twice, then a's remark, undone
+    assert generated == reference == ("success", None, out, [3, 2, 1, 7])
+    assert len(deleted) == 4        # two in each run
+    monkeypatch.setattr(engine, "ChangeStack", SnapshotStack)
+    assert Executable(parse_program(COMMIT_AFTER_B), ExecConfig()).run_text(host).output == out
 
 
 def _shrinks(rule):
@@ -604,11 +637,12 @@ def test_drawn_programs_print_the_same_under_a_copying_twin(program_and_host, ba
 
 
 class CountingStack(ChangeStack):
-    """The journal, counting the frames it opens, commits and undoes."""
+    """The journal, counting the frames it opens, commits and undoes, and
+    the entries of each as it closes, which tell where it closed."""
 
     def __init__(self):
         super().__init__()
-        self.counts = [0, 0, 0]
+        self.counts = [0, 0, 0, 0]
 
     def open_frame(self, g):
         self.counts[0] += 1
@@ -616,16 +650,19 @@ class CountingStack(ChangeStack):
 
     def commit_frame(self, g):
         self.counts[1] += 1
+        self.counts[3] += len(self.frames[-1])
         super().commit_frame(g)
 
     def undo_frame(self, g):
         self.counts[2] += 1
+        self.counts[3] += len(self.frames[-1])
         super().undo_frame(g)
 
 
 def _generated_and_reference(program, host_text, cfg):
-    """The status, diagnostic, printed graph and frame counts of a run of
-    the generated ``main``, and of one of the reference interpreter."""
+    """The status, diagnostic, printed graph, and frame and entry counts
+    of a run of the generated ``main``, and of one of the reference
+    interpreter."""
     parsed = parse_program(program)
     stacks = []
     with pytest.MonkeyPatch.context() as patch:
@@ -1021,8 +1058,9 @@ def test_a_rule_set_error_names_the_rule_that_raised_it(main):
 
 
 def test_generated_main_of_gen_tree_and_is_discrete():
-    # one while for (gen!; ret; step!)!, framed once around its body, and
-    # one frame on is_discrete, for its if guard and not for del!
+    # one while for (gen!; ret; step!)!, its body framed up to ret, its
+    # last part that may fail, and one frame on is_discrete, for its if
+    # guard and not for del!
     bind = ("        open_frame, commit_frame, undo_frame = "
             "stack.open_frame, stack.commit_frame, stack.undo_frame\n")
     assert inspect.getsource(executable("gen_tree")._run) == (
@@ -1032,8 +1070,8 @@ def test_generated_main_of_gen_tree_and_is_discrete():
         "            open_frame(g)\n"
         "            while s1(g): pass  # gen\n"
         "            if not s2(g): undo_frame(g); break  # ret\n"
-        "            while s3(g): pass  # step\n"
         "            commit_frame(g)\n"
+        "            while s3(g): pass  # step\n"
         "        if not s4(g): return 1  # finish\n"
         "        return 0\n")
     assert inspect.getsource(executable("is_discrete")._run) == (

@@ -158,14 +158,18 @@ def test_an_edge_relabelled_or_remarked_keeps_its_place_and_undo_restores_it():
     assert loops > 50 and parallel > 50
 
 
-def test_relabel_remark_set_root():
+def test_relabel_remark_root_unroot():
     g = Graph()
-    n = g.add_node()
+    n, m = g.add_node(), g.add_node(root=True)
     g.relabel(n, (5,))
-    assert n.label == (5,)
-    g.set_root(n, True)
-    g.set_root(n, False)
-    assert g.root_list == []
+    g.remark(n, "red")
+    assert (n.label, n.mark) == ((5,), "red")
+    g.root(n)
+    assert n.is_root and g.root_list == [m, n]
+    g.unroot(m)
+    assert not m.is_root and g.root_list == [n]
+    g.root(m, 0)                    # undo's place
+    assert m.is_root and g.root_list == [m, n]
 
 
 def test_both_backends_see_live_nodes_only():
@@ -266,7 +270,7 @@ def test_degree_counters_and_roots_after_random_mutations():
             live.append(g.add_node(root=rng.random() < 0.3))
         elif op < 0.6 and live:
             n = rng.choice(live)
-            g.set_root(n, not n.flags & FLAG_ROOT)
+            (g.unroot if n.flags & FLAG_ROOT else g.root)(n)
         elif op < 0.8 and len(live) >= 1:
             e = g.add_edge(rng.choice(live), rng.choice(live))
             edges.append(e)

@@ -330,9 +330,9 @@ MEET_HOSTS = ["[ (0, 0) | ]", "[ (0, 0) (1, 1) | (0, 0, 1, 0) (1, 0, 1, 0) ]",
 
 
 def _flagged(step) -> str:
-    """The records a step flags, as its final clear lists them: the first
-    run of clearing lines under the search loop, one line per record."""
-    found = re.search(r"(?:^        \w+\.flags &= ~8\n)+", inspect.getsource(step), re.M)
+    """The records a step flags, as its clear at the innermost point lists
+    them: the first run of clearing lines, one line per record."""
+    found = re.search(r"(?:^ +\w+\.flags &= ~8\n)+", inspect.getsource(step), re.M)
     return " ".join(re.findall(r"(\w+)\.flags", found[0])) if found else ""
 
 
@@ -485,9 +485,14 @@ def test_an_unguarded_and_guards_its_right_operand_with_its_left_local():
 def test_a_bidirectional_edge_is_added_back_the_way_it_was_matched():
     fwd = _rules("is_con")["fwd"]
     source = inspect.getsource(compiled_step(fwd))
-    assert "    if find: return (n0, n1, e0, v0, v1, v2, p1 == 1, )\n" in source
-    # the edge is kept: its record, its host direction and its places stay
-    assert "    if e0.mark != 'dashed': g.remark(e0, 'dashed')\n" in source
+    lines = [line.strip() for line in source.splitlines()]
+    assert "if find: return (n0, n1, e0, v0, v1, v2, p1 == 1, )" in lines
+    # both phases in one loop body, which takes each phase's list
+    assert "for p1 in (0, 1):" in lines and "c1 = n0.in_head if p1 else n0.out_head" in lines
+    assert "n1 = e0.source if p1 else e0.target" in lines
+    # the edge is kept: its record, its host direction and its places
+    # stay; the search has checked its mark, none
+    assert "g.remark(e0, 'dashed')" in lines
     assert "g.add_edge(" not in source and "g.delete_edge(" not in source
     assert "*(" not in source and "(False, True)" not in source
     for host in ("[ (0 (R), 1 # grey) (1, 2) | (0, 0, 1, 3) ]",
@@ -510,9 +515,9 @@ def test_a_root_flag_the_match_fixes_is_set_without_a_test(mode):
                                           mode == "reflect"))
     # a rooted left-hand node's image is a root, and in reflect mode an
     # unrooted one's is not; only in preserve mode may it be either
-    assert "    g.set_root(n1, False)\n" in ret
-    assert {"preserve": "    if not n0.flags & 1: g.set_root(n0, True)\n",
-            "reflect": "    g.set_root(n0, True)\n"}[mode] in ret
+    lines = [line.strip() for line in ret.splitlines()]
+    assert "g.unroot(n1)" in lines
+    assert {"preserve": "if not n0.flags & 1: g.root(n0)", "reflect": "g.root(n0)"}[mode] in lines
     # each flagged record is cleared by a line of its own
     for name, rule in all_corpus_rules():
         assert "for item in" not in inspect.getsource(
@@ -552,7 +557,7 @@ def test_rooted_match_step_count_independent_of_host_size():
         g = gen_full_binary_tree(depth)
         # root one leaf: the deepest level was laid out first
         leaf = g.node_slots[0]
-        g.set_root(leaf, True)
+        g.root(leaf)
         m, steps = find_match_steps(prune0, g)
         assert m is not None
         counts.append(steps)
@@ -576,13 +581,19 @@ def test_matched_flags_cleared_when_the_condition_raises():
     rule = parse_rule("r(n:int)\n[ (1, n) (2, n) | (0, 1, 2, empty) ] => "
                       "[ (1, n) (2, n) | ]\n  where n / 0 = 0")
     g = parse_host_graph("[ (0, 1) (1, 1) (2, 1) | (0, 0, 1, empty) (1, 1, 2, empty) ]")
-    for optimize in (True, False):
-        with pytest.raises(EvalError, match="division by zero"):
-            find_match(rule, g, optimize=optimize)
-        for n in g.nodes():
-            assert not n.flags & FLAG_MATCHED
-            for e in g.out_edges(n):
-                assert not e.flags & FLAG_MATCHED
+    # a nest that continues in other functions raises in the last one
+    long = parse_rule(_long_path("a / 0 = 0"))
+    for rule, g in (rule, g), (long, _long_path_host(random.Random(3), long, drop=0)):
+        for optimize in (True, False):
+            for backend in ("chain", "index_scan"):
+                before = g.candidates, g.iter_steps
+                with pytest.raises(EvalError, match="division by zero"):
+                    find_match(rule, g, backend=backend, optimize=optimize)
+                assert (g.candidates, g.iter_steps) == before    # no count added
+                for n in g.nodes():
+                    assert not n.flags & FLAG_MATCHED
+                    for e in g.out_edges(n):
+                        assert not e.flags & FLAG_MATCHED
 
 
 def test_left_hand_side_of_a_thousand_nodes_matches():
@@ -737,17 +748,24 @@ def test_generated_steps_test_no_setting_and_name_it_in_their_file():
 MATCHED_FLAG = re.compile(rf"[|&] {FLAG_MATCHED}\b|~{FLAG_MATCHED}\b")
 
 
-def _step_block(source, k):
-    """The generated lines of plan step ``k``, under its ``if i == k:``."""
+def _step_block(source, steps, k):
+    """The generated lines of plan step ``k`` of ``steps``: from its first
+    loop head to the next step's, or for the last step to its match.
+    Each step has one loop, a bidirectional edge two, each inside the one
+    before, and no step dispatches on a step number."""
     lines = source.splitlines()
-    start = next(j for j, line in enumerate(lines) if line.strip() == f"if i == {k}:")
-    indent = len(lines[start]) - len(lines[start].lstrip())
-    block = []
-    for line in lines[start + 1:]:
-        if len(line) - len(line.lstrip()) <= indent:
-            break
-        block.append(line)
-    return "\n".join(block)
+    assert not re.search(r"\bi (==|=) ", source)
+    heads = [j for j, line in enumerate(lines) if re.match(r" *(for|while) ", line)]
+    indents = [len(lines[j]) - len(lines[j].lstrip()) for j in heads]
+    assert indents == sorted(set(indents))
+    firsts = [0]
+    for step in steps:
+        firsts.append(firsts[-1] + max(len(step.phases), 1))
+    assert len(heads) == firsts[-1]
+    start = heads[firsts[k]]
+    end = heads[firsts[k + 1]] if k + 1 < len(steps) else next(
+        j for j, line in enumerate(lines) if line.strip().startswith("if find: return"))
+    return "\n".join(lines[start:end])
 
 
 @pytest.mark.parametrize("backend,mode", SETTINGS)
@@ -769,9 +787,11 @@ def test_only_items_that_may_meet_touch_matched_flags(backend, mode):
     # the root list holds only roots
     for name, rule in all_corpus_rules():
         source = inspect.getsource(compiled_step(rule, True, backend, reflect))
-        for k, step in enumerate(rule.plans[True, backend, reflect][0]):
+        steps = rule.plans[True, backend, reflect][0]
+        for k, step in enumerate(steps):
             if step.kind == "root":
-                assert not re.search(r"flags & 1\b", _step_block(source, k)), (name, rule.name)
+                assert not re.search(r"flags & 1\b", _step_block(source, steps, k)), \
+                    (name, rule.name)
 
 
 def _fixed_before(steps, k, item) -> bool:
@@ -816,13 +836,14 @@ def _kept_edge_updates(rule):
 @pytest.mark.parametrize("backend,mode", SETTINGS)
 def test_fixed_labels_first_kept_edges_in_place_and_a_chain_walk_step_counted_once(
         optimize, backend, mode):
-    reflect, fixed, kept = mode == "reflect", Counter(), Counter()
-    for name, rule in all_corpus_rules() + [(None, parse_rule(text)) for text in FIXED_RULES]:
+    reflect, fixed, kept, remarks = mode == "reflect", Counter(), Counter(), Counter()
+    for name, rule in all_corpus_rules() + [(None, parse_rule(text))
+                                            for text in FIXED_RULES + REMARK_RULES]:
         source = inspect.getsource(compiled_step(rule, optimize, backend, reflect))
         assert "readd" not in source
         steps = rule.plans[optimize, backend, reflect][0]
         for k, step in enumerate(steps):
-            block, where = _step_block(source, k).splitlines(), (name, rule.name, k)
+            block, where = _step_block(source, steps, k).splitlines(), (name, rule.name, k)
             if step.kind == "node" and backend == "chain":
                 assert "candidates += 1" not in "\n".join(block), where
             if step.binds and _fixed_before(steps, k, step.node):
@@ -833,18 +854,28 @@ def test_fixed_labels_first_kept_edges_in_place_and_a_chain_walk_step_counted_on
                 e = f"e{rule.lhs.edges.index(step.edge)}"
                 _first_check(block, e, k, where)
         # a kept edge is updated in place, and not at all when written back
-        rewrite = source.split("    if find: return", 1)[1].splitlines()[1:]
+        rewrite = [line.strip() for line in source.split("if find: return", 1)[1].split(
+            "return True", 1)[0].splitlines()[1:]]
         for e, updates in _kept_edge_updates(rule).items():
             kept[bool(updates)] += 1
-            got = [re.match(r"if \S+ != .*: g\.(\w+)\(", line.strip()) for line in rewrite
+            got = [re.match(r"(?:if \S+ != .*: )?g\.(\w+)\(", line) for line in rewrite
                    if re.search(rf"\b{e}\b", line)]
             assert [m and m[1] for m in got] == updates, (name, rule.name, e)
+        # a remark is tested first only where the left-hand mark is any:
+        # the search has checked any other
+        for line in (line for line in rewrite if "remark" in line):
+            m = re.fullmatch(r"(if (\w+)\.mark != '\w+': )?g\.remark\((\w+), '\w+'\)", line)
+            items = rule.lhs.nodes if m[3][0] == "n" else rule.lhs.edges
+            remarks[bool(m[1])] += 1
+            assert bool(m[1]) == (items[int(m[3][1:])].mark == "any"), (name, rule.name, line)
     # gen_sierpinski's expand (n, bound at the root) and the constant
     # labels of gen_tree, gen_star and gen_discrete, and FIXED_RULES;
     # every constant edge label, and FIXED_RULES' a; kept edges written
     # back (gen_tree's ret) and updated (is_con's fwd and bck)
     assert fixed["node"] >= 10 and fixed["edge"] >= 10, fixed
     assert kept[False] and kept[True], kept
+    # is_con's fwd and bck, is_bin_dag's up and is_tree's push; REMARK_RULES
+    assert remarks[False] >= 4 and remarks[True] == 2, remarks
 
 
 # Node labels that earlier steps fix: a bound list variable alone and
@@ -854,6 +885,12 @@ FIXED_RULES = [
     "r(x:list)\n[ (1, x) (2, 1:x) (3, x:2) | (0, 1, 2, empty) ] => [ | ]",
     "r(a:int; b:atom)\n[ (1, a:b) (2, b) (3, a) | (0, 1, 2, empty) (1, 2, 3, a) ] => [ | ]",
 ]
+
+
+# Kept items remarked: a node and an edge whose left-hand mark is any,
+# and a node whose mark the search checks.
+REMARK_RULES = ["r(x,y:list)\n[ (1, x # any) (2, y) | (0, 1, 2, empty # any) ]\n"
+                "=> [ (1, x # red) (2, y # grey) | (0, 1, 2, empty # dashed) ]"]
 
 
 @pytest.mark.parametrize("optimize", [True, False])
@@ -981,10 +1018,10 @@ def test_drawn_rules_find_a_match_of_the_brute_force_set_in_every_setting():
 # -- an interface label written out again ---------------------------------
 
 
-def _reference_rewrite(rule, g, mode):
+def _reference_rewrite(rule, g, mode, backend="chain", optimize=True):
     """An interface-only rule applied through ``find_match`` and the
     interpreter, relabelling every node whose label differs."""
-    m = find_match(rule, g, mode)
+    m = find_match(rule, g, mode, backend, optimize)
     if m is None:
         return False
     nodes, _ = instantiate_rhs(rule, m.assignment, m.node_images)
@@ -995,7 +1032,7 @@ def _reference_rewrite(rule, g, mode):
         if n.mark != mark:
             g.remark(n, mark)
         if n.is_root != pn.root:
-            g.set_root(n, pn.root)
+            (g.root if pn.root else g.unroot)(n)
     return True
 
 
@@ -1043,3 +1080,95 @@ def test_a_label_written_out_again_is_not_relabelled(case, mode):
                    for entry in g.journal]
         runs.append((applied, entries, print_graph(g)))
     assert runs[0] == runs[1]
+
+
+# -- a nest past CPython's 20 loops -----------------------------------------------
+
+
+def _long_path(condition):
+    """An 18-node path whose end nodes share int variable ``a``, the
+    others labelled by their ids, and whose edge from node 9 to node 10
+    is bidirectional and labelled by list variable ``b``: 19 loops when
+    optimised and 36 without, so its nest continues in two or three
+    functions.  The rewrite relabels node 1 and remarks node 9.  The
+    condition reads variables bound in the first function and node 18,
+    bound in the last."""
+    nodes = " ".join(f"({i}, {'a' if i in (1, 18) else i})" for i in range(1, 19))
+    edges = " ".join(f"({i}{' (B)' * (i == 8)}, {i + 1}, {i + 2}, {'b' if i == 8 else 'empty'})"
+                     for i in range(17))
+    right = nodes.replace("(1, a)", "(1, a + 1)").replace("(9, 9)", "(9, 9 # red)")
+    return f"long(a:int; b:list)\n[ {nodes} | {edges} ] => [ {right} | {edges} ]\n" \
+           f"  where {condition}"
+
+
+def _long_path_host(rng, rule, drop=0.3):
+    """An image of the long path under random values, one of its edges
+    missing with probability ``drop``, the bidirectional one either way
+    round, with up to 3 more nodes labelled as path nodes and up to 5
+    more edges.  Half the time an edge from node 17's image to node 1's
+    comes after the path's in node 17's out-list, so that a search that
+    has bound node 18 and failed the condition meets node 1's image
+    next, which its flag must keep out."""
+    a, b = rng.randrange(3), rng.choice([(), (1,), (0, 1)])
+    g = Graph()
+    image = {pn.pid: g.add_node((a,) if pn.label.items[0][0] == "var" else
+                                (pn.label.items[0][1],), "none", rng.random() < 0.02)
+             for pn in rule.lhs.nodes}
+    if rng.random() < 0.5:
+        g.add_edge(image[rule.lhs.nodes[16].pid], image[rule.lhs.nodes[0].pid])
+    missing = rng.choice(rule.lhs.edges) if rng.random() < drop else None
+    for pe in rule.lhs.edges:
+        ends = [image[pe.src], image[pe.tgt]]
+        if pe.bidir and rng.random() < 0.5:
+            ends.reverse()
+        if pe is not missing:
+            g.add_edge(*ends, b if pe.bidir else ())
+    nodes = g.nodes() + [g.add_node((rng.randrange(19),)) for _ in range(rng.randrange(4))]
+    for _ in range(rng.randrange(6)):
+        g.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice([(), (1,)]))
+    return g
+
+
+def test_a_nest_past_twenty_loops_continues_in_more_functions_in_every_setting(monkeypatch):
+    text = _long_path("a < 2 and b != 1 or outdeg(18) > 0")
+    settings = [(optimize, backend, reflect) for optimize in (True, False)
+                for backend in ("chain", "index_scan") for reflect in (False, True)]
+    rules = {}
+    for loops in (16, 5, 19):   # the rule compiled with the nest split every so many loops
+        monkeypatch.setattr("gp2.match._LOOPS", loops)
+        rules[loops] = parse_rule(text)
+        for setting in settings:
+            source = "".join(linecache.getlines(
+                compiled_step(rules[loops], *setting).__code__.co_filename))
+            functions = re.findall(r"^def (\w+)\(", source, re.M)
+            assert len(functions) == -(-(19 if setting[0] else 36) // loops), (loops, setting)
+    monkeypatch.undo()
+    rule, rng, seen = rules[16], random.Random(1218), Counter()
+    for _ in range(40):
+        g = _long_path_host(rng, rule)
+        for mode in ("preserve", "reflect"):
+            keys = {match_key(m) for m in brute_force_match(rule, g, mode)}
+            seen["hit" if keys else "miss"] += 1
+            for optimize in (True, False):
+                for backend in ("chain", "index_scan"):
+                    where = (mode, backend, optimize)
+                    # every split finds the same match and counts the same
+                    found = []
+                    for split in rules.values():
+                        before = g.candidates, g.iter_steps
+                        m = find_match(split, g, mode, backend, optimize)
+                        found.append((m and match_key(m), g.candidates - before[0],
+                                      g.iter_steps - before[1]))
+                    assert len(set(found)) == 1, (where, found)
+                    assert (m is None) == (not keys), where
+                    if m is not None:
+                        assert match_key(m) in keys, where
+                        audit_match(rule, g, m, mode)
+                    for n in g.nodes():
+                        assert not n.flags & FLAG_MATCHED
+                        assert not any(e.flags & FLAG_MATCHED for e in g.out_edges(n))
+                    applied, reference = (parse_host_graph(print_graph(g)) for _ in "ab")
+                    assert apply_rule(rule, applied, mode, backend, optimize) == bool(keys)
+                    _reference_rewrite(rule, reference, mode, backend, optimize)
+                    assert print_graph(applied) == print_graph(reference), where
+    assert seen["hit"] >= 10 and seen["miss"] >= 10, seen

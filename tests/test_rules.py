@@ -573,8 +573,9 @@ def _rhs_edge_hosts():
         for i in range(len(parse_host_graph(text).nodes())):
             g = parse_host_graph(text)
             nodes = g.nodes()
-            for node in nodes:
-                g.set_root(node, node is nodes[i])
+            for node in g.root_list[:]:
+                g.unroot(node)
+            g.root(nodes[i])
             g.remark(nodes[i], "grey")
             for k, e in enumerate(g.edges()):
                 if k % 2:

@@ -10,7 +10,8 @@ alternate process by process, and which goes first alternates row by
 row, so a spell in which the machine runs slow falls on both sides.  A
 row records the host's size, the outcome, the exact work counts
 (candidates examined, iteration steps, journal frames opened, committed
-and undone), and the median over all of a side's processes of the
+and undone, and the journal entries, counted as each frame closes), and
+the median over all of a side's processes of the
 timings of each layer the CLI goes through (``parse_host_graph``,
 ``Executable(...)``, ``run``, ``print_graph``), ``REPEATS`` a process,
 and of the wall times of ``python3 -m gp2.cli`` in a subprocess,
@@ -33,7 +34,7 @@ module.
 
 The rows use only APIs that every side since the first BENCH file has:
 ``textio.parse_program``/``parse_host_graph``/``print_graph``,
-``engine.Executable``/``ExecConfig``/``ChangeStack``,
+``engine.Executable``/``ExecConfig``/``ChangeStack`` and its ``frames``,
 ``bench.generate``/``parse_spec`` and ``corpus.load_program``.
 ``--only PROGRAM HOST`` runs one row, in preserve mode, instead of the matrix.
 """
@@ -56,7 +57,7 @@ PROCESSES = 3           # measuring processes per side and row
 REPEATS = 1             # in-process timings of each layer, per process
 CLI_REPEATS = 2         # wall times of the CLI, for e2e_ms, per process
 COUNTS = ("nodes", "edges", "outcome", "candidates", "iter_steps",
-          "frames_opened", "frames_committed", "frames_undone")
+          "frames_opened", "frames_committed", "frames_undone", "journal_entries")
 TIMES = ("parse_host_ms", "build_ms", "run_ms", "print_ms", "e2e_ms")
 RELS = tuple(key.replace("_ms", "_rel") for key in TIMES)
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
@@ -105,7 +106,7 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
     from gp2 import bench, corpus, engine, textio
 
     reference = _reference()
-    frames = [0, 0, 0]      # opened, committed, undone
+    frames = [0, 0, 0, 0]   # opened, committed, undone, entries
 
     class CountingStack(engine.ChangeStack):
         def open_frame(self, g):
@@ -114,10 +115,12 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
 
         def commit_frame(self, g):
             frames[1] += 1
+            frames[3] += len(self.frames[-1])
             super().commit_frame(g)
 
         def undo_frame(self, g):
             frames[2] += 1
+            frames[3] += len(self.frames[-1])
             super().undo_frame(g)
 
     text = corpus.load_program(program)
