@@ -11,7 +11,9 @@ iteration instead of node chains, -q skip search-plan optimisation,
 -m root-reflecting matches, -o DIR also write the output graph into DIR.
 
 Exit codes: 0 success (graph on stdout), 1 validation/usage error,
-2 program failure or runtime error (diagnostics on stderr).
+2 program failure or runtime error (diagnostics on stderr).  The graph
+is written as it is formatted, so a write error partway through can
+leave part of it on stdout before the usage error.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import os
 import sys
 from pathlib import Path
 
+from . import textio
 from .engine import ExecConfig, run_program
-from .textio import SourceError, validate
+from .graph import Graph
 
 USAGE = __doc__
 
@@ -103,18 +106,24 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}")
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, g: Graph) -> None:
+    """Write ``g`` into ``path`` as it is formatted, then a newline."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as out:
+            textio.print_graph(g, out.write)
+            out.write("\n")
     except OSError as exc:
         raise UsageError(f"cannot write {exc.filename or path}: {exc.strerror}")
 
 
-def _print(text: str) -> None:
-    """Write and flush ``text``.  A full or closed standard output is a usage
-    error, and fd 1 then points at the null device so exit flushes quietly."""
+def _print(text: str, g: Graph | None = None) -> None:
+    """Write ``g``, if given, as it is formatted, then ``text``, and flush.
+    A full or closed standard output is a usage error, and fd 1 then
+    points at the null device so exit flushes quietly."""
     try:
+        if g is not None:
+            textio.print_graph(g, sys.stdout.write)
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
@@ -133,8 +142,8 @@ def main(argv: list[str]) -> int:
         if invocation.subcommand.startswith("validate-"):
             kind = invocation.subcommand.removeprefix("validate-")
             try:
-                validate(kind, _read(invocation.paths[0]))
-            except SourceError as exc:
+                textio.validate(kind, _read(invocation.paths[0]))
+            except textio.SourceError as exc:
                 print(str(exc), file=sys.stderr)
                 return 1
             return 0
@@ -151,8 +160,8 @@ def _run(invocation: CliInvocation) -> int:
         print(outcome.diagnostic, file=sys.stderr)
         return outcome.exit_code
     if invocation.out_dir:
-        _write(Path(invocation.out_dir) / "out.host", outcome.output + "\n")
-    _print(outcome.output + "\n")
+        _write(Path(invocation.out_dir) / "out.host", outcome.graph)
+    _print("\n", outcome.graph)
     if invocation.fast_shutdown:
         # leave the graph to the operating system
         sys.stderr.flush()

@@ -280,16 +280,23 @@ def apply_rule(rule: Rule, g: Graph, mode: str = "preserve",
 
 
 class Outcome:
-    """Result of a whole run: success carries the printed graph, the
-    error variants carry a diagnostic."""
+    """Result of a whole run: success carries the graph, and ``output``
+    is its printed text, formatted on first read; the error variants
+    carry a diagnostic."""
 
-    __slots__ = ("status", "output", "diagnostic", "graph")
+    __slots__ = ("status", "diagnostic", "graph", "_output")
 
-    def __init__(self, status, output=None, diagnostic=None, graph=None):
+    def __init__(self, status, diagnostic=None, graph=None):
         self.status = status     # success | fail | validation_error | program_error
-        self.output = output
         self.diagnostic = diagnostic
         self.graph = graph
+        self._output = None
+
+    @property
+    def output(self) -> str | None:
+        if self._output is None and self.status == "success":
+            self._output = textio.print_graph(self.graph)
+        return self._output
 
     @property
     def exit_code(self) -> int:
@@ -328,7 +335,7 @@ class Executable:
         except EvalError as exc:
             return Outcome("program_error", diagnostic=str(exc))
         if status == OK:
-            return Outcome("success", output=textio.print_graph(g), graph=g)
+            return Outcome("success", graph=g)
         return Outcome("fail", diagnostic="program evaluated to fail", graph=g)
 
 

@@ -35,6 +35,7 @@ therefore raised by the token reader, with its message and position.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Optional
 
 from .graph import (
@@ -164,15 +165,11 @@ class _Stream:
         return self.next()
 
     def accept(self, kind: str) -> Optional[Token]:
-        if self.tok.kind == kind:
-            return self.next()
-        return None
+        return self.next() if self.tok.kind == kind else None
 
 
 def describe(tok: Token) -> str:
-    if tok.kind == "EOF":
-        return "end of input"
-    return repr(tok.value)
+    return "end of input" if tok.kind == "EOF" else repr(tok.value)
 
 
 def _error(tok: Token, message: str, kind: str = "syntax") -> SourceError:
@@ -370,14 +367,9 @@ def _build_host(nodes: list, edges: list) -> Graph:
 
 
 def parse_host_graph(text: str) -> Graph:
-    """Read a host graph, checking each item as it is read; until the
-    graph is built, only what ``add_node`` and ``add_edge`` take is kept.
-
-    Items are read one pattern match each.  At the first item that the
-    patterns do not cover (a comment, an odd blank, a long int) or that
-    fails a check, the token reader takes over from that item's offset,
-    its line and column counted from the text, and reads to the end.
-    So every error is found, worded and placed by the token reader."""
+    """Read a host graph, checking each item as it is read (see the module
+    docstring); until the graph is built, only what ``add_node`` and
+    ``add_edge`` take is kept."""
     index: dict[int, int] = {}                  # node id -> declaration place
     nodes: list = []
     edges: list = []
@@ -393,27 +385,50 @@ def _format_label(label: tuple, mark: str) -> str:
     return text if mark == MARK_NONE else f"{text} # {mark}"
 
 
-def print_graph(g: Graph) -> str:
-    parts = ["["]
-    nodes = g.nodes()
-    number = {node: i for i, node in enumerate(nodes)}
+PRINT_CHUNK = 256       # items in each piece that print_graph passes to ``write``
+
+
+def print_graph(g: Graph, write=None) -> Optional[str]:
+    """``g`` in host syntax, its nodes newest first and numbered from 0.
+    Given ``write``, passes the text to it in pieces of ``PRINT_CHUNK``
+    items as they are formatted, and returns None."""
+    items = _printed_items(g)
+    if write is None:
+        return " ".join(items)
+    space = ""
+    while piece := " ".join(islice(items, PRINT_CHUNK)):
+        write(space + piece)    # every piece but the first starts with a space
+        space = " "
+
+
+def _printed_items(g: Graph):
+    """The brackets, the bar and the nodes' and edges' texts, in order."""
+    yield "["
     texts: dict = {}        # (label, mark) -> its text, formatted once
-    for i, node in enumerate(nodes):
+    node, i = g.node_tail, 0
+    while node is not None:
         key = (node.label, node.mark)
         text = texts.get(key) or texts.setdefault(key, _format_label(*key))
-        parts.append(f"({i} (R), {text})" if node.flags & FLAG_ROOT else f"({i}, {text})")
-    parts.append("|")
-    eid = 0
-    for src, node in enumerate(nodes):
+        yield f"({i} (R), {text})" if node.flags & FLAG_ROOT else f"({i}, {text})"
+        node, i = node.prev, i + 1
+    yield "|"
+    if g.edge_count:        # each node's number by slot index, unboxed
+        number = memoryview(bytearray(8 * len(g.node_slots))).cast("q")
+        node, i = g.node_tail, 0
+        while node is not None:
+            number[node.slot_index] = i
+            node, i = node.prev, i + 1
+    node, src, eid = g.node_tail, 0, 0
+    while node is not None:
         edge = node.out_head
         while edge is not None:
             key = (edge.label, edge.mark)
             text = texts.get(key) or texts.setdefault(key, _format_label(*key))
-            parts.append(f"({eid}, {src}, {number[edge.target]}, {text})")
+            yield f"({eid}, {src}, {number[edge.target.slot_index]}, {text})"
             eid += 1
             edge = edge.src_next
-    parts.append("]")
-    return " ".join(parts)
+        node, src = node.prev, src + 1
+    yield "]"
 
 
 # -- expressions ----------------------------------------------------------
@@ -506,9 +521,7 @@ def _parse_cond_atom(ts: _Stream):
         src = ts.expect("INT").value
         ts.expect(",")
         tgt = ts.expect("INT").value
-        label = None
-        if ts.accept(","):
-            label = _parse_expr(ts)
+        label = _parse_expr(ts) if ts.accept(",") else None
         ts.expect(")")
         return ("edge", src, tgt, label)
     if tok.kind == "IDENT" and tok.value in ("int", "char", "string", "atom"):
@@ -625,20 +638,18 @@ def _parse_rule_side(ts: _Stream, variables, lhs: bool):
     return PatternGraph(nodes, edges)
 
 
+# The terms whose type their tag alone gives.
+_TAG_TYPES = {"int": "int", "str": "string", "empty": "list", "indeg": "int", "outdeg": "int"}
+
+
 def _expr_type(expr, variables, tok) -> str:
     tag = expr[0]
-    if tag == "int":
-        return "int"
-    if tag == "str":
-        return "string"
-    if tag == "empty":
-        return "list"
+    if tag in _TAG_TYPES:
+        return _TAG_TYPES[tag]
     if tag == "var":
         if expr[1] not in variables:
             raise _error(tok, f"undeclared variable {expr[1]!r}", "semantic")
         return variables[expr[1]]
-    if tag in ("indeg", "outdeg"):
-        return "int"
     if tag == "cons":
         _expr_type(expr[1], variables, tok)
         _expr_type(expr[2], variables, tok)
@@ -812,25 +823,17 @@ def _parse_command_primary(ts: _Stream):
         if then_tok.value != "then":
             raise _error(then_tok, "expected 'then'")
         then_cmd = _parse_command(ts)
-        else_cmd = ("skip",)
-        if ts.accept_word("else"):
-            else_cmd = _parse_command(ts)
+        else_cmd = _parse_command(ts) if ts.accept_word("else") else ("skip",)
         return ("if", guard, then_cmd, else_cmd)
     if word == "try":
         ts.next()
         guard = _parse_command(ts)
-        then_cmd = else_cmd = ("skip",)
-        if ts.accept_word("then"):
-            then_cmd = _parse_command(ts)
-        if ts.accept_word("else"):
-            else_cmd = _parse_command(ts)
+        then_cmd = _parse_command(ts) if ts.accept_word("then") else ("skip",)
+        else_cmd = _parse_command(ts) if ts.accept_word("else") else ("skip",)
         return ("try", guard, then_cmd, else_cmd)
-    if word == "skip":
+    if word == "skip" or word == "fail":
         ts.next()
-        return ("skip",)
-    if word == "fail":
-        ts.next()
-        return ("fail",)
+        return (word,)
     if word == "break":
         ts.next()
         return ("break", (tok.line, tok.column))
@@ -964,9 +967,7 @@ def _parse_program(ts: _Stream) -> ParsedProgram:
         else:
             raise _error(ts.peek(), "expected '=' or '(' after declaration name")
     if main is None:
-        tok = ts.peek()
-        raise _error(tok, "program has no Main declaration", "semantic")
-
+        raise _error(ts.peek(), "program has no Main declaration", "semantic")
     return ParsedProgram(rules, procedures, main)
 
 
@@ -975,8 +976,7 @@ def parse_rule(text: str) -> Rule:
 
 
 def _parse_rule(ts: _Stream) -> Rule:
-    name_tok = ts.expect("IDENT")
-    rule = _parse_rule_decl(ts, name_tok)
+    rule = _parse_rule_decl(ts, ts.expect("IDENT"))
     tok = ts.peek()
     if tok.kind != "EOF":
         raise _error(tok, f"unexpected {describe(tok)} after rule")
@@ -985,11 +985,7 @@ def _parse_rule(ts: _Stream) -> Rule:
 
 def validate(kind: str, text: str) -> None:
     """Parse-only check; raises SourceError on any problem."""
-    if kind == "program":
-        parse_program(text)
-    elif kind == "rule":
-        parse_rule(text)
-    elif kind == "graph":
-        parse_host_graph(text)
-    else:
+    parse = {"program": parse_program, "rule": parse_rule, "graph": parse_host_graph}.get(kind)
+    if parse is None:
         raise ValueError(f"unknown validation kind {kind!r}")
+    parse(text)

@@ -47,10 +47,12 @@ def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
         ("one", "chain"), ("two", "chain"), ("two", "index_scan"), ("one", "index_scan")]
     for row in rows:
         assert list(row) == ["side", "commit", "program", "host", "backend", "mode",
-                             *COUNTS, *TIMES, *RELS, "reference_ms"]
+                             *COUNTS, *TIMES, *RELS, "reference_ms", "peak_rss_mb"]
         assert (row["program"], row["host"], row["mode"]) == (
             "gen_tree", "[ (0 (R), 4) | ]", "preserve")
         assert all(row[key] > 0 for key in (*TIMES, *RELS, "reference_ms"))
+        # a fresh interpreter that imports gp2 and runs one tiny row
+        assert 5 < row["peak_rss_mb"] < 200
         # each time over the reference pass around it, so about the ratio of the medians
         for ms, rel in zip(TIMES, RELS):
             assert 0.5 < row[rel] * row["reference_ms"] / row[ms] < 2, (ms, row)
@@ -63,7 +65,8 @@ def test_a_side_is_the_median_of_all_its_samples_and_its_counts_must_agree():
     bench_matrix = load_tool()
     counts = dict(zip(COUNTS, [1, 0, "success", 341, 0, 23, 22, 1, 119]))
     samples = [{"program": "p", **counts, **{key: [t] for key in TIMES},
-                **{key: [t * 10] for key in RELS}, "reference_ms": [t * 1e5, 150.0]}
+                **{key: [t * 10] for key in RELS}, "reference_ms": [t * 1e5, 150.0],
+                "peak_rss_mb": [t * 1e4]}
                for t in (0.001, 0.005, 0.002)]
     samples[1]["run_ms"] = [0.003, 0.004]
     samples[1]["run_rel"] = [0.03, 0.04]
@@ -71,7 +74,7 @@ def test_a_side_is_the_median_of_all_its_samples_and_its_counts_must_agree():
     assert row == {"program": "p", **counts, "parse_host_ms": 2.0, "build_ms": 2.0,
                    "run_ms": 2.5, "print_ms": 2.0, "e2e_ms": 2.0, "parse_host_rel": 0.02,
                    "build_rel": 0.02, "run_rel": 0.025, "print_rel": 0.02, "e2e_rel": 0.02,
-                   "reference_ms": 150.0}
+                   "reference_ms": 150.0, "peak_rss_mb": 20.0}
     samples[2]["frames_undone"] = 2
     with pytest.raises(SystemExit, match="counts differ"):
         bench_matrix.merge(samples)
@@ -85,6 +88,7 @@ def test_a_failed_recognition_is_a_fail_row_and_the_cli_must_exit_with_its_code(
     # one pass before and one after the run's layers, and one before the
     # first CLI run and one after each
     assert len(row["run_rel"]) == 1 and len(row["reference_ms"]) == 5
+    assert len(row["peak_rss_mb"]) == 1         # one probe, after the CLI runs
     cell = {key: row[key] for key in ("program", "host", "backend", "mode")}
     host_text = textio.print_graph(bench.generate(bench.parse_spec("grid:3x3")))
     with pytest.raises(SystemExit, match=r"^the CLI exited 2, not 0 for 'success', on "
@@ -113,6 +117,8 @@ def test_a_cli_exit_code_that_is_not_the_outcome_s_stops_the_matrix(monkeypatch,
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     bench_matrix = load_tool()
     expected = bench_matrix.EXIT_CODES[outcome]
-    with pytest.raises(SystemExit, match=rf"^the CLI exited {code}, not {expected} for "
-                                         rf"'{outcome}', on \{{'program': 'p'"):
+    message = rf"^the CLI exited {code}, not {expected} for '{outcome}', on \{{'program': 'p'"
+    with pytest.raises(SystemExit, match=message):
         bench_matrix._cli_times(CELL, program, "[ (0, empty) | ]", outcome)
+    with pytest.raises(SystemExit, match=message):
+        bench_matrix._probe_rss_mb(CELL, ROOT / "src", program, "[ (0, empty) | ]", outcome)

@@ -1,4 +1,5 @@
 import errno
+import io
 import os
 import subprocess
 import sys
@@ -7,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import gp2
-from gp2 import corpus
+from gp2 import corpus, textio
 from gp2.cli import UsageError, main, parse_args
-from gp2.engine import run_program
+from gp2.engine import ExecConfig, run_program
+from helpers import executable
+from test_golden import runs
 
 
 def test_parse_validate_modes():
@@ -201,11 +204,17 @@ def _cli(argv, **kwargs):
                           env={**os.environ, "PYTHONPATH": str(src)}, **kwargs)
 
 
+def _path_host(n):
+    """A path of ``n`` nodes: ``2n + 2`` printed items with the brackets and bar."""
+    return "[ " + " ".join(f"({i}, {i})" for i in range(n)) + " | " + \
+        " ".join(f"({i}, {i}, {i + 1}, empty)" for i in range(n - 1)) + " ]"
+
+
 @pytest.mark.parametrize("sink", SINKS)
 @pytest.mark.parametrize("mode", ["run", "run-f", "help"])
 def test_stdout_write_error_is_a_usage_error(tmp_path, sink, mode):
-    # a 2,000-node graph overflows the output buffer, a help text does not
-    host = "[ " + " ".join(f"({i}, {i})" for i in range(2000)) + " | ]"
+    # a graph of 16 pieces overflows the output buffer, a help text does not
+    host = _path_host(8 * textio.PRINT_CHUNK - 1)
     run = [_write(tmp_path, "p.gp2", "Main = skip"), _write(tmp_path, "h.host", host)]
     argv = {"run": run, "run-f": ["-f", *run], "help": ["--help"]}
     stdout, code = sink()
@@ -232,3 +241,60 @@ def test_fast_shutdown_prints_the_graph_and_exits_zero(tmp_path, flags):
     expected = run_program(corpus.load_program("trans_closure"), corpus.load_fixture("path3"))
     result = _cli([*flags, prog, host], capture_output=True)
     assert (result.returncode, result.stdout, result.stderr) == (0, expected.output + "\n", "")
+
+
+@pytest.mark.parametrize("flags", [["-f"], ["-f", "-g"]], ids=["f", "f-g"])
+def test_fast_shutdown_flushes_every_piece_of_the_graph(tmp_path, flags):
+    host = "[ (0 (R), 10) | ]"          # gen_tree grows 2,047 nodes: 16 pieces
+    expected = run_program(corpus.load_program("gen_tree"), host)
+    assert expected.graph.node_count + expected.graph.edge_count > 15 * textio.PRINT_CHUNK
+    result = _cli([*flags, _write(tmp_path, "p.gp2", corpus.load_program("gen_tree")),
+                   _write(tmp_path, "h.host", host)], capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected.output + "\n", "")
+
+
+def _flags(cfg):
+    return ["-n"] * (cfg.backend == "index_scan") + ["-m"] * (cfg.root_mode == "reflect") + \
+        ["-q"] * (not cfg.optimize_plans)
+
+
+def test_stdout_is_the_run_s_output_on_every_golden_run(tmp_path, capsys):
+    for key, name, fixture, cfg in runs():
+        out = executable(name, cfg).run_text(corpus.load_fixture(fixture))
+        code = main([*_flags(cfg), _write(tmp_path, "p.gp2", corpus.load_program(name)),
+                     _write(tmp_path, "h.host", corpus.load_fixture(fixture))])
+        printed = out.output + "\n" if out.status == "success" else ""
+        assert (code, capsys.readouterr().out) == (out.exit_code, printed), key
+
+
+class _Pieces(io.StringIO):
+    """Standard output that notes the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+def test_a_graph_of_many_pieces_is_streamed_whole_to_stdout_and_out_dir(tmp_path, capsys,
+                                                                        monkeypatch, backend):
+    host = "[ (0 (R), 12) | ]"         # gen_tree grows an 8,191-node tree
+    expected = run_program(corpus.load_program("gen_tree"), host, ExecConfig(backend=backend))
+    assert expected.graph.node_count + expected.graph.edge_count > 60 * textio.PRINT_CHUNK
+    argv = [*(["-n"] if backend == "index_scan" else []),
+            _write(tmp_path, "p.gp2", corpus.load_program("gen_tree")),
+            _write(tmp_path, "h.host", host)]
+    stdout = _Pieces()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert stdout.getvalue() == expected.output + "\n"
+    assert max(stdout.lengths) < len(expected.output) / 20     # never the whole graph at once
+    monkeypatch.undo()
+    out_dir = tmp_path / "out"
+    assert main(["-o", str(out_dir), *argv]) == 0
+    assert capsys.readouterr() == (expected.output + "\n", "")
+    assert (out_dir / "out.host").read_text() == expected.output + "\n"

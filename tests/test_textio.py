@@ -1,11 +1,16 @@
+import functools
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gp2 import bench, corpus, textio
+from gp2.engine import ExecConfig, Executable
 from gp2.textio import inline_procedures
 from gp2.graph import EDGE_MARKS, NODE_MARKS, Graph
+from helpers import executable
 from gp2.oracles import graphs_isomorphic
 from gp2.textio import (
     SourceError,
@@ -118,6 +123,66 @@ def test_print_graph_agrees_with_the_reference_formatter():
             if node.indegree + node.outdegree == 0 and rng.random() < 0.3:
                 g.delete_node(node)
         assert print_graph(g) == _reference_print_graph(g)
+
+
+# Deletes every red node without edges, leaving a hole or a free slot,
+# then gives every green node a new blue neighbour, which takes the
+# newest free slot (LIFO) unless the run is minimal-GC.
+HOLES = """Main = cut!; grow!
+cut(x:list) [ (1, x # red) | ] => [ | ]
+grow(x:list) [ (1, x # green) | ] => [ (1, x) (2, x # blue) | (0, 1, 2, x) (1, 2, 1, 0) ]
+"""
+
+
+@functools.cache
+def _holes(backend, minimal_gc):
+    return Executable(parse_program(HOLES), ExecConfig(backend=backend, minimal_gc=minimal_gc))
+
+
+@st.composite
+def marked_hosts(draw):
+    n = draw(st.integers(1, 12))
+    marks = draw(st.lists(st.sampled_from(["", " # red", " # green"]), min_size=n, max_size=n))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    return "[ " + " ".join(f"({i}, {i}{mark})" for i, mark in enumerate(marks)) + " | " + \
+        " ".join(f"({e}, {s}, {t}, empty)" for e, (s, t) in enumerate(ends)) + " ]"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(host="[ (0, 0 # red) (1, 1 # red) (2, 2 # green) (3, 3 # green) | (0, 3, 2, empty) ]")
+@given(host=marked_hosts())
+def test_streamed_pieces_join_to_the_printed_graph_after_holes_and_reuse(monkeypatch, host):
+    # Edge targets are numbered by slot index; a reused slot prints first.
+    monkeypatch.setattr(textio, "PRINT_CHUNK", 3)
+    for backend in ("chain", "index_scan"):
+        for minimal_gc in (False, True):
+            g = parse_host_graph(host)
+            _holes(backend, minimal_gc).run(g)
+            pieces = []
+            assert print_graph(g, pieces.append) is None
+            assert "".join(pieces) == print_graph(g) == _reference_print_graph(g)
+            items = g.node_count + g.edge_count + 3     # with the brackets and the bar
+            assert len(pieces) == -(-items // 3), pieces
+
+
+def _peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streaming_the_printed_tree_peaks_below_half_its_length():
+    g = executable("gen_tree").run_text("[ (0 (R), 12) | ]").graph
+    length = len(print_graph(g))
+    assert g.node_count == 8191
+    streamed = _peak(lambda: print_graph(g, lambda piece: None))
+    joined = _peak(lambda: print_graph(g))
+    # holding every item, or one string of them all, would not fit the bound
+    assert streamed < length / 2 < joined, (streamed, length, joined)
 
 
 def _random_host_text(rng):

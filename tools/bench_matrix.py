@@ -28,7 +28,11 @@ The counts come from one more, untimed run in each process, and must be
 equal in all of a side's processes: the script stops with an error if
 they are not, and also if a CLI run exits with another code than the
 row's outcome gives (0 for success, 2 for fail).  Wall times are rough
-on a shared machine; the counts are exact.
+on a shared machine; the counts are exact.  After its CLI runs, each
+process makes one untimed run of perfbench's probe (``perfbench/probe.py``
+of this checkout, used unchanged) on its side's ``src``, a fresh
+interpreter whose peak resident set (``VmHWM``) a row keeps as the median
+over the side's processes, in MiB (``peak_rss_mb``).
 Each side's meta holds the lines of its ``gp2`` package, in all and by
 module.
 
@@ -61,6 +65,7 @@ COUNTS = ("nodes", "edges", "outcome", "candidates", "iter_steps",
 TIMES = ("parse_host_ms", "build_ms", "run_ms", "print_ms", "e2e_ms")
 RELS = tuple(key.replace("_ms", "_rel") for key in TIMES)
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+PROBE = REFERENCE.with_name("probe.py")
 EXIT_CODES = {"success": 0, "fail": 2}     # of the CLI, by in-process outcome
 
 
@@ -103,6 +108,7 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
     """One process's counts, time samples (in seconds), relative times and
     reference passes (in ms) of a row, measured on the ``gp2`` this
     interpreter imports."""
+    import gp2
     from gp2 import bench, corpus, engine, textio
 
     reference = _reference()
@@ -172,13 +178,14 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
     passes = times["reference_ms"][first:]
     for seconds, before, after in zip(cli, passes, passes[1:]):
         timed([("e2e_ms", seconds)], before, after)
-    return {**row, **dict(zip(COUNTS, counts)), **times}
+    rss = _probe_rss_mb(row, Path(gp2.__file__).resolve().parents[1], text, host_text, outcome)
+    return {**row, **dict(zip(COUNTS, counts)), **times, "peak_rss_mb": [rss]}
 
 
 def merge(samples: list[dict]) -> dict:
     """One side's row from its processes' samples: the counts, which
     must be equal in all of them, and the median over all of each time,
-    each relative time and the reference passes."""
+    each relative time, the reference passes and the peak RSS."""
     first = samples[0]
     for other in samples[1:]:
         if any(other[key] != first[key] for key in COUNTS):
@@ -190,7 +197,24 @@ def merge(samples: list[dict]) -> dict:
 
     return {**first, **{key: round(median(key) * 1000.0, 3) for key in TIMES},
             **{key: round(median(key), 6) for key in RELS},
-            "reference_ms": round(median("reference_ms"), 3)}
+            "reference_ms": round(median("reference_ms"), 3),
+            "peak_rss_mb": round(median("peak_rss_mb"), 3)}
+
+
+def _cli_args(row: dict, tmp: str, program_text: str, host_text: str) -> list[str]:
+    """The row's CLI flags and its input files, written into ``tmp``."""
+    program_file, host_file = Path(tmp, "program.gp2"), Path(tmp, "host.host")
+    program_file.write_text(program_text)
+    host_file.write_text(host_text)
+    return [*["-n"] * (row["backend"] == "index_scan"), *["-m"] * (row["mode"] == "reflect"),
+            str(program_file), str(host_file)]
+
+
+def _check_exit(code: int, row: dict, outcome: str, stderr: str) -> None:
+    """Stop the matrix if a CLI run's exit code is not that of ``outcome``."""
+    if code != EXIT_CODES[outcome]:
+        raise SystemExit(f"the CLI exited {code}, not {EXIT_CODES[outcome]} for "
+                         f"{outcome!r}, on {row}: {stderr.strip()}")
 
 
 def _cli_times(row: dict, program_text: str, host_text: str, outcome: str,
@@ -198,24 +222,34 @@ def _cli_times(row: dict, program_text: str, host_text: str, outcome: str,
     """Wall times of ``python3 -m gp2.cli`` on the row, in subprocesses.
     Each must exit with the code of the row's in-process ``outcome``.
     ``after`` is called after each run, outside its time."""
-    flags = ["-n"] * (row["backend"] == "index_scan") + ["-m"] * (row["mode"] == "reflect")
-    expected = EXIT_CODES[outcome]
     with tempfile.TemporaryDirectory() as tmp:
-        program_file, host_file = Path(tmp, "program.gp2"), Path(tmp, "host.host")
-        program_file.write_text(program_text)
-        host_file.write_text(host_text)
+        args = _cli_args(row, tmp, program_text, host_text)
         times = []
         for _ in range(CLI_REPEATS):
             start = time.perf_counter()
-            result = subprocess.run([sys.executable, "-m", "gp2.cli", *flags, str(program_file),
-                                     str(host_file)], stdout=subprocess.DEVNULL,
-                                    stderr=subprocess.PIPE, text=True, check=False)
+            result = subprocess.run([sys.executable, "-m", "gp2.cli", *args],
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                    text=True, check=False)
             times.append(time.perf_counter() - start)
-            if result.returncode != expected:
-                raise SystemExit(f"the CLI exited {result.returncode}, not {expected} for "
-                                 f"{outcome!r}, on {row}: {result.stderr.strip()}")
+            _check_exit(result.returncode, row, outcome, result.stderr)
             after()
     return times
+
+
+def _probe_rss_mb(row: dict, src: Path, program_text: str, host_text: str,
+                  outcome: str) -> float:
+    """The peak RSS, in MiB, of one CLI run on the row by perfbench's probe,
+    a fresh interpreter that imports ``gp2`` from ``src``.  The run must
+    exit with the code of the row's in-process ``outcome``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        result = subprocess.run([sys.executable, str(PROBE), str(src),
+                                 *_cli_args(row, tmp, program_text, host_text)],
+                                capture_output=True, text=True, check=False)
+    if result.returncode:
+        raise SystemExit(f"the probe failed on {row}: {result.stderr.strip()}")
+    report = json.loads(result.stdout.splitlines()[-1])
+    _check_exit(report["exit_code"], row, outcome, report["diagnostic"])
+    return report["rss_kb"] / 1024.0
 
 
 def _commit(src: Path) -> str | None:
@@ -274,7 +308,8 @@ def main(argv: list[str]) -> int:
             rows.append(row)
             print(f"{name:>8} {program:>15} {host:>20} {mode:>8} {backend:>10} "
                   f"{row['outcome']:>8} run {row['run_ms']:9.1f} ms {row['run_rel']:8.4f}  "
-                  f"e2e {row['e2e_ms']:9.1f} ms {row['e2e_rel']:8.4f}",
+                  f"e2e {row['e2e_ms']:9.1f} ms {row['e2e_rel']:8.4f}  "
+                  f"rss {row['peak_rss_mb']:7.2f} MiB",
                   flush=True)
     result = {"meta": {"sides": meta, "processes": PROCESSES, "repeats": REPEATS,
                        "cli_repeats": CLI_REPEATS, "python": platform.python_version(),
