@@ -206,8 +206,8 @@ def _cli_args(row: dict, tmp: str, program_text: str, host_text: str) -> list[st
     program_file, host_file = Path(tmp, "program.gp2"), Path(tmp, "host.host")
     program_file.write_text(program_text)
     host_file.write_text(host_text)
-    return [*["-n"] * (row["backend"] == "index_scan"), *["-m"] * (row["mode"] == "reflect"),
-            str(program_file), str(host_file)]
+    flags = ["-n"] * (row["backend"] == "index_scan") + ["-m"] * (row["mode"] == "reflect")
+    return [*flags, str(program_file), str(host_file)]
 
 
 def _check_exit(code: int, row: dict, outcome: str, stderr: str) -> None:
