@@ -95,11 +95,6 @@ class Edge:
     )
 
 
-# How many flag bytes an index scan inspects per chunk before giving
-# control back to Python.  Chunks are skipped at C speed via find().
-SCAN_CHUNK = 128
-
-
 class Graph:
     __slots__ = (
         "node_slots", "free_nodes", "node_head", "node_tail", "root_list",
@@ -351,19 +346,11 @@ class Graph:
         live = self.live_bytes
         slots = self.node_slots
         i = 0
-        while True:
-            hw = len(slots)
-            if i >= hw:
-                return
-            end = min(i + SCAN_CHUNK, hw)
-            j = live.find(1, i, end)
-            if j < 0:
-                self.iter_steps += end - i
-                i = end
-                continue
+        while (j := live.find(1, i, len(slots))) >= 0:
             self.iter_steps += j - i + 1
             yield slots[j]
             i = j + 1
+        self.iter_steps += len(slots) - i
 
     def nodes_iter(self, backend: str = "chain") -> Iterator[Node]:
         if backend == "chain":
@@ -387,7 +374,7 @@ class Graph:
             edge = nxt
 
     # The backends above count their steps in ``iter_steps``; these
-    # walks, for printing and the oracles, do not.
+    # walks, for the corpus checks, the oracles and perfbench, do not.
 
     def nodes(self) -> list[Node]:
         """The live nodes, newest first."""

@@ -61,7 +61,7 @@ from heapq import heappop, heappush
 from math import inf
 from typing import Optional
 
-from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, SCAN_CHUNK, Graph, GraphError
+from .graph import FLAG_MATCHED, FLAG_ROOT, MARK_ANY, Graph, GraphError
 from .rules import EvalError, Rule, eval_cond, has_edge, subterms
 
 # eval_cond is not called here.  It stays because perfbench/tracing.py wraps
@@ -524,11 +524,9 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
             emit(depth, f"c{k} = g.node_head")
             emit(depth, f"while c{k} is not None:")
             emit(depth + 1, f"{bind(n)} = c{k}; c{k} = {n}.next; walked += 1")
-        elif step.kind == "node":   # SCAN_CHUNK slots per find, as nodes_index_scan
+        elif step.kind == "node":   # one find per node, as nodes_index_scan
             emit(depth, f"c{k} = 0")
-            emit(depth, f"while c{k} < hw:")
-            emit(depth + 1, f"end = c{k} + {SCAN_CHUNK}; j = live.find(1, c{k}, end)")
-            emit(depth + 1, f"if j < 0: walked += end - c{k}; c{k} = end; continue")
+            emit(depth, f"while (j := live.find(1, c{k}, hw)) >= 0:")
             emit(depth + 1, f"walked += j - c{k} + 1; {bind(n)} = slots[j]; c{k} = j + 1")
             emit(depth + 1, "candidates += 1")
         if step.kind != "edge":
@@ -593,7 +591,7 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
             for r in held[k]:
                 emit(body[k], f"{r}.flags &= ~{FLAG_MATCHED}")
             if steps[k].kind == "node" and backend == "index_scan":
-                emit(body[k] - 1, f"walked += hw - c{k}")    # the last chunk ran past hw
+                emit(body[k] - 1, f"walked += hw - c{k}")    # the holes after the last node
         emit(1, counted)
         emit(1, "return False")
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gp2 import corpus
 from gp2.engine import OK, ExecConfig, Executable, apply_rule, run_program
-from gp2.graph import FLAG_MATCHED, SCAN_CHUNK, Graph, GraphError, Node
+from gp2.graph import FLAG_MATCHED, Graph, GraphError, Node
 from gp2.match import (Step, compile_plan, compiled_step, exec_source, find_match,
                        find_match_steps)
 from gp2.reference import audit_match, brute_force_match, match_key, plan_is_well_formed
@@ -653,14 +653,13 @@ SETTINGS = [(backend, mode) for backend in ("chain", "index_scan")
 
 
 def _walk_hosts():
-    """Hosts labelled (slot index,), every third node a root, with holes
-    at the edges of the scan's chunks, one whole chunk of holes and
-    holes at the end: as deleted, with the last four holes reused (LIFO,
-    so chain and slot order differ), and under minimal_gc, which reuses
-    none."""
-    count = 3 * SCAN_CHUNK + 5
-    holes = [0, SCAN_CHUNK - 1, SCAN_CHUNK, *range(SCAN_CHUNK + 2, 2 * SCAN_CHUNK + 3),
-             count - 3, count - 2, count - 1]
+    """Hosts of 389 slots labelled (slot index,), every third node a root,
+    with a hole at the start, two adjacent holes, a run of 129 holes and
+    three holes at the end: as deleted, with the last four holes reused
+    (LIFO, so chain and slot order differ), and under minimal_gc, which
+    reuses none."""
+    count = 389
+    holes = [0, 127, 128, *range(130, 259), count - 3, count - 2, count - 1]
     hosts = []
     for minimal_gc, added in ((False, 0), (False, 4), (True, 4)):
         g = Graph()
@@ -694,6 +693,57 @@ def test_inline_walks_visit_and_count_as_the_graph_generators(backend, mode):
             g.remark(m.node_images[1], "red")
         assert got == want
         assert g.iter_steps - before == total
+
+
+class _CountedFinds(bytearray):
+    """Live bytes that count their ``find`` calls."""
+
+    def find(self, *args):
+        self.finds += 1
+        return super().find(*args)
+
+
+def _sparse_host():
+    """2,000 slots labelled (slot index,), nine of them live (two roots)
+    between hole runs of 137 to 598 slots, with nine holes at the end;
+    its live bytes count their finds."""
+    live = (0, 1, 2, 140, 141, 700, 1300, 1301, 1990)
+    g = Graph()
+    nodes = [g.add_node((i,), root=i in (1, 1300)) for i in range(2000)]
+    for node in nodes:
+        if node.slot_index not in live:
+            g.delete_node(node)
+    g.live_bytes = _CountedFinds(g.live_bytes)
+    g.live_bytes.finds = 0
+    return g, [nodes[i] for i in live]
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+@pytest.mark.parametrize("mode", ["preserve", "reflect"])
+def test_an_index_scan_makes_one_find_per_node_visited_and_per_walk_that_ends(mode, optimize):
+    # one walk per search, each ended by a match but the last
+    g, nodes = _sparse_host()
+    rule = parse_rule("n(x:list)\n[ (1, x) | ] => [ (1, x) | ]")
+    before, searches = g.candidates, 0
+    while (m := find_match(rule, g, mode, "index_scan", optimize)) is not None:
+        g.remark(m.node_images[1], "red")
+        searches += 1
+    assert searches == len(nodes) - 2 * (mode == "reflect")
+    assert g.live_bytes.finds <= g.candidates - before + 1
+    # a walk from each node an outer walk visits, every walk to the end
+    g, nodes = _sparse_host()
+    pair = parse_rule("pair(x, y:int)\n[ (1, x) (2, y) | ] => [ (1, x) (2, y) | ]\n"
+                      "  where x > 5000")
+    before, steps = g.candidates, g.iter_steps
+    assert find_match(pair, g, mode, "index_scan", optimize) is None
+    outer = sum(1 for n in nodes if not (mode == "reflect" and n.is_root))
+    assert g.live_bytes.finds <= g.candidates - before + 1 + outer
+    assert g.iter_steps - steps == 2000 * (1 + outer)
+    # the generator
+    g, nodes = _sparse_host()
+    assert list(g.nodes_index_scan()) == nodes
+    assert g.live_bytes.finds <= len(nodes) + 1
+    assert g.iter_steps == 2000
 
 
 def _first_pair(g, backend, reflect, holds):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gp2.graph import FLAG_IN_STACK, SCAN_CHUNK, Graph, GraphError
+from gp2.graph import FLAG_IN_STACK, Graph, GraphError
 from gp2.oracles import check_consistency
 
 
@@ -157,9 +157,10 @@ def test_index_scan_counts():
     assert g.iter_steps == 7
 
 
-def test_index_scan_crosses_chunk_boundaries():
+def test_index_scan_pays_for_every_hole_in_runs_of_49_between_live_nodes():
+    """389 slots, live at 0, every fiftieth slot and the last."""
     g = Graph()
-    nodes = [g.add_node() for _ in range(3 * SCAN_CHUNK + 5)]
+    nodes = [g.add_node() for _ in range(389)]
     for n in nodes[1:-1]:
         if n.slot_index % 50:
             g.delete_node(n)
