@@ -334,6 +334,8 @@ class Executable:
             status = self.run(g)
         except EvalError as exc:
             return Outcome("program_error", diagnostic=str(exc))
+        except MemoryError:
+            return Outcome("program_error", diagnostic="out of memory while running the program")
         if status == OK:
             return Outcome("success", graph=g)
         return Outcome("fail", diagnostic="program evaluated to fail", graph=g)

@@ -18,11 +18,12 @@ is how the legacy layout iterated.  The compiled rule steps (see
 ``nodes_iter`` (left to tests) counts, and in ``candidates``
 the items they examine, unless a condition raises mid-search.
 
-Deleted nodes go on a LIFO free stack and are reused by the next add,
-keeping their slot index; in minimal-GC mode they are never returned to
-the free stack.  Edges have no slots: they are reached only through
-their endpoints' lists, so a deleted edge is simply dropped and every
-add makes a new one.
+A host reader makes its records, which ``adopt`` links as ``add_node``
+and ``add_edge`` would.  Deleted nodes go on a LIFO free stack and are
+reused by the next add, keeping their slot index; in minimal-GC mode
+they are never returned to the free stack.  Edges have no slots: they
+are reached only through their endpoints' lists, so a deleted edge is
+simply dropped and every add makes a new one.
 
 The graph journals its own mutations.  While ``Graph.journal`` holds a
 list (a rollback frame, opened by ``engine.ChangeStack``), every
@@ -120,6 +121,28 @@ class Graph:
         self.held: list[Node] = []          # nodes deleted under it, to release
 
     # -- nodes ----------------------------------------------------------
+
+    def adopt(self, head: Optional[Node], edges: list[Edge]) -> None:
+        """Take in, as this empty graph's records, the nodes chained from
+        ``head`` through ``next`` and ``edges``, with their labels, marks,
+        node flags and edge ends, laid out as by ``add_node`` along the
+        chain, then ``add_edge`` along ``edges`` newest first."""
+        slots, roots = self.node_slots, self.root_list
+        prev, node = None, head
+        while node is not None:
+            node.slot_index = len(slots)
+            slots.append(node)
+            node.prev = prev
+            node.indegree = node.outdegree = 0
+            node.out_head = node.in_head = None
+            if node.flags & FLAG_ROOT:
+                roots.append(node)
+            prev, node = node, node.next
+        self.node_head, self.node_tail = head, prev
+        self.node_count = len(slots)
+        self.live_bytes = bytearray(b"\x01" * len(slots))
+        for edge in reversed(edges):
+            self.restore_edge(edge, None, None)
 
     def add_node(self, label: tuple = (), mark: str = MARK_NONE, root: bool = False) -> Node:
         if mark not in NODE_MARKS:

@@ -30,6 +30,8 @@ with the token reader's checks on each item.  At the first item those
 patterns do not cover, or that fails a check, the token reader takes
 over from that item's offset and reads to the end.  Every error is
 therefore raised by the token reader, with its message and position.
+Both make each item's record as they read it, a node at the front of a
+chain and an edge at the end of a list, and ``Graph.adopt`` links them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Optional
 
 from .graph import (
     EDGE_MARKS,
+    FLAG_IN_GRAPH,
     FLAG_ROOT,
     INT32_MAX,
     INT32_MIN,
@@ -47,7 +50,9 @@ from .graph import (
     MARK_NONE,
     MAX_EXTERNAL_ID,
     NODE_MARKS,
+    Edge,
     Graph,
+    Node,
 )
 from .rules import (VAR_TYPES, LabelPattern, PatternEdge, PatternGraph, PatternNode, Rule,
                     RuleError, nesting, subterms, wrap32)
@@ -254,6 +259,7 @@ _HOST_EDGE = re.compile(rf"{_BLANKS}\({_BLANKS}\d{{1,19}}{_BLANKS},{_ID},{_ID},{
                         re.ASCII)
 _HOST_CLOSE = re.compile(rf"{_BLANKS}\]{_BLANKS}\Z", re.ASCII)
 _HOST_ATOM = re.compile(r'(-?\d+)|"([^"\n]*)"', re.ASCII)
+_ROOTED = FLAG_IN_GRAPH | FLAG_ROOT
 
 
 def _fast_label(text: str) -> Optional[tuple]:
@@ -275,44 +281,60 @@ def _fast_label(text: str) -> Optional[tuple]:
     return tuple(atoms)
 
 
-def _read_host_fast(text: str, index: dict, nodes: list, edges: list) -> tuple[int, int]:
-    """Read items one match each while they match and pass every check.
-    Returns the offset where reading stopped and the section there: 0
-    before ``[``, 1 among the nodes, 2 among the edges, 3 when done."""
+def _read_host_fast(text: str, ids: list, large_ids: dict,
+                    edges: list) -> tuple[int, int, Optional[Node]]:
+    """Read items one match each while they match and pass every check,
+    each into its record, a node entered by its id in ``ids``, or from
+    ``len(ids)`` on in ``large_ids``.  Returns the offset where reading
+    stopped, the section there (0 before ``[``, 1 among the nodes, 2
+    among the edges, 3 when done) and the newest node."""
     m = _HOST_OPEN.match(text)
     if not m:
-        return 0, 0
-    offset = m.end()
+        return 0, 0, None
+    offset, bound, head = m.end(), len(ids), None
     while m := _HOST_NODE.match(text, offset):
         node_id, root, label, mark = m.groups()
         node_id, label = int(node_id), _fast_label(label)
-        if node_id in index or node_id > MAX_EXTERNAL_ID or label is None \
-                or mark and mark not in NODE_MARKS:
-            return offset, 1
-        index[node_id] = len(nodes)
-        nodes.append((label, mark or MARK_NONE, root is not None))
+        if label is None or mark and mark not in NODE_MARKS:
+            return offset, 1, head
+        if node_id < bound:
+            if ids[node_id] is not None:
+                return offset, 1, head
+            node = ids[node_id] = Node()
+        elif node_id in large_ids or node_id > MAX_EXTERNAL_ID:
+            return offset, 1, head
+        else:
+            node = large_ids[node_id] = Node()
+        node.label, node.mark = label, mark or MARK_NONE
+        node.flags = FLAG_IN_GRAPH if root is None else _ROOTED
+        node.next, head = head, node
         offset = m.end()
     m = _HOST_BAR.match(text, offset)
     if not m:
-        return offset, 1
+        return offset, 1, head
     offset = m.end()
     while m := _HOST_EDGE.match(text, offset):
         source, target, label, mark = m.groups()
-        source, target = index.get(int(source)), index.get(int(target))
-        label = _fast_label(label)
+        source, target, label = int(source), int(target), _fast_label(label)
+        source = ids[source] if source < bound else large_ids.get(source)
+        target = ids[target] if target < bound else large_ids.get(target)
         if source is None or target is None or label is None \
                 or mark and mark not in EDGE_MARKS:
-            return offset, 2
-        edges.append((source, target, label, mark or MARK_NONE))
+            return offset, 2, head
+        edge = Edge()
+        edge.label, edge.mark = label, mark or MARK_NONE
+        edge.source, edge.target = source, target
+        edges.append(edge)
         offset = m.end()
     m = _HOST_CLOSE.match(text, offset)
-    return (m.end(), 3) if m else (offset, 2)
+    return (m.end(), 3, head) if m else (offset, 2, head)
 
 
-def _read_host_tokens(ts: _Stream, section: int, index: dict, nodes: list,
-                      edges: list) -> None:
+def _read_host_tokens(ts: _Stream, section: int, ids: dict, head: Optional[Node],
+                      edges: list) -> Optional[Node]:
     """Read the rest of a host graph a token at a time, from ``section``
-    as ``_read_host_fast`` numbers them, checking each item as it is read."""
+    as ``_read_host_fast`` numbers them, checking each item as it is read
+    and making its record as that reader does.  Returns the newest node."""
     if section == 0:
         ts.expect("[")
     if section <= 1:
@@ -321,16 +343,17 @@ def _read_host_tokens(ts: _Stream, section: int, index: dict, nodes: list,
             if id_tok.kind == "-":
                 raise _error(id_tok, "node ids must be non-negative integers", "semantic")
             node_id = ts.expect("INT").value
-            if node_id in index:
+            if node_id in ids:
                 raise _error(id_tok, f"duplicate node id: {node_id}", "semantic")
             if node_id > MAX_EXTERNAL_ID:
                 raise _error(id_tok, f"node id out of range: {node_id}", "semantic")
-            index[node_id] = len(nodes)
-            root = _parse_marker(ts, "R", "expected root marker (R)")
+            node = ids[node_id] = Node()
+            node.flags = _ROOTED if _parse_marker(ts, "R", "expected root marker (R)") \
+                else FLAG_IN_GRAPH
             ts.expect(",")
-            label, mark = _parse_host_label(ts, NODE_MARKS)
+            node.label, node.mark = _parse_host_label(ts, NODE_MARKS)
             ts.expect(")")
-            nodes.append((label, mark, root))
+            node.next, head = head, node
         ts.expect("|")
     while ts.accept("("):
         ts.expect("INT")                        # edge id, cosmetic
@@ -338,46 +361,38 @@ def _read_host_tokens(ts: _Stream, section: int, index: dict, nodes: list,
         for _ in range(2):
             ts.expect(",")
             tok = ts.expect("INT")
-            if tok.value not in index:
+            if tok.value not in ids:
                 raise _error(tok, f"edge refers to unknown node {tok.value}", "semantic")
-            ends.append(index[tok.value])
+            ends.append(ids[tok.value])
         ts.expect(",")
-        label, mark = _parse_host_label(ts, EDGE_MARKS)
+        edge = Edge()
+        edge.source, edge.target = ends
+        edge.label, edge.mark = _parse_host_label(ts, EDGE_MARKS)
         ts.expect(")")
-        edges.append((*ends, label, mark))
+        edges.append(edge)
     ts.expect("]")
     tok = ts.peek()
     if tok.kind != "EOF":
         raise _error(tok, f"unexpected {describe(tok)} after graph")
-
-
-def _build_host(nodes: list, edges: list) -> Graph:
-    """The graph of the items read: ``nodes`` holds (label, mark, root)
-    per node and ``edges`` (source place, target place, label, mark)."""
-    # Insert in reverse declaration order: printing walks the nodes, and
-    # each node's out-edges, newest first, so it reproduces the input's
-    # ordering.  Both backends then visit the last-declared node first.
-    g = Graph()
-    for place in range(len(nodes) - 1, -1, -1):
-        nodes[place] = g.add_node(*nodes[place])
-    while edges:
-        source, target, label, mark = edges.pop()
-        g.add_edge(nodes[source], nodes[target], label, mark)
-    return g
+    return head
 
 
 def parse_host_graph(text: str) -> Graph:
     """Read a host graph, checking each item as it is read (see the module
-    docstring); until the graph is built, only what ``add_node`` and
-    ``add_edge`` take is kept."""
-    index: dict[int, int] = {}                  # node id -> declaration place
-    nodes: list = []
+    docstring), straight into the records the graph adopts."""
+    # Node id -> Node: a slot per ``(`` before the first ``|`` holds ids
+    # from 0 or 1 in less memory than a dict, which takes the other ids.
+    ids = [None] * (text.count("(", 0, text.find("|")) + 1)
+    large_ids: dict = {}
     edges: list = []
-    offset, section = _read_host_fast(text, index, nodes, edges)
+    offset, section, head = _read_host_fast(text, ids, large_ids, edges)
     if section < 3:
-        _read_host_tokens(_Stream(text, offset), section, index, nodes, edges)
-    del index                                   # edges hold places: free it before the build
-    return _build_host(nodes, edges)
+        large_ids.update((i, node) for i, node in enumerate(ids) if node is not None)
+        head = _read_host_tokens(_Stream(text, offset), section, large_ids, head, edges)
+    del ids, large_ids
+    g = Graph()
+    g.adopt(head, edges)
+    return g
 
 
 def _format_label(label: tuple, mark: str) -> str:

@@ -2,8 +2,9 @@
 
 import functools
 
-from gp2 import corpus
+from gp2 import corpus, textio
 from gp2.engine import BROKE, FAILED, OK, ExecConfig, Executable, apply_rule
+from gp2.graph import Graph
 from gp2.textio import parse_program
 
 
@@ -11,6 +12,31 @@ from gp2.textio import parse_program
 def executable(name, cfg=ExecConfig()):
     """One executable per (corpus program, config), reused across hosts."""
     return Executable(parse_program(corpus.load_program(name)), cfg)
+
+
+def read_host_by_tokens(text):
+    """The host graph ``text`` holds, read from its start by the token
+    reader alone, as ``parse_host_graph`` reads what its patterns do not
+    cover."""
+    edges = []
+    head = textio._read_host_tokens(textio._Stream(text), 0, {}, None, edges)
+    g = Graph()
+    g.adopt(head, edges)
+    return g
+
+
+def build_host(nodes, edges):
+    """The graph of ``nodes``, (label, mark, root) in declaration order,
+    and ``edges``, (source place, target place, label, mark), built as
+    hosts were before they were read into their records: ``add_node``
+    along the nodes last-declared first, then ``add_edge`` along the
+    edges last-declared first.  The reference for the layout a parsed
+    host has."""
+    g = Graph()
+    made = [g.add_node(*node) for node in reversed(nodes)][::-1]
+    for source, target, label, mark in reversed(edges):
+        g.add_edge(made[source], made[target], label, mark)
+    return g
 
 
 def kept_edges(rule):

@@ -1,6 +1,7 @@
 import errno
 import io
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,22 @@ def test_stdout_write_error_in_process(monkeypatch, capsys, sink):
         assert main(["--help"]) == 1
     assert capsys.readouterr().err == \
         f"usage error: cannot write standard output: {os.strerror(code)}\n"
+
+
+RUN_MEMORY = 400 * 2 ** 20     # the child's address space, in bytes
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (RUN_MEMORY, RUN_MEMORY))
+
+
+def test_a_run_out_of_memory_is_a_program_error(tmp_path):
+    # each application doubles the label, until an allocation fails
+    prog = _write(tmp_path, "p.gp2", "Main = r!\nr(x:list) [ (1, x) | ] => [ (1, x:x) | ]")
+    host = _write(tmp_path, "h.host", "[ (0, 1) | ]")
+    result = _cli([prog, host], capture_output=True, preexec_fn=_cap_memory)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "out of memory while running the program\n"
 
 
 @pytest.mark.parametrize("flags", [["-f"], ["-f", "-g"]], ids=["f", "f-g"])

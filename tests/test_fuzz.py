@@ -17,10 +17,11 @@ import signal
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gp2 import corpus, textio
+from gp2 import corpus
 from gp2.cli import main
 from gp2.textio import (SourceError, _Stream, parse_host_graph, parse_program, parse_rule,
                         print_graph)
+from helpers import read_host_by_tokens
 
 FUZZ = settings(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -169,12 +170,6 @@ def _outcome(parse, text):
         return exc.kind, exc.line, exc.column, exc.message
 
 
-def _read_by_tokens(text):
-    index, nodes, edges = {}, [], []
-    textio._read_host_tokens(_Stream(text), 0, index, nodes, edges)
-    return textio._build_host(nodes, edges)
-
-
 @settings(FUZZ, max_examples=400)
 @given(st.one_of(st.sampled_from(HOSTS + RICH_HOSTS), mutated(HOSTS),
                  mutated(LEXABLE_HOSTS, HOST_WORDS)))
@@ -183,7 +178,7 @@ def _read_by_tokens(text):
 @example("[ (9223372036854775808, empty) | ]")
 @example(f"[ (0, empty) | ({LONG_INT}, 0, 0, empty) ]")
 def test_host_reader_agrees_with_the_token_reader(text):
-    assert _outcome(parse_host_graph, text) == _outcome(_read_by_tokens, text)
+    assert _outcome(parse_host_graph, text) == _outcome(read_host_by_tokens, text)
 
 
 class _Diverged(BaseException):

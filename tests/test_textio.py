@@ -10,8 +10,8 @@ from gp2 import bench, corpus, textio
 from gp2.engine import ExecConfig, Executable
 from gp2.textio import inline_procedures
 from gp2.graph import EDGE_MARKS, NODE_MARKS, Graph
-from helpers import executable
-from gp2.oracles import graphs_isomorphic
+from helpers import build_host, executable, read_host_by_tokens
+from gp2.oracles import check_consistency, graphs_isomorphic
 from gp2.textio import (
     SourceError,
     parse_host_graph,
@@ -444,3 +444,95 @@ def test_host_parsing_holds_no_token_list(spec):
         tracemalloc.stop()
     assert (g.node_count, g.edge_count) == (expected.node_count, expected.edge_count)
     assert peak <= 2 * held, (peak, held)
+
+
+def test_reading_a_shuffled_host_peaks_near_what_the_graph_keeps():
+    # Ids declared out of order; a dict from id to node would read 1.41x.
+    items = [f"({i}, empty)" for i in range(20000)]
+    random.Random(8).shuffle(items)
+    text = "[ " + " ".join(items) + " | ]"
+    tracemalloc.start()
+    try:
+        g = parse_host_graph(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.node_count == 20000
+    assert peak <= 1.15 * held, (peak, held)
+
+
+_LAYOUT_LABELS = [((), "empty"), ((1,), "1"), (("a",), '"a"'), ((2, 3), "2:3"),
+                  ((-4, "z z"), '-4:"z z"'), (("",), '""'), ((7, "(|)"), '7:"(|)"')]
+
+
+def _layout_host(rng):
+    """A host's items and its text: roots, every mark, string labels,
+    loops and parallel edges, and node ids dense from 0 or 1, or sparse."""
+    n = rng.randrange(1, 25)
+    ids = rng.choice([range(n), range(1, n + 1), rng.sample(range(2 ** 40), n)])
+    ids = rng.sample(list(ids), n)
+    nodes, edges, items = [], [], []
+    for node_id in ids:
+        (label, text), mark = rng.choice(_LAYOUT_LABELS), rng.choice(sorted(NODE_MARKS))
+        root = rng.random() < 0.3
+        nodes.append((label, mark, root))
+        items.append(f"({node_id}{' (R)' if root else ''}, {text} # {mark})")
+    items.append("|")
+    for eid in range(rng.randrange(3 * n)):
+        if edges and rng.random() < 0.2:
+            source, target = edges[-1][:2]                  # parallel
+        else:
+            source = rng.randrange(n)
+            target = source if rng.random() < 0.2 else rng.randrange(n)
+        (label, text), mark = rng.choice(_LAYOUT_LABELS), rng.choice(sorted(EDGE_MARKS))
+        edges.append((source, target, label, mark))
+        items.append(f"({eid}, {ids[source]}, {ids[target]}, {text} # {mark})")
+    return nodes, edges, items
+
+
+def _layout(g):
+    """Every order the records of ``g`` are kept in, by slot index."""
+    def edge(e):
+        return e.source.slot_index, e.target.slot_index, e.label, e.mark, e.flags
+
+    chain, node = [], g.node_head
+    while node is not None:
+        chain.append(node.slot_index)
+        node = node.next
+    return ([(n.label, n.mark, n.flags) for n in g.node_slots], chain,
+            [n.slot_index for n in g.root_list],
+            [([edge(e) for e in g.out_edges(n)], [edge(e) for e in g.in_edges(n)])
+             for n in g.node_slots],
+            g.node_count, g.edge_count, g.live_bytes)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_read_host_has_the_layout_of_the_add_calls_in_reverse(seed, monkeypatch):
+    sections = []
+
+    def read_tokens(ts, section, *args):
+        sections.append(section)
+        return read(ts, section, *args)
+
+    read = textio._read_host_tokens
+    monkeypatch.setattr(textio, "_read_host_tokens", read_tokens)
+    rng = random.Random(seed)
+    for _ in range(12):
+        nodes, edges, items = _layout_host(rng)
+        expected = _layout(build_host(nodes, edges))
+        bar = len(nodes)
+        readings = {"fast": ("[ " + " ".join(items) + " ]", []),
+                    "nodes": ("[ " + " ".join(items[:bar - 1]) + " // a comment\n "
+                              + " ".join(items[bar - 1:]) + " ]", [1])}
+        if edges:
+            readings["edges"] = ("[ " + " ".join(items[:-1]) + " // a comment\n "
+                                 + items[-1] + " ]", [2])
+        for text, handed_over in readings.values():
+            sections.clear()
+            g = parse_host_graph(text)
+            assert sections == handed_over
+            check_consistency(g)
+            assert _layout(g) == expected
+            g = read_host_by_tokens(text)
+            check_consistency(g)
+            assert _layout(g) == expected
