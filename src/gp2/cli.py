@@ -151,6 +151,9 @@ def main(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:     # reading the files or printing the graph
+        print("out of memory", file=sys.stderr)
+        return 2
 
 
 def _run(invocation: CliInvocation) -> int:

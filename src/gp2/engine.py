@@ -327,12 +327,9 @@ class Executable:
         ``run_program`` that one executable can repeat for many hosts."""
         try:
             g = textio.parse_host_graph(host_text)
-        except textio.SourceError as exc:
-            # a bad host graph is a runtime problem, not a validation one
-            return Outcome("program_error", diagnostic=str(exc))
-        try:
             status = self.run(g)
-        except EvalError as exc:
+        except (textio.SourceError, EvalError) as exc:
+            # a bad host graph is a runtime problem, not a validation one
             return Outcome("program_error", diagnostic=str(exc))
         except MemoryError:
             return Outcome("program_error", diagnostic="out of memory while running the program")

@@ -17,9 +17,10 @@ rule and setting (plan order, backend, root mode), and caches it in
 (two for a bidirectional edge, its phases around its edge list), each
 inside the one before, with the step's checks written out: each
 variable is a local, and a global node step walks the node chain or the
-slots inline.  A nest of more than ``_LOOPS`` loops continues in another
-generated function, called at the innermost point with the locals bound
-so far.  Each candidate is checked when it is bound: a label fixed
+slots inline.  A nest of more than ``_LOOPS`` loops continues in a
+closure defined in ``step``, called at the innermost point: it reads the
+locals bound before it as free variables, and binds its own as
+``step``'s.  Each candidate is checked when it is bound: a label fixed
 before the step first, in one tuple comparison, then injectivity (only
 against items that may meet it), mark, an edge's other end, root (a
 non-root only in reflect mode; none from the root list, which holds only
@@ -388,8 +389,10 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
     next step's loop, and the flags are cleared at the end of its body.
     A bidirectional edge's phases are ``p`` + step number.  A function
     that continues the nest, ``step_`` + the number of its first step,
-    takes the locals bound so far, adds its own counts, and returns all
-    the locals on a match, for the rewrite in ``step``, and False on
+    is a closure in ``step``, before its loops, that reads the locals
+    bound before it as free variables, binds its own as ``nonlocal``
+    (``step`` sets them to None in one line), adds its own counts, and
+    returns True on a match, for the rewrite in ``step``, and False on
     none.  Which variables are bound at each step is fixed by the plan,
     so each is a local, bound by assignment and checked by ``==``.
     Program text enters the source only as generated names (``n``/``e``
@@ -670,29 +673,24 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
         return len(out) - 1 > start
 
     functions: list[list[str]] = []
-
-    def bound():
-        """The locals bound so far, listed for a call, a definition or a return."""
-        return "".join(f"{v}, " for v in scope)
+    shared: list[str] = []          # the locals the functions after step bind
 
     def nest(i):
         """Write run i's function, and before its innermost point the
-        functions that continue its nest; whether the rewrite writes."""
+        functions that continue its nest; in step, whether the rewrite writes."""
         nonlocal out
-        out = [f"def step_{runs[i][0]}(g, {bound()}):" if i else "def step(g, find=False):"]
+        out = [f"def step_{runs[i][0]}():" if i else "def step(g, find=False):"]
         functions.append(out)
+        start = len(scope)
         counted, depth = open_run(runs[i])
+        if i:   # what its steps bind is step's, for later functions and the rewrite
+            shared.extend(scope[start:])
+            out.insert(1, f"    nonlocal {', '.join(scope[start:])}")
         if i + 1 < len(runs):
-            call = f"found = step_{runs[i + 1][0]}(g, {bound()})"
-            writes, out = nest(i + 1), functions[i]
-            emit(depth, call)
-            emit(depth, "if found is not False:")
-            if i:
-                emit(depth + 1, counted)
-                emit(depth + 1, "return found")
-            else:
-                emit(depth + 1, f"{bound()}= found")
-                writes = tail(depth + 1, counted)
+            nest(i + 1)
+            out = functions[i]
+            emit(depth, f"if step_{runs[i + 1][0]}():")
+            inner, records = depth + 1, []
         else:
             # every step is bound: clear the flags (the condition reads
             # none), then test the condition and set them again if it fails
@@ -704,21 +702,24 @@ def _generate(rule: Rule, steps: list[Step], optimize: bool, backend: str, refle
                 test = _Terms(lambda text: emit(depth, text), names, rule, node)
                 emit(depth, f"if {test.cond(rule.condition)}:")
                 inner += 1
-            writes = False
-            if i:
-                emit(inner, counted)
-                emit(inner, f"return ({bound()})")
-            else:
-                writes = tail(inner, counted)
-            if rule.condition is not None:
-                for r in records:
-                    emit(depth, f"{r}.flags |= {FLAG_MATCHED}")
+        writes = False
+        if i:
+            emit(inner, counted)
+            emit(inner, "return True")
+        else:
+            writes = tail(inner, counted)
+        if rule.condition is not None:
+            for r in records:
+                emit(depth, f"{r}.flags |= {FLAG_MATCHED}")
         close_run(runs[i], counted)
         return writes
 
     writes = nest(0)
+    step, *later = functions
+    if later:   # closures in step, after the line that makes what they bind step's locals
+        step[1:1] = [f"    {' = '.join(shared)} = None", *(f"    {line}" for f in later for line in f)]
     setting = f"{'no' * (not optimize)}opt {backend} {('preserve', 'reflect')[reflect]}"
-    namespace = exec_source("".join(f"{line}\n" for f in functions for line in f),
+    namespace = exec_source("".join(f"{line}\n" for line in step),
                             f"gp2 match {rule.name} {setting}",
                             {"EvalError": EvalError, "has_edge": has_edge})
     return namespace["step"], tuple(tuple(local) for local in layout), writes

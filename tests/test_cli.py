@@ -251,6 +251,20 @@ def test_a_run_out_of_memory_is_a_program_error(tmp_path):
     assert result.stderr == "out of memory while running the program\n"
 
 
+@pytest.mark.parametrize("mib", [40, 48, 56])
+def test_out_of_memory_reading_or_printing_the_graph_is_a_program_error(tmp_path, mib):
+    # a 1.5 MB host: on CPython 3.11 (x86-64) a 40 MiB address space runs
+    # out while reading it, and 48 or 56 MiB while printing it
+    prog = _write(tmp_path, "p.gp2", "Main = skip")
+    host = _write(tmp_path, "h.host", "[ " + " ".join(f"({i}, {i})" for i in range(100000)) + " | ]")
+    cap = mib * 2 ** 20
+    result = _cli([prog, host], capture_output=True,
+                  preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert result.returncode in (0, 2) and "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == 2 or mib > 40
+    assert result.returncode == 0 or "out of memory" in result.stderr
+
+
 @pytest.mark.parametrize("flags", [["-f"], ["-f", "-g"]], ids=["f", "f-g"])
 def test_fast_shutdown_prints_the_graph_and_exits_zero(tmp_path, flags):
     prog = _write(tmp_path, "p.gp2", corpus.load_program("trans_closure"))

@@ -596,21 +596,37 @@ def test_matched_flags_cleared_when_the_condition_raises():
                         assert not e.flags & FLAG_MATCHED
 
 
-def test_left_hand_side_of_a_thousand_nodes_matches():
-    n = 1000
+def _path_program(n):
+    """``Main = r``, where r's both sides are one path of n nodes, each
+    labelled by a list variable of its own."""
     names = ",".join(f"x{i}" for i in range(n))
     side = "[ " + " ".join(f"({i}, x{i})" for i in range(n)) + " | " + \
         " ".join(f"({i}, {i}, {i + 1}, empty)" for i in range(n - 1)) + " ]"
-    program = f"Main = r\nr({names}:list)\n{side} => {side}\n"
+    return f"Main = r\nr({names}:list)\n{side} => {side}\n"
+
+
+def test_left_hand_side_of_a_thousand_nodes_matches():
+    n = 1000
     host = "[ " + " ".join(f"({i}, {i})" for i in range(n)) + " | " + \
         " ".join(f"({i}, {i}, {i + 1}, empty)" for i in range(n - 1)) + " ]"
-    parsed = parse_program(program)
+    parsed = parse_program(_path_program(n))
     start = time.perf_counter()
     executable = Executable(parsed, ExecConfig())     # compiles the search
     assert time.perf_counter() - start < 3.0
     g = parse_host_graph(host)
     assert executable.run(g) == OK
     assert g.node_count == n and g.edge_count == n - 1
+
+
+@pytest.mark.parametrize("optimize", [True, False], ids=["opt", "noopt"])
+def test_a_long_left_hand_side_writes_source_linear_in_its_length(optimize):
+    # the functions that continue the nest read the records bound before
+    # them as free variables, so no line lists every local bound so far
+    sizes = []
+    for n in (250, 500):
+        step = compiled_step(parse_program(_path_program(n)).rules["r"], optimize)
+        sizes.append(sum(map(len, linecache.getlines(step.__code__.co_filename))))
+    assert sizes[1] <= 2.1 * sizes[0], sizes
 
 
 def test_a_thousand_left_hand_nodes_that_cannot_meet_build_fast_and_flag_nothing():
@@ -1190,7 +1206,7 @@ def test_a_nest_past_twenty_loops_continues_in_more_functions_in_every_setting(m
         for setting in settings:
             source = "".join(linecache.getlines(
                 compiled_step(rules[loops], *setting).__code__.co_filename))
-            functions = re.findall(r"^def (\w+)\(", source, re.M)
+            functions = re.findall(r"^ *def (\w+)\(", source, re.M)
             assert len(functions) == -(-(19 if setting[0] else 36) // loops), (loops, setting)
     monkeypatch.undo()
     rule, rng, seen = rules[16], random.Random(1218), Counter()

@@ -20,10 +20,12 @@ machine's speed at that moment (``*_rel``): the pass of perfbench's
 reference workload (``perfbench/reference.py`` of this checkout, the
 same for every side) is timed just before and just after the layers of
 one run, and before the first CLI run and after each one, and each time
-is divided by the mean of the two passes around it.  A row keeps the
-median pass, in ms
-(``reference_ms``).  A slow spell of a shared machine outlasts a process
-and slows all of its timings; it slows the reference passes with them.
+is divided by the mean of the two passes around it.  Garbage left
+before a timed block or a reference pass (a generated host's graph is
+cyclic) is collected first, outside the clock.  A row keeps the median
+pass, in ms (``reference_ms``).  A slow spell of a shared machine
+outlasts a process and slows all of its timings; it slows the reference
+passes with them.
 The counts come from one more, untimed run in each process, and must be
 equal in all of a side's processes: the script stops with an error if
 they are not, and also if a CLI run exits with another code than the
@@ -46,6 +48,7 @@ The rows use only APIs that every side since the first BENCH file has:
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -152,6 +155,7 @@ def measure(program: str, host: str, backend: str, mode: str) -> dict:
         engine.ChangeStack = CountingStack if counted else plain
         parsed = textio.parse_program(text)
         before = None if counted else passed()
+        gc.collect()    # the generated host's graph is cyclic garbage: free it outside the clock
         clock = time.perf_counter()
         g = textio.parse_host_graph(host_text)
         if repeat == 0:
