@@ -25,13 +25,13 @@ and expands its calls into the Main that ``engine`` runs.
 The token reader scans the text a token at a time with one compiled
 pattern, as the parser takes them, so errors come in reading order: a
 lex error is reported only once reading reaches it, after any error
-before it.  Host graphs are first read a whole item per pattern match,
-with the token reader's checks on each item.  At the first item those
-patterns do not cover, or that fails a check, the token reader takes
-over from that item's offset and reads to the end.  Every error is
-therefore raised by the token reader, with its message and position.
-Both make each item's record as they read it, a node at the front of a
-chain and an edge at the end of a list, and ``Graph.adopt`` links them.
+before it.  A host graph is read whole by one of two readers.  The fast
+reader takes an item per pattern match, with the token reader's checks,
+and declines the host at the first item its patterns do not cover or
+that fails a check; the token reader then reads it from the top and
+raises every error, with its message and position.  Both make each
+item's record as they read it, a node at the front of a chain and an
+edge at the end of a list, and ``Graph.adopt`` links them.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ class _Stream:
 
     __slots__ = ("text", "tok", "resume")
 
-    def __init__(self, text: str, offset: int = 0):
+    def __init__(self, text: str):
         self.text = text
         self.tok = Token(None, None, 1, 1)      # taken by the first next()
-        self.resume = (offset, text.count("\n", 0, offset) + 1, text.rfind("\n", 0, offset) + 1)
+        self.resume = (0, 1, 0)
         self.next()
 
     def peek(self) -> Token:
@@ -281,28 +281,31 @@ def _fast_label(text: str) -> Optional[tuple]:
     return tuple(atoms)
 
 
-def _read_host_fast(text: str, ids: list, large_ids: dict,
-                    edges: list) -> tuple[int, int, Optional[Node]]:
-    """Read items one match each while they match and pass every check,
-    each into its record, a node entered by its id in ``ids``, or from
-    ``len(ids)`` on in ``large_ids``.  Returns the offset where reading
-    stopped, the section there (0 before ``[``, 1 among the nodes, 2
-    among the edges, 3 when done) and the newest node."""
+def _read_host_fast(text: str) -> Optional[Graph]:
+    """Read a whole host graph one match per item, checking each item as
+    the token reader does and making its record as it is read.  Returns
+    the graph, or None at the first item the patterns do not cover or
+    that fails a check."""
     m = _HOST_OPEN.match(text)
     if not m:
-        return 0, 0, None
+        return None
+    # Node id -> Node: a slot per ``(`` before the first ``|`` holds ids
+    # from 0 or 1 in less memory than a dict, which takes the other ids.
+    ids = [None] * (text.count("(", 0, text.find("|")) + 1)
+    large_ids: dict = {}
+    edges: list = []
     offset, bound, head = m.end(), len(ids), None
     while m := _HOST_NODE.match(text, offset):
         node_id, root, label, mark = m.groups()
         node_id, label = int(node_id), _fast_label(label)
         if label is None or mark and mark not in NODE_MARKS:
-            return offset, 1, head
+            return None
         if node_id < bound:
             if ids[node_id] is not None:
-                return offset, 1, head
+                return None
             node = ids[node_id] = Node()
         elif node_id in large_ids or node_id > MAX_EXTERNAL_ID:
-            return offset, 1, head
+            return None
         else:
             node = large_ids[node_id] = Node()
         node.label, node.mark = label, mark or MARK_NONE
@@ -311,7 +314,7 @@ def _read_host_fast(text: str, ids: list, large_ids: dict,
         offset = m.end()
     m = _HOST_BAR.match(text, offset)
     if not m:
-        return offset, 1, head
+        return None
     offset = m.end()
     while m := _HOST_EDGE.match(text, offset):
         source, target, label, mark = m.groups()
@@ -320,41 +323,44 @@ def _read_host_fast(text: str, ids: list, large_ids: dict,
         target = ids[target] if target < bound else large_ids.get(target)
         if source is None or target is None or label is None \
                 or mark and mark not in EDGE_MARKS:
-            return offset, 2, head
+            return None
         edge = Edge()
         edge.label, edge.mark = label, mark or MARK_NONE
         edge.source, edge.target = source, target
         edges.append(edge)
         offset = m.end()
-    m = _HOST_CLOSE.match(text, offset)
-    return (m.end(), 3, head) if m else (offset, 2, head)
+    if not _HOST_CLOSE.match(text, offset):
+        return None
+    del ids, large_ids
+    g = Graph()
+    g.adopt(head, edges)
+    return g
 
 
-def _read_host_tokens(ts: _Stream, section: int, ids: dict, head: Optional[Node],
-                      edges: list) -> Optional[Node]:
-    """Read the rest of a host graph a token at a time, from ``section``
-    as ``_read_host_fast`` numbers them, checking each item as it is read
-    and making its record as that reader does.  Returns the newest node."""
-    if section == 0:
-        ts.expect("[")
-    if section <= 1:
-        while ts.accept("("):
-            id_tok = ts.peek()
-            if id_tok.kind == "-":
-                raise _error(id_tok, "node ids must be non-negative integers", "semantic")
-            node_id = ts.expect("INT").value
-            if node_id in ids:
-                raise _error(id_tok, f"duplicate node id: {node_id}", "semantic")
-            if node_id > MAX_EXTERNAL_ID:
-                raise _error(id_tok, f"node id out of range: {node_id}", "semantic")
-            node = ids[node_id] = Node()
-            node.flags = _ROOTED if _parse_marker(ts, "R", "expected root marker (R)") \
-                else FLAG_IN_GRAPH
-            ts.expect(",")
-            node.label, node.mark = _parse_host_label(ts, NODE_MARKS)
-            ts.expect(")")
-            node.next, head = head, node
-        ts.expect("|")
+def _read_host_tokens(ts: _Stream) -> Graph:
+    """Read a whole host graph a token at a time, checking each item as it
+    is read and making its record as ``_read_host_fast`` does."""
+    ids: dict = {}          # node id -> Node
+    edges: list = []
+    head = None
+    ts.expect("[")
+    while ts.accept("("):
+        id_tok = ts.peek()
+        if id_tok.kind == "-":
+            raise _error(id_tok, "node ids must be non-negative integers", "semantic")
+        node_id = ts.expect("INT").value
+        if node_id in ids:
+            raise _error(id_tok, f"duplicate node id: {node_id}", "semantic")
+        if node_id > MAX_EXTERNAL_ID:
+            raise _error(id_tok, f"node id out of range: {node_id}", "semantic")
+        node = ids[node_id] = Node()
+        node.flags = _ROOTED if _parse_marker(ts, "R", "expected root marker (R)") \
+            else FLAG_IN_GRAPH
+        ts.expect(",")
+        node.label, node.mark = _parse_host_label(ts, NODE_MARKS)
+        ts.expect(")")
+        node.next, head = head, node
+    ts.expect("|")
     while ts.accept("("):
         ts.expect("INT")                        # edge id, cosmetic
         ends = []                               # source, target
@@ -374,25 +380,16 @@ def _read_host_tokens(ts: _Stream, section: int, ids: dict, head: Optional[Node]
     tok = ts.peek()
     if tok.kind != "EOF":
         raise _error(tok, f"unexpected {describe(tok)} after graph")
-    return head
+    del ids
+    g = Graph()
+    g.adopt(head, edges)
+    return g
 
 
 def parse_host_graph(text: str) -> Graph:
     """Read a host graph, checking each item as it is read (see the module
     docstring), straight into the records the graph adopts."""
-    # Node id -> Node: a slot per ``(`` before the first ``|`` holds ids
-    # from 0 or 1 in less memory than a dict, which takes the other ids.
-    ids = [None] * (text.count("(", 0, text.find("|")) + 1)
-    large_ids: dict = {}
-    edges: list = []
-    offset, section, head = _read_host_fast(text, ids, large_ids, edges)
-    if section < 3:
-        large_ids.update((i, node) for i, node in enumerate(ids) if node is not None)
-        head = _read_host_tokens(_Stream(text, offset), section, large_ids, head, edges)
-    del ids, large_ids
-    g = Graph()
-    g.adopt(head, edges)
-    return g
+    return _read_host_fast(text) or _read_host_tokens(_Stream(text))
 
 
 def _format_label(label: tuple, mark: str) -> str:
@@ -700,6 +697,8 @@ def _parse_rule_decl(ts: _Stream, name_tok: Token) -> Rule:
                 raise _error(type_tok, f"unknown variable type {type_tok.value!r}",
                              "semantic")
             for t in group:
+                if t.value in KEYWORDS:
+                    raise _error(t, f"{t.value!r} cannot be a variable name", "semantic")
                 if t.value in variables:
                     raise _error(t, f"variable {t.value!r} declared twice", "semantic")
                 variables[t.value] = type_tok.value

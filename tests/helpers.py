@@ -2,7 +2,7 @@
 
 import functools
 
-from gp2 import corpus, textio
+from gp2 import corpus
 from gp2.engine import BROKE, FAILED, OK, ExecConfig, Executable, apply_rule
 from gp2.graph import Graph
 from gp2.textio import parse_program
@@ -12,17 +12,6 @@ from gp2.textio import parse_program
 def executable(name, cfg=ExecConfig()):
     """One executable per (corpus program, config), reused across hosts."""
     return Executable(parse_program(corpus.load_program(name)), cfg)
-
-
-def read_host_by_tokens(text):
-    """The host graph ``text`` holds, read from its start by the token
-    reader alone, as ``parse_host_graph`` reads what its patterns do not
-    cover."""
-    edges = []
-    head = textio._read_host_tokens(textio._Stream(text), 0, {}, None, edges)
-    g = Graph()
-    g.adopt(head, edges)
-    return g
 
 
 def build_host(nodes, edges):

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import py_compile
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +62,28 @@ def test_one_row_on_two_sides_has_every_field_and_the_same_counts(tmp_path):
         # one frame per expansion of the root cursor; the last one is
         # undone; each journals gen!'s and ret's writes, not step!'s
         assert [row[key] for key in COUNTS] == [1, 0, "success", 341, 0, 23, 22, 1, 119]
+
+
+def test_a_side_neither_reads_nor_writes_bytecode_caches_in_its_src(tmp_path):
+    # a pyc of other code than its source, which Python trusts unchecked
+    src, cache = tmp_path / "src", tmp_path / "cache"
+    shutil.copytree(ROOT / "src" / "gp2", src / "gp2",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cache.mkdir()
+    stale = tmp_path / "stale.py"
+    stale.write_text("STALE = True\n")
+    pyc = src / "gp2" / "__pycache__" / f"__init__.{sys.implementation.cache_tag}.pyc"
+    py_compile.compile(str(stale), cfile=str(pyc),
+                       invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    code = "import gp2, gp2.cli; print(hasattr(gp2, 'STALE'))"
+    plain = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    plain.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    for env, stale_read in ((plain, "True"),
+                            (load_tool().side_env(src, str(cache)), "False")):
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.split() == [stale_read]
+    assert list((src / "gp2").rglob("*.pyc")) == [pyc] and list(cache.iterdir()) == []
 
 
 def test_a_side_is_the_median_of_all_its_samples_and_its_counts_must_agree():

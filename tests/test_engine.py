@@ -20,7 +20,7 @@ from gp2.engine import (
     run_program,
 )
 from gp2.graph import FLAG_IN_GRAPH, FLAG_MATCHED, FLAG_ROOT, Graph
-from gp2.match import find_match
+from gp2.match import compiled_step, find_match
 from gp2.oracles import check_consistency, graphs_isomorphic
 from gp2.rules import EvalError, instantiate_rhs
 from gp2.textio import (
@@ -489,6 +489,36 @@ def test_a_rolled_back_rule_keeping_edges_prints_its_input(monkeypatch, backend,
     assert flipped == [False, True]
 
 
+# A bidirectional right-hand edge whose ends are written the other way
+# round from its left-hand twin's is a new edge, added against the host
+# edge it replaces, whichever way that edge was matched.
+FLIP = ("flip()\n[ (1, 1) (2, 2) | (0 (B), 1, 2, empty) ]\n"
+        "=> [ (1, 1) (2, 2) | (0 (B), 2, 1, 5) ]")
+FLIP_HOSTS = {"[ (0, 1) (1, 2) | (0, 0, 1, empty) ]": "[ (0, 1) (1, 2) | (0, 1, 0, 5) ]",
+              "[ (0, 1) (1, 2) | (0, 1, 0, empty) ]": "[ (0, 1) (1, 2) | (0, 0, 1, 5) ]"}
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+@pytest.mark.parametrize("mode", ["preserve", "reflect"])
+@pytest.mark.parametrize("optimize", [True, False])
+def test_a_bidirectional_edge_written_reversed_is_added_against_the_host_edge(
+        monkeypatch, backend, mode, optimize):
+    rule = parse_rule(FLIP)
+    source = inspect.getsource(compiled_step(rule, optimize, backend, mode == "reflect"))
+    assert re.search(r"if p\d+ == \d: g\.add_edge\(", source)     # the flipped add
+    cfg = ExecConfig(backend=backend, root_mode=mode, optimize_plans=optimize)
+    flipped = []
+    for host, out in FLIP_HOSTS.items():
+        flipped.append(find_match(rule, parse_host_graph(host), mode, backend,
+                                  optimize).orientations[0])
+        assert Executable(parse_program(f"Main = flip\n{FLIP}"), cfg).run_text(host).output == out
+        rolled_back = Executable(parse_program(f"Main = try (flip; fail)\n{FLIP}"), cfg)
+        for stack in (ChangeStack, SnapshotStack):
+            monkeypatch.setattr(engine, "ChangeStack", stack)
+            assert rolled_back.run_text(host).output == host, (host, stack.__name__)
+    assert flipped == [False, True]
+
+
 def test_always_undone_guards_leave_no_node_held():
     # each if guard deletes a node under its own outermost frame
     parsed = parse_program("Main = (if del then skip; tick)!\n"
@@ -549,6 +579,37 @@ def test_the_parts_after_the_last_that_may_fail_run_after_the_frame_commits(monk
     assert len(deleted) == 4        # two in each run
     monkeypatch.setattr(engine, "ChangeStack", SnapshotStack)
     assert Executable(parse_program(COMMIT_AFTER_B), ExecConfig()).run_text(host).output == out
+
+
+# A try guard that is a sequence commits after b, its last part that may
+# fail; c! and the break after it run once the frame has committed, and
+# the break ends the loop, so d never runs.  e turns a 7 into the 0 that
+# b needs.
+TRY_TAIL = ("Main = (try (a!; b; c!; break) then d else e)!; f\n"
+            "a(x:list) [ (1, x # grey) | ] => [ (1, x # red) | ]\n"
+            "b() [ (1, 0) | ] => [ (1, 1 # grey) | ]\n"
+            "c(x:list) [ (1, x # red) | ] => [ | ]\n"
+            "d(x:list) [ (1, x) | ] => [ | ]\n"
+            "e() [ (1, 7) | ] => [ (1, 0) | ]\n"
+            "f(x:list) [ (1, x # grey) | ] => [ (1, x:2) | ]")
+
+
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+@pytest.mark.parametrize("host, out", [
+    ("[ (0, 0) (1, 5 # grey) (2, 7) | ]", "[ (0, 1:2) (1, 7) | ]"),     # b succeeds
+    ("[ (0, 3) (1, 5 # grey) (2, 7) | ]", "[ (0, 3) (1, 1:2) | ]"),     # b fails, then succeeds
+    ("[ (0, 3) (1, 5 # grey) | ]", "[ (0, 3) (1, 5:2) | ]"),            # b and e fail
+], ids=["b-succeeds", "b-fails-then-succeeds", "b-fails"])
+def test_the_parts_of_a_try_guard_after_its_last_that_may_fail_run_after_its_commit(
+        monkeypatch, backend, host, out):
+    cfg = ExecConfig(backend=backend)
+    run = Executable(parse_program(TRY_TAIL), cfg)
+    assert "commit_frame(g)\n                while s2(g): pass  # c\n" in \
+        inspect.getsource(run._run)
+    generated, reference = _generated_and_reference(TRY_TAIL, host, cfg)
+    assert generated == reference and generated[:3] == ("success", None, out)
+    monkeypatch.setattr(engine, "ChangeStack", SnapshotStack)
+    assert run.run_text(host).output == out
 
 
 def _shrinks(rule):

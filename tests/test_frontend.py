@@ -248,6 +248,22 @@ FRONT_END_CASES += [
 ]
 
 
+# A keyword cannot be a variable name: where the variable stands, it
+# reads as the keyword (``empty`` as the empty list).
+FRONT_END_CASES += [
+    pytest.param('program', 'Main = r\nr(empty:list)\n[ (1, empty) | ] => [ (1, empty) | ]',
+                 ('semantic', 2, 3, "'empty' cannot be a variable name"),
+                 id='variable-named-empty'),
+    pytest.param('rule', 'r(int:int)\n[ (1, int) | ] => [ (1, int) | ] where int = 1',
+                 ('semantic', 1, 3, "'int' cannot be a variable name"), id='variable-named-int'),
+    pytest.param('rule', 'r(x:list; not:int)\n[ (1, not) | ] => [ (1, not) | ]',
+                 ('semantic', 1, 11, "'not' cannot be a variable name"), id='variable-named-not'),
+    pytest.param('rule', 'r(x, edge:list)\n[ (1, x) (2, edge) | ] => [ (1, x) (2, edge) | ]',
+                 ('semantic', 1, 6, "'edge' cannot be a variable name"),
+                 id='variable-named-edge'),
+]
+
+
 # Commands missing their keyword, or with one where a command belongs.
 _R = '\nr(x:list)\n[ (1, x) | ] => [ (1, x) | ]'
 FRONT_END_CASES += [

@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 
 from gp2 import corpus
 from gp2.cli import main
-from gp2.textio import (SourceError, _Stream, parse_host_graph, parse_program, parse_rule,
-                        print_graph)
-from helpers import read_host_by_tokens
+from gp2.textio import (SourceError, _read_host_tokens, _Stream, parse_host_graph, parse_program,
+                        parse_rule, print_graph)
 
 FUZZ = settings(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -178,7 +177,8 @@ def _outcome(parse, text):
 @example("[ (9223372036854775808, empty) | ]")
 @example(f"[ (0, empty) | ({LONG_INT}, 0, 0, empty) ]")
 def test_host_reader_agrees_with_the_token_reader(text):
-    assert _outcome(parse_host_graph, text) == _outcome(read_host_by_tokens, text)
+    by_tokens = _outcome(lambda t: _read_host_tokens(_Stream(t)), text)
+    assert _outcome(parse_host_graph, text) == by_tokens
 
 
 class _Diverged(BaseException):

@@ -10,7 +10,7 @@ from gp2 import bench, corpus, textio
 from gp2.engine import ExecConfig, Executable
 from gp2.textio import inline_procedures
 from gp2.graph import EDGE_MARKS, NODE_MARKS, Graph
-from helpers import build_host, executable, read_host_by_tokens
+from helpers import build_host, executable
 from gp2.oracles import check_consistency, graphs_isomorphic
 from gp2.textio import (
     SourceError,
@@ -355,19 +355,11 @@ HOST_ERRORS_AFTER_FAST_ITEMS = [
 
 
 @pytest.mark.parametrize("host, message", HOST_ERRORS_AFTER_FAST_ITEMS)
-def test_host_errors_after_fast_items(host, message, monkeypatch):
-    starts = []
-
-    class Stream(textio._Stream):
-        def __init__(self, text, offset=0):
-            starts.append(offset)
-            super().__init__(text, offset)
-
-    monkeypatch.setattr(textio, "_Stream", Stream)
+def test_host_errors_after_fast_items(host, message):
+    assert textio._read_host_fast(host) is None     # declined, so the token reader reads it
     with pytest.raises(SourceError) as err:
         parse_host_graph(host)
     assert str(err.value) == message
-    assert "\n" in host[:starts[0]]            # the first line was read by patterns
 
 
 # Every node and edge mark, roots, strings and negative ints.
@@ -508,32 +500,22 @@ def _layout(g):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_a_read_host_has_the_layout_of_the_add_calls_in_reverse(seed, monkeypatch):
-    sections = []
-
-    def read_tokens(ts, section, *args):
-        sections.append(section)
-        return read(ts, section, *args)
-
-    read = textio._read_host_tokens
-    monkeypatch.setattr(textio, "_read_host_tokens", read_tokens)
+def test_a_read_host_has_the_layout_of_the_add_calls_in_reverse(seed):
     rng = random.Random(seed)
     for _ in range(12):
         nodes, edges, items = _layout_host(rng)
         expected = _layout(build_host(nodes, edges))
         bar = len(nodes)
-        readings = {"fast": ("[ " + " ".join(items) + " ]", []),
+        # Each text, and whether the fast reader reads it; a comment makes
+        # it decline, and the token reader reads the text from the top.
+        readings = {"fast": ("[ " + " ".join(items) + " ]", True),
                     "nodes": ("[ " + " ".join(items[:bar - 1]) + " // a comment\n "
-                              + " ".join(items[bar - 1:]) + " ]", [1])}
+                              + " ".join(items[bar - 1:]) + " ]", False)}
         if edges:
             readings["edges"] = ("[ " + " ".join(items[:-1]) + " // a comment\n "
-                                 + items[-1] + " ]", [2])
-        for text, handed_over in readings.values():
-            sections.clear()
-            g = parse_host_graph(text)
-            assert sections == handed_over
-            check_consistency(g)
-            assert _layout(g) == expected
-            g = read_host_by_tokens(text)
-            check_consistency(g)
-            assert _layout(g) == expected
+                                 + items[-1] + " ]", False)
+        for text, fast in readings.values():
+            assert (textio._read_host_fast(text) is not None) == fast
+            for g in parse_host_graph(text), textio._read_host_tokens(textio._Stream(text)):
+                check_consistency(g)
+                assert _layout(g) == expected

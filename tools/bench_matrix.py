@@ -5,9 +5,11 @@
 Each ``NAME=SRC`` argument is one side: a ``src`` directory that holds a
 ``gp2`` package.  Every row of ``MATRIX`` runs on both backends, in its
 root mode, ``PROCESSES`` times on each side, each time in a fresh
-interpreter with ``PYTHONPATH`` set to its side's ``src``.  The sides
-alternate process by process, and which goes first alternates row by
-row, so a spell in which the machine runs slow falls on both sides.  A
+interpreter with ``PYTHONPATH`` set to its side's ``src`` and no
+bytecode cache (see ``side_env``): a ``.pyc`` in one side's ``src``,
+stale or not, would otherwise change what that side's start costs.  The
+sides alternate process by process, and which goes first alternates row
+by row, so a spell in which the machine runs slow falls on both sides.  A
 row records the host's size, the outcome, the exact work counts
 (candidates examined, iteration steps, journal frames opened, committed
 and undone, and the journal entries, counted as each frame closes), and
@@ -273,10 +275,20 @@ def _meta(src: Path) -> dict:
             "gp2_module_lines": modules}
 
 
+def side_env(src: Path, cache: str) -> dict:
+    """The environment of a side's measuring process, which its CLI runs
+    and its probe inherit: ``gp2`` from ``src``, and no bytecode cache
+    read from or written into ``src``, only the empty directory ``cache``
+    looked in, so every side compiles its modules from source."""
+    return dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPYCACHEPREFIX=cache)
+
+
 def _run_side(src: Path, program: str, host: str, backend: str, mode: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    result = subprocess.run([sys.executable, __file__, "--measure", program, host, backend, mode],
-                            env=env, capture_output=True, text=True, check=False)
+    with tempfile.TemporaryDirectory() as cache:
+        result = subprocess.run([sys.executable, __file__, "--measure", program, host, backend,
+                                 mode], env=side_env(src, cache), capture_output=True, text=True,
+                                check=False)
     if result.returncode:
         raise SystemExit(f"side {src}: {result.stderr.strip()}")
     return json.loads(result.stdout)
