@@ -142,7 +142,8 @@ def _compile(code, shared: set):
     """``main(g, stack)`` for ``_build``'s ``code``, its steps closure
     cells of ``make``.  ``write`` emits a command as statements that fall
     through on OK and run ``fail`` on FAILED and ``brk`` on BROKE, neither
-    inside a loop that the command opens.  A compound command that is
+    inside a loop that the command opens, and returns whether the command
+    ends in a ``break``, so nothing follows it.  A compound command that is
     ``shared`` between sites, or nested deeper than ``_DEPTH``, is written
     once as a function that returns its status."""
     steps: dict = {}                # compiled step -> s + number
@@ -162,11 +163,12 @@ def _compile(code, shared: set):
         """Write ``code`` as a function ``(g, stack)`` that returns its status."""
         nonlocal lines
         outer, lines = lines, []
-        write(code, 2, f"return {FAILED}", f"return {BROKE}", inline=True)
+        stops = write(code, 2, f"return {FAILED}", f"return {BROKE}", inline=True)
         name = made[id(code)] = name or f"f{len(functions)}"
         head = [f"    def {name}(g, stack):", "        open_frame, commit_frame, undo_frame = "
                 "stack.open_frame, stack.commit_frame, stack.undo_frame"]
-        functions.append("".join(f"{line}\n" for line in head + lines + [f"        return {OK}"]))
+        end = [f"        return {OK}"] * (not stops)
+        functions.append("".join(f"{line}\n" for line in head + lines + end))
         lines = outer
         return name
 
@@ -176,13 +178,15 @@ def _compile(code, shared: set):
             emit(depth, f"if not {test(part)}: {fail}", part[2])
         elif tag in ("skip", "fail", "break"):
             emit(depth, {"skip": "pass", "fail": fail, "break": brk}[tag])
+            return tag == "break"
         elif not inline and (id(part) in shared or depth > _DEPTH):
             emit(depth, f"st = {made.get(id(part)) or function(part)}(g, stack)")
             emit(depth, f"if st == {FAILED}: {fail}")
             emit(depth, f"if st == {BROKE}: {brk}")
         elif tag == "seq":
             for c in part[1:]:
-                write(c, depth, fail, brk)
+                stops = write(c, depth, fail, brk)
+            return stops
         elif tag == "loop":
             _, body, tail, framed = part
             if body[0] == "rules":      # fails cleanly: never framed
@@ -204,12 +208,12 @@ def _compile(code, shared: set):
                 emit(depth, f"if {test(guard)}:", guard[2])
             else:       # the guard in a loop that runs once, its status in st
                 emit(depth, "while True:")
-                write(guard, depth + 1, f"{undo}st = {FAILED}; break",
-                      f"{close}st = {BROKE}; break")
-                emit(depth + 1, close[:-2])
+                stops = write(guard, depth + 1, f"{undo}st = {FAILED}; break",
+                              f"{close}st = {BROKE}; break")
+                emit(depth + 1, close[:-2] * (not stops))
                 for c in tail:
-                    write(c, depth + 1, f"st = {FAILED}; break", f"st = {BROKE}; break")
-                emit(depth + 1, f"st = {OK}; break")
+                    stops = write(c, depth + 1, f"st = {FAILED}; break", f"st = {BROKE}; break")
+                emit(depth + 1, f"st = {OK}; break" * (not stops))
                 emit(depth, f"if st == {BROKE}: {brk}")
                 emit(depth, f"if st == {OK}:")
                 close = undo = ""

@@ -246,9 +246,9 @@ def _parse_host_label(ts: _Stream, marks) -> tuple[tuple, str]:
 _BLANKS = r"[ \t\r\n]*"
 _ATOM = r'(?:-?\d{1,10}|"[^"\n]*")'
 # An item's label, mark and closing ``)``; the groups are the atoms' text
-# and the mark.  Node items also capture the id and the root marker, edge
-# items the source and target ids.
-_LABEL = (rf"(empty|{_ATOM}(?:{_BLANKS}:{_BLANKS}{_ATOM})*)"
+# (None for ``empty``) and the mark.  Node items also capture the id and
+# the root marker, edge items the source and target ids.
+_LABEL = (rf"(?:empty|({_ATOM}(?:{_BLANKS}:{_BLANKS}{_ATOM})*))"
           rf"(?:{_BLANKS}\#{_BLANKS}(\w+))?{_BLANKS}\)")
 _ID = rf"{_BLANKS}(\d{{1,19}}){_BLANKS}"
 _HOST_OPEN = re.compile(rf"{_BLANKS}\[", re.ASCII)
@@ -263,10 +263,8 @@ _ROOTED = FLAG_IN_GRAPH | FLAG_ROOT
 
 
 def _fast_label(text: str) -> Optional[tuple]:
-    """The atoms of a label that ``_LABEL`` matched, or None if one of
-    them fails the check the token reader makes."""
-    if text == "empty":
-        return ()
+    """The atoms of an atom list that ``_LABEL`` matched, or None if one
+    of them fails the check the token reader makes."""
     atoms = []
     for number, string in _HOST_ATOM.findall(text):
         if number:
@@ -297,7 +295,7 @@ def _read_host_fast(text: str) -> Optional[Graph]:
     offset, bound, head = m.end(), len(ids), None
     while m := _HOST_NODE.match(text, offset):
         node_id, root, label, mark = m.groups()
-        node_id, label = int(node_id), _fast_label(label)
+        node_id, label = int(node_id), () if label is None else _fast_label(label)
         if label is None or mark and mark not in NODE_MARKS:
             return None
         if node_id < bound:
@@ -318,7 +316,7 @@ def _read_host_fast(text: str) -> Optional[Graph]:
     offset = m.end()
     while m := _HOST_EDGE.match(text, offset):
         source, target, label, mark = m.groups()
-        source, target, label = int(source), int(target), _fast_label(label)
+        source, target, label = int(source), int(target), () if label is None else _fast_label(label)
         source = ids[source] if source < bound else large_ids.get(source)
         target = ids[target] if target < bound else large_ids.get(target)
         if source is None or target is None or label is None \

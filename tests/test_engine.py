@@ -612,6 +612,29 @@ def test_the_parts_of_a_try_guard_after_its_last_that_may_fail_run_after_its_com
     assert run.run_text(host).output == out
 
 
+@pytest.mark.parametrize("backend", ["chain", "index_scan"])
+def test_a_try_guard_whose_tail_ends_in_break_writes_nothing_after_it(backend):
+    # The guard's once-through loop ends at the tail's ``break``: no close
+    # and no ``st = OK`` line follows it.  The test above runs it.
+    run = Executable(parse_program(TRY_TAIL), ExecConfig(backend=backend))
+    lines = [line.strip() for line in linecache.getlines(run._run.__code__.co_filename)]
+    end = lines.index(f"st = {engine.BROKE}; break")
+    assert lines[end - 1] == "while s2(g): pass  # c"
+    assert lines[end + 1] == f"if st == {engine.BROKE}: commit_frame(g); break"
+    assert f"st = {OK}; break" not in lines
+
+
+def test_a_shared_command_that_ends_in_break_returns_nothing_after_it():
+    # ``P`` is written once, as a function whose last line returns BROKE.
+    run = Executable(parse_program("P = a; break\nMain = P!; P!\n"
+                                   "a() [ (1, 0) | ] => [ (1, 1) | ]"), ExecConfig())
+    lines = [line.strip() for line in linecache.getlines(run._run.__code__.co_filename)]
+    start = lines.index("def f0(g, stack):")
+    assert lines[start + 2:start + 5] == [f"if not s0(g): return {engine.FAILED}  # a",
+                                          f"return {engine.BROKE}", "def main(g, stack):"]
+    assert run.run_text("[ (0, 0) (1, 0) | ]").output == "[ (0, 1) (1, 1) | ]"
+
+
 def _shrinks(rule):
     """Whether every application of ``rule`` removes at least one item."""
     return len(rule.rhs.nodes) + len(rule.rhs.edges) < len(rule.lhs.nodes) + len(rule.lhs.edges)

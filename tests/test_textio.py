@@ -389,6 +389,20 @@ def test_printed_hosts_are_read_without_the_token_reader(host, monkeypatch):
     assert print_graph(parse_host_graph(text)) == text
 
 
+@pytest.mark.parametrize("host", ["discrete:1000", "tree:6", RICH_HOST])
+def test_only_atom_list_labels_are_converted(host, monkeypatch):
+    # An ``empty`` label is () as read; ``_fast_label`` gets only atom lists.
+    g = parse_host_graph(host) if host == RICH_HOST else bench.generate(bench.parse_spec(host))
+    text = print_graph(g)
+    atom_lists = sum(item.label != () for item in [*g.nodes(), *g.edges()])
+    assert atom_lists == (7 if host == RICH_HOST else 0)
+    calls = []
+    fast_label = textio._fast_label
+    monkeypatch.setattr(textio, "_fast_label", lambda text: calls.append(text) or fast_label(text))
+    assert print_graph(parse_host_graph(text)) == text
+    assert len(calls) == atom_lists
+
+
 @pytest.mark.parametrize("host", ["[ (², empty) | ]", "[ (١, empty) | ]",
                                   "[ (0, empty) | (0, 0, ٠, empty) ]"])
 def test_non_ascii_digits_are_lex_errors(host):
