@@ -12,13 +12,16 @@ a loop body or ``try`` guard that may fail after changing the graph, and
 an ``if`` guard that may change it.  A framed body or guard that is a
 sequence closes its frame after its last part that may fail: the parts
 after it cannot fail, so they run in the parent frame, or unjournaled
-when there is none.  ``_compile`` writes the result as
-one generated function ``main(g, stack)`` that returns OK, FAILED or
-BROKE: a loop is a ``while``, a rule set calls its steps with ``or``
-until one rewrites, a shared command is a function, and frames are
-opened, committed and undone inline through the run's ``ChangeStack``.
-Only a framed run's mutations are journalled (see ``graph``), so they
-can be undone exactly.
+when there is none; a ``try`` guard's run at the head of its ``then``
+branch.  ``_compile`` writes the result as one generated function
+``main(g, stack)`` that returns OK, FAILED or BROKE: a loop is a
+``while``, a rule set calls its steps with ``or`` until one rewrites, a
+shared command, a command deeper than ``_DEPTH`` and a branch guard that
+is not a rule set are functions that return their status, nothing is
+written after a ``break`` or ``fail``, and frames are opened, committed
+and undone inline through the run's ``ChangeStack``.  Only a framed
+run's mutations are journalled (see ``graph``), so they can be undone
+exactly.
 """
 
 from __future__ import annotations
@@ -78,11 +81,12 @@ def _build(main, rules: dict[str, Rule], cfg: ExecConfig, shared: set):
     may fail after changing the graph, and an ``if`` guard one that is
     always undone when it may change the graph.  A framed body or guard
     that is a sequence commits right after its last part that may fail,
-    and the parts after it, its ``tail``, run outside the frame.
+    and the parts after it, its ``tail``, run outside the frame: a loop's
+    after its body, a ``try`` guard's at the head of its ``then`` branch.
     ``code`` is ``main`` for ``_compile``, with each rule set's steps and
-    names, and each loop's and branch's frame and tail.  A command that
-    call sites share is built once, and the id of its code put in
-    ``shared``."""
+    names, each loop's frame and tail, and each branch's frame.  A
+    command that call sites share is built once, and the id of its code
+    put in ``shared``."""
     setting = (cfg.optimize_plans, cfg.backend, cfg.root_mode == "reflect")
     built: dict = {}            # id(cmd) -> build(cmd)
 
@@ -116,14 +120,15 @@ def _build(main, rules: dict[str, Rule], cfg: ExecConfig, shared: set):
             result = tuple(parts), fail, mutate, clean
         elif tag in ("if", "try"):
             (guard, _, g_mutate, g_clean), (then, t_fail, t_mutate, t_clean), \
-                (other, e_fail, e_mutate, e_clean) = (build(c) for c in cmd[1:])
+                (other, e_fail, e_mutate, e_clean) = build(cmd[1]), build(cmd[2]), build(cmd[3])
             if tag == "if":        # guard effects are always rolled back
-                result = (("branch", guard, g_mutate, False, then, other, ()), t_fail or e_fail,
+                result = (("branch", guard, g_mutate, False, then, other), t_fail or e_fail,
                           t_mutate or e_mutate, t_clean and e_clean)
             else:
                 ok_path = not t_fail or (t_clean and not g_mutate)
                 guard, tail = split(cmd[1], guard, not g_clean)
-                result = (("branch", guard, not g_clean, True, then, other, tail),
+                then = ("seq", *tail, then) if tail else then
+                result = (("branch", guard, not g_clean, True, then, other),
                           t_fail or e_fail, g_mutate or t_mutate or e_mutate, ok_path and e_clean)
         else:
             result = (tag,), tag == "fail", False, True
@@ -143,9 +148,10 @@ def _compile(code, shared: set):
     cells of ``make``.  ``write`` emits a command as statements that fall
     through on OK and run ``fail`` on FAILED and ``brk`` on BROKE, neither
     inside a loop that the command opens, and returns whether the command
-    ends in a ``break``, so nothing follows it.  A compound command that is
-    ``shared`` between sites, or nested deeper than ``_DEPTH``, is written
-    once as a function that returns its status."""
+    ends in one of these jumps, so nothing follows it.  A compound command
+    that is ``shared`` between sites, or nested deeper than ``_DEPTH``, and
+    a branch guard that is not a rule set, are written once as a function
+    that returns its status, which the caller keeps in ``st``."""
     steps: dict = {}                # compiled step -> s + number
     made: dict = {}                 # id of a command written as a function -> its name
     functions: list[str] = []
@@ -178,15 +184,15 @@ def _compile(code, shared: set):
             emit(depth, f"if not {test(part)}: {fail}", part[2])
         elif tag in ("skip", "fail", "break"):
             emit(depth, {"skip": "pass", "fail": fail, "break": brk}[tag])
-            return tag == "break"
+            return tag != "skip"
         elif not inline and (id(part) in shared or depth > _DEPTH):
             emit(depth, f"st = {made.get(id(part)) or function(part)}(g, stack)")
             emit(depth, f"if st == {FAILED}: {fail}")
             emit(depth, f"if st == {BROKE}: {brk}")
         elif tag == "seq":
             for c in part[1:]:
-                stops = write(c, depth, fail, brk)
-            return stops
+                if write(c, depth, fail, brk):
+                    return True
         elif tag == "loop":
             _, body, tail, framed = part
             if body[0] == "rules":      # fails cleanly: never framed
@@ -194,35 +200,27 @@ def _compile(code, shared: set):
                 return
             emit(depth, "while True:")
             emit(depth + 1, "open_frame(g)" * framed)
-            write(body, depth + 1, "undo_frame(g); " * framed + "break",
-                  "commit_frame(g); " * framed + "break")
-            emit(depth + 1, "commit_frame(g)" * framed)
-            for c in tail:
-                write(c, depth + 1, "break", "break")
+            if not write(body, depth + 1, "undo_frame(g); " * framed + "break",
+                         "commit_frame(g); " * framed + "break"):
+                emit(depth + 1, "commit_frame(g)" * framed)
+                write(("seq", *tail), depth + 1, "break", "break", inline=True)
         else:
-            _, guard, framed, keep, then, other, tail = part
+            _, guard, framed, keep, then, other = part
             close = ("commit_frame(g); " if keep else "undo_frame(g); ") * framed
             undo = "undo_frame(g); " * framed
             emit(depth, "open_frame(g)" * framed)
             if guard[0] == "rules":
                 emit(depth, f"if {test(guard)}:", guard[2])
-            else:       # the guard in a loop that runs once, its status in st
-                emit(depth, "while True:")
-                stops = write(guard, depth + 1, f"{undo}st = {FAILED}; break",
-                              f"{close}st = {BROKE}; break")
-                emit(depth + 1, close[:-2] * (not stops))
-                for c in tail:
-                    stops = write(c, depth + 1, f"st = {FAILED}; break", f"st = {BROKE}; break")
-                emit(depth + 1, f"st = {OK}; break" * (not stops))
-                emit(depth, f"if st == {BROKE}: {brk}")
+            else:       # a function, its status in st
+                emit(depth, f"st = {made.get(id(guard)) or function(guard)}(g, stack)")
+                emit(depth, f"if st == {BROKE}: {close}{brk}")
                 emit(depth, f"if st == {OK}:")
-                close = undo = ""
             emit(depth + 1, close[:-2])
-            write(then, depth + 1, fail, brk)
+            stops = write(then, depth + 1, fail, brk)
             if other[0] != "skip" or undo:
                 emit(depth, "else:")
                 emit(depth + 1, undo[:-2])
-                write(other, depth + 1, fail, brk)
+                return write(other, depth + 1, fail, brk) and stops
 
     function(code, "main")
     source = f"def make({', '.join(steps.values())}):\n{''.join(functions)}    return main\n"

@@ -119,8 +119,6 @@ class _Stream:
         """Take the current token.  The state changes only once the
         following token is scanned."""
         tok = self.tok
-        if tok.kind == "EOF":
-            return tok
         text, (offset, line, line_start) = self.text, self.resume
         while True:
             m = _TOKEN.match(text, offset)
@@ -535,13 +533,11 @@ def _parse_cond_atom(ts: _Stream):
         ts.expect(")")
         return ("edge", src, tgt, label)
     if tok.kind == "IDENT" and tok.value in ("int", "char", "string", "atom"):
-        saved = ts.state()
         ts.next()
-        if ts.accept("("):
-            var = ts.expect("IDENT")
-            ts.expect(")")
-            return ("typecheck", tok.value, var.value)
-        ts.restore(saved)
+        ts.expect("(")
+        var = ts.expect("IDENT")
+        ts.expect(")")
+        return ("typecheck", tok.value, var.value)
     if tok.kind == "(":
         # Could be a bracketed condition or a bracketed expression that
         # starts a comparison; try the condition reading first.

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import linecache
 import random
 import re
@@ -16,6 +17,7 @@ from gp2.engine import (
     ConfigError,
     ExecConfig,
     Executable,
+    Outcome,
     apply_rule,
     run_program,
 )
@@ -614,14 +616,17 @@ def test_the_parts_of_a_try_guard_after_its_last_that_may_fail_run_after_its_com
 
 @pytest.mark.parametrize("backend", ["chain", "index_scan"])
 def test_a_try_guard_whose_tail_ends_in_break_writes_nothing_after_it(backend):
-    # The guard's once-through loop ends at the tail's ``break``: no close
-    # and no ``st = OK`` line follows it.  The test above runs it.
+    # The guard up to b is the function f0.  Its tail, c! and the break,
+    # runs at the head of the then branch, once the guard's frame has
+    # committed, and d, after the break, is not written.  The test above
+    # runs it.
     run = Executable(parse_program(TRY_TAIL), ExecConfig(backend=backend))
     lines = [line.strip() for line in linecache.getlines(run._run.__code__.co_filename)]
-    end = lines.index(f"st = {engine.BROKE}; break")
-    assert lines[end - 1] == "while s2(g): pass  # c"
-    assert lines[end + 1] == f"if st == {engine.BROKE}: commit_frame(g); break"
-    assert f"st = {OK}; break" not in lines
+    start = lines.index("st = f0(g, stack)")
+    assert lines[start + 1:start + 7] == [
+        f"if st == {engine.BROKE}: commit_frame(g); commit_frame(g); break", f"if st == {OK}:",
+        "commit_frame(g)", "while s2(g): pass  # c", "commit_frame(g); break", "else:"]
+    assert not any(line.endswith("# d") for line in lines)
 
 
 def test_a_shared_command_that_ends_in_break_returns_nothing_after_it():
@@ -633,6 +638,55 @@ def test_a_shared_command_that_ends_in_break_returns_nothing_after_it():
     assert lines[start + 2:start + 5] == [f"if not s0(g): return {engine.FAILED}  # a",
                                           f"return {engine.BROKE}", "def main(g, stack):"]
     assert run.run_text("[ (0, 0) (1, 0) | ]").output == "[ (0, 1) (1, 1) | ]"
+
+
+def _jumps(run):
+    """The lines of ``run``'s generated source that follow an
+    unconditional jump at the same or a deeper indent: a ``break``, a
+    ``return``, or a line that ends in ``; break`` and is not a one-line
+    ``if``."""
+    lines = [line.rstrip("\n").split("  # ")[0]
+             for line in linecache.getlines(run._run.__code__.co_filename)]
+    indent = [len(line) - len(line.lstrip()) for line in lines]
+    return [after for line, depth, after, after_depth in zip(lines, indent, lines[1:], indent[1:])
+            if after_depth >= depth and (line.strip() == "break" or line.strip().startswith(
+                "return ") or line.endswith("; break") and not line.strip().startswith("if "))]
+
+
+NONE = "none(x:list) [ (1, x # red) | ] => [ | ]"
+
+# break or fail in the middle of a sequence, at the end of a loop body, in
+# a try guard's tail, in a shared procedure, and ending both branches
+JUMP_MAINS = [
+    "(mark; break; mark)!", "mark; fail; mark", "(mark; fail)!", "(mark; mark; break; skip)!",
+    "(try (mark!; none; mark!; break; mark) then mark else mark)!",
+    "(try (mark; break; none) then mark)!", "(if mark then break else fail; mark)!; mark",
+    "if (mark; none) then mark else (mark; fail; mark)",
+    "P; P\nP = mark; fail; mark", "P!; P!\nP = mark; break; mark",
+    "(P; P)!\nP = try (mark; mark; break; skip) else fail",
+]
+
+
+def test_nothing_is_written_after_a_jump():
+    for program, backend, mode, optimize in itertools.product(
+            corpus.PROGRAM_NAMES, ("chain", "index_scan"), ("preserve", "reflect"), (True, False)):
+        run = executable(program, ExecConfig(backend, mode, optimize_plans=optimize))
+        assert _jumps(run) == [], program
+    for main in JUMP_MAINS:
+        program = f"Main = {main}\n{MARK}\n{NONE}"
+        for backend in ("chain", "index_scan"):
+            run = Executable(parse_program(program), ExecConfig(backend=backend))
+            assert _jumps(run) == [], main
+            generated, reference = _generated_and_reference(
+                program, "[ (0, 1) (1, 2) (2, 3) | ]", ExecConfig(backend=backend))
+            assert generated == reference, (main, backend)
+
+
+def test_a_branch_whose_arms_both_jump_ends_in_a_jump():
+    program = f"Main = (if mark then break else fail; none)!\n{MARK}\n{NONE}"
+    run = Executable(parse_program(program), ExecConfig())
+    # none, after the branch, is not written, nor its step passed to make
+    assert linecache.getlines(run._run.__code__.co_filename)[0] == "def make(s0):\n"
 
 
 def _shrinks(rule):
@@ -1107,6 +1161,30 @@ def test_deep_programs_build_and_run(backend, main, expected):
     assert time.perf_counter() - start <= 1.0
     out = run.run_text(DEEP_HOST)
     assert (out.status, out.output) == ("success", expected)
+
+
+@pytest.mark.parametrize("shape", ["try {} then skip", "if {} then skip"])
+def test_the_deepest_branches_that_parse_build_and_run(shape):
+    # Every program that parses also builds and runs: building and
+    # writing a branch take no more stack per level than parsing it.
+    def program(depth):
+        return f"Main = {_nested(depth, shape.format, 'r')}\n{DEEP_RULES}"
+
+    def parses(depth):
+        try:
+            parse_program(program(depth))
+        except SourceError:
+            return False
+        return True
+
+    low, high = 1, 2000         # parses, does not
+    assert parses(low) and not parses(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if parses(middle) else (low, middle)
+    for depth in range(low - 7, low + 1):
+        out = run_program(program(depth), DEEP_HOST)
+        assert isinstance(out, Outcome) and out.status == "success", depth
 
 
 @pytest.mark.parametrize("main, status, printed", [

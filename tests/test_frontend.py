@@ -261,6 +261,9 @@ FRONT_END_CASES += [
     pytest.param('rule', 'r(x, edge:list)\n[ (1, x) (2, edge) | ] => [ (1, x) (2, edge) | ]',
                  ('semantic', 1, 6, "'edge' cannot be a variable name"),
                  id='variable-named-edge'),
+    # so a type name that opens a condition atom opens a type check
+    pytest.param('program', 'r(x:int) [ (1, x) | ] => [ (1, x) | ] where int = 1\nMain = r\n',
+                 ('syntax', 1, 49, "expected '(', found '='"), id='type-name-without-check'),
 ]
 
 
